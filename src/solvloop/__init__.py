@@ -51,6 +51,7 @@ from .sections import (
     PRESETS,
     FunctionSpec,
     GenerationVerdict,
+    RightTranslationLine,
     SectionSpec,
     degeneracy_report,
     right_translation_system,
@@ -80,12 +81,10 @@ from .multgroup import (
     theorem2_certificate,
 )
 from .numerics import (
-    Box,
     FitResult,
-    MultistartResult,
     fit_saturating_exponential,
+    newton1d,
     root1d,
-    root2d,
     twisted_additivity_residual,
 )
 from .report import Check, RunReport, VerificationReport, emit_report

@@ -33,9 +33,10 @@ from .group import (
 )
 from .loops import LoopCase, axiom_suite, coset_cross_check
 from .multgroup import CENTER_TEST_DIRECTIONS, theorem2_certificate
-from .numerics import Box, fit_saturating_exponential, twisted_additivity_residual
+from .numerics import fit_saturating_exponential, twisted_additivity_residual
 from .report import RunReport, VerificationReport, emit_report
 from .sections import (
+    PRESETS,
     FunctionSpec,
     SectionSpec,
     degeneracy_report,
@@ -329,10 +330,9 @@ def _run_transitivity(args) -> tuple[VerificationReport, dict]:
     lo, hi = args.box
     if not lo < hi:
         raise ValueError("--box needs LO < HI")
-    box = Box.interval(lo, hi) if spec.case in ("A", "C") else Box.cube(lo, hi, 2)
     report = sharp_transitivity_check(
         spec,
-        box=None if spec.case == "A" else box,
+        box=(lo, hi),
         n_samples=args.samples,
         seed=args.seed,
         resolution=args.resolution,
@@ -462,6 +462,18 @@ def _run_fixed_point(args) -> tuple[VerificationReport, dict]:
 # ----------------------------------------------------------------------- main
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solvloop",
@@ -471,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, samples: int):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=samples)
+        sp.add_argument("--samples", type=_at_least(1), default=samples)
 
     def add_out(sp):
         sp.add_argument("-o", "--out", default="-", help="report path ('-' = stdout)")
@@ -482,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fn(sp):
         group = sp.add_mutually_exclusive_group(required=True)
         group.add_argument("--fn", help="expression for the section function")
-        group.add_argument("--preset", choices=["zero", "linear-x", "bilinear", "lemma1", "sin-small"])
+        group.add_argument("--preset", choices=list(PRESETS))
         sp.add_argument("--coeff", type=float, default=None, help="preset coefficient override")
 
     sp = sub.add_parser("verify-group", help="group law, algebra and centre invariants")
@@ -512,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--case", choices=["A", "B", "C"], required=True)
     sp.add_argument("--a", type=float, required=True)
     add_fn(sp)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_at_least(1), default=200)
     add_out(sp)
     sp.set_defaults(handler=_run_generation)
 
@@ -521,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     add_fn(sp)
     sp.add_argument("--box", type=float, nargs=2, default=[-5.0, 5.0], metavar=("LO", "HI"))
-    sp.add_argument("--resolution", type=int, default=10000)
+    sp.add_argument("--resolution", type=_at_least(2), default=10000)
     sp.add_argument("--z-box", type=float, default=0.5, help="half width of z-offset sampling")
     add_common(sp, 100)
     add_out(sp)
@@ -537,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fn", help="expression in z")
     sp.add_argument("--K", type=float, default=None, help="test the exact member K*(1-exp(-rate*z))")
     sp.add_argument("--rate", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_at_least(1), default=50)
     sp.add_argument("--range", type=float, nargs=2, default=[-3.0, 3.0], metavar=("LO", "HI"))
     add_out(sp)
     sp.set_defaults(handler=_run_lemma1)

@@ -123,7 +123,9 @@ def coordinate_distance(u: Sequence[float], v: Sequence[float]) -> float:
 
     Behaves like an absolute bound near the origin and like a relative bound
     for large coordinates, so a single tolerance is meaningful across the
-    exponential coordinate growth of the group.
+    exponential coordinate growth of the group.  A NaN difference (a NaN
+    coordinate, or infinities that do not match) is infinitely far, so no
+    tolerance test can pass on it.
     """
     if len(u) != len(v):
         raise ValueError("coordinate tuples must have equal length")
@@ -132,6 +134,8 @@ def coordinate_distance(u: Sequence[float], v: Sequence[float]) -> float:
         d = abs(a - b) / max(1.0, abs(a), abs(b))
         if d > worst:
             worst = d
+        elif d != d:
+            return math.inf
     return worst
 
 
@@ -249,32 +253,38 @@ def commutator_oracle(p: GroupParam, u: AlgebraVector, v: AlgebraVector) -> Alge
     return AlgebraVector(float(c[0, 3]), float(c[1, 3]), float(c[2, 3]), float(c[2, 2]))
 
 
-def _expm(m: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential, adequate for these tiny nilpotent-plus-diagonal matrices."""
-    norm = float(np.abs(m).sum(axis=1).max())
-    squarings = 0
-    if norm > 0.25:
-        squarings = max(0, math.ceil(math.log2(norm / 0.25)))
-    scaled = m / (2.0**squarings)
-    result = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    k = 1
-    while True:
-        term = term @ scaled / k
-        result = result + term
-        if float(np.abs(term).max()) < tol * 1e-3:
-            break
-        k += 1
-        if k > 60:
-            raise ArithmeticError("matrix exponential series failed to converge")
-    for _ in range(squarings):
-        result = result @ result
-    return result
+def _phi1(x: float) -> float:
+    """(e^x - 1) / x, continued by 1 at x = 0."""
+    return math.expm1(x) / x if x else 1.0
+
+
+def _jordan(x: float) -> float:
+    """x * integral_0^1 s e^{sx} ds = e^x - (e^x - 1)/x, by its series where that cancels."""
+    if abs(x) >= 0.5:
+        return math.exp(x) - math.expm1(x) / x
+    # sum_{k>=1} x^k / ((k-1)! (k+1)); for |x| < 0.5, 20 terms reach double precision
+    total, power = 0.0, 1.0
+    for k in range(1, 21):
+        power *= x / max(1, k - 1)
+        total += power / (k + 1)
+    return total
 
 
 def exp_alg(p: GroupParam, v: AlgebraVector, t: float = 1.0) -> GroupElement:
-    """One-parameter subgroup through the identity with coordinate velocity v, at time t."""
-    return from_matrix(p, _expm(t * algebra_matrix(p, v)))
+    """One-parameter subgroup through the identity with coordinate velocity v, at time t.
+
+    Closed form of the exponential of t * algebra_matrix(p, v), with
+    mu = c4 t: the diagonal rows give phi1 factors (e^x - 1)/x, and the
+    Jordan block of the e2/e3 rows adds c3 t * mu * integral_0^1 s e^{s mu} ds
+    to the second coordinate.
+    """
+    mu = v.c4 * t
+    return GroupElement(
+        v.c1 * t * _phi1(p.a * mu),
+        v.c2 * t * _phi1(mu) + v.c3 * t * _jordan(mu),
+        v.c3 * t * _phi1(mu),
+        mu,
+    )
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ and over H3 (case C), with v = f(x1,y1,z1),
      y1 + e^{z1} y2,  z1 + z2).
 
 Left division is closed-form in every case (z, then the remaining
-coordinates are explicit).  Right division is closed-form in case A, a 1-D
-root problem in case C and a 2-D root problem in case B; the numeric solvers
-center their search windows on the solution of the function-free part of the
-equation.  coset_cross_check re-derives every product through the group:
-lift the left factor with the section, multiply by a representative of the
-right coset, decompose.  Agreement of the two pipelines is the master
-consistency check of the whole construction.
+coordinates are explicit).  Right division is closed-form in case A; in
+cases B and C it is one scalar root problem on a line through the solution
+of the function-free part of the equation (right_translation_system in
+sections), and the search windows are centered on that solution.
+coset_cross_check re-derives every product through the group: lift the left
+factor with the section, multiply by a representative of the right coset,
+decompose.  Agreement of the two pipelines is the master consistency check
+of the whole construction.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .group import GroupParam, coordinate_distance, mul
-from .numerics import Box, root1d, root2d
+from .numerics import newton1d, root1d
 from .report import VerificationReport
 from .sections import (
     GenerationVerdict,
@@ -143,32 +144,6 @@ def loop_ldiv(c: LoopCase, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
     )
 
 
-def _newton1d(fn, start: float, tol: float = 1e-12, max_iter: int = 50) -> Optional[float]:
-    x = float(start)
-    step = 1e-6
-    for _ in range(max_iter):
-        fx = float(fn(x))
-        if not math.isfinite(fx):
-            return None
-        if abs(fx) <= tol:
-            return x
-        d = (float(fn(x + step)) - float(fn(x - step))) / (2.0 * step)
-        if d == 0.0 or not math.isfinite(d):
-            return None
-        delta = fx / d
-        lam = 1.0
-        for _ in range(30):
-            trial = x - lam * delta
-            ftrial = float(fn(trial))
-            if math.isfinite(ftrial) and abs(ftrial) < abs(fx):
-                x = trial
-                break
-            lam *= 0.5
-        else:
-            return None
-    return x if abs(float(fn(x))) <= 10.0 * tol else None
-
-
 def loop_rdiv(
     c: LoopCase,
     b: LoopPoint,
@@ -181,13 +156,15 @@ def loop_rdiv(
 ) -> LoopPoint:
     """The q with q * m2 = b.
 
-    Case A is closed-form.  Cases B and C solve the implicit equations on a
-    window of the given half width centered at the function-free solution,
-    doubling the window up to `expansions` times while no root is found.
-    With check_unique=True the window is scanned for *all* roots and
-    MultipleRootsError is raised when the sharp-transitivity hypothesis
-    fails there; the default takes the Newton root nearest the center.
-    The result is validated by multiplying back (tolerance 1e-8).
+    Case A is closed-form, and so are cases B and C when m2 has z = 0.
+    Otherwise cases B and C solve the scalar line equation of
+    right_translation_system: by default Newton from the function-free
+    solution, falling back to a scan.  The scan covers the window of the
+    given half width on the line around that solution, doubling it up to
+    `expansions` times while no root is found.  With check_unique=True only
+    the scan runs, it counts *all* roots, and MultipleRootsError is raised
+    when the sharp-transitivity hypothesis fails on the window.  The result
+    is validated by multiplying back (tolerance 1e-8).
     """
     spec = c.spec
     a = spec.param.a
@@ -197,69 +174,36 @@ def loop_rdiv(
         qx = b.x - math.exp(a * qz) * x2
         qy = b.y - y2 * math.exp(qz) + z2 * math.exp(qz) * spec.fn(qx, qz)
         return LoopPoint(qx, qy, qz)
-    if spec.case == "C":
-        _, _, qy, center, coef = right_translation_system(spec, m2, b)
-        fn = lambda x: x - center - coef * spec.fn(x, qy, qz)
-        qx = _solve_1d(fn, center, check_unique, window_half_width, expansions, resolution, tol)
-        q = LoopPoint(qx, qy, qz)
-    else:
-        _, _, (cx, cy), (tx, ty) = right_translation_system(spec, m2, b)
-
-        def fn2(v):
-            h = spec.fn(v[0], v[1], qz)
-            return np.array([v[0] - cx - tx * h, v[1] - cy - ty * h])
-
-        qx, qy = _solve_2d(fn2, (cx, cy), check_unique, window_half_width, expansions, tol)
-        q = LoopPoint(qx, qy, qz)
+    line = right_translation_system(spec, m2, b)
+    u = 0.0
+    if line.scale != 0.0:
+        u = _solve_line(line, check_unique, window_half_width, expansions, resolution, tol)
+    q = line.point(u)
     residual = coordinate_distance(loop_mul(c, q, m2).coords, b.coords)
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise SolverDivergenceError(
             f"right division residual {residual:.3e} exceeds 1e-8"
         )
     return q
 
 
-def _solve_1d(fn, center, check_unique, half_width, expansions, resolution, tol) -> float:
+def _solve_line(line, check_unique, half_width, expansions, resolution, tol) -> float:
     if not check_unique:
-        root = _newton1d(fn, center, tol=min(tol, 1e-12))
+        root = newton1d(line.residual, 0.0, tol=min(tol, 1e-12))
         if root is not None:
             return root
     width = half_width
     for _ in range(expansions + 1):
-        roots = root1d(fn, (center - width, center + width), resolution=resolution)
+        roots = root1d(line.residual, (-width, width), resolution=resolution)
         if len(roots) > 1:
             raise MultipleRootsError(
-                f"{len(roots)} roots in window of half width {width:g} around {center:g}"
+                f"{len(roots)} roots in window of half width {width:g} around {line.base}"
             )
         if len(roots) == 1:
             return roots[0]
         width *= 2.0
     raise NoRootInBoxError(
-        f"no root in window of half width {width / 2.0:g} around {center:g}"
-    )
-
-
-def _solve_2d(fn2, center, check_unique, half_width, expansions, tol) -> tuple[float, float]:
-    width = half_width
-    for attempt in range(expansions + 1):
-        window = Box.cube(-width, width, 2).shifted(center)
-        result = root2d(fn2, window, tol=tol)
-        inside = [r for r in result.roots if window.contains(r, margin=1e-9)]
-        if check_unique and len(inside) > 1:
-            raise MultipleRootsError(
-                f"{len(inside)} roots in window of half width {width:g} around {center}"
-            )
-        if inside:
-            best = min(
-                inside,
-                key=lambda r: max(abs(r[0] - center[0]), abs(r[1] - center[1])),
-            )
-            return best
-        if result.all_failed and attempt == expansions:
-            raise SolverDivergenceError("no Newton start converged for right division")
-        width *= 2.0
-    raise NoRootInBoxError(
-        f"no root in window of half width {width / 2.0:g} around {center}"
+        f"no root in window of half width {width / 2.0:g} around {line.base}"
     )
 
 

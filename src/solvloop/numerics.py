@@ -5,8 +5,8 @@ Three workhorses:
   * root1d: sign-change scan over a uniform grid plus bisection refinement.
     Returns every bracketed root, which makes it usable as a root *counter*
     for uniqueness certification, not just a solver.
-  * root2d: damped Newton iteration with a finite-difference Jacobian and a
-    deterministic multistart grid, deduplicating converged points.
+  * newton1d: damped scalar Newton iteration with a central-difference
+    derivative, the fast path when only some root is needed.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -16,65 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Box",
-    "MultistartResult",
     "FitResult",
     "root1d",
     "bisect",
-    "root2d",
-    "newton2d",
-    "fd_jacobian",
+    "newton1d",
     "fit_saturating_exponential",
     "twisted_additivity_residual",
 ]
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by per-axis (lower, upper) bounds."""
-
-    bounds: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        for lo, hi in self.bounds:
-            if not (lo < hi):
-                raise ValueError("each axis needs lower < upper")
-
-    @classmethod
-    def interval(cls, lo: float, hi: float) -> "Box":
-        return cls(((lo, hi),))
-
-    @classmethod
-    def cube(cls, lo: float, hi: float, dim: int) -> "Box":
-        return cls(tuple((lo, hi) for _ in range(dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(0.5 * (lo + hi) for lo, hi in self.bounds)
-
-    def shifted(self, offsets: Sequence[float]) -> "Box":
-        if len(offsets) != self.dim:
-            raise ValueError("offset dimension mismatch")
-        return Box(tuple((lo + d, hi + d) for (lo, hi), d in zip(self.bounds, offsets)))
-
-    def contains(self, point: Sequence[float], margin: float = 0.0) -> bool:
-        return all(
-            lo - margin <= x <= hi + margin for (lo, hi), x in zip(self.bounds, point)
-        )
-
-    def grid(self, per_axis: int) -> list[tuple[float, ...]]:
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return [tuple(float(m.flat[i]) for m in mesh) for i in range(mesh[0].size)]
 
 
 def bisect(
@@ -128,14 +81,9 @@ def root1d(
         ys = np.array([float(fn(float(x))) for x in xs])
     if not np.all(np.isfinite(ys)):
         raise ValueError("function returned non-finite values on the scan grid")
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        if ys[i] == 0.0:
-            roots.append(float(xs[i]))
-        if ys[i] * ys[i + 1] < 0:
-            roots.append(bisect(lambda x: float(fn(x)), float(xs[i]), float(xs[i + 1]), tol))
-    if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    roots = xs[ys == 0.0].tolist()
+    for i in np.flatnonzero(ys[:-1] * ys[1:] < 0).tolist():
+        roots.append(bisect(lambda x: float(fn(x)), float(xs[i]), float(xs[i + 1]), tol))
     roots.sort()
     merged: list[float] = []
     for r in roots:
@@ -144,100 +92,33 @@ def root1d(
     return merged
 
 
-def fd_jacobian(
-    fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference Jacobian."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x), dtype=float)
-    jac = np.zeros((f0.size, x.size))
-    for j in range(x.size):
-        dx = np.zeros_like(x)
-        dx[j] = step
-        jac[:, j] = (np.asarray(fn(x + dx)) - np.asarray(fn(x - dx))) / (2.0 * step)
-    return jac
-
-
-def newton2d(
-    fn: Callable[[np.ndarray], np.ndarray],
-    start: Sequence[float],
-    tol: float = 1e-10,
-    max_iter: int = 60,
-    max_halvings: int = 30,
-) -> np.ndarray | None:
-    """Damped Newton iteration; None on divergence or a singular Jacobian."""
-    x = np.asarray(start, dtype=float)
+def newton1d(
+    fn: Callable[[float], float], start: float, tol: float = 1e-12, max_iter: int = 50
+) -> Optional[float]:
+    """Damped Newton iteration from start; None on divergence or a flat derivative."""
+    x = float(start)
+    step = 1e-6
     for _ in range(max_iter):
-        fx = np.asarray(fn(x), dtype=float)
-        if not np.all(np.isfinite(fx)):
+        fx = float(fn(x))
+        if not math.isfinite(fx):
             return None
-        norm = float(np.abs(fx).max())
-        if norm <= tol:
+        if abs(fx) <= tol:
             return x
-        jac = fd_jacobian(fn, x)
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
+        d = (float(fn(x + step)) - float(fn(x - step))) / (2.0 * step)
+        if d == 0.0 or not math.isfinite(d):
             return None
-        if not np.all(np.isfinite(step)):
-            return None
+        delta = fx / d
         lam = 1.0
-        for _ in range(max_halvings):
-            trial = x + lam * step
-            ftrial = np.asarray(fn(trial), dtype=float)
-            if np.all(np.isfinite(ftrial)) and float(np.abs(ftrial).max()) < norm:
+        for _ in range(30):
+            trial = x - lam * delta
+            ftrial = float(fn(trial))
+            if math.isfinite(ftrial) and abs(ftrial) < abs(fx):
                 x = trial
                 break
             lam *= 0.5
         else:
             return None
-    fx = np.asarray(fn(x), dtype=float)
-    return x if float(np.abs(fx).max()) <= 10.0 * tol else None
-
-
-@dataclass
-class MultistartResult:
-    roots: list[tuple[float, ...]]
-    n_starts: int
-    n_converged: int
-
-    @property
-    def all_failed(self) -> bool:
-        return self.n_converged == 0
-
-
-def root2d(
-    fn: Callable[[np.ndarray], np.ndarray],
-    box: Box,
-    tol: float = 1e-10,
-    grid: int = 5,
-    dedup_tol: float = 1e-6,
-) -> MultistartResult:
-    """Multistart damped Newton over a deterministic grid of starting points.
-
-    Every converged limit with residual below 10*tol is kept; duplicates
-    within dedup_tol (max norm) are merged.  Roots outside the box are
-    reported too; callers filter by Box.contains when they certify
-    uniqueness on a region.
-    """
-    if box.dim != 2:
-        raise ValueError("root2d expects a 2-dimensional box")
-    starts = box.grid(grid)
-    found: list[tuple[float, ...]] = []
-    n_converged = 0
-    for start in starts:
-        root = newton2d(fn, start, tol=tol)
-        if root is None:
-            continue
-        n_converged += 1
-        candidate = (float(root[0]), float(root[1]))
-        if not any(
-            max(abs(candidate[0] - r[0]), abs(candidate[1] - r[1])) <= dedup_tol
-            for r in found
-        ):
-            found.append(candidate)
-    found.sort()
-    return MultistartResult(roots=found, n_starts=len(starts), n_converged=n_converged)
+    return x if abs(float(fn(x))) <= 10.0 * tol else None
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ transitive.  Three families are covered, one per admissible subgroup:
 degeneracy_report decides whether the lifted image generates the whole group
 (the loop is then proper) or collapses into a proper subgroup, which happens
 exactly when the function satisfies two identities: a vanishing slice plus a
-saturating-exponential profile in z.  sharp_transitivity_check certifies, on
-a sampled box, that right translations are bijective by counting roots of
-the implicit division equations.
+saturating-exponential profile in z.  right_translation_system reduces the
+implicit division equations of cases B and C to one scalar equation on a
+line, and sharp_transitivity_check certifies, on a sampled box, that right
+translations are bijective by counting the roots of that equation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import expressions
 from .group import GroupElement, GroupParam
-from .numerics import Box, fit_saturating_exponential, root1d, root2d
+from .numerics import fit_saturating_exponential, root1d
 from .report import VerificationReport
 from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
 
@@ -39,6 +40,8 @@ __all__ = [
     "section_value",
     "section_lift",
     "degeneracy_report",
+    "RightTranslationLine",
+    "right_translation_system",
     "sharp_transitivity_check",
 ]
 
@@ -264,16 +267,59 @@ def degeneracy_report(
     )
 
 
+@dataclass(frozen=True)
+class RightTranslationLine:
+    """The equation q * m2 = b of cases B and C reduced to one scalar unknown.
+
+    Every solution has q = (base + u*direction, qz) with u solving
+
+        u = scale * f(base + u*direction, qz),
+
+    and max|direction_k| = 1, so a window u in [lo, hi] stays inside the
+    square base + [lo, hi]^2 of the (x, y) plane.  m2 with z = 0 gives
+    scale = 0: then u = 0 and q = (base, qz) is the only solution.
+    """
+
+    fn: FunctionSpec
+    qz: float
+    base: tuple[float, float]
+    direction: tuple[float, float]
+    scale: float
+
+    def residual(self, u):
+        """u - scale * f(point(u)); elementwise on numpy arrays."""
+        (bx, by), (dx, dy) = self.base, self.direction
+        return u - self.scale * self.fn(bx + u * dx, by + u * dy, self.qz)
+
+    def point(self, u: float) -> LoopPoint:
+        (bx, by), (dx, dy) = self.base, self.direction
+        return LoopPoint(bx + u * dx, by + u * dy, self.qz)
+
+    def window(self, lo: float, hi: float) -> tuple[float, float]:
+        """The u-interval whose points lie in the square base + [lo, hi]^2.
+
+        A coordinate the direction does not move (case C's y) is left
+        unconstrained, so case C's window is [lo, hi] on x - base_x.
+        """
+        lower, upper = -math.inf, math.inf
+        for d in self.direction:
+            if d != 0.0:
+                ends = (lo / d, hi / d)
+                lower, upper = max(lower, min(ends)), min(upper, max(ends))
+        if not lower < upper:
+            raise ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
+        return lower, upper
+
+
 def right_translation_system(
     spec: SectionSpec, m2: LoopPoint, b: LoopPoint
-) -> tuple:
-    """Implicit equations for q with q * m2 = b, split into affine center and residual.
+) -> RightTranslationLine:
+    """The line form of q * m2 = b for cases B and C.
 
-    Case C returns ("C", q_z, q_y, center, coef, fn1) where the unknown first
-    coordinate solves  x = center + coef * f(x, q_y, q_z).
-    Case B returns ("B", q_z, (cx, cy), (tx, ty), fn2) where
-    (x, y) solves  x = cx + tx*h(x,y,q_z),  y = cy + ty*h(x,y,q_z).
-    Case A is closed-form and has no implicit system.
+    Case C fixes q_y and leaves x = center + coef * f(x, q_y, q_z): direction
+    (1, 0) and scale coef.  Case B puts (x, y) on the line
+    (cx, cy) + h * (tx, ty) with h = h(x, y, q_z): direction t / |t|_inf and
+    scale |t|_inf.  Case A is closed-form and has no implicit system.
     """
     a = spec.param.a
     x1, y1, z1 = m2.coords
@@ -284,19 +330,20 @@ def right_translation_system(
         outer = math.exp(a * z2 - z1)
         center = x2 - math.exp(a * z) * x1 + outer * y1 * z
         coef = outer * -math.expm1((1.0 - a) * z1)
-        return ("C", z, y, center, coef)
+        return RightTranslationLine(spec.fn, z, (center, y), (1.0, 0.0), coef)
     if spec.case == "B":
-        cx = x2 - math.exp(a * z) * x1
-        cy = y2 - math.exp(z) * y1
-        tx = math.exp(a * z2) * (math.exp(-z1) - math.exp(-a * z1))
+        base = (x2 - math.exp(a * z) * x1, y2 - math.exp(z) * y1)
+        tx = math.exp(a * z) * math.expm1((a - 1.0) * z1)
         ty = math.exp(z) * z1
-        return ("B", z, (cx, cy), (tx, ty))
+        scale = max(abs(tx), abs(ty))
+        direction = (tx / scale, ty / scale) if scale else (1.0, 0.0)
+        return RightTranslationLine(spec.fn, z, base, direction, scale)
     raise ValueError("case A right translations are closed-form")
 
 
 def sharp_transitivity_check(
     spec: SectionSpec,
-    box: Optional[Box] = None,
+    box: tuple[float, float] = (-5.0, 5.0),
     n_samples: int = 100,
     seed: int = 0,
     resolution: int = 10000,
@@ -306,13 +353,14 @@ def sharp_transitivity_check(
 ) -> VerificationReport:
     """Certify unique solvability of q * m2 = b over sampled (m2, b) pairs.
 
-    The root search window is the given box translated to the affine center
+    The root search window is the box [lo, hi] translated to the affine base
     of the implicit equation (the exact solution when the section function
-    vanishes); z offsets are sampled in [-z_half_width, z_half_width] so the
-    function coefficient stays bounded on the window.  Case C counts roots
-    by a sign-change scan at the given resolution, case B by multistart
-    Newton.  Every sample contributes its root count; solver failures are
-    reported, never dropped.
+    vanishes): an interval of x in case C, the square base + [lo, hi]^2 of
+    (x, y) in case B, cut down to the solution line.  z offsets are sampled
+    in [-z_half_width, z_half_width] so the function coefficient stays
+    bounded on the window.  Both cases count roots of the scalar line
+    equation by a sign-change scan at the given resolution.  Every sample
+    contributes its root count; solver failures are reported, never dropped.
     """
     report = VerificationReport(seed=seed)
     if spec.case == "A":
@@ -324,11 +372,6 @@ def sharp_transitivity_check(
             notes="closed-form division; right translations are globally bijective",
         )
         return report
-    if box is None:
-        box = Box.interval(-5.0, 5.0) if spec.case == "C" else Box.cube(-5.0, 5.0, 2)
-    expected_dim = 1 if spec.case == "C" else 2
-    if box.dim != expected_dim:
-        raise ValueError(f"case {spec.case} needs a {expected_dim}-dimensional box")
     if samples is None:
         rng = np.random.Generator(np.random.PCG64(seed))
         drawn = []
@@ -340,33 +383,14 @@ def sharp_transitivity_check(
     counts: list[int] = []
     failures: list[str] = []
     for idx, (m2, b) in enumerate(samples):
-        system = right_translation_system(spec, m2, b)
-        if spec.case == "C":
-            _, qz, qy, center, coef = system
-            fn = lambda x: x - center - coef * spec.fn(x, qy, qz)
-            try:
-                roots = root1d(fn, (center + box.bounds[0][0], center + box.bounds[0][1]),
-                               resolution=resolution)
-            except ValueError as err:
-                failures.append(f"sample {idx}: {err}")
-                counts.append(-1)
-                continue
-            counts.append(len(roots))
-        else:
-            _, qz, (cx, cy), (tx, ty) = system
-
-            def fn2(v):
-                h = spec.fn(v[0], v[1], qz)
-                return np.array([v[0] - cx - tx * h, v[1] - cy - ty * h])
-
-            window = box.shifted((cx, cy))
-            result = root2d(fn2, window)
-            if result.all_failed:
-                failures.append(f"sample {idx}: no Newton start converged")
-                counts.append(-1)
-                continue
-            inside = [r for r in result.roots if window.contains(r, margin=1e-9)]
-            counts.append(len(inside))
+        line = right_translation_system(spec, m2, b)
+        try:
+            roots = root1d(line.residual, line.window(*box), resolution=resolution)
+        except ValueError as err:
+            failures.append(f"sample {idx}: {err}")
+            counts.append(-1)
+            continue
+        counts.append(len(roots))
     bad = [i for i, c in enumerate(counts) if c != 1]
     notes = "all sampled right translations have exactly one preimage on the window"
     if bad:

@@ -1,11 +1,14 @@
 """Exit codes, report files and determinism of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import solvloop
 from solvloop.cli import main
 
 
@@ -42,6 +45,39 @@ def test_usage_errors_exit_two(capsys):
     assert main(["verify-group"]) == 2  # --a is required
     assert main(["lemma1", "--fn", "z", "--K", "1"]) == 2  # mutually exclusive
     capsys.readouterr()  # swallow argparse noise
+
+
+def test_count_flags_rejected_at_parse_time(capsys):
+    bad = [
+        (["transitivity", "--case", "C", "--a", "2", "--preset", "zero", "--samples", "0"],
+         "--samples"),
+        (["loop-check", "--case", "A", "--a", "2", "--preset", "zero", "--samples", "-3"],
+         "--samples"),
+        (["transitivity", "--case", "C", "--a", "2", "--preset", "zero", "--resolution", "1"],
+         "--resolution"),
+    ]
+    for argv, flag in bad:
+        assert main(argv) == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_preset_choices_follow_presets(capsys):
+    from solvloop.sections import PRESETS
+
+    for name in PRESETS:
+        argv = ["generation", "--case", "A", "--a", "2", "--preset", name]
+        assert main(argv + ["-o", "-"]) in (0, 1)
+    assert main(["generation", "--case", "A", "--a", "2", "--preset", "nope"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", (28, 32, 79, 1177813520))
+def test_verify_group_exp_one_parameter_regression_seeds(tmp_path, seed):
+    # seeds on which a truncated-series exponential missed the 1e-12 tolerance
+    code, path = run_to_file(tmp_path, "vg.json", ["verify-group", "--a", "2", "--seed", str(seed)])
+    checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    assert checks["exp-one-parameter"]["status"] == "pass"
+    assert code == 0
 
 
 def test_bad_parameter_exits_two(capsys):
@@ -171,11 +207,15 @@ def test_stdout_default_target(capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "mod.json"
+    # the child imports the same package as this process, installed or not
+    src = str(Path(solvloop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "solvloop", "verify-group", "--a", "2",
          "--samples", "40", "-o", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["command"] == "verify-group"

@@ -146,6 +146,13 @@ def test_coordinate_distance_hybrid():
 
 # ---------------------------------------------------------------- algebra
 
+def test_coordinate_distance_nan_is_infinite():
+    assert sl.coordinate_distance((math.nan, 0.0), (1.0, 0.0)) == math.inf
+    assert sl.coordinate_distance((0.0, 1.0), (0.0, math.nan)) == math.inf
+    assert sl.coordinate_distance((math.inf, 0.0), (math.inf, 0.0)) == math.inf
+    assert sl.coordinate_distance((math.inf, 0.0), (1.0, 0.0)) == math.inf
+
+
 def test_bracket_structure_table():
     for a in A_VALUES:
         p = sl.GroupParam(a)

@@ -161,6 +161,42 @@ def test_rdiv_product_round_trip(case, preset):
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
 
+@pytest.mark.parametrize("check_unique", (False, True))
+@pytest.mark.parametrize("case,preset", [("B", "lemma1"), ("B", "sin-small"), ("C", "sin-small")])
+def test_rdiv_line_round_trip_both_paths(case, preset, check_unique):
+    # Newton by default, the bracketing scan with check_unique: same quotient
+    c = case_for(case, preset)
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        m1, m2 = rand_point(rng), rand_point(rng)
+        b = sl.loop_mul(c, m1, m2)
+        q = sl.loop_rdiv(c, b, m2, check_unique=check_unique)
+        assert sl.coordinate_distance(q.coords, m1.coords) <= 1e-8
+        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
+
+
+def test_rdiv_case_b_z_zero_is_exact():
+    # m2 with z = 0 leaves no implicit equation: q is the affine base point
+    c = case_for("B", "sin-small")
+    m2 = sl.LoopPoint(1.5, -2.0, 0.0)
+    b = sl.LoopPoint(0.3, 0.7, 0.4)
+    for check_unique in (False, True):
+        q = sl.loop_rdiv(c, b, m2, check_unique=check_unique)
+        assert q.coords == (0.3 - math.exp(0.8) * 1.5, 0.7 + math.exp(0.4) * 2.0, 0.4)
+
+
+def test_rdiv_gate_rejects_nan_product(monkeypatch):
+    # a NaN multiply-back must fail the 1e-8 residual gate, never pass it
+    c = case_for("C", "sin-small")
+    m2 = sl.LoopPoint(0.5, 0.2, 0.3)
+    b = sl.loop_mul(c, sl.LoopPoint(1.0, -1.0, 0.1), m2)
+    monkeypatch.setattr(
+        sl.loops, "loop_mul", lambda case, q, m: sl.LoopPoint(math.nan, q.y, q.z)
+    )
+    with pytest.raises(sl.SolverDivergenceError):
+        sl.loop_rdiv(c, b, m2)
+
+
 def test_rdiv_multiple_roots_error():
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("2*sin(x)", 3))
     c = sl.LoopCase(spec)

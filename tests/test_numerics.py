@@ -1,4 +1,4 @@
-"""Root finding, box utilities and the saturating-exponential fit."""
+"""Root finding and the saturating-exponential fit."""
 
 import math
 
@@ -6,30 +6,7 @@ import numpy as np
 import pytest
 
 import solvloop as sl
-from solvloop.numerics import Box, bisect, fd_jacobian, newton2d
-
-
-# ---------------------------------------------------------------- boxes
-
-def test_box_interval_and_cube():
-    b = Box.interval(-2.0, 3.0)
-    assert b.dim == 1
-    assert b.center == (0.5,)
-    assert b.contains((1.0,))
-    assert not b.contains((3.5,))
-    c = Box.cube(-1.0, 1.0, 2)
-    assert c.dim == 2
-    assert c.contains((0.0, 0.9))
-
-
-def test_box_shifted():
-    b = Box.interval(-1.0, 1.0).shifted((10.0,))
-    assert b.bounds == ((9.0, 11.0),)
-
-
-def test_box_grid_shape():
-    g = Box.cube(0.0, 1.0, 2).grid(3)
-    assert np.asarray(g).shape == (9, 2)
+from solvloop.numerics import bisect, newton1d
 
 
 # ---------------------------------------------------------------- 1-D roots
@@ -82,52 +59,85 @@ def test_root1d_rejects_nonfinite_values():
         sl.root1d(f, (0.0, 1.0))
 
 
-# ---------------------------------------------------------------- 2-D roots
+def _root1d_loop(fn, interval, tol=1e-12, resolution=10000):
+    """Cell-by-cell reference for the vectorised scan in root1d."""
+    xs = np.linspace(interval[0], interval[1], resolution + 1)
+    ys = np.asarray(fn(xs), dtype=float)
+    roots = []
+    for i in range(len(xs) - 1):
+        if ys[i] == 0.0:
+            roots.append(float(xs[i]))
+        if ys[i] * ys[i + 1] < 0:
+            roots.append(bisect(lambda x: float(fn(x)), float(xs[i]), float(xs[i + 1]), tol))
+    if ys[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    return merged
 
-def test_fd_jacobian_linear_map():
-    A = np.array([[2.0, -1.0], [0.5, 3.0]])
-    J = fd_jacobian(lambda u: A @ u, np.array([0.3, -0.7]))
-    assert np.abs(J - A).max() < 1e-8
+
+@pytest.mark.parametrize(
+    "fn,interval,resolution",
+    [
+        (np.sin, (-10.0, 10.0), 10000),
+        (lambda x: x**3, (-1.0, 1.0), 10000),
+        (lambda x: np.cos(np.pi * x), (0.0, 4.0), 4),
+        (lambda x: (x - 0.25) * (x + 0.5) * x, (-1.0, 1.0), 8),
+        (lambda x: x - 2.0 * np.sin(x) - 0.3, (-10.0, 10.0), 2048),
+    ],
+)
+def test_root1d_matches_cell_loop_reference(fn, interval, resolution):
+    got = sl.root1d(fn, interval, resolution=resolution)
+    assert got == _root1d_loop(fn, interval, resolution=resolution)
 
 
-def test_newton2d_quadratic():
-    def f(u):
-        return np.array([u[0] ** 2 + u[1] ** 2 - 1.0, u[1] - u[0]])
+def test_root1d_grid_zero_between_sign_changes():
+    # nodes 0, 0.25, ..., 1: x = 0.5 is an exact node zero, the roots at 0.1
+    # and 0.9 are bracketed by the first and the last cell
+    fn = lambda x: (x - 0.1) * (x - 0.5) * (x - 0.9)
+    roots = sl.root1d(fn, (0.0, 1.0), resolution=4)
+    assert len(roots) == 3
+    assert roots[1] == 0.5
+    assert abs(roots[0] - 0.1) < 1e-12 and abs(roots[2] - 0.9) < 1e-12
 
-    r = newton2d(f, np.array([0.9, 0.4]))
+
+def test_root1d_adjacent_cells_each_bracket_a_root():
+    roots = sl.root1d(lambda x: np.cos(np.pi * x), (0.0, 4.0), resolution=4)
+    assert len(roots) == 4
+    for r, k in zip(roots, range(4)):
+        assert abs(r - (k + 0.5)) < 1e-11
+
+
+def test_root1d_merges_roots_within_1e9():
+    # cells of width 1e-9 separate both pairs of roots; only the pair closer
+    # than 1e-9 is merged into one root
+    close = lambda x: (x - 0.5e-9) * (x - 1.2e-9)
+    assert len(sl.root1d(close, (0.0, 4e-9), resolution=4)) == 1
+    apart = lambda x: (x - 0.5e-9) * (x - 2.5e-9)
+    assert len(sl.root1d(apart, (0.0, 4e-9), resolution=4)) == 2
+
+
+def test_root1d_circle_line_two_roots():
+    # the circle x^2 + y^2 = 1 restricted to the line (x, y) = u*(1, 1)
+    roots = sl.root1d(lambda u: 2.0 * u * u - 1.0, (-2.0, 2.0))
     s = math.sqrt(0.5)
+    assert len(roots) == 2
+    assert abs(roots[0] + s) < 1e-9 and abs(roots[1] - s) < 1e-9
+
+
+# ---------------------------------------------------------------- Newton
+
+def test_newton1d_quadratic():
+    r = newton1d(lambda x: x * x - 2.0, 1.0)
     assert r is not None
-    assert np.abs(r - np.array([s, s])).max() < 1e-9
+    assert abs(r - math.sqrt(2.0)) < 1e-12
 
 
-def test_root2d_circle_line_two_roots():
-    def f(u):
-        return np.array([u[0] ** 2 + u[1] ** 2 - 1.0, u[1] - u[0]])
-
-    res = sl.root2d(f, Box.cube(-2.0, 2.0, 2))
-    assert len(res.roots) == 2
-    s = math.sqrt(0.5)
-    found = sorted(r[0] for r in res.roots)
-    assert abs(found[0] + s) < 1e-9 and abs(found[1] - s) < 1e-9
-    assert res.n_converged > 0
-
-
-def test_root2d_no_roots_reports_all_failed():
-    def f(u):
-        return np.array([u[0] ** 2 + 1.0, u[1] ** 2 + 1.0])
-
-    res = sl.root2d(f, Box.cube(-1.0, 1.0, 2))
-    assert res.roots == []
-    assert res.all_failed
-
-
-def test_root2d_deduplicates_single_root():
-    def f(u):
-        return np.array([u[0] - 0.1, u[1] + 0.4])
-
-    res = sl.root2d(f, Box.cube(-1.0, 1.0, 2))
-    assert len(res.roots) == 1
-    assert res.n_converged == res.n_starts  # every start finds the same root
+def test_newton1d_no_root_returns_none():
+    assert newton1d(lambda x: x * x + 1.0, 0.5) is None
+    assert newton1d(lambda x: math.nan, 0.0) is None
 
 
 # ---------------------------------------------------------------- fitting

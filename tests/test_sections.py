@@ -169,12 +169,14 @@ def test_right_translation_system_case_c():
         m1 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
         m2 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
         b = sl.loop_mul(c, m1, m2)
-        tag, z1, y1, center, coef = sl.right_translation_system(spec, m2, b)
-        assert tag == "C"
-        assert z1 == m1.z  # z-coordinates subtract exactly
-        assert abs(y1 - m1.y) <= 1e-12
-        # the true x solves the fixed-point equation of the 1-D system
-        assert abs(m1.x - center - coef * spec.fn.fn(m1.x, y1, z1)) <= 1e-10
+        line = sl.right_translation_system(spec, m2, b)
+        assert line.qz == m1.z  # z-coordinates subtract exactly
+        assert line.direction == (1.0, 0.0)
+        assert abs(line.base[1] - m1.y) <= 1e-12
+        # the true x solves the scalar line equation
+        u = m1.x - line.base[0]
+        assert abs(line.residual(u)) <= 1e-10
+        assert sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-12
 
 
 def test_right_translation_system_case_b():
@@ -185,12 +187,36 @@ def test_right_translation_system_case_b():
         m1 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
         m2 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
         b = sl.loop_mul(c, m1, m2)
-        tag, z1, (cx, cy), (tx, ty) = sl.right_translation_system(spec, m2, b)
-        assert tag == "B"
-        assert z1 == m1.z
-        v = spec.fn.fn(m1.x, m1.y, z1)
-        assert abs(m1.x - cx - tx * v) <= 1e-10
-        assert abs(m1.y - cy - ty * v) <= 1e-10
+        line = sl.right_translation_system(spec, m2, b)
+        assert line.qz == m1.z
+        assert max(abs(d) for d in line.direction) == 1.0
+        # u = scale * h at the true quotient puts it on the line
+        u = line.scale * spec.fn.fn(m1.x, m1.y, m1.z)
+        assert sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-10
+        assert abs(line.residual(u)) <= 1e-10
+
+
+def test_right_translation_system_case_b_z_zero_is_closed_form():
+    spec = spec_for("B", "sin-small")
+    m2 = sl.LoopPoint(1.5, -2.0, 0.0)
+    b = sl.LoopPoint(0.3, 0.7, 0.4)
+    assert sl.right_translation_system(spec, m2, b).scale == 0.0
+    rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
+    assert rep.data["root_counts"] == [1]
+
+
+def test_line_window_square_and_interval():
+    fn = sl.FunctionSpec.preset("zero", 3)
+    line = lambda d: sl.RightTranslationLine(fn, 0.0, (0.0, 0.0), d, 1.0)
+    # case C moves x only: the window is the box itself
+    assert line((1.0, 0.0)).window(-2.0, 3.0) == (-2.0, 3.0)
+    # case B: the square [-2, 3]^2 cut down to the line
+    assert line((1.0, -0.5)).window(-2.0, 3.0) == (-2.0, 3.0)
+    assert line((-0.5, 1.0)).window(-2.0, 3.0) == (-2.0, 3.0)
+    assert line((-1.0, 0.5)).window(-2.0, 3.0) == (-3.0, 2.0)
+    assert line((1.0, 1.0)).window(1.0, 2.0) == (1.0, 2.0)
+    with pytest.raises(ValueError, match="misses the solution line"):
+        line((1.0, -1.0)).window(1.0, 2.0)
 
 
 # ---------------------------------------------------------------- transitivity
@@ -220,3 +246,18 @@ def test_transitivity_detects_multiple_roots():
     rep = sl.sharp_transitivity_check(spec, samples=forced)
     assert rep.status == "fail"
     assert rep.data["root_counts"] == [3]
+
+
+def test_transitivity_case_b_counts_every_root_on_the_line():
+    # 3*sin(x)*z with a=2, seed 0, sample 56: three genuine roots on the window
+    spec = sl.SectionSpec("B", P2, sl.FunctionSpec.from_expression("3*sin(x)*z", 3))
+    m2 = sl.LoopPoint(2.8924754825267627, 0.5683549005399025, -0.48785347388638745)
+    b = sl.LoopPoint(-2.775466040086397, 0.5774758262130639, 0.21299363093792067)
+    rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
+    assert rep.status == "fail"
+    assert rep.data["root_counts"] == [3]
+    line = sl.right_translation_system(spec, m2, b)
+    c = sl.LoopCase(spec)
+    for u in sl.root1d(line.residual, line.window(-5.0, 5.0)):
+        q = line.point(u)
+        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-9
