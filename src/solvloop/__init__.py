@@ -87,7 +87,7 @@ from .numerics import (
     root1d,
     twisted_additivity_residual,
 )
-from .report import Check, RunReport, VerificationReport, emit_report
+from .report import Check, VerificationReport, emit_report
 from .cli import main
 
 __version__ = "0.1.0"

@@ -58,6 +58,7 @@ __all__ = [
     "coset_cross_check",
     "associativity_defect",
     "axiom_suite",
+    "loop_suite",
     "normal_subloop_check",
 ]
 
@@ -194,7 +195,10 @@ def _solve_line(line, check_unique, half_width, expansions, resolution, tol) -> 
             return root
     width = half_width
     for _ in range(expansions + 1):
-        roots = root1d(line.residual, (-width, width), resolution=resolution)
+        try:
+            roots = root1d(line.residual, (-width, width), resolution=resolution)
+        except ValueError as err:
+            raise SolverDivergenceError(f"{err} (window half width {width:g})") from err
         if len(roots) > 1:
             raise MultipleRootsError(
                 f"{len(roots)} roots in window of half width {width:g} around {line.base}"
@@ -291,6 +295,45 @@ def axiom_suite(
     report.record("z-additivity", z_max == 0.0, max_error=z_max, n_samples=n_samples)
     if division_errors:
         report.data["division_errors"] = division_errors
+    return report
+
+
+def loop_suite(
+    c: LoopCase,
+    n_samples: int = 500,
+    seed: int = 0,
+    z_half_width: Optional[float] = None,
+) -> VerificationReport:
+    """axiom_suite, then the coset cross-check, then the generation verdict.
+
+    The cross-check samples up to 300 pairs from the seed after axiom_suite's,
+    with z in [-z_half_width, z_half_width] (default 5).  The generation
+    check only warns: a degenerate section is legitimate input.
+    """
+    report = axiom_suite(c, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    z_hw = z_half_width if z_half_width is not None else 5.0
+    worst = 0.0
+    n_cross = min(n_samples, 300)
+    for _ in range(n_cross):
+        m1 = _sample_point(rng, 5.0, z_hw)
+        m2 = _sample_point(rng, 5.0, z_hw)
+        worst = max(worst, coset_cross_check(c, m1, m2))
+    report.record("coset-cross-check", worst <= 1e-10, max_error=worst, n_samples=n_cross)
+    verdict = c.degeneracy
+    report.record(
+        "generation",
+        verdict.generates,
+        max_error=verdict.identity_residual_max,
+        n_samples=verdict.n_samples,
+        notes=(
+            "section image generates the group; the loop is proper"
+            if verdict.generates
+            else "degenerate family: left translations stay in a proper subgroup"
+        ),
+        warn_only=True,
+    )
+    report.data["generation"] = verdict.to_dict()
     return report
 
 

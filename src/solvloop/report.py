@@ -1,10 +1,12 @@
 """Check aggregation and deterministic JSON reports.
 
-Reports must be byte-identical across reruns with the same configuration and
-seed, so serialization is hand-rolled: floats are written with 17 significant
-digits (enough to round-trip a double), keys keep insertion order, and
-non-finite floats are rejected.  Wall time is recorded only on request for
-the same reason.
+Every suite in the library returns a VerificationReport; the command line
+fills in its command name, echoed configuration and optional wall time and
+writes it.  Reports must be byte-identical across reruns with the same
+configuration and seed, so serialization is hand-rolled: floats are written
+with 17 significant digits (enough to round-trip a double), keys keep
+insertion order, and non-finite floats are rejected.  Wall time is recorded
+only on request for the same reason.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from typing import Optional
 
 __all__ = [
     "SCHEMA_VERSION",
+    "RNG",
     "Check",
     "VerificationReport",
-    "RunReport",
     "render_json",
     "emit_report",
 ]
 
 SCHEMA_VERSION = 1
+RNG = "PCG64"
 
 
 @dataclass
@@ -49,19 +52,14 @@ class Check:
         }
 
 
-def _combined_status(checks: list[Check]) -> str:
-    if any(c.status == "fail" for c in checks):
-        return "fail"
-    if any(c.status == "warn" for c in checks):
-        return "warn"
-    return "pass"
-
-
 @dataclass
 class VerificationReport:
+    command: Optional[str] = None
+    config: dict = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
     seed: Optional[int] = None
     data: dict = field(default_factory=dict)
+    wall_time_s: Optional[float] = None
 
     def record(
         self,
@@ -72,69 +70,29 @@ class VerificationReport:
         notes: str = "",
         warn_only: bool = False,
     ) -> Check:
-        """Append a check; warn_only downgrades a failure to a warning."""
+        """Append a check; warn_only downgrades a failure to a warning.
+
+        A non-finite max_error means the check did not measure anything: it
+        fails (warn_only notwithstanding), is stored as None, and its value
+        is named in the notes.
+        """
         status = "pass" if passed else ("warn" if warn_only else "fail")
+        if max_error is not None and not math.isfinite(max_error):
+            status = "fail"
+            notes = "; ".join(filter(None, [notes, f"non-finite max_error {max_error!r}"]))
+            max_error = None
         check = Check(name, status, max_error, n_samples, notes)
         self.checks.append(check)
         return check
 
-    def extend(self, other: "VerificationReport", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(
-                Check(prefix + c.name, c.status, c.max_error, c.n_samples, c.notes)
-            )
-        for key, value in other.data.items():
-            self.data[prefix + key] = value
-
     @property
     def status(self) -> str:
-        return _combined_status(self.checks)
+        statuses = {c.status for c in self.checks}
+        return "fail" if "fail" in statuses else ("warn" if "warn" in statuses else "pass")
 
     @property
     def passed(self) -> bool:
         return self.status != "fail"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-            "data": self.data,
-        }
-
-
-@dataclass
-class RunReport:
-    """Top-level report written by the command line interface."""
-
-    command: str
-    config: dict
-    checks: list[Check] = field(default_factory=list)
-    seed: Optional[int] = None
-    data: dict = field(default_factory=dict)
-    rng: str = "PCG64"
-    wall_time_s: Optional[float] = None
-
-    @classmethod
-    def from_verification(
-        cls,
-        command: str,
-        config: dict,
-        verification: VerificationReport,
-        wall_time_s: Optional[float] = None,
-    ) -> "RunReport":
-        return cls(
-            command=command,
-            config=config,
-            checks=list(verification.checks),
-            seed=verification.seed,
-            data=dict(verification.data),
-            wall_time_s=wall_time_s,
-        )
-
-    @property
-    def status(self) -> str:
-        return _combined_status(self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +101,7 @@ class RunReport:
             "status": self.status,
             "config": self.config,
             "seed": self.seed,
-            "rng": self.rng,
+            "rng": RNG,
             "checks": [c.to_dict() for c in self.checks],
             "data": self.data,
             "wall_time_s": self.wall_time_s,
@@ -184,13 +142,9 @@ def render_json(value) -> str:
     return _render(value, 0) + "\n"
 
 
-def emit_report(report, path: Optional[str]) -> None:
-    """Write a report (anything with to_dict, or a plain dict) as UTF-8 JSON.
-
-    path None or "-" writes to standard output.
-    """
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
-    text = render_json(payload)
+def emit_report(report: VerificationReport, path: Optional[str]) -> None:
+    """Write a report as UTF-8 JSON; path None or "-" writes to standard output."""
+    text = render_json(report.to_dict())
     if path is None or path == "-":
         sys.stdout.write(text)
         return

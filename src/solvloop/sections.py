@@ -11,7 +11,9 @@ transitive.  Three families are covered, one per admissible subgroup:
 degeneracy_report decides whether the lifted image generates the whole group
 (the loop is then proper) or collapses into a proper subgroup, which happens
 exactly when the function satisfies two identities: a vanishing slice plus a
-saturating-exponential profile in z.  right_translation_system reduces the
+saturating-exponential profile in z; generation_suite reports that verdict,
+and lemma1_suite tests a one-variable profile for membership in the
+saturating-exponential family directly.  right_translation_system reduces the
 implicit division equations of cases B and C to one scalar equation on a
 line, and sharp_transitivity_check certifies, on a sampled box, that right
 translations are bijective by counting the roots of that equation.
@@ -20,14 +22,14 @@ translations are bijective by counting the roots of that equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import expressions
 from .group import GroupElement, GroupParam
-from .numerics import fit_saturating_exponential, root1d
+from .numerics import fit_saturating_exponential, root1d, twisted_additivity_residual
 from .report import VerificationReport
 from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
 
@@ -40,6 +42,8 @@ __all__ = [
     "section_value",
     "section_lift",
     "degeneracy_report",
+    "generation_suite",
+    "lemma1_suite",
     "RightTranslationLine",
     "right_translation_system",
     "sharp_transitivity_check",
@@ -202,16 +206,13 @@ class GenerationVerdict:
     notes: str
 
     def to_dict(self) -> dict:
-        return {
-            "generates": self.generates,
-            "fitted_constant": self.fitted_constant,
-            "identity_residual_max": self.identity_residual_max,
-            "fit_rms_residual": self.fit_rms_residual,
-            "fit_max_residual": self.fit_max_residual,
-            "n_samples": self.n_samples,
-            "rate": self.rate,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+
+def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
+    """n profile abscissae on [lo, -1e-3] and [1e-3, hi], half on each side of 0."""
+    half = n // 2
+    return np.concatenate([np.linspace(lo, -1e-3, half), np.linspace(1e-3, hi, n - half)])
 
 
 def degeneracy_report(
@@ -243,10 +244,7 @@ def degeneracy_report(
                 v = float(spec.fn(x, y, 0.0))
                 vals.append(v + x if spec.case == "C" else v)
         slice_resid = float(np.abs(vals).max())
-    half = n_samples // 2
-    zs = np.concatenate(
-        [np.linspace(-hw, -1e-3, half), np.linspace(1e-3, hw, n_samples - half)]
-    )
+    zs = _profile_zs(-hw, hw, n_samples)
     rate = a if spec.case == "C" else 1.0
     if spec.case == "A":
         profile = [(z, float(spec.fn(0.0, z))) for z in zs]
@@ -265,6 +263,65 @@ def degeneracy_report(
         rate=rate,
         notes=f"on tested box |x|,|y|,|z| <= {hw:g}",
     )
+
+
+def generation_suite(spec: SectionSpec, n_samples: int = 200) -> VerificationReport:
+    """The degeneracy verdict as one warning-only check: does the section generate?"""
+    verdict = degeneracy_report(spec, n_samples=n_samples)
+    report = VerificationReport(seed=None)
+    report.record(
+        "generates",
+        verdict.generates,
+        max_error=verdict.identity_residual_max,
+        n_samples=verdict.n_samples,
+        notes=verdict.notes
+        + (
+            "; both degeneracy identities hold: fitted constant "
+            f"{verdict.fitted_constant:.6g}"
+            if not verdict.generates
+            else "; at least one degeneracy identity fails"
+        ),
+        warn_only=True,
+    )
+    report.data["verdict"] = verdict.to_dict()
+    return report
+
+
+def lemma1_suite(
+    fn: Callable[[float], float],
+    rate: float = 1.0,
+    z_range: tuple[float, float] = (-3.0, 3.0),
+    n_samples: int = 50,
+    coefficient: Optional[float] = None,
+) -> VerificationReport:
+    """Membership of a one-variable profile in the family K*(1 - e^{-rate*z}).
+
+    Least-squares profile fit, the pair identity on all sample pairs and,
+    when the expected coefficient is given, its recovery by the fit.
+    """
+    zs = _profile_zs(*z_range, n_samples)
+    report = VerificationReport(seed=None)
+    fit = fit_saturating_exponential([(float(z), float(fn(float(z)))) for z in zs], rate=rate)
+    report.record(
+        "profile-fit",
+        fit.rms_residual <= 1e-9,
+        max_error=fit.rms_residual,
+        n_samples=fit.n_samples,
+        notes=f"fitted coefficient {fit.coefficient:.12g}",
+    )
+    pair_resid = twisted_additivity_residual(fn, [float(z) for z in zs], rate=rate)
+    report.record(
+        "pair-identity",
+        pair_resid <= 1e-12,
+        max_error=pair_resid,
+        n_samples=len(zs) ** 2,
+        notes="f(z1+z2) = f(z2) + e^{-rate*z2} f(z1) on all sample pairs",
+    )
+    if coefficient is not None:
+        err = abs(fit.coefficient - coefficient)
+        report.record("coefficient-recovery", err <= 1e-9, max_error=err, n_samples=fit.n_samples)
+    report.data["coefficient"] = fit.coefficient
+    return report
 
 
 @dataclass(frozen=True)

@@ -13,24 +13,31 @@ decomposition of an arbitrary element into chart representative times
 subgroup element, and a membership residual.  classify_subalgebra reduces an
 arbitrary one-dimensional subalgebra of the slab to one of the canonical
 generators by an explicit automorphism, or reports it as a normal
-(inadmissible) direction.
+(inadmissible) direction; classify_suite checks that automorphism.
+fixed_point_suite checks the coset that a left translation off the slab
+fixes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
+
+import numpy as np
 
 from .group import (
     AlgebraVector,
     AutomorphismParams,
     GroupElement,
     GroupParam,
+    apply_automorphism,
+    bracket,
     coordinate_distance,
     mul,
 )
+from .report import VerificationReport
 
 __all__ = [
     "SubgroupId",
@@ -48,7 +55,11 @@ __all__ = [
     "in_subgroup",
     "classify_subalgebra",
     "classify_direction",
+    "classify_suite",
+    "canonical_span_generator",
     "fixed_point_witness",
+    "fixed_point_residual",
+    "fixed_point_suite",
 ]
 
 
@@ -150,19 +161,15 @@ def decompose(p: GroupParam, sub: SubgroupId, g: GroupElement) -> DecompResult:
     return DecompResult(LoopPoint(g.x1, g.x2, g.x3), g.x4)
 
 
-def _hyb(u: float, v: float) -> float:
-    return abs(u - v) / max(1.0, abs(u), abs(v))
-
-
 def membership_residual(sub: SubgroupId, g: GroupElement) -> float:
     """How far g is from satisfying the subgroup's defining relations (hybrid metric)."""
     if sub is SubgroupId.H1:
-        return max(_hyb(g.x1, 0.0), _hyb(g.x2, 0.0), _hyb(g.x4, 0.0))
+        return coordinate_distance((g.x1, g.x2, g.x4), (0.0, 0.0, 0.0))
     if sub is SubgroupId.H2:
-        return max(_hyb(g.x2, 0.0), _hyb(g.x4, 0.0), _hyb(g.x1, g.x3))
+        return coordinate_distance((g.x2, g.x4, g.x1), (0.0, 0.0, g.x3))
     if sub is SubgroupId.H3:
-        return max(_hyb(g.x3, 0.0), _hyb(g.x4, 0.0), _hyb(g.x1, g.x2))
-    return max(_hyb(g.x1, 0.0), _hyb(g.x2, 0.0), _hyb(g.x3, 0.0))
+        return coordinate_distance((g.x3, g.x4, g.x1), (0.0, 0.0, g.x2))
+    return coordinate_distance((g.x1, g.x2, g.x3), (0.0, 0.0, 0.0))
 
 
 def in_subgroup(sub: SubgroupId, g: GroupElement, tol: float = 1e-9) -> bool:
@@ -222,13 +229,55 @@ def classify_direction(p: GroupParam, v: AlgebraVector) -> SubalgebraClass:
 
 
 def canonical_span_generator(kind: SubalgebraKind) -> AlgebraVector:
-    if kind is SubalgebraKind.H1:
-        return AlgebraVector(0.0, 0.0, 1.0, 0.0)
-    if kind is SubalgebraKind.H2:
-        return AlgebraVector(1.0, 0.0, 1.0, 0.0)
-    if kind is SubalgebraKind.H3:
-        return AlgebraVector(1.0, 1.0, 0.0, 0.0)
-    raise ValueError("no canonical generator for inadmissible classes")
+    if kind not in (SubalgebraKind.H1, SubalgebraKind.H2, SubalgebraKind.H3):
+        raise ValueError("no canonical generator for inadmissible classes")
+    return subgroup_generator(SubgroupId(kind.value))
+
+
+def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> VerificationReport:
+    """Classify the span of b1*e3 + b2*e1 + b3*e2 and check the reducing automorphism.
+
+    The automorphism must map the generator onto a multiple of the canonical
+    one and preserve brackets on 50 seeded random pairs.
+    """
+    result = classify_subalgebra(p, b1, b2, b3)
+    report = VerificationReport(seed=None)
+    data: dict = {"class": result.kind.value}
+    if result.automorphism is not None:
+        phi = result.automorphism
+        generator = AlgebraVector(b2, b3, b1, 0.0)
+        image = apply_automorphism(p, phi, generator)
+        target = canonical_span_generator(result.kind).scaled(result.scale)
+        residual = coordinate_distance(image.coords, target.coords)
+        rng = np.random.Generator(np.random.PCG64(0))
+        bracket_resid = 0.0
+        for _ in range(50):
+            u = AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+            v = AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+            lhs = apply_automorphism(p, phi, bracket(p, u, v))
+            rhs = bracket(p, apply_automorphism(p, phi, u), apply_automorphism(p, phi, v))
+            bracket_resid = max(bracket_resid, coordinate_distance(lhs.coords, rhs.coords))
+        report.record(
+            "canonical-collinearity", residual <= 1e-12, max_error=residual, n_samples=1
+        )
+        report.record(
+            "automorphism-preserves-brackets",
+            bracket_resid <= 1e-12,
+            max_error=bracket_resid,
+            n_samples=50,
+        )
+        data["automorphism"] = asdict(phi)
+        data["scale"] = result.scale
+    else:
+        report.record(
+            "classification",
+            True,
+            n_samples=1,
+            notes=f"{result.kind.value}: no automorphism reduces this span to a "
+            "section-admissible subgroup",
+        )
+    report.data.update(data)
+    return report
 
 
 def fixed_point_witness(p: GroupParam, g: GroupElement) -> LoopPoint:
@@ -254,3 +303,19 @@ def fixed_point_residual(p: GroupParam, g: GroupElement, m: LoopPoint) -> float:
     lhs = mul(p, g, rep)
     rhs = mul(p, rep, subgroup_element(SubgroupId.H4, g.x4))
     return coordinate_distance(lhs.coords, rhs.coords)
+
+
+def fixed_point_suite(p: GroupParam, g: GroupElement) -> VerificationReport:
+    """Witness the coset fixed by left translation with g (g.x4 != 0) and check it."""
+    witness = fixed_point_witness(p, g)
+    residual = fixed_point_residual(p, g, witness)
+    report = VerificationReport(seed=None)
+    report.record(
+        "fixed-coset",
+        residual <= 1e-10,
+        max_error=residual,
+        n_samples=1,
+        notes="left translation fixes the witnessed coset",
+    )
+    report.data["witness"] = list(witness.coords)
+    return report

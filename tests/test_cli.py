@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import solvloop
-from solvloop.cli import main
+from solvloop.cli import COMMANDS, build_parser, main
 
 
 def run_to_file(tmp_path, name, args):
@@ -48,17 +49,58 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_count_flags_rejected_at_parse_time(capsys):
+    section = ["--case", "C", "--a", "2", "--preset", "zero"]
     bad = [
-        (["transitivity", "--case", "C", "--a", "2", "--preset", "zero", "--samples", "0"],
-         "--samples"),
-        (["loop-check", "--case", "A", "--a", "2", "--preset", "zero", "--samples", "-3"],
-         "--samples"),
-        (["transitivity", "--case", "C", "--a", "2", "--preset", "zero", "--resolution", "1"],
-         "--resolution"),
+        (["transitivity", *section, "--samples", "0"], "--samples", "must be at least 1"),
+        (["loop-check", *section, "--samples", "-3"], "--samples", "must be at least 1"),
+        (["transitivity", *section, "--resolution", "1"], "--resolution", "must be at least 2"),
+        (["generation", *section, "--samples", "49"], "--samples", "must be at least 50"),
+        (["lemma1", "--K", "1", "--samples", "1"], "--samples", "must be at least 2"),
     ]
-    for argv, flag in bad:
-        assert main(argv) == 2
-        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    bad += [
+        (["loop-check", *section, "--z-box", value], "--z-box", "must be finite and > 0")
+        for value in ("-1", "0", "nan", "inf")
+    ]
+    bad += [(["transitivity", *section, "--z-box", "-1"], "--z-box", "must be finite and > 0")]
+    bad += [
+        (["lemma1", "--K", "1", "--rate", value], "--rate", "must be finite and nonzero")
+        for value in ("0", "nan", "inf")
+    ]
+    for argv, flag, message in bad:
+        assert main(argv) == 2, argv
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_errors_never_crash_or_pass(capsys):
+    # NaN products and overflowing profiles: the checks fail, and the report,
+    # whose data still holds the non-finite values, is refused with a one-line
+    # error instead of a traceback
+    for argv in (
+        ["loop-check", "--case", "A", "--a", "2", "--fn", "sqrt(x)", "--samples", "20"],
+        ["lemma1", "--fn", "exp(1000*z)"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "error: report not written: non-finite float in report"
+    assert main(["lemma1", "--K", "1", "--rate", "nan"]) == 2
+    assert "argument --rate" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_names_float_parameters(capsys):
+    cases = [
+        (["verify-group", "--a", "1e308"], "--a 1e+308"),
+        (["theorem2", "--a", "700"], "--a 700"),
+        (["loop-check", "--case", "A", "--a", "2", "--preset", "zero", "--z-box", "400"],
+         "--a 2, --z-box 400"),
+        (["fixed-point", "--a", "1e308", "--g", "1", "1", "1", "1"], "--a 1e+308, --g 1 1 1 1"),
+    ]
+    for argv, named in cases:
+        assert main(argv) == 2, argv
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: math range error: overflow with {named}"
 
 
 def test_preset_choices_follow_presets(capsys):
@@ -219,3 +261,60 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["command"] == "verify-group"
+
+
+# ---------------------------------------------------------------- the table
+
+def test_command_table_matches_parser(capsys):
+    # every echoed config key is an argument of its subcommand, and every
+    # subcommand's help renders
+    subparsers = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    ).choices
+    assert list(subparsers) == list(COMMANDS)
+    for name, command in COMMANDS.items():
+        dests = {action.dest for action in subparsers[name]._actions}
+        assert set(command.config) <= dests, name
+        assert main([name, "--help"]) == 0
+    capsys.readouterr()
+
+
+def test_library_suites_match_cli(tmp_path):
+    from solvloop.group import GroupElement, GroupParam
+    from solvloop.loops import LoopCase, loop_suite
+    from solvloop.multgroup import group_suite, theorem2_suite
+    from solvloop.sections import (
+        FunctionSpec, SectionSpec, generation_suite, lemma1_suite, sharp_transitivity_check,
+    )
+    from solvloop.subgroups import classify_suite, fixed_point_suite
+
+    def spec(case, preset):
+        fn = FunctionSpec.preset(preset, 2 if case == "A" else 3)
+        return SectionSpec(case, GroupParam(2.0), fn)
+
+    section = ["--a", "2", "--preset"]
+    pairs = [
+        (["verify-group", "--a", "2", "--samples", "40", "--seed", "3"],
+         group_suite(GroupParam(2.0), 40, 3)),
+        (["classify", "--a", "2", "--b1", "1.5", "--b2", "0.5", "--b3", "-2"],
+         classify_suite(GroupParam(2.0), 1.5, 0.5, -2.0)),
+        (["loop-check", "--case", "B", *section, "lemma1", "--samples", "20", "--seed", "1"],
+         loop_suite(LoopCase(spec("B", "lemma1")), 20, 1, None)),
+        (["generation", "--case", "C", *section, "sin-small"],
+         generation_suite(spec("C", "sin-small"), 200)),
+        (["transitivity", "--case", "C", *section, "sin-small", "--samples", "10"],
+         sharp_transitivity_check(spec("C", "sin-small"), n_samples=10)),
+        (["theorem2", "--a", "2", "--samples", "60", "--seed", "2"],
+         theorem2_suite(GroupParam(2.0), 60, 2)),
+        (["lemma1", "--K", "2"],
+         lemma1_suite(lambda z: 2.0 * -np.expm1(-z), 1.0, (-3.0, 3.0), 50, coefficient=2.0)),
+        (["fixed-point", "--a", "2", "--g", "1", "-2", "0.5", "1.5"],
+         fixed_point_suite(GroupParam(2.0), GroupElement(1.0, -2.0, 0.5, 1.5))),
+    ]
+    assert {argv[0] for argv, _ in pairs} == set(COMMANDS)
+    for argv, report in pairs:
+        code, path = run_to_file(tmp_path, f"{argv[0]}.json", argv)
+        cli = [(c["name"], c["status"], c["max_error"]) for c in json.loads(path.read_text())["checks"]]
+        lib = [(c.name, c.status, c.max_error) for c in report.checks]
+        assert cli == lib, argv[0]
+        assert code == (1 if report.status == "fail" else 0)

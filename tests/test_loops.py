@@ -346,3 +346,16 @@ def test_normal_subloop_check_case_a():
 def test_normal_subloop_check_rejects_other_cases():
     with pytest.raises(ValueError):
         sl.normal_subloop_check(case_for("B", "lemma1"))
+
+
+@pytest.mark.parametrize("case", ("B", "C"))
+def test_axiom_suite_records_non_finite_scan_as_failed_rdiv(case):
+    # sqrt(x) is NaN on part of every scan window: the division fails as a
+    # solver failure instead of escaping as a usage error
+    spec = sl.SectionSpec(case, sl.GroupParam(2.0), sl.FunctionSpec.from_expression("sqrt(x)", 3))
+    with np.errstate(invalid="ignore"):
+        report = sl.axiom_suite(sl.LoopCase(spec), n_samples=10, seed=0)
+    checks = {c.name: c for c in report.checks}
+    assert checks["rdiv-round-trip"].status == "fail"
+    errors = report.data["division_errors"]
+    assert errors and all("SolverDivergenceError" in e for e in errors)

@@ -13,7 +13,7 @@ def small_run_report(wall=None):
         rp.Check(name="alpha", status="pass", max_error=0.1, n_samples=10, notes=""),
         rp.Check(name="beta", status="fail", max_error=2.0, n_samples=5, notes="x"),
     ]
-    return rp.RunReport(
+    return rp.VerificationReport(
         command="unit-test",
         config={"a": 2.0, "flag": True, "n": 3, "label": "s"},
         checks=checks,
@@ -44,14 +44,16 @@ def test_record_stores_fields():
     )
 
 
-def test_run_report_from_verification():
-    v = rp.VerificationReport(seed=11)
-    v.record("k", True, max_error=0.0)
-    v.data["extra"] = 1
-    run = rp.RunReport.from_verification("cmd", {"x": 1}, v)
-    assert run.seed == 11
-    assert run.status == "pass"
-    assert run.data["extra"] == 1
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("warn_only", (False, True))
+def test_record_fails_non_finite_max_error(bad, warn_only):
+    # a check whose error could not be measured neither passes nor warns
+    r = rp.VerificationReport(seed=0)
+    c = r.record("k", True, max_error=bad, n_samples=3, notes="before", warn_only=warn_only)
+    assert c.status == "fail" and r.status == "fail"
+    assert c.max_error is None
+    assert c.notes == f"before; non-finite max_error {bad!r}"
+    rp.render_json(r.to_dict())  # the check itself stays renderable
 
 
 # ---------------------------------------------------------------- rendering

@@ -261,3 +261,12 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     for u in sl.root1d(line.residual, line.window(-5.0, 5.0)):
         q = line.point(u)
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-9
+
+
+def test_generation_suite_fails_non_finite_residual():
+    # a NaN slice residual used to pass "generates" with max_error NaN
+    spec = sl.SectionSpec("A", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("sqrt(x)", 2))
+    with np.errstate(invalid="ignore"):
+        check = sl.sections.generation_suite(spec, 200).checks[0]
+    assert (check.name, check.status, check.max_error) == ("generates", "fail", None)
+    assert "non-finite max_error nan" in check.notes
