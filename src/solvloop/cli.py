@@ -78,8 +78,8 @@ def _lemma1(args) -> VerificationReport:
         fn = lambda z: coeff * -np.expm1(-rate * z)
         label = f"{coeff:g}*(1-exp(-{rate:g}*z))"
     else:
-        tree = expressions.parse(args.fn, ("z",))
-        fn = lambda z: float(expressions.evaluate(tree, {"z": z}))
+        profile = expressions.as_function(expressions.parse(args.fn, ("z",)), ("z",))
+        fn = lambda z: float(profile(z))
         label = args.fn
     report = lemma1_suite(fn, rate, _ordered(args.range, "--range"), args.samples, args.K)
     report.data["function"] = label

@@ -32,6 +32,7 @@ __all__ = [
     "EvaluationError",
     "FUNCTIONS",
     "parse",
+    "as_function",
     "evaluate",
     "to_text",
 ]
@@ -234,8 +235,27 @@ def parse(text: str, variables: Sequence[str]) -> Node:
     return node
 
 
+def as_function(node: Node, variables: Sequence[str]):
+    """node as a function of the variables, bound positionally.
+
+    numpy's floating-point warnings are silenced once per call, for the
+    whole evaluation; overflow and invalid operations give inf and NaN.
+    """
+    variables = tuple(variables)
+
+    def fn(*args):
+        with np.errstate(all="ignore"):
+            return evaluate(node, dict(zip(variables, args)))
+
+    return fn
+
+
 def evaluate(node: Node, env: dict):
-    """Evaluate over floats or numpy arrays; only division is guarded (|denominator| >= 1e-300)."""
+    """Evaluate over floats or numpy arrays; only division is guarded (|denominator| >= 1e-300).
+
+    numpy's floating-point error state is the caller's; as_function
+    silences its warnings.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -246,23 +266,21 @@ def evaluate(node: Node, env: dict):
     if isinstance(node, Neg):
         return -evaluate(node.operand, env)
     if isinstance(node, Call):
-        with np.errstate(all="ignore"):
-            return FUNCTIONS[node.fn](evaluate(node.arg, env))
+        return FUNCTIONS[node.fn](evaluate(node.arg, env))
     left = evaluate(node.left, env)
     right = evaluate(node.right, env)
-    with np.errstate(all="ignore"):
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(np.abs(right) < 1e-300):
-                raise EvaluationError("division by (near-)zero denominator")
-            return left / right
-        if node.op == "^":
-            return left**right
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if np.any(np.abs(right) < 1e-300):
+            raise EvaluationError("division by (near-)zero denominator")
+        return left / right
+    if node.op == "^":
+        return left**right
     raise ValueError(f"unknown operator {node.op!r}")
 
 

@@ -30,17 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .group import GroupParam, coordinate_distance, mul
-from .numerics import newton1d, root1d
+from .numerics import newton1d, root_rows
 from .report import VerificationReport
 from .sections import (
     GenerationVerdict,
     SectionSpec,
     degeneracy_report,
+    line_residual_rows,
     right_translation_system,
     section_lift,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "loop_mul",
     "loop_ldiv",
     "loop_rdiv",
+    "loop_rdiv_batch",
     "coset_cross_check",
     "associativity_defect",
     "axiom_suite",
@@ -95,6 +97,12 @@ class LoopCase:
 
 
 def loop_mul(c: LoopCase, m1: LoopPoint, m2: LoopPoint) -> LoopPoint:
+    fn = c.spec.fn
+    return _product(c, m1, m2, fn(m1.x, m1.z) if c.spec.case == "A" else fn(m1.x, m1.y, m1.z))
+
+
+def _product(c: LoopCase, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
+    """m1 * m2, given the section value v at m1."""
     spec = c.spec
     a = spec.param.a
     x1, y1, z1 = m1.coords
@@ -102,17 +110,14 @@ def loop_mul(c: LoopCase, m1: LoopPoint, m2: LoopPoint) -> LoopPoint:
     ea = math.exp(a * z1)
     e = math.exp(z1)
     if spec.case == "A":
-        v = spec.fn(x1, z1)
         return LoopPoint(x1 + ea * x2, y1 + y2 * e - z2 * e * v, z1 + z2)
     if spec.case == "B":
-        v = spec.fn(x1, y1, z1)
         # 1 - e^{(a-1) z2} = -expm1((a-1) z2)
         return LoopPoint(
             x1 + ea * (x2 - v * math.expm1((a - 1.0) * z2)),
             y1 + e * (y2 - z2 * v),
             z1 + z2,
         )
-    v = spec.fn(x1, y1, z1)
     return LoopPoint(
         x1 + ea * (x2 - y2 * z1 * math.exp((a - 1.0) * z2) - v * math.expm1((a - 1.0) * z2)),
         y1 + e * y2,
@@ -155,60 +160,101 @@ def loop_rdiv(
     resolution: int = 2048,
     tol: float = 1e-10,
 ) -> LoopPoint:
-    """The q with q * m2 = b.
+    """The q with q * m2 = b: loop_rdiv_batch for one pair, raising its error."""
+    (q,) = loop_rdiv_batch(
+        c, [(b, m2)], check_unique, window_half_width, expansions, resolution, tol
+    )
+    if isinstance(q, RightDivisionError):
+        raise q
+    return q
+
+
+def loop_rdiv_batch(
+    c: LoopCase,
+    problems: Sequence[tuple[LoopPoint, LoopPoint]],
+    check_unique: bool = False,
+    window_half_width: float = 10.0,
+    expansions: int = 4,
+    resolution: int = 2048,
+    tol: float = 1e-10,
+) -> list[Union[LoopPoint, RightDivisionError]]:
+    """For every pair (b, m2), the q with q * m2 = b or the RightDivisionError
+    that explains why it could not be certified.
 
     Case A is closed-form, and so are cases B and C when m2 has z = 0.
     Otherwise cases B and C solve the scalar line equation of
     right_translation_system: by default Newton from the function-free
     solution, falling back to a scan.  The scan covers the window of the
     given half width on the line around that solution, doubling it up to
-    `expansions` times while no root is found.  With check_unique=True only
-    the scan runs, it counts *all* roots, and MultipleRootsError is raised
-    when the sharp-transitivity hypothesis fails on the window.  The result
-    is validated by multiplying back (tolerance 1e-8).
+    `expansions` times for the pairs where no root is found; the scans of
+    all pairs run together in numerics.root_rows.  With check_unique=True
+    only the scan runs, it counts *all* roots, and the pair gets a
+    MultipleRootsError when the sharp-transitivity hypothesis fails on the
+    window.  Every q is validated by multiplying back (tolerance 1e-8).
     """
     spec = c.spec
     a = spec.param.a
-    x2, y2, z2 = m2.coords
-    qz = b.z - z2
     if spec.case == "A":
-        qx = b.x - math.exp(a * qz) * x2
-        qy = b.y - y2 * math.exp(qz) + z2 * math.exp(qz) * spec.fn(qx, qz)
-        return LoopPoint(qx, qy, qz)
-    line = right_translation_system(spec, m2, b)
-    u = 0.0
-    if line.scale != 0.0:
-        u = _solve_line(line, check_unique, window_half_width, expansions, resolution, tol)
-    q = line.point(u)
-    residual = coordinate_distance(loop_mul(c, q, m2).coords, b.coords)
-    if not residual <= 1e-8:
-        raise SolverDivergenceError(
-            f"right division residual {residual:.3e} exceeds 1e-8"
-        )
-    return q
-
-
-def _solve_line(line, check_unique, half_width, expansions, resolution, tol) -> float:
+        out: list = []
+        for b, m2 in problems:
+            x2, y2, z2 = m2.coords
+            qz = b.z - z2
+            qx = b.x - math.exp(a * qz) * x2
+            qy = b.y - y2 * math.exp(qz) + z2 * math.exp(qz) * spec.fn(qx, qz)
+            out.append(LoopPoint(qx, qy, qz))
+        return out
+    lines = [right_translation_system(spec, m2, b) for b, m2 in problems]
+    out = [None] * len(lines)
+    us: list[Optional[float]] = [0.0 if line.scale == 0.0 else None for line in lines]
     if not check_unique:
-        root = newton1d(line.residual, 0.0, tol=min(tol, 1e-12))
-        if root is not None:
-            return root
-    width = half_width
+        for i, line in enumerate(lines):
+            if us[i] is None:
+                us[i] = newton1d(line.residual, 0.0, tol=min(tol, 1e-12))
+    pending = [i for i, u in enumerate(us) if u is None]
+    width = window_half_width
     for _ in range(expansions + 1):
-        try:
-            roots = root1d(line.residual, (-width, width), resolution=resolution)
-        except ValueError as err:
-            raise SolverDivergenceError(f"{err} (window half width {width:g})") from err
-        if len(roots) > 1:
-            raise MultipleRootsError(
-                f"{len(roots)} roots in window of half width {width:g} around {line.base}"
-            )
-        if len(roots) == 1:
-            return roots[0]
+        if not pending:
+            break
+        found = root_rows(
+            line_residual_rows([lines[i] for i in pending]),
+            np.full(len(pending), -width),
+            np.full(len(pending), width),
+            resolution=resolution,
+        )
+        unsolved = []
+        for i, roots in zip(pending, found):
+            if isinstance(roots, ValueError):
+                err = SolverDivergenceError(f"{roots} (window half width {width:g})")
+                err.__cause__ = roots
+                out[i] = err
+            elif len(roots) > 1:
+                out[i] = MultipleRootsError(
+                    f"{len(roots)} roots in window of half width {width:g} around {lines[i].base}"
+                )
+            elif roots:
+                us[i] = roots[0]
+            else:
+                unsolved.append(i)
+        pending = unsolved
         width *= 2.0
-    raise NoRootInBoxError(
-        f"no root in window of half width {width / 2.0:g} around {line.base}"
-    )
+    for i in pending:
+        out[i] = NoRootInBoxError(
+            f"no root in window of half width {width / 2.0:g} around {lines[i].base}"
+        )
+    solved = [i for i, outcome in enumerate(out) if outcome is None]
+    if solved:
+        qs = [lines[i].point(us[i]) for i in solved]
+        # the section values of all multiply-back checks in one call
+        x, y, z = np.array([q.coords for q in qs]).T
+        for i, q, v in zip(solved, qs, np.broadcast_to(spec.fn(x, y, z), len(qs))):
+            b, m2 = problems[i]
+            residual = coordinate_distance(_product(c, q, m2, v).coords, b.coords)
+            out[i] = (
+                q
+                if residual <= 1e-8
+                else SolverDivergenceError(f"right division residual {residual:.3e} exceeds 1e-8")
+            )
+    return out
 
 
 def coset_cross_check(c: LoopCase, m1: LoopPoint, m2: LoopPoint) -> float:
@@ -263,8 +309,8 @@ def axiom_suite(
     ldiv_max = 0.0
     rdiv_max = 0.0
     z_max = 0.0
-    division_errors: list[str] = []
-    for i in range(n_samples):
+    problems = []
+    for _ in range(n_samples):
         m1 = _sample_point(rng, xy_half_width, z_half_width)
         m2 = _sample_point(rng, xy_half_width, z_half_width)
         b = _sample_point(rng, xy_half_width, z_half_width)
@@ -275,14 +321,16 @@ def axiom_suite(
         )
         w = loop_ldiv(c, m1, b)
         ldiv_max = max(ldiv_max, coordinate_distance(loop_mul(c, m1, w).coords, b.coords))
-        target = loop_mul(c, b, m2)
-        try:
-            q = loop_rdiv(c, target, m2, check_unique=spec.case != "A")
-            rdiv_max = max(rdiv_max, coordinate_distance(loop_mul(c, q, m2).coords, target.coords))
-        except RightDivisionError as err:
-            division_errors.append(f"sample {i}: {type(err).__name__}: {err}")
+        problems.append((loop_mul(c, b, m2), m2))
         prod = loop_mul(c, m1, m2)
         z_max = max(z_max, abs(prod.z - (m1.z + m2.z)))
+    division_errors: list[str] = []
+    quotients = loop_rdiv_batch(c, problems, check_unique=spec.case != "A")
+    for i, ((target, m2), q) in enumerate(zip(problems, quotients)):
+        if isinstance(q, RightDivisionError):
+            division_errors.append(f"sample {i}: {type(q).__name__}: {q}")
+        else:
+            rdiv_max = max(rdiv_max, coordinate_distance(loop_mul(c, q, m2).coords, target.coords))
     report.record("identity-laws", id_max <= 1e-12, max_error=id_max, n_samples=n_samples)
     report.record("ldiv-round-trip", ldiv_max <= 1e-9, max_error=ldiv_max, n_samples=n_samples)
     report.record(
@@ -308,7 +356,8 @@ def loop_suite(
 
     The cross-check samples up to 300 pairs from the seed after axiom_suite's,
     with z in [-z_half_width, z_half_width] (default 5).  The generation
-    check only warns: a degenerate section is legitimate input.
+    check only warns for a degenerate section, which is legitimate input,
+    and fails when the verdict could not be reached.
     """
     report = axiom_suite(c, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
@@ -321,17 +370,18 @@ def loop_suite(
         worst = max(worst, coset_cross_check(c, m1, m2))
     report.record("coset-cross-check", worst <= 1e-10, max_error=worst, n_samples=n_cross)
     verdict = c.degeneracy
+    notes = {
+        True: "section image generates the group; the loop is proper",
+        False: "degenerate family: left translations stay in a proper subgroup",
+        None: verdict.notes,
+    }
     report.record(
         "generation",
-        verdict.generates,
+        verdict.generates is True,
         max_error=verdict.identity_residual_max,
         n_samples=verdict.n_samples,
-        notes=(
-            "section image generates the group; the loop is proper"
-            if verdict.generates
-            else "degenerate family: left translations stay in a proper subgroup"
-        ),
-        warn_only=True,
+        notes=notes[verdict.generates],
+        warn_only=verdict.generates is not None,
     )
     report.data["generation"] = verdict.to_dict()
     return report

@@ -5,7 +5,8 @@ fills in its command name, echoed configuration and optional wall time and
 writes it.  Reports must be byte-identical across reruns with the same
 configuration and seed, so serialization is hand-rolled: floats are written
 with 17 significant digits (enough to round-trip a double), keys keep
-insertion order, and non-finite floats are rejected.  Wall time is recorded
+insertion order, and non-finite floats are rejected, except in the data
+payload, where they are written as null and named.  Wall time is recorded
 only on request for the same reason.
 """
 
@@ -95,6 +96,15 @@ class VerificationReport:
         return self.status != "fail"
 
     def to_dict(self) -> dict:
+        """The schema-1 document.
+
+        A non-finite float in data is written as None, like a non-finite
+        max_error, and data gains a "non_finite" list naming each one.
+        """
+        non_finite: list[str] = []
+        data = _finite(self.data, "data", non_finite)
+        if non_finite:
+            data["non_finite"] = non_finite
         return {
             "schema": SCHEMA_VERSION,
             "command": self.command,
@@ -103,9 +113,21 @@ class VerificationReport:
             "seed": self.seed,
             "rng": RNG,
             "checks": [c.to_dict() for c in self.checks],
-            "data": self.data,
+            "data": data,
             "wall_time_s": self.wall_time_s,
         }
+
+
+def _finite(value, path: str, found: list[str]):
+    """value with each non-finite float replaced by None; found gets "path = value" for each."""
+    if isinstance(value, float) and not math.isfinite(value):
+        found.append(f"{path} = {float(value)!r}")
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{path}.{k}", found) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, f"{path}[{i}]", found) for i, v in enumerate(value)]
+    return value
 
 
 def _render(value, indent: int) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expressions
 from .group import GroupElement, GroupParam
-from .numerics import fit_saturating_exponential, root1d, twisted_additivity_residual
+from .numerics import fit_saturating_exponential, root_rows, twisted_additivity_residual
 from .report import VerificationReport
 from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
 
@@ -46,6 +46,7 @@ __all__ = [
     "lemma1_suite",
     "RightTranslationLine",
     "right_translation_system",
+    "line_residual_rows",
     "sharp_transitivity_check",
 ]
 
@@ -94,11 +95,7 @@ class FunctionSpec:
         if names is None:
             raise ValueError("arity must be 2 or 3")
         tree = expressions.parse(text, names)
-
-        def fn(*args):
-            return expressions.evaluate(tree, dict(zip(names, args)))
-
-        return cls(arity=arity, fn=fn, label=text, tree=tree)
+        return cls(arity=arity, fn=expressions.as_function(tree, names), label=text, tree=tree)
 
     @classmethod
     def preset(cls, name: str, arity: int, coefficient: Optional[float] = None) -> "FunctionSpec":
@@ -194,9 +191,10 @@ class GenerationVerdict:
     section image stays inside a proper subgroup: the slice identity holds
     and the z-profile matches coefficient*(1 - e^{-rate*z}).  Either failure
     means the image generates the whole group and the loop is proper.
+    generates=None means no verdict: a residual is not finite.
     """
 
-    generates: bool
+    generates: Optional[bool]
     fitted_constant: Optional[float]
     identity_residual_max: float
     fit_rms_residual: float
@@ -251,37 +249,44 @@ def degeneracy_report(
     else:
         profile = [(z, float(spec.fn(0.0, 0.0, z))) for z in zs]
     fit = fit_saturating_exponential(profile, rate=rate)
-    slice_ok = slice_resid <= identity_tol
-    profile_ok = fit.rms_residual <= fit_rms_tol
+    notes = f"on tested box |x|,|y|,|z| <= {hw:g}"
+    if math.isfinite(slice_resid) and math.isfinite(fit.rms_residual):
+        generates = not (slice_resid <= identity_tol and fit.rms_residual <= fit_rms_tol)
+    else:
+        generates = None
+        notes += "; no verdict: a degeneracy residual is not finite"
     return GenerationVerdict(
-        generates=not (slice_ok and profile_ok),
+        generates=generates,
         fitted_constant=fit.coefficient,
         identity_residual_max=slice_resid,
         fit_rms_residual=fit.rms_residual,
         fit_max_residual=fit.max_residual,
         n_samples=int(n_samples + fit.n_samples),
         rate=rate,
-        notes=f"on tested box |x|,|y|,|z| <= {hw:g}",
+        notes=notes,
     )
 
 
 def generation_suite(spec: SectionSpec, n_samples: int = 200) -> VerificationReport:
-    """The degeneracy verdict as one warning-only check: does the section generate?"""
+    """The degeneracy verdict as one check: does the section generate?
+
+    A degenerate section only warns; a verdict that could not be reached
+    fails.
+    """
     verdict = degeneracy_report(spec, n_samples=n_samples)
     report = VerificationReport(seed=None)
+    outcome = {
+        True: "; at least one degeneracy identity fails",
+        False: f"; both degeneracy identities hold: fitted constant {verdict.fitted_constant:.6g}",
+        None: "",
+    }
     report.record(
         "generates",
-        verdict.generates,
+        verdict.generates is True,
         max_error=verdict.identity_residual_max,
         n_samples=verdict.n_samples,
-        notes=verdict.notes
-        + (
-            "; both degeneracy identities hold: fitted constant "
-            f"{verdict.fitted_constant:.6g}"
-            if not verdict.generates
-            else "; at least one degeneracy identity fails"
-        ),
-        warn_only=True,
+        notes=verdict.notes + outcome[verdict.generates],
+        warn_only=verdict.generates is not None,
     )
     report.data["verdict"] = verdict.to_dict()
     return report
@@ -345,8 +350,7 @@ class RightTranslationLine:
 
     def residual(self, u):
         """u - scale * f(point(u)); elementwise on numpy arrays."""
-        (bx, by), (dx, dy) = self.base, self.direction
-        return u - self.scale * self.fn(bx + u * dx, by + u * dy, self.qz)
+        return _line_residual(self.fn, u, *self.base, *self.direction, self.qz, self.scale)
 
     def point(self, u: float) -> LoopPoint:
         (bx, by), (dx, dy) = self.base, self.direction
@@ -366,6 +370,27 @@ class RightTranslationLine:
         if not lower < upper:
             raise ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
         return lower, upper
+
+
+def _line_residual(fn, u, bx, by, dx, dy, qz, scale):
+    return u - scale * fn(bx + u * dx, by + u * dy, qz)
+
+
+def line_residual_rows(lines: Sequence[RightTranslationLine]):
+    """fn_rows for numerics.root_rows whose row i is lines[i].residual.
+
+    All lines must share one section function, which is evaluated on the
+    points of every row of a call at once.
+    """
+    fn = lines[0].fn if lines else None
+    cols = np.array(
+        [(*line.base, *line.direction, line.qz, line.scale) for line in lines], dtype=float
+    ).reshape(len(lines), 6).T[:, :, None]
+
+    def fn_rows(rows, pts):
+        return _line_residual(fn, pts, *cols[:, rows])
+
+    return fn_rows
 
 
 def right_translation_system(
@@ -416,8 +441,10 @@ def sharp_transitivity_check(
     (x, y) in case B, cut down to the solution line.  z offsets are sampled
     in [-z_half_width, z_half_width] so the function coefficient stays
     bounded on the window.  Both cases count roots of the scalar line
-    equation by a sign-change scan at the given resolution.  Every sample
-    contributes its root count; solver failures are reported, never dropped.
+    equation by a sign-change scan at the given resolution, the lines of all
+    samples in one numerics.root_rows call.  Every sample contributes its
+    root count; solver failures, including sign changes across a pole, are
+    reported, never dropped.
     """
     report = VerificationReport(seed=seed)
     if spec.case == "A":
@@ -437,17 +464,21 @@ def sharp_transitivity_check(
             z1, z2 = rng.uniform(-z_half_width, z_half_width, 2)
             drawn.append((LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2)))
         samples = drawn
-    counts: list[int] = []
-    failures: list[str] = []
-    for idx, (m2, b) in enumerate(samples):
+    outcomes: list = []  # a window error, or None until the scan fills in the roots
+    lines, windows = [], []
+    for m2, b in samples:
         line = right_translation_system(spec, m2, b)
         try:
-            roots = root1d(line.residual, line.window(*box), resolution=resolution)
+            windows.append(line.window(*box))
+            lines.append(line)
+            outcomes.append(None)
         except ValueError as err:
-            failures.append(f"sample {idx}: {err}")
-            counts.append(-1)
-            continue
-        counts.append(len(roots))
+            outcomes.append(err)
+    lo, hi = np.reshape(windows, (-1, 2)).T
+    found = iter(root_rows(line_residual_rows(lines), lo, hi, resolution=resolution))
+    outcomes = [next(found) if outcome is None else outcome for outcome in outcomes]
+    counts = [-1 if isinstance(o, ValueError) else len(o) for o in outcomes]
+    failures = [f"sample {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, ValueError)]
     bad = [i for i, c in enumerate(counts) if c != 1]
     notes = "all sampled right translations have exactly one preimage on the window"
     if bad:

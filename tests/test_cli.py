@@ -73,17 +73,31 @@ def test_count_flags_rejected_at_parse_time(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_errors_never_crash_or_pass(capsys):
-    # NaN products and overflowing profiles: the checks fail, and the report,
-    # whose data still holds the non-finite values, is refused with a one-line
-    # error instead of a traceback
-    for argv in (
-        ["loop-check", "--case", "A", "--a", "2", "--fn", "sqrt(x)", "--samples", "20"],
-        ["lemma1", "--fn", "exp(1000*z)"],
-    ):
+    # NaN products, NaN degeneracy residuals and overflowing profiles: the
+    # report is written in full, its checks fail, and every non-finite data
+    # value is written as null and named
+    cases = [
+        (["loop-check", "--case", "A", "--a", "2", "--fn", "sqrt(x)", "--samples", "20"],
+         {"generation": "fail", "identity-laws": "fail"},
+         ["data.generation.identity_residual_max = nan"]),
+        (["loop-check", "--case", "B", "--a", "2", "--fn", "sqrt(x)", "--samples", "20"],
+         {"generation": "fail", "rdiv-round-trip": "fail"},
+         ["data.generation.identity_residual_max = nan"]),
+        (["generation", "--case", "A", "--a", "2", "--fn", "sqrt(x)"],
+         {"generates": "fail"},
+         ["data.verdict.identity_residual_max = nan"]),
+        (["lemma1", "--fn", "exp(1000*z)"],
+         {"profile-fit": "fail", "pair-identity": "fail"},
+         ["data.coefficient = inf"]),
+    ]
+    for argv, failing, named in cases:
         assert main(argv) == 1, argv
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines()[-1] == "error: report not written: non-finite float in report"
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "error:" not in err
+        obj = json.loads(out)
+        statuses = {c["name"]: c["status"] for c in obj["checks"]}
+        assert {name: statuses[name] for name in failing} == failing, argv
+        assert obj["data"]["non_finite"] == named
     assert main(["lemma1", "--K", "1", "--rate", "nan"]) == 2
     assert "argument --rate" in capsys.readouterr().err
 

@@ -191,7 +191,7 @@ def test_rdiv_gate_rejects_nan_product(monkeypatch):
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
     b = sl.loop_mul(c, sl.LoopPoint(1.0, -1.0, 0.1), m2)
     monkeypatch.setattr(
-        sl.loops, "loop_mul", lambda case, q, m: sl.LoopPoint(math.nan, q.y, q.z)
+        sl.loops, "_product", lambda case, q, m, v: sl.LoopPoint(math.nan, q.y, q.z)
     )
     with pytest.raises(sl.SolverDivergenceError):
         sl.loop_rdiv(c, b, m2)
@@ -359,3 +359,37 @@ def test_axiom_suite_records_non_finite_scan_as_failed_rdiv(case):
     assert checks["rdiv-round-trip"].status == "fail"
     errors = report.data["division_errors"]
     assert errors and all("SolverDivergenceError" in e for e in errors)
+
+
+def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
+    # q*m2 = b in case C with f = 0.1*x/(x-1.5): the line crosses the pole,
+    # where the residual changes sign without vanishing
+    spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
+    c = sl.LoopCase(spec)
+    m2 = sl.LoopPoint(0.5, 0.2, 0.3)
+    b = sl.loop_mul(c, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
+    with pytest.raises(sl.SolverDivergenceError, match="is not a root"):
+        sl.loop_rdiv(c, b, m2, check_unique=True)
+
+
+def test_axiom_suite_right_divisions_batch_section_calls():
+    # the 500 right divisions of a case-C axiom_suite evaluate the section
+    # function in a few dozen array calls, not once per scan and bisection step
+    calls = []
+    sin_small = sl.FunctionSpec.preset("sin-small", 3)
+
+    def counted(*args):
+        calls.append(1)
+        return sin_small.fn(*args)
+
+    spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_callable(counted, 3))
+    c = sl.LoopCase(spec)
+    rng = np.random.Generator(np.random.PCG64(0))
+    problems = []
+    for _ in range(500):
+        m1, m2, b = (sl.loops._sample_point(rng, 5.0, 0.5) for _ in range(3))
+        problems.append((sl.loop_mul(c, b, m2), m2))
+    calls.clear()
+    quotients = sl.loops.loop_rdiv_batch(c, problems, check_unique=True)
+    assert all(isinstance(q, sl.LoopPoint) for q in quotients)
+    assert len(calls) < 100

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvloop as sl
-from solvloop.numerics import bisect, newton1d
+from solvloop import numerics
+from solvloop.numerics import bisect, newton1d, root_rows
 
 
 # ---------------------------------------------------------------- 1-D roots
@@ -125,6 +128,72 @@ def test_root1d_circle_line_two_roots():
     s = math.sqrt(0.5)
     assert len(roots) == 2
     assert abs(roots[0] + s) < 1e-9 and abs(roots[1] - s) < 1e-9
+
+
+def test_root1d_rejects_a_sign_change_across_a_pole():
+    # bisection converges onto the pole at 0.3, where the residual is huge
+    with pytest.raises(ValueError, match="is not a root"):
+        sl.root1d(lambda x: 1.0 / (x - 0.3), (0.0, 1.0), resolution=4)
+    # a steep genuine root still counts
+    assert len(sl.root1d(lambda x: 1e9 * (x - 0.3), (0.0, 1.0), resolution=4)) == 1
+
+
+class _Row:
+    """A test function: c * prod(x - roots), NaN or raising ValueError beyond a cut."""
+
+    def __init__(self, c, roots, kind, cut):
+        self.c, self.roots, self.kind, self.cut = c, roots, kind, cut
+
+    def __call__(self, x):
+        y = np.full(np.shape(x), self.c)
+        for r in self.roots:
+            y = y * (x - r)
+        beyond = np.asarray(x) > self.cut
+        if self.kind == "raise" and np.any(beyond):
+            raise ValueError(f"beyond the cut {self.cut!r}")
+        if self.kind == "nan":
+            y = np.where(beyond, np.nan, y)
+        return y
+
+
+@st.composite
+def _rows(draw, resolution):
+    grid = np.linspace(-1.0, 1.0, resolution + 1)
+    node = st.integers(0, resolution).map(lambda k: float(grid[k]))
+    root = st.floats(-1.0, 1.0) | node
+    c = draw(st.sampled_from([1.0, -2.5, 1e-3, 40.0]))
+    roots = draw(st.lists(root, max_size=4))
+    kind = draw(st.sampled_from(["poly"] * 6 + ["nan", "raise"]))
+    cut = draw(st.floats(-1.0, 1.0))
+    return _Row(c, roots, kind, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), resolution=st.integers(2, 40), block_points=st.integers(1, 200))
+def test_root_rows_equals_root1d_and_scalar_bisect(data, resolution, block_points):
+    # the batched scan gives every row exactly what root1d gives it alone,
+    # in blocks of any size, and every bisected root is scalar bisect's
+    rows = data.draw(st.lists(_rows(resolution), min_size=1, max_size=12))
+
+    def fn_rows(idx, pts):
+        return np.stack([rows[i](p) for i, p in zip(idx.tolist(), pts)])
+
+    saved = numerics.BLOCK_POINTS
+    numerics.BLOCK_POINTS = block_points
+    try:
+        batch = root_rows(fn_rows, [-1.0] * len(rows), [1.0] * len(rows), resolution=resolution)
+    finally:
+        numerics.BLOCK_POINTS = saved
+    for row, got in zip(rows, batch):
+        try:
+            alone = sl.root1d(row, (-1.0, 1.0), resolution=resolution)
+        except ValueError as err:
+            alone = err
+        if isinstance(alone, ValueError):
+            assert isinstance(got, ValueError) and str(got) == str(alone)
+            continue
+        assert got == alone
+        assert got == _root1d_loop(row, (-1.0, 1.0), resolution=resolution)
 
 
 # ---------------------------------------------------------------- Newton

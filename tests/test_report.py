@@ -56,6 +56,20 @@ def test_record_fails_non_finite_max_error(bad, warn_only):
     rp.render_json(r.to_dict())  # the check itself stays renderable
 
 
+def test_non_finite_data_written_as_null_and_named():
+    r = rp.VerificationReport(seed=0)
+    r.data = {"fit": {"k": math.nan, "ok": 1.5}, "values": (1.0, -math.inf), "n": 3}
+    out = json.loads(rp.render_json(r.to_dict()))
+    assert out["data"] == {
+        "fit": {"k": None, "ok": 1.5},
+        "values": [1.0, None],
+        "n": 3,
+        "non_finite": ["data.fit.k = nan", "data.values[1] = -inf"],
+    }
+    assert r.data["fit"]["k"] is not None  # the report itself is left as it was
+    assert "non_finite" not in small_run_report().to_dict()["data"]
+
+
 # ---------------------------------------------------------------- rendering
 
 def test_render_is_valid_json_with_schema_keys():

@@ -264,9 +264,24 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
 
 
 def test_generation_suite_fails_non_finite_residual():
-    # a NaN slice residual used to pass "generates" with max_error NaN
+    # a NaN slice residual used to pass "generates" with max_error NaN, and
+    # the verdict claimed generation
     spec = sl.SectionSpec("A", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("sqrt(x)", 2))
     with np.errstate(invalid="ignore"):
         check = sl.sections.generation_suite(spec, 200).checks[0]
+        verdict = sl.degeneracy_report(spec)
     assert (check.name, check.status, check.max_error) == ("generates", "fail", None)
     assert "non-finite max_error nan" in check.notes
+    assert verdict.generates is None
+    assert "no verdict" in verdict.notes
+
+
+def test_transitivity_sign_change_at_a_pole_is_not_a_root():
+    # bisection converges onto the pole x = 1.5; it used to count as a root
+    spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
+    rep = sl.sharp_transitivity_check(spec, seed=0)
+    assert rep.status == "fail"
+    assert rep.data["root_counts"][1] == -1
+    first = rep.data["failures"][0]
+    assert first.startswith("sample 1: sign change at u = ") and "is not a root" in first
+    assert "sample 1: 3 roots" not in rep.checks[0].notes
