@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -210,6 +211,11 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+# argparse's own pattern for negative numbers has no exponent, so it would
+# read the value -1e6 as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solvloop",
@@ -218,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in command.flags:
             if flag == SECTION_FN:
                 group = sp.add_mutually_exclusive_group(required=True)

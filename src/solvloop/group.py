@@ -12,13 +12,18 @@ commutator subgroup is the abelian slab {x4 = 0}.  This module provides the
 product, inverse and matrix conversions, the Lie algebra (brackets, matrix
 representation, exponential), the automorphisms fixing the grading direction,
 and a sampled witness that the centre is trivial.
+
+The coordinates of GroupElement and AlgebraVector may be floats or
+equal-length float64 columns, one row per sample (scalars mixed with columns
+broadcast).  The law functions evaluate all rows of columns at once, each row
+bit for bit as the scalar call would; exponentials go through elementwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +39,10 @@ __all__ = [
     "E3",
     "E4",
     "coordinate_distance",
+    "elementwise",
+    "stack",
+    "split",
+    "largest",
     "mul",
     "inv",
     "conjugate",
@@ -118,31 +127,61 @@ E3 = AlgebraVector(0.0, 0.0, 1.0, 0.0)
 E4 = AlgebraVector(0.0, 0.0, 0.0, 1.0)
 
 
-def coordinate_distance(u: Sequence[float], v: Sequence[float]) -> float:
+def coordinate_distance(u: Sequence, v: Sequence):
     """Hybrid absolute/relative distance: max_i |u_i - v_i| / max(1, |u_i|, |v_i|).
 
     Behaves like an absolute bound near the origin and like a relative bound
     for large coordinates, so a single tolerance is meaningful across the
     exponential coordinate growth of the group.  A NaN difference (a NaN
     coordinate, or infinities that do not match) is infinitely far, so no
-    tolerance test can pass on it.
+    tolerance test can pass on it.  A float for float coordinates; the
+    distance of every row for columns.
     """
     if len(u) != len(v):
         raise ValueError("coordinate tuples must have equal length")
     worst = 0.0
-    for a, b in zip(u, v):
-        d = abs(a - b) / max(1.0, abs(a), abs(b))
-        if d > worst:
-            worst = d
-        elif d != d:
-            return math.inf
-    return worst
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, b in zip(u, v):
+            # np.maximum keeps a NaN once it appears
+            worst = np.maximum(worst, abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1.0))
+    worst = np.where(worst == worst, worst, math.inf)
+    return worst if worst.ndim else float(worst)
+
+
+def largest(errors) -> float:
+    """The largest of per-row errors as a float; 0 for no rows."""
+    return float(np.max(errors, initial=0.0))
+
+
+def stack(points: Sequence):
+    """Points of one coordinate dataclass as one point with a column per coordinate."""
+    return type(points[0])(*np.array([q.coords for q in points], dtype=float).T)
+
+
+def split(cls, rows: np.ndarray) -> list:
+    """Draws with one sample per row as column points of cls, one per run of its arity columns."""
+    arity = len(fields(cls))
+    return [cls(*rows[:, i : i + arity].T) for i in range(0, rows.shape[1], arity)]
+
+
+def elementwise(fn: Callable[[float], float], x):
+    """fn(x) for a float; fn mapped over the entries of an array.
+
+    The group and loop laws take their exponentials through here, with fn
+    math.exp or math.expm1, rather than from np.exp: numpy's exp differs
+    from math's in the last bit on some inputs, which would make a column
+    row differ from its scalar call, and math raises the OverflowError that
+    the command line reports as a usage error.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
 
 
 def mul(p: GroupParam, g: GroupElement, h: GroupElement) -> GroupElement:
     """Group product, read off from the matrix product of the two representatives."""
-    ea = math.exp(p.a * g.x4)
-    e = math.exp(g.x4)
+    ea = elementwise(math.exp, p.a * g.x4)
+    e = elementwise(math.exp, g.x4)
     return GroupElement(
         g.x1 + ea * h.x1,
         g.x2 + e * h.x2 + g.x4 * e * h.x3,
@@ -152,8 +191,8 @@ def mul(p: GroupParam, g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def inv(p: GroupParam, g: GroupElement) -> GroupElement:
-    ea = math.exp(-p.a * g.x4)
-    e = math.exp(-g.x4)
+    ea = elementwise(math.exp, -p.a * g.x4)
+    e = elementwise(math.exp, -g.x4)
     return GroupElement(
         -ea * g.x1,
         -e * g.x2 + g.x4 * e * g.x3,
@@ -167,11 +206,17 @@ def conjugate(p: GroupParam, g: GroupElement, h: GroupElement) -> GroupElement:
     return mul(p, mul(p, g, h), inv(p, g))
 
 
+def _matrices(rows) -> np.ndarray:
+    """4x4 matrices from rows of entries; entries that are columns give shape (n, 4, 4)."""
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (4, 4))
+
+
 def as_matrix(p: GroupParam, g: GroupElement) -> np.ndarray:
-    e = math.exp(g.x4)
-    return np.array(
+    e = elementwise(math.exp, g.x4)
+    return _matrices(
         [
-            [math.exp(p.a * g.x4), 0.0, 0.0, g.x1],
+            [elementwise(math.exp, p.a * g.x4), 0.0, 0.0, g.x1],
             [0.0, e, g.x4 * e, g.x2],
             [0.0, 0.0, e, g.x3],
             [0.0, 0.0, 0.0, 1.0],
@@ -201,7 +246,7 @@ def from_matrix(p: GroupParam, m: np.ndarray, tol: float = 1e-9) -> GroupElement
 
 def algebra_matrix(p: GroupParam, v: AlgebraVector) -> np.ndarray:
     """Tangent matrix whose one-parameter exponential has velocity v at the identity."""
-    return np.array(
+    return _matrices(
         [
             [p.a * v.c4, 0.0, 0.0, v.c1],
             [0.0, v.c4, v.c4, v.c2],
@@ -250,7 +295,7 @@ def commutator_oracle(p: GroupParam, u: AlgebraVector, v: AlgebraVector) -> Alge
     a = algebra_matrix(p, _flip(u))
     b = algebra_matrix(p, _flip(v))
     c = a @ b - b @ a
-    return AlgebraVector(float(c[0, 3]), float(c[1, 3]), float(c[2, 3]), float(c[2, 2]))
+    return AlgebraVector(*(c[..., i, j][()] for i, j in ((0, 3), (1, 3), (2, 3), (2, 2))))
 
 
 def _phi1(x: float) -> float:
@@ -361,11 +406,9 @@ def central_defect(
     probes = list(probes)
     if not probes:
         raise ValueError("probe set must be nonempty")
+    q = stack(probes)
     worst = 0.0
     for t in ts:
         g = exp_alg(p, v, t)
-        for q in probes:
-            d = coordinate_distance(mul(p, g, q).coords, mul(p, q, g).coords)
-            if d > worst:
-                worst = d
+        worst = max(worst, largest(coordinate_distance(mul(p, g, q).coords, mul(p, q, g).coords)))
     return worst

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .group import GroupParam, coordinate_distance, mul
+from .group import GroupParam, coordinate_distance, elementwise, largest, mul, split, stack
 from .numerics import newton1d, root_rows
 from .report import VerificationReport
 from .sections import (
@@ -44,6 +44,7 @@ from .sections import (
     line_residual_rows,
     right_translation_system,
     section_lift,
+    section_value,
 )
 from .subgroups import LoopPoint, decompose, embed
 
@@ -97,8 +98,7 @@ class LoopCase:
 
 
 def loop_mul(c: LoopCase, m1: LoopPoint, m2: LoopPoint) -> LoopPoint:
-    fn = c.spec.fn
-    return _product(c, m1, m2, fn(m1.x, m1.z) if c.spec.case == "A" else fn(m1.x, m1.y, m1.z))
+    return _product(c, m1, m2, section_value(c.spec, m1))
 
 
 def _product(c: LoopCase, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
@@ -107,19 +107,16 @@ def _product(c: LoopCase, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
     a = spec.param.a
     x1, y1, z1 = m1.coords
     x2, y2, z2 = m2.coords
-    ea = math.exp(a * z1)
-    e = math.exp(z1)
+    ea = elementwise(math.exp, a * z1)
+    e = elementwise(math.exp, z1)
     if spec.case == "A":
         return LoopPoint(x1 + ea * x2, y1 + y2 * e - z2 * e * v, z1 + z2)
+    # 1 - e^{(a-1) z2} = -expm1((a-1) z2)
+    em1 = elementwise(math.expm1, (a - 1.0) * z2)
     if spec.case == "B":
-        # 1 - e^{(a-1) z2} = -expm1((a-1) z2)
-        return LoopPoint(
-            x1 + ea * (x2 - v * math.expm1((a - 1.0) * z2)),
-            y1 + e * (y2 - z2 * v),
-            z1 + z2,
-        )
+        return LoopPoint(x1 + ea * (x2 - v * em1), y1 + e * (y2 - z2 * v), z1 + z2)
     return LoopPoint(
-        x1 + ea * (x2 - y2 * z1 * math.exp((a - 1.0) * z2) - v * math.expm1((a - 1.0) * z2)),
+        x1 + ea * (x2 - y2 * z1 * elementwise(math.exp, (a - 1.0) * z2) - v * em1),
         y1 + e * y2,
         z1 + z2,
     )
@@ -130,23 +127,18 @@ def loop_ldiv(c: LoopCase, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
     spec = c.spec
     a = spec.param.a
     x1, y1, z1 = m1.coords
-    ea = math.exp(-a * z1)
-    e = math.exp(-z1)
+    ea = elementwise(math.exp, -a * z1)
+    e = elementwise(math.exp, -z1)
     wz = b.z - z1
+    v = section_value(spec, m1)
     if spec.case == "A":
-        return LoopPoint(ea * (b.x - x1), e * (b.y - y1) + wz * spec.fn(x1, z1), wz)
-    v = spec.fn(x1, y1, z1)
+        return LoopPoint(ea * (b.x - x1), e * (b.y - y1) + wz * v, wz)
+    em1 = elementwise(math.expm1, (a - 1.0) * wz)
     if spec.case == "B":
-        return LoopPoint(
-            ea * (b.x - x1) + v * math.expm1((a - 1.0) * wz),
-            e * (b.y - y1) + wz * v,
-            wz,
-        )
+        return LoopPoint(ea * (b.x - x1) + v * em1, e * (b.y - y1) + wz * v, wz)
     wy = e * (b.y - y1)
     return LoopPoint(
-        ea * (b.x - x1) + wy * z1 * math.exp((a - 1.0) * wz) + v * math.expm1((a - 1.0) * wz),
-        wy,
-        wz,
+        ea * (b.x - x1) + wy * z1 * elementwise(math.exp, (a - 1.0) * wz) + v * em1, wy, wz
     )
 
 
@@ -195,14 +187,14 @@ def loop_rdiv_batch(
     spec = c.spec
     a = spec.param.a
     if spec.case == "A":
-        out: list = []
-        for b, m2 in problems:
-            x2, y2, z2 = m2.coords
-            qz = b.z - z2
-            qx = b.x - math.exp(a * qz) * x2
-            qy = b.y - y2 * math.exp(qz) + z2 * math.exp(qz) * spec.fn(qx, qz)
-            out.append(LoopPoint(qx, qy, qz))
-        return out
+        if not problems:
+            return []
+        b, m2 = (stack(points) for points in zip(*problems))
+        qz = b.z - m2.z
+        qx = b.x - elementwise(math.exp, a * qz) * m2.x
+        e = elementwise(math.exp, qz)
+        qy = b.y - m2.y * e + m2.z * e * spec.fn(qx, qz)
+        return _rows(LoopPoint(qx, qy, qz))
     lines = [right_translation_system(spec, m2, b) for b, m2 in problems]
     out = [None] * len(lines)
     us: list[Optional[float]] = [0.0 if line.scale == 0.0 else None for line in lines]
@@ -243,12 +235,11 @@ def loop_rdiv_batch(
         )
     solved = [i for i, outcome in enumerate(out) if outcome is None]
     if solved:
-        qs = [lines[i].point(us[i]) for i in solved]
-        # the section values of all multiply-back checks in one call
-        x, y, z = np.array([q.coords for q in qs]).T
-        for i, q, v in zip(solved, qs, np.broadcast_to(spec.fn(x, y, z), len(qs))):
-            b, m2 = problems[i]
-            residual = coordinate_distance(_product(c, q, m2, v).coords, b.coords)
+        # all multiply-back checks in one pass
+        q = stack([lines[i].point(us[i]) for i in solved])
+        b, m2 = (stack(points) for points in zip(*(problems[i] for i in solved)))
+        residuals = coordinate_distance(loop_mul(c, q, m2).coords, b.coords).tolist()
+        for i, q, residual in zip(solved, _rows(q), residuals):
             out[i] = (
                 q
                 if residual <= 1e-8
@@ -257,8 +248,11 @@ def loop_rdiv_batch(
     return out
 
 
-def coset_cross_check(c: LoopCase, m1: LoopPoint, m2: LoopPoint) -> float:
-    """Distance between the formula product and the group-theoretic coset product."""
+def coset_cross_check(c: LoopCase, m1: LoopPoint, m2: LoopPoint):
+    """Distance between the formula product and the group-theoretic coset product.
+
+    A float, or for column points the distance of every row.
+    """
     spec = c.spec
     p = spec.param
     sub = spec.subgroup
@@ -279,6 +273,19 @@ def _sample_point(rng, xy_half_width: float, z_half_width: float) -> LoopPoint:
     return LoopPoint(float(x), float(y), z)
 
 
+def _sample_points(
+    rng, n: int, count: int, xy_half_width: float, z_half_width: float
+) -> list[LoopPoint]:
+    """count column points of n rows, drawn row by row as _sample_point draws them."""
+    lo = [-xy_half_width, -xy_half_width, -z_half_width] * count
+    return split(LoopPoint, rng.uniform(lo, [-bound for bound in lo], (n, 3 * count)))
+
+
+def _rows(m: LoopPoint) -> list[LoopPoint]:
+    """The rows of a column point as float points."""
+    return [LoopPoint(*row) for row in zip(*(col.tolist() for col in m.coords))]
+
+
 def axiom_suite(
     c: LoopCase,
     n_samples: int = 1000,
@@ -291,7 +298,9 @@ def axiom_suite(
     Identity laws, both division round trips, z-additivity, and (cases B/C)
     uniqueness of the right-division root on its window.  The default z
     sampling range is the full box for case A and [-0.5, 0.5] for B/C, where
-    the shipped presets keep the implicit equations uniquely solvable.
+    the shipped presets keep the implicit equations uniquely solvable.  The
+    samples m1, m2, b are drawn row by row and every law runs once on the
+    columns of all samples; the right divisions run in one loop_rdiv_batch.
 
     Right-division targets are products of sampled factors, so every division
     problem posed has its solution inside the sampling box.  Unconstrained
@@ -305,32 +314,28 @@ def axiom_suite(
     rng = np.random.Generator(np.random.PCG64(seed))
     report = VerificationReport(seed=seed)
     e = LoopPoint.origin()
-    id_max = 0.0
-    ldiv_max = 0.0
-    rdiv_max = 0.0
-    z_max = 0.0
-    problems = []
-    for _ in range(n_samples):
-        m1 = _sample_point(rng, xy_half_width, z_half_width)
-        m2 = _sample_point(rng, xy_half_width, z_half_width)
-        b = _sample_point(rng, xy_half_width, z_half_width)
-        id_max = max(
-            id_max,
+    m1, m2, b = _sample_points(rng, n_samples, 3, xy_half_width, z_half_width)
+    id_max = largest(
+        np.maximum(
             coordinate_distance(loop_mul(c, e, m1).coords, m1.coords),
             coordinate_distance(loop_mul(c, m1, e).coords, m1.coords),
         )
-        w = loop_ldiv(c, m1, b)
-        ldiv_max = max(ldiv_max, coordinate_distance(loop_mul(c, m1, w).coords, b.coords))
-        problems.append((loop_mul(c, b, m2), m2))
-        prod = loop_mul(c, m1, m2)
-        z_max = max(z_max, abs(prod.z - (m1.z + m2.z)))
-    division_errors: list[str] = []
-    quotients = loop_rdiv_batch(c, problems, check_unique=spec.case != "A")
-    for i, ((target, m2), q) in enumerate(zip(problems, quotients)):
-        if isinstance(q, RightDivisionError):
-            division_errors.append(f"sample {i}: {type(q).__name__}: {q}")
-        else:
-            rdiv_max = max(rdiv_max, coordinate_distance(loop_mul(c, q, m2).coords, target.coords))
+    )
+    w = loop_ldiv(c, m1, b)
+    ldiv_max = largest(coordinate_distance(loop_mul(c, m1, w).coords, b.coords))
+    z_max = largest(np.abs(loop_mul(c, m1, m2).z - (m1.z + m2.z)))
+    targets, m2_rows = _rows(loop_mul(c, b, m2)), _rows(m2)
+    quotients = loop_rdiv_batch(c, list(zip(targets, m2_rows)), check_unique=spec.case != "A")
+    division_errors = [
+        f"sample {i}: {type(q).__name__}: {q}"
+        for i, q in enumerate(quotients)
+        if isinstance(q, RightDivisionError)
+    ]
+    solved = [i for i, q in enumerate(quotients) if not isinstance(q, RightDivisionError)]
+    rdiv_max = 0.0
+    if solved:
+        q, m2, b = (stack([rows[i] for i in solved]) for rows in (quotients, m2_rows, targets))
+        rdiv_max = largest(coordinate_distance(loop_mul(c, q, m2).coords, b.coords))
     report.record("identity-laws", id_max <= 1e-12, max_error=id_max, n_samples=n_samples)
     report.record("ldiv-round-trip", ldiv_max <= 1e-9, max_error=ldiv_max, n_samples=n_samples)
     report.record(
@@ -355,19 +360,16 @@ def loop_suite(
     """axiom_suite, then the coset cross-check, then the generation verdict.
 
     The cross-check samples up to 300 pairs from the seed after axiom_suite's,
-    with z in [-z_half_width, z_half_width] (default 5).  The generation
+    with z in [-z_half_width, z_half_width] (default 5), and checks them in
+    one pass.  The generation
     check only warns for a degenerate section, which is legitimate input,
     and fails when the verdict could not be reached.
     """
     report = axiom_suite(c, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     z_hw = z_half_width if z_half_width is not None else 5.0
-    worst = 0.0
     n_cross = min(n_samples, 300)
-    for _ in range(n_cross):
-        m1 = _sample_point(rng, 5.0, z_hw)
-        m2 = _sample_point(rng, 5.0, z_hw)
-        worst = max(worst, coset_cross_check(c, m1, m2))
+    worst = largest(coset_cross_check(c, *_sample_points(rng, n_cross, 2, 5.0, z_hw)))
     report.record("coset-cross-check", worst <= 1e-10, max_error=worst, n_samples=n_cross)
     verdict = c.degeneracy
     notes = {

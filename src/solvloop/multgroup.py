@@ -35,7 +35,10 @@ from .group import (
     coordinate_distance,
     exp_alg,
     inv,
+    largest,
     mul,
+    split,
+    stack,
     standard_center_probes,
 )
 from .report import VerificationReport
@@ -76,61 +79,43 @@ def min_center_defect(p: GroupParam) -> float:
     return min(central_defect(p, v, probes) for v in CENTER_TEST_DIRECTIONS)
 
 
-def _random_element(rng, half_width: float = 5.0) -> GroupElement:
-    c = rng.uniform(-half_width, half_width, 4)
-    return GroupElement(*(float(v) for v in c))
-
-
-def _matrix_distance(m1: np.ndarray, m2: np.ndarray) -> float:
-    scale = max(1.0, float(np.abs(m1).max()), float(np.abs(m2).max()))
-    return float(np.abs(m1 - m2).max()) / scale
-
-
 def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> VerificationReport:
-    """Sampled group law, Lie algebra, exponential and centre invariants."""
+    """Sampled group law, Lie algebra, exponential and centre invariants.
+
+    Each check draws its samples row by row from one PCG64 stream and
+    evaluates all rows in one pass of the column-valued laws; only the
+    exponential checks call exp_alg per sample.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     report = VerificationReport(seed=seed)
     n = n_samples
+    zero = (0.0, 0.0, 0.0, 0.0)
 
-    worst = 0.0
-    for _ in range(n):
-        g = _random_element(rng)
-        h = _random_element(rng)
-        worst = max(
-            worst,
-            _matrix_distance(as_matrix(p, mul(p, g, h)), as_matrix(p, g) @ as_matrix(p, h)),
-        )
+    g, h = split(GroupElement, rng.uniform(-5.0, 5.0, (n, 8)))
+    prod, factors = as_matrix(p, mul(p, g, h)), as_matrix(p, g) @ as_matrix(p, h)
+    scale = np.maximum(np.abs(prod).max(axis=(1, 2)), np.abs(factors).max(axis=(1, 2)))
+    with np.errstate(invalid="ignore"):
+        dist = np.abs(prod - factors).max(axis=(1, 2)) / np.maximum(scale, 1.0)
+    worst = largest(np.where(dist == dist, dist, np.inf))
     report.record("product-matrix-oracle", worst <= 1e-12, max_error=worst, n_samples=n)
 
-    worst = 0.0
-    for _ in range(n):
-        g = _random_element(rng)
-        worst = max(
-            worst,
-            coordinate_distance(mul(p, g, inv(p, g)).coords, (0.0, 0.0, 0.0, 0.0)),
-            coordinate_distance(mul(p, inv(p, g), g).coords, (0.0, 0.0, 0.0, 0.0)),
+    (g,) = split(GroupElement, rng.uniform(-5.0, 5.0, (n, 4)))
+    worst = largest(
+        np.maximum(
+            coordinate_distance(mul(p, g, inv(p, g)).coords, zero),
+            coordinate_distance(mul(p, inv(p, g), g).coords, zero),
         )
+    )
     report.record("two-sided-inverse", worst <= 1e-12, max_error=worst, n_samples=n)
 
-    worst = 0.0
-    for _ in range(n):
-        g, h, k = (_random_element(rng) for _ in range(3))
-        worst = max(
-            worst,
-            coordinate_distance(
-                mul(p, mul(p, g, h), k).coords, mul(p, g, mul(p, h, k)).coords
-            ),
-        )
+    g, h, k = split(GroupElement, rng.uniform(-5.0, 5.0, (n, 12)))
+    worst = largest(
+        coordinate_distance(mul(p, mul(p, g, h), k).coords, mul(p, g, mul(p, h, k)).coords)
+    )
     report.record("associativity", worst <= 1e-12, max_error=worst, n_samples=n)
 
-    worst = 0.0
-    for _ in range(n):
-        u = AlgebraVector(*(float(v) for v in rng.integers(-5, 6, 4)))
-        v = AlgebraVector(*(float(w) for w in rng.integers(-5, 6, 4)))
-        worst = max(
-            worst,
-            coordinate_distance(bracket(p, u, v).coords, commutator_oracle(p, u, v).coords),
-        )
+    u, v = split(AlgebraVector, rng.integers(-5, 6, (n, 8)).astype(float))
+    worst = largest(coordinate_distance(bracket(p, u, v).coords, commutator_oracle(p, u, v).coords))
     report.record(
         "bracket-commutator-oracle",
         worst <= 1e-13,
@@ -139,34 +124,31 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
         notes="exact on integer vectors when a is dyadic",
     )
 
-    worst = 0.0
-    for _ in range(n):
-        u, v, w = (
-            AlgebraVector(*(float(s) for s in rng.integers(-3, 4, 4))) for _ in range(3)
-        )
-        cyc = (
-            bracket(p, u, bracket(p, v, w))
-            .plus(bracket(p, v, bracket(p, w, u)))
-            .plus(bracket(p, w, bracket(p, u, v)))
-        )
-        worst = max(worst, coordinate_distance(cyc.coords, (0.0, 0.0, 0.0, 0.0)))
+    u, v, w = split(AlgebraVector, rng.integers(-3, 4, (n, 12)).astype(float))
+    cyc = (
+        bracket(p, u, bracket(p, v, w))
+        .plus(bracket(p, v, bracket(p, w, u)))
+        .plus(bracket(p, w, bracket(p, u, v)))
+    )
+    worst = largest(coordinate_distance(cyc.coords, zero))
     report.record("jacobi", worst <= 1e-13, max_error=worst, n_samples=n)
 
-    worst = 0.0
     m = max(20, n // 10)
-    for _ in range(m):
-        v = AlgebraVector(*(float(s) for s in rng.uniform(-2, 2, 4)))
-        s, t = (float(u) for u in rng.uniform(-1.5, 1.5, 2))
-        lhs = mul(p, exp_alg(p, v, s), exp_alg(p, v, t))
-        worst = max(worst, coordinate_distance(lhs.coords, exp_alg(p, v, s + t).coords))
+    draws = rng.uniform([-2.0] * 4 + [-1.5] * 2, [2.0] * 4 + [1.5] * 2, (m, 6)).tolist()
+    flows = [(AlgebraVector(*row[:4]), *row[4:]) for row in draws]
+    lhs = mul(
+        p,
+        stack([exp_alg(p, v, s) for v, s, _ in flows]),
+        stack([exp_alg(p, v, t) for v, _, t in flows]),
+    )
+    rhs = stack([exp_alg(p, v, s + t) for v, s, t in flows])
+    worst = largest(coordinate_distance(lhs.coords, rhs.coords))
     report.record("exp-one-parameter", worst <= 1e-12, max_error=worst, n_samples=m)
 
-    worst = 0.0
     subs = [s for s in SubgroupId if s not in (SubgroupId.H2, SubgroupId.H3) or p.a != 1]
-    for sub in subs:
-        gen = subgroup_generator(sub)
-        for t in np.linspace(-2.0, 2.0, 9):
-            worst = max(worst, membership_residual(sub, exp_alg(p, gen, float(t))))
+    ts = np.linspace(-2.0, 2.0, 9).tolist()
+    flows = [stack([exp_alg(p, subgroup_generator(sub), t) for t in ts]) for sub in subs]
+    worst = largest([membership_residual(sub, g) for sub, g in zip(subs, flows)])
     report.record(
         "exp-lands-in-subgroup",
         worst <= 1e-9,
@@ -186,8 +168,11 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     return report
 
 
-def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId, tol: float = 1e-10) -> bool:
-    """Does conjugation by g keep the subgroup's generator inside the subgroup?"""
+def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId, tol: float = 1e-10):
+    """Does conjugation by g keep the subgroup's generator inside the subgroup?
+
+    A bool, or for column elements a bool per row.
+    """
     if not sub.admissible(p):
         raise InadmissibleSubgroupError(f"{sub.value} is not admissible for a = {p.a:g}")
     conj = conjugate(p, g, subgroup_element(sub, 1.0))
@@ -261,8 +246,9 @@ def theorem2_certificate(
 
     Half the samples lie in the slab x4 = 0 (all must normalize every
     admissible subgroup), half have |x4| in [off_slab_min, off_slab_max]
-    (none may normalize).  The dimension estimate 3 is a sampled surrogate,
-    not a proof; the contradiction field states the incompatibility with a
+    (none may normalize); each half is drawn row by row and tested as one
+    column element.  The dimension estimate 3 is a sampled surrogate, not a
+    proof; the contradiction field states the incompatibility with a
     1-dimensional normalizer that the inner-mapping-group hypothesis would
     force.
     """
@@ -270,30 +256,23 @@ def theorem2_certificate(
     subs = admissible_subgroups(p)
     n_slab = n_samples // 2
     n_off = n_samples - n_slab
-    slab = []
-    for _ in range(n_slab):
-        x1, x2, x3 = rng.uniform(-xy_half_width, xy_half_width, 3)
-        slab.append(GroupElement(float(x1), float(x2), float(x3), 0.0))
-    off = []
-    for _ in range(n_off):
-        x1, x2, x3 = rng.uniform(-xy_half_width, xy_half_width, 3)
-        x4 = float(rng.uniform(off_slab_min, off_slab_max)) * (
-            1.0 if rng.uniform() < 0.5 else -1.0
+    w = xy_half_width
+    slab = GroupElement(*rng.uniform(-w, w, (n_slab, 3)).T, 0.0)
+    # per off-slab row: x1, x2, x3, |x4|, then a uniform draw picking the sign of x4
+    x1, x2, x3, r, sign = rng.uniform(
+        [-w, -w, -w, off_slab_min, 0.0], [w, w, w, off_slab_max, 1.0], (n_off, 5)
+    ).T
+    off = GroupElement(x1, x2, x3, np.where(sign < 0.5, r, -r))
+    records = [
+        NormalizerRecord(
+            subgroup=sub.value,
+            slab_samples=n_slab,
+            slab_normalizing=int(np.count_nonzero(normalizes(p, slab, sub))),
+            off_slab_samples=n_off,
+            off_slab_normalizing=int(np.count_nonzero(normalizes(p, off, sub))),
         )
-        off.append(GroupElement(float(x1), float(x2), float(x3), x4))
-    records = []
-    for sub in subs:
-        slab_ok = sum(1 for g in slab if normalizes(p, g, sub))
-        off_ok = sum(1 for g in off if normalizes(p, g, sub))
-        records.append(
-            NormalizerRecord(
-                subgroup=sub.value,
-                slab_samples=len(slab),
-                slab_normalizing=slab_ok,
-                off_slab_samples=len(off),
-                off_slab_normalizing=off_ok,
-            )
-        )
+        for sub in subs
+    ]
     min_defect = min_center_defect(p)
     center_trivial = min_defect > defect_threshold
     contradiction = center_trivial and all(

@@ -39,6 +39,9 @@ def bisect(
 ) -> float:
     """Standard bisection on a bracketing interval; returns the midpoint at width tol.
 
+    Where adjacent doubles are more than tol apart (|root| beyond about
+    8.8e3 at tol = 1e-12), it stops when the midpoint equals an end.
+
     The scalar reference whose iterates root_rows reproduces for all its
     brackets at once.
     """
@@ -52,6 +55,8 @@ def bisect(
         raise ValueError("interval does not bracket a root")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles wider than tol
+            break
         fmid = fn(mid)
         if fmid == 0.0:
             return mid
@@ -141,7 +146,8 @@ def _bisect_rows(
     zero).  Each round evaluates the next BISECT_LEVELS levels of every
     unfinished bracket's midpoint tree at once, every midpoint computed as
     0.5*(lo + hi) from the same lo and hi as bisect's, and then replays
-    bisect's decisions on them, so the roots are bisect's.  Returns the
+    bisect's decisions on them, its stop on a midpoint that equals an end
+    included, so the roots are bisect's.  Returns the
     roots and, per bracket, the exception of the first point on bisect's
     path whose evaluation raised (the root is then NaN), or None.
     """
@@ -175,11 +181,11 @@ def _bisect_rows(
         node = np.zeros(len(todo), dtype=np.intp)
         live = np.ones(len(todo), dtype=bool)
         for level in range(BISECT_LEVELS):
-            going = live & (b - a > tol)
-            done = live & ~going
-            root[todo[done]] = 0.5 * (a[done] + b[done])
             pos = (1 << level) - 1 + node
             m, fm = mids[k, pos], fmids[k, pos]
+            going = live & (b - a > tol) & (a < m) & (m < b)
+            done = live & ~going
+            root[todo[done]] = 0.5 * (a[done] + b[done])
             for i in np.flatnonzero(going & np.isnan(fm)) if evaluate.raised else ():
                 err = evaluate.first_error(int(rows[todo[i]]), [float(m[i])])
                 if err is not None:
@@ -388,7 +394,9 @@ def twisted_additivity_residual(
     """Worst violation of f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1) over all ordered pairs.
 
     Zero exactly on the family K*(1 - e^{-rate*z}); any other continuous
-    function with f(0)=0 violates it somewhere.
+    function with f(0)=0 violates it somewhere.  A pair whose two sides
+    differ by NaN (a NaN value, or infinities that do not match) makes the
+    residual infinite.
     """
     values = {float(z): float(fn(float(z))) for z in zs}
     worst = 0.0
@@ -396,5 +404,8 @@ def twisted_additivity_residual(
         for z2 in zs:
             lhs = float(fn(float(z1) + float(z2)))
             rhs = values[float(z2)] + math.exp(-rate * float(z2)) * values[float(z1)]
-            worst = max(worst, abs(lhs - rhs))
+            error = abs(lhs - rhs)
+            if error != error:
+                return math.inf
+            worst = max(worst, error)
     return worst

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expressions
-from .group import GroupElement, GroupParam
+from .group import GroupElement, GroupParam, elementwise
 from .numerics import fit_saturating_exponential, root_rows, twisted_additivity_residual
 from .report import VerificationReport
 from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
@@ -165,22 +165,23 @@ class SectionSpec:
         return _CASE_SUBGROUP[self.case]
 
 
-def section_value(spec: SectionSpec, m: LoopPoint) -> float:
-    if spec.case == "A":
-        return float(spec.fn(m.x, m.z))
-    return float(spec.fn(m.x, m.y, m.z))
+def section_value(spec: SectionSpec, m: LoopPoint):
+    """The section function at m: a float, or for column points one value per row."""
+    args = (m.x, m.z) if spec.case == "A" else m.coords
+    v = np.broadcast_to(np.asarray(spec.fn(*args), dtype=float), np.broadcast(*args).shape)
+    return v if v.ndim else float(v)
 
 
 def section_lift(spec: SectionSpec, m: LoopPoint) -> GroupElement:
     """The chosen coset representative; always satisfies decompose(lift(m)).rep = m."""
     a = spec.param.a
     v = section_value(spec, m)
-    e = math.exp(m.z)
+    e = elementwise(math.exp, m.z)
     if spec.case == "A":
         return GroupElement(m.x, m.y + m.z * e * v, e * v, m.z)
     if spec.case == "B":
-        return GroupElement(m.x + math.exp(a * m.z) * v, m.y + m.z * e * v, e * v, m.z)
-    return GroupElement(m.x + math.exp(a * m.z) * v, e * v, m.y, m.z)
+        return GroupElement(m.x + elementwise(math.exp, a * m.z) * v, m.y + m.z * e * v, e * v, m.z)
+    return GroupElement(m.x + elementwise(math.exp, a * m.z) * v, e * v, m.y, m.z)
 
 
 @dataclass(frozen=True)
@@ -224,31 +225,24 @@ def degeneracy_report(
 
     Slice identity: case A f(x,0)=0, case B h(x,y,0)=0, case C f(x,y,0)=-x.
     Profile identity: the z-axis values follow K*(1-e^{-z}) (rate a in
-    case C), with K fitted by least squares over |z| >= 1e-3.
+    case C), with K fitted by least squares over |z| >= 1e-3.  Each grid is
+    one section call.
     """
     if n_samples < 50:
         raise ValueError("need at least 50 samples per axis test")
     hw = float(half_width)
     a = spec.param.a
     if spec.case == "A":
-        xs = np.linspace(-hw, hw, n_samples)
-        slice_resid = float(np.abs(np.asarray([spec.fn(x, 0.0) for x in xs])).max())
+        xs, ys = np.linspace(-hw, hw, n_samples), 0.0
     else:
-        side = math.ceil(math.sqrt(n_samples))
-        grid = np.linspace(-hw, hw, side)
-        vals = []
-        for x in grid:
-            for y in grid:
-                v = float(spec.fn(x, y, 0.0))
-                vals.append(v + x if spec.case == "C" else v)
-        slice_resid = float(np.abs(vals).max())
+        grid = np.linspace(-hw, hw, math.ceil(math.sqrt(n_samples)))
+        xs, ys = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    vals = section_value(spec, LoopPoint(xs, ys, 0.0))
+    slice_resid = float(np.abs(vals + xs if spec.case == "C" else vals).max())
     zs = _profile_zs(-hw, hw, n_samples)
     rate = a if spec.case == "C" else 1.0
-    if spec.case == "A":
-        profile = [(z, float(spec.fn(0.0, z))) for z in zs]
-    else:
-        profile = [(z, float(spec.fn(0.0, 0.0, z))) for z in zs]
-    fit = fit_saturating_exponential(profile, rate=rate)
+    profile = section_value(spec, LoopPoint(0.0, 0.0, zs))
+    fit = fit_saturating_exponential(zip(zs.tolist(), profile.tolist()), rate=rate)
     notes = f"on tested box |x|,|y|,|z| <= {hw:g}"
     if math.isfinite(slice_resid) and math.isfinite(fit.rms_residual):
         generates = not (slice_resid <= identity_tol and fit.rms_residual <= fit_rms_tol)

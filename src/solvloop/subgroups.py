@@ -35,6 +35,7 @@ from .group import (
     apply_automorphism,
     bracket,
     coordinate_distance,
+    elementwise,
     mul,
 )
 from .report import VerificationReport
@@ -86,7 +87,11 @@ class SubgroupId(enum.Enum):
 
 @dataclass(frozen=True)
 class LoopPoint:
-    """Coordinates in a coset chart; also the points of the derived loops."""
+    """Coordinates in a coset chart; also the points of the derived loops.
+
+    Like GroupElement, the coordinates may be floats or equal-length
+    float64 columns, one row per point.
+    """
 
     x: float
     y: float
@@ -144,21 +149,15 @@ def embed(p: GroupParam, sub: SubgroupId, m: LoopPoint) -> GroupElement:
 def decompose(p: GroupParam, sub: SubgroupId, g: GroupElement) -> DecompResult:
     """Unique splitting g = embed(rep) * subgroup_element(k)."""
     sub.check_defined(p)
+    if sub is SubgroupId.H4:
+        return DecompResult(LoopPoint(g.x1, g.x2, g.x3), g.x4)
+    e = elementwise(math.exp, -g.x4)
     if sub is SubgroupId.H1:
-        return DecompResult(
-            LoopPoint(g.x1, g.x2 - g.x4 * g.x3, g.x4), math.exp(-g.x4) * g.x3
-        )
+        return DecompResult(LoopPoint(g.x1, g.x2 - g.x4 * g.x3, g.x4), e * g.x3)
+    ea = elementwise(math.exp, (p.a - 1.0) * g.x4)
     if sub is SubgroupId.H2:
-        return DecompResult(
-            LoopPoint(g.x1 - math.exp((p.a - 1.0) * g.x4) * g.x3, g.x2 - g.x4 * g.x3, g.x4),
-            math.exp(-g.x4) * g.x3,
-        )
-    if sub is SubgroupId.H3:
-        return DecompResult(
-            LoopPoint(g.x1 - math.exp((p.a - 1.0) * g.x4) * g.x2, g.x3, g.x4),
-            math.exp(-g.x4) * g.x2,
-        )
-    return DecompResult(LoopPoint(g.x1, g.x2, g.x3), g.x4)
+        return DecompResult(LoopPoint(g.x1 - ea * g.x3, g.x2 - g.x4 * g.x3, g.x4), e * g.x3)
+    return DecompResult(LoopPoint(g.x1 - ea * g.x2, g.x3, g.x4), e * g.x2)
 
 
 def membership_residual(sub: SubgroupId, g: GroupElement) -> float:

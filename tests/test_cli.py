@@ -71,6 +71,48 @@ def test_count_flags_rejected_at_parse_time(capsys):
         assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
+def test_negative_numbers_in_exponent_notation_are_values(tmp_path):
+    # argparse's own pattern would read -1e6 as an unknown option and exit 2
+    # with "expected 2 arguments"; the wide --box also needs a bisection that
+    # stops where adjacent doubles are farther apart than its tolerance
+    runs = [
+        (["transitivity", "--case", "C", "--a", "2", "--fn", "10*x*z", "--box", "-1e6", "1e6",
+          "--samples", "5"], "box", [-1e6, 1e6]),
+        (["lemma1", "--K", "2", "--range", "-1.5e0", "1.5"], "range", [-1.5, 1.5]),
+        (["fixed-point", "--a", "2", "--g", "1", "-2e0", "0.5", "-1.5E+0"], "g",
+         [1.0, -2.0, 0.5, -1.5]),
+        (["verify-group", "--a", "-1e0", "--samples", "20"], "a", -1.0),
+    ]
+    for i, (argv, key, value) in enumerate(runs):
+        code, path = run_to_file(tmp_path, f"neg{i}.json", argv)
+        assert code == 0, argv
+        assert json.loads(path.read_text())["config"][key] == value
+
+
+def test_malformed_numbers_still_usage_errors(capsys):
+    bad = [
+        (["verify-group", "--a", "-1e"], "argument --a: expected one argument"),
+        (["verify-group", "--a", "-x"], "argument --a: expected one argument"),
+        (["transitivity", "--case", "C", "--a", "2", "--preset", "zero", "--box", "1", "-1e6"],
+         "--box needs LO < HI"),
+        (["lemma1", "--K", "2", "--range", "-1e0"], "argument --range: expected 2 arguments"),
+        (["fixed-point", "--a", "2", "--g", "1", "2", "3", "-0e0"], "--g must have a nonzero fourth"),
+    ]
+    for argv, message in bad:
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_lemma1_nan_pair_fails_the_pair_identity(capsys):
+    # (1-exp(-z))*sqrt(2.5-z)/sqrt(2.5-z) is the family member on the sampled
+    # range, but NaN at the pair sums beyond 2.5
+    argv = ["lemma1", "--fn", "(1-exp(-z))*sqrt(2.5-z)/sqrt(2.5-z)", "--range", "-1.5", "1.5"]
+    assert main(argv) == 1
+    obj = json.loads(capsys.readouterr().out)
+    statuses = {c["name"]: c["status"] for c in obj["checks"]}
+    assert statuses == {"profile-fit": "pass", "pair-identity": "fail"}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_errors_never_crash_or_pass(capsys):
     # NaN products, NaN degeneracy residuals and overflowing profiles: the

@@ -1,0 +1,368 @@
+"""Column-valued laws: every row of a column call is its scalar call, bit for bit.
+
+The coordinate dataclasses hold floats or equal-length float64 columns.  For
+each law that takes columns, a column call must give, row by row, exactly
+the bits of the scalar call on that row, NaN and infinite rows included, and
+raise OverflowError exactly when some row's scalar call does.  The sampled
+suites built on the column laws are compared with the per-sample loops they
+replaced, kept here as the scalar reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import solvloop as sl
+from solvloop import SubgroupId
+from solvloop.loops import _product
+from solvloop.subgroups import DecompResult
+
+A_VALUES = (-1.0, 0.5, 1.0, 2.0, 3.7)
+# plain values, plus rows that are NaN, infinite, signed zero or overflow math.exp
+COORD = st.floats(-6.0, 6.0) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 800.0, -800.0, 1e308]
+)
+
+
+def _rows(width):
+    return st.lists(st.tuples(*[COORD] * width), min_size=1, max_size=6)
+
+
+def _columns(cls, rows):
+    return cls(*(np.array(col, dtype=float) for col in zip(*rows)))
+
+
+def _flat(value, row=None, n=None):
+    """The floats of a law's result; of row `row` of n for a column result."""
+    if isinstance(value, DecompResult):
+        return _flat(value.rep, row, n) + _flat(value.k, row, n)
+    if hasattr(value, "coords"):
+        return [x for c in value.coords for x in _flat(c, row, n)]
+    a = np.asarray(value, dtype=float)
+    if row is not None:
+        a = np.broadcast_to(a, (n,) + a.shape[1:] if a.ndim else (n,))[row]
+    return a.ravel().tolist()
+
+
+def _same_bits(x, y):
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1, x) == math.copysign(1, y)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OverflowError:
+        return OverflowError
+
+
+def _assert_rows_match(law, scalar_args, column_args):
+    """law(*column_args) row i is law(*scalar_args[i]); OverflowError when any row's is."""
+    with np.errstate(all="ignore"):
+        expected = [_outcome(lambda: law(*args)) for args in scalar_args]
+        got = _outcome(lambda: law(*column_args))
+    if any(x is OverflowError for x in expected):
+        assert got is OverflowError
+        return
+    assert got is not OverflowError
+    for i, want in enumerate(expected):
+        have, want = _flat(got, i, len(expected)), _flat(want)
+        assert len(have) == len(want)
+        assert all(_same_bits(x, y) for x, y in zip(have, want)), (i, have, want)
+
+
+# ---------------------------------------------------------------- group laws
+
+@settings(max_examples=150)
+@given(a=st.sampled_from(A_VALUES), rows=_rows(8))
+def test_group_laws_rows_equal_scalar_calls(a, rows):
+    p = sl.GroupParam(a)
+    gs = [sl.GroupElement(*r[:4]) for r in rows]
+    hs = [sl.GroupElement(*r[4:]) for r in rows]
+    g = _columns(sl.GroupElement, [r[:4] for r in rows])
+    h = _columns(sl.GroupElement, [r[4:] for r in rows])
+    pairs = list(zip(gs, hs))
+    for law in (
+        lambda g, h: sl.mul(p, g, h),
+        lambda g, h: sl.conjugate(p, g, h),
+        lambda g, h: sl.coordinate_distance(g.coords, h.coords),
+        lambda g, h: sl.coordinate_distance(g.coords, (0.0, h.x2, 1.0, h.x4)),
+    ):
+        _assert_rows_match(law, pairs, (g, h))
+    for law in (lambda g: sl.inv(p, g), lambda g: sl.as_matrix(p, g)):
+        _assert_rows_match(law, [(x,) for x in gs], (g,))
+
+
+@settings(max_examples=100)
+@given(a=st.sampled_from(A_VALUES), rows=_rows(8))
+def test_algebra_laws_rows_equal_scalar_calls(a, rows):
+    p = sl.GroupParam(a)
+    us = [sl.AlgebraVector(*r[:4]) for r in rows]
+    vs = [sl.AlgebraVector(*r[4:]) for r in rows]
+    u = _columns(sl.AlgebraVector, [r[:4] for r in rows])
+    v = _columns(sl.AlgebraVector, [r[4:] for r in rows])
+    pairs = list(zip(us, vs))
+    _assert_rows_match(lambda u, v: sl.bracket(p, u, v), pairs, (u, v))
+    _assert_rows_match(lambda u, v: sl.commutator_oracle(p, u, v), pairs, (u, v))
+    _assert_rows_match(lambda u: sl.algebra_matrix(p, u), [(x,) for x in us], (u,))
+
+
+@settings(max_examples=100)
+@given(a=st.sampled_from(A_VALUES), rows=_rows(4))
+def test_subgroup_charts_rows_equal_scalar_calls(a, rows):
+    p = sl.GroupParam(a)
+    gs = [(sl.GroupElement(*r),) for r in rows]
+    ms = [(sl.LoopPoint(*r[:3]),) for r in rows]
+    g, m = _columns(sl.GroupElement, rows), _columns(sl.LoopPoint, [r[:3] for r in rows])
+    for sub in SubgroupId:
+        if a == 1.0 and sub in (SubgroupId.H2, SubgroupId.H3):
+            continue
+        _assert_rows_match(lambda m: sl.embed(p, sub, m), ms, (m,))
+        _assert_rows_match(lambda g: sl.decompose(p, sub, g), gs, (g,))
+        _assert_rows_match(lambda g: sl.membership_residual(sub, g), gs, (g,))
+        if sub.admissible(p):
+            _assert_rows_match(lambda g: sl.normalizes(p, g, sub), gs, (g,))
+
+
+def test_scalar_calls_keep_python_scalars():
+    p = sl.GroupParam(2.0)
+    g = sl.GroupElement(1.0, -2.0, 0.5, 0.0)
+    assert sl.normalizes(p, g, SubgroupId.H1) is True
+    assert type(sl.coordinate_distance((1.0, math.nan), (1.0, 0.0))) is float
+    assert sl.as_matrix(p, g).shape == (4, 4)
+    spec = sl.SectionSpec("A", p, sl.FunctionSpec.preset("sin-small", 2))
+    assert type(sl.section_value(spec, sl.LoopPoint(1.0, 0.0, 0.5))) is float
+
+
+# ---------------------------------------------------------------- loop laws
+
+def _spec(case, a, fn):
+    arity = 2 if case == "A" else 3
+    if fn in sl.PRESETS:
+        return sl.SectionSpec(case, sl.GroupParam(a), sl.FunctionSpec.preset(fn, arity))
+    return sl.SectionSpec(case, sl.GroupParam(a), sl.FunctionSpec.from_expression(fn, arity))
+
+
+# rows (x1, y1, z1, x2, y2, z2) of two points in the box where the presets
+# keep right division uniquely solvable
+POINT_PAIRS = st.lists(
+    st.tuples(*([st.floats(-3.0, 3.0)] * 2 + [st.floats(-0.5, 0.5)]) * 2), min_size=1, max_size=5
+)
+SECTIONS = st.sampled_from(
+    ["zero", "linear-x", "bilinear", "lemma1", "sin-small", "0.1*sin(x)*z + x*z", "sqrt(x)"]
+)
+CASES = st.sampled_from(["A", "B", "C"])
+
+
+@settings(max_examples=150)
+@given(case=CASES, a=st.sampled_from((-1.0, 0.5, 2.0)), fn=SECTIONS, rows=_rows(6))
+def test_loop_laws_rows_equal_scalar_calls(case, a, fn, rows):
+    spec = _spec(case, a, fn)
+    c = sl.LoopCase(spec)
+    m1s = [sl.LoopPoint(*r[:3]) for r in rows]
+    m2s = [sl.LoopPoint(*r[3:]) for r in rows]
+    m1 = _columns(sl.LoopPoint, [r[:3] for r in rows])
+    m2 = _columns(sl.LoopPoint, [r[3:] for r in rows])
+    pairs = list(zip(m1s, m2s))
+    for law in (
+        lambda m1, m2: sl.loop_mul(c, m1, m2),
+        lambda m1, m2: sl.loop_ldiv(c, m1, m2),
+        lambda m1, m2: _product(c, m1, m2, m2.x),
+        lambda m1, m2: sl.coset_cross_check(c, m1, m2),
+    ):
+        _assert_rows_match(law, pairs, (m1, m2))
+    for law in (lambda m: sl.section_value(spec, m), lambda m: sl.section_lift(spec, m)):
+        _assert_rows_match(law, [(m,) for m in m1s], (m1,))
+
+
+def _rdiv_case_a_reference(spec, b, m2):
+    """The closed-form case-A right division, one pair at a time with math.exp."""
+    a = spec.param.a
+    x2, y2, z2 = m2.coords
+    qz = b.z - z2
+    qx = b.x - math.exp(a * qz) * x2
+    qy = b.y - y2 * math.exp(qz) + z2 * math.exp(qz) * spec.fn(qx, qz)
+    return sl.LoopPoint(qx, qy, qz)
+
+
+@settings(max_examples=100)
+@given(a=st.sampled_from((-1.0, 0.5, 2.0)), fn=SECTIONS, rows=_rows(6))
+def test_case_a_right_division_rows_equal_scalar_formula(a, fn, rows):
+    spec = _spec("A", a, fn)
+    c = sl.LoopCase(spec)
+    problems = [(sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])) for r in rows]
+    with np.errstate(all="ignore"):
+        expected = [_outcome(lambda: _rdiv_case_a_reference(spec, b, m2)) for b, m2 in problems]
+        got = _outcome(lambda: sl.loops.loop_rdiv_batch(c, problems))
+    if any(x is OverflowError for x in expected):
+        assert got is OverflowError
+        return
+    for have, want in zip(got, expected):
+        assert all(_same_bits(x, y) for x, y in zip(_flat(have), _flat(want)))
+
+
+@settings(max_examples=40)
+@given(
+    case=st.sampled_from(["B", "C"]),
+    fn=st.sampled_from(["lemma1", "sin-small", "bilinear", "sqrt(x)"]),
+    rows=POINT_PAIRS,
+)
+def test_batched_right_division_equals_one_pair_at_a_time(case, fn, rows):
+    c = sl.LoopCase(_spec(case, 2.0, fn))
+    problems = [(sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])) for r in rows]
+    with np.errstate(all="ignore"):
+        batch = sl.loops.loop_rdiv_batch(c, problems, check_unique=True)
+        alone = [sl.loops.loop_rdiv_batch(c, [pair], check_unique=True)[0] for pair in problems]
+    for got, want in zip(batch, alone):
+        assert type(got) is type(want)
+        if isinstance(want, sl.LoopPoint):
+            assert got == want
+        else:
+            assert str(got) == str(want)
+
+
+# ---------------------------------------------------------------- identities
+
+SMALL = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=100)
+@given(a=st.sampled_from(A_VALUES), rows=st.lists(st.tuples(*[SMALL] * 12), min_size=1, max_size=8))
+def test_mul_is_associative_with_two_sided_inverses(a, rows):
+    p = sl.GroupParam(a)
+    g, h, k = (_columns(sl.GroupElement, [r[i : i + 4] for r in rows]) for i in (0, 4, 8))
+    zero = (0.0,) * 4
+    left, right = sl.mul(p, sl.mul(p, g, h), k), sl.mul(p, g, sl.mul(p, h, k))
+    assert sl.coordinate_distance(left.coords, right.coords).max() <= 1e-9
+    assert sl.coordinate_distance(sl.mul(p, g, sl.inv(p, g)).coords, zero).max() <= 1e-9
+    assert sl.coordinate_distance(sl.mul(p, sl.inv(p, g), g).coords, zero).max() <= 1e-9
+
+
+@settings(max_examples=60)
+@given(
+    case=CASES,
+    fn=st.sampled_from(["lemma1", "sin-small", "linear-x"]),
+    rows=POINT_PAIRS,
+)
+def test_divisions_round_trip(case, fn, rows):
+    c = sl.LoopCase(_spec(case, 2.0, fn))
+    m1 = _columns(sl.LoopPoint, [r[:3] for r in rows])
+    b = _columns(sl.LoopPoint, [r[3:] for r in rows])
+    w = sl.loop_ldiv(c, m1, b)
+    assert sl.coordinate_distance(sl.loop_mul(c, m1, w).coords, b.coords).max() <= 1e-9
+    if fn == "linear-x" and case != "A":
+        return  # linear-x makes the case-B/C line equation singular where its slope is 1
+    for r in rows:
+        q0, m2 = sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])
+        target = sl.loop_mul(c, q0, m2)
+        q = sl.loop_rdiv(c, target, m2)
+        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, target.coords) <= 1e-8
+        assert sl.coordinate_distance(q.coords, q0.coords) <= 1e-8
+
+
+# ---------------------------------------------------------------- suites
+
+def _group_suite_reference(p, n, seed):
+    """The worst errors of group_suite's sampled checks, one sample at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def element():
+        return sl.GroupElement(*(float(v) for v in rng.uniform(-5.0, 5.0, 4)))
+
+    def matrix_distance(m1, m2):
+        scale = max(1.0, float(np.abs(m1).max()), float(np.abs(m2).max()))
+        return float(np.abs(m1 - m2).max()) / scale
+
+    def vector(bound):
+        return sl.AlgebraVector(*(float(v) for v in rng.integers(-bound, bound + 1, 4)))
+
+    zero = (0.0, 0.0, 0.0, 0.0)
+    worst = dict.fromkeys(
+        ["product-matrix-oracle", "two-sided-inverse", "associativity",
+         "bracket-commutator-oracle", "jacobi", "exp-one-parameter"], 0.0
+    )
+    for _ in range(n):
+        g, h = element(), element()
+        product = sl.as_matrix(p, g) @ sl.as_matrix(p, h)
+        d = matrix_distance(sl.as_matrix(p, sl.mul(p, g, h)), product)
+        worst["product-matrix-oracle"] = max(worst["product-matrix-oracle"], d)
+    for _ in range(n):
+        g = element()
+        worst["two-sided-inverse"] = max(
+            worst["two-sided-inverse"],
+            sl.coordinate_distance(sl.mul(p, g, sl.inv(p, g)).coords, zero),
+            sl.coordinate_distance(sl.mul(p, sl.inv(p, g), g).coords, zero),
+        )
+    for _ in range(n):
+        g, h, k = element(), element(), element()
+        d = sl.coordinate_distance(
+            sl.mul(p, sl.mul(p, g, h), k).coords, sl.mul(p, g, sl.mul(p, h, k)).coords
+        )
+        worst["associativity"] = max(worst["associativity"], d)
+    for _ in range(n):
+        u, v = vector(5), vector(5)
+        d = sl.coordinate_distance(sl.bracket(p, u, v).coords, sl.commutator_oracle(p, u, v).coords)
+        worst["bracket-commutator-oracle"] = max(worst["bracket-commutator-oracle"], d)
+    for _ in range(n):
+        u, v, w = vector(3), vector(3), vector(3)
+        cyc = (
+            sl.bracket(p, u, sl.bracket(p, v, w))
+            .plus(sl.bracket(p, v, sl.bracket(p, w, u)))
+            .plus(sl.bracket(p, w, sl.bracket(p, u, v)))
+        )
+        worst["jacobi"] = max(worst["jacobi"], sl.coordinate_distance(cyc.coords, zero))
+    for _ in range(max(20, n // 10)):
+        v = sl.AlgebraVector(*(float(s) for s in rng.uniform(-2, 2, 4)))
+        s, t = (float(u) for u in rng.uniform(-1.5, 1.5, 2))
+        lhs = sl.mul(p, sl.exp_alg(p, v, s), sl.exp_alg(p, v, t))
+        d = sl.coordinate_distance(lhs.coords, sl.exp_alg(p, v, s + t).coords)
+        worst["exp-one-parameter"] = max(worst["exp-one-parameter"], d)
+    return worst
+
+
+@pytest.mark.parametrize("a", (-1.0, 0.3, 1.0, 2.0))
+@pytest.mark.parametrize("seed", (0, 7))
+def test_group_suite_equals_per_sample_reference(a, seed):
+    p = sl.GroupParam(a)
+    report = sl.multgroup.group_suite(p, n_samples=120, seed=seed)
+    got = {c.name: c.max_error for c in report.checks}
+    for name, worst in _group_suite_reference(p, 120, seed).items():
+        assert got[name] == worst, name
+
+
+def _axiom_suite_reference(c, n, seed):
+    """The worst errors of axiom_suite, one sample at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z_half = 5.0 if c.spec.case == "A" else 0.5
+    e = sl.LoopPoint.origin()
+    id_max = ldiv_max = rdiv_max = z_max = 0.0
+    for _ in range(n):
+        m1, m2, b = (sl.loops._sample_point(rng, 5.0, z_half) for _ in range(3))
+        id_max = max(
+            id_max,
+            sl.coordinate_distance(sl.loop_mul(c, e, m1).coords, m1.coords),
+            sl.coordinate_distance(sl.loop_mul(c, m1, e).coords, m1.coords),
+        )
+        w = sl.loop_ldiv(c, m1, b)
+        ldiv_max = max(ldiv_max, sl.coordinate_distance(sl.loop_mul(c, m1, w).coords, b.coords))
+        target = sl.loop_mul(c, b, m2)
+        q = sl.loop_rdiv(c, target, m2, check_unique=c.spec.case != "A")
+        d = sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, target.coords)
+        rdiv_max = max(rdiv_max, d)
+        z_max = max(z_max, abs(sl.loop_mul(c, m1, m2).z - (m1.z + m2.z)))
+    return {"identity-laws": id_max, "ldiv-round-trip": ldiv_max, "rdiv-round-trip": rdiv_max,
+            "z-additivity": z_max}
+
+
+@pytest.mark.parametrize(
+    "case,preset", [("A", "linear-x"), ("A", "bilinear"), ("B", "lemma1"), ("C", "sin-small")]
+)
+def test_axiom_suite_equals_per_sample_reference(case, preset):
+    c = sl.LoopCase(_spec(case, 2.0, preset))
+    report = sl.loops.axiom_suite(c, n_samples=40, seed=3)
+    got = {c.name: c.max_error for c in report.checks}
+    assert got == _axiom_suite_reference(c, 40, 3)

@@ -1,6 +1,10 @@
 """Root finding and the saturating-exponential fit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,23 +161,29 @@ class _Row:
 
 
 @st.composite
-def _rows(draw, resolution):
-    grid = np.linspace(-1.0, 1.0, resolution + 1)
+def _rows(draw, resolution, width):
+    grid = np.linspace(-width, width, resolution + 1)
     node = st.integers(0, resolution).map(lambda k: float(grid[k]))
-    root = st.floats(-1.0, 1.0) | node
+    root = st.floats(-width, width) | node
     c = draw(st.sampled_from([1.0, -2.5, 1e-3, 40.0]))
     roots = draw(st.lists(root, max_size=4))
     kind = draw(st.sampled_from(["poly"] * 6 + ["nan", "raise"]))
-    cut = draw(st.floats(-1.0, 1.0))
+    cut = draw(st.floats(-width, width))
     return _Row(c, roots, kind, cut)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), resolution=st.integers(2, 40), block_points=st.integers(1, 200))
-def test_root_rows_equals_root1d_and_scalar_bisect(data, resolution, block_points):
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    resolution=st.integers(2, 40),
+    block_points=st.integers(1, 200),
+    # beyond about 8.8e3 adjacent doubles are farther apart than tol = 1e-12
+    width=st.sampled_from([1.0, 2e4, 1e6, 1e12]),
+)
+def test_root_rows_equals_root1d_and_scalar_bisect(data, resolution, block_points, width):
     # the batched scan gives every row exactly what root1d gives it alone,
     # in blocks of any size, and every bisected root is scalar bisect's
-    rows = data.draw(st.lists(_rows(resolution), min_size=1, max_size=12))
+    rows = data.draw(st.lists(_rows(resolution, width), min_size=1, max_size=12))
 
     def fn_rows(idx, pts):
         return np.stack([rows[i](p) for i, p in zip(idx.tolist(), pts)])
@@ -181,19 +191,35 @@ def test_root_rows_equals_root1d_and_scalar_bisect(data, resolution, block_point
     saved = numerics.BLOCK_POINTS
     numerics.BLOCK_POINTS = block_points
     try:
-        batch = root_rows(fn_rows, [-1.0] * len(rows), [1.0] * len(rows), resolution=resolution)
+        batch = root_rows(fn_rows, [-width] * len(rows), [width] * len(rows), resolution=resolution)
     finally:
         numerics.BLOCK_POINTS = saved
     for row, got in zip(rows, batch):
         try:
-            alone = sl.root1d(row, (-1.0, 1.0), resolution=resolution)
+            alone = sl.root1d(row, (-width, width), resolution=resolution)
         except ValueError as err:
             alone = err
         if isinstance(alone, ValueError):
             assert isinstance(got, ValueError) and str(got) == str(alone)
             continue
         assert got == alone
-        assert got == _root1d_loop(row, (-1.0, 1.0), resolution=resolution)
+        assert got == _root1d_loop(row, (-width, width), resolution=resolution)
+
+
+def test_bisection_stops_where_doubles_are_wider_than_tol():
+    # the root 1.4e5 has neighbouring doubles 2.9e-11 apart, more than the
+    # default tol; the midpoint stops moving and the scan must still end
+    code = "import solvloop as sl; print(sl.root1d(lambda x: x*x - 2e10, (0.0, 2e5), resolution=10))"
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    (root,) = eval(proc.stdout)
+    lo, hi = np.linspace(0.0, 2e5, 11)[7:9].tolist()
+    assert root == bisect(lambda x: x * x - 2e10, lo, hi)
+    assert abs(root - math.sqrt(2e10)) <= 2 * math.ulp(root)
 
 
 # ---------------------------------------------------------------- Newton
@@ -253,6 +279,14 @@ def test_twisted_additivity_exact_member_vs_perturbed():
     assert sl.twisted_additivity_residual(member, zs) <= 1e-12
     perturbed = lambda z: 2.0 * -math.expm1(-z) + 0.01 * z * z
     assert sl.twisted_additivity_residual(perturbed, zs) > 1e-4
+
+
+def test_twisted_additivity_nan_pair_is_infinite():
+    # the member 1 - e^{-z} up to z = 2.5 and NaN beyond, as
+    # (1-exp(-z))*sqrt(2.5-z)/sqrt(2.5-z) is; only pair sums z1 + z2 get there
+    zs = list(np.linspace(-1.5, 1.5, 11))
+    member = lambda z: -math.expm1(-z) if z <= 2.5 else math.nan
+    assert sl.twisted_additivity_residual(member, zs) == math.inf
 
 
 def test_twisted_additivity_rate_parameter():
