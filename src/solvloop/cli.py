@@ -79,8 +79,7 @@ def _lemma1(args) -> VerificationReport:
         fn = lambda z: coeff * -np.expm1(-rate * z)
         label = f"{coeff:g}*(1-exp(-{rate:g}*z))"
     else:
-        profile = expressions.as_function(expressions.parse(args.fn, ("z",)), ("z",))
-        fn = lambda z: float(profile(z))
+        fn = expressions.as_function(expressions.parse(args.fn, ("z",)), ("z",))
         label = args.fn
     report = lemma1_suite(fn, rate, _ordered(args.range, "--range"), args.samples, args.K)
     report.data["function"] = label
@@ -130,7 +129,7 @@ def _flag(*names: str, **kwargs) -> tuple:
 SECTION_FN = "section-fn"  # stands for --fn | --preset (one required) and --coeff
 A = _flag("--a", type=float, required=True)
 CASE = _flag("--case", choices=["A", "B", "C"], required=True)
-SEED = _flag("--seed", type=int, default=0)
+SEED = _flag("--seed", type=_at_least(0), default=0)
 
 
 def _samples(default: int, minimum: int = 1) -> tuple:
@@ -266,6 +265,10 @@ def _float_parameters(config: dict) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--fn" and not argv[i + 1].startswith("--"):  # argparse reads -x as a flag
+            argv[i : i + 2] = [f"--fn={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -274,7 +277,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = _config(args, command.config)
     start = time.perf_counter()
     try:
-        report = command.run(args)
+        with np.errstate(all="ignore"):  # the report or error line names non-finite values
+            report = command.run(args)
     except OverflowError as err:
         print(f"error: {err}: overflow with {_float_parameters(config)}", file=sys.stderr)
         return 2

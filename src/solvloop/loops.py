@@ -37,6 +37,7 @@ import numpy as np
 from .group import GroupParam, coordinate_distance, elementwise, largest, mul, split, stack
 from .numerics import newton1d, root_rows
 from .report import VerificationReport
+from .sampling import Stream
 from .sections import (
     GenerationVerdict,
     SectionSpec,
@@ -267,16 +268,10 @@ def associativity_defect(c: LoopCase, m1: LoopPoint, m2: LoopPoint, m3: LoopPoin
     return coordinate_distance(left.coords, right.coords)
 
 
-def _sample_point(rng, xy_half_width: float, z_half_width: float) -> LoopPoint:
-    x, y = rng.uniform(-xy_half_width, xy_half_width, 2)
-    z = float(rng.uniform(-z_half_width, z_half_width))
-    return LoopPoint(float(x), float(y), z)
-
-
 def _sample_points(
     rng, n: int, count: int, xy_half_width: float, z_half_width: float
 ) -> list[LoopPoint]:
-    """count column points of n rows, drawn row by row as _sample_point draws them."""
+    """count column points of n rows, drawn in one block, sample by sample."""
     lo = [-xy_half_width, -xy_half_width, -z_half_width] * count
     return split(LoopPoint, rng.uniform(lo, [-bound for bound in lo], (n, 3 * count)))
 
@@ -311,7 +306,7 @@ def axiom_suite(
     spec = c.spec
     if z_half_width is None:
         z_half_width = 5.0 if spec.case == "A" else 0.5
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Stream(seed)
     report = VerificationReport(seed=seed)
     e = LoopPoint.origin()
     m1, m2, b = _sample_points(rng, n_samples, 3, xy_half_width, z_half_width)
@@ -366,7 +361,7 @@ def loop_suite(
     and fails when the verdict could not be reached.
     """
     report = axiom_suite(c, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
-    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    rng = Stream(seed + 1)
     z_hw = z_half_width if z_half_width is not None else 5.0
     n_cross = min(n_samples, 300)
     worst = largest(coset_cross_check(c, *_sample_points(rng, n_cross, 2, 5.0, z_hw)))
@@ -407,20 +402,17 @@ def normal_subloop_check(
     """
     if c.spec.case != "A":
         raise ValueError("the normal subloop check is defined for case A")
-    rng = np.random.Generator(np.random.PCG64(seed))
     report = VerificationReport(seed=seed)
     commute_z = 0.0
     commute_resid = 0.0
     assoc_z = 0.0
     assoc_resid = 0.0
     coset_exact = True
-    for _ in range(n_samples):
-        m = _sample_point(rng, xy_half_width, z_half_width)
-        mp = _sample_point(rng, xy_half_width, z_half_width)
-        n = LoopPoint(float(rng.uniform(-xy_half_width, xy_half_width)),
-                      float(rng.uniform(-xy_half_width, xy_half_width)), 0.0)
-        n2 = LoopPoint(float(rng.uniform(-xy_half_width, xy_half_width)),
-                       float(rng.uniform(-xy_half_width, xy_half_width)), 0.0)
+    # per sample: m, m' and the (x, y) of n, n2 in one block of draws
+    lo = [-xy_half_width, -xy_half_width, -z_half_width] * 2 + [-xy_half_width] * 4
+    for row in Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 10)).tolist():
+        m, mp = LoopPoint(*row[:3]), LoopPoint(*row[3:6])
+        n, n2 = LoopPoint(*row[6:8], 0.0), LoopPoint(*row[8:], 0.0)
         # m*N = N*m: w = (m*n)/m must lie in N and recompose
         u = loop_mul(c, m, n)
         w = loop_rdiv(c, u, m)

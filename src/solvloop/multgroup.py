@@ -42,6 +42,7 @@ from .group import (
     standard_center_probes,
 )
 from .report import VerificationReport
+from .sampling import Stream
 from .subgroups import (
     InadmissibleSubgroupError,
     SubgroupId,
@@ -86,7 +87,7 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     evaluates all rows in one pass of the column-valued laws; only the
     exponential checks call exp_alg per sample.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Stream(seed)
     report = VerificationReport(seed=seed)
     n = n_samples
     zero = (0.0, 0.0, 0.0, 0.0)
@@ -252,7 +253,7 @@ def theorem2_certificate(
     1-dimensional normalizer that the inner-mapping-group hypothesis would
     force.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Stream(seed)
     subs = admissible_subgroups(p)
     n_slab = n_samples // 2
     n_off = n_samples - n_slab

@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .group import elementwise, largest
+
 __all__ = [
     "FitResult",
     "root_rows",
@@ -293,6 +295,18 @@ def root_rows(
     return out
 
 
+def _on_points(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """fn at every entry of xs: one call when fn takes numpy arrays, else point by point."""
+    flat = xs.ravel()
+    try:
+        ys = np.asarray(fn(flat), dtype=float)
+        if ys.shape != flat.shape:
+            raise TypeError
+    except Exception:
+        ys = np.array([float(fn(float(x))) for x in flat])
+    return ys.reshape(xs.shape)
+
+
 def root1d(
     fn: Callable[[float], float],
     interval: tuple[float, float],
@@ -304,18 +318,9 @@ def root1d(
     The one-row case of root_rows.  A function that rejects numpy arrays
     is evaluated point by point.
     """
-
-    def fn_rows(rows, pts):
-        flat = pts.ravel()
-        try:
-            ys = np.asarray(fn(flat), dtype=float)
-            if ys.shape != flat.shape:
-                raise TypeError
-        except Exception:
-            ys = np.array([float(fn(float(x))) for x in flat])
-        return ys.reshape(pts.shape)
-
-    (roots,) = root_rows(fn_rows, [interval[0]], [interval[1]], tol, resolution)
+    (roots,) = root_rows(
+        lambda rows, pts: _on_points(fn, pts), [interval[0]], [interval[1]], tol, resolution
+    )
     if isinstance(roots, ValueError):
         raise roots
     return roots
@@ -396,16 +401,12 @@ def twisted_additivity_residual(
     Zero exactly on the family K*(1 - e^{-rate*z}); any other continuous
     function with f(0)=0 violates it somewhere.  A pair whose two sides
     differ by NaN (a NaN value, or infinities that do not match) makes the
-    residual infinite.
+    residual infinite.  The pair sums z1 + z2 are evaluated in one call of
+    fn when it takes numpy arrays.
     """
-    values = {float(z): float(fn(float(z))) for z in zs}
-    worst = 0.0
-    for z1 in zs:
-        for z2 in zs:
-            lhs = float(fn(float(z1) + float(z2)))
-            rhs = values[float(z2)] + math.exp(-rate * float(z2)) * values[float(z1)]
-            error = abs(lhs - rhs)
-            if error != error:
-                return math.inf
-            worst = max(worst, error)
-    return worst
+    zs = np.asarray(zs, dtype=float)
+    values = _on_points(fn, zs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = _on_points(fn, zs[:, None] + zs)  # row z1, column z2
+        errors = np.abs(lhs - (values + elementwise(math.exp, -rate * zs) * values[:, None]))
+    return math.inf if np.isnan(errors).any() else largest(errors)

@@ -31,6 +31,7 @@ from . import expressions
 from .group import GroupElement, GroupParam, elementwise
 from .numerics import fit_saturating_exponential, root_rows, twisted_additivity_residual
 from .report import VerificationReport
+from .sampling import Stream
 from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
 
 __all__ = [
@@ -451,13 +452,9 @@ def sharp_transitivity_check(
         )
         return report
     if samples is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        drawn = []
-        for _ in range(n_samples):
-            x1, y1, x2, y2 = rng.uniform(-xy_half_width, xy_half_width, 4)
-            z1, z2 = rng.uniform(-z_half_width, z_half_width, 2)
-            drawn.append((LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2)))
-        samples = drawn
+        lo = [-xy_half_width] * 4 + [-z_half_width] * 2
+        rows = Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 6)).tolist()
+        samples = [(LoopPoint(*r[:2], r[4]), LoopPoint(*r[2:4], r[5])) for r in rows]
     outcomes: list = []  # a window error, or None until the scan fills in the roots
     lines, windows = [], []
     for m2, b in samples:

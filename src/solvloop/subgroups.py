@@ -25,8 +25,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from .group import (
     AlgebraVector,
     AutomorphismParams,
@@ -39,6 +37,7 @@ from .group import (
     mul,
 )
 from .report import VerificationReport
+from .sampling import Stream
 
 __all__ = [
     "SubgroupId",
@@ -248,11 +247,9 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
         image = apply_automorphism(p, phi, generator)
         target = canonical_span_generator(result.kind).scaled(result.scale)
         residual = coordinate_distance(image.coords, target.coords)
-        rng = np.random.Generator(np.random.PCG64(0))
         bracket_resid = 0.0
-        for _ in range(50):
-            u = AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
-            v = AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+        for row in Stream(0).uniform(-3.0, 3.0, (50, 8)).tolist():
+            u, v = AlgebraVector(*row[:4]), AlgebraVector(*row[4:])
             lhs = apply_automorphism(p, phi, bracket(p, u, v))
             rhs = bracket(p, apply_automorphism(p, phi, u), apply_automorphism(p, phi, v))
             bracket_resid = max(bracket_resid, coordinate_distance(lhs.coords, rhs.coords))

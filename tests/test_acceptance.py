@@ -8,6 +8,10 @@ described as totals are split evenly across the parameter sweep a in
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +372,24 @@ def test_criterion_10_determinism(capfd, tmp_path):
     ok = identical and codes_ok
     verdict(capfd, 10, "determinism", ok,
             f"{len(CLI_BATTERY)} commands, byte-identical={identical}")
+
+
+def test_cli_battery_does_not_import_numpy_random():
+    # numpy 2 loads numpy.random only on first use, and that import costs a
+    # command more than all of its sampling (numpy 1.x loads it with numpy)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "with_numpy = 'numpy.random' in sys.modules\n"
+        "from solvloop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, with_numpy, 'numpy.random' in sys.modules]))\n"
+    )
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(CLI_BATTERY)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    codes, with_numpy, after_battery = json.loads(proc.stdout)
+    assert codes == [0] * len(CLI_BATTERY)
+    assert after_battery == with_numpy

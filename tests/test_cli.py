@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,10 @@ def test_count_flags_rejected_at_parse_time(capsys):
         (["transitivity", *section, "--resolution", "1"], "--resolution", "must be at least 2"),
         (["generation", *section, "--samples", "49"], "--samples", "must be at least 50"),
         (["lemma1", "--K", "1", "--samples", "1"], "--samples", "must be at least 2"),
+        (["verify-group", "--a", "2", "--seed", "-1"], "--seed", "must be at least 0"),
+        (["loop-check", *section, "--seed", "-1"], "--seed", "must be at least 0"),
+        (["transitivity", *section, "--seed", "-2"], "--seed", "must be at least 0"),
+        (["theorem2", "--a", "2", "--seed", "-1e0"], "--seed", "invalid integer value"),
     ]
     bad += [
         (["loop-check", *section, "--z-box", value], "--z-box", "must be finite and > 0")
@@ -89,6 +94,17 @@ def test_negative_numbers_in_exponent_notation_are_values(tmp_path):
         assert json.loads(path.read_text())["config"][key] == value
 
 
+def test_fn_values_may_start_with_a_minus(capsys):
+    # argparse alone reads the value -x as an unknown option
+    for argv in (["generation", "--case", "C", "--a", "2"], ["lemma1", "--range", "0", "1"]):
+        fn = "-x" if argv[0] == "generation" else "-(1-exp(-z))"
+        code = main(argv + ["--fn", fn])
+        spaced = capsys.readouterr().out
+        assert code == main(argv + [f"--fn={fn}"]) != 2
+        assert spaced == capsys.readouterr().out
+        assert json.loads(spaced)["config"]["fn"] == fn
+
+
 def test_malformed_numbers_still_usage_errors(capsys):
     bad = [
         (["verify-group", "--a", "-1e"], "argument --a: expected one argument"),
@@ -97,6 +113,7 @@ def test_malformed_numbers_still_usage_errors(capsys):
          "--box needs LO < HI"),
         (["lemma1", "--K", "2", "--range", "-1e0"], "argument --range: expected 2 arguments"),
         (["fixed-point", "--a", "2", "--g", "1", "2", "3", "-0e0"], "--g must have a nonzero fourth"),
+        (["lemma1", "--fn", "--K", "2"], "argument --fn: expected one argument"),
     ]
     for argv, message in bad:
         assert main(argv) == 2, argv
@@ -157,6 +174,27 @@ def test_overflow_names_float_parameters(capsys):
         assert main(argv) == 2, argv
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"error: math range error: overflow with {named}"
+
+
+def test_non_finite_values_print_no_numpy_warnings(capsys):
+    # the report or the error line already names each non-finite value
+    cases = [
+        (["loop-check", "--case", case, "--a", "2", "--fn", "exp(1000*x)-1", "--samples", "20"], "")
+        for case in "ABC"
+    ]
+    cases += [
+        (["lemma1", "--fn", "exp(1000*z)"], ""),
+        (["verify-group", "--a", "1e308"], "error: math range error: overflow with --a 1e+308\n"),
+        (["loop-check", "--case", "A", "--a", "2", "--preset", "zero", "--z-box", "1e308"],
+         "error: Range exceeds valid bounds: overflow with --a 2, --z-box 1e+308\n"),
+        (["transitivity", "--case", "C", "--a", "2", "--preset", "sin-small", "--z-box", "1e308"],
+         "error: Range exceeds valid bounds: overflow with --a 2, --box -5 5, --z-box 1e+308\n"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv, err in cases:
+            assert main(argv) == (2 if err else 1), argv
+            assert capsys.readouterr().err == err, argv
 
 
 def test_preset_choices_follow_presets(capsys):

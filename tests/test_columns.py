@@ -334,6 +334,13 @@ def test_group_suite_equals_per_sample_reference(a, seed):
         assert got[name] == worst, name
 
 
+def _sample_point(rng, xy_half_width, z_half_width):
+    """One loop point drawn as the per-sample suites drew it."""
+    x, y = rng.uniform(-xy_half_width, xy_half_width, 2)
+    z = float(rng.uniform(-z_half_width, z_half_width))
+    return sl.LoopPoint(float(x), float(y), z)
+
+
 def _axiom_suite_reference(c, n, seed):
     """The worst errors of axiom_suite, one sample at a time."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -341,7 +348,7 @@ def _axiom_suite_reference(c, n, seed):
     e = sl.LoopPoint.origin()
     id_max = ldiv_max = rdiv_max = z_max = 0.0
     for _ in range(n):
-        m1, m2, b = (sl.loops._sample_point(rng, 5.0, z_half) for _ in range(3))
+        m1, m2, b = (_sample_point(rng, 5.0, z_half) for _ in range(3))
         id_max = max(
             id_max,
             sl.coordinate_distance(sl.loop_mul(c, e, m1).coords, m1.coords),
@@ -366,3 +373,53 @@ def test_axiom_suite_equals_per_sample_reference(case, preset):
     report = sl.loops.axiom_suite(c, n_samples=40, seed=3)
     got = {c.name: c.max_error for c in report.checks}
     assert got == _axiom_suite_reference(c, 40, 3)
+
+
+def _transitivity_samples_reference(n, seed, z_half_width):
+    """The (m2, b) pairs sharp_transitivity_check drew one sample at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    drawn = []
+    for _ in range(n):
+        x1, y1, x2, y2 = rng.uniform(-5.0, 5.0, 4)
+        z1, z2 = rng.uniform(-z_half_width, z_half_width, 2)
+        drawn.append((sl.LoopPoint(x1, y1, z1), sl.LoopPoint(x2, y2, z2)))
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "case,preset,seed,z_half", [("B", "lemma1", 0, 0.5), ("C", "sin-small", 3, 0.5),
+                                ("C", "bilinear", 11, 2.0)]
+)
+def test_transitivity_block_draw_equals_per_sample_reference(case, preset, seed, z_half):
+    spec = _spec(case, 2.0, preset)
+    kwargs = dict(n_samples=30, seed=seed, resolution=400, z_half_width=z_half)
+    batched = sl.sharp_transitivity_check(spec, **kwargs)
+    reference = sl.sharp_transitivity_check(
+        spec, samples=_transitivity_samples_reference(30, seed, z_half), **kwargs
+    )
+    assert batched.to_dict() == reference.to_dict()
+
+
+def _bracket_preservation_reference(p, phi):
+    """classify_suite's bracket residual, drawn and checked one pair at a time."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    worst = 0.0
+    for _ in range(50):
+        u = sl.AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+        v = sl.AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+        lhs = sl.apply_automorphism(p, phi, sl.bracket(p, u, v))
+        rhs = sl.bracket(p, sl.apply_automorphism(p, phi, u), sl.apply_automorphism(p, phi, v))
+        worst = max(worst, sl.coordinate_distance(lhs.coords, rhs.coords))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "a,b", [(2.0, (1.5, 0.5, -2.0)), (1.0, (1.0, 2.0, 3.0)), (0.5, (1.0, 0.0, 2.0)),
+            (2.0, (0.0, 1.0, 3.0)), (3.7, (-0.3, 1.1, 0.7))]
+)
+def test_classify_block_draw_equals_per_sample_reference(a, b):
+    p = sl.GroupParam(a)
+    report = sl.subgroups.classify_suite(p, *b)
+    got = {c.name: c.max_error for c in report.checks}["automorphism-preserves-brackets"]
+    phi = sl.subgroups.classify_subalgebra(p, *b).automorphism
+    assert got == _bracket_preservation_reference(p, phi)

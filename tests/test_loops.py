@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import solvloop as sl
+from solvloop.sampling import Stream
 
 P2 = sl.GroupParam(2.0)
 
@@ -384,11 +385,8 @@ def test_axiom_suite_right_divisions_batch_section_calls():
 
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_callable(counted, 3))
     c = sl.LoopCase(spec)
-    rng = np.random.Generator(np.random.PCG64(0))
-    problems = []
-    for _ in range(500):
-        m1, m2, b = (sl.loops._sample_point(rng, 5.0, 0.5) for _ in range(3))
-        problems.append((sl.loop_mul(c, b, m2), m2))
+    m1, m2, b = sl.loops._sample_points(Stream(0), 500, 3, 5.0, 0.5)
+    problems = list(zip(sl.loops._rows(sl.loop_mul(c, b, m2)), sl.loops._rows(m2)))
     calls.clear()
     quotients = sl.loops.loop_rdiv_batch(c, problems, check_unique=True)
     assert all(isinstance(q, sl.LoopPoint) for q in quotients)
