@@ -64,8 +64,11 @@ def _ordered(pair, flag: str) -> tuple[float, float]:
 
 def _transitivity(args) -> VerificationReport:
     spec = _section_spec(args)
+    box = _ordered(args.box, "--box")
+    if not math.isfinite(box[1] - box[0]):
+        raise ValueError("--box is too wide: HI - LO overflows")
     return sharp_transitivity_check(
-        spec, box=_ordered(args.box, "--box"), n_samples=args.samples, seed=args.seed,
+        spec, box=box, n_samples=args.samples, seed=args.seed,
         resolution=args.resolution, z_half_width=args.z_box,
     )
 

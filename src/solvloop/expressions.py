@@ -15,6 +15,7 @@ x, y and z).  Evaluation works on floats and elementwise on numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -34,6 +35,8 @@ __all__ = [
     "parse",
     "as_function",
     "evaluate",
+    "enclose",
+    "substitute",
     "to_text",
 ]
 
@@ -282,6 +285,206 @@ def evaluate(node: Node, env: dict):
     if node.op == "^":
         return left**right
     raise ValueError(f"unknown operator {node.op!r}")
+
+
+# ------------------------------------------------------- interval enclosure
+
+# Ulps by which a FUNCTIONS entry's float64 result may differ from the exact
+# value, as enclose assumes it.  sqrt is correctly rounded and abs exact.
+# Measured against glibc's math module over 10^6 arguments on an x86-64
+# machine with AVX-512 (numpy 2.4.6, whose exp and log there are SIMD
+# kernels), no kernel was off by more than 3 ulps of its result (tanh; exp,
+# log, tan and power 1, sin and cos 0).
+FUNCTION_ULPS = 8
+# |arguments| beyond which sin and cos are bounded by [-1, 1] and tan is unknown.
+_TRIG_RANGE = 2.0**20
+# fn -> (c, pi): sin and cos have their maxima at c + pi*k for even k and
+# their minima there for odd k; tan has its poles at c + pi*k.
+_PERIODIC = {"sin": (math.pi / 2, math.pi), "cos": (0.0, math.pi), "tan": (math.pi / 2, math.pi)}
+
+
+def _outward(lo, hi, known=True, ulps: float = 0.0):
+    """[lo, hi] widened outward by ulps ulps of each bound and then one more.
+
+    Each bound b moves by (|b| * 2^-52 + 2^-1074) * (ulps + 1): |b| * 2^-52
+    is at least one ulp of a normal b and 2^-1074 one ulp of a subnormal
+    one, so b moves by at least one np.nextafter step, and by at least
+    ulps + 1/2 ulps after rounding, at a tenth of np.nextafter's cost.
+    Where known is False or a bound is NaN, the result is unknown, as is a
+    lower bound of +inf or an upper bound of -inf.
+    """
+    step, tiny = 2.0**-52 * (ulps + 1), 2.0**-1074 * (ulps + 1)
+    lo = lo - (np.abs(lo) * step + tiny)
+    hi = hi + (np.abs(hi) * step + tiny)
+    ok = known & (lo <= hi)  # NaN compares false
+    if not ok.all():
+        lo, hi = np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
+    return lo, hi
+
+
+def _is_known(box) -> np.ndarray:
+    return ~((box[0] == -np.inf) & (box[1] == np.inf))
+
+
+def _turns(lo, hi, start: float, half: float):
+    """The least and greatest k for which start + half*k may lie in [lo, hi].
+
+    The range is widened by 1e-9 plus a relative 1e-12 of k, far beyond the
+    rounding of the arithmetic, so it never misses such a point; it is
+    empty (first > last) where there is none.
+    """
+    tlo, thi = (lo - start) / half, (hi - start) / half
+    margin = 1e-9 + 1e-12 * np.maximum(np.abs(tlo), np.abs(thi))
+    return np.ceil(tlo - margin), np.floor(thi + margin)
+
+
+def _enclose_call(fn: str, box):
+    lo, hi = box
+    known = _is_known(box)
+    if fn == "abs":
+        return _outward(
+            np.where(lo >= 0, lo, np.where(hi <= 0, -hi, 0.0)),
+            np.where(lo >= 0, hi, np.maximum(-lo, hi)),
+            known,
+        )
+    if fn in ("log", "sqrt"):
+        known = known & (lo > 0 if fn == "log" else lo >= 0)
+    fn_lo, fn_hi = FUNCTIONS[fn](lo), FUNCTIONS[fn](hi)
+    ulps = 0.0 if fn == "sqrt" else 2 * FUNCTION_ULPS
+    if fn not in _PERIODIC:  # monotone increasing
+        return _outward(fn_lo, fn_hi, known, ulps)
+    known = known & np.isfinite(lo) & np.isfinite(hi)
+    near = known & (np.maximum(np.abs(lo), np.abs(hi)) <= _TRIG_RANGE)
+    first, last = _turns(lo, hi, *_PERIODIC[fn])
+    if fn == "tan":  # increasing between poles
+        return _outward(fn_lo, fn_hi, near & (first > last), ulps)
+    # maxima at even k, minima at odd k
+    single = first == last
+    even = first % 2 == 0
+    top = ~near | (first < last) | (single & even)
+    bottom = ~near | (first < last) | (single & ~even)
+    return _outward(
+        np.where(bottom, -1.0, np.minimum(fn_lo, fn_hi)),
+        np.where(top, 1.0, np.maximum(fn_lo, fn_hi)),
+        known,
+        ulps,
+    )
+
+
+def _extremes(ends: list):
+    """Elementwise least and greatest of the arrays ends; NaN wherever one is NaN."""
+    return functools.reduce(np.minimum, ends), functools.reduce(np.maximum, ends)
+
+
+def _products(left, right, op):
+    """The extremes of op over the corners of two boxes; a point box has one corner."""
+    return _extremes([op(a, b) for a in _corners(left) for b in _corners(right)])
+
+
+def _corners(box):
+    return box[:1] if box[0] is box[1] else box
+
+
+def _enclose_power(base, exponent):
+    blo, bhi = base
+    elo, ehi = exponent
+    known = _is_known(base) & _is_known(exponent)
+    integer = (elo == ehi) & (np.abs(elo) <= 2.0**20) & (np.floor(elo) == elo)
+    # x^n for an integer n is monotone on either side of 0, and n < 0 has a
+    # pole there; for x > 0, x^y is monotone in x and in y, so the corners
+    # of the box hold its extremes
+    across = (blo < 0) & (bhi > 0)
+    known &= np.where(integer, ~((elo < 0) & (blo <= 0) & (bhi >= 0)), blo > 0)
+    ends = [np.power(b, e) for b in (blo, bhi) for e in (elo, ehi)]
+    ends.append(np.where(integer & across & (elo > 0), 0.0, ends[0]))
+    lo, hi = _extremes(ends)
+    one = integer & (elo == 0)  # x^0 is 1 for every x
+    return _outward(
+        np.where(one, 1.0, lo), np.where(one, 1.0, hi), known, 2 * FUNCTION_ULPS
+    )
+
+
+def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Outward-rounded interval evaluation of node over numpy arrays of boxes.
+
+    boxes maps every variable to a pair (lo, hi) of floats or arrays, all
+    broadcastable together; box i is made of the i-th intervals.  Returns
+    arrays (lo, hi) such that, on every point of box i, `evaluate` of node
+    raises nothing and its float result lies in [lo[i], hi[i]].  A box on
+    which that cannot be proved gets (-inf, inf), "unknown": its results
+    may be NaN, and the division guard may raise.  Unknown costs a caller
+    time, never a wrong answer.  Bounds are proved as follows:
+
+      * + - * / are correctly rounded and monotone, so their results lie
+        between the results at the ends; every bound is then moved at
+        least one ulp outward (see _outward).  A quotient is unknown
+        wherever the denominator may be below 1e-300 in magnitude (where
+        the guard of `evaluate` raises), and any operation is unknown where
+        it may give NaN (inf - inf, 0 * inf, inf / inf).
+      * Every FUNCTIONS entry except abs and sqrt is assumed to be within
+        FUNCTION_ULPS = 8 ulps of the exact result (see FUNCTION_ULPS), so
+        its bounds are widened by twice that and one ulp.  exp, log, tanh
+        and sqrt are increasing; log is unknown where x <= 0, and sqrt
+        where x < 0.
+      * sin and cos take the values at the ends, or -1 and 1 where the box
+        may contain a minimum or maximum (found with a wide margin); tan is
+        unknown where the box may contain a pole.  Beyond |x| = 2^20, sin
+        and cos give [-1, 1] and tan is unknown.
+      * x^n for an integer constant n is bounded piecewise (unknown across
+        0 for n < 0); any other power needs x > 0 and takes the extremes of
+        the box's corners.  These rules also make unknown every power
+        that Python's ** (which evaluate uses on two constants) refuses
+        with an exception or a complex number: 0 to a negative power, a
+        negative number to a fractional one, and overflow, since an
+        interval made of one infinity is unknown.
+    """
+    with np.errstate(all="ignore"):
+        lo, hi = _enclose(node, boxes)
+    shape = np.broadcast_shapes(*(np.shape(b) for box in boxes.values() for b in box))
+    return np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+
+
+def _enclose(node: Node, boxes: dict):
+    if isinstance(node, Const):
+        return np.float64(node.value), np.float64(node.value)
+    if isinstance(node, Var):
+        try:
+            lo, hi = boxes[node.name]
+        except KeyError:
+            raise EvaluationError(f"no value bound for variable '{node.name}'") from None
+        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if isinstance(node, Neg):
+        lo, hi = _enclose(node.operand, boxes)
+        return -hi, -lo
+    if isinstance(node, Call):
+        return _enclose_call(node.fn, _enclose(node.arg, boxes))
+    left = _enclose(node.left, boxes)
+    right = _enclose(node.right, boxes)
+    if node.op == "+":
+        return _outward(left[0] + right[0], left[1] + right[1])
+    if node.op == "-":
+        return _outward(left[0] - right[1], left[1] - right[0])
+    if node.op == "*":
+        return _outward(*_products(left, right, np.multiply))
+    if node.op == "/":
+        guard = (right[0] >= 1e-300) | (right[1] <= -1e-300)
+        return _outward(*_products(left, right, np.divide), guard)
+    if node.op == "^":
+        return _enclose_power(left, right)
+    raise ValueError(f"unknown operator {node.op!r}")
+
+
+def substitute(node: Node, trees: dict) -> Node:
+    """node with every variable named in trees replaced by its tree."""
+    if isinstance(node, Var):
+        return trees.get(node.name, node)
+    if isinstance(node, Neg):
+        return Neg(substitute(node.operand, trees))
+    if isinstance(node, Call):
+        return Call(node.fn, substitute(node.arg, trees))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, substitute(node.left, trees), substitute(node.right, trees))
+    return node
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -208,11 +208,13 @@ def loop_rdiv_batch(
     for _ in range(expansions + 1):
         if not pending:
             break
+        fn_rows, enclose = line_residual_rows([lines[i] for i in pending])
         found = root_rows(
-            line_residual_rows([lines[i] for i in pending]),
+            fn_rows,
             np.full(len(pending), -width),
             np.full(len(pending), width),
             resolution=resolution,
+            enclose=enclose,
         )
         unsolved = []
         for i, roots in zip(pending, found):

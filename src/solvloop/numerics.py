@@ -3,11 +3,15 @@
 Three workhorses:
 
   * root_rows: sign-change scans of many functions (one row each) over
-    uniform grids, evaluated in blocks of rows, plus one batched bisection
-    of every bracket of every row that reproduces scalar bisect bit for
-    bit.  Returns every bracketed root of every row, which makes it usable
-    as a root *counter* for uniqueness certification, not just a solver;
-    root1d is its one-row case and bisect the scalar reference.
+    uniform grids, evaluated in blocks, plus one batched bisection of
+    every bracket of every row that reproduces scalar bisect bit for bit.
+    Returns every bracketed root of every row, which makes it usable as a
+    root *counter* for uniqueness certification, not just a solver;
+    root1d is its one-row case and bisect the scalar reference.  Given an
+    interval enclosure of the rows (expressions.enclose, through
+    sections.line_residual_rows), the scan skips every chunk of
+    CHUNK_CELLS cells whose enclosure proves the sign of all its nodes,
+    and its result stays exactly that of the full scan.
   * newton1d: damped scalar Newton iteration with a central-difference
     derivative, the fast path when only some root is needed.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
@@ -79,20 +83,30 @@ BLOCK_POINTS = 16000
 BISECT_LEVELS = 4
 
 
-def _grid(ramp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """np.linspace(lo[r], hi[r], len(ramp)) for every row r, bit for bit, C-contiguous.
+# Grid cells per chunk of a scan whose rows come with an enclosure, and
+# chunks per enclosure call.  Enclosing BLOCK_POINTS chunks per call raised
+# the peak heap of a loop-check command from 1.5 to 2.7 MB; 4000 chunks
+# keep it at 1.5 MB and took no measurable time more.
+CHUNK_CELLS = 64
+ENCLOSE_CHUNKS = 4000
 
-    ramp is np.arange(len(ramp), dtype=float).
+
+def _nodes(k: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int) -> np.ndarray:
+    """Nodes k of np.linspace(lo, hi, resolution + 1), bit for bit: a 2-D array.
+
+    k holds node indices as floats, does not decrease along its last axis
+    (so only its last column can be node resolution, which is hi itself),
+    and broadcasts with the columns lo and hi.
     """
     delta = hi - lo
-    step = delta / (len(ramp) - 1)
-    y = ramp * step[:, None]
+    step = delta / resolution
+    x = k * step
     tiny = step == 0.0
     if tiny.any():  # linspace's path for subnormal steps
-        y[tiny] = ramp / (len(ramp) - 1) * delta[tiny, None]
-    y += lo[:, None]
-    y[:, -1] = hi
-    return y
+        x = np.where(tiny, k / resolution * delta, x)
+    x += lo
+    np.copyto(x[:, -1], hi[:, 0], where=k[..., -1] == resolution)
+    return x
 
 
 class _RowEvaluator:
@@ -207,12 +221,63 @@ def _bisect_rows(
     return root, errors
 
 
+def _open_segments(
+    scan: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    resolution: int,
+    enclose: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]],
+):
+    """The grid segments a scan evaluates, in blocks (rows, first, steps).
+
+    Segment i is the nodes first[i] + steps of row rows[i], where steps is
+    0.0, 1.0, ... up to the segment's number of cells.  Without
+    an enclosure every row is one segment.  With one, a row's cells are cut
+    into chunks of CHUNK_CELLS (the last one shorter), and a chunk whose
+    residual enclosure over its end nodes is finite and of one sign is
+    left out: every node in it is then finite, nonzero, of that sign, and
+    raises nothing.  Chunks are enclosed in blocks of at most
+    ENCLOSE_CHUNKS, and segments come in blocks of at most BLOCK_POINTS
+    nodes (at least one segment).
+    """
+    if not len(scan):
+        return
+    span = CHUNK_CELLS if enclose is not None else resolution
+    chunks = -(-resolution // span)
+    width = min(chunks, ENCLOSE_CHUNKS)  # chunks of a row per block
+    height = max(1, ENCLOSE_CHUNKS // width)  # rows per block
+    tail = resolution - (chunks - 1) * span
+    ramp = np.arange(span + 1.0)
+    for r0 in range(0, len(scan), height):
+        rows = scan[r0 : r0 + height]
+        for c0 in range(0, chunks, width):
+            first = np.arange(c0, min(c0 + width, chunks)) * float(span)
+            if enclose is None:
+                open_ = np.ones((len(rows), len(first)), dtype=bool)
+            else:
+                ends = [
+                    _nodes(k, lo[rows, None], hi[rows, None], resolution)
+                    for k in (first, np.minimum(first + span, resolution))
+                ]
+                elo, ehi = enclose(rows, np.minimum(*ends), np.maximum(*ends))
+                open_ = ~(np.isfinite(elo) & np.isfinite(ehi) & ((elo > 0) | (ehi < 0)))
+                del ends, elo, ehi  # freed before the open segments are evaluated
+            i, j = np.nonzero(open_)
+            short = first[j] == (chunks - 1) * span
+            for pick, cells in ((~short, span), (short, tail)):
+                per = max(1, BLOCK_POINTS // (cells + 1))
+                picked_rows, picked_first = rows[i[pick]], first[j[pick]]
+                for s in range(0, len(picked_rows), per):
+                    yield picked_rows[s : s + per], picked_first[s : s + per], ramp[: cells + 1]
+
+
 def root_rows(
     fn_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: Sequence[float],
     hi: Sequence[float],
     tol: float = 1e-12,
     resolution: int = 10000,
+    enclose: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]] = None,
 ) -> list[Union[list[float], ValueError]]:
     """All bracketed roots of many functions, one row per function.
 
@@ -228,52 +293,73 @@ def root_rows(
     missed, as can tangential (even-order) zeros; resolution is the
     caller's knob.
 
+    enclose(rows, a, b), when given, returns arrays (lo, hi) of the shape
+    of the 2-D arrays a and b that contain the computed value of function
+    rows[i] at every float of [a[i, j], b[i, j]], or are not finite where
+    that is not known.  The scan then skips the
+    grid nodes of every chunk of CHUNK_CELLS cells whose enclosure proves
+    their sign (see _open_segments).  The result is exactly that of the
+    full scan; only fewer nodes are evaluated.
+
     Returns one entry per row: its sorted roots, or the ValueError that
-    rules the row out (a bad interval or resolution, a non-finite value on
-    the grid, a pole, or a ValueError raised by the row's function at a
-    point that scan and bisection use).  Any other exception raised there
-    propagates, the lowest row's first.
+    rules the row out (a bad interval or resolution, a window too wide for
+    floats, a non-finite value on the grid, a pole, or a ValueError raised
+    by the row's function at a point that scan and bisection use).  Any
+    other exception raised there propagates, the lowest row's first.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     evaluate = _RowEvaluator(fn_rows)
     failed: dict[int, Exception] = {}
-    for r in range(len(lo)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(lo < hi) | (resolution < 2) | ~np.isfinite(hi - lo)
+    for r in np.flatnonzero(bad).tolist():
         if not lo[r] < hi[r]:
             failed[r] = ValueError("interval needs lo < hi")
         elif resolution < 2:
             failed[r] = ValueError("resolution must be at least 2")
-    scan = np.array([r for r in range(len(lo)) if r not in failed], dtype=np.intp)
+        else:
+            failed[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
+    scan = np.flatnonzero(~bad)
     found: list[list[float]] = [[] for _ in lo]
+    nonfinite: dict[int, list[tuple[float, list[float]]]] = {}  # row -> (first node, NaN nodes)
     brackets = []
-    per = max(1, BLOCK_POINTS // (resolution + 1))
-    ramp = np.arange(resolution + 1, dtype=float)
-    for start in range(0, len(scan), per):
-        rows = scan[start : start + per]
-        xs = _grid(ramp, lo[rows], hi[rows])
+    chunked = enclose is not None  # else every segment is a whole row, from node 0
+    for rows, first, steps in _open_segments(scan, lo, hi, resolution, enclose):
+        cells = len(steps) - 1
+        k = first[:, None] + steps if chunked else steps
+        xs = _nodes(k, lo[rows, None], hi[rows, None], resolution)
         ys = evaluate(rows, xs)
         for i in np.flatnonzero(~np.isfinite(ys).all(axis=1)):
-            r = int(rows[i])
-            failed[r] = evaluate.first_error(r, xs[i][np.isnan(ys[i])].tolist()) or ValueError(
-                "function returned non-finite values on the scan grid"
-            )
-        ok = np.array([int(r) not in failed for r in rows])
-        i, j = np.divmod(np.flatnonzero(ys == 0.0), resolution + 1)
-        for i, j in zip(i[ok[i]], j[ok[i]]):
+            nonfinite.setdefault(int(rows[i]), []).append((first[i], xs[i][np.isnan(ys[i])].tolist()))
+        zero = ys == 0.0
+        if chunked:  # the end node of an open segment before, or proven nonzero
+            zero[first > 0, 0] = False
+        i, j = np.divmod(np.flatnonzero(zero), cells + 1)
+        for i, j in zip(i.tolist(), j.tolist()):
             found[rows[i]].append(float(xs[i, j]))
-        i, j = np.divmod(np.flatnonzero(ys[:, :-1] * ys[:, 1:] < 0), resolution)
-        i, j = i[ok[i]], j[ok[i]]
+        i, j = np.divmod(np.flatnonzero(ys[:, :-1] * ys[:, 1:] < 0), cells)
         if i.size:
-            brackets.append((rows[i], xs[i, j], xs[i, j + 1], ys[i, j], ys[i, j + 1]))
+            brackets.append((rows[i], first[i] + j, xs[i, j], xs[i, j + 1], ys[i, j], ys[i, j + 1]))
+    for r, segments in nonfinite.items():
+        nans = [x for _, xs in sorted(segments) for x in xs]
+        failed[r] = evaluate.first_error(r, nans) or ValueError(
+            "function returned non-finite values on the scan grid"
+        )
+    rows = np.zeros(0, dtype=np.intp)
     if brackets:
-        rows, a, b, ya, yb = (np.concatenate(col) for col in zip(*brackets))
+        rows, k, a, b, ya, yb = (np.concatenate(col) for col in zip(*brackets))
+        order = np.lexsort((k, rows))  # by row, then along it, as a full scan finds them
+        order = order[[int(r) not in failed for r in rows[order]]]
+        rows, a, b, ya, yb = (v[order] for v in (rows, a, b, ya, yb))
+    if rows.size:
         us, errors = _bisect_rows(evaluate, rows, a, b, ya, tol)
         resid = evaluate(rows, us[:, None])[:, 0]
         small = np.abs(resid) <= 1e-8 * np.maximum(1.0, np.maximum(np.abs(ya), np.abs(yb)))
-        for k, (r, u, res) in enumerate(zip(rows.tolist(), us.tolist(), resid.tolist())):
-            if errors[k] is not None:
-                failed.setdefault(r, errors[k])
-            elif not small[k]:
+        for n, (r, u, res) in enumerate(zip(rows.tolist(), us.tolist(), resid.tolist())):
+            if errors[n] is not None:
+                failed.setdefault(r, errors[n])
+            elif not small[n]:
                 failed.setdefault(
                     r, ValueError(f"sign change at u = {u!r} is not a root (residual {res:.3e})")
                 )

@@ -371,11 +371,25 @@ def _line_residual(fn, u, bx, by, dx, dy, qz, scale):
     return u - scale * fn(bx + u * dx, by + u * dy, qz)
 
 
+# _line_residual's float steps as an expression over u and a line's columns
+_LINE_RESIDUAL = expressions.parse("u - scale*f", ("u", "scale", "f"))
+_LINE_POINT = {
+    name: expressions.parse(text, ("u", "bx", "by", "dx", "dy", "qz"))
+    for name, text in (("x", "bx + u*dx"), ("y", "by + u*dy"), ("z", "qz"))
+}
+
+
 def line_residual_rows(lines: Sequence[RightTranslationLine]):
-    """fn_rows for numerics.root_rows whose row i is lines[i].residual.
+    """(fn_rows, enclose) for numerics.root_rows whose row i is lines[i].residual.
 
     All lines must share one section function, which is evaluated on the
-    points of every row of a call at once.
+    points of every row of a call at once.  enclose(rows, a, b) bounds row
+    rows[i]'s residual for u in [a[i, j], b[i, j]], for every j.  It is
+    expressions.enclose of the residual's float steps written as one tree
+    (the point bx + u*dx, by + u*dy, qz, the section's tree there, then
+    u - scale*f), so it contains the computed values, not only the exact
+    ones.  It is None when the section function has no tree (presets and
+    plain callables).
     """
     fn = lines[0].fn if lines else None
     cols = np.array(
@@ -385,7 +399,17 @@ def line_residual_rows(lines: Sequence[RightTranslationLine]):
     def fn_rows(rows, pts):
         return _line_residual(fn, pts, *cols[:, rows])
 
-    return fn_rows
+    if fn is None or fn.tree is None:
+        return fn_rows, None
+    residual = expressions.substitute(
+        _LINE_RESIDUAL, {"f": expressions.substitute(fn.tree, _LINE_POINT)}
+    )
+
+    def enclose(rows, a, b):
+        box = {name: (v, v) for name, v in zip(("bx", "by", "dx", "dy", "qz", "scale"), cols[:, rows])}
+        return expressions.enclose(residual, {"u": (a, b), **box})
+
+    return fn_rows, enclose
 
 
 def right_translation_system(
@@ -437,9 +461,10 @@ def sharp_transitivity_check(
     in [-z_half_width, z_half_width] so the function coefficient stays
     bounded on the window.  Both cases count roots of the scalar line
     equation by a sign-change scan at the given resolution, the lines of all
-    samples in one numerics.root_rows call.  Every sample contributes its
-    root count; solver failures, including sign changes across a pole, are
-    reported, never dropped.
+    samples in one numerics.root_rows call (which skips the grid nodes
+    whose sign the enclosure of an expression section proves).  Every
+    sample contributes its root count; solver failures, including sign
+    changes across a pole, are reported, never dropped.
     """
     report = VerificationReport(seed=seed)
     if spec.case == "A":
@@ -466,7 +491,8 @@ def sharp_transitivity_check(
         except ValueError as err:
             outcomes.append(err)
     lo, hi = np.reshape(windows, (-1, 2)).T
-    found = iter(root_rows(line_residual_rows(lines), lo, hi, resolution=resolution))
+    fn_rows, enclose = line_residual_rows(lines)
+    found = iter(root_rows(fn_rows, lo, hi, resolution=resolution, enclose=enclose))
     outcomes = [next(found) if outcome is None else outcome for outcome in outcomes]
     counts = [-1 if isinstance(o, ValueError) else len(o) for o in outcomes]
     failures = [f"sample {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, ValueError)]

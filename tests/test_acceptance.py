@@ -376,20 +376,25 @@ def test_criterion_10_determinism(capfd, tmp_path):
 
 def test_cli_battery_does_not_import_numpy_random():
     # numpy 2 loads numpy.random only on first use, and that import costs a
-    # command more than all of its sampling (numpy 1.x loads it with numpy)
+    # command more than all of its sampling (numpy 1.x loads it with numpy);
+    # numpy.ma, which np.unique and others import, costs about 15 ms
+    battery = CLI_BATTERY + [
+        ["transitivity", "--case", "C", "--a", "2", "--fn", "0.1*sin(x)", "--samples", "30"],
+    ]
     script = (
         "import contextlib, io, json, sys\n"
         "import numpy\n"
-        "with_numpy = 'numpy.random' in sys.modules\n"
+        "with_numpy = ['numpy.random' in sys.modules, 'numpy.ma' in sys.modules]\n"
         "from solvloop.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(args) for args in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, with_numpy, 'numpy.random' in sys.modules]))\n"
+        "print(json.dumps([codes, with_numpy, ['numpy.random' in sys.modules, 'numpy.ma' in sys.modules]]))\n"
     )
     src = str(Path(sl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(CLI_BATTERY)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(battery)],
                           capture_output=True, text=True, env=env, timeout=300)
     codes, with_numpy, after_battery = json.loads(proc.stdout)
-    assert codes == [0] * len(CLI_BATTERY)
+    assert codes == [0] * len(battery)
     assert after_battery == with_numpy
+    assert not after_battery[1]

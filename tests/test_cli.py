@@ -412,3 +412,59 @@ def test_library_suites_match_cli(tmp_path):
         lib = [(c.name, c.status, c.max_error) for c in report.checks]
         assert cli == lib, argv[0]
         assert code == (1 if report.status == "fail" else 0)
+
+
+def test_box_too_wide_for_floats_is_a_usage_error(capsys):
+    # HI - LO overflows: the window, not the section function, is at fault
+    argv = ["transitivity", "--case", "C", "--a", "2", "--preset", "sin-small",
+            "--box", "-1e308", "1e308", "--samples", "5"]
+    assert main(argv) == 2
+    assert "--box" in capsys.readouterr().err
+
+
+# The implicit-expr benchmark battery: right division and root counting
+# with parsed section functions.
+IMPLICIT_EXPR = [
+    "loop-check --case B --a 2 --fn 1-exp(-z)",
+    "loop-check --case C --a 2 --fn 0.1*sin(x)",
+    "loop-check --case C --a 0.5 --fn x*z",
+    "transitivity --case B --a 2 --fn 1-exp(-z)",
+    "transitivity --case B --a -1 --fn 0.1*sin(x)",
+    "transitivity --case C --a 2 --fn 0.1*sin(x)",
+    "transitivity --case C --a 2 --fn 6*sin(x)",
+]
+
+
+def _reports(capsys, seed):
+    out = []
+    for command in IMPLICIT_EXPR:
+        code = main(command.split() + ["--seed", str(seed)])
+        out.append((code, json.loads(capsys.readouterr().out)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_enclosure_pruning_changes_no_report(capsys, monkeypatch, seed):
+    # the scans skip the nodes whose sign an enclosure proves; without the
+    # enclosure they evaluate every node, and the reports are the same
+    pruned = _reports(capsys, seed)
+    full = solvloop.sections.line_residual_rows
+    for module in (solvloop.sections, solvloop.loops):
+        monkeypatch.setattr(module, "line_residual_rows", lambda lines: (full(lines)[0], None))
+    assert _reports(capsys, seed) == pruned
+    assert [code for code, _ in pruned] == [0] * 6 + [1]
+
+
+def test_enclosure_pruning_evaluates_few_section_points(capsys, monkeypatch):
+    # 100 samples of 10,001 scan nodes each without pruning
+    points = []
+    call = solvloop.FunctionSpec.__call__
+
+    def counted(self, *args):
+        points.append(np.broadcast(*args).size)
+        return call(self, *args)
+
+    monkeypatch.setattr(solvloop.FunctionSpec, "__call__", counted)
+    assert main(["transitivity", "--case", "C", "--a", "2", "--fn", "0.1*sin(x)"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert 0 < sum(points) < 100_000

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvloop.expressions as ex
 
@@ -115,3 +117,87 @@ def test_to_text_round_trip(text):
 def test_to_text_drops_redundant_parens():
     tree = ex.parse("((x) + (z))", ("x", "z"))
     assert ex.to_text(tree) == "x + z"
+
+
+# ---------------------------------------------------------------- enclosure
+
+_LEAVES = st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 1e-3, 40.0, 1e300]).map(ex.Const) | st.sampled_from(
+    ["x", "y"]
+).map(ex.Var)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        sub.map(ex.Neg),
+        st.builds(ex.Call, st.sampled_from(sorted(ex.FUNCTIONS)), sub),
+        st.builds(ex.BinOp, st.sampled_from("+-*/^"), sub, sub),
+    ),
+    max_leaves=6,
+)
+_ENDS = st.floats(-30, 30) | st.sampled_from(
+    [0.0, -1.0, 1.0, math.pi / 2, 1e-300, -1e-300, 5e-324, 700.0, 1e10, 2.0**21, -1e300]
+)
+
+
+def _box_points(a, b, fractions):
+    """The ends, linspace nodes and the given interior fractions of [a, b]."""
+    inner = [a + f * (b - a) for f in fractions]
+    return np.clip(np.array([a, b, *np.linspace(a, b, 9), *inner]), a, b)
+
+
+@settings(max_examples=400)
+@given(tree=_TREES, x=st.tuples(_ENDS, _ENDS), y=st.tuples(_ENDS, _ENDS),
+       fractions=st.lists(st.floats(0, 1), max_size=6))
+def test_enclose_contains_every_computed_value(tree, x, y, fractions):
+    # wherever the enclosure is known, evaluation raises nothing and every
+    # float it computes on the box (corners, linspace nodes, random
+    # interior points) lies inside
+    (xa, xb), (ya, yb) = sorted(x), sorted(y)
+    lo, hi = ex.enclose(tree, {"x": ([xa, 0.0], [xb, 0.0]), "y": ([ya, 0.0], [yb, 0.0])})
+    assert lo.shape == hi.shape == (2,)
+    for (a, b, c, d), low, high in zip([(xa, xb, ya, yb), (0.0, 0.0, 0.0, 0.0)], lo, hi):
+        if low == -math.inf and high == math.inf:
+            continue
+        xs, ys = (g.ravel() for g in np.meshgrid(_box_points(a, b, fractions), _box_points(c, d, fractions)))
+        values = np.broadcast_to(ex.as_function(tree, ("x", "y"))(xs, ys), xs.shape)
+        assert np.all((low <= values) & (values <= high)), (ex.to_text(tree), low, high)
+
+
+@pytest.mark.parametrize(
+    "text,x,expected",
+    [
+        ("1/x", (-1.0, 1.0), None),  # the division guard may fire
+        ("1/(x - 1)", (1.0, 2.0), None),
+        ("tan(x)", (1.5, 1.6), None),  # a pole
+        ("log(x)", (0.0, 1.0), None),
+        ("sqrt(x)", (-1e-3, 1.0), None),
+        ("x^0.5", (0.0, 1.0), None),
+        ("x^-1", (-1.0, 1.0), None),
+        ("(-8)^(1/3) + x", (0.0, 1.0), None),  # Python gives a complex number
+        ("10^400 + x", (0.0, 1.0), None),  # Python raises OverflowError
+        ("exp(1000*x) - exp(1000*x)", (0.0, 1.0), None),  # inf - inf
+        ("x^2", (-1.0, 2.0), (0.0, 4.0)),
+        ("x^3", (-1.0, 2.0), (-1.0, 8.0)),
+        ("sin(x)", (0.0, math.pi), (0.0, 1.0)),
+        ("cos(x)", (1.0, 5.0), (-1.0, math.cos(1.0))),
+        ("abs(x) + 2^3", (-3.0, 1.0), (8.0, 11.0)),
+        ("exp(-x)", (math.inf, math.inf), (0.0, 0.0)),
+        ("sin(x)", (1e7, 1e7 + 1), (-1.0, 1.0)),
+    ],
+)
+def test_enclose_edges(text, x, expected):
+    lo, hi = (float(v) for v in ex.enclose(ex.parse(text, ("x",)), {"x": x}))
+    if expected is None:
+        assert (lo, hi) == (-math.inf, math.inf)
+    else:
+        assert lo <= expected[0] and expected[1] <= hi
+        assert expected[0] - lo <= 1e-12 * max(1.0, abs(lo)) and hi - expected[1] <= 1e-12 * max(1.0, abs(hi))
+
+
+@given(st.floats(allow_nan=False) | st.sampled_from([5e-324, -5e-324, 2.0**-1022, 1.0, 2.0, -0.5]))
+def test_outward_rounding_moves_at_least_one_ulp(v):
+    with np.errstate(all="ignore"):
+        lo, hi = ex._outward(np.float64(v), np.float64(v))
+        if math.isinf(v):  # an interval of one infinity is unknown
+            assert (lo, hi) == (-math.inf, math.inf)
+        else:
+            assert lo <= np.nextafter(v, -math.inf) and np.nextafter(v, math.inf) <= hi

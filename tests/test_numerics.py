@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solvloop as sl
+from solvloop import expressions as ex
 from solvloop import numerics
 from solvloop.numerics import bisect, newton1d, root_rows
 
@@ -143,21 +144,33 @@ def test_root1d_rejects_a_sign_change_across_a_pole():
 
 
 class _Row:
-    """A test function: c * prod(x - roots), NaN or raising ValueError beyond a cut."""
+    """A test function: c * prod(x - roots) [/ (x - pole)], NaN or raising ValueError beyond a cut.
 
-    def __init__(self, c, roots, kind, cut):
-        self.c, self.roots, self.kind, self.cut = c, roots, kind, cut
+    The product is an expression tree, so expressions.enclose bounds it.
+    """
+
+    def __init__(self, c, roots, kind, cut, pole=None):
+        self.kind, self.cut = kind, cut
+        tree = ex.Const(c)
+        for r in roots:
+            tree = ex.BinOp("*", tree, ex.BinOp("-", ex.Var("x"), ex.Const(r)))
+        if pole is not None:
+            tree = ex.BinOp("/", tree, ex.BinOp("-", ex.Var("x"), ex.Const(pole)))
+        self.tree = tree
 
     def __call__(self, x):
-        y = np.full(np.shape(x), self.c)
-        for r in self.roots:
-            y = y * (x - r)
+        y = np.broadcast_to(ex.as_function(self.tree, ("x",))(x), np.shape(x))
         beyond = np.asarray(x) > self.cut
         if self.kind == "raise" and np.any(beyond):
             raise ValueError(f"beyond the cut {self.cut!r}")
         if self.kind == "nan":
             y = np.where(beyond, np.nan, y)
         return y
+
+    def enclose(self, a, b):
+        lo, hi = ex.enclose(self.tree, {"x": (a, b)})
+        beyond = (b > self.cut) if self.kind != "poly" else np.zeros(np.shape(b), dtype=bool)
+        return np.where(beyond, -np.inf, lo), np.where(beyond, np.inf, hi)
 
 
 @st.composite
@@ -169,31 +182,59 @@ def _rows(draw, resolution, width):
     roots = draw(st.lists(root, max_size=4))
     kind = draw(st.sampled_from(["poly"] * 6 + ["nan", "raise"]))
     cut = draw(st.floats(-width, width))
-    return _Row(c, roots, kind, cut)
+    # a pole inside a cell: the sign change across it is not a root
+    k = draw(st.integers(0, resolution - 1))
+    pole = draw(st.none() | st.just(float(grid[k] + 0.3 * (grid[k + 1] - grid[k]))))
+    return _Row(c, roots, kind, cut, pole)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ArithmeticError as err:  # a node on a pole
+        return err
 
 
 @settings(max_examples=60)
 @given(
     data=st.data(),
-    resolution=st.integers(2, 40),
+    resolution=st.integers(2, 40) | st.sampled_from([64, 65, 200]),
     block_points=st.integers(1, 200),
     # beyond about 8.8e3 adjacent doubles are farther apart than tol = 1e-12
     width=st.sampled_from([1.0, 2e4, 1e6, 1e12]),
+    chunk_cells=st.integers(1, 9) | st.just(numerics.CHUNK_CELLS),
+    unknown_every=st.integers(1, 4),
 )
-def test_root_rows_equals_root1d_and_scalar_bisect(data, resolution, block_points, width):
+def test_root_rows_equals_root1d_and_scalar_bisect(
+    data, resolution, block_points, width, chunk_cells, unknown_every
+):
     # the batched scan gives every row exactly what root1d gives it alone,
-    # in blocks of any size, and every bisected root is scalar bisect's
+    # in blocks of any size, and every bisected root is scalar bisect's;
+    # with an enclosure (known on every unknown_every-th chunk at most) it
+    # gives exactly what it gives without
     rows = data.draw(st.lists(_rows(resolution, width), min_size=1, max_size=12))
 
     def fn_rows(idx, pts):
         return np.stack([rows[i](p) for i, p in zip(idx.tolist(), pts)])
 
-    saved = numerics.BLOCK_POINTS
-    numerics.BLOCK_POINTS = block_points
+    def enclose(idx, a, b):
+        lo, hi = np.empty(a.shape), np.empty(a.shape)
+        for n, i in enumerate(idx.tolist()):
+            lo[n], hi[n] = rows[i].enclose(a[n], b[n])
+        hidden = np.round((a + width) / (2 * width) * resolution) % unknown_every != 0
+        return np.where(hidden, -np.inf, lo), np.where(hidden, np.inf, hi)
+
+    saved = numerics.BLOCK_POINTS, numerics.CHUNK_CELLS
+    numerics.BLOCK_POINTS, numerics.CHUNK_CELLS = block_points, chunk_cells
     try:
-        batch = root_rows(fn_rows, [-width] * len(rows), [width] * len(rows), resolution=resolution)
+        lo, hi = [-width] * len(rows), [width] * len(rows)
+        batch = _outcome(lambda: root_rows(fn_rows, lo, hi, resolution=resolution))
+        pruned = _outcome(lambda: root_rows(fn_rows, lo, hi, resolution=resolution, enclose=enclose))
     finally:
-        numerics.BLOCK_POINTS = saved
+        numerics.BLOCK_POINTS, numerics.CHUNK_CELLS = saved
+    assert repr(pruned) == repr(batch)
+    if isinstance(batch, ArithmeticError):
+        return
     for row, got in zip(rows, batch):
         try:
             alone = sl.root1d(row, (-width, width), resolution=resolution)
@@ -204,6 +245,31 @@ def test_root_rows_equals_root1d_and_scalar_bisect(data, resolution, block_point
             continue
         assert got == alone
         assert got == _root1d_loop(row, (-width, width), resolution=resolution)
+
+
+def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves():
+    # x - 0.3 on [-1, 1]: only the chunk holding the root is scanned
+    calls = []
+
+    def fn_rows(rows, pts):
+        calls.append(pts.size)
+        return pts - 0.3
+
+    def enclose(rows, a, b):
+        return a - 0.3, b - 0.3
+
+    dense = root_rows(fn_rows, [-1.0], [1.0], resolution=10000)
+    points = sum(calls)
+    calls.clear()
+    assert root_rows(fn_rows, [-1.0], [1.0], resolution=10000, enclose=enclose) == dense
+    assert sum(calls) < points / 50
+
+
+def test_root_rows_names_a_window_too_wide_for_floats():
+    # hi - lo overflows: the window is at fault, not the function
+    (got,) = root_rows(lambda rows, pts: np.sin(pts), [-1e308], [1e308])
+    assert isinstance(got, ValueError)
+    assert str(got) == "window [-1e+308, 1e+308] is wider than the largest float"
 
 
 def test_bisection_stops_where_doubles_are_wider_than_tol():
