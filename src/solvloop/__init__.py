@@ -21,7 +21,6 @@ from .group import (
     conjugate,
     coordinate_distance,
     exp_alg,
-    from_matrix,
     inv,
     mul,
     standard_center_probes,
@@ -36,13 +35,11 @@ from .subgroups import (
     SubgroupId,
     admissible_subgroups,
     canonical_span_generator,
-    classify_direction,
     classify_subalgebra,
     decompose,
     embed,
     fixed_point_residual,
     fixed_point_witness,
-    in_subgroup,
     membership_residual,
     subgroup_element,
     subgroup_generator,
@@ -71,7 +68,6 @@ from .loops import (
     loop_ldiv,
     loop_mul,
     loop_rdiv,
-    normal_subloop_check,
 )
 from .multgroup import (
     CENTER_TEST_DIRECTIONS,
@@ -83,7 +79,6 @@ from .multgroup import (
 from .numerics import (
     FitResult,
     fit_saturating_exponential,
-    newton1d,
     root1d,
     twisted_additivity_residual,
 )

@@ -49,7 +49,10 @@ def _section_spec(args) -> SectionSpec:
     if args.preset:
         fn = FunctionSpec.preset(args.preset, arity, args.coeff)
     elif args.fn:
-        fn = FunctionSpec.from_expression(args.fn, arity)
+        try:
+            fn = FunctionSpec.from_expression(args.fn, arity)
+        except (ValueError, expressions.EvaluationError) as err:
+            raise ValueError(f"--fn: {err}") from None
     else:
         raise ValueError("provide a section function via --fn or --preset")
     return SectionSpec(case=args.case, param=p, fn=fn)
@@ -77,14 +80,19 @@ def _lemma1(args) -> VerificationReport:
     if (args.fn is None) == (args.K is None):
         raise ValueError("provide exactly one of --fn or --K")
     rate = args.rate
-    if args.K is not None:
-        coeff = args.K
-        fn = lambda z: coeff * -np.expm1(-rate * z)
-        label = f"{coeff:g}*(1-exp(-{rate:g}*z))"
-    else:
-        fn = expressions.as_function(expressions.parse(args.fn, ("z",)), ("z",))
-        label = args.fn
-    report = lemma1_suite(fn, rate, _ordered(args.range, "--range"), args.samples, args.K)
+    try:
+        if args.K is not None:
+            member = expressions.parse("K*-expm1(-r*z)", ("z", "K", "r"))
+            tree = expressions.substitute(
+                member, {"K": expressions.Const(args.K), "r": expressions.Const(rate)}
+            )
+            label = f"{args.K:g}*(1-exp(-{rate:g}*z))"
+        else:
+            tree, label = expressions.parse(args.fn, ("z",)), args.fn
+        fn = expressions.as_function(tree, ("z",))
+        report = lemma1_suite(fn, rate, _ordered(args.range, "--range"), args.samples, args.K)
+    except (expressions.ExpressionError, expressions.EvaluationError) as err:
+        raise ValueError(f"--fn: {err}") from None
     report.data["function"] = label
     return report
 

@@ -85,6 +85,7 @@ Node = Union[Const, Var, Neg, BinOp, Call]
 
 FUNCTIONS = {
     "exp": np.exp,
+    "expm1": np.expm1,
     "log": np.log,
     "sin": np.sin,
     "cos": np.cos,
@@ -256,6 +257,9 @@ def as_function(node: Node, variables: Sequence[str]):
 def evaluate(node: Node, env: dict):
     """Evaluate over floats or numpy arrays; only division is guarded (|denominator| >= 1e-300).
 
+    A power of two floats that Python's ** makes complex (a negative base
+    to a fractional exponent) raises EvaluationError.
+
     numpy's floating-point error state is the caller's; as_function
     silences its warnings.
     """
@@ -283,7 +287,10 @@ def evaluate(node: Node, env: dict):
             raise EvaluationError("division by (near-)zero denominator")
         return left / right
     if node.op == "^":
-        return left**right
+        power = left**right
+        if isinstance(power, complex):
+            raise EvaluationError("negative base to a fractional power")
+        return power
     raise ValueError(f"unknown operator {node.op!r}")
 
 
@@ -294,7 +301,7 @@ def evaluate(node: Node, env: dict):
 # Measured against glibc's math module over 10^6 arguments on an x86-64
 # machine with AVX-512 (numpy 2.4.6, whose exp and log there are SIMD
 # kernels), no kernel was off by more than 3 ulps of its result (tanh; exp,
-# log, tan and power 1, sin and cos 0).
+# expm1, log, tan and power 1, sin and cos 0).
 FUNCTION_ULPS = 8
 # |arguments| beyond which sin and cos are bounded by [-1, 1] and tan is unknown.
 _TRIG_RANGE = 2.0**20
@@ -423,9 +430,9 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
         it may give NaN (inf - inf, 0 * inf, inf / inf).
       * Every FUNCTIONS entry except abs and sqrt is assumed to be within
         FUNCTION_ULPS = 8 ulps of the exact result (see FUNCTION_ULPS), so
-        its bounds are widened by twice that and one ulp.  exp, log, tanh
-        and sqrt are increasing; log is unknown where x <= 0, and sqrt
-        where x < 0.
+        its bounds are widened by twice that and one ulp.  exp, expm1,
+        log, tanh and sqrt are increasing; log is unknown where x <= 0,
+        and sqrt where x < 0.
       * sin and cos take the values at the ends, or -1 and 1 where the box
         may contain a minimum or maximum (found with a wide margin); tan is
         unknown where the box may contain a pole.  Beyond |x| = 2^20, sin

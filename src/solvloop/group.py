@@ -47,7 +47,6 @@ __all__ = [
     "inv",
     "conjugate",
     "as_matrix",
-    "from_matrix",
     "algebra_matrix",
     "bracket",
     "structure_constants",
@@ -222,26 +221,6 @@ def as_matrix(p: GroupParam, g: GroupElement) -> np.ndarray:
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-
-
-def from_matrix(p: GroupParam, m: np.ndarray, tol: float = 1e-9) -> GroupElement:
-    """Invert as_matrix.  Raises ValueError if m does not have the group's shape.
-
-    The check is relative at tolerance tol; it guards against calling this on
-    matrices that left the coordinate patch (which products and exponentials
-    of patch members never do).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    if m[2, 2] <= 0.0:
-        raise ValueError("matrix (3,3) entry must be positive")
-    x4 = math.log(m[2, 2])
-    g = GroupElement(float(m[0, 3]), float(m[1, 3]), float(m[2, 3]), x4)
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - as_matrix(p, g)).max()) > tol * scale:
-        raise ValueError("matrix is not in the group's coordinate patch")
-    return g
 
 
 def algebra_matrix(p: GroupParam, v: AlgebraVector) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .group import GroupParam, coordinate_distance, elementwise, largest, mul, split, stack
-from .numerics import newton1d, root_rows
+from .numerics import root_rows
 from .report import VerificationReport
 from .sampling import Stream
 from .sections import (
@@ -63,7 +63,6 @@ __all__ = [
     "associativity_defect",
     "axiom_suite",
     "loop_suite",
-    "normal_subloop_check",
 ]
 
 
@@ -147,16 +146,12 @@ def loop_rdiv(
     c: LoopCase,
     b: LoopPoint,
     m2: LoopPoint,
-    check_unique: bool = False,
     window_half_width: float = 10.0,
     expansions: int = 4,
     resolution: int = 2048,
-    tol: float = 1e-10,
 ) -> LoopPoint:
     """The q with q * m2 = b: loop_rdiv_batch for one pair, raising its error."""
-    (q,) = loop_rdiv_batch(
-        c, [(b, m2)], check_unique, window_half_width, expansions, resolution, tol
-    )
+    (q,) = loop_rdiv_batch(c, [(b, m2)], window_half_width, expansions, resolution)
     if isinstance(q, RightDivisionError):
         raise q
     return q
@@ -165,23 +160,19 @@ def loop_rdiv(
 def loop_rdiv_batch(
     c: LoopCase,
     problems: Sequence[tuple[LoopPoint, LoopPoint]],
-    check_unique: bool = False,
     window_half_width: float = 10.0,
     expansions: int = 4,
     resolution: int = 2048,
-    tol: float = 1e-10,
 ) -> list[Union[LoopPoint, RightDivisionError]]:
     """For every pair (b, m2), the q with q * m2 = b or the RightDivisionError
     that explains why it could not be certified.
 
     Case A is closed-form, and so are cases B and C when m2 has z = 0.
-    Otherwise cases B and C solve the scalar line equation of
-    right_translation_system: by default Newton from the function-free
-    solution, falling back to a scan.  The scan covers the window of the
-    given half width on the line around that solution, doubling it up to
+    Otherwise cases B and C count *all* roots of the scalar line equation
+    of right_translation_system by a scan of the window of the given half
+    width on the line around the function-free solution, doubling it up to
     `expansions` times for the pairs where no root is found; the scans of
-    all pairs run together in numerics.root_rows.  With check_unique=True
-    only the scan runs, it counts *all* roots, and the pair gets a
+    all pairs run together in numerics.root_rows.  A pair gets a
     MultipleRootsError when the sharp-transitivity hypothesis fails on the
     window.  Every q is validated by multiplying back (tolerance 1e-8).
     """
@@ -199,10 +190,6 @@ def loop_rdiv_batch(
     lines = [right_translation_system(spec, m2, b) for b, m2 in problems]
     out = [None] * len(lines)
     us: list[Optional[float]] = [0.0 if line.scale == 0.0 else None for line in lines]
-    if not check_unique:
-        for i, line in enumerate(lines):
-            if us[i] is None:
-                us[i] = newton1d(line.residual, 0.0, tol=min(tol, 1e-12))
     pending = [i for i, u in enumerate(us) if u is None]
     width = window_half_width
     for _ in range(expansions + 1):
@@ -322,7 +309,7 @@ def axiom_suite(
     ldiv_max = largest(coordinate_distance(loop_mul(c, m1, w).coords, b.coords))
     z_max = largest(np.abs(loop_mul(c, m1, m2).z - (m1.z + m2.z)))
     targets, m2_rows = _rows(loop_mul(c, b, m2)), _rows(m2)
-    quotients = loop_rdiv_batch(c, list(zip(targets, m2_rows)), check_unique=spec.case != "A")
+    quotients = loop_rdiv_batch(c, list(zip(targets, m2_rows)))
     division_errors = [
         f"sample {i}: {type(q).__name__}: {q}"
         for i, q in enumerate(quotients)
@@ -383,96 +370,4 @@ def loop_suite(
         warn_only=verdict.generates is not None,
     )
     report.data["generation"] = verdict.to_dict()
-    return report
-
-
-def normal_subloop_check(
-    c: LoopCase,
-    n_samples: int = 300,
-    seed: int = 0,
-    xy_half_width: float = 5.0,
-    z_half_width: float = 5.0,
-) -> VerificationReport:
-    """Certify that N = {(x,y,0)} behaves as a normal subloop (case A only).
-
-    Membership in N is the exact condition z = 0, so the set identities
-    m*N = N*m, (m*N)*m' = m*(N*m') and (m*m')*N = m*(m'*N) reduce to: the
-    witness produced by the closed-form divisions has z-coordinate 0 (up to
-    the roundoff of adding and subtracting the same z values) and
-    recomposes to the original product.  The quotient is the real line:
-    coset products only see the sum of z-coordinates, exactly.
-    """
-    if c.spec.case != "A":
-        raise ValueError("the normal subloop check is defined for case A")
-    report = VerificationReport(seed=seed)
-    commute_z = 0.0
-    commute_resid = 0.0
-    assoc_z = 0.0
-    assoc_resid = 0.0
-    coset_exact = True
-    # per sample: m, m' and the (x, y) of n, n2 in one block of draws
-    lo = [-xy_half_width, -xy_half_width, -z_half_width] * 2 + [-xy_half_width] * 4
-    for row in Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 10)).tolist():
-        m, mp = LoopPoint(*row[:3]), LoopPoint(*row[3:6])
-        n, n2 = LoopPoint(*row[6:8], 0.0), LoopPoint(*row[8:], 0.0)
-        # m*N = N*m: w = (m*n)/m must lie in N and recompose
-        u = loop_mul(c, m, n)
-        w = loop_rdiv(c, u, m)
-        commute_z = max(commute_z, abs(w.z))
-        commute_resid = max(
-            commute_resid, coordinate_distance(loop_mul(c, w, m).coords, u.coords)
-        )
-        # reverse inclusion: w2 = m \ (n*m) must lie in N
-        u2 = loop_mul(c, n, m)
-        w2 = loop_ldiv(c, m, u2)
-        commute_z = max(commute_z, abs(w2.z))
-        # (m*N)*m' = m*(N*m'): witness w3 with (m*n)*m' = m*(w3*m')
-        u3 = loop_mul(c, loop_mul(c, m, n), mp)
-        w3 = loop_rdiv(c, loop_ldiv(c, m, u3), mp)
-        assoc_z = max(assoc_z, abs(w3.z))
-        assoc_resid = max(
-            assoc_resid,
-            coordinate_distance(
-                loop_mul(c, m, loop_mul(c, w3, mp)).coords, u3.coords
-            ),
-        )
-        # (m*m')*N = m*(m'*N): witness n' with m*(m'*n) = (m*m')*n'
-        u4 = loop_mul(c, m, loop_mul(c, mp, n))
-        w4 = loop_ldiv(c, loop_mul(c, m, mp), u4)
-        assoc_z = max(assoc_z, abs(w4.z))
-        assoc_resid = max(
-            assoc_resid,
-            coordinate_distance(
-                loop_mul(c, loop_mul(c, m, mp), w4).coords, u4.coords
-            ),
-        )
-        # coset arithmetic: (0,0,z1)N * (0,0,z2)N lands in (0,0,z1+z2)N
-        za = loop_mul(c, LoopPoint(0.0, 0.0, m.z), n)
-        zb = loop_mul(c, LoopPoint(0.0, 0.0, mp.z), n2)
-        if loop_mul(c, za, zb).z != m.z + mp.z:
-            coset_exact = False
-    report.record("commute-membership", commute_z == 0.0, max_error=commute_z, n_samples=n_samples)
-    report.record(
-        "commute-recompose", commute_resid <= 1e-9, max_error=commute_resid, n_samples=n_samples
-    )
-    report.record(
-        "mixed-associativity-membership",
-        assoc_z <= 1e-12,
-        max_error=assoc_z,
-        n_samples=n_samples,
-        notes="z bookkeeping: adding then removing equal z values leaves roundoff",
-    )
-    report.record(
-        "mixed-associativity-recompose",
-        assoc_resid <= 1e-9,
-        max_error=assoc_resid,
-        n_samples=n_samples,
-    )
-    report.record(
-        "quotient-z-additivity",
-        coset_exact,
-        max_error=0.0 if coset_exact else 1.0,
-        n_samples=n_samples,
-        notes="coset of a product depends only on the z sum",
-    )
     return report

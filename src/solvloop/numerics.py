@@ -1,6 +1,6 @@
 """Root finding and least-squares utilities for the loop verifiers.
 
-Three workhorses:
+Two workhorses:
 
   * root_rows: sign-change scans of many functions (one row each) over
     uniform grids, evaluated in blocks, plus one batched bisection of
@@ -12,8 +12,6 @@ Three workhorses:
     sections.line_residual_rows), the scan skips every chunk of
     CHUNK_CELLS cells whose enclosure proves the sign of all its nodes,
     and its result stays exactly that of the full scan.
-  * newton1d: damped scalar Newton iteration with a central-difference
-    derivative, the fast path when only some root is needed.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -34,7 +32,6 @@ __all__ = [
     "root_rows",
     "root1d",
     "bisect",
-    "newton1d",
     "fit_saturating_exponential",
     "twisted_additivity_residual",
 ]
@@ -410,35 +407,6 @@ def root1d(
     if isinstance(roots, ValueError):
         raise roots
     return roots
-
-
-def newton1d(
-    fn: Callable[[float], float], start: float, tol: float = 1e-12, max_iter: int = 50
-) -> Optional[float]:
-    """Damped Newton iteration from start; None on divergence or a flat derivative."""
-    x = float(start)
-    step = 1e-6
-    for _ in range(max_iter):
-        fx = float(fn(x))
-        if not math.isfinite(fx):
-            return None
-        if abs(fx) <= tol:
-            return x
-        d = (float(fn(x + step)) - float(fn(x - step))) / (2.0 * step)
-        if d == 0.0 or not math.isfinite(d):
-            return None
-        delta = fx / d
-        lam = 1.0
-        for _ in range(30):
-            trial = x - lam * delta
-            ftrial = float(fn(trial))
-            if math.isfinite(ftrial) and abs(ftrial) < abs(fx):
-                x = trial
-                break
-            lam *= 0.5
-        else:
-            return None
-    return x if abs(float(fn(x))) <= 10.0 * tol else None
 
 
 @dataclass(frozen=True)

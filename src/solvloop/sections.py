@@ -60,9 +60,11 @@ _EXPR_VARIABLES = {2: ("x", "z"), 3: ("x", "y", "z")}
 class FunctionSpec:
     """A continuous section parameter function vanishing at the origin.
 
-    arity 2 means f(x, z); arity 3 means f(x, y, z).  Implementations must
-    accept numpy arrays elementwise (all shipped presets and parsed
-    expressions do), which keeps the root scans vectorized.
+    arity 2 means f(x, z); arity 3 means f(x, y, z).  preset and
+    from_expression evaluate a parsed expression and keep its tree, with
+    which the root scans skip the nodes whose sign an interval enclosure
+    proves.  A plain callable (from_callable) has no tree; it must accept
+    numpy arrays elementwise, which keeps the root scans vectorized.
     """
 
     arity: int
@@ -92,52 +94,40 @@ class FunctionSpec:
 
     @classmethod
     def from_expression(cls, text: str, arity: int) -> "FunctionSpec":
-        names = _EXPR_VARIABLES.get(arity)
-        if names is None:
-            raise ValueError("arity must be 2 or 3")
-        tree = expressions.parse(text, names)
-        return cls(arity=arity, fn=expressions.as_function(tree, names), label=text, tree=tree)
+        return cls._parsed(text, arity, text, {})
 
     @classmethod
     def preset(cls, name: str, arity: int, coefficient: Optional[float] = None) -> "FunctionSpec":
         try:
-            default, builder = PRESETS[name]
+            text, default = PRESETS[name]
         except KeyError:
             raise ValueError(
                 f"unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})"
             ) from None
         coeff = default if coefficient is None else float(coefficient)
-        return cls(arity=arity, fn=builder(coeff), label=f"{name}[{coeff!r}]")
+        return cls._parsed(text, arity, f"{name}[{coeff!r}]", {"c": coeff})
+
+    @classmethod
+    def _parsed(cls, text: str, arity: int, label: str, constants: dict) -> "FunctionSpec":
+        """text over the arity's variables, with the named constants' values substituted."""
+        names = _EXPR_VARIABLES.get(arity)
+        if names is None:
+            raise ValueError("arity must be 2 or 3")
+        tree = expressions.substitute(
+            expressions.parse(text, (*names, *constants)),
+            {name: expressions.Const(value) for name, value in constants.items()},
+        )
+        return cls(arity, expressions.as_function(tree, names), label, tree)
 
 
-def _preset_zero(coeff: float):
-    return lambda *args: 0.0
-
-
-def _preset_linear_x(coeff: float):
-    return lambda *args: coeff * args[0]
-
-
-def _preset_bilinear(coeff: float):
-    return lambda *args: coeff * args[0] * args[-1]
-
-
-def _preset_saturating(coeff: float):
-    return lambda *args: coeff * -np.expm1(-args[-1])
-
-
-def _preset_sin_small(coeff: float):
-    return lambda *args: coeff * np.sin(args[0])
-
-
-# name -> (default coefficient, builder).  The last positional argument is
-# always z, the first always x, so every preset works at either arity.
-PRESETS: dict[str, tuple[float, Callable[[float], Callable[..., float]]]] = {
-    "zero": (0.0, _preset_zero),
-    "linear-x": (1.0, _preset_linear_x),
-    "bilinear": (1.0, _preset_bilinear),
-    "lemma1": (1.0, _preset_saturating),
-    "sin-small": (0.1, _preset_sin_small),
+# name -> (expression in x, z and the coefficient c, default coefficient).
+# Every preset uses only x and z, so it works at either arity.
+PRESETS: dict[str, tuple[str, float]] = {
+    "zero": ("0", 0.0),
+    "linear-x": ("c*x", 1.0),
+    "bilinear": ("c*x*z", 1.0),
+    "lemma1": ("c*-expm1(-z)", 1.0),
+    "sin-small": ("c*sin(x)", 0.1),
 }
 
 _CASE_SUBGROUP = {"A": SubgroupId.H1, "B": SubgroupId.H2, "C": SubgroupId.H3}
@@ -388,8 +378,8 @@ def line_residual_rows(lines: Sequence[RightTranslationLine]):
     expressions.enclose of the residual's float steps written as one tree
     (the point bx + u*dx, by + u*dy, qz, the section's tree there, then
     u - scale*f), so it contains the computed values, not only the exact
-    ones.  It is None when the section function has no tree (presets and
-    plain callables).
+    ones.  It is None when the section function has no tree (a plain
+    callable).
     """
     fn = lines[0].fn if lines else None
     cols = np.array(

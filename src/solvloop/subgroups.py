@@ -52,9 +52,7 @@ __all__ = [
     "embed",
     "decompose",
     "membership_residual",
-    "in_subgroup",
     "classify_subalgebra",
-    "classify_direction",
     "classify_suite",
     "canonical_span_generator",
     "fixed_point_witness",
@@ -170,16 +168,11 @@ def membership_residual(sub: SubgroupId, g: GroupElement) -> float:
     return coordinate_distance((g.x1, g.x2, g.x3), (0.0, 0.0, 0.0))
 
 
-def in_subgroup(sub: SubgroupId, g: GroupElement, tol: float = 1e-9) -> bool:
-    return membership_residual(sub, g) <= tol
-
-
 class SubalgebraKind(enum.Enum):
     H1 = "H1"
     H2 = "H2"
     H3 = "H3"
     NORMAL_INADMISSIBLE = "NormalInadmissible"
-    NOT_IN_COMMUTATOR = "NotInCommutator"
 
 
 @dataclass(frozen=True)
@@ -217,13 +210,6 @@ def classify_subalgebra(p: GroupParam, b1: float, b2: float, b3: float) -> Subal
         phi = AutomorphismParams(variant="generic", k1=b3 / b2, l=1.0)
         return SubalgebraClass(SubalgebraKind.H3, phi, scale=b3)
     return SubalgebraClass(SubalgebraKind.NORMAL_INADMISSIBLE, None)
-
-
-def classify_direction(p: GroupParam, v: AlgebraVector) -> SubalgebraClass:
-    """Classify an arbitrary tangent direction; c4 != 0 leaves the commutator slab."""
-    if v.c4 != 0:
-        return SubalgebraClass(SubalgebraKind.NOT_IN_COMMUTATOR, None)
-    return classify_subalgebra(p, v.c3, v.c1, v.c2)
 
 
 def canonical_span_generator(kind: SubalgebraKind) -> AlgebraVector:

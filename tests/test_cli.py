@@ -414,6 +414,23 @@ def test_library_suites_match_cli(tmp_path):
         assert code == (1 if report.status == "fail" else 0)
 
 
+def test_fn_errors_are_usage_errors_naming_fn(capsys):
+    # Python's ** makes (-8)^(1/3) complex; a syntax error and a base-point
+    # violation are the expression's fault too
+    cases = [
+        ["transitivity", "--case", "C", "--a", "2", "--fn", "(-8)^(1/3)*x"],
+        ["transitivity", "--case", "C", "--a", "2", "--fn", "(-8)^0.5*x"],
+        ["lemma1", "--fn", "(-8)^(1/3)*z"],
+        ["transitivity", "--case", "C", "--a", "2", "--fn", "x+"],
+        ["lemma1", "--fn", "z+"],
+        ["generation", "--case", "A", "--a", "2", "--fn", "x+1"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: --fn: ") and "Traceback" not in err, argv
+
+
 def test_box_too_wide_for_floats_is_a_usage_error(capsys):
     # HI - LO overflows: the window, not the section function, is at fault
     argv = ["transitivity", "--case", "C", "--a", "2", "--preset", "sin-small",
@@ -435,9 +452,21 @@ IMPLICIT_EXPR = [
 ]
 
 
+# Its implicit-preset twin: the same functions as presets.
+IMPLICIT_PRESET = [
+    "loop-check --case B --a 2 --preset lemma1",
+    "loop-check --case C --a 2 --preset sin-small",
+    "loop-check --case C --a 0.5 --preset bilinear",
+    "transitivity --case B --a 2 --preset lemma1",
+    "transitivity --case B --a -1 --preset sin-small",
+    "transitivity --case C --a 2 --preset sin-small",
+    "transitivity --case C --a 2 --preset sin-small --coeff 6",
+]
+
+
 def _reports(capsys, seed):
     out = []
-    for command in IMPLICIT_EXPR:
+    for command in IMPLICIT_EXPR + IMPLICIT_PRESET:
         code = main(command.split() + ["--seed", str(seed)])
         out.append((code, json.loads(capsys.readouterr().out)))
     return out
@@ -452,7 +481,7 @@ def test_enclosure_pruning_changes_no_report(capsys, monkeypatch, seed):
     for module in (solvloop.sections, solvloop.loops):
         monkeypatch.setattr(module, "line_residual_rows", lambda lines: (full(lines)[0], None))
     assert _reports(capsys, seed) == pruned
-    assert [code for code, _ in pruned] == [0] * 6 + [1]
+    assert [code for code, _ in pruned] == ([0] * 6 + [1]) * 2
 
 
 def test_enclosure_pruning_evaluates_few_section_points(capsys, monkeypatch):
@@ -465,6 +494,8 @@ def test_enclosure_pruning_evaluates_few_section_points(capsys, monkeypatch):
         return call(self, *args)
 
     monkeypatch.setattr(solvloop.FunctionSpec, "__call__", counted)
-    assert main(["transitivity", "--case", "C", "--a", "2", "--fn", "0.1*sin(x)"]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "pass"
-    assert 0 < sum(points) < 100_000
+    for section in (["--fn", "0.1*sin(x)"], ["--preset", "sin-small"]):
+        points.clear()
+        assert main(["transitivity", "--case", "C", "--a", "2", *section]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert 0 < sum(points) < 100_000, section

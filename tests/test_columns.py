@@ -215,8 +215,8 @@ def test_batched_right_division_equals_one_pair_at_a_time(case, fn, rows):
     c = sl.LoopCase(_spec(case, 2.0, fn))
     problems = [(sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])) for r in rows]
     with np.errstate(all="ignore"):
-        batch = sl.loops.loop_rdiv_batch(c, problems, check_unique=True)
-        alone = [sl.loops.loop_rdiv_batch(c, [pair], check_unique=True)[0] for pair in problems]
+        batch = sl.loops.loop_rdiv_batch(c, problems)
+        alone = [sl.loops.loop_rdiv_batch(c, [pair])[0] for pair in problems]
     for got, want in zip(batch, alone):
         assert type(got) is type(want)
         if isinstance(want, sl.LoopPoint):
@@ -357,7 +357,7 @@ def _axiom_suite_reference(c, n, seed):
         w = sl.loop_ldiv(c, m1, b)
         ldiv_max = max(ldiv_max, sl.coordinate_distance(sl.loop_mul(c, m1, w).coords, b.coords))
         target = sl.loop_mul(c, b, m2)
-        q = sl.loop_rdiv(c, target, m2, check_unique=c.spec.case != "A")
+        q = sl.loop_rdiv(c, target, m2)
         d = sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, target.coords)
         rdiv_max = max(rdiv_max, d)
         z_max = max(z_max, abs(sl.loop_mul(c, m1, m2).z - (m1.z + m2.z)))

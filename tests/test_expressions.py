@@ -182,6 +182,9 @@ def test_enclose_contains_every_computed_value(tree, x, y, fractions):
         ("abs(x) + 2^3", (-3.0, 1.0), (8.0, 11.0)),
         ("exp(-x)", (math.inf, math.inf), (0.0, 0.0)),
         ("sin(x)", (1e7, 1e7 + 1), (-1.0, 1.0)),
+        ("expm1(x)", (-800.0, -40.0), (-1.0, -1.0)),  # saturates at -1
+        ("expm1(x)", (-1e-10, 1e-10), (math.expm1(-1e-10), math.expm1(1e-10))),
+        ("expm1(x)", (710.0, 800.0), None),  # overflows beyond 709.78
     ],
 )
 def test_enclose_edges(text, x, expected):

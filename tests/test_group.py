@@ -114,20 +114,6 @@ def test_as_matrix_layout():
     assert np.abs(M - expect).max() == 0.0
 
 
-def test_from_matrix_round_trip_and_validation():
-    p = sl.GroupParam(-1.0)
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        g = rand_element(rng, half=2.0)
-        back = sl.from_matrix(p, sl.as_matrix(p, g))
-        assert sl.coordinate_distance(back.coords, g.coords) <= 1e-12
-        assert all(isinstance(c, float) for c in back.coords)
-    bad = sl.as_matrix(p, sl.GroupElement(1, 0, 0, 1))
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        sl.from_matrix(p, bad)
-
-
 def test_conjugate_is_g_h_ginv():
     p = sl.GroupParam(2.0)
     rng = np.random.default_rng(2)

@@ -158,20 +158,23 @@ def test_rdiv_product_round_trip(case, preset):
         m1 = rand_point(rng, z_half=z_half)
         m2 = rand_point(rng, z_half=z_half)
         b = sl.loop_mul(c, m1, m2)
-        q = sl.loop_rdiv(c, b, m2, check_unique=(case != "A"))
+        q = sl.loop_rdiv(c, b, m2)
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
 
-@pytest.mark.parametrize("check_unique", (False, True))
+@pytest.mark.parametrize("pruned", (False, True))
 @pytest.mark.parametrize("case,preset", [("B", "lemma1"), ("B", "sin-small"), ("C", "sin-small")])
-def test_rdiv_line_round_trip_both_paths(case, preset, check_unique):
-    # Newton by default, the bracketing scan with check_unique: same quotient
+def test_rdiv_line_round_trip_both_paths(case, preset, pruned):
+    # the preset's tree lets the scan skip the nodes whose sign its enclosure
+    # proves; the same function without a tree scans every node
     c = case_for(case, preset)
+    if not pruned:
+        c = sl.LoopCase(sl.SectionSpec(case, P2, sl.FunctionSpec.from_callable(c.spec.fn.fn, 3)))
     rng = np.random.default_rng(60)
     for _ in range(20):
         m1, m2 = rand_point(rng), rand_point(rng)
         b = sl.loop_mul(c, m1, m2)
-        q = sl.loop_rdiv(c, b, m2, check_unique=check_unique)
+        q = sl.loop_rdiv(c, b, m2)
         assert sl.coordinate_distance(q.coords, m1.coords) <= 1e-8
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
@@ -181,9 +184,8 @@ def test_rdiv_case_b_z_zero_is_exact():
     c = case_for("B", "sin-small")
     m2 = sl.LoopPoint(1.5, -2.0, 0.0)
     b = sl.LoopPoint(0.3, 0.7, 0.4)
-    for check_unique in (False, True):
-        q = sl.loop_rdiv(c, b, m2, check_unique=check_unique)
-        assert q.coords == (0.3 - math.exp(0.8) * 1.5, 0.7 + math.exp(0.4) * 2.0, 0.4)
+    q = sl.loop_rdiv(c, b, m2)
+    assert q.coords == (0.3 - math.exp(0.8) * 1.5, 0.7 + math.exp(0.4) * 2.0, 0.4)
 
 
 def test_rdiv_gate_rejects_nan_product(monkeypatch):
@@ -204,10 +206,7 @@ def test_rdiv_multiple_roots_error():
     m = sl.LoopPoint(1.0, 0.0, 1.0)
     target = sl.loop_mul(c, m, m)
     with pytest.raises(sl.MultipleRootsError):
-        sl.loop_rdiv(c, target, m, check_unique=True)
-    # without the uniqueness demand some valid divisor is still produced
-    q = sl.loop_rdiv(c, target, m, check_unique=False)
-    assert sl.coordinate_distance(sl.loop_mul(c, q, m).coords, target.coords) <= 1e-8
+        sl.loop_rdiv(c, target, m)
 
 
 def test_rdiv_no_root_error():
@@ -216,8 +215,7 @@ def test_rdiv_no_root_error():
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2", 3))
     c = sl.LoopCase(spec)
     with pytest.raises(sl.NoRootInBoxError):
-        sl.loop_rdiv(c, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5),
-                     check_unique=True)
+        sl.loop_rdiv(c, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
 
 
 def test_division_errors_share_base_class():
@@ -330,25 +328,6 @@ def test_loop_case_caches_degeneracy():
 
 # ---------------------------------------------------------------- solvability
 
-def test_normal_subloop_check_case_a():
-    for preset in ("linear-x", "bilinear"):
-        rep = sl.normal_subloop_check(case_for("A", preset), n_samples=60, seed=2)
-        assert rep.status == "pass"
-        names = [c.name for c in rep.checks]
-        assert names == [
-            "commute-membership",
-            "commute-recompose",
-            "mixed-associativity-membership",
-            "mixed-associativity-recompose",
-            "quotient-z-additivity",
-        ]
-
-
-def test_normal_subloop_check_rejects_other_cases():
-    with pytest.raises(ValueError):
-        sl.normal_subloop_check(case_for("B", "lemma1"))
-
-
 @pytest.mark.parametrize("case", ("B", "C"))
 def test_axiom_suite_records_non_finite_scan_as_failed_rdiv(case):
     # sqrt(x) is NaN on part of every scan window: the division fails as a
@@ -370,7 +349,7 @@ def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
     b = sl.loop_mul(c, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
     with pytest.raises(sl.SolverDivergenceError, match="is not a root"):
-        sl.loop_rdiv(c, b, m2, check_unique=True)
+        sl.loop_rdiv(c, b, m2)
 
 
 def test_axiom_suite_right_divisions_batch_section_calls():
@@ -388,6 +367,6 @@ def test_axiom_suite_right_divisions_batch_section_calls():
     m1, m2, b = sl.loops._sample_points(Stream(0), 500, 3, 5.0, 0.5)
     problems = list(zip(sl.loops._rows(sl.loop_mul(c, b, m2)), sl.loops._rows(m2)))
     calls.clear()
-    quotients = sl.loops.loop_rdiv_batch(c, problems, check_unique=True)
+    quotients = sl.loops.loop_rdiv_batch(c, problems)
     assert all(isinstance(q, sl.LoopPoint) for q in quotients)
     assert len(calls) < 100

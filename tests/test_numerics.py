@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import solvloop as sl
 from solvloop import expressions as ex
 from solvloop import numerics
-from solvloop.numerics import bisect, newton1d, root_rows
+from solvloop.numerics import bisect, root_rows
 
 
 # ---------------------------------------------------------------- 1-D roots
@@ -286,19 +286,6 @@ def test_bisection_stops_where_doubles_are_wider_than_tol():
     lo, hi = np.linspace(0.0, 2e5, 11)[7:9].tolist()
     assert root == bisect(lambda x: x * x - 2e10, lo, hi)
     assert abs(root - math.sqrt(2e10)) <= 2 * math.ulp(root)
-
-
-# ---------------------------------------------------------------- Newton
-
-def test_newton1d_quadratic():
-    r = newton1d(lambda x: x * x - 2.0, 1.0)
-    assert r is not None
-    assert abs(r - math.sqrt(2.0)) < 1e-12
-
-
-def test_newton1d_no_root_returns_none():
-    assert newton1d(lambda x: x * x + 1.0, 0.5) is None
-    assert newton1d(lambda x: math.nan, 0.0) is None
 
 
 # ---------------------------------------------------------------- fitting

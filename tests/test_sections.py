@@ -1,6 +1,8 @@
 """Section specs, lifts, degeneracy verdicts and sharp-transitivity scans."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +37,49 @@ def test_preset_coefficient_override_and_label():
     f = sl.FunctionSpec.preset("linear-x", 2, -2.5)
     assert f.fn(2.0, 0.0) == -5.0
     assert "linear-x" in f.label
+
+
+# The preset builders from before presets were expressions: the first
+# argument is x and the last z at either arity.
+_PRESET_LAMBDAS = {
+    "zero": lambda coeff: lambda *args: 0.0,
+    "linear-x": lambda coeff: lambda *args: coeff * args[0],
+    "bilinear": lambda coeff: lambda *args: coeff * args[0] * args[-1],
+    "lemma1": lambda coeff: lambda *args: coeff * -np.expm1(-args[-1]),
+    "sin-small": lambda coeff: lambda *args: coeff * np.sin(args[0]),
+}
+
+
+@pytest.mark.parametrize("arity", (2, 3))
+@pytest.mark.parametrize("name", sorted(_PRESET_LAMBDAS))
+def test_presets_equal_their_former_lambdas_bit_for_bit(name, arity):
+    assert set(_PRESET_LAMBDAS) == set(sl.PRESETS)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 800.0]
+    rows = np.concatenate([
+        np.random.default_rng(3).uniform(-40.0, 40.0, (200, arity)),
+        np.array(list(itertools.product(special, repeat=arity))),
+    ])
+    for coeff in (None, -2.5, 1e308, -0.0, math.nan, math.inf):
+        old = _PRESET_LAMBDAS[name](sl.PRESETS[name][1] if coeff is None else coeff)
+        try:
+            spec = sl.FunctionSpec.preset(name, arity, coeff)
+        except ValueError as err:  # not finite at the origin, as the lambda was
+            with pytest.raises(ValueError, match=re.escape(str(err))), np.errstate(all="ignore"):
+                sl.FunctionSpec.from_callable(old, arity)
+            continue
+        with np.errstate(all="ignore"):
+            pairs = [(spec.fn(*rows.T), old(*rows.T))]
+            pairs += [(spec.fn(*row), old(*row)) for row in rows.tolist()]
+        for got, want in pairs:
+            assert type(got) is type(want)
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            # a NaN's sign bit can change between two calls of one function
+            # (CPython's specialised float multiply propagates the other
+            # operand's NaN once warm), so NaNs compare by position
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (name, coeff)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (name, coeff)
 
 
 def test_unknown_preset_rejected():

@@ -50,7 +50,7 @@ def test_subgroup_elements_form_one_parameter_subgroups():
             for _ in range(15):
                 s, t = (float(x) for x in rng.uniform(-2, 2, 2))
                 prod = sl.mul(p, sl.subgroup_element(sub, s), sl.subgroup_element(sub, t))
-                assert sl.in_subgroup(sub, prod, tol=1e-10)
+                assert sl.membership_residual(sub, prod) <= 1e-10
 
 
 def test_generators_exponentiate_into_subgroups():
@@ -123,7 +123,6 @@ def test_membership_residual_detects_off_slab():
             if abs(g.x4) < 1e-3:
                 continue
             assert sl.membership_residual(sub, g) > 1e-4
-            assert not sl.in_subgroup(sub, g)
 
 
 # ---------------------------------------------------------------- classification
@@ -163,15 +162,6 @@ def test_classify_frozen_table_merged():
     assert (c.automorphism.n1, c.automorphism.n2) == (-2.0, -3.0)
     # at a=1 any b1 != 0 collapses to the H1 class; b1 = 0 is inadmissible
     assert sl.classify_subalgebra(p1, 0.0, 1.0, 1.0).kind is SubalgebraKind.NORMAL_INADMISSIBLE
-
-
-def test_classify_direction_outside_commutator():
-    p = sl.GroupParam(2.0)
-    c = sl.classify_direction(p, sl.AlgebraVector(1.0, 0.0, 0.0, 0.5))
-    assert c.kind is SubalgebraKind.NOT_IN_COMMUTATOR
-    # slab directions delegate to the coefficient classifier
-    c = sl.classify_direction(p, sl.AlgebraVector(0.0, -0.7, 1.0, 0.0))
-    assert c.kind is SubalgebraKind.H1
 
 
 def test_canonical_span_generator_values_and_errors():
