@@ -17,8 +17,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,7 +50,7 @@ def _section_spec(args) -> SectionSpec:
     elif args.fn:
         try:
             fn = FunctionSpec.from_expression(args.fn, arity)
-        except (ValueError, expressions.EvaluationError) as err:
+        except ValueError as err:
             raise ValueError(f"--fn: {err}") from None
     else:
         raise ValueError("provide a section function via --fn or --preset")
@@ -91,7 +90,7 @@ def _lemma1(args) -> VerificationReport:
             tree, label = expressions.parse(args.fn, ("z",)), args.fn
         fn = expressions.as_function(tree, ("z",))
         report = lemma1_suite(fn, rate, _ordered(args.range, "--range"), args.samples, args.K)
-    except (expressions.ExpressionError, expressions.EvaluationError) as err:
+    except expressions.ExpressionError as err:
         raise ValueError(f"--fn: {err}") from None
     report.data["function"] = label
     return report
@@ -155,8 +154,7 @@ def _pair(name: str, default: tuple[float, float]) -> tuple:
     return _flag(name, type=float, nargs=2, default=default, metavar=("LO", "HI"))
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     help: str
     flags: tuple  # _flag tuples or SECTION_FN, in --help order
     run: Callable[[argparse.Namespace], VerificationReport]
@@ -226,13 +224,22 @@ COMMANDS: dict[str, Command] = {
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The solvloop parser with the subparsers of the named commands, by default all.
+
+    Built for fewer commands, its usage line still lists every command.
+    """
+    names = list(commands)
     parser = argparse.ArgumentParser(
         prog="solvloop",
         description="Verification suite for a 4-dimensional solvable group and its coset loops",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    # a metavar would rename `command` in the full parser's "required" and
+    # "invalid choice" errors, so only a parser for fewer commands sets one
+    metavar = None if names == list(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        command = COMMANDS[name]
         sp = sub.add_parser(name, help=command.help)
         sp._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in command.flags:
@@ -275,11 +282,12 @@ def _float_parameters(config: dict) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--fn" and not argv[i + 1].startswith("--"):  # argparse reads -x as a flag
             argv[i : i + 2] = [f"--fn={argv[i + 1]}"]
+    # an invocation builds only the subparser it runs
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -292,6 +300,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = command.run(args)
     except OverflowError as err:
         print(f"error: {err}: overflow with {_float_parameters(config)}", file=sys.stderr)
+        return 2
+    except expressions.EvaluationError as err:  # presets cannot raise it, only --fn
+        print(f"error: --fn: {err}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)

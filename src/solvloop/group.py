@@ -22,8 +22,7 @@ bit for bit as the scalar call would; exponentials go through elementwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,21 +62,18 @@ class VariantMismatchError(ValueError):
     """Automorphism parameters use a variant not available for this shape parameter."""
 
 
-@dataclass(frozen=True)
 class GroupParam:
     """Shape parameter of the group family.  a = 0 is excluded (the matrix form degenerates)."""
 
-    a: float
-
-    def __post_init__(self) -> None:
-        if self.a == 0:
+    def __init__(self, a: float) -> None:
+        if a == 0:
             raise ValueError("shape parameter a must be nonzero")
-        if not math.isfinite(self.a):
+        if not math.isfinite(a):
             raise ValueError("shape parameter a must be finite")
+        self.a = a
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     x1: float
     x2: float
     x3: float
@@ -95,8 +91,7 @@ class GroupElement:
 IDENTITY = GroupElement.identity()
 
 
-@dataclass(frozen=True)
-class AlgebraVector:
+class AlgebraVector(NamedTuple):
     """Tangent vector c1*e1 + c2*e2 + c3*e3 + c4*e4 at the identity."""
 
     c1: float
@@ -153,13 +148,13 @@ def largest(errors) -> float:
 
 
 def stack(points: Sequence):
-    """Points of one coordinate dataclass as one point with a column per coordinate."""
+    """Points of one coordinate record as one point with a column per coordinate."""
     return type(points[0])(*np.array([q.coords for q in points], dtype=float).T)
 
 
 def split(cls, rows: np.ndarray) -> list:
     """Draws with one sample per row as column points of cls, one per run of its arity columns."""
-    arity = len(fields(cls))
+    arity = len(cls._fields)
     return [cls(*rows[:, i : i + arity].T) for i in range(0, rows.shape[1], arity)]
 
 
@@ -311,7 +306,6 @@ def exp_alg(p: GroupParam, v: AlgebraVector, t: float = 1.0) -> GroupElement:
     )
 
 
-@dataclass(frozen=True)
 class AutomorphismParams:
     """Parameters of an automorphism fixing the grading direction modulo the slab.
 
@@ -322,25 +316,29 @@ class AutomorphismParams:
 
     with k1*l != 0.  At a = 1 the weight spaces of e1 and e3 merge and two
     extra entries open up: e1 may also hit e2 (k2) and e3 may hit e1 (n1).
+    vars() of an instance lists the parameters in this signature's order.
     """
 
-    variant: str  # "generic" or "merged"
-    k1: float = 1.0
-    k2: float = 0.0
-    l: float = 1.0
-    n1: float = 0.0
-    n2: float = 0.0
-    f1: float = 0.0
-    f2: float = 0.0
-    f3: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("generic", "merged"):
+    def __init__(
+        self,
+        variant: str,  # "generic" or "merged"
+        k1: float = 1.0,
+        k2: float = 0.0,
+        l: float = 1.0,
+        n1: float = 0.0,
+        n2: float = 0.0,
+        f1: float = 0.0,
+        f2: float = 0.0,
+        f3: float = 0.0,
+    ) -> None:
+        if variant not in ("generic", "merged"):
             raise ValueError("variant must be 'generic' or 'merged'")
-        if self.k1 * self.l == 0:
+        if k1 * l == 0:
             raise ValueError("k1 and l must be nonzero (the map must be invertible)")
-        if self.variant == "generic" and (self.k2 != 0 or self.n1 != 0):
+        if variant == "generic" and (k2 != 0 or n1 != 0):
             raise ValueError("k2 and n1 must vanish in the generic variant")
+        self.variant, self.k1, self.k2, self.l, self.n1 = variant, k1, k2, l, n1
+        self.n2, self.f1, self.f2, self.f3 = n2, f1, f2, f3
 
     @classmethod
     def identity(cls, variant: str = "generic") -> "AutomorphismParams":

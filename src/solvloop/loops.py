@@ -28,7 +28,6 @@ of the whole construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -82,11 +81,11 @@ class SolverDivergenceError(RightDivisionError):
     pass
 
 
-@dataclass(frozen=True)
 class LoopCase:
     """A loop family member: a section spec plus its cached generation verdict."""
 
-    spec: SectionSpec
+    def __init__(self, spec: SectionSpec) -> None:
+        self.spec = spec
 
     @cached_property
     def degeneracy(self) -> GenerationVerdict:

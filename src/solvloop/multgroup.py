@@ -14,8 +14,7 @@ theorem2_suite turns it into checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -180,8 +179,7 @@ def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId, tol: float = 1e-
     return membership_residual(sub, conj) <= tol
 
 
-@dataclass(frozen=True)
-class NormalizerRecord:
+class NormalizerRecord(NamedTuple):
     subgroup: str
     slab_samples: int
     slab_normalizing: int
@@ -202,18 +200,13 @@ class NormalizerRecord:
 
     def to_dict(self) -> dict:
         return {
-            "subgroup": self.subgroup,
-            "slab_samples": self.slab_samples,
-            "slab_normalizing": self.slab_normalizing,
-            "off_slab_samples": self.off_slab_samples,
-            "off_slab_normalizing": self.off_slab_normalizing,
+            **self._asdict(),
             "normalizer_equals_commutator": self.normalizer_equals_commutator,
             "normalizer_dim_estimate": self.normalizer_dim_estimate,
         }
 
 
-@dataclass(frozen=True)
-class Theorem2Certificate:
+class Theorem2Certificate(NamedTuple):
     a: float
     records: tuple[NormalizerRecord, ...]
     center_trivial: bool
@@ -223,15 +216,7 @@ class Theorem2Certificate:
     notes: str
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "records": [r.to_dict() for r in self.records],
-            "center_trivial": self.center_trivial,
-            "contradiction": self.contradiction,
-            "min_central_defect": self.min_central_defect,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        return {**self._asdict(), "records": [r.to_dict() for r in self.records]}
 
 
 def theorem2_certificate(

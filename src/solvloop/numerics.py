@@ -20,8 +20,7 @@ Two workhorses:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -409,8 +408,7 @@ def root1d(
     return roots
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     coefficient: float
     rms_residual: float
     max_residual: float

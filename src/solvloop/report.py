@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
@@ -31,17 +30,19 @@ SCHEMA_VERSION = 1
 RNG = "PCG64"
 
 
-@dataclass
 class Check:
-    name: str
-    status: str  # "pass", "warn" or "fail"
-    max_error: Optional[float] = None
-    n_samples: int = 0
-    notes: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "warn", "fail"):
-            raise ValueError(f"invalid check status {self.status!r}")
+    def __init__(
+        self,
+        name: str,
+        status: str,  # "pass", "warn" or "fail"
+        max_error: Optional[float] = None,
+        n_samples: int = 0,
+        notes: str = "",
+    ) -> None:
+        if status not in ("pass", "warn", "fail"):
+            raise ValueError(f"invalid check status {status!r}")
+        self.name, self.status, self.max_error = name, status, max_error
+        self.n_samples, self.notes = n_samples, notes
 
     def to_dict(self) -> dict:
         return {
@@ -53,14 +54,22 @@ class Check:
         }
 
 
-@dataclass
 class VerificationReport:
-    command: Optional[str] = None
-    config: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    seed: Optional[int] = None
-    data: dict = field(default_factory=dict)
-    wall_time_s: Optional[float] = None
+    def __init__(
+        self,
+        command: Optional[str] = None,
+        config: Optional[dict] = None,
+        checks: Optional[list[Check]] = None,
+        seed: Optional[int] = None,
+        data: Optional[dict] = None,
+        wall_time_s: Optional[float] = None,
+    ) -> None:
+        self.command = command
+        self.config = {} if config is None else config
+        self.checks = [] if checks is None else checks
+        self.seed = seed
+        self.data = {} if data is None else data
+        self.wall_time_s = wall_time_s
 
     def record(
         self,
@@ -125,7 +134,7 @@ def _finite(value, path: str, found: list[str]):
         return None
     if isinstance(value, dict):
         return {k: _finite(v, f"{path}.{k}", found) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # a record (a tuple subclass) is no list
         return [_finite(v, f"{path}[{i}]", found) for i, v in enumerate(value)]
     return value
 
@@ -152,7 +161,7 @@ def _render(value, indent: int) -> str:
             f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         if not value:
             return "[]"
         items = [f"{inner}{_render(v, indent + 1)}" for v in value]

@@ -22,8 +22,7 @@ translations are bijective by counting the roots of that equation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +55,6 @@ BASE_POINT_TOL = 1e-12
 _EXPR_VARIABLES = {2: ("x", "z"), 3: ("x", "y", "z")}
 
 
-@dataclass(frozen=True)
 class FunctionSpec:
     """A continuous section parameter function vanishing at the origin.
 
@@ -65,28 +63,48 @@ class FunctionSpec:
     which the root scans skip the nodes whose sign an interval enclosure
     proves.  A plain callable (from_callable) has no tree; it must accept
     numpy arrays elementwise, which keeps the root scans vectorized.
+
+    A call that raises EvaluationError raises it again with the label and
+    the first input row at which the function raises.
     """
 
-    arity: int
-    fn: Callable[..., float]
-    label: str
-    tree: Optional[expressions.Node] = None
-
-    def __post_init__(self) -> None:
-        if self.arity not in (2, 3):
+    def __init__(
+        self,
+        arity: int,
+        fn: Callable[..., float],
+        label: str,
+        tree: Optional[expressions.Node] = None,
+    ) -> None:
+        if arity not in (2, 3):
             raise ValueError("arity must be 2 or 3")
-        base = float(self.fn(*([0.0] * self.arity)))
+        base = float(fn(*([0.0] * arity)))
         if not math.isfinite(base):
             raise ValueError("function is not finite at the origin")
         if abs(base) > BASE_POINT_TOL:
             raise ValueError(
                 f"base-point constraint violated: f(0,...,0) = {base!r} (must vanish)"
             )
+        self.arity, self.fn, self.label, self.tree = arity, fn, label, tree
 
     def __call__(self, *args):
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.fn(*args)
+        try:
+            return self.fn(*args)
+        except expressions.EvaluationError as err:
+            raise expressions.EvaluationError(f"{self.label}: {err}{self._at(args)}") from None
+
+    def _at(self, args) -> str:
+        """The text ' at (x, y, z) = (...)' naming the first row of args at which fn raises, or ''."""
+        rows = [np.ravel(column) for column in np.broadcast_arrays(*args)]
+        for i in range(rows[0].size):
+            row = [column[i] for column in rows]
+            try:
+                self.fn(*row)
+            except expressions.EvaluationError:
+                names = ", ".join(_EXPR_VARIABLES[self.arity])
+                return f" at ({names}) = ({', '.join(repr(float(v)) for v in row)})"
+        return ""
 
     @classmethod
     def from_callable(cls, fn: Callable[..., float], arity: int, label: str = "custom") -> "FunctionSpec":
@@ -134,22 +152,18 @@ _CASE_SUBGROUP = {"A": SubgroupId.H1, "B": SubgroupId.H2, "C": SubgroupId.H3}
 _CASE_ARITY = {"A": 2, "B": 3, "C": 3}
 
 
-@dataclass(frozen=True)
 class SectionSpec:
-    case: str
-    param: GroupParam
-    fn: FunctionSpec
-
-    def __post_init__(self) -> None:
-        if self.case not in _CASE_SUBGROUP:
+    def __init__(self, case: str, param: GroupParam, fn: FunctionSpec) -> None:
+        if case not in _CASE_SUBGROUP:
             raise ValueError("case must be 'A', 'B' or 'C'")
-        if self.case in ("B", "C") and self.param.a == 1:
-            raise InadmissibleSubgroupError(f"case {self.case} requires a != 1")
-        if self.fn.arity != _CASE_ARITY[self.case]:
+        if case in ("B", "C") and param.a == 1:
+            raise InadmissibleSubgroupError(f"case {case} requires a != 1")
+        if fn.arity != _CASE_ARITY[case]:
             raise ValueError(
-                f"case {self.case} needs a {_CASE_ARITY[self.case]}-argument function, "
-                f"got arity {self.fn.arity}"
+                f"case {case} needs a {_CASE_ARITY[case]}-argument function, "
+                f"got arity {fn.arity}"
             )
+        self.case, self.param, self.fn = case, param, fn
 
     @property
     def subgroup(self) -> SubgroupId:
@@ -175,8 +189,7 @@ def section_lift(spec: SectionSpec, m: LoopPoint) -> GroupElement:
     return GroupElement(m.x + elementwise(math.exp, a * m.z) * v, e * v, m.y, m.z)
 
 
-@dataclass(frozen=True)
-class GenerationVerdict:
+class GenerationVerdict(NamedTuple):
     """Outcome of the two degeneracy identities on a sampled box.
 
     generates=False certifies (numerically, on the tested box) that the
@@ -196,7 +209,7 @@ class GenerationVerdict:
     notes: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
@@ -314,8 +327,7 @@ def lemma1_suite(
     return report
 
 
-@dataclass(frozen=True)
-class RightTranslationLine:
+class RightTranslationLine(NamedTuple):
     """The equation q * m2 = b of cases B and C reduced to one scalar unknown.
 
     Every solution has q = (base + u*direction, qz) with u solving

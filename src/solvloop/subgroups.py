@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .group import (
     AlgebraVector,
@@ -82,8 +81,7 @@ class SubgroupId(enum.Enum):
             raise InadmissibleSubgroupError(f"{self.value} coincides with a weight space at a = 1")
 
 
-@dataclass(frozen=True)
-class LoopPoint:
+class LoopPoint(NamedTuple):
     """Coordinates in a coset chart; also the points of the derived loops.
 
     Like GroupElement, the coordinates may be floats or equal-length
@@ -103,8 +101,7 @@ class LoopPoint:
         return cls(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class DecompResult:
+class DecompResult(NamedTuple):
     rep: LoopPoint
     k: float
 
@@ -175,8 +172,7 @@ class SubalgebraKind(enum.Enum):
     NORMAL_INADMISSIBLE = "NormalInadmissible"
 
 
-@dataclass(frozen=True)
-class SubalgebraClass:
+class SubalgebraClass(NamedTuple):
     kind: SubalgebraKind
     automorphism: Optional[AutomorphismParams]
     scale: Optional[float] = None  # image of the generator is scale * canonical generator
@@ -248,7 +244,7 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
             max_error=bracket_resid,
             n_samples=50,
         )
-        data["automorphism"] = asdict(phi)
+        data["automorphism"] = dict(vars(phi))
         data["scale"] = result.scale
     else:
         report.record(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import solvloop
+import solvloop.cli
 from solvloop.cli import COMMANDS, build_parser, main
 
 
@@ -207,7 +208,7 @@ def test_preset_choices_follow_presets(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("seed", (28, 32, 79, 1177813520))
+@pytest.mark.parametrize("seed", (28, 32, 79, 239, 268, 1177813520, 2147483647))
 def test_verify_group_exp_one_parameter_regression_seeds(tmp_path, seed):
     # seeds on which a truncated-series exponential missed the 1e-12 tolerance
     code, path = run_to_file(tmp_path, "vg.json", ["verify-group", "--a", "2", "--seed", str(seed)])
@@ -359,6 +360,46 @@ def test_module_entry_point(tmp_path):
 
 # ---------------------------------------------------------------- the table
 
+def _parser_cases() -> list[list[str]]:
+    cases = [["--help"], [], ["nonsense-command"], ["verify-group", "--a", "2", "--bogus"]]
+    for name in COMMANDS:
+        bad_value = ["--rate", "0"] if name == "lemma1" else ["--a", "zz"]
+        cases += [[name, "--help"], [name], [name, "--bogus"], [name, *bad_value]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # main builds only the subparser of the command it runs; its help, usage
+    # and error lines and exit codes are those of the parser of every command
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code = main(list(argv))
+        got = (code, *capsys.readouterr())
+        with monkeypatch.context() as patched:
+            full = build_parser()
+            patched.setattr(solvloop.cli, "build_parser", lambda commands: full)
+            code = main(list(argv))
+        assert got == (code, *capsys.readouterr()), columns
+
+
+def test_parser_errors_name_the_command_argument(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
+    assert main(["nonsense-command"]) == 2
+    assert "error: argument command: invalid choice: 'nonsense-command'" in capsys.readouterr().err
+
+
+def test_import_loads_neither_dataclasses_nor_numpy_random():
+    # dataclass code generation and numpy.random would each cost every
+    # invocation milliseconds before its command starts
+    src = str(Path(solvloop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, solvloop.cli; print('dataclasses' in sys.modules, 'numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["False", "False"], proc.stderr
+
+
 def test_command_table_matches_parser(capsys):
     # every echoed config key is an argument of its subcommand, and every
     # subcommand's help renders
@@ -429,6 +470,18 @@ def test_fn_errors_are_usage_errors_naming_fn(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: --fn: ") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("command", ["generation", "loop-check"])
+def test_section_errors_at_a_sampled_point_name_fn_and_the_point(capsys, command):
+    # the degeneracy grid reaches y = 5 exactly, where the division guard fires
+    assert main([command, "--case", "C", "--a", "2", "--fn", "x/(y-5)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --fn: x/(y-5): division by (near-)zero denominator"
+        " at (x, y, z) = (-5.0, 5.0, 0.0)\n"
+    )
 
 
 def test_box_too_wide_for_floats_is_a_usage_error(capsys):

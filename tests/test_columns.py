@@ -1,6 +1,6 @@
 """Column-valued laws: every row of a column call is its scalar call, bit for bit.
 
-The coordinate dataclasses hold floats or equal-length float64 columns.  For
+The coordinate records hold floats or equal-length float64 columns.  For
 each law that takes columns, a column call must give, row by row, exactly
 the bits of the scalar call on that row, NaN and infinite rows included, and
 raise OverflowError exactly when some row's scalar call does.  The sampled

@@ -35,6 +35,19 @@ def test_param_rejects_zero_and_nonfinite():
         sl.GroupParam(math.nan)
 
 
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        (sl.GroupElement(1.0, 2.0, 3.0, 4.0), "x1"),
+        (sl.LoopPoint(1.0, 2.0, 3.0), "z"),
+        (sl.expressions.BinOp("+", sl.expressions.Var("x"), sl.expressions.Const(1.0)), "op"),
+    ],
+)
+def test_value_records_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0.0)
+
+
 def test_mul_closed_form_example():
     # a=2: (1,0,0,1)*(1,1,1,1) worked out by hand from the coordinate law
     p = sl.GroupParam(2.0)

@@ -70,6 +70,17 @@ def test_non_finite_data_written_as_null_and_named():
     assert "non_finite" not in small_run_report().to_dict()["data"]
 
 
+def test_records_in_data_are_not_written_as_lists():
+    # GroupElement is a tuple subclass; written as a list, its field names
+    # would be lost without a word
+    from solvloop.group import GroupElement
+
+    r = rp.VerificationReport(seed=0)
+    r.data = {"g": GroupElement(1.0, 2.0, 3.0, 4.0)}
+    with pytest.raises(TypeError, match="cannot serialize GroupElement"):
+        rp.render_json(r.to_dict())
+
+
 # ---------------------------------------------------------------- rendering
 
 def test_render_is_valid_json_with_schema_keys():
