@@ -18,7 +18,10 @@ Left division is closed-form in every case (z, then the remaining
 coordinates are explicit).  Right division is closed-form in case A; in
 cases B and C it is one scalar root problem on a line through the solution
 of the function-free part of the equation (right_translation_system in
-sections), and the search windows are centered on that solution.
+sections), and the search windows are centered on that solution.  Every
+law takes float or column points; right division (loop_rdiv_batch) works
+on columns throughout: one line of columns, one batched root scan, one
+multiply-back that validates every quotient, case A's included.
 coset_cross_check re-derives every product through the group: lift the left
 factor with the section, multiply by a representative of the right coset,
 decompose.  Agreement of the two pipelines is the master consistency check
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -149,92 +152,99 @@ def loop_rdiv(
     expansions: int = 4,
     resolution: int = 2048,
 ) -> LoopPoint:
-    """The q with q * m2 = b: loop_rdiv_batch for one pair, raising its error."""
-    (q,) = loop_rdiv_batch(c, [(b, m2)], window_half_width, expansions, resolution)
-    if isinstance(q, RightDivisionError):
-        raise q
-    return q
+    """The q with q * m2 = b: loop_rdiv_batch on one row, raising its error."""
+    q, _, errors = loop_rdiv_batch(
+        c, stack([b]), stack([m2]), window_half_width, expansions, resolution
+    )
+    if errors:
+        raise errors[0]
+    return LoopPoint(*(float(col[0]) for col in q.coords))
 
 
 def loop_rdiv_batch(
     c: LoopCase,
-    problems: Sequence[tuple[LoopPoint, LoopPoint]],
+    b: LoopPoint,
+    m2: LoopPoint,
     window_half_width: float = 10.0,
     expansions: int = 4,
     resolution: int = 2048,
-) -> list[Union[LoopPoint, RightDivisionError]]:
-    """For every pair (b, m2), the q with q * m2 = b or the RightDivisionError
-    that explains why it could not be certified.
+) -> tuple[LoopPoint, np.ndarray, dict[int, RightDivisionError]]:
+    """(q, residual, errors): for every row of the column points b and m2,
+    the q with q * m2 = b.
 
-    Case A is closed-form, and so are cases B and C when m2 has z = 0.
-    Otherwise cases B and C count *all* roots of the scalar line equation
-    of right_translation_system by a scan of the window of the given half
-    width on the line around the function-free solution, doubling it up to
-    `expansions` times for the pairs where no root is found; the scans of
-    all pairs run together in numerics.root_rows.  A pair gets a
-    MultipleRootsError when the sharp-transitivity hypothesis fails on the
-    window.  Every q is validated by multiplying back (tolerance 1e-8).
+    Case A is closed-form, and so are cases B and C in the rows where m2
+    has z = 0.  Otherwise cases B and C count *all* roots of the scalar
+    line equation of right_translation_system by a scan of the window of
+    the given half width on the line around the function-free solution,
+    doubling it up to `expansions` times for the rows where no root is
+    found; the scans of all rows run together in numerics.root_rows.  A
+    row gets a MultipleRootsError when the sharp-transitivity hypothesis
+    fails on the window.  Every other quotient is validated in one
+    multiply-back: residual holds the coordinate distance of q * m2 from b
+    in those rows (inf in the rest), and a row beyond 1e-8 (a NaN quotient
+    included) gets a SolverDivergenceError.  errors maps the failed rows
+    to their errors; q holds every row, failed ones included.
     """
     spec = c.spec
     a = spec.param.a
+    errors: dict[int, RightDivisionError] = {}
     if spec.case == "A":
-        if not problems:
-            return []
-        b, m2 = (stack(points) for points in zip(*problems))
         qz = b.z - m2.z
         qx = b.x - elementwise(math.exp, a * qz) * m2.x
         e = elementwise(math.exp, qz)
-        qy = b.y - m2.y * e + m2.z * e * spec.fn(qx, qz)
-        return _rows(LoopPoint(qx, qy, qz))
-    lines = [right_translation_system(spec, m2, b) for b, m2 in problems]
-    out = [None] * len(lines)
-    us: list[Optional[float]] = [0.0 if line.scale == 0.0 else None for line in lines]
-    pending = [i for i, u in enumerate(us) if u is None]
-    width = window_half_width
-    for _ in range(expansions + 1):
-        if not pending:
-            break
-        fn_rows, enclose = line_residual_rows([lines[i] for i in pending])
-        found = root_rows(
-            fn_rows,
-            np.full(len(pending), -width),
-            np.full(len(pending), width),
-            resolution=resolution,
-            enclose=enclose,
-        )
-        unsolved = []
-        for i, roots in zip(pending, found):
-            if isinstance(roots, ValueError):
-                err = SolverDivergenceError(f"{roots} (window half width {width:g})")
-                err.__cause__ = roots
-                out[i] = err
-            elif len(roots) > 1:
-                out[i] = MultipleRootsError(
-                    f"{len(roots)} roots in window of half width {width:g} around {lines[i].base}"
-                )
-            elif roots:
-                us[i] = roots[0]
-            else:
-                unsolved.append(i)
-        pending = unsolved
-        width *= 2.0
-    for i in pending:
-        out[i] = NoRootInBoxError(
-            f"no root in window of half width {width / 2.0:g} around {lines[i].base}"
-        )
-    solved = [i for i, outcome in enumerate(out) if outcome is None]
-    if solved:
-        # all multiply-back checks in one pass
-        q = stack([lines[i].point(us[i]) for i in solved])
-        b, m2 = (stack(points) for points in zip(*(problems[i] for i in solved)))
-        residuals = coordinate_distance(loop_mul(c, q, m2).coords, b.coords).tolist()
-        for i, q, residual in zip(solved, _rows(q), residuals):
-            out[i] = (
-                q
-                if residual <= 1e-8
-                else SolverDivergenceError(f"right division residual {residual:.3e} exceeds 1e-8")
+        q = LoopPoint(qx, b.y - m2.y * e + m2.z * e * spec.fn(qx, qz), qz)
+    else:
+        line = right_translation_system(spec, m2, b)
+        us = np.zeros(len(line.qz))
+        pending = np.flatnonzero(line.scale != 0.0)  # NaN scales are scanned too
+        width = window_half_width
+        for _ in range(expansions + 1):
+            if not pending.size:
+                break
+            fn_rows, enclose = line_residual_rows(line, pending)
+            found = root_rows(
+                fn_rows,
+                np.full(len(pending), -width),
+                np.full(len(pending), width),
+                resolution=resolution,
+                enclose=enclose,
             )
-    return out
+            unsolved = []
+            for i, roots in zip(pending.tolist(), found):
+                if isinstance(roots, ValueError):
+                    err = SolverDivergenceError(f"{roots} (window half width {width:g})")
+                    err.__cause__ = roots
+                    errors[i] = err
+                elif len(roots) > 1:
+                    errors[i] = MultipleRootsError(
+                        f"{len(roots)} roots in window of half width {width:g} around {_base(line, i)}"
+                    )
+                elif roots:
+                    us[i] = roots[0]
+                else:
+                    unsolved.append(i)
+            pending = np.array(unsolved, dtype=np.intp)
+            width *= 2.0
+        for i in pending.tolist():
+            errors[i] = NoRootInBoxError(
+                f"no root in window of half width {width / 2.0:g} around {_base(line, i)}"
+            )
+        q = line.point(us)
+    residual = np.full(len(q.z), math.inf)
+    solved = np.delete(np.arange(len(q.z)), list(errors))
+    if solved.size:
+        q_s, m2_s, b_s = (LoopPoint(*(col[solved] for col in p.coords)) for p in (q, m2, b))
+        residual[solved] = coordinate_distance(loop_mul(c, q_s, m2_s).coords, b_s.coords)
+    for i in solved[~(residual[solved] <= 1e-8)].tolist():
+        errors[i] = SolverDivergenceError(
+            f"right division residual {residual[i]:.3e} exceeds 1e-8"
+        )
+    return q, residual, errors
+
+
+def _base(line, i: int) -> tuple[float, float]:
+    """Row i's base point of a column line, as floats (a tuple of np.float64 prints their type)."""
+    return (float(line.base[0][i]), float(line.base[1][i]))
 
 
 def coset_cross_check(c: LoopCase, m1: LoopPoint, m2: LoopPoint):
@@ -262,11 +272,6 @@ def _sample_points(
     """count column points of n rows, drawn in one block, sample by sample."""
     lo = [-xy_half_width, -xy_half_width, -z_half_width] * count
     return split(LoopPoint, rng.uniform(lo, [-bound for bound in lo], (n, 3 * count)))
-
-
-def _rows(m: LoopPoint) -> list[LoopPoint]:
-    """The rows of a column point as float points."""
-    return [LoopPoint(*row) for row in zip(*(col.tolist() for col in m.coords))]
 
 
 def axiom_suite(
@@ -307,18 +312,12 @@ def axiom_suite(
     w = loop_ldiv(c, m1, b)
     ldiv_max = largest(coordinate_distance(loop_mul(c, m1, w).coords, b.coords))
     z_max = largest(np.abs(loop_mul(c, m1, m2).z - (m1.z + m2.z)))
-    targets, m2_rows = _rows(loop_mul(c, b, m2)), _rows(m2)
-    quotients = loop_rdiv_batch(c, list(zip(targets, m2_rows)))
+    _, residual, errors = loop_rdiv_batch(c, loop_mul(c, b, m2), m2)
     division_errors = [
-        f"sample {i}: {type(q).__name__}: {q}"
-        for i, q in enumerate(quotients)
-        if isinstance(q, RightDivisionError)
+        f"sample {i}: {type(err).__name__}: {err}" for i, err in sorted(errors.items())
     ]
-    solved = [i for i, q in enumerate(quotients) if not isinstance(q, RightDivisionError)]
-    rdiv_max = 0.0
-    if solved:
-        q, m2, b = (stack([rows[i] for i in solved]) for rows in (quotients, m2_rows, targets))
-        rdiv_max = largest(coordinate_distance(loop_mul(c, q, m2).coords, b.coords))
+    residual[list(errors)] = 0.0  # the failed rows are reported by name
+    rdiv_max = largest(residual)
     report.record("identity-laws", id_max <= 1e-12, max_error=id_max, n_samples=n_samples)
     report.record("ldiv-round-trip", ldiv_max <= 1e-9, max_error=ldiv_max, n_samples=n_samples)
     report.record(

@@ -10,8 +10,10 @@ Two workhorses:
     root1d is its one-row case and bisect the scalar reference.  Given an
     interval enclosure of the rows (expressions.enclose, through
     sections.line_residual_rows), the scan skips every chunk of
-    CHUNK_CELLS cells whose enclosure proves the sign of all its nodes,
-    and its result stays exactly that of the full scan.
+    CHUNK_CELLS cells whose sign an enclosure proves: that of the chunk,
+    or of a coarser box holding it (the enclosure starts with one box per
+    row and splits only the boxes it cannot prove).  Its result stays
+    exactly that of the full scan.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .group import elementwise, largest
+from .group import coordinate_distance, elementwise, largest
 
 __all__ = [
     "FitResult",
@@ -80,11 +82,13 @@ BISECT_LEVELS = 4
 
 
 # Grid cells per chunk of a scan whose rows come with an enclosure, and
-# chunks per enclosure call.  Enclosing BLOCK_POINTS chunks per call raised
-# the peak heap of a loop-check command from 1.5 to 2.7 MB; 4000 chunks
-# keep it at 1.5 MB and took no measurable time more.
+# boxes of chunks per enclosure call.  Enclosing BLOCK_POINTS chunks per
+# call raised the peak heap of a loop-check command from 1.5 to 2.7 MB;
+# 4000 keep it at 1.5 MB and took no measurable time more.
 CHUNK_CELLS = 64
 ENCLOSE_CHUNKS = 4000
+# Parts that a box of chunks whose enclosure proves nothing is split into.
+FAN_OUT = 4
 
 
 def _nodes(k: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int) -> np.ndarray:
@@ -227,44 +231,50 @@ def _open_segments(
     """The grid segments a scan evaluates, in blocks (rows, first, steps).
 
     Segment i is the nodes first[i] + steps of row rows[i], where steps is
-    0.0, 1.0, ... up to the segment's number of cells.  Without
-    an enclosure every row is one segment.  With one, a row's cells are cut
-    into chunks of CHUNK_CELLS (the last one shorter), and a chunk whose
-    residual enclosure over its end nodes is finite and of one sign is
-    left out: every node in it is then finite, nonzero, of that sign, and
-    raises nothing.  Chunks are enclosed in blocks of at most
-    ENCLOSE_CHUNKS, and segments come in blocks of at most BLOCK_POINTS
-    nodes (at least one segment).
+    0.0, 1.0, ... up to the segment's number of cells.  Without an
+    enclosure every row is one segment.  With one, a row's cells are cut
+    into chunks of CHUNK_CELLS (the last one shorter), and only the chunks
+    that no enclosure proves are evaluated.  The enclosure works coarse to
+    fine: a box of chunks per row that covers them all, then, for each box
+    whose residual enclosure over its end nodes is not finite and of one
+    sign, its FAN_OUT parts, down to single chunks.  A proven box is left out:
+    every node in it is then finite, nonzero, of that sign, and raises
+    nothing.  Boxes are enclosed in blocks of at most ENCLOSE_CHUNKS, and
+    segments come in blocks of at most BLOCK_POINTS nodes (at least one
+    segment).
     """
-    if not len(scan):
-        return
     span = CHUNK_CELLS if enclose is not None else resolution
     chunks = -(-resolution // span)
-    width = min(chunks, ENCLOSE_CHUNKS)  # chunks of a row per block
-    height = max(1, ENCLOSE_CHUNKS // width)  # rows per block
-    tail = resolution - (chunks - 1) * span
+    rows, first = scan, np.zeros(len(scan))  # the open boxes: row, first chunk
+    size = 1  # chunks per box
+    while enclose is not None and size < chunks:
+        size *= FAN_OUT
+    while enclose is not None and rows.size:
+        proven = np.zeros(len(rows), dtype=bool)
+        for s in range(0, len(rows), ENCLOSE_CHUNKS):
+            r, c = rows[s : s + ENCLOSE_CHUNKS], first[s : s + ENCLOSE_CHUNKS, None]
+            ends = [
+                _nodes(np.minimum(k * span, resolution), lo[r, None], hi[r, None], resolution)
+                for k in (c, c + size)
+            ]
+            elo, ehi = enclose(r, np.minimum(*ends), np.maximum(*ends))
+            known = np.isfinite(elo) & np.isfinite(ehi) & ((elo > 0) | (ehi < 0))
+            proven[s : s + len(r)] = known[:, 0]
+            del ends, elo, ehi, known  # freed before the next block is enclosed
+        rows, first = rows[~proven], first[~proven]
+        if size == 1:
+            break
+        size //= FAN_OUT
+        rows = np.repeat(rows, FAN_OUT)
+        first = (first[:, None] + size * np.arange(float(FAN_OUT))).ravel()
+        rows, first = rows[first < chunks], first[first < chunks]
     ramp = np.arange(span + 1.0)
-    for r0 in range(0, len(scan), height):
-        rows = scan[r0 : r0 + height]
-        for c0 in range(0, chunks, width):
-            first = np.arange(c0, min(c0 + width, chunks)) * float(span)
-            if enclose is None:
-                open_ = np.ones((len(rows), len(first)), dtype=bool)
-            else:
-                ends = [
-                    _nodes(k, lo[rows, None], hi[rows, None], resolution)
-                    for k in (first, np.minimum(first + span, resolution))
-                ]
-                elo, ehi = enclose(rows, np.minimum(*ends), np.maximum(*ends))
-                open_ = ~(np.isfinite(elo) & np.isfinite(ehi) & ((elo > 0) | (ehi < 0)))
-                del ends, elo, ehi  # freed before the open segments are evaluated
-            i, j = np.nonzero(open_)
-            short = first[j] == (chunks - 1) * span
-            for pick, cells in ((~short, span), (short, tail)):
-                per = max(1, BLOCK_POINTS // (cells + 1))
-                picked_rows, picked_first = rows[i[pick]], first[j[pick]]
-                for s in range(0, len(picked_rows), per):
-                    yield picked_rows[s : s + per], picked_first[s : s + per], ramp[: cells + 1]
+    short = first == chunks - 1
+    for pick, cells in ((~short, span), (short, resolution - (chunks - 1) * span)):
+        per = max(1, BLOCK_POINTS // (cells + 1))
+        picked_rows, picked_first = rows[pick], first[pick] * span
+        for s in range(0, len(picked_rows), per):
+            yield picked_rows[s : s + per], picked_first[s : s + per], ramp[: cells + 1]
 
 
 def root_rows(
@@ -293,9 +303,10 @@ def root_rows(
     of the 2-D arrays a and b that contain the computed value of function
     rows[i] at every float of [a[i, j], b[i, j]], or are not finite where
     that is not known.  The scan then skips the
-    grid nodes of every chunk of CHUNK_CELLS cells whose enclosure proves
-    their sign (see _open_segments).  The result is exactly that of the
-    full scan; only fewer nodes are evaluated.
+    grid nodes of every chunk of CHUNK_CELLS cells whose sign the
+    enclosure of the chunk or of a coarser box proves, enclosing coarse to
+    fine (see _open_segments).  The result is exactly that of the full
+    scan; only fewer nodes are evaluated.
 
     Returns one entry per row: its sorted roots, or the ValueError that
     rules the row out (a bad interval or resolution, a window too wide for
@@ -450,15 +461,18 @@ def twisted_additivity_residual(
 ) -> float:
     """Worst violation of f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1) over all ordered pairs.
 
+    Each pair's violation is relative to its magnitudes, as
+    coordinate_distance measures it: |lhs - rhs| / max(1, |lhs|, |rhs|),
+    so rounding in large values of an exact member stays near one ulp.
     Zero exactly on the family K*(1 - e^{-rate*z}); any other continuous
     function with f(0)=0 violates it somewhere.  A pair whose two sides
-    differ by NaN (a NaN value, or infinities that do not match) makes the
-    residual infinite.  The pair sums z1 + z2 are evaluated in one call of
-    fn when it takes numpy arrays.
+    differ by NaN (a NaN value, or infinities) makes the residual infinite.
+    The pair sums z1 + z2 are evaluated in one call of fn when it takes
+    numpy arrays.
     """
     zs = np.asarray(zs, dtype=float)
     values = _on_points(fn, zs)
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = _on_points(fn, zs[:, None] + zs)  # row z1, column z2
-        errors = np.abs(lhs - (values + elementwise(math.exp, -rate * zs) * values[:, None]))
-    return math.inf if np.isnan(errors).any() else largest(errors)
+        rhs = values + elementwise(math.exp, -rate * zs) * values[:, None]
+    return largest(coordinate_distance((lhs,), (rhs,)))

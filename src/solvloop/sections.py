@@ -299,8 +299,9 @@ def lemma1_suite(
 ) -> VerificationReport:
     """Membership of a one-variable profile in the family K*(1 - e^{-rate*z}).
 
-    Least-squares profile fit, the pair identity on all sample pairs and,
-    when the expected coefficient is given, its recovery by the fit.
+    Least-squares profile fit, the pair identity on all sample pairs (each
+    pair to 1e-12 relative to the larger of 1 and its two sides) and, when
+    the expected coefficient is given, its recovery by the fit.
     """
     zs = _profile_zs(*z_range, n_samples)
     report = VerificationReport(seed=None)
@@ -318,7 +319,8 @@ def lemma1_suite(
         pair_resid <= 1e-12,
         max_error=pair_resid,
         n_samples=len(zs) ** 2,
-        notes="f(z1+z2) = f(z2) + e^{-rate*z2} f(z1) on all sample pairs",
+        notes="f(z1+z2) = f(z2) + e^{-rate*z2} f(z1) on all sample pairs, "
+        "error relative to max(1, |lhs|, |rhs|)",
     )
     if coefficient is not None:
         err = abs(fit.coefficient - coefficient)
@@ -336,7 +338,9 @@ class RightTranslationLine(NamedTuple):
 
     and max|direction_k| = 1, so a window u in [lo, hi] stays inside the
     square base + [lo, hi]^2 of the (x, y) plane.  m2 with z = 0 gives
-    scale = 0: then u = 0 and q = (base, qz) is the only solution.
+    scale = 0: then u = 0 and q = (base, qz) is the only solution.  Like
+    LoopPoint, a line holds floats or float64 columns, one row per
+    equation (case C's direction stays the floats (1.0, 0.0)).
     """
 
     fn: FunctionSpec
@@ -349,24 +353,39 @@ class RightTranslationLine(NamedTuple):
         """u - scale * f(point(u)); elementwise on numpy arrays."""
         return _line_residual(self.fn, u, *self.base, *self.direction, self.qz, self.scale)
 
-    def point(self, u: float) -> LoopPoint:
+    def point(self, u) -> LoopPoint:
         (bx, by), (dx, dy) = self.base, self.direction
         return LoopPoint(bx + u * dx, by + u * dy, self.qz)
 
-    def window(self, lo: float, hi: float) -> tuple[float, float]:
+    def window(self, lo: float, hi: float):
         """The u-interval whose points lie in the square base + [lo, hi]^2.
 
         A coordinate the direction does not move (case C's y) is left
-        unconstrained, so case C's window is [lo, hi] on x - base_x.
+        unconstrained, so case C's window is [lo, hi] on x - base_x.  The
+        ends are taken as Python's min and max take them, NaN included.
+        A float line raises _missed(lo, hi) when the square misses the
+        line; a column line returns the (lower, upper) columns of all rows,
+        and a row whose square misses it has not lower < upper.
         """
         lower, upper = -math.inf, math.inf
-        for d in self.direction:
-            if d != 0.0:
-                ends = (lo / d, hi / d)
-                lower, upper = max(lower, min(ends)), min(upper, max(ends))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for d in self.direction:
+                a, b = np.divide(lo, d), np.divide(hi, d)
+                moved = np.asarray(d) != 0.0
+                # max(lower, min(a, b)) and min(upper, max(a, b))
+                least, most = np.where(b < a, b, a), np.where(b > a, b, a)
+                lower = np.where(moved & (least > lower), least, lower)
+                upper = np.where(moved & (most < upper), most, upper)
+        lower, upper, _ = np.broadcast_arrays(lower, upper, self.qz)
+        if lower.ndim:
+            return lower, upper
         if not lower < upper:
-            raise ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
-        return lower, upper
+            raise _missed(lo, hi)
+        return float(lower), float(upper)
+
+
+def _missed(lo: float, hi: float) -> ValueError:
+    return ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
 
 
 def _line_residual(fn, u, bx, by, dx, dy, qz, scale):
@@ -381,34 +400,33 @@ _LINE_POINT = {
 }
 
 
-def line_residual_rows(lines: Sequence[RightTranslationLine]):
-    """(fn_rows, enclose) for numerics.root_rows whose row i is lines[i].residual.
+def line_residual_rows(line: RightTranslationLine, rows: np.ndarray):
+    """(fn_rows, enclose) for numerics.root_rows whose row i is row rows[i] of line.
 
-    All lines must share one section function, which is evaluated on the
-    points of every row of a call at once.  enclose(rows, a, b) bounds row
-    rows[i]'s residual for u in [a[i, j], b[i, j]], for every j.  It is
+    line is a column line; the section function is evaluated on the points
+    of every row of a call at once.  enclose(idx, a, b) bounds the residual
+    of row rows[idx[i]] for u in [a[i, j], b[i, j]], for every j.  It is
     expressions.enclose of the residual's float steps written as one tree
     (the point bx + u*dx, by + u*dy, qz, the section's tree there, then
     u - scale*f), so it contains the computed values, not only the exact
     ones.  It is None when the section function has no tree (a plain
     callable).
     """
-    fn = lines[0].fn if lines else None
-    cols = np.array(
-        [(*line.base, *line.direction, line.qz, line.scale) for line in lines], dtype=float
-    ).reshape(len(lines), 6).T[:, :, None]
+    fn = line.fn
+    fields = (*line.base, *line.direction, line.qz, line.scale)
+    cols = np.stack(np.broadcast_arrays(*fields))[:, rows, None]
 
-    def fn_rows(rows, pts):
-        return _line_residual(fn, pts, *cols[:, rows])
+    def fn_rows(idx, pts):
+        return _line_residual(fn, pts, *cols[:, idx])
 
-    if fn is None or fn.tree is None:
+    if fn.tree is None:
         return fn_rows, None
     residual = expressions.substitute(
         _LINE_RESIDUAL, {"f": expressions.substitute(fn.tree, _LINE_POINT)}
     )
 
-    def enclose(rows, a, b):
-        box = {name: (v, v) for name, v in zip(("bx", "by", "dx", "dy", "qz", "scale"), cols[:, rows])}
+    def enclose(idx, a, b):
+        box = {name: (v, v) for name, v in zip(("bx", "by", "dx", "dy", "qz", "scale"), cols[:, idx])}
         return expressions.enclose(residual, {"u": (a, b), **box})
 
     return fn_rows, enclose
@@ -422,25 +440,32 @@ def right_translation_system(
     Case C fixes q_y and leaves x = center + coef * f(x, q_y, q_z): direction
     (1, 0) and scale coef.  Case B puts (x, y) on the line
     (cx, cy) + h * (tx, ty) with h = h(x, y, q_z): direction t / |t|_inf and
-    scale |t|_inf.  Case A is closed-form and has no implicit system.
+    scale |t|_inf, the larger of |tx| and |ty| as Python's max takes it.
+    Case A is closed-form and has no implicit system.  On column points
+    every row is the float call on that row, bit for bit; exponentials go
+    through group.elementwise, so overflow raises OverflowError.
     """
     a = spec.param.a
     x1, y1, z1 = m2.coords
     x2, y2, z2 = b.coords
     z = z2 - z1
     if spec.case == "C":
-        y = y2 - math.exp(z) * y1
-        outer = math.exp(a * z2 - z1)
-        center = x2 - math.exp(a * z) * x1 + outer * y1 * z
-        coef = outer * -math.expm1((1.0 - a) * z1)
+        y = y2 - elementwise(math.exp, z) * y1
+        outer = elementwise(math.exp, a * z2 - z1)
+        center = x2 - elementwise(math.exp, a * z) * x1 + outer * y1 * z
+        coef = outer * -elementwise(math.expm1, (1.0 - a) * z1)
         return RightTranslationLine(spec.fn, z, (center, y), (1.0, 0.0), coef)
     if spec.case == "B":
-        base = (x2 - math.exp(a * z) * x1, y2 - math.exp(z) * y1)
-        tx = math.exp(a * z) * math.expm1((a - 1.0) * z1)
-        ty = math.exp(z) * z1
-        scale = max(abs(tx), abs(ty))
-        direction = (tx / scale, ty / scale) if scale else (1.0, 0.0)
-        return RightTranslationLine(spec.fn, z, base, direction, scale)
+        ea = elementwise(math.exp, a * z)
+        e = elementwise(math.exp, z)
+        base = (x2 - ea * x1, y2 - e * y1)
+        t = (ea * elementwise(math.expm1, (a - 1.0) * z1), e * z1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(abs(t[1]) > abs(t[0]), abs(t[1]), abs(t[0]))
+            direction = [np.where(scale != 0.0, np.divide(tk, scale), d) for tk, d in zip(t, (1, 0))]
+        if not scale.ndim:
+            scale, direction = float(scale), [float(d) for d in direction]
+        return RightTranslationLine(spec.fn, z, base, tuple(direction), scale)
     raise ValueError("case A right translations are closed-form")
 
 
@@ -462,9 +487,10 @@ def sharp_transitivity_check(
     (x, y) in case B, cut down to the solution line.  z offsets are sampled
     in [-z_half_width, z_half_width] so the function coefficient stays
     bounded on the window.  Both cases count roots of the scalar line
-    equation by a sign-change scan at the given resolution, the lines of all
-    samples in one numerics.root_rows call (which skips the grid nodes
-    whose sign the enclosure of an expression section proves).  Every
+    equation by a sign-change scan at the given resolution: the samples are
+    the rows of one column line and of its windows, scanned in one
+    numerics.root_rows call (which skips the grid nodes whose sign the
+    enclosure of an expression section proves).  Every
     sample contributes its root count; solver failures, including sign
     changes across a pole, are reported, never dropped.
     """
@@ -480,22 +506,18 @@ def sharp_transitivity_check(
         return report
     if samples is None:
         lo = [-xy_half_width] * 4 + [-z_half_width] * 2
-        rows = Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 6)).tolist()
-        samples = [(LoopPoint(*r[:2], r[4]), LoopPoint(*r[2:4], r[5])) for r in rows]
-    outcomes: list = []  # a window error, or None until the scan fills in the roots
-    lines, windows = [], []
-    for m2, b in samples:
-        line = right_translation_system(spec, m2, b)
-        try:
-            windows.append(line.window(*box))
-            lines.append(line)
-            outcomes.append(None)
-        except ValueError as err:
-            outcomes.append(err)
-    lo, hi = np.reshape(windows, (-1, 2)).T
-    fn_rows, enclose = line_residual_rows(lines)
-    found = iter(root_rows(fn_rows, lo, hi, resolution=resolution, enclose=enclose))
-    outcomes = [next(found) if outcome is None else outcome for outcome in outcomes]
+        draws = Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 6))
+    else:
+        draws = np.array([(*m2[:2], *b[:2], m2.z, b.z) for m2, b in samples], dtype=float)
+    x1, y1, x2, y2, z1, z2 = draws.reshape(-1, 6).T
+    line = right_translation_system(spec, LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2))
+    lower, upper = line.window(*box)
+    scan = np.flatnonzero(lower < upper)
+    fn_rows, enclose = line_residual_rows(line, scan)
+    found = root_rows(fn_rows, lower[scan], upper[scan], resolution=resolution, enclose=enclose)
+    outcomes: list = [_missed(*box)] * len(z1)  # a window error, or the roots of the scan
+    for i, roots in zip(scan.tolist(), found):
+        outcomes[i] = roots
     counts = [-1 if isinstance(o, ValueError) else len(o) for o in outcomes]
     failures = [f"sample {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, ValueError)]
     bad = [i for i, c in enumerate(counts) if c != 1]

@@ -310,6 +310,20 @@ def test_lemma1_with_exact_member(tmp_path):
     assert names == ["profile-fit", "pair-identity", "coefficient-recovery"]
 
 
+def test_lemma1_pair_identity_is_relative_to_the_values(tmp_path):
+    # over --range -3 3 the pair sums reach z = -6, where 3*(1 - e^{12}) is
+    # about -5e5 and rounding alone exceeds an absolute 1e-12; non-members
+    # still fail
+    for argv, code, status in (
+        (["--K", "3", "--rate", "2"], 0, "pass"),
+        (["--fn", "z*z"], 1, "fail"),
+        (["--fn", "sin(z)"], 1, "fail"),
+    ):
+        got, path = run_to_file(tmp_path, "lm3.json", ["lemma1", *argv])
+        checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+        assert (got, checks["pair-identity"]["status"]) == (code, status), argv
+
+
 def test_lemma1_with_member_expression(tmp_path):
     code, path = run_to_file(
         tmp_path, "lm2.json", ["lemma1", "--fn", "2*(1 - exp(-z))"]
@@ -532,7 +546,7 @@ def test_enclosure_pruning_changes_no_report(capsys, monkeypatch, seed):
     pruned = _reports(capsys, seed)
     full = solvloop.sections.line_residual_rows
     for module in (solvloop.sections, solvloop.loops):
-        monkeypatch.setattr(module, "line_residual_rows", lambda lines: (full(lines)[0], None))
+        monkeypatch.setattr(module, "line_residual_rows", lambda line, rows: (full(line, rows)[0], None))
     assert _reports(capsys, seed) == pruned
     assert [code for code, _ in pruned] == ([0] * 6 + [1]) * 2
 
@@ -552,3 +566,19 @@ def test_enclosure_pruning_evaluates_few_section_points(capsys, monkeypatch):
         assert main(["transitivity", "--case", "C", "--a", "2", *section]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
         assert 0 < sum(points) < 100_000, section
+
+
+def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
+    # 100 samples of 157 chunks each are 15,700 boxes when every chunk is
+    # enclosed; coarse-to-fine enclosure skips the chunks of proven boxes
+    boxes = []
+    enclose = solvloop.expressions.enclose
+
+    def counted(tree, env):
+        boxes.append(np.size(env["u"][0]))
+        return enclose(tree, env)
+
+    monkeypatch.setattr(solvloop.expressions, "enclose", counted)
+    assert main(["transitivity", "--case", "C", "--a", "2", "--fn", "0.1*sin(x)"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert 0 < sum(boxes) < 4_000

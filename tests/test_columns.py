@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import solvloop as sl
 from solvloop import SubgroupId
+from solvloop.group import stack
 from solvloop.loops import _product
 from solvloop.subgroups import DecompResult
 
@@ -195,14 +196,102 @@ def test_case_a_right_division_rows_equal_scalar_formula(a, fn, rows):
     spec = _spec("A", a, fn)
     c = sl.LoopCase(spec)
     problems = [(sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])) for r in rows]
+    b, m2 = _columns(sl.LoopPoint, [r[:3] for r in rows]), _columns(sl.LoopPoint, [r[3:] for r in rows])
     with np.errstate(all="ignore"):
         expected = [_outcome(lambda: _rdiv_case_a_reference(spec, b, m2)) for b, m2 in problems]
-        got = _outcome(lambda: sl.loops.loop_rdiv_batch(c, problems))
+        got = _outcome(lambda: sl.loops.loop_rdiv_batch(c, b, m2)[0])
     if any(x is OverflowError for x in expected):
         assert got is OverflowError
         return
-    for have, want in zip(got, expected):
-        assert all(_same_bits(x, y) for x, y in zip(_flat(have), _flat(want)))
+    for i, want in enumerate(expected):
+        assert all(_same_bits(x, y) for x, y in zip(_flat(got, i, len(rows)), _flat(want)))
+
+
+def _error_text(call):
+    """call(), or the type and text of the OverflowError or ValueError it raises."""
+    try:
+        return call()
+    except (OverflowError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _right_translation_reference(case, a, m2, b, lo, hi):
+    """A line's (qz, bx, by, dx, dy, scale) and window, one pair at a time with math and Python's min/max."""
+    x1, y1, z1 = m2.coords
+    x2, y2, z2 = b.coords
+    z = z2 - z1
+    if case == "C":
+        y = y2 - math.exp(z) * y1
+        outer = math.exp(a * z2 - z1)
+        center = x2 - math.exp(a * z) * x1 + outer * y1 * z
+        fields = [z, center, y, 1.0, 0.0, outer * -math.expm1((1.0 - a) * z1)]
+    else:
+        base = (x2 - math.exp(a * z) * x1, y2 - math.exp(z) * y1)
+        tx = math.exp(a * z) * math.expm1((a - 1.0) * z1)
+        ty = math.exp(z) * z1
+        scale = max(abs(tx), abs(ty))
+        direction = (tx / scale, ty / scale) if scale else (1.0, 0.0)
+        fields = [z, *base, *direction, scale]
+    lower, upper = -math.inf, math.inf
+    for d in fields[3:5]:
+        if d != 0.0:
+            ends = (lo / d, hi / d)
+            lower, upper = max(lower, min(ends)), min(upper, max(ends))
+    if not lower < upper:
+        return fields, f"ValueError: the box [{lo:g}, {hi:g}]^2 misses the solution line"
+    return fields, (lower, upper)
+
+
+@settings(max_examples=200)
+@given(
+    case=st.sampled_from(["B", "C"]),
+    a=st.sampled_from((-1.0, 0.5, 2.0, 3.7)),
+    rows=_rows(6),
+    box=st.sampled_from([(-5.0, 5.0), (1.0, 2.0), (-3.0, -1.0), (0.0, 2.0)]),
+)
+def test_right_translation_system_rows_equal_scalar_calls(case, a, rows, box):
+    # every row of a column line, and of its window, is the float call on
+    # that row and the former one-pair-at-a-time code, bit for bit and error
+    # text for error text; m2 with z = +-0.0 (scale 0) and NaN and infinite
+    # coordinates always ride along
+    spec = _spec(case, a, "sin-small")
+    rows = rows + [(1.5, -2.0, 0.0, 0.3, 0.7, 0.4), (1.5, -2.0, -0.0, 0.3, 0.7, -0.4),
+                   (math.nan, 1.0, 0.2, 0.3, 0.7, 0.4), (0.5, 1.0, math.nan, 0.3, 0.7, 0.4),
+                   (0.5, 1.0, -0.5, 0.3, -math.inf, 0.4), (0.5, 1.0, math.inf, 0.3, 0.7, 0.4)]
+    n = len(rows)
+
+    def fields(line):
+        return [line.qz, *line.base, *line.direction, line.scale]
+
+    def scalar(r):
+        m2, b = sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])
+        line = _error_text(lambda: sl.right_translation_system(spec, m2, b))
+        return line if isinstance(line, str) else (fields(line), _error_text(lambda: line.window(*box)))
+
+    with np.errstate(all="ignore"):
+        expected = [
+            _error_text(lambda: _right_translation_reference(case, a, sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:]), *box))
+            for r in rows
+        ]
+        alone = [scalar(r) for r in rows]
+        m2, b = _columns(sl.LoopPoint, [r[:3] for r in rows]), _columns(sl.LoopPoint, [r[3:] for r in rows])
+        line = _error_text(lambda: sl.right_translation_system(spec, m2, b))
+    texts = [want for want in expected if isinstance(want, str)]
+    assert [x for x in alone if isinstance(x, str)] == texts
+    if texts:
+        assert line == texts[0]
+        return
+    lower, upper = line.window(*box)
+    for i, ((want, window), (have_alone, window_alone)) in enumerate(zip(expected, alone)):
+        have = [float(np.broadcast_to(v, (n,))[i]) for v in fields(line)]
+        for got in (have, have_alone):
+            assert all(_same_bits(x, y) for x, y in zip(got, want)), (i, got, want)
+        if isinstance(window, str):
+            assert not lower[i] < upper[i] and window_alone == window
+            assert f"ValueError: {sl.sections._missed(*box)}" == window
+        else:
+            for got in ((lower[i], upper[i]), window_alone):
+                assert all(_same_bits(x, y) for x, y in zip(got, window)), (i, got, window)
 
 
 @settings(max_examples=40)
@@ -213,16 +302,22 @@ def test_case_a_right_division_rows_equal_scalar_formula(a, fn, rows):
 )
 def test_batched_right_division_equals_one_pair_at_a_time(case, fn, rows):
     c = sl.LoopCase(_spec(case, 2.0, fn))
-    problems = [(sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])) for r in rows]
+    b, m2 = _columns(sl.LoopPoint, [r[:3] for r in rows]), _columns(sl.LoopPoint, [r[3:] for r in rows])
     with np.errstate(all="ignore"):
-        batch = sl.loops.loop_rdiv_batch(c, problems)
-        alone = [sl.loops.loop_rdiv_batch(c, [pair])[0] for pair in problems]
-    for got, want in zip(batch, alone):
-        assert type(got) is type(want)
-        if isinstance(want, sl.LoopPoint):
-            assert got == want
+        q, residual, errors = sl.loops.loop_rdiv_batch(c, b, m2)
+        alone = [
+            sl.loops.loop_rdiv_batch(c, stack([sl.LoopPoint(*r[:3])]), stack([sl.LoopPoint(*r[3:])]))
+            for r in rows
+        ]
+    for i, (q1, residual1, errors1) in enumerate(alone):
+        assert (i in errors) == bool(errors1)
+        if errors1:
+            assert type(errors[i]) is type(errors1[0])
+            assert str(errors[i]) == str(errors1[0])
+            assert "np.float64" not in str(errors[i])
         else:
-            assert str(got) == str(want)
+            assert [col[i] for col in q.coords] == [col[0] for col in q1.coords]
+            assert residual[i] == residual1[0]
 
 
 # ---------------------------------------------------------------- identities

@@ -214,8 +214,10 @@ def test_rdiv_no_root_error():
     # all real roots for suitable targets
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2", 3))
     c = sl.LoopCase(spec)
-    with pytest.raises(sl.NoRootInBoxError):
+    with pytest.raises(sl.NoRootInBoxError) as raised:
         sl.loop_rdiv(c, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
+    # the base point prints as floats, not as np.float64(...)
+    assert str(raised.value) == "no root in window of half width 160 around (5.0, 0.0)"
 
 
 def test_division_errors_share_base_class():
@@ -341,6 +343,21 @@ def test_axiom_suite_records_non_finite_scan_as_failed_rdiv(case):
     assert errors and all("SolverDivergenceError" in e for e in errors)
 
 
+def test_case_a_nan_quotient_fails_the_multiply_back():
+    # sqrt(x) is NaN at negative x: case A's closed form then gives a NaN
+    # quotient, which the multiply-back rejects like a case-B/C quotient
+    spec = sl.SectionSpec("A", P2, sl.FunctionSpec.from_expression("sqrt(x)", 2))
+    c = sl.LoopCase(spec)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(sl.SolverDivergenceError, match="residual inf exceeds 1e-8"):
+            sl.loop_rdiv(c, sl.LoopPoint(-1.0, 0.0, 1.0), sl.LoopPoint(0.5, 0.0, 0.5))
+        report = sl.axiom_suite(c, n_samples=10, seed=0)
+    check = {c.name: c for c in report.checks}["rdiv-round-trip"]
+    assert check.status == "fail" and check.max_error <= 1e-8
+    errors = report.data["division_errors"]
+    assert errors and all("SolverDivergenceError" in e for e in errors)
+
+
 def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
     # q*m2 = b in case C with f = 0.1*x/(x-1.5): the line crosses the pole,
     # where the residual changes sign without vanishing
@@ -365,8 +382,8 @@ def test_axiom_suite_right_divisions_batch_section_calls():
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_callable(counted, 3))
     c = sl.LoopCase(spec)
     m1, m2, b = sl.loops._sample_points(Stream(0), 500, 3, 5.0, 0.5)
-    problems = list(zip(sl.loops._rows(sl.loop_mul(c, b, m2)), sl.loops._rows(m2)))
+    target = sl.loop_mul(c, b, m2)
     calls.clear()
-    quotients = sl.loops.loop_rdiv_batch(c, problems)
-    assert all(isinstance(q, sl.LoopPoint) for q in quotients)
+    q, residual, errors = sl.loops.loop_rdiv_batch(c, target, m2)
+    assert not errors and (residual <= 1e-8).all()
     assert len(calls) < 100

@@ -198,7 +198,8 @@ def _outcome(call):
 @settings(max_examples=60)
 @given(
     data=st.data(),
-    resolution=st.integers(2, 40) | st.sampled_from([64, 65, 200]),
+    # resolutions that are and are not CHUNK_CELLS * 4**k chunks
+    resolution=st.integers(2, 40) | st.sampled_from([63, 64, 65, 200, 257, 2048, 10000]),
     block_points=st.integers(1, 200),
     # beyond about 8.8e3 adjacent doubles are farther apart than tol = 1e-12
     width=st.sampled_from([1.0, 2e4, 1e6, 1e12]),
@@ -219,11 +220,12 @@ def test_root_rows_equals_root1d_and_scalar_bisect(
 
     def enclose(idx, a, b):
         lo, hi = np.empty(a.shape), np.empty(a.shape)
-        for n, i in enumerate(idx.tolist()):
-            lo[n], hi[n] = rows[i].enclose(a[n], b[n])
+        for i in np.unique(idx).tolist():  # idx may name a row many times
+            lo[idx == i], hi[idx == i] = rows[i].enclose(a[idx == i], b[idx == i])
         hidden = np.round((a + width) / (2 * width) * resolution) % unknown_every != 0
         return np.where(hidden, -np.inf, lo), np.where(hidden, np.inf, hi)
 
+    chunk_cells = max(chunk_cells, -(-resolution // 400))  # at most 400 chunks a row, for speed
     saved = numerics.BLOCK_POINTS, numerics.CHUNK_CELLS
     numerics.BLOCK_POINTS, numerics.CHUNK_CELLS = block_points, chunk_cells
     try:
