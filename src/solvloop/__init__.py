@@ -57,7 +57,6 @@ from .sections import (
     sharp_transitivity_check,
 )
 from .loops import (
-    LoopCase,
     MultipleRootsError,
     NoRootInBoxError,
     RightDivisionError,
@@ -79,7 +78,6 @@ from .multgroup import (
 from .numerics import (
     FitResult,
     fit_saturating_exponential,
-    root1d,
     twisted_additivity_residual,
 )
 from .report import Check, VerificationReport, emit_report

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expressions
 from .group import GroupElement, GroupParam
-from .loops import LoopCase, loop_suite
+from .loops import loop_suite
 from .multgroup import group_suite, theorem2_suite
 from .report import VerificationReport, emit_report
 from .sections import (
@@ -31,6 +31,7 @@ from .sections import (
     FunctionSpec,
     SectionSpec,
     generation_suite,
+    lemma1_member,
     lemma1_suite,
     sharp_transitivity_check,
 )
@@ -78,20 +79,14 @@ def _transitivity(args) -> VerificationReport:
 def _lemma1(args) -> VerificationReport:
     if (args.fn is None) == (args.K is None):
         raise ValueError("provide exactly one of --fn or --K")
-    rate = args.rate
-    try:
-        if args.K is not None:
-            member = expressions.parse("K*-expm1(-r*z)", ("z", "K", "r"))
-            tree = expressions.substitute(
-                member, {"K": expressions.Const(args.K), "r": expressions.Const(rate)}
-            )
-            label = f"{args.K:g}*(1-exp(-{rate:g}*z))"
-        else:
+    if args.K is not None:
+        tree, label = lemma1_member(args.K, args.rate)
+    else:
+        try:
             tree, label = expressions.parse(args.fn, ("z",)), args.fn
-        fn = expressions.as_function(tree, ("z",))
-        report = lemma1_suite(fn, rate, _ordered(args.range, "--range"), args.samples, args.K)
-    except expressions.ExpressionError as err:
-        raise ValueError(f"--fn: {err}") from None
+        except expressions.ExpressionError as err:
+            raise ValueError(f"--fn: {err}") from None
+    report = lemma1_suite(tree, args.rate, _ordered(args.range, "--range"), args.samples, args.K)
     report.data["function"] = label
     return report
 
@@ -125,7 +120,7 @@ def _finite_float(ok: Callable[[float], bool], requirement: str):
     def checked(text: str) -> float:
         value = float(text)
         if not (math.isfinite(value) and ok(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and {requirement}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
 
     checked.__name__ = "float"  # keeps argparse's "invalid float value" message
@@ -147,7 +142,8 @@ def _samples(default: int, minimum: int = 1) -> tuple:
 
 
 def _z_box(default: Optional[float], help: str) -> tuple:
-    return _flag("--z-box", type=_finite_float(lambda v: v > 0, "> 0"), default=default, help=help)
+    positive = _finite_float(lambda v: v > 0, "finite and > 0")
+    return _flag("--z-box", type=positive, default=default, help=help)
 
 
 def _pair(name: str, default: tuple[float, float]) -> tuple:
@@ -176,7 +172,7 @@ COMMANDS: dict[str, Command] = {
     "loop-check": Command(
         "loop axioms, cross-check and generation verdict",
         (CASE, A, SECTION_FN, SEED, _samples(500), _z_box(None, "half width of z sampling")),
-        lambda args: loop_suite(LoopCase(_section_spec(args)), args.samples, args.seed, args.z_box),
+        lambda args: loop_suite(_section_spec(args), args.samples, args.seed, args.z_box),
         ("case", "a", "fn", "samples", "seed", "z_box"),
     ),
     "generation": Command(
@@ -203,8 +199,11 @@ COMMANDS: dict[str, Command] = {
         "saturating-exponential family membership test",
         (
             _flag("--fn", help="expression in z"),
-            _flag("--K", type=float, default=None, help="test the exact member K*(1-exp(-rate*z))"),
-            _flag("--rate", type=_finite_float(lambda v: v != 0, "nonzero"), default=1.0),
+            _flag(
+                "--K", type=_finite_float(math.isfinite, "finite"), default=None,
+                help="test the exact member K*(1-exp(-rate*z))",
+            ),
+            _flag("--rate", type=_finite_float(lambda v: v != 0, "finite and nonzero"), default=1.0),
             _samples(50, minimum=2), _pair("--range", (-3.0, 3.0)),
         ),
         _lemma1,

@@ -31,17 +31,15 @@ of the whole construction.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .group import GroupParam, coordinate_distance, elementwise, largest, mul, split, stack
+from .group import coordinate_distance, elementwise, largest, mul, split, stack
 from .numerics import root_rows
 from .report import VerificationReport
 from .sampling import Stream
 from .sections import (
-    GenerationVerdict,
     SectionSpec,
     degeneracy_report,
     line_residual_rows,
@@ -52,7 +50,6 @@ from .sections import (
 from .subgroups import LoopPoint, decompose, embed
 
 __all__ = [
-    "LoopCase",
     "RightDivisionError",
     "NoRootInBoxError",
     "MultipleRootsError",
@@ -84,28 +81,12 @@ class SolverDivergenceError(RightDivisionError):
     pass
 
 
-class LoopCase:
-    """A loop family member: a section spec plus its cached generation verdict."""
-
-    def __init__(self, spec: SectionSpec) -> None:
-        self.spec = spec
-
-    @cached_property
-    def degeneracy(self) -> GenerationVerdict:
-        return degeneracy_report(self.spec)
-
-    @property
-    def param(self) -> GroupParam:
-        return self.spec.param
+def loop_mul(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint) -> LoopPoint:
+    return _product(spec, m1, m2, section_value(spec, m1))
 
 
-def loop_mul(c: LoopCase, m1: LoopPoint, m2: LoopPoint) -> LoopPoint:
-    return _product(c, m1, m2, section_value(c.spec, m1))
-
-
-def _product(c: LoopCase, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
+def _product(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
     """m1 * m2, given the section value v at m1."""
-    spec = c.spec
     a = spec.param.a
     x1, y1, z1 = m1.coords
     x2, y2, z2 = m2.coords
@@ -124,9 +105,8 @@ def _product(c: LoopCase, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
     )
 
 
-def loop_ldiv(c: LoopCase, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
+def loop_ldiv(spec: SectionSpec, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
     """The unique w with m1 * w = b; closed-form in every case."""
-    spec = c.spec
     a = spec.param.a
     x1, y1, z1 = m1.coords
     ea = elementwise(math.exp, -a * z1)
@@ -145,7 +125,7 @@ def loop_ldiv(c: LoopCase, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
 
 
 def loop_rdiv(
-    c: LoopCase,
+    spec: SectionSpec,
     b: LoopPoint,
     m2: LoopPoint,
     window_half_width: float = 10.0,
@@ -154,7 +134,7 @@ def loop_rdiv(
 ) -> LoopPoint:
     """The q with q * m2 = b: loop_rdiv_batch on one row, raising its error."""
     q, _, errors = loop_rdiv_batch(
-        c, stack([b]), stack([m2]), window_half_width, expansions, resolution
+        spec, stack([b]), stack([m2]), window_half_width, expansions, resolution
     )
     if errors:
         raise errors[0]
@@ -162,7 +142,7 @@ def loop_rdiv(
 
 
 def loop_rdiv_batch(
-    c: LoopCase,
+    spec: SectionSpec,
     b: LoopPoint,
     m2: LoopPoint,
     window_half_width: float = 10.0,
@@ -185,7 +165,6 @@ def loop_rdiv_batch(
     included) gets a SolverDivergenceError.  errors maps the failed rows
     to their errors; q holds every row, failed ones included.
     """
-    spec = c.spec
     a = spec.param.a
     errors: dict[int, RightDivisionError] = {}
     if spec.case == "A":
@@ -201,13 +180,11 @@ def loop_rdiv_batch(
         for _ in range(expansions + 1):
             if not pending.size:
                 break
-            fn_rows, enclose = line_residual_rows(line, pending)
             found = root_rows(
-                fn_rows,
+                *line_residual_rows(line, pending),
                 np.full(len(pending), -width),
                 np.full(len(pending), width),
                 resolution=resolution,
-                enclose=enclose,
             )
             unsolved = []
             for i, roots in zip(pending.tolist(), found):
@@ -234,7 +211,7 @@ def loop_rdiv_batch(
     solved = np.delete(np.arange(len(q.z)), list(errors))
     if solved.size:
         q_s, m2_s, b_s = (LoopPoint(*(col[solved] for col in p.coords)) for p in (q, m2, b))
-        residual[solved] = coordinate_distance(loop_mul(c, q_s, m2_s).coords, b_s.coords)
+        residual[solved] = coordinate_distance(loop_mul(spec, q_s, m2_s).coords, b_s.coords)
     for i in solved[~(residual[solved] <= 1e-8)].tolist():
         errors[i] = SolverDivergenceError(
             f"right division residual {residual[i]:.3e} exceeds 1e-8"
@@ -247,22 +224,21 @@ def _base(line, i: int) -> tuple[float, float]:
     return (float(line.base[0][i]), float(line.base[1][i]))
 
 
-def coset_cross_check(c: LoopCase, m1: LoopPoint, m2: LoopPoint):
+def coset_cross_check(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint):
     """Distance between the formula product and the group-theoretic coset product.
 
     A float, or for column points the distance of every row.
     """
-    spec = c.spec
     p = spec.param
     sub = spec.subgroup
     g = mul(p, section_lift(spec, m1), embed(p, sub, m2))
     rep = decompose(p, sub, g).rep
-    return coordinate_distance(rep.coords, loop_mul(c, m1, m2).coords)
+    return coordinate_distance(rep.coords, loop_mul(spec, m1, m2).coords)
 
 
-def associativity_defect(c: LoopCase, m1: LoopPoint, m2: LoopPoint, m3: LoopPoint) -> float:
-    left = loop_mul(c, loop_mul(c, m1, m2), m3)
-    right = loop_mul(c, m1, loop_mul(c, m2, m3))
+def associativity_defect(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint, m3: LoopPoint) -> float:
+    left = loop_mul(spec, loop_mul(spec, m1, m2), m3)
+    right = loop_mul(spec, m1, loop_mul(spec, m2, m3))
     return coordinate_distance(left.coords, right.coords)
 
 
@@ -275,7 +251,7 @@ def _sample_points(
 
 
 def axiom_suite(
-    c: LoopCase,
+    spec: SectionSpec,
     n_samples: int = 1000,
     seed: int = 0,
     xy_half_width: float = 5.0,
@@ -296,7 +272,6 @@ def axiom_suite(
     the e^{a*dz} terms then amplify double-precision rounding past any fixed
     tolerance even though the recovered point is correct to that conditioning.
     """
-    spec = c.spec
     if z_half_width is None:
         z_half_width = 5.0 if spec.case == "A" else 0.5
     rng = Stream(seed)
@@ -305,14 +280,14 @@ def axiom_suite(
     m1, m2, b = _sample_points(rng, n_samples, 3, xy_half_width, z_half_width)
     id_max = largest(
         np.maximum(
-            coordinate_distance(loop_mul(c, e, m1).coords, m1.coords),
-            coordinate_distance(loop_mul(c, m1, e).coords, m1.coords),
+            coordinate_distance(loop_mul(spec, e, m1).coords, m1.coords),
+            coordinate_distance(loop_mul(spec, m1, e).coords, m1.coords),
         )
     )
-    w = loop_ldiv(c, m1, b)
-    ldiv_max = largest(coordinate_distance(loop_mul(c, m1, w).coords, b.coords))
-    z_max = largest(np.abs(loop_mul(c, m1, m2).z - (m1.z + m2.z)))
-    _, residual, errors = loop_rdiv_batch(c, loop_mul(c, b, m2), m2)
+    w = loop_ldiv(spec, m1, b)
+    ldiv_max = largest(coordinate_distance(loop_mul(spec, m1, w).coords, b.coords))
+    z_max = largest(np.abs(loop_mul(spec, m1, m2).z - (m1.z + m2.z)))
+    _, residual, errors = loop_rdiv_batch(spec, loop_mul(spec, b, m2), m2)
     division_errors = [
         f"sample {i}: {type(err).__name__}: {err}" for i, err in sorted(errors.items())
     ]
@@ -334,7 +309,7 @@ def axiom_suite(
 
 
 def loop_suite(
-    c: LoopCase,
+    spec: SectionSpec,
     n_samples: int = 500,
     seed: int = 0,
     z_half_width: Optional[float] = None,
@@ -347,13 +322,13 @@ def loop_suite(
     check only warns for a degenerate section, which is legitimate input,
     and fails when the verdict could not be reached.
     """
-    report = axiom_suite(c, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
+    report = axiom_suite(spec, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
     rng = Stream(seed + 1)
     z_hw = z_half_width if z_half_width is not None else 5.0
     n_cross = min(n_samples, 300)
-    worst = largest(coset_cross_check(c, *_sample_points(rng, n_cross, 2, 5.0, z_hw)))
+    worst = largest(coset_cross_check(spec, *_sample_points(rng, n_cross, 2, 5.0, z_hw)))
     report.record("coset-cross-check", worst <= 1e-10, max_error=worst, n_samples=n_cross)
-    verdict = c.degeneracy
+    verdict = degeneracy_report(spec)
     notes = {
         True: "section image generates the group; the loop is proper",
         False: "degenerate family: left translations stay in a proper subgroup",

@@ -4,16 +4,14 @@ Two workhorses:
 
   * root_rows: sign-change scans of many functions (one row each) over
     uniform grids, evaluated in blocks, plus one batched bisection of
-    every bracket of every row that reproduces scalar bisect bit for bit.
-    Returns every bracketed root of every row, which makes it usable as a
-    root *counter* for uniqueness certification, not just a solver;
-    root1d is its one-row case and bisect the scalar reference.  Given an
-    interval enclosure of the rows (expressions.enclose, through
-    sections.line_residual_rows), the scan skips every chunk of
-    CHUNK_CELLS cells whose sign an enclosure proves: that of the chunk,
-    or of a coarser box holding it (the enclosure starts with one box per
-    row and splits only the boxes it cannot prove).  Its result stays
-    exactly that of the full scan.
+    every bracket of every row.  Returns every bracketed root of every
+    row, which makes it usable as a root *counter* for uniqueness
+    certification, not just a solver.  Its rows come with an interval
+    enclosure (expressions.enclose, through sections.line_residual_rows),
+    and the scan skips every chunk of CHUNK_CELLS cells whose sign an
+    enclosure proves: that of the chunk, or of a coarser box holding it
+    (the enclosure starts with one box per row and splits only the boxes
+    it cannot prove).  Its result is exactly that of a scan of every node.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -26,49 +24,14 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .group import coordinate_distance, elementwise, largest
+from .group import elementwise, largest
 
 __all__ = [
     "FitResult",
     "root_rows",
-    "root1d",
-    "bisect",
     "fit_saturating_exponential",
     "twisted_additivity_residual",
 ]
-
-
-def bisect(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    """Standard bisection on a bracketing interval; returns the midpoint at width tol.
-
-    Where adjacent doubles are more than tol apart (|root| beyond about
-    8.8e3 at tol = 1e-12), it stops when the midpoint equals an end.
-
-    The scalar reference whose iterates root_rows reproduces for all its
-    brackets at once.
-    """
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("interval does not bracket a root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles wider than tol
-            break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 # Points per array evaluation.  Every float array of an evaluation then
@@ -76,15 +39,15 @@ def bisect(
 # point on the development machine (an x86-64 Xeon with glibc).
 BLOCK_POINTS = 16000
 # Levels of every bracket's midpoint tree evaluated per bisection round:
-# 15 midpoints, of which bisect's path uses 4.  Deeper trees take fewer
+# 15 midpoints, of which the bisection path uses 4.  Deeper trees take fewer
 # rounds but evaluate exponentially more unused points.
 BISECT_LEVELS = 4
 
 
-# Grid cells per chunk of a scan whose rows come with an enclosure, and
-# boxes of chunks per enclosure call.  Enclosing BLOCK_POINTS chunks per
-# call raised the peak heap of a loop-check command from 1.5 to 2.7 MB;
-# 4000 keep it at 1.5 MB and took no measurable time more.
+# Grid cells per chunk of a scan, and boxes of chunks per enclosure call.
+# Enclosing BLOCK_POINTS chunks per call raised the peak heap of a
+# loop-check command from 1.5 to 2.7 MB; 4000 keep it at 1.5 MB and took no
+# measurable time more.
 CHUNK_CELLS = 64
 ENCLOSE_CHUNKS = 4000
 # Parts that a box of chunks whose enclosure proves nothing is split into.
@@ -155,17 +118,20 @@ def _bisect_rows(
     flo: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, list[Optional[Exception]]]:
-    """bisect on many brackets at once, bit for bit.
+    """Scalar bisection on many brackets at once, bit for bit.
 
     Bracket k is [lo[k], hi[k]] of function rows[k], whose value at lo[k]
     is flo[k] and whose value at hi[k] has the opposite sign (neither is
-    zero).  Each round evaluates the next BISECT_LEVELS levels of every
-    unfinished bracket's midpoint tree at once, every midpoint computed as
-    0.5*(lo + hi) from the same lo and hi as bisect's, and then replays
-    bisect's decisions on them, its stop on a midpoint that equals an end
-    included, so the roots are bisect's.  Returns the
-    roots and, per bracket, the exception of the first point on bisect's
-    path whose evaluation raised (the root is then NaN), or None.
+    zero).  Scalar bisection halves a bracket at mid = 0.5*(lo + hi) while
+    hi - lo > tol, keeps the half whose ends differ in sign (hi = mid when
+    f(lo)*f(mid) < 0, else lo = mid), returns mid when f(mid) is an exact
+    zero and otherwise 0.5*(lo + hi) of the last bracket; where adjacent
+    doubles are more than tol apart it stops when mid equals an end.  Each
+    round evaluates the next BISECT_LEVELS levels of every unfinished
+    bracket's midpoint tree at once and then replays those decisions on
+    them, so every root is the scalar one.  Returns the roots and, per
+    bracket, the exception of the first point on the bisection path whose
+    evaluation raised (the root is then NaN), or None.
     """
     per = max(1, BLOCK_POINTS // 2**BISECT_LEVELS)
     if len(lo) > per:
@@ -226,30 +192,29 @@ def _open_segments(
     lo: np.ndarray,
     hi: np.ndarray,
     resolution: int,
-    enclose: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]],
+    enclose: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
 ):
     """The grid segments a scan evaluates, in blocks (rows, first, steps).
 
     Segment i is the nodes first[i] + steps of row rows[i], where steps is
-    0.0, 1.0, ... up to the segment's number of cells.  Without an
-    enclosure every row is one segment.  With one, a row's cells are cut
-    into chunks of CHUNK_CELLS (the last one shorter), and only the chunks
-    that no enclosure proves are evaluated.  The enclosure works coarse to
-    fine: a box of chunks per row that covers them all, then, for each box
-    whose residual enclosure over its end nodes is not finite and of one
-    sign, its FAN_OUT parts, down to single chunks.  A proven box is left out:
-    every node in it is then finite, nonzero, of that sign, and raises
-    nothing.  Boxes are enclosed in blocks of at most ENCLOSE_CHUNKS, and
-    segments come in blocks of at most BLOCK_POINTS nodes (at least one
+    0.0, 1.0, ... up to the segment's number of cells.  A row's cells are
+    cut into chunks of CHUNK_CELLS (the last one shorter), and only the
+    chunks that no enclosure proves are evaluated.  The enclosure works
+    coarse to fine: a box of chunks per row that covers them all, then, for
+    each box whose residual enclosure over its end nodes is not finite and
+    of one sign, its FAN_OUT parts, down to single chunks.  A proven box is
+    left out: every node in it is then finite, nonzero, of that sign, and
+    raises nothing.  Boxes are enclosed in blocks of at most ENCLOSE_CHUNKS,
+    and segments come in blocks of at most BLOCK_POINTS nodes (at least one
     segment).
     """
-    span = CHUNK_CELLS if enclose is not None else resolution
+    span = CHUNK_CELLS
     chunks = -(-resolution // span)
     rows, first = scan, np.zeros(len(scan))  # the open boxes: row, first chunk
     size = 1  # chunks per box
-    while enclose is not None and size < chunks:
+    while size < chunks:
         size *= FAN_OUT
-    while enclose is not None and rows.size:
+    while rows.size:
         proven = np.zeros(len(rows), dtype=bool)
         for s in range(0, len(rows), ENCLOSE_CHUNKS):
             r, c = rows[s : s + ENCLOSE_CHUNKS], first[s : s + ENCLOSE_CHUNKS, None]
@@ -279,34 +244,34 @@ def _open_segments(
 
 def root_rows(
     fn_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    enclose: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     lo: Sequence[float],
     hi: Sequence[float],
     tol: float = 1e-12,
     resolution: int = 10000,
-    enclose: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]] = None,
 ) -> list[Union[list[float], ValueError]]:
     """All bracketed roots of many functions, one row per function.
 
     fn_rows(rows, pts) returns, for every i, function rows[i] evaluated
     elementwise at pts[i]: an array of the shape of the 2-D array pts.
-    Row r is scanned on resolution uniform cells over [lo[r], hi[r]].  Grid
-    nodes that are exact zeros count as roots; every sign change between
-    adjacent nodes is refined by bisection, all rows' brackets together,
-    with the iterates of bisect, and is a root only if the residual there
-    is at most 1e-8 times the largest of 1 and the scan values at the
-    cell's ends (a sign change across a pole is not).  Roots closer than
-    1e-9 are merged.  Roots separated by less than the grid spacing can be
-    missed, as can tangential (even-order) zeros; resolution is the
-    caller's knob.
+    enclose(rows, a, b) returns arrays (lo, hi) of the shape of the 2-D
+    arrays a and b that contain the computed value of function rows[i] at
+    every float of [a[i, j], b[i, j]], or are not finite where that is not
+    known.
 
-    enclose(rows, a, b), when given, returns arrays (lo, hi) of the shape
-    of the 2-D arrays a and b that contain the computed value of function
-    rows[i] at every float of [a[i, j], b[i, j]], or are not finite where
-    that is not known.  The scan then skips the
-    grid nodes of every chunk of CHUNK_CELLS cells whose sign the
-    enclosure of the chunk or of a coarser box proves, enclosing coarse to
-    fine (see _open_segments).  The result is exactly that of the full
-    scan; only fewer nodes are evaluated.
+    Row r is scanned on resolution uniform cells over [lo[r], hi[r]].  The
+    scan skips the grid nodes of every chunk of CHUNK_CELLS cells whose
+    sign the enclosure of the chunk or of a coarser box proves, enclosing
+    coarse to fine (see _open_segments); the result is exactly that of a
+    scan of every node, which an enclosure that is unknown everywhere
+    gives.  Grid nodes that are exact zeros count as roots; every sign
+    change between adjacent nodes is refined by scalar bisection (see
+    _bisect_rows), all rows' brackets together, and is a root only if the
+    residual there is at most 1e-8 times the largest of 1 and the scan
+    values at the cell's ends (a sign change across a pole is not).  Roots
+    closer than 1e-9 are merged.  Roots separated by less than the grid
+    spacing can be missed, as can tangential (even-order) zeros;
+    resolution is the caller's knob.
 
     Returns one entry per row: its sorted roots, or the ValueError that
     rules the row out (a bad interval or resolution, a window too wide for
@@ -331,17 +296,14 @@ def root_rows(
     found: list[list[float]] = [[] for _ in lo]
     nonfinite: dict[int, list[tuple[float, list[float]]]] = {}  # row -> (first node, NaN nodes)
     brackets = []
-    chunked = enclose is not None  # else every segment is a whole row, from node 0
     for rows, first, steps in _open_segments(scan, lo, hi, resolution, enclose):
         cells = len(steps) - 1
-        k = first[:, None] + steps if chunked else steps
-        xs = _nodes(k, lo[rows, None], hi[rows, None], resolution)
+        xs = _nodes(first[:, None] + steps, lo[rows, None], hi[rows, None], resolution)
         ys = evaluate(rows, xs)
         for i in np.flatnonzero(~np.isfinite(ys).all(axis=1)):
             nonfinite.setdefault(int(rows[i]), []).append((first[i], xs[i][np.isnan(ys[i])].tolist()))
         zero = ys == 0.0
-        if chunked:  # the end node of an open segment before, or proven nonzero
-            zero[first > 0, 0] = False
+        zero[first > 0, 0] = False  # the end node of an open segment before, or proven nonzero
         i, j = np.divmod(np.flatnonzero(zero), cells + 1)
         for i, j in zip(i.tolist(), j.tolist()):
             found[rows[i]].append(float(xs[i, j]))
@@ -388,37 +350,6 @@ def root_rows(
     return out
 
 
-def _on_points(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """fn at every entry of xs: one call when fn takes numpy arrays, else point by point."""
-    flat = xs.ravel()
-    try:
-        ys = np.asarray(fn(flat), dtype=float)
-        if ys.shape != flat.shape:
-            raise TypeError
-    except Exception:
-        ys = np.array([float(fn(float(x))) for x in flat])
-    return ys.reshape(xs.shape)
-
-
-def root1d(
-    fn: Callable[[float], float],
-    interval: tuple[float, float],
-    tol: float = 1e-12,
-    resolution: int = 10000,
-) -> list[float]:
-    """All roots of one continuous function bracketed by a uniform scan.
-
-    The one-row case of root_rows.  A function that rejects numpy arrays
-    is evaluated point by point.
-    """
-    (roots,) = root_rows(
-        lambda rows, pts: _on_points(fn, pts), [interval[0]], [interval[1]], tol, resolution
-    )
-    if isinstance(roots, ValueError):
-        raise roots
-    return roots
-
-
 class FitResult(NamedTuple):
     coefficient: float
     rms_residual: float
@@ -457,22 +388,26 @@ def fit_saturating_exponential(
 
 
 def twisted_additivity_residual(
-    fn: Callable[[float], float], zs: Sequence[float], rate: float = 1.0
+    fn: Callable[[np.ndarray], np.ndarray], zs: Sequence[float], rate: float = 1.0
 ) -> float:
     """Worst violation of f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1) over all ordered pairs.
 
-    Each pair's violation is relative to its magnitudes, as
-    coordinate_distance measures it: |lhs - rhs| / max(1, |lhs|, |rhs|),
-    so rounding in large values of an exact member stays near one ulp.
-    Zero exactly on the family K*(1 - e^{-rate*z}); any other continuous
-    function with f(0)=0 violates it somewhere.  A pair whose two sides
-    differ by NaN (a NaN value, or infinities) makes the residual infinite.
-    The pair sums z1 + z2 are evaluated in one call of fn when it takes
-    numpy arrays.
+    Each pair's violation is relative to the magnitudes of its terms:
+    |lhs - rhs| / max(1, |lhs|, |f(z2)|, |e^{-rate*z2}*f(z1)|), so rounding
+    in large values of an exact member stays near one ulp of the largest
+    term, even where the two terms of rhs cancel.  Zero exactly on the
+    family K*(1 - e^{-rate*z}); any other continuous function with f(0)=0
+    violates it somewhere.  A pair whose violation is NaN (a NaN value, or
+    infinities) makes the residual infinite.  fn is evaluated elementwise
+    on arrays, twice: at the samples and at every pair sum z1 + z2; a
+    constant result is broadcast.
     """
     zs = np.asarray(zs, dtype=float)
-    values = _on_points(fn, zs)
+    sums = zs[:, None] + zs  # row z1, column z2
+    values = np.broadcast_to(np.asarray(fn(zs), dtype=float), zs.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        lhs = _on_points(fn, zs[:, None] + zs)  # row z1, column z2
-        rhs = values + elementwise(math.exp, -rate * zs) * values[:, None]
-    return largest(coordinate_distance((lhs,), (rhs,)))
+        lhs = np.broadcast_to(np.asarray(fn(sums), dtype=float), sums.shape)
+        twisted = elementwise(math.exp, -rate * zs) * values[:, None]
+        scale = np.maximum(np.maximum(abs(lhs), abs(values)), np.maximum(abs(twisted), 1.0))
+        error = abs(lhs - (values + twisted)) / scale
+    return largest(np.where(error == error, error, math.inf))

@@ -22,7 +22,7 @@ translations are bijective by counting the roots of that equation.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "section_lift",
     "degeneracy_report",
     "generation_suite",
+    "lemma1_member",
     "lemma1_suite",
     "RightTranslationLine",
     "right_translation_system",
@@ -56,27 +57,22 @@ _EXPR_VARIABLES = {2: ("x", "z"), 3: ("x", "y", "z")}
 
 
 class FunctionSpec:
-    """A continuous section parameter function vanishing at the origin.
+    """A continuous section parameter function vanishing at the origin: an expression tree.
 
-    arity 2 means f(x, z); arity 3 means f(x, y, z).  preset and
-    from_expression evaluate a parsed expression and keep its tree, with
-    which the root scans skip the nodes whose sign an interval enclosure
-    proves.  A plain callable (from_callable) has no tree; it must accept
-    numpy arrays elementwise, which keeps the root scans vectorized.
+    arity 2 means f(x, z); arity 3 means f(x, y, z), and the tree is over
+    those variables.  fn evaluates it (expressions.as_function) elementwise
+    on floats or numpy arrays, and the root scans enclose it
+    (expressions.enclose) to skip the nodes whose sign the enclosure
+    proves.  preset and from_expression parse the text of the tree.
 
     A call that raises EvaluationError raises it again with the label and
     the first input row at which the function raises.
     """
 
-    def __init__(
-        self,
-        arity: int,
-        fn: Callable[..., float],
-        label: str,
-        tree: Optional[expressions.Node] = None,
-    ) -> None:
+    def __init__(self, arity: int, tree: expressions.Node, label: str) -> None:
         if arity not in (2, 3):
             raise ValueError("arity must be 2 or 3")
+        fn = expressions.as_function(tree, _EXPR_VARIABLES[arity])
         base = float(fn(*([0.0] * arity)))
         if not math.isfinite(base):
             raise ValueError("function is not finite at the origin")
@@ -84,7 +80,7 @@ class FunctionSpec:
             raise ValueError(
                 f"base-point constraint violated: f(0,...,0) = {base!r} (must vanish)"
             )
-        self.arity, self.fn, self.label, self.tree = arity, fn, label, tree
+        self.arity, self.tree, self.fn, self.label = arity, tree, fn, label
 
     def __call__(self, *args):
         if len(args) != self.arity:
@@ -105,10 +101,6 @@ class FunctionSpec:
                 names = ", ".join(_EXPR_VARIABLES[self.arity])
                 return f" at ({names}) = ({', '.join(repr(float(v)) for v in row)})"
         return ""
-
-    @classmethod
-    def from_callable(cls, fn: Callable[..., float], arity: int, label: str = "custom") -> "FunctionSpec":
-        return cls(arity=arity, fn=fn, label=label)
 
     @classmethod
     def from_expression(cls, text: str, arity: int) -> "FunctionSpec":
@@ -135,7 +127,7 @@ class FunctionSpec:
             expressions.parse(text, (*names, *constants)),
             {name: expressions.Const(value) for name, value in constants.items()},
         )
-        return cls(arity, expressions.as_function(tree, names), label, tree)
+        return cls(arity, tree, label)
 
 
 # name -> (expression in x, z and the coefficient c, default coefficient).
@@ -290,19 +282,31 @@ def generation_suite(spec: SectionSpec, n_samples: int = 200) -> VerificationRep
     return report
 
 
+def lemma1_member(K: float, rate: float) -> tuple[expressions.Node, str]:
+    """The family member K*(1 - e^{-rate*z}): its tree over z and its label.
+
+    The tree computes K*-expm1(-rate*z).
+    """
+    member = expressions.parse("K*-expm1(-r*z)", ("z", "K", "r"))
+    tree = expressions.substitute(member, {"K": expressions.Const(K), "r": expressions.Const(rate)})
+    return tree, f"{K:g}*(1-exp(-{rate:g}*z))"
+
+
 def lemma1_suite(
-    fn: Callable[[float], float],
+    tree: expressions.Node,
     rate: float = 1.0,
     z_range: tuple[float, float] = (-3.0, 3.0),
     n_samples: int = 50,
     coefficient: Optional[float] = None,
 ) -> VerificationReport:
-    """Membership of a one-variable profile in the family K*(1 - e^{-rate*z}).
+    """Membership of a one-variable profile, a tree over z, in the family K*(1 - e^{-rate*z}).
 
     Least-squares profile fit, the pair identity on all sample pairs (each
-    pair to 1e-12 relative to the larger of 1 and its two sides) and, when
-    the expected coefficient is given, its recovery by the fit.
+    pair to 1e-12 relative to the largest of 1, its left side and the two
+    terms of its right side) and, when the expected coefficient is given,
+    its recovery by the fit.
     """
+    fn = expressions.as_function(tree, ("z",))
     zs = _profile_zs(*z_range, n_samples)
     report = VerificationReport(seed=None)
     fit = fit_saturating_exponential([(float(z), float(fn(float(z)))) for z in zs], rate=rate)
@@ -409,8 +413,7 @@ def line_residual_rows(line: RightTranslationLine, rows: np.ndarray):
     expressions.enclose of the residual's float steps written as one tree
     (the point bx + u*dx, by + u*dy, qz, the section's tree there, then
     u - scale*f), so it contains the computed values, not only the exact
-    ones.  It is None when the section function has no tree (a plain
-    callable).
+    ones.
     """
     fn = line.fn
     fields = (*line.base, *line.direction, line.qz, line.scale)
@@ -419,8 +422,6 @@ def line_residual_rows(line: RightTranslationLine, rows: np.ndarray):
     def fn_rows(idx, pts):
         return _line_residual(fn, pts, *cols[:, idx])
 
-    if fn.tree is None:
-        return fn_rows, None
     residual = expressions.substitute(
         _LINE_RESIDUAL, {"f": expressions.substitute(fn.tree, _LINE_POINT)}
     )
@@ -490,9 +491,9 @@ def sharp_transitivity_check(
     equation by a sign-change scan at the given resolution: the samples are
     the rows of one column line and of its windows, scanned in one
     numerics.root_rows call (which skips the grid nodes whose sign the
-    enclosure of an expression section proves).  Every
-    sample contributes its root count; solver failures, including sign
-    changes across a pole, are reported, never dropped.
+    enclosure of the section's tree proves).  Every sample contributes its
+    root count; solver failures, including sign changes across a pole, are
+    reported, never dropped.
     """
     report = VerificationReport(seed=seed)
     if spec.case == "A":
@@ -513,8 +514,7 @@ def sharp_transitivity_check(
     line = right_translation_system(spec, LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2))
     lower, upper = line.window(*box)
     scan = np.flatnonzero(lower < upper)
-    fn_rows, enclose = line_residual_rows(line, scan)
-    found = root_rows(fn_rows, lower[scan], upper[scan], resolution=resolution, enclose=enclose)
+    found = root_rows(*line_residual_rows(line, scan), lower[scan], upper[scan], resolution=resolution)
     outcomes: list = [_missed(*box)] * len(z1)  # a window error, or the roots of the scan
     for i, roots in zip(scan.tolist(), found):
         outcomes[i] = roots

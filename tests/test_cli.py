@@ -72,6 +72,7 @@ def test_count_flags_rejected_at_parse_time(capsys):
         (["lemma1", "--K", "1", "--rate", value], "--rate", "must be finite and nonzero")
         for value in ("0", "nan", "inf")
     ]
+    bad += [(["lemma1", "--K", value], "--K", "must be finite") for value in ("nan", "inf")]
     for argv, flag, message in bad:
         assert main(argv) == 2, argv
         assert f"argument {flag}: {message}" in capsys.readouterr().err
@@ -312,16 +313,26 @@ def test_lemma1_with_exact_member(tmp_path):
 
 def test_lemma1_pair_identity_is_relative_to_the_values(tmp_path):
     # over --range -3 3 the pair sums reach z = -6, where 3*(1 - e^{12}) is
-    # about -5e5 and rounding alone exceeds an absolute 1e-12; non-members
-    # still fail
+    # about -5e5 and rounding alone exceeds an absolute 1e-12; at z1 = 50,
+    # z2 = -50 the two terms of the right side, about 1.6e22, cancel, so
+    # rounding is judged against the terms; non-members still fail
     for argv, code, status in (
         (["--K", "3", "--rate", "2"], 0, "pass"),
+        (["--K", "3", "--range", "-50", "50"], 0, "pass"),
         (["--fn", "z*z"], 1, "fail"),
         (["--fn", "sin(z)"], 1, "fail"),
     ):
         got, path = run_to_file(tmp_path, "lm3.json", ["lemma1", *argv])
         checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
         assert (got, checks["pair-identity"]["status"]) == (code, status), argv
+
+
+def test_lemma1_constant_profile_is_broadcast(tmp_path):
+    # the constant 0 evaluates to a scalar on array input
+    code, path = run_to_file(tmp_path, "zero.json", ["lemma1", "--fn", "0"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    assert (checks["pair-identity"]["status"], checks["pair-identity"]["n_samples"]) == ("pass", 2500)
 
 
 def test_lemma1_with_member_expression(tmp_path):
@@ -430,10 +441,11 @@ def test_command_table_matches_parser(capsys):
 
 def test_library_suites_match_cli(tmp_path):
     from solvloop.group import GroupElement, GroupParam
-    from solvloop.loops import LoopCase, loop_suite
+    from solvloop.loops import loop_suite
     from solvloop.multgroup import group_suite, theorem2_suite
     from solvloop.sections import (
-        FunctionSpec, SectionSpec, generation_suite, lemma1_suite, sharp_transitivity_check,
+        FunctionSpec, SectionSpec, generation_suite, lemma1_member, lemma1_suite,
+        sharp_transitivity_check,
     )
     from solvloop.subgroups import classify_suite, fixed_point_suite
 
@@ -448,7 +460,7 @@ def test_library_suites_match_cli(tmp_path):
         (["classify", "--a", "2", "--b1", "1.5", "--b2", "0.5", "--b3", "-2"],
          classify_suite(GroupParam(2.0), 1.5, 0.5, -2.0)),
         (["loop-check", "--case", "B", *section, "lemma1", "--samples", "20", "--seed", "1"],
-         loop_suite(LoopCase(spec("B", "lemma1")), 20, 1, None)),
+         loop_suite(spec("B", "lemma1"), 20, 1, None)),
         (["generation", "--case", "C", *section, "sin-small"],
          generation_suite(spec("C", "sin-small"), 200)),
         (["transitivity", "--case", "C", *section, "sin-small", "--samples", "10"],
@@ -456,7 +468,7 @@ def test_library_suites_match_cli(tmp_path):
         (["theorem2", "--a", "2", "--samples", "60", "--seed", "2"],
          theorem2_suite(GroupParam(2.0), 60, 2)),
         (["lemma1", "--K", "2"],
-         lemma1_suite(lambda z: 2.0 * -np.expm1(-z), 1.0, (-3.0, 3.0), 50, coefficient=2.0)),
+         lemma1_suite(lemma1_member(2.0, 1.0)[0], 1.0, (-3.0, 3.0), 50, coefficient=2.0)),
         (["fixed-point", "--a", "2", "--g", "1", "-2", "0.5", "1.5"],
          fixed_point_suite(GroupParam(2.0), GroupElement(1.0, -2.0, 0.5, 1.5))),
     ]
@@ -541,12 +553,17 @@ def _reports(capsys, seed):
 
 @pytest.mark.parametrize("seed", [0, 7919])
 def test_enclosure_pruning_changes_no_report(capsys, monkeypatch, seed):
-    # the scans skip the nodes whose sign an enclosure proves; without the
-    # enclosure they evaluate every node, and the reports are the same
+    # the scans skip the nodes whose sign an enclosure proves; with an
+    # enclosure that proves nothing they evaluate every node, and the
+    # reports are the same
     pruned = _reports(capsys, seed)
     full = solvloop.sections.line_residual_rows
+
+    def unknown(rows, a, b):
+        return np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
+
     for module in (solvloop.sections, solvloop.loops):
-        monkeypatch.setattr(module, "line_residual_rows", lambda line, rows: (full(line, rows)[0], None))
+        monkeypatch.setattr(module, "line_residual_rows", lambda line, rows: (full(line, rows)[0], unknown))
     assert _reports(capsys, seed) == pruned
     assert [code for code, _ in pruned] == ([0] * 6 + [1]) * 2
 

@@ -163,17 +163,16 @@ CASES = st.sampled_from(["A", "B", "C"])
 @given(case=CASES, a=st.sampled_from((-1.0, 0.5, 2.0)), fn=SECTIONS, rows=_rows(6))
 def test_loop_laws_rows_equal_scalar_calls(case, a, fn, rows):
     spec = _spec(case, a, fn)
-    c = sl.LoopCase(spec)
     m1s = [sl.LoopPoint(*r[:3]) for r in rows]
     m2s = [sl.LoopPoint(*r[3:]) for r in rows]
     m1 = _columns(sl.LoopPoint, [r[:3] for r in rows])
     m2 = _columns(sl.LoopPoint, [r[3:] for r in rows])
     pairs = list(zip(m1s, m2s))
     for law in (
-        lambda m1, m2: sl.loop_mul(c, m1, m2),
-        lambda m1, m2: sl.loop_ldiv(c, m1, m2),
-        lambda m1, m2: _product(c, m1, m2, m2.x),
-        lambda m1, m2: sl.coset_cross_check(c, m1, m2),
+        lambda m1, m2: sl.loop_mul(spec, m1, m2),
+        lambda m1, m2: sl.loop_ldiv(spec, m1, m2),
+        lambda m1, m2: _product(spec, m1, m2, m2.x),
+        lambda m1, m2: sl.coset_cross_check(spec, m1, m2),
     ):
         _assert_rows_match(law, pairs, (m1, m2))
     for law in (lambda m: sl.section_value(spec, m), lambda m: sl.section_lift(spec, m)):
@@ -194,12 +193,11 @@ def _rdiv_case_a_reference(spec, b, m2):
 @given(a=st.sampled_from((-1.0, 0.5, 2.0)), fn=SECTIONS, rows=_rows(6))
 def test_case_a_right_division_rows_equal_scalar_formula(a, fn, rows):
     spec = _spec("A", a, fn)
-    c = sl.LoopCase(spec)
     problems = [(sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])) for r in rows]
     b, m2 = _columns(sl.LoopPoint, [r[:3] for r in rows]), _columns(sl.LoopPoint, [r[3:] for r in rows])
     with np.errstate(all="ignore"):
         expected = [_outcome(lambda: _rdiv_case_a_reference(spec, b, m2)) for b, m2 in problems]
-        got = _outcome(lambda: sl.loops.loop_rdiv_batch(c, b, m2)[0])
+        got = _outcome(lambda: sl.loops.loop_rdiv_batch(spec, b, m2)[0])
     if any(x is OverflowError for x in expected):
         assert got is OverflowError
         return
@@ -301,7 +299,7 @@ def test_right_translation_system_rows_equal_scalar_calls(case, a, rows, box):
     rows=POINT_PAIRS,
 )
 def test_batched_right_division_equals_one_pair_at_a_time(case, fn, rows):
-    c = sl.LoopCase(_spec(case, 2.0, fn))
+    c = _spec(case, 2.0, fn)
     b, m2 = _columns(sl.LoopPoint, [r[:3] for r in rows]), _columns(sl.LoopPoint, [r[3:] for r in rows])
     with np.errstate(all="ignore"):
         q, residual, errors = sl.loops.loop_rdiv_batch(c, b, m2)
@@ -344,7 +342,7 @@ def test_mul_is_associative_with_two_sided_inverses(a, rows):
     rows=POINT_PAIRS,
 )
 def test_divisions_round_trip(case, fn, rows):
-    c = sl.LoopCase(_spec(case, 2.0, fn))
+    c = _spec(case, 2.0, fn)
     m1 = _columns(sl.LoopPoint, [r[:3] for r in rows])
     b = _columns(sl.LoopPoint, [r[3:] for r in rows])
     w = sl.loop_ldiv(c, m1, b)
@@ -439,7 +437,7 @@ def _sample_point(rng, xy_half_width, z_half_width):
 def _axiom_suite_reference(c, n, seed):
     """The worst errors of axiom_suite, one sample at a time."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    z_half = 5.0 if c.spec.case == "A" else 0.5
+    z_half = 5.0 if c.case == "A" else 0.5
     e = sl.LoopPoint.origin()
     id_max = ldiv_max = rdiv_max = z_max = 0.0
     for _ in range(n):
@@ -464,7 +462,7 @@ def _axiom_suite_reference(c, n, seed):
     "case,preset", [("A", "linear-x"), ("A", "bilinear"), ("B", "lemma1"), ("C", "sin-small")]
 )
 def test_axiom_suite_equals_per_sample_reference(case, preset):
-    c = sl.LoopCase(_spec(case, 2.0, preset))
+    c = _spec(case, 2.0, preset)
     report = sl.loops.axiom_suite(c, n_samples=40, seed=3)
     got = {c.name: c.max_error for c in report.checks}
     assert got == _axiom_suite_reference(c, 40, 3)

@@ -14,7 +14,12 @@ P2 = sl.GroupParam(2.0)
 def case_for(case, preset, a=2.0, coefficient=None):
     arity = 2 if case == "A" else 3
     fn = sl.FunctionSpec.preset(preset, arity, coefficient)
-    return sl.LoopCase(sl.SectionSpec(case, sl.GroupParam(a), fn))
+    return sl.SectionSpec(case, sl.GroupParam(a), fn)
+
+
+def _unknown(rows, a, b):
+    """An enclosure that proves nothing."""
+    return np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
 
 
 def rand_point(rng, z_half=0.5, xy_half=5.0):
@@ -29,7 +34,7 @@ def rand_point(rng, z_half=0.5, xy_half=5.0):
 
 def test_loop_mul_case_a_inline_formula():
     c = case_for("A", "linear-x")
-    f = c.spec.fn.fn
+    f = c.fn.fn
     a = 2.0
     rng = np.random.default_rng(51)
     for _ in range(40):
@@ -46,7 +51,7 @@ def test_loop_mul_case_a_inline_formula():
 
 def test_loop_mul_case_b_inline_formula():
     c = case_for("B", "lemma1")
-    h = c.spec.fn.fn
+    h = c.fn.fn
     a = 2.0
     rng = np.random.default_rng(52)
     for _ in range(40):
@@ -63,7 +68,7 @@ def test_loop_mul_case_b_inline_formula():
 
 def test_loop_mul_case_c_inline_formula():
     c = case_for("C", "sin-small")
-    f = c.spec.fn.fn
+    f = c.fn.fn
     a = 2.0
     rng = np.random.default_rng(53)
     for _ in range(40):
@@ -164,12 +169,13 @@ def test_rdiv_product_round_trip(case, preset):
 
 @pytest.mark.parametrize("pruned", (False, True))
 @pytest.mark.parametrize("case,preset", [("B", "lemma1"), ("B", "sin-small"), ("C", "sin-small")])
-def test_rdiv_line_round_trip_both_paths(case, preset, pruned):
+def test_rdiv_line_round_trip_both_paths(case, preset, pruned, monkeypatch):
     # the preset's tree lets the scan skip the nodes whose sign its enclosure
-    # proves; the same function without a tree scans every node
+    # proves; with an enclosure that proves nothing the scan evaluates every node
     c = case_for(case, preset)
     if not pruned:
-        c = sl.LoopCase(sl.SectionSpec(case, P2, sl.FunctionSpec.from_callable(c.spec.fn.fn, 3)))
+        rows = sl.loops.line_residual_rows
+        monkeypatch.setattr(sl.loops, "line_residual_rows", lambda line, idx: (rows(line, idx)[0], _unknown))
     rng = np.random.default_rng(60)
     for _ in range(20):
         m1, m2 = rand_point(rng), rand_point(rng)
@@ -202,20 +208,18 @@ def test_rdiv_gate_rejects_nan_product(monkeypatch):
 
 def test_rdiv_multiple_roots_error():
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("2*sin(x)", 3))
-    c = sl.LoopCase(spec)
     m = sl.LoopPoint(1.0, 0.0, 1.0)
-    target = sl.loop_mul(c, m, m)
+    target = sl.loop_mul(spec, m, m)
     with pytest.raises(sl.MultipleRootsError):
-        sl.loop_rdiv(c, target, m)
+        sl.loop_rdiv(spec, target, m)
 
 
 def test_rdiv_no_root_error():
     # x^2 grows faster than the affine part: the implicit equation can lose
     # all real roots for suitable targets
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2", 3))
-    c = sl.LoopCase(spec)
     with pytest.raises(sl.NoRootInBoxError) as raised:
-        sl.loop_rdiv(c, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
+        sl.loop_rdiv(spec, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
     # the base point prints as floats, not as np.float64(...)
     assert str(raised.value) == "no root in window of half width 160 around (5.0, 0.0)"
 
@@ -315,17 +319,24 @@ def test_axiom_suite_exactness_of_identity_and_z():
 def test_axiom_suite_reports_uniqueness_failures():
     # a large sine amplitude breaks uniqueness on the sampling window
     spec = sl.SectionSpec("B", P2, sl.FunctionSpec.from_expression("4*sin(x)", 3))
-    rep = sl.axiom_suite(sl.LoopCase(spec), n_samples=60, seed=0)
+    rep = sl.axiom_suite(spec, n_samples=60, seed=0)
     assert rep.status == "fail"
     errs = rep.data["division_errors"]
     assert any("MultipleRootsError" in e for e in errs)
 
 
-def test_loop_case_caches_degeneracy():
-    c = case_for("B", "lemma1")
-    first = c.degeneracy
-    assert first is c.degeneracy
-    assert first.generates is False
+def test_loop_suite_reaches_the_generation_verdict_once(monkeypatch):
+    verdicts = []
+    degeneracy_report = sl.loops.degeneracy_report
+
+    def counted(spec):
+        verdicts.append(degeneracy_report(spec))
+        return verdicts[-1]
+
+    monkeypatch.setattr(sl.loops, "degeneracy_report", counted)
+    rep = sl.loops.loop_suite(case_for("B", "lemma1"), n_samples=20)
+    assert len(verdicts) == 1 and verdicts[0].generates is False
+    assert rep.data["generation"] == verdicts[0].to_dict()
 
 
 # ---------------------------------------------------------------- solvability
@@ -336,7 +347,7 @@ def test_axiom_suite_records_non_finite_scan_as_failed_rdiv(case):
     # solver failure instead of escaping as a usage error
     spec = sl.SectionSpec(case, sl.GroupParam(2.0), sl.FunctionSpec.from_expression("sqrt(x)", 3))
     with np.errstate(invalid="ignore"):
-        report = sl.axiom_suite(sl.LoopCase(spec), n_samples=10, seed=0)
+        report = sl.axiom_suite(spec, n_samples=10, seed=0)
     checks = {c.name: c for c in report.checks}
     assert checks["rdiv-round-trip"].status == "fail"
     errors = report.data["division_errors"]
@@ -347,11 +358,10 @@ def test_case_a_nan_quotient_fails_the_multiply_back():
     # sqrt(x) is NaN at negative x: case A's closed form then gives a NaN
     # quotient, which the multiply-back rejects like a case-B/C quotient
     spec = sl.SectionSpec("A", P2, sl.FunctionSpec.from_expression("sqrt(x)", 2))
-    c = sl.LoopCase(spec)
     with np.errstate(invalid="ignore"):
         with pytest.raises(sl.SolverDivergenceError, match="residual inf exceeds 1e-8"):
-            sl.loop_rdiv(c, sl.LoopPoint(-1.0, 0.0, 1.0), sl.LoopPoint(0.5, 0.0, 0.5))
-        report = sl.axiom_suite(c, n_samples=10, seed=0)
+            sl.loop_rdiv(spec, sl.LoopPoint(-1.0, 0.0, 1.0), sl.LoopPoint(0.5, 0.0, 0.5))
+        report = sl.axiom_suite(spec, n_samples=10, seed=0)
     check = {c.name: c for c in report.checks}["rdiv-round-trip"]
     assert check.status == "fail" and check.max_error <= 1e-8
     errors = report.data["division_errors"]
@@ -362,28 +372,27 @@ def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
     # q*m2 = b in case C with f = 0.1*x/(x-1.5): the line crosses the pole,
     # where the residual changes sign without vanishing
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
-    c = sl.LoopCase(spec)
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
-    b = sl.loop_mul(c, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
+    b = sl.loop_mul(spec, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
     with pytest.raises(sl.SolverDivergenceError, match="is not a root"):
-        sl.loop_rdiv(c, b, m2)
+        sl.loop_rdiv(spec, b, m2)
 
 
 def test_axiom_suite_right_divisions_batch_section_calls():
     # the 500 right divisions of a case-C axiom_suite evaluate the section
     # function in a few dozen array calls, not once per scan and bisection step
     calls = []
-    sin_small = sl.FunctionSpec.preset("sin-small", 3)
+    spec = case_for("C", "sin-small")
+    fn = spec.fn.fn
 
     def counted(*args):
         calls.append(1)
-        return sin_small.fn(*args)
+        return fn(*args)
 
-    spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_callable(counted, 3))
-    c = sl.LoopCase(spec)
+    spec.fn.fn = counted
     m1, m2, b = sl.loops._sample_points(Stream(0), 500, 3, 5.0, 0.5)
-    target = sl.loop_mul(c, b, m2)
+    target = sl.loop_mul(spec, b, m2)
     calls.clear()
-    q, residual, errors = sl.loops.loop_rdiv_batch(c, target, m2)
+    q, residual, errors = sl.loops.loop_rdiv_batch(spec, target, m2)
     assert not errors and (residual <= 1e-8).all()
     assert len(calls) < 100

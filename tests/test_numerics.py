@@ -14,10 +14,56 @@ from hypothesis import strategies as st
 import solvloop as sl
 from solvloop import expressions as ex
 from solvloop import numerics
-from solvloop.numerics import bisect, root_rows
+from solvloop.numerics import root_rows
 
 
 # ---------------------------------------------------------------- 1-D roots
+
+def bisect(fn, lo, hi, tol=1e-12):
+    """Standard bisection on a bracketing interval; returns the midpoint at width tol.
+
+    Where adjacent doubles are more than tol apart (|root| beyond about
+    8.8e3 at tol = 1e-12), it stops when the midpoint equals an end.
+
+    The scalar reference whose iterates root_rows reproduces for all its
+    brackets at once.
+    """
+    flo = fn(lo)
+    fhi = fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise ValueError("interval does not bracket a root")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles wider than tol
+            break
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _unknown(rows, a, b):
+    """An enclosure that proves nothing: root_rows then evaluates every grid node."""
+    return np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
+
+
+def root1d(fn, interval, tol=1e-12, resolution=10000):
+    """All roots of one function of numpy arrays: root_rows on one row, raising its error."""
+    (roots,) = root_rows(
+        lambda rows, pts: fn(pts), _unknown, [interval[0]], [interval[1]], tol, resolution
+    )
+    if isinstance(roots, ValueError):
+        raise roots
+    return roots
+
 
 def test_bisect_simple_root():
     r = bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-14)
@@ -25,37 +71,38 @@ def test_bisect_simple_root():
 
 
 def test_root1d_sine_roots():
-    roots = sl.root1d(np.sin, (-10.0, 10.0))
+    roots = root1d(np.sin, (-10.0, 10.0))
     assert len(roots) == 7
     for r, k in zip(roots, range(-3, 4)):
         assert abs(r - k * math.pi) < 1e-9
 
 
 def test_root1d_exact_grid_zero():
-    roots = sl.root1d(lambda x: x**3, (-1.0, 1.0))
+    roots = root1d(lambda x: x**3, (-1.0, 1.0))
     assert len(roots) == 1
     assert abs(roots[0]) < 1e-9
 
 
 def test_root1d_no_roots():
-    assert sl.root1d(lambda x: x * x + 1.0, (-5.0, 5.0)) == []
+    assert root1d(lambda x: x * x + 1.0, (-5.0, 5.0)) == []
 
 
 def test_root1d_quadratic_two_roots():
-    roots = sl.root1d(lambda x: (x - 0.5) * (x + 0.25), (-1.0, 1.0))
+    roots = root1d(lambda x: (x - 0.5) * (x + 0.25), (-1.0, 1.0))
     assert len(roots) == 2
     assert abs(roots[0] + 0.25) < 1e-10 and abs(roots[1] - 0.5) < 1e-10
 
 
 def test_root1d_scalar_only_function():
-    # functions that reject array input fall back to a scalar scan
+    # the scan evaluates on arrays only: a function that rejects them raises
+    # its error out of the scan, as any error but a ValueError does
     def f(x):
         if isinstance(x, np.ndarray):
             raise TypeError("scalar only")
         return x - 0.3
 
-    roots = sl.root1d(f, (0.0, 1.0))
-    assert len(roots) == 1 and abs(roots[0] - 0.3) < 1e-10
+    with pytest.raises(TypeError, match="scalar only"):
+        root1d(f, (0.0, 1.0), resolution=100)
 
 
 def test_root1d_rejects_nonfinite_values():
@@ -64,11 +111,11 @@ def test_root1d_rejects_nonfinite_values():
         return np.where(arr > 0.5, np.nan, arr - 0.25)
 
     with pytest.raises(ValueError):
-        sl.root1d(f, (0.0, 1.0))
+        root1d(f, (0.0, 1.0))
 
 
 def _root1d_loop(fn, interval, tol=1e-12, resolution=10000):
-    """Cell-by-cell reference for the vectorised scan in root1d."""
+    """Cell-by-cell reference for the vectorised scan of root_rows."""
     xs = np.linspace(interval[0], interval[1], resolution + 1)
     ys = np.asarray(fn(xs), dtype=float)
     roots = []
@@ -97,7 +144,7 @@ def _root1d_loop(fn, interval, tol=1e-12, resolution=10000):
     ],
 )
 def test_root1d_matches_cell_loop_reference(fn, interval, resolution):
-    got = sl.root1d(fn, interval, resolution=resolution)
+    got = root1d(fn, interval, resolution=resolution)
     assert got == _root1d_loop(fn, interval, resolution=resolution)
 
 
@@ -105,14 +152,14 @@ def test_root1d_grid_zero_between_sign_changes():
     # nodes 0, 0.25, ..., 1: x = 0.5 is an exact node zero, the roots at 0.1
     # and 0.9 are bracketed by the first and the last cell
     fn = lambda x: (x - 0.1) * (x - 0.5) * (x - 0.9)
-    roots = sl.root1d(fn, (0.0, 1.0), resolution=4)
+    roots = root1d(fn, (0.0, 1.0), resolution=4)
     assert len(roots) == 3
     assert roots[1] == 0.5
     assert abs(roots[0] - 0.1) < 1e-12 and abs(roots[2] - 0.9) < 1e-12
 
 
 def test_root1d_adjacent_cells_each_bracket_a_root():
-    roots = sl.root1d(lambda x: np.cos(np.pi * x), (0.0, 4.0), resolution=4)
+    roots = root1d(lambda x: np.cos(np.pi * x), (0.0, 4.0), resolution=4)
     assert len(roots) == 4
     for r, k in zip(roots, range(4)):
         assert abs(r - (k + 0.5)) < 1e-11
@@ -122,14 +169,14 @@ def test_root1d_merges_roots_within_1e9():
     # cells of width 1e-9 separate both pairs of roots; only the pair closer
     # than 1e-9 is merged into one root
     close = lambda x: (x - 0.5e-9) * (x - 1.2e-9)
-    assert len(sl.root1d(close, (0.0, 4e-9), resolution=4)) == 1
+    assert len(root1d(close, (0.0, 4e-9), resolution=4)) == 1
     apart = lambda x: (x - 0.5e-9) * (x - 2.5e-9)
-    assert len(sl.root1d(apart, (0.0, 4e-9), resolution=4)) == 2
+    assert len(root1d(apart, (0.0, 4e-9), resolution=4)) == 2
 
 
 def test_root1d_circle_line_two_roots():
     # the circle x^2 + y^2 = 1 restricted to the line (x, y) = u*(1, 1)
-    roots = sl.root1d(lambda u: 2.0 * u * u - 1.0, (-2.0, 2.0))
+    roots = root1d(lambda u: 2.0 * u * u - 1.0, (-2.0, 2.0))
     s = math.sqrt(0.5)
     assert len(roots) == 2
     assert abs(roots[0] + s) < 1e-9 and abs(roots[1] - s) < 1e-9
@@ -138,9 +185,9 @@ def test_root1d_circle_line_two_roots():
 def test_root1d_rejects_a_sign_change_across_a_pole():
     # bisection converges onto the pole at 0.3, where the residual is huge
     with pytest.raises(ValueError, match="is not a root"):
-        sl.root1d(lambda x: 1.0 / (x - 0.3), (0.0, 1.0), resolution=4)
+        root1d(lambda x: 1.0 / (x - 0.3), (0.0, 1.0), resolution=4)
     # a steep genuine root still counts
-    assert len(sl.root1d(lambda x: 1e9 * (x - 0.3), (0.0, 1.0), resolution=4)) == 1
+    assert len(root1d(lambda x: 1e9 * (x - 0.3), (0.0, 1.0), resolution=4)) == 1
 
 
 class _Row:
@@ -209,10 +256,10 @@ def _outcome(call):
 def test_root_rows_equals_root1d_and_scalar_bisect(
     data, resolution, block_points, width, chunk_cells, unknown_every
 ):
-    # the batched scan gives every row exactly what root1d gives it alone,
+    # the batched scan gives every row exactly what it gives the row alone,
     # in blocks of any size, and every bisected root is scalar bisect's;
     # with an enclosure (known on every unknown_every-th chunk at most) it
-    # gives exactly what it gives without
+    # gives exactly what it gives with one that is unknown everywhere
     rows = data.draw(st.lists(_rows(resolution, width), min_size=1, max_size=12))
 
     def fn_rows(idx, pts):
@@ -230,8 +277,8 @@ def test_root_rows_equals_root1d_and_scalar_bisect(
     numerics.BLOCK_POINTS, numerics.CHUNK_CELLS = block_points, chunk_cells
     try:
         lo, hi = [-width] * len(rows), [width] * len(rows)
-        batch = _outcome(lambda: root_rows(fn_rows, lo, hi, resolution=resolution))
-        pruned = _outcome(lambda: root_rows(fn_rows, lo, hi, resolution=resolution, enclose=enclose))
+        batch = _outcome(lambda: root_rows(fn_rows, _unknown, lo, hi, resolution=resolution))
+        pruned = _outcome(lambda: root_rows(fn_rows, enclose, lo, hi, resolution=resolution))
     finally:
         numerics.BLOCK_POINTS, numerics.CHUNK_CELLS = saved
     assert repr(pruned) == repr(batch)
@@ -239,7 +286,7 @@ def test_root_rows_equals_root1d_and_scalar_bisect(
         return
     for row, got in zip(rows, batch):
         try:
-            alone = sl.root1d(row, (-width, width), resolution=resolution)
+            alone = root1d(row, (-width, width), resolution=resolution)
         except ValueError as err:
             alone = err
         if isinstance(alone, ValueError):
@@ -260,16 +307,16 @@ def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves():
     def enclose(rows, a, b):
         return a - 0.3, b - 0.3
 
-    dense = root_rows(fn_rows, [-1.0], [1.0], resolution=10000)
+    dense = root_rows(fn_rows, _unknown, [-1.0], [1.0], resolution=10000)
     points = sum(calls)
     calls.clear()
-    assert root_rows(fn_rows, [-1.0], [1.0], resolution=10000, enclose=enclose) == dense
+    assert root_rows(fn_rows, enclose, [-1.0], [1.0], resolution=10000) == dense
     assert sum(calls) < points / 50
 
 
 def test_root_rows_names_a_window_too_wide_for_floats():
     # hi - lo overflows: the window is at fault, not the function
-    (got,) = root_rows(lambda rows, pts: np.sin(pts), [-1e308], [1e308])
+    (got,) = root_rows(lambda rows, pts: np.sin(pts), _unknown, [-1e308], [1e308])
     assert isinstance(got, ValueError)
     assert str(got) == "window [-1e+308, 1e+308] is wider than the largest float"
 
@@ -277,7 +324,11 @@ def test_root_rows_names_a_window_too_wide_for_floats():
 def test_bisection_stops_where_doubles_are_wider_than_tol():
     # the root 1.4e5 has neighbouring doubles 2.9e-11 apart, more than the
     # default tol; the midpoint stops moving and the scan must still end
-    code = "import solvloop as sl; print(sl.root1d(lambda x: x*x - 2e10, (0.0, 2e5), resolution=10))"
+    code = (
+        "import numpy as np; from solvloop.numerics import root_rows; "
+        "unknown = lambda rows, a, b: (np.full(a.shape, -np.inf), np.full(a.shape, np.inf)); "
+        "print(root_rows(lambda rows, x: x*x - 2e10, unknown, [0.0], [2e5], resolution=10)[0])"
+    )
     src = str(Path(sl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -330,9 +381,9 @@ def test_fit_flags_model_mismatch():
 
 def test_twisted_additivity_exact_member_vs_perturbed():
     zs = list(np.linspace(-3.0, 3.0, 25))
-    member = lambda z: 2.0 * -math.expm1(-z)
+    member = lambda z: 2.0 * -np.expm1(-z)
     assert sl.twisted_additivity_residual(member, zs) <= 1e-12
-    perturbed = lambda z: 2.0 * -math.expm1(-z) + 0.01 * z * z
+    perturbed = lambda z: 2.0 * -np.expm1(-z) + 0.01 * z * z
     assert sl.twisted_additivity_residual(perturbed, zs) > 1e-4
 
 
@@ -340,11 +391,11 @@ def test_twisted_additivity_nan_pair_is_infinite():
     # the member 1 - e^{-z} up to z = 2.5 and NaN beyond, as
     # (1-exp(-z))*sqrt(2.5-z)/sqrt(2.5-z) is; only pair sums z1 + z2 get there
     zs = list(np.linspace(-1.5, 1.5, 11))
-    member = lambda z: -math.expm1(-z) if z <= 2.5 else math.nan
+    member = lambda z: np.where(z <= 2.5, -np.expm1(-z), np.nan)
     assert sl.twisted_additivity_residual(member, zs) == math.inf
 
 
 def test_twisted_additivity_rate_parameter():
-    member = lambda z: -0.5 * -math.expm1(-3.0 * z)
+    member = lambda z: -0.5 * -np.expm1(-3.0 * z)
     zs = list(np.linspace(-1.5, 1.5, 20))
     assert sl.twisted_additivity_residual(member, zs, rate=3.0) <= 1e-11

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -63,9 +62,10 @@ def test_presets_equal_their_former_lambdas_bit_for_bit(name, arity):
         old = _PRESET_LAMBDAS[name](sl.PRESETS[name][1] if coeff is None else coeff)
         try:
             spec = sl.FunctionSpec.preset(name, arity, coeff)
-        except ValueError as err:  # not finite at the origin, as the lambda was
-            with pytest.raises(ValueError, match=re.escape(str(err))), np.errstate(all="ignore"):
-                sl.FunctionSpec.from_callable(old, arity)
+        except ValueError:  # not finite at the origin, as the lambda was
+            with np.errstate(all="ignore"):
+                base = old(*[0.0] * arity)
+            assert not (math.isfinite(base) and abs(base) <= sl.BASE_POINT_TOL), (name, coeff)
             continue
         with np.errstate(all="ignore"):
             pairs = [(spec.fn(*rows.T), old(*rows.T))]
@@ -88,10 +88,10 @@ def test_unknown_preset_rejected():
 
 
 def test_base_point_constraint_enforced():
-    with pytest.raises(ValueError):
-        sl.FunctionSpec.from_callable(lambda x, z: x + 1.0, 2)
+    with pytest.raises(ValueError, match="base-point constraint violated"):
+        sl.FunctionSpec.from_expression("x + 1", 2)
     # a tiny offset under the tolerance is accepted
-    sl.FunctionSpec.from_callable(lambda x, z: x + 1e-13, 2)
+    sl.FunctionSpec.from_expression("x + 1e-13", 2)
 
 
 def test_from_expression_variables_by_arity():
@@ -208,12 +208,11 @@ def test_degeneracy_verdict_to_dict_keys():
 
 def test_right_translation_system_case_c():
     spec = spec_for("C", "sin-small")
-    c = sl.LoopCase(spec)
     rng = np.random.default_rng(33)
     for _ in range(20):
         m1 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
         m2 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
-        b = sl.loop_mul(c, m1, m2)
+        b = sl.loop_mul(spec, m1, m2)
         line = sl.right_translation_system(spec, m2, b)
         assert line.qz == m1.z  # z-coordinates subtract exactly
         assert line.direction == (1.0, 0.0)
@@ -226,12 +225,11 @@ def test_right_translation_system_case_c():
 
 def test_right_translation_system_case_b():
     spec = spec_for("B", "lemma1")
-    c = sl.LoopCase(spec)
     rng = np.random.default_rng(34)
     for _ in range(20):
         m1 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
         m2 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
-        b = sl.loop_mul(c, m1, m2)
+        b = sl.loop_mul(spec, m1, m2)
         line = sl.right_translation_system(spec, m2, b)
         assert line.qz == m1.z
         assert max(abs(d) for d in line.direction) == 1.0
@@ -301,11 +299,13 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
     assert rep.status == "fail"
     assert rep.data["root_counts"] == [3]
-    line = sl.right_translation_system(spec, m2, b)
-    c = sl.LoopCase(spec)
-    for u in sl.root1d(line.residual, line.window(-5.0, 5.0)):
-        q = line.point(u)
-        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-9
+    line = sl.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
+    lo, hi = line.window(-5.0, 5.0)
+    (roots,) = sl.numerics.root_rows(*sl.sections.line_residual_rows(line, np.arange(1)), lo, hi)
+    assert len(roots) == 3
+    for u in roots:
+        q = sl.LoopPoint(*(float(v[0]) for v in line.point(u).coords))
+        assert sl.coordinate_distance(sl.loop_mul(spec, q, m2).coords, b.coords) <= 1e-9
 
 
 def test_generation_suite_fails_non_finite_residual():
