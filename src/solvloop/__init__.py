@@ -24,7 +24,6 @@ from .group import (
     inv,
     mul,
     standard_center_probes,
-    structure_constants,
 )
 from .subgroups import (
     DecompResult,

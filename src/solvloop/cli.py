@@ -86,7 +86,10 @@ def _lemma1(args) -> VerificationReport:
             tree, label = expressions.parse(args.fn, ("z",)), args.fn
         except expressions.ExpressionError as err:
             raise ValueError(f"--fn: {err}") from None
-    report = lemma1_suite(tree, args.rate, _ordered(args.range, "--range"), args.samples, args.K)
+    z_range = _ordered(args.range, "--range")
+    if -1e-3 < z_range[0] and z_range[1] < 1e-3:
+        raise ValueError("--range must reach |z| >= 1e-3: the profile has no samples in (-1e-3, 1e-3)")
+    report = lemma1_suite(tree, args.rate, z_range, args.samples, args.K)
     report.data["function"] = label
     return report
 
@@ -132,6 +135,7 @@ def _flag(*names: str, **kwargs) -> tuple:
 
 
 SECTION_FN = "section-fn"  # stands for --fn | --preset (one required) and --coeff
+FINITE = _finite_float(math.isfinite, "finite")
 A = _flag("--a", type=float, required=True)
 CASE = _flag("--case", choices=["A", "B", "C"], required=True)
 SEED = _flag("--seed", type=_at_least(0), default=0)
@@ -147,7 +151,7 @@ def _z_box(default: Optional[float], help: str) -> tuple:
 
 
 def _pair(name: str, default: tuple[float, float]) -> tuple:
-    return _flag(name, type=float, nargs=2, default=default, metavar=("LO", "HI"))
+    return _flag(name, type=FINITE, nargs=2, default=default, metavar=("LO", "HI"))
 
 
 class Command(NamedTuple):
@@ -165,7 +169,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "classify": Command(
         "reduce a slab subalgebra to canonical form",
-        (A, *(_flag(f"--{b}", type=float, required=True) for b in ("b1", "b2", "b3"))),
+        (A, *(_flag(f"--{b}", type=FINITE, required=True) for b in ("b1", "b2", "b3"))),
         lambda args: classify_suite(GroupParam(args.a), args.b1, args.b2, args.b3),
         ("a", "b1", "b2", "b3"),
     ),
@@ -200,7 +204,7 @@ COMMANDS: dict[str, Command] = {
         (
             _flag("--fn", help="expression in z"),
             _flag(
-                "--K", type=_finite_float(math.isfinite, "finite"), default=None,
+                "--K", type=FINITE, default=None,
                 help="test the exact member K*(1-exp(-rate*z))",
             ),
             _flag("--rate", type=_finite_float(lambda v: v != 0, "finite and nonzero"), default=1.0),
@@ -211,7 +215,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "fixed-point": Command(
         "fixed coset of a left translation",
-        (A, _flag("--g", type=float, nargs=4, required=True, metavar=("X1", "X2", "X3", "X4"))),
+        (A, _flag("--g", type=FINITE, nargs=4, required=True, metavar=("X1", "X2", "X3", "X4"))),
         _fixed_point,
         ("a", "g"),
     ),
@@ -246,7 +250,7 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
                 group = sp.add_mutually_exclusive_group(required=True)
                 group.add_argument("--fn", help="expression for the section function")
                 group.add_argument("--preset", choices=list(PRESETS))
-                sp.add_argument("--coeff", type=float, default=None, help="preset coefficient override")
+                sp.add_argument("--coeff", type=FINITE, default=None, help="preset coefficient override")
             else:
                 names, kwargs = flag
                 sp.add_argument(*names, **kwargs)

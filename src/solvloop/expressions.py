@@ -36,7 +36,6 @@ __all__ = [
     "evaluate",
     "enclose",
     "substitute",
-    "to_text",
 ]
 
 
@@ -236,15 +235,40 @@ def as_function(node: Node, variables: Sequence[str]):
     """node as a function of the variables, bound positionally.
 
     numpy's floating-point warnings are silenced once per call, for the
-    whole evaluation; overflow and invalid operations give inf and NaN.
+    whole evaluation; overflow and invalid operations give inf and NaN.  A
+    call that raises EvaluationError raises it again naming the first
+    input row (in the order of the broadcast arguments) at which the
+    evaluation raises, as in "... at z = 0.0" or "... at (x, z) = (1.0, 0.0)".
     """
     variables = tuple(variables)
 
     def fn(*args):
         with np.errstate(all="ignore"):
-            return evaluate(node, dict(zip(variables, args)))
+            try:
+                return evaluate(node, dict(zip(variables, args)))
+            except EvaluationError as err:
+                raise EvaluationError(f"{err}{_raising_row(node, variables, args)}") from None
 
     return fn
+
+
+def _raising_row(node: Node, variables: tuple, args) -> str:
+    """' at <variables> = <values>' naming the first row of args at which node raises, or ''.
+
+    A call on scalars raised at its arguments; the rows of array arguments
+    are evaluated one by one, in the order of the broadcast.
+    """
+    row = args
+    if any(np.ndim(arg) for arg in args):
+        for row in zip(*(np.ravel(column) for column in np.broadcast_arrays(*args))):
+            try:
+                evaluate(node, dict(zip(variables, row)))
+            except EvaluationError:
+                break
+        else:
+            return ""
+    names, values = ", ".join(variables), ", ".join(repr(float(v)) for v in row)
+    return f" at {names} = {values}" if len(row) == 1 else f" at ({names}) = ({values})"
 
 
 def evaluate(node: Node, env: dict):
@@ -485,48 +509,3 @@ def substitute(node: Node, trees: dict) -> Node:
     if isinstance(node, BinOp):
         return BinOp(node.op, substitute(node.left, trees), substitute(node.right, trees))
     return node
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 5
-
-
-def to_text(node: Node) -> str:
-    """Pretty-print with minimal parentheses; parse(to_text(t)) == t for parsed trees.
-
-    Hand-built trees holding negative Const literals reparse to the
-    equivalent Neg form instead.
-    """
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_text(node.arg)})"
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        if _prec(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    left = to_text(node.left)
-    right = to_text(node.right)
-    prec = _PREC[node.op]
-    if node.op == "^":
-        # power: left must be an atom; the exponent slot reparses anything down to unary
-        if _prec(node.left) <= 4:
-            left = f"({left})"
-        if _prec(node.right) < 3:
-            right = f"({right})"
-    else:
-        if _prec(node.left) < prec:
-            left = f"({left})"
-        if _prec(node.right) <= prec:
-            right = f"({right})"
-    return f"{left} {node.op} {right}"

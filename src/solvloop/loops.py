@@ -124,39 +124,25 @@ def loop_ldiv(spec: SectionSpec, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
     )
 
 
-def loop_rdiv(
-    spec: SectionSpec,
-    b: LoopPoint,
-    m2: LoopPoint,
-    window_half_width: float = 10.0,
-    expansions: int = 4,
-    resolution: int = 2048,
-) -> LoopPoint:
+def loop_rdiv(spec: SectionSpec, b: LoopPoint, m2: LoopPoint) -> LoopPoint:
     """The q with q * m2 = b: loop_rdiv_batch on one row, raising its error."""
-    q, _, errors = loop_rdiv_batch(
-        spec, stack([b]), stack([m2]), window_half_width, expansions, resolution
-    )
+    q, _, errors = loop_rdiv_batch(spec, stack([b]), stack([m2]))
     if errors:
         raise errors[0]
     return LoopPoint(*(float(col[0]) for col in q.coords))
 
 
 def loop_rdiv_batch(
-    spec: SectionSpec,
-    b: LoopPoint,
-    m2: LoopPoint,
-    window_half_width: float = 10.0,
-    expansions: int = 4,
-    resolution: int = 2048,
+    spec: SectionSpec, b: LoopPoint, m2: LoopPoint
 ) -> tuple[LoopPoint, np.ndarray, dict[int, RightDivisionError]]:
     """(q, residual, errors): for every row of the column points b and m2,
     the q with q * m2 = b.
 
     Case A is closed-form, and so are cases B and C in the rows where m2
     has z = 0.  Otherwise cases B and C count *all* roots of the scalar
-    line equation of right_translation_system by a scan of the window of
-    the given half width on the line around the function-free solution,
-    doubling it up to `expansions` times for the rows where no root is
+    line equation of right_translation_system by a scan at resolution 2048
+    of the window of half width 10 on the line around the function-free
+    solution, doubling it up to 4 times for the rows where no root is
     found; the scans of all rows run together in numerics.root_rows.  A
     row gets a MultipleRootsError when the sharp-transitivity hypothesis
     fails on the window.  Every other quotient is validated in one
@@ -176,15 +162,15 @@ def loop_rdiv_batch(
         line = right_translation_system(spec, m2, b)
         us = np.zeros(len(line.qz))
         pending = np.flatnonzero(line.scale != 0.0)  # NaN scales are scanned too
-        width = window_half_width
-        for _ in range(expansions + 1):
+        width = 10.0
+        for _ in range(5):
             if not pending.size:
                 break
             found = root_rows(
                 *line_residual_rows(line, pending),
                 np.full(len(pending), -width),
                 np.full(len(pending), width),
-                resolution=resolution,
+                resolution=2048,
             )
             unsolved = []
             for i, roots in zip(pending.tolist(), found):
@@ -254,14 +240,13 @@ def axiom_suite(
     spec: SectionSpec,
     n_samples: int = 1000,
     seed: int = 0,
-    xy_half_width: float = 5.0,
     z_half_width: Optional[float] = None,
 ) -> VerificationReport:
     """Sampled quasigroup-with-identity checks.
 
     Identity laws, both division round trips, z-additivity, and (cases B/C)
-    uniqueness of the right-division root on its window.  The default z
-    sampling range is the full box for case A and [-0.5, 0.5] for B/C, where
+    uniqueness of the right-division root on its window.  x and y are
+    sampled in [-5, 5]; the default z sampling range is the full box for case A and [-0.5, 0.5] for B/C, where
     the shipped presets keep the implicit equations uniquely solvable.  The
     samples m1, m2, b are drawn row by row and every law runs once on the
     columns of all samples; the right divisions run in one loop_rdiv_batch.
@@ -277,7 +262,7 @@ def axiom_suite(
     rng = Stream(seed)
     report = VerificationReport(seed=seed)
     e = LoopPoint.origin()
-    m1, m2, b = _sample_points(rng, n_samples, 3, xy_half_width, z_half_width)
+    m1, m2, b = _sample_points(rng, n_samples, 3, 5.0, z_half_width)
     id_max = largest(
         np.maximum(
             coordinate_distance(loop_mul(spec, e, m1).coords, m1.coords),

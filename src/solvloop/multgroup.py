@@ -37,7 +37,6 @@ from .group import (
     largest,
     mul,
     split,
-    stack,
     standard_center_probes,
 )
 from .report import VerificationReport
@@ -83,8 +82,7 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     """Sampled group law, Lie algebra, exponential and centre invariants.
 
     Each check draws its samples row by row from one PCG64 stream and
-    evaluates all rows in one pass of the column-valued laws; only the
-    exponential checks call exp_alg per sample.
+    evaluates all rows in one pass of the column-valued laws.
     """
     rng = Stream(seed)
     report = VerificationReport(seed=seed)
@@ -134,21 +132,17 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     report.record("jacobi", worst <= 1e-13, max_error=worst, n_samples=n)
 
     m = max(20, n // 10)
-    draws = rng.uniform([-2.0] * 4 + [-1.5] * 2, [2.0] * 4 + [1.5] * 2, (m, 6)).tolist()
-    flows = [(AlgebraVector(*row[:4]), *row[4:]) for row in draws]
-    lhs = mul(
-        p,
-        stack([exp_alg(p, v, s) for v, s, _ in flows]),
-        stack([exp_alg(p, v, t) for v, _, t in flows]),
-    )
-    rhs = stack([exp_alg(p, v, s + t) for v, s, t in flows])
-    worst = largest(coordinate_distance(lhs.coords, rhs.coords))
+    draws = rng.uniform([-2.0] * 4 + [-1.5] * 2, [2.0] * 4 + [1.5] * 2, (m, 6))
+    v, (s, t) = AlgebraVector(*draws[:, :4].T), draws[:, 4:].T
+    lhs = mul(p, exp_alg(p, v, s), exp_alg(p, v, t))
+    worst = largest(coordinate_distance(lhs.coords, exp_alg(p, v, s + t).coords))
     report.record("exp-one-parameter", worst <= 1e-12, max_error=worst, n_samples=m)
 
     subs = [s for s in SubgroupId if s not in (SubgroupId.H2, SubgroupId.H3) or p.a != 1]
-    ts = np.linspace(-2.0, 2.0, 9).tolist()
-    flows = [stack([exp_alg(p, subgroup_generator(sub), t) for t in ts]) for sub in subs]
-    worst = largest([membership_residual(sub, g) for sub, g in zip(subs, flows)])
+    ts = np.linspace(-2.0, 2.0, 9)
+    worst = largest(
+        [membership_residual(sub, exp_alg(p, subgroup_generator(sub), ts)) for sub in subs]
+    )
     report.record(
         "exp-lands-in-subgroup",
         worst <= 1e-9,
@@ -168,15 +162,15 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     return report
 
 
-def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId, tol: float = 1e-10):
-    """Does conjugation by g keep the subgroup's generator inside the subgroup?
+def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId):
+    """Does conjugation by g keep the subgroup's generator inside the subgroup, to 1e-10?
 
     A bool, or for column elements a bool per row.
     """
     if not sub.admissible(p):
         raise InadmissibleSubgroupError(f"{sub.value} is not admissible for a = {p.a:g}")
     conj = conjugate(p, g, subgroup_element(sub, 1.0))
-    return membership_residual(sub, conj) <= tol
+    return membership_residual(sub, conj) <= 1e-10
 
 
 class NormalizerRecord(NamedTuple):
@@ -219,21 +213,14 @@ class Theorem2Certificate(NamedTuple):
         return {**self._asdict(), "records": [r.to_dict() for r in self.records]}
 
 
-def theorem2_certificate(
-    p: GroupParam,
-    n_samples: int = 1000,
-    seed: int = 0,
-    xy_half_width: float = 5.0,
-    off_slab_min: float = 1e-3,
-    off_slab_max: float = 3.0,
-    defect_threshold: float = 1e-6,
-) -> Theorem2Certificate:
+def theorem2_certificate(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> Theorem2Certificate:
     """Sampled normalizer dichotomy plus centre triviality, combined into the obstruction.
 
     Half the samples lie in the slab x4 = 0 (all must normalize every
-    admissible subgroup), half have |x4| in [off_slab_min, off_slab_max]
-    (none may normalize); each half is drawn row by row and tested as one
-    column element.  The dimension estimate 3 is a sampled surrogate, not a
+    admissible subgroup), half have |x4| in [1e-3, 3] (none may normalize);
+    x1, x2 and x3 lie in [-5, 5].  Each half is drawn row by row and tested
+    as one column element.  The centre is trivial when min_center_defect
+    exceeds 1e-6.  The dimension estimate 3 is a sampled surrogate, not a
     proof; the contradiction field states the incompatibility with a
     1-dimensional normalizer that the inner-mapping-group hypothesis would
     force.
@@ -242,11 +229,10 @@ def theorem2_certificate(
     subs = admissible_subgroups(p)
     n_slab = n_samples // 2
     n_off = n_samples - n_slab
-    w = xy_half_width
-    slab = GroupElement(*rng.uniform(-w, w, (n_slab, 3)).T, 0.0)
+    slab = GroupElement(*rng.uniform(-5.0, 5.0, (n_slab, 3)).T, 0.0)
     # per off-slab row: x1, x2, x3, |x4|, then a uniform draw picking the sign of x4
     x1, x2, x3, r, sign = rng.uniform(
-        [-w, -w, -w, off_slab_min, 0.0], [w, w, w, off_slab_max, 1.0], (n_off, 5)
+        [-5.0, -5.0, -5.0, 1e-3, 0.0], [5.0, 5.0, 5.0, 3.0, 1.0], (n_off, 5)
     ).T
     off = GroupElement(x1, x2, x3, np.where(sign < 0.5, r, -r))
     records = [
@@ -260,7 +246,7 @@ def theorem2_certificate(
         for sub in subs
     ]
     min_defect = min_center_defect(p)
-    center_trivial = min_defect > defect_threshold
+    center_trivial = min_defect > 1e-6
     contradiction = center_trivial and all(
         r.normalizer_equals_commutator for r in records
     )

@@ -247,7 +247,6 @@ def root_rows(
     enclose: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     lo: Sequence[float],
     hi: Sequence[float],
-    tol: float = 1e-12,
     resolution: int = 10000,
 ) -> list[Union[list[float], ValueError]]:
     """All bracketed roots of many functions, one row per function.
@@ -265,10 +264,11 @@ def root_rows(
     coarse to fine (see _open_segments); the result is exactly that of a
     scan of every node, which an enclosure that is unknown everywhere
     gives.  Grid nodes that are exact zeros count as roots; every sign
-    change between adjacent nodes is refined by scalar bisection (see
-    _bisect_rows), all rows' brackets together, and is a root only if the
-    residual there is at most 1e-8 times the largest of 1 and the scan
-    values at the cell's ends (a sign change across a pole is not).  Roots
+    change between adjacent nodes is refined by scalar bisection to a
+    width of 1e-12 (see _bisect_rows), all rows' brackets together, and
+    is a root only if the residual there is at most 1e-8 times the largest
+    of 1 and the scan values at the cell's ends (a sign change across a
+    pole is not).  Roots
     closer than 1e-9 are merged.  Roots separated by less than the grid
     spacing can be missed, as can tangential (even-order) zeros;
     resolution is the caller's knob.
@@ -322,7 +322,7 @@ def root_rows(
         order = order[[int(r) not in failed for r in rows[order]]]
         rows, a, b, ya, yb = (v[order] for v in (rows, a, b, ya, yb))
     if rows.size:
-        us, errors = _bisect_rows(evaluate, rows, a, b, ya, tol)
+        us, errors = _bisect_rows(evaluate, rows, a, b, ya, 1e-12)
         resid = evaluate(rows, us[:, None])[:, 0]
         small = np.abs(resid) <= 1e-8 * np.maximum(1.0, np.maximum(np.abs(ya), np.abs(yb)))
         for n, (r, u, res) in enumerate(zip(rows.tolist(), us.tolist(), resid.tolist())):
@@ -358,20 +358,19 @@ class FitResult(NamedTuple):
     rate: float = 1.0
 
 
-def fit_saturating_exponential(
-    samples: Iterable[tuple[float, float]], rate: float = 1.0
-) -> FitResult:
-    """Least-squares coefficient K for value = K*(1 - e^{-rate*z}).
+def fit_saturating_exponential(zs, values, rate: float = 1.0) -> FitResult:
+    """Least-squares coefficient K for values = K*(1 - e^{-rate*zs}), over arrays of samples.
 
-    Samples with |z| < 1e-3 are discarded (the basis function vanishes to
-    first order there and would only add noise); at least 2 usable samples
-    are required.
+    values broadcasts to the shape of zs (a constant is one value for every
+    sample).  Samples with |z| < 1e-3 are discarded (the basis function
+    vanishes to first order there and would only add noise); at least 2
+    usable samples are required.
     """
-    pts = [(float(z), float(v)) for z, v in samples if abs(z) >= 1e-3]
-    if len(pts) < 2:
+    zs = np.asarray(zs, dtype=float)
+    keep = np.abs(zs) >= 1e-3
+    zs, vals = zs[keep], np.broadcast_to(np.asarray(values, dtype=float), keep.shape)[keep]
+    if len(zs) < 2:
         raise ValueError("need at least 2 samples with |z| >= 1e-3")
-    zs = np.array([z for z, _ in pts])
-    vals = np.array([v for _, v in pts])
     basis = -np.expm1(-rate * zs)
     denom = float(basis @ basis)
     if denom == 0.0:
@@ -382,7 +381,7 @@ def fit_saturating_exponential(
         coefficient=coeff,
         rms_residual=float(np.sqrt(np.mean(resid**2))),
         max_residual=float(np.abs(resid).max()),
-        n_samples=len(pts),
+        n_samples=len(zs),
         rate=rate,
     )
 

@@ -65,8 +65,9 @@ class FunctionSpec:
     (expressions.enclose) to skip the nodes whose sign the enclosure
     proves.  preset and from_expression parse the text of the tree.
 
-    A call that raises EvaluationError raises it again with the label and
-    the first input row at which the function raises.
+    A call that raises EvaluationError raises it again with the label in
+    front of the error, which names the first input row at which the
+    function raises (expressions.as_function).
     """
 
     def __init__(self, arity: int, tree: expressions.Node, label: str) -> None:
@@ -88,19 +89,7 @@ class FunctionSpec:
         try:
             return self.fn(*args)
         except expressions.EvaluationError as err:
-            raise expressions.EvaluationError(f"{self.label}: {err}{self._at(args)}") from None
-
-    def _at(self, args) -> str:
-        """The text ' at (x, y, z) = (...)' naming the first row of args at which fn raises, or ''."""
-        rows = [np.ravel(column) for column in np.broadcast_arrays(*args)]
-        for i in range(rows[0].size):
-            row = [column[i] for column in rows]
-            try:
-                self.fn(*row)
-            except expressions.EvaluationError:
-                names = ", ".join(_EXPR_VARIABLES[self.arity])
-                return f" at ({names}) = ({', '.join(repr(float(v)) for v in row)})"
-        return ""
+            raise expressions.EvaluationError(f"{self.label}: {err}") from None
 
     @classmethod
     def from_expression(cls, text: str, arity: int) -> "FunctionSpec":
@@ -205,28 +194,32 @@ class GenerationVerdict(NamedTuple):
 
 
 def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
-    """n profile abscissae on [lo, -1e-3] and [1e-3, hi], half on each side of 0."""
-    half = n // 2
-    return np.concatenate([np.linspace(lo, -1e-3, half), np.linspace(1e-3, hi, n - half)])
+    """n profile abscissae on [lo, hi] without (-1e-3, 1e-3).
+
+    Half lie on [lo, -1e-3] and half on [1e-3, hi] when [lo, hi] reaches
+    both; otherwise all lie on the side it reaches.
+    """
+    left, right = lo <= -1e-3, hi >= 1e-3
+    if left and right:
+        half = n // 2
+        return np.concatenate([np.linspace(lo, -1e-3, half), np.linspace(1e-3, hi, n - half)])
+    if not (left or right):
+        raise ValueError(f"z range [{lo:g}, {hi:g}] lies inside (-1e-3, 1e-3)")
+    return np.linspace(lo, min(hi, -1e-3), n) if left else np.linspace(max(lo, 1e-3), hi, n)
 
 
-def degeneracy_report(
-    spec: SectionSpec,
-    n_samples: int = 200,
-    half_width: float = 5.0,
-    identity_tol: float = 1e-8,
-    fit_rms_tol: float = 1e-9,
-) -> GenerationVerdict:
+def degeneracy_report(spec: SectionSpec, n_samples: int = 200) -> GenerationVerdict:
     """Test both degeneracy identities of the section's family on a grid.
 
-    Slice identity: case A f(x,0)=0, case B h(x,y,0)=0, case C f(x,y,0)=-x.
-    Profile identity: the z-axis values follow K*(1-e^{-z}) (rate a in
-    case C), with K fitted by least squares over |z| >= 1e-3.  Each grid is
-    one section call.
+    Slice identity: case A f(x,0)=0, case B h(x,y,0)=0, case C f(x,y,0)=-x,
+    to 1e-8, with |x|, |y| <= 5.  Profile identity: the z-axis values for
+    |z| <= 5 follow K*(1-e^{-z}) (rate a in case C) to an rms of 1e-9,
+    with K fitted by least squares over |z| >= 1e-3.  Each grid is one
+    section call.
     """
     if n_samples < 50:
         raise ValueError("need at least 50 samples per axis test")
-    hw = float(half_width)
+    hw = 5.0
     a = spec.param.a
     if spec.case == "A":
         xs, ys = np.linspace(-hw, hw, n_samples), 0.0
@@ -238,10 +231,10 @@ def degeneracy_report(
     zs = _profile_zs(-hw, hw, n_samples)
     rate = a if spec.case == "C" else 1.0
     profile = section_value(spec, LoopPoint(0.0, 0.0, zs))
-    fit = fit_saturating_exponential(zip(zs.tolist(), profile.tolist()), rate=rate)
+    fit = fit_saturating_exponential(zs, profile, rate=rate)
     notes = f"on tested box |x|,|y|,|z| <= {hw:g}"
     if math.isfinite(slice_resid) and math.isfinite(fit.rms_residual):
-        generates = not (slice_resid <= identity_tol and fit.rms_residual <= fit_rms_tol)
+        generates = not (slice_resid <= 1e-8 and fit.rms_residual <= 1e-9)
     else:
         generates = None
         notes += "; no verdict: a degeneracy residual is not finite"
@@ -301,15 +294,17 @@ def lemma1_suite(
 ) -> VerificationReport:
     """Membership of a one-variable profile, a tree over z, in the family K*(1 - e^{-rate*z}).
 
-    Least-squares profile fit, the pair identity on all sample pairs (each
-    pair to 1e-12 relative to the largest of 1, its left side and the two
-    terms of its right side) and, when the expected coefficient is given,
-    its recovery by the fit.
+    The profile is sampled on z_range without (-1e-3, 1e-3) (a range inside
+    that interval is a ValueError) and evaluated once on the sample array
+    for the least-squares profile fit.  Then the pair identity on all
+    sample pairs (each pair to 1e-12 relative to the largest of 1, its left
+    side and the two terms of its right side) and, when the expected
+    coefficient is given, its recovery by the fit.
     """
     fn = expressions.as_function(tree, ("z",))
     zs = _profile_zs(*z_range, n_samples)
     report = VerificationReport(seed=None)
-    fit = fit_saturating_exponential([(float(z), float(fn(float(z)))) for z in zs], rate=rate)
+    fit = fit_saturating_exponential(zs, fn(zs), rate=rate)
     report.record(
         "profile-fit",
         fit.rms_residual <= 1e-9,
@@ -317,14 +312,14 @@ def lemma1_suite(
         n_samples=fit.n_samples,
         notes=f"fitted coefficient {fit.coefficient:.12g}",
     )
-    pair_resid = twisted_additivity_residual(fn, [float(z) for z in zs], rate=rate)
+    pair_resid = twisted_additivity_residual(fn, zs, rate=rate)
     report.record(
         "pair-identity",
         pair_resid <= 1e-12,
         max_error=pair_resid,
         n_samples=len(zs) ** 2,
         notes="f(z1+z2) = f(z2) + e^{-rate*z2} f(z1) on all sample pairs, "
-        "error relative to max(1, |lhs|, |rhs|)",
+        "error relative to max(1, |lhs|, |f(z2)|, |e^{-rate*z2} f(z1)|)",
     )
     if coefficient is not None:
         err = abs(fit.coefficient - coefficient)
@@ -476,7 +471,6 @@ def sharp_transitivity_check(
     n_samples: int = 100,
     seed: int = 0,
     resolution: int = 10000,
-    xy_half_width: float = 5.0,
     z_half_width: float = 0.5,
     samples: Optional[Sequence[tuple[LoopPoint, LoopPoint]]] = None,
 ) -> VerificationReport:
@@ -485,8 +479,9 @@ def sharp_transitivity_check(
     The root search window is the box [lo, hi] translated to the affine base
     of the implicit equation (the exact solution when the section function
     vanishes): an interval of x in case C, the square base + [lo, hi]^2 of
-    (x, y) in case B, cut down to the solution line.  z offsets are sampled
-    in [-z_half_width, z_half_width] so the function coefficient stays
+    (x, y) in case B, cut down to the solution line.  The x and y of m2 and
+    b are sampled in [-5, 5] and their z in [-z_half_width, z_half_width],
+    so the function coefficient stays
     bounded on the window.  Both cases count roots of the scalar line
     equation by a sign-change scan at the given resolution: the samples are
     the rows of one column line and of its windows, scanned in one
@@ -506,7 +501,7 @@ def sharp_transitivity_check(
         )
         return report
     if samples is None:
-        lo = [-xy_half_width] * 4 + [-z_half_width] * 2
+        lo = [-5.0] * 4 + [-z_half_width] * 2
         draws = Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 6))
     else:
         draws = np.array([(*m2[:2], *b[:2], m2.z, b.z) for m2, b in samples], dtype=float)

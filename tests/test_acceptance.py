@@ -256,8 +256,7 @@ def test_criterion_06_saturating_family(capfd):
     zs = np.linspace(-3.0, 3.0, 50)
     fit_ok = True
     for K in (-3.0, 0.5, 2.0):
-        samples = [(float(z), K * -math.expm1(-z)) for z in zs]
-        fit = sl.fit_saturating_exponential(samples)
+        fit = sl.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
         fit_ok &= abs(fit.coefficient - K) <= 1e-9
     member_res = max(
         sl.twisted_additivity_residual(lambda z, K=K: K * -np.expm1(-z), list(zs))

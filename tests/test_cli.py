@@ -73,6 +73,24 @@ def test_count_flags_rejected_at_parse_time(capsys):
         for value in ("0", "nan", "inf")
     ]
     bad += [(["lemma1", "--K", value], "--K", "must be finite") for value in ("nan", "inf")]
+    classify = ["classify", "--a", "2", "--b1", "1", "--b2", "0", "--b3", "0"]
+    bad += [
+        (classify + [flag, value], flag, "must be finite")
+        for flag in ("--b1", "--b2", "--b3") for value in ("inf", "nan")
+    ]
+    bad += [
+        (["fixed-point", "--a", "2", "--g", *g], "--g", "must be finite")
+        for g in (["inf", "0", "0", "1"], ["1", "0", "0", "nan"])
+    ]
+    bad += [
+        (["generation", *section, "--coeff", value], "--coeff", "must be finite")
+        for value in ("nan", "inf")
+    ]
+    bad += [
+        (["lemma1", "--fn", "z", "--range", "-3", "inf"], "--range", "must be finite"),
+        (["lemma1", "--K", "1", "--range", "nan", "1"], "--range", "must be finite"),
+        (["transitivity", *section, "--box", "-5", "inf"], "--box", "must be finite"),
+    ]
     for argv, flag, message in bad:
         assert main(argv) == 2, argv
         assert f"argument {flag}: {message}" in capsys.readouterr().err
@@ -325,6 +343,28 @@ def test_lemma1_pair_identity_is_relative_to_the_values(tmp_path):
         got, path = run_to_file(tmp_path, "lm3.json", ["lemma1", *argv])
         checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
         assert (got, checks["pair-identity"]["status"]) == (code, status), argv
+
+
+def test_lemma1_range_on_one_side_of_zero_is_sampled_there(tmp_path):
+    # log(z) is finite on [1, 4]; a member is recovered from [-4, -1] alone
+    code, path = run_to_file(tmp_path, "log.json", ["lemma1", "--fn", "log(z)", "--range", "1", "4"])
+    obj = json.loads(path.read_text())
+    assert code == 1 and "non_finite" not in obj["data"]
+    assert obj["checks"][0]["n_samples"] == 50
+    code, path = run_to_file(tmp_path, "neg.json", ["lemma1", "--K", "2", "--range", "-4", "-1"])
+    assert code == 0
+    assert json.loads(path.read_text())["checks"][0]["n_samples"] == 50
+
+
+def test_lemma1_range_inside_the_excluded_interval_is_a_usage_error(capsys):
+    assert main(["lemma1", "--K", "2", "--range", "-1e-4", "5e-4"]) == 2
+    assert capsys.readouterr().err.startswith("error: --range ")
+
+
+def test_lemma1_profile_error_names_the_point(capsys):
+    # the pair sums reach z = -3 + 3 = 0, where the division guard fires
+    assert main(["lemma1", "--fn", "1/z"]) == 2
+    assert capsys.readouterr().err == "error: --fn: division by (near-)zero denominator at z = 0.0\n"
 
 
 def test_lemma1_constant_profile_is_broadcast(tmp_path):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import solvloop as sl
@@ -110,6 +110,71 @@ def test_algebra_laws_rows_equal_scalar_calls(a, rows):
     _assert_rows_match(lambda u, v: sl.bracket(p, u, v), pairs, (u, v))
     _assert_rows_match(lambda u, v: sl.commutator_oracle(p, u, v), pairs, (u, v))
     _assert_rows_match(lambda u: sl.algebra_matrix(p, u), [(x,) for x in us], (u,))
+
+
+@settings(max_examples=150)
+@given(a=st.sampled_from(A_VALUES), rows=_rows(5))
+def test_exponential_rows_equal_scalar_calls(a, rows):
+    p = sl.GroupParam(a)
+    flows = [(sl.AlgebraVector(*r[:4]), r[4]) for r in rows]
+    v, t = _columns(sl.AlgebraVector, [r[:4] for r in rows]), np.array([r[4] for r in rows])
+    _assert_rows_match(lambda v, t: sl.exp_alg(p, v, t), flows, (v, t))
+    _assert_rows_match(lambda v: sl.exp_alg(p, v), [(x,) for x, _ in flows], (v,))
+    for fixed in (sl.E3, sl.AlgebraVector(1.0, 1.0, 0.0, 0.0), sl.AlgebraVector(*rows[0][:4])):
+        _assert_rows_match(lambda t: sl.exp_alg(p, fixed, t), [(x,) for _, x in flows], (t,))
+
+
+_COEFF = st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3)
+
+
+@settings(max_examples=100)
+@given(a=st.sampled_from(A_VALUES), k=st.tuples(*[_COEFF] * 8), rows=_rows(4))
+def test_automorphism_rows_equal_scalar_calls(a, k, rows):
+    p = sl.GroupParam(a)
+    merged = dict(k2=k[1], n1=k[3]) if a == 1.0 else {}
+    phi = sl.AutomorphismParams(
+        "merged" if merged else "generic", k1=k[0], l=k[2], n2=k[4], f1=k[5], f2=k[6], f3=k[7],
+        **merged,
+    )
+    vs = [(sl.AlgebraVector(*r),) for r in rows]
+    v = _columns(sl.AlgebraVector, rows)
+    _assert_rows_match(lambda v: sl.apply_automorphism(p, phi, v), vs, (v,))
+
+
+@settings(max_examples=150)
+@given(a=st.sampled_from(A_VALUES), b=st.tuples(*[_COEFF | st.just(0.0)] * 3), rows=_rows(4))
+def test_classify_automorphisms_equal_the_former_matrix_product(a, b, rows):
+    # every automorphism classify_subalgebra returns has at most two nonzero
+    # entries per row, so the left-to-right sum is the matrix-vector product
+    # bit for bit in whatever order a BLAS kernel without fused multiply-adds
+    # adds; only a zero's sign may differ, as the product starts from +0
+    p = sl.GroupParam(a)
+    assume(any(b))
+    phi = sl.subgroups.classify_subalgebra(p, *b).automorphism
+    assume(phi is not None)
+    m = sl.automorphism_matrix(p, phi)
+    with np.errstate(all="ignore"):
+        got = sl.apply_automorphism(p, phi, _columns(sl.AlgebraVector, rows))
+        for i, row in enumerate(rows):
+            want = (m @ sl.AlgebraVector(*row).as_array()).tolist()
+            have = _flat(got, i, len(rows))
+            assert all(_same_bits(x + 0.0, y + 0.0) for x, y in zip(have, want)), (i, have, want)
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_central_defect_equals_per_time_reference(a):
+    p = sl.GroupParam(a)
+    probes = sl.standard_center_probes(p)
+    q = stack(probes)
+    rng = np.random.default_rng(5)
+    randoms = [sl.AlgebraVector(*r) for r in rng.uniform(-2, 2, (5, 4))]
+    for v in [*sl.CENTER_TEST_DIRECTIONS, *randoms]:
+        reference = 0.0
+        for t in (0.25, 0.5, 1.0):
+            g = sl.exp_alg(p, v, t)
+            d = sl.coordinate_distance(sl.mul(p, g, q).coords, sl.mul(p, q, g).coords)
+            reference = max(reference, float(np.max(d)))
+        assert sl.central_defect(p, v, probes) == reference
 
 
 @settings(max_examples=100)
@@ -516,3 +581,29 @@ def test_classify_block_draw_equals_per_sample_reference(a, b):
     got = {c.name: c.max_error for c in report.checks}["automorphism-preserves-brackets"]
     phi = sl.subgroups.classify_subalgebra(p, *b).automorphism
     assert got == _bracket_preservation_reference(p, phi)
+
+
+def _lemma1_fit_reference(tree, rate, z_range, n):
+    """lemma1_suite's profile fit, the profile evaluated one sample at a time.
+
+    Equal bit for bit for trees without ^: every FUNCTIONS entry gives the
+    same bits on a float as on an array, but Python's ** on floats and
+    numpy's power on arrays differ in the last bit on some inputs.
+    """
+    fn = sl.expressions.as_function(tree, ("z",))
+    zs = sl.sections._profile_zs(*z_range, n)
+    return sl.fit_saturating_exponential(zs, [float(fn(float(z))) for z in zs], rate=rate)
+
+
+@pytest.mark.parametrize(
+    "text", ["2*(1 - exp(-z))", "sin(z)", "z*z*z", "0", "tanh(z) + z/2", "log(abs(z)) - sqrt(abs(z))"]
+)
+@pytest.mark.parametrize(
+    "rate,z_range", [(1.0, (-3.0, 3.0)), (2.0, (-50.0, 50.0)), (-0.5, (1.0, 4.0))]
+)
+def test_lemma1_profile_equals_per_sample_reference(text, rate, z_range):
+    tree = sl.expressions.parse(text, ("z",))
+    report = sl.sections.lemma1_suite(tree, rate, z_range, 50)
+    fit = _lemma1_fit_reference(tree, rate, z_range, 50)
+    assert report.checks[0].max_error == fit.rms_residual
+    assert report.data["coefficient"] == fit.coefficient

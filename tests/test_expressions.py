@@ -1,4 +1,4 @@
-"""Parser, evaluator and printer for the small function-expression language."""
+"""Parser, evaluator and enclosure of the small function-expression language."""
 
 import math
 
@@ -71,6 +71,28 @@ def test_empty_input_rejected():
         ex.parse("   ", ())
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x + z",
+        "x*z + 1",
+        "-x + 2*(1 - exp(-2*z))",
+        "2^3^2",
+        "-2^2",
+        "(x + z)^2",
+        "sin(x)*cos(z) - tan(x/2)",
+        "x/(z + 1)",
+        "sqrt(abs(x))",
+        "((x) + (z))",
+    ],
+)
+def test_parse_follows_python_precedence(text):
+    # the grammar's precedence and associativity are Python's, with ^ for **
+    env = {"x": 0.7, "z": -0.3}
+    expected = eval(text.replace("^", "**"), dict(ex.FUNCTIONS), dict(env))
+    assert ex.evaluate(ex.parse(text, ("x", "z")), env) == expected
+
+
 # ---------------------------------------------------------------- evaluation
 
 def test_vectorized_evaluation():
@@ -90,33 +112,6 @@ def test_missing_environment_entry():
     tree = ex.parse("x + z", ("x", "z"))
     with pytest.raises(ex.EvaluationError):
         ex.evaluate(tree, {"x": 1.0})
-
-
-# ---------------------------------------------------------------- printing
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x + z",
-        "x*z + 1",
-        "-x + 2*(1 - exp(-2*z))",
-        "2^3^2",
-        "-2^2",
-        "(x + z)^2",
-        "sin(x)*cos(z) - tan(x/2)",
-        "x/(z + 1)",
-        "sqrt(abs(x))",
-    ],
-)
-def test_to_text_round_trip(text):
-    tree = ex.parse(text, ("x", "z"))
-    printed = ex.to_text(tree)
-    assert ex.parse(printed, ("x", "z")) == tree
-
-
-def test_to_text_drops_redundant_parens():
-    tree = ex.parse("((x) + (z))", ("x", "z"))
-    assert ex.to_text(tree) == "x + z"
 
 
 # ---------------------------------------------------------------- enclosure
@@ -159,7 +154,7 @@ def test_enclose_contains_every_computed_value(tree, x, y, fractions):
             continue
         xs, ys = (g.ravel() for g in np.meshgrid(_box_points(a, b, fractions), _box_points(c, d, fractions)))
         values = np.broadcast_to(ex.as_function(tree, ("x", "y"))(xs, ys), xs.shape)
-        assert np.all((low <= values) & (values <= high)), (ex.to_text(tree), low, high)
+        assert np.all((low <= values) & (values <= high)), (repr(tree), low, high)
 
 
 @pytest.mark.parametrize(

@@ -213,17 +213,6 @@ def test_jacobi_identity_exact_on_integer_vectors():
             assert total.coords == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_structure_constants_match_bracket():
-    p = sl.GroupParam(0.5)
-    c = sl.structure_constants(p)
-    basis = (sl.E1, sl.E2, sl.E3, sl.E4)
-    for i in range(4):
-        for j in range(4):
-            expect = sl.bracket(p, basis[i], basis[j]).coords
-            got = tuple(float(c[i, j, k]) for k in range(4))
-            assert got == expect
-
-
 # ---------------------------------------------------------------- exponential
 
 def test_exp_basis_closed_forms():

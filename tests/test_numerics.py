@@ -55,11 +55,9 @@ def _unknown(rows, a, b):
     return np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
 
 
-def root1d(fn, interval, tol=1e-12, resolution=10000):
+def root1d(fn, interval, resolution=10000):
     """All roots of one function of numpy arrays: root_rows on one row, raising its error."""
-    (roots,) = root_rows(
-        lambda rows, pts: fn(pts), _unknown, [interval[0]], [interval[1]], tol, resolution
-    )
+    (roots,) = root_rows(lambda rows, pts: fn(pts), _unknown, [interval[0]], [interval[1]], resolution)
     if isinstance(roots, ValueError):
         raise roots
     return roots
@@ -346,8 +344,7 @@ def test_bisection_stops_where_doubles_are_wider_than_tol():
 @pytest.mark.parametrize("K", (-3.0, 0.5, 2.0))
 def test_fit_recovers_saturating_coefficient(K):
     zs = np.linspace(-3.0, 3.0, 50)
-    samples = [(float(z), K * -math.expm1(-z)) for z in zs]
-    fit = sl.fit_saturating_exponential(samples)
+    fit = sl.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
     assert abs(fit.coefficient - K) <= 1e-9
     assert fit.rms_residual <= 1e-12
     assert fit.rate == 1.0
@@ -355,27 +352,27 @@ def test_fit_recovers_saturating_coefficient(K):
 
 def test_fit_respects_rate():
     zs = np.linspace(-2.0, 2.0, 40)
-    samples = [(float(z), 1.5 * -math.expm1(-2.0 * z)) for z in zs]
-    fit = sl.fit_saturating_exponential(samples, rate=2.0)
+    fit = sl.fit_saturating_exponential(zs, [1.5 * -math.expm1(-2.0 * z) for z in zs], rate=2.0)
     assert abs(fit.coefficient - 1.5) <= 1e-9
 
 
 def test_fit_excludes_near_zero_abscissae():
-    samples = [(0.0, 123.0)]  # garbage at z=0 must be ignored
-    samples += [(float(z), 2.0 * -math.expm1(-z)) for z in np.linspace(0.5, 3.0, 20)]
-    fit = sl.fit_saturating_exponential(samples)
+    zs = np.concatenate([[0.0], np.linspace(0.5, 3.0, 20)])
+    values = [123.0]  # garbage at z=0 must be ignored
+    values += [2.0 * -math.expm1(-z) for z in zs[1:]]
+    fit = sl.fit_saturating_exponential(zs, values)
     assert abs(fit.coefficient - 2.0) <= 1e-9
     assert fit.n_samples == 20
 
 
 def test_fit_needs_enough_samples():
     with pytest.raises(ValueError):
-        sl.fit_saturating_exponential([(1.0, 0.5)])
+        sl.fit_saturating_exponential([1.0], [0.5])
 
 
 def test_fit_flags_model_mismatch():
-    samples = [(float(z), z * z) for z in np.linspace(-3.0, 3.0, 30)]
-    fit = sl.fit_saturating_exponential(samples)
+    zs = np.linspace(-3.0, 3.0, 30)
+    fit = sl.fit_saturating_exponential(zs, zs * zs)
     assert fit.max_residual > 1e-4
 
 
