@@ -71,8 +71,7 @@ def _transitivity(args) -> VerificationReport:
     if not math.isfinite(box[1] - box[0]):
         raise ValueError("--box is too wide: HI - LO overflows")
     return sharp_transitivity_check(
-        spec, box=box, n_samples=args.samples, seed=args.seed,
-        resolution=args.resolution, z_half_width=args.z_box,
+        spec, box=box, n_samples=args.samples, seed=args.seed, z_half_width=args.z_box
     )
 
 
@@ -188,11 +187,10 @@ COMMANDS: dict[str, Command] = {
         "unique-root certification of right division",
         (
             CASE, A, SECTION_FN, _pair("--box", (-5.0, 5.0)),
-            _flag("--resolution", type=_at_least(2), default=10000),
             _z_box(0.5, "half width of z-offset sampling"), SEED, _samples(100),
         ),
         _transitivity,
-        ("case", "a", "fn", "box", "samples", "seed", "resolution", "z_box"),
+        ("case", "a", "fn", "box", "samples", "seed", "z_box"),
     ),
     "theorem2": Command(
         "normalizer + centre obstruction certificate", (A, SEED, _samples(1000)),

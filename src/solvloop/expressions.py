@@ -36,6 +36,7 @@ __all__ = [
     "evaluate",
     "enclose",
     "substitute",
+    "derivative",
 ]
 
 
@@ -272,10 +273,13 @@ def _raising_row(node: Node, variables: tuple, args) -> str:
 
 
 def evaluate(node: Node, env: dict):
-    """Evaluate over floats or numpy arrays; only division is guarded (|denominator| >= 1e-300).
+    """Evaluate over floats or numpy arrays; only division and power are guarded.
 
-    A power of two floats that Python's ** makes complex (a negative base
-    to a fractional exponent) raises EvaluationError.
+    Division raises EvaluationError where |denominator| < 1e-300.  ^ is
+    numpy's power on floats and arrays alike, so a float evaluation is
+    bit for bit a row of an array one, and it raises EvaluationError where
+    a negative base has a finite non-integer exponent or a zero base a
+    negative one (enclose calls those powers unknown).
 
     numpy's floating-point error state is the caller's; as_function
     silences its warnings.
@@ -304,10 +308,17 @@ def evaluate(node: Node, env: dict):
             raise EvaluationError("division by (near-)zero denominator")
         return left / right
     if node.op == "^":
-        power = left**right
-        if isinstance(power, complex):
+        if np.any((left < 0) & np.isfinite(right) & (np.floor(right) != right)):
             raise EvaluationError("negative base to a fractional power")
-        return power
+        if np.any((left == 0) & (right < 0)):
+            raise EvaluationError("zero to a negative power")
+        # numpy's power loop differs in the last bit between an operand of
+        # stride 0 (a scalar) and a contiguous one, so both operands are
+        # copied to contiguous arrays of one shape, of one row for floats
+        shape = np.broadcast_shapes(np.shape(left), np.shape(right))
+        base, exponent = (np.array(np.broadcast_to(v, shape or (1,)), dtype=float) for v in (left, right))
+        power = np.power(base, exponent)
+        return power if shape else power[0]
     raise ValueError(f"unknown operator {node.op!r}")
 
 
@@ -457,10 +468,9 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
       * x^n for an integer constant n is bounded piecewise (unknown across
         0 for n < 0); any other power needs x > 0 and takes the extremes of
         the box's corners.  These rules also make unknown every power
-        that Python's ** (which evaluate uses on two constants) refuses
-        with an exception or a complex number: 0 to a negative power, a
-        negative number to a fractional one, and overflow, since an
-        interval made of one infinity is unknown.
+        at which evaluate raises (0 to a negative power, a negative number
+        to a fractional one) and overflow, since an interval made of one
+        infinity is unknown.
     """
     with np.errstate(all="ignore"):
         lo, hi = _enclose(node, boxes)
@@ -509,3 +519,87 @@ def substitute(node: Node, trees: dict) -> Node:
     if isinstance(node, BinOp):
         return BinOp(node.op, substitute(node.left, trees), substitute(node.right, trees))
     return node
+
+
+# ------------------------------------------------------------ derivatives
+
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
+def _is(node: Node, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
+
+
+def _plus(a: Node, b: Node) -> Node:
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else BinOp("+", a, b)
+
+
+def _minus(a: Node, b: Node) -> Node:
+    return a if _is(b, 0.0) else Neg(b) if _is(a, 0.0) else BinOp("-", a, b)
+
+
+def _times(a: Node, b: Node) -> Node:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
+
+
+def _over(a: Node, b: Node) -> Node:
+    return _ZERO if _is(a, 0.0) else a if _is(b, 1.0) else BinOp("/", a, b)
+
+
+def _power(a: Node, b: Node) -> Node:
+    return _ONE if _is(b, 0.0) else a if _is(b, 1.0) else BinOp("^", a, b)
+
+
+# fn -> its derivative at the argument u, as a tree over u
+_CHAIN = {
+    "exp": lambda u: Call("exp", u),
+    "expm1": lambda u: Call("exp", u),
+    "log": lambda u: _over(_ONE, u),
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "tan": lambda u: BinOp("+", _ONE, BinOp("^", Call("tan", u), Const(2.0))),
+    "tanh": lambda u: BinOp("-", _ONE, BinOp("^", Call("tanh", u), Const(2.0))),
+    "sqrt": lambda u: _over(_ONE, BinOp("*", Const(2.0), Call("sqrt", u))),
+    "abs": lambda u: _over(u, Call("abs", u)),
+}
+
+
+def derivative(node: Node, var: str) -> Node:
+    """The symbolic derivative of node in the variable var, one rule per operator.
+
+    Terms that are zero and factors that are one are folded away, so a
+    subtree free of var costs nothing.  Where the derivative is not defined
+    (abs and sqrt at 0, a pole), its tree divides by zero there, and
+    enclose calls it unknown.
+    """
+    if isinstance(node, Const):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == var else _ZERO
+    if isinstance(node, Neg):
+        d = derivative(node.operand, var)
+        return _ZERO if _is(d, 0.0) else Neg(d)
+    if isinstance(node, Call):
+        return _times(_CHAIN[node.fn](node.arg), derivative(node.arg, var))
+    u, v = node.left, node.right
+    du, dv = derivative(u, var), derivative(v, var)
+    if node.op == "+":
+        return _plus(du, dv)
+    if node.op == "-":
+        return _minus(du, dv)
+    if node.op == "*":
+        return _plus(_times(du, v), _times(u, dv))
+    if node.op == "/":
+        if _is(dv, 0.0):
+            return _over(du, v)
+        return _over(_minus(_times(du, v), _times(u, dv)), BinOp("^", v, Const(2.0)))
+    if node.op == "^":
+        if _is(dv, 0.0):  # v u^(v - 1) u'
+            less = Const(v.value - 1.0) if isinstance(v, Const) else BinOp("-", v, _ONE)
+            return _times(_times(v, _power(u, less)), du)
+        # u^v (v' log u + v u'/u)
+        inner = _plus(_times(dv, Call("log", u)), _times(v, _over(du, u)))
+        return _times(node, inner)
+    raise ValueError(f"unknown operator {node.op!r}")

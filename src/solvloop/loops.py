@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .group import coordinate_distance, elementwise, largest, mul, split, stack
-from .numerics import root_rows
+from .numerics import refine_roots, root_rows
 from .report import VerificationReport
 from .sampling import Stream
 from .sections import (
@@ -139,13 +139,15 @@ def loop_rdiv_batch(
     the q with q * m2 = b.
 
     Case A is closed-form, and so are cases B and C in the rows where m2
-    has z = 0.  Otherwise cases B and C count *all* roots of the scalar
-    line equation of right_translation_system by a scan at resolution 2048
-    of the window of half width 10 on the line around the function-free
-    solution, doubling it up to 4 times for the rows where no root is
-    found; the scans of all rows run together in numerics.root_rows.  A
-    row gets a MultipleRootsError when the sharp-transitivity hypothesis
-    fails on the window.  Every other quotient is validated in one
+    has z = 0.  Otherwise cases B and C prove the number of *all* roots
+    of the scalar line equation of right_translation_system on the window
+    of half width 10 on the line around the function-free solution,
+    doubling it up to 4 times for the rows where there is none; all rows
+    are proved together in numerics.root_rows, and every lone root is
+    refined by bisection in its bracket (numerics.refine_roots).  A row
+    gets a MultipleRootsError when the sharp-transitivity hypothesis fails
+    on the window, and a SolverDivergenceError when its root count is
+    unresolved.  Every other quotient is validated in one
     multiply-back: residual holds the coordinate distance of q * m2 from b
     in those rows (inf in the rest), and a row beyond 1e-8 (a NaN quotient
     included) gets a SolverDivergenceError.  errors maps the failed rows
@@ -161,7 +163,8 @@ def loop_rdiv_batch(
     else:
         line = right_translation_system(spec, m2, b)
         us = np.zeros(len(line.qz))
-        pending = np.flatnonzero(line.scale != 0.0)  # NaN scales are scanned too
+        pending = np.flatnonzero(line.scale != 0.0)  # NaN scales are solved for too
+        single: list[tuple[int, float, float]] = []  # row and bracket of every lone root
         width = 10.0
         for _ in range(5):
             if not pending.size:
@@ -170,7 +173,6 @@ def loop_rdiv_batch(
                 *line_residual_rows(line, pending),
                 np.full(len(pending), -width),
                 np.full(len(pending), width),
-                resolution=2048,
             )
             unsolved = []
             for i, roots in zip(pending.tolist(), found):
@@ -183,7 +185,7 @@ def loop_rdiv_batch(
                         f"{len(roots)} roots in window of half width {width:g} around {_base(line, i)}"
                     )
                 elif roots:
-                    us[i] = roots[0]
+                    single.append((i, *roots[0]))
                 else:
                     unsolved.append(i)
             pending = np.array(unsolved, dtype=np.intp)
@@ -192,6 +194,9 @@ def loop_rdiv_batch(
             errors[i] = NoRootInBoxError(
                 f"no root in window of half width {width / 2.0:g} around {_base(line, i)}"
             )
+        if single:
+            rows, lo, hi = (np.array(v) for v in zip(*single))
+            us[rows] = refine_roots(*line_residual_rows(line, rows), lo, hi)
         q = line.point(us)
     residual = np.full(len(q.z), math.inf)
     solved = np.delete(np.arange(len(q.z)), list(errors))

@@ -16,7 +16,9 @@ and lemma1_suite tests a one-variable profile for membership in the
 saturating-exponential family directly.  right_translation_system reduces the
 implicit division equations of cases B and C to one scalar equation on a
 line, and sharp_transitivity_check certifies, on a sampled box, that right
-translations are bijective by counting the roots of that equation.
+translations are bijective by proving the number of roots of that equation
+(numerics.root_rows: interval exclusion and monotonicity tests); a sample
+whose count the proof cannot settle is unresolved and fails.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ class FunctionSpec:
 
     arity 2 means f(x, z); arity 3 means f(x, y, z), and the tree is over
     those variables.  fn evaluates it (expressions.as_function) elementwise
-    on floats or numpy arrays, and the root scans enclose it
-    (expressions.enclose) to skip the nodes whose sign the enclosure
-    proves.  preset and from_expression parse the text of the tree.
+    on floats or numpy arrays, and the root counts enclose it and its
+    derivative (expressions.enclose and expressions.derivative).  preset
+    and from_expression parse the text of the tree.
 
     A call that raises EvaluationError raises it again with the label in
     front of the error, which names the first input row at which the
@@ -295,16 +297,18 @@ def lemma1_suite(
     """Membership of a one-variable profile, a tree over z, in the family K*(1 - e^{-rate*z}).
 
     The profile is sampled on z_range without (-1e-3, 1e-3) (a range inside
-    that interval is a ValueError) and evaluated once on the sample array
-    for the least-squares profile fit.  Then the pair identity on all
+    that interval is a ValueError) and evaluated once on the sample array,
+    for the least-squares profile fit and the pair identity, then once on
+    the array of pair sums.  After the fit, the pair identity on all
     sample pairs (each pair to 1e-12 relative to the largest of 1, its left
     side and the two terms of its right side) and, when the expected
     coefficient is given, its recovery by the fit.
     """
     fn = expressions.as_function(tree, ("z",))
     zs = _profile_zs(*z_range, n_samples)
+    values = fn(zs)
     report = VerificationReport(seed=None)
-    fit = fit_saturating_exponential(zs, fn(zs), rate=rate)
+    fit = fit_saturating_exponential(zs, values, rate=rate)
     report.record(
         "profile-fit",
         fit.rms_residual <= 1e-9,
@@ -312,7 +316,7 @@ def lemma1_suite(
         n_samples=fit.n_samples,
         notes=f"fitted coefficient {fit.coefficient:.12g}",
     )
-    pair_resid = twisted_additivity_residual(fn, zs, rate=rate)
+    pair_resid = twisted_additivity_residual(fn, zs, values, rate=rate)
     report.record(
         "pair-identity",
         pair_resid <= 1e-12,
@@ -350,7 +354,7 @@ class RightTranslationLine(NamedTuple):
 
     def residual(self, u):
         """u - scale * f(point(u)); elementwise on numpy arrays."""
-        return _line_residual(self.fn, u, *self.base, *self.direction, self.qz, self.scale)
+        return expressions.evaluate(_residual_tree(self.fn), {"u": u, **_columns(self)})
 
     def point(self, u) -> LoopPoint:
         (bx, by), (dx, dy) = self.base, self.direction
@@ -387,11 +391,7 @@ def _missed(lo: float, hi: float) -> ValueError:
     return ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
 
 
-def _line_residual(fn, u, bx, by, dx, dy, qz, scale):
-    return u - scale * fn(bx + u * dx, by + u * dy, qz)
-
-
-# _line_residual's float steps as an expression over u and a line's columns
+# a line's residual as an expression over u and the line's columns
 _LINE_RESIDUAL = expressions.parse("u - scale*f", ("u", "scale", "f"))
 _LINE_POINT = {
     name: expressions.parse(text, ("u", "bx", "by", "dx", "dy", "qz"))
@@ -399,33 +399,26 @@ _LINE_POINT = {
 }
 
 
-def line_residual_rows(line: RightTranslationLine, rows: np.ndarray):
-    """(fn_rows, enclose) for numerics.root_rows whose row i is row rows[i] of line.
+def _residual_tree(fn: FunctionSpec) -> expressions.Node:
+    """u - scale*f(bx + u*dx, by + u*dy, qz) with f the section's tree."""
+    return expressions.substitute(_LINE_RESIDUAL, {"f": expressions.substitute(fn.tree, _LINE_POINT)})
 
-    line is a column line; the section function is evaluated on the points
-    of every row of a call at once.  enclose(idx, a, b) bounds the residual
-    of row rows[idx[i]] for u in [a[i, j], b[i, j]], for every j.  It is
-    expressions.enclose of the residual's float steps written as one tree
-    (the point bx + u*dx, by + u*dy, qz, the section's tree there, then
-    u - scale*f), so it contains the computed values, not only the exact
-    ones.
+
+def _columns(line: RightTranslationLine) -> dict:
+    """The line's fields by their names in _residual_tree, broadcast to the rows' shape."""
+    fields = np.broadcast_arrays(*line.base, *line.direction, line.qz, line.scale)
+    return dict(zip(("bx", "by", "dx", "dy", "qz", "scale"), fields))
+
+
+def line_residual_rows(line: RightTranslationLine, rows: np.ndarray) -> tuple[expressions.Node, dict]:
+    """(tree, columns) for numerics.root_rows whose row i is row rows[i] of the column line.
+
+    The tree is the residual u - scale*f over u and the line's columns,
+    written as the float steps of its evaluation (the point bx + u*dx,
+    by + u*dy, qz, the section's tree there, then u - scale*f), so that
+    expressions.enclose bounds its computed values, not only exact ones.
     """
-    fn = line.fn
-    fields = (*line.base, *line.direction, line.qz, line.scale)
-    cols = np.stack(np.broadcast_arrays(*fields))[:, rows, None]
-
-    def fn_rows(idx, pts):
-        return _line_residual(fn, pts, *cols[:, idx])
-
-    residual = expressions.substitute(
-        _LINE_RESIDUAL, {"f": expressions.substitute(fn.tree, _LINE_POINT)}
-    )
-
-    def enclose(idx, a, b):
-        box = {name: (v, v) for name, v in zip(("bx", "by", "dx", "dy", "qz", "scale"), cols[:, idx])}
-        return expressions.enclose(residual, {"u": (a, b), **box})
-
-    return fn_rows, enclose
+    return _residual_tree(line.fn), {name: col[rows] for name, col in _columns(line).items()}
 
 
 def right_translation_system(
@@ -470,7 +463,6 @@ def sharp_transitivity_check(
     box: tuple[float, float] = (-5.0, 5.0),
     n_samples: int = 100,
     seed: int = 0,
-    resolution: int = 10000,
     z_half_width: float = 0.5,
     samples: Optional[Sequence[tuple[LoopPoint, LoopPoint]]] = None,
 ) -> VerificationReport:
@@ -481,14 +473,12 @@ def sharp_transitivity_check(
     vanishes): an interval of x in case C, the square base + [lo, hi]^2 of
     (x, y) in case B, cut down to the solution line.  The x and y of m2 and
     b are sampled in [-5, 5] and their z in [-z_half_width, z_half_width],
-    so the function coefficient stays
-    bounded on the window.  Both cases count roots of the scalar line
-    equation by a sign-change scan at the given resolution: the samples are
-    the rows of one column line and of its windows, scanned in one
-    numerics.root_rows call (which skips the grid nodes whose sign the
-    enclosure of the section's tree proves).  Every sample contributes its
-    root count; solver failures, including sign changes across a pole, are
-    reported, never dropped.
+    so the function coefficient stays bounded on the window.  Both cases
+    prove the number of roots of the scalar line equation with
+    numerics.root_rows: the samples are the rows of one column line and of
+    its windows, all in one call.  Every sample contributes its root count;
+    a sample whose count is unresolved (a pole, a NaN value or a tangential
+    root on its window) is reported as a failure, never dropped.
     """
     report = VerificationReport(seed=seed)
     if spec.case == "A":
@@ -508,10 +498,10 @@ def sharp_transitivity_check(
     x1, y1, x2, y2, z1, z2 = draws.reshape(-1, 6).T
     line = right_translation_system(spec, LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2))
     lower, upper = line.window(*box)
-    scan = np.flatnonzero(lower < upper)
-    found = root_rows(*line_residual_rows(line, scan), lower[scan], upper[scan], resolution=resolution)
-    outcomes: list = [_missed(*box)] * len(z1)  # a window error, or the roots of the scan
-    for i, roots in zip(scan.tolist(), found):
+    hit = np.flatnonzero(lower < upper)
+    found = root_rows(*line_residual_rows(line, hit), lower[hit], upper[hit])
+    outcomes: list = [_missed(*box)] * len(z1)  # a window error, or the root brackets
+    for i, roots in zip(hit.tolist(), found):
         outcomes[i] = roots
     counts = [-1 if isinstance(o, ValueError) else len(o) for o in outcomes]
     failures = [f"sample {i}: {o}" for i, o in enumerate(outcomes) if isinstance(o, ValueError)]

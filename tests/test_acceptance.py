@@ -259,11 +259,14 @@ def test_criterion_06_saturating_family(capfd):
         fit = sl.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
         fit_ok &= abs(fit.coefficient - K) <= 1e-9
     member_res = max(
-        sl.twisted_additivity_residual(lambda z, K=K: K * -np.expm1(-z), list(zs))
+        sl.twisted_additivity_residual(
+            lambda z, K=K: K * -np.expm1(-z), list(zs), K * -np.expm1(-zs)
+        )
         for K in (-3.0, 0.5, 2.0)
     )
     perturbed_res = sl.twisted_additivity_residual(
-        lambda z: 2.0 * -np.expm1(-z) + 0.01 * z * z, list(zs)
+        lambda z: 2.0 * -np.expm1(-z) + 0.01 * z * z, list(zs),
+        2.0 * -np.expm1(-zs) + 0.01 * zs * zs,
     )
     ok = fit_ok and member_res <= 1e-12 and perturbed_res > 1e-4
     verdict(capfd, 6, "saturating-family", ok,
@@ -271,12 +274,12 @@ def test_criterion_06_saturating_family(capfd):
 
 
 def test_criterion_07_sharp_transitivity(capfd):
-    # case C sin-small: exactly one root per sampled pair at scan resolution
-    # 10^4; case B with the saturating preset: unique roots on every sample
+    # case C sin-small: exactly one root per sampled pair, proved; case B
+    # with the saturating preset: unique roots on every sample
     spec_c = sl.SectionSpec(
         "C", sl.GroupParam(2.0), sl.FunctionSpec.preset("sin-small", 3)
     )
-    rep_c = sl.sharp_transitivity_check(spec_c, n_samples=100, seed=1007, resolution=10000)
+    rep_c = sl.sharp_transitivity_check(spec_c, n_samples=100, seed=1007)
     counts_c = set(rep_c.data["root_counts"])
     spec_b = sl.SectionSpec(
         "B", sl.GroupParam(2.0), sl.FunctionSpec.preset("lemma1", 3)

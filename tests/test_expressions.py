@@ -1,9 +1,10 @@
-"""Parser, evaluator and enclosure of the small function-expression language."""
+"""Parser, evaluator, enclosure and derivative of the small function-expression language."""
 
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,36 @@ def test_missing_environment_entry():
         ex.evaluate(tree, {"x": 1.0})
 
 
+def test_power_on_floats_is_a_row_of_power_on_arrays():
+    # ^ is numpy's power on floats and arrays alike: every row of an array
+    # evaluation equals the float evaluation bit for bit, and both raise
+    # exactly where enclose calls the power unknown: a negative base to a
+    # finite non-integer exponent, or zero to a negative one
+    rng = np.random.default_rng(5)
+    n = 20000
+    bases = np.concatenate([rng.uniform(-50, 50, n), [0.0, -0.0, 1e-300, -2.0, 2.0, np.inf, -np.inf, np.nan]])
+    exponents = np.concatenate([rng.uniform(-20, 20, n), [-1.0, -0.5, 400.0, 0.5, -3.0, 2.0, 3.0, 1.0]])
+    exponents[: n // 3] = np.round(exponents[: n // 3])  # integers
+    exponents[n // 3 : n // 2] = np.round(exponents[n // 3 : n // 2]) + 0.5
+    tree = ex.parse("x^y", ("x", "y"))
+    raising = ((bases < 0) & np.isfinite(exponents) & (np.floor(exponents) != exponents)) | (
+        (bases == 0) & (exponents < 0)
+    )
+    assert raising.sum() > 1000 and (~raising).sum() >= 10_000
+    with np.errstate(all="ignore"):
+        array = ex.evaluate(tree, {"x": bases[~raising], "y": exponents[~raising]})
+        for b, e, value in zip(bases[~raising].tolist(), exponents[~raising].tolist(), array.tolist()):
+            single = ex.evaluate(tree, {"x": b, "y": e})
+            assert np.float64(single).tobytes() == np.float64(value).tobytes(), (b, e)
+        for b, e in zip(bases[raising].tolist(), exponents[raising].tolist()):
+            with pytest.raises(ex.EvaluationError):
+                ex.evaluate(tree, {"x": b, "y": e})
+            lo, hi = ex.enclose(tree, {"x": (b, b), "y": (e, e)})
+            assert (lo, hi) == (-math.inf, math.inf), (b, e)
+        with pytest.raises(ex.EvaluationError):
+            ex.evaluate(tree, {"x": bases, "y": exponents})
+
+
 # ---------------------------------------------------------------- enclosure
 
 _LEAVES = st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 1e-3, 40.0, 1e300]).map(ex.Const) | st.sampled_from(
@@ -167,8 +198,8 @@ def test_enclose_contains_every_computed_value(tree, x, y, fractions):
         ("sqrt(x)", (-1e-3, 1.0), None),
         ("x^0.5", (0.0, 1.0), None),
         ("x^-1", (-1.0, 1.0), None),
-        ("(-8)^(1/3) + x", (0.0, 1.0), None),  # Python gives a complex number
-        ("10^400 + x", (0.0, 1.0), None),  # Python raises OverflowError
+        ("(-8)^(1/3) + x", (0.0, 1.0), None),  # evaluate raises
+        ("10^400 + x", (0.0, 1.0), None),  # overflows to inf
         ("exp(1000*x) - exp(1000*x)", (0.0, 1.0), None),  # inf - inf
         ("x^2", (-1.0, 2.0), (0.0, 4.0)),
         ("x^3", (-1.0, 2.0), (-1.0, 8.0)),
@@ -199,3 +230,59 @@ def test_outward_rounding_moves_at_least_one_ulp(v):
             assert (lo, hi) == (-math.inf, math.inf)
         else:
             assert lo <= np.nextafter(v, -math.inf) and np.nextafter(v, math.inf) <= hi
+
+
+# ---------------------------------------------------------------- derivatives
+
+_SYMBOLS = {"x": sympy.Symbol("x", real=True), "y": sympy.Symbol("y", real=True)}
+_SYMPY_FUNCTIONS = {
+    "exp": sympy.exp, "expm1": lambda a: sympy.exp(a) - 1, "log": sympy.log, "sin": sympy.sin,
+    "cos": sympy.cos, "tan": sympy.tan, "tanh": sympy.tanh, "sqrt": sympy.sqrt, "abs": sympy.Abs,
+}
+
+
+def _sympy(node):
+    """The tree as an exact sympy expression: every constant is the rational of its float."""
+    if isinstance(node, ex.Const):
+        return sympy.Rational(node.value)
+    if isinstance(node, ex.Var):
+        return _SYMBOLS[node.name]
+    if isinstance(node, ex.Neg):
+        return -_sympy(node.operand)
+    if isinstance(node, ex.Call):
+        return _SYMPY_FUNCTIONS[node.fn](_sympy(node.arg))
+    left, right = _sympy(node.left), _sympy(node.right)
+    return {"+": left + right, "-": left - right, "*": left * right, "/": left / right, "^": left**right}[node.op]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # every operator, with the variable on either side and on both
+        "x + y^2", "y - x", "-x*y", "x*x*y", "x/y", "y/x", "x/(x + y)",
+        "x^3", "x^0.5", "x^-2", "x^y", "y^x", "x^x", "2^x", "x^1", "x^0",
+        # every FUNCTIONS entry, applied to an inner function of x
+        *(f"{fn}(x*y + 2)" for fn in sorted(ex.FUNCTIONS)),
+        "abs(x*y - 2)", "sin(cos(x)^2)*exp(-x/y)",
+    ],
+)
+def test_derivative_agrees_with_sympy(text):
+    # sympy differentiates its own copy of the tree; both derivatives are
+    # compared exactly at rational points, to 40 digits
+    tree = ex.parse(text, ("x", "y"))
+    assert set(ex.FUNCTIONS) == set(_SYMPY_FUNCTIONS)
+    ours = _sympy(ex.derivative(tree, "x"))
+    theirs = sympy.diff(_sympy(tree), _SYMBOLS["x"])
+    for x, y in [("3/10", "7/10"), ("9/10", "13/10"), ("17/10", "2/5")]:
+        point = {_SYMBOLS["x"]: sympy.Rational(x), _SYMBOLS["y"]: sympy.Rational(y)}
+        a, b = ours.subs(point).evalf(40), theirs.subs(point).evalf(40)
+        assert abs(a - b) <= sympy.Float("1e-30", 40) * max(1, abs(b)), (text, a, b)
+
+
+def test_derivative_folds_zero_terms_and_unit_factors():
+    x = ex.Var("x")
+    assert ex.derivative(ex.parse("3*y + sin(y)", ("x", "y")), "x") == ex.Const(0.0)
+    assert ex.derivative(ex.parse("x*y", ("x", "y")), "x") == ex.Var("y")
+    assert ex.derivative(ex.parse("x - 2*y", ("x", "y")), "x") == ex.Const(1.0)
+    assert ex.derivative(ex.parse("x^2", ("x",)), "x") == ex.BinOp("*", ex.Const(2.0), x)
+    assert ex.derivative(ex.parse("y/x^0", ("x", "y")), "x") == ex.Const(0.0)

@@ -17,10 +17,6 @@ def case_for(case, preset, a=2.0, coefficient=None):
     return sl.SectionSpec(case, sl.GroupParam(a), fn)
 
 
-def _unknown(rows, a, b):
-    """An enclosure that proves nothing."""
-    return np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
-
 
 def rand_point(rng, z_half=0.5, xy_half=5.0):
     return sl.LoopPoint(
@@ -167,20 +163,23 @@ def test_rdiv_product_round_trip(case, preset):
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
 
-@pytest.mark.parametrize("pruned", (False, True))
+@pytest.mark.parametrize("batched", (False, True))
 @pytest.mark.parametrize("case,preset", [("B", "lemma1"), ("B", "sin-small"), ("C", "sin-small")])
-def test_rdiv_line_round_trip_both_paths(case, preset, pruned, monkeypatch):
-    # the preset's tree lets the scan skip the nodes whose sign its enclosure
-    # proves; with an enclosure that proves nothing the scan evaluates every node
+def test_rdiv_line_round_trip_both_paths(case, preset, batched):
+    # one right division at a time, or all of them in one loop_rdiv_batch,
+    # whose proof and bisection run on all rows together
     c = case_for(case, preset)
-    if not pruned:
-        rows = sl.loops.line_residual_rows
-        monkeypatch.setattr(sl.loops, "line_residual_rows", lambda line, idx: (rows(line, idx)[0], _unknown))
     rng = np.random.default_rng(60)
-    for _ in range(20):
-        m1, m2 = rand_point(rng), rand_point(rng)
-        b = sl.loop_mul(c, m1, m2)
-        q = sl.loop_rdiv(c, b, m2)
+    pairs = [(rand_point(rng), rand_point(rng)) for _ in range(20)]
+    bs = [sl.loop_mul(c, m1, m2) for m1, m2 in pairs]
+    m2s = [m2 for _, m2 in pairs]
+    if batched:
+        q, _, errors = sl.loops.loop_rdiv_batch(c, sl.group.stack(bs), sl.group.stack(m2s))
+        assert errors == {}
+        qs = [sl.LoopPoint(*(float(v[i]) for v in q.coords)) for i in range(len(pairs))]
+    else:
+        qs = [sl.loop_rdiv(c, b, m2) for b, m2 in zip(bs, m2s)]
+    for q, (m1, m2), b in zip(qs, pairs, bs):
         assert sl.coordinate_distance(q.coords, m1.coords) <= 1e-8
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
@@ -370,11 +369,11 @@ def test_case_a_nan_quotient_fails_the_multiply_back():
 
 def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
     # q*m2 = b in case C with f = 0.1*x/(x-1.5): the line crosses the pole,
-    # where the residual changes sign without vanishing
+    # where no box is excluded or decided
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
     b = sl.loop_mul(spec, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
-    with pytest.raises(sl.SolverDivergenceError, match="is not a root"):
+    with pytest.raises(sl.SolverDivergenceError, match="unresolved"):
         sl.loop_rdiv(spec, b, m2)
 
 

@@ -301,8 +301,11 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     assert rep.data["root_counts"] == [3]
     line = sl.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
     lo, hi = line.window(-5.0, 5.0)
-    (roots,) = sl.numerics.root_rows(*sl.sections.line_residual_rows(line, np.arange(1)), lo, hi)
-    assert len(roots) == 3
+    tree, columns = sl.sections.line_residual_rows(line, np.arange(1))
+    (brackets,) = sl.numerics.root_rows(tree, columns, lo, hi)
+    assert len(brackets) == 3
+    lows, highs = zip(*brackets)
+    roots = sl.numerics.refine_roots(tree, {k: np.repeat(v, 3) for k, v in columns.items()}, lows, highs)
     for u in roots:
         q = sl.LoopPoint(*(float(v[0]) for v in line.point(u).coords))
         assert sl.coordinate_distance(sl.loop_mul(spec, q, m2).coords, b.coords) <= 1e-9
@@ -322,11 +325,12 @@ def test_generation_suite_fails_non_finite_residual():
 
 
 def test_transitivity_sign_change_at_a_pole_is_not_a_root():
-    # bisection converges onto the pole x = 1.5; it used to count as a root
+    # bisection used to converge onto the pole x = 1.5 and count it as a
+    # root; no box across the pole is excluded or decided
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
     rep = sl.sharp_transitivity_check(spec, seed=0)
     assert rep.status == "fail"
     assert rep.data["root_counts"][1] == -1
     first = rep.data["failures"][0]
-    assert first.startswith("sample 1: sign change at u = ") and "is not a root" in first
+    assert first.startswith("sample 1: unresolved: no exclusion or monotonicity proof near u = ")
     assert "sample 1: 3 roots" not in rep.checks[0].notes
