@@ -20,7 +20,8 @@ cases B and C it is one scalar root problem on a line through the solution
 of the function-free part of the equation (right_translation_system in
 sections), and the search windows are centered on that solution.  Every
 law takes float or column points; right division (loop_rdiv_batch) works
-on columns throughout: one line of columns, one batched root scan, one
+on columns throughout: one line of columns, one root-count proof of all
+rows (numerics.root_rows), one batched bisection of the lone roots, one
 multiply-back that validates every quotient, case A's included.
 coset_cross_check re-derives every product through the group: lift the left
 factor with the section, multiply by a representative of the right coset,

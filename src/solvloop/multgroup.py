@@ -138,7 +138,7 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     worst = largest(coordinate_distance(lhs.coords, exp_alg(p, v, s + t).coords))
     report.record("exp-one-parameter", worst <= 1e-12, max_error=worst, n_samples=m)
 
-    subs = [s for s in SubgroupId if s not in (SubgroupId.H2, SubgroupId.H3) or p.a != 1]
+    subs = [s for s in SubgroupId if s.defined(p)]
     ts = np.linspace(-2.0, 2.0, 9)
     worst = largest(
         [membership_residual(sub, exp_alg(p, subgroup_generator(sub), ts)) for sub in subs]

@@ -16,8 +16,8 @@ Three workhorses:
     unresolved: poles, NaN values and tangential roots fail, never pass.
     There is no grid, so roots closer together than any spacing are
     counted.
-  * refine_roots: the root in a bracket of root_rows, by scalar bisection
-    replayed on all brackets at once.
+  * refine_roots: the root in a bracket of root_rows, by plain batched
+    bisection.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -47,10 +47,6 @@ __all__ = [
 # times slower per point on the development machine (an x86-64 Xeon with
 # glibc).
 BLOCK_POINTS = 16000
-# Levels of every bracket's midpoint tree evaluated per bisection round:
-# 15 midpoints, of which the bisection path uses 4.  Deeper trees take fewer
-# rounds but evaluate exponentially more unused points.
-BISECT_LEVELS = 4
 # Residual boxes a row may enclose before its root count is unresolved.
 MAX_BOXES = 1000
 
@@ -162,64 +158,34 @@ def root_rows(
 def refine_roots(tree: expressions.Node, columns: dict, lo, hi) -> np.ndarray:
     """The root in every bracket [lo[i], hi[i]] that root_rows gave row i of (tree, columns).
 
-    A bracket with lo == hi is its root.  Any other is bisected as scalar
-    bisection would, bit for bit: it halves a bracket at mid = 0.5*(lo + hi)
-    while hi - lo > 1e-12, keeps the half whose ends differ in sign (hi =
-    mid when f(lo)*f(mid) < 0, else lo = mid), returns mid when f(mid) is
-    an exact zero and otherwise 0.5*(lo + hi) of the last bracket; where
-    adjacent doubles are more than 1e-12 apart it stops when mid equals an
-    end.  Each round evaluates the next BISECT_LEVELS levels of every
-    unfinished bracket's midpoint tree at once and then replays those
-    decisions on them.  Brackets are bisected in blocks of at most
-    BLOCK_POINTS midpoints a round.
+    Plain batched bisection, bit for bit scalar bisection on every bracket:
+    each round evaluates mid = 0.5*(lo + hi) of every unfinished bracket in
+    one call.  A bracket ends with mid when hi - lo <= 1e-12 or mid is not
+    strictly inside it (where adjacent doubles are more than 1e-12 apart),
+    and when f(mid) is an exact zero; otherwise hi = mid when
+    f(lo)*f(mid) < 0, else lo = mid.  A bracket with lo == hi is its root.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    per = max(1, BLOCK_POINTS // 2**BISECT_LEVELS)
-    if len(lo) > per:
-        blocks = [slice(s, s + per) for s in range(0, len(lo), per)]
-        return np.concatenate(
-            [refine_roots(tree, {n: c[k] for n, c in columns.items()}, lo[k], hi[k]) for k in blocks]
-        )
     flo = _values(tree, columns, lo[:, None])[:, 0].copy()
     root = np.full(len(lo), np.nan)
     todo = np.arange(len(lo))
-    while todo.size:
-        a, b, fa = lo[todo], hi[todo], flo[todo]
-        # level l of the tree has 2^l nodes; node j's children are nodes 2j
-        # (left half) and 2j + 1 (right half) of level l + 1
-        los, his = a[:, None], b[:, None]
-        levels = []
-        for level in range(BISECT_LEVELS):
-            mid = 0.5 * (los + his)
-            levels.append(mid)
-            if level + 1 < BISECT_LEVELS:
-                los = np.stack([los, mid], axis=2).reshape(len(todo), -1)
-                his = np.stack([mid, his], axis=2).reshape(len(todo), -1)
-        mids = np.concatenate(levels, axis=1)
-        del los, his, levels
-        fmids = _values(tree, {n: c[todo] for n, c in columns.items()}, mids)
-        k = np.arange(len(todo))
-        node = np.zeros(len(todo), dtype=np.intp)
-        live = np.ones(len(todo), dtype=bool)
-        for level in range(BISECT_LEVELS):
-            pos = (1 << level) - 1 + node
-            m, fm = mids[k, pos], fmids[k, pos]
-            going = live & (b - a > 1e-12) & (a < m) & (m < b)
-            done = live & ~going
-            root[todo[done]] = 0.5 * (a[done] + b[done])
-            hit = going & (fm == 0.0)
-            root[todo[hit]] = m[hit]
-            going &= ~hit
-            right = going & ~(fa * fm < 0)
-            b = np.where(going & ~right, m, b)
-            a = np.where(right, m, a)
-            fa = np.where(right, fm, fa)
-            node = 2 * node + right
-            live = going
-        lo[todo], hi[todo], flo[todo] = a, b, fa
-        todo = todo[live]
-    return root
+    while True:
+        a, b = lo[todo], hi[todo]
+        mid = 0.5 * (a + b)
+        going = (b - a > 1e-12) & (a < mid) & (mid < b)
+        root[todo[~going]] = mid[~going]
+        todo, mid = todo[going], mid[going]
+        if not todo.size:
+            return root
+        fmid = _values(tree, {n: c[todo] for n, c in columns.items()}, mid[:, None])[:, 0]
+        hit = fmid == 0.0
+        root[todo[hit]] = mid[hit]
+        left = flo[todo] * fmid < 0
+        right = ~(left | hit)
+        hi[todo[left]] = mid[left]
+        lo[todo[right]], flo[todo[right]] = mid[right], fmid[right]
+        todo = todo[~hit]
 
 
 class FitResult(NamedTuple):

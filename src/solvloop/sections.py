@@ -139,7 +139,7 @@ class SectionSpec:
     def __init__(self, case: str, param: GroupParam, fn: FunctionSpec) -> None:
         if case not in _CASE_SUBGROUP:
             raise ValueError("case must be 'A', 'B' or 'C'")
-        if case in ("B", "C") and param.a == 1:
+        if not _CASE_SUBGROUP[case].defined(param):
             raise InadmissibleSubgroupError(f"case {case} requires a != 1")
         if fn.arity != _CASE_ARITY[case]:
             raise ValueError(
@@ -351,10 +351,6 @@ class RightTranslationLine(NamedTuple):
     base: tuple[float, float]
     direction: tuple[float, float]
     scale: float
-
-    def residual(self, u):
-        """u - scale * f(point(u)); elementwise on numpy arrays."""
-        return expressions.evaluate(_residual_tree(self.fn), {"u": u, **_columns(self)})
 
     def point(self, u) -> LoopPoint:
         (bx, by), (dx, dy) = self.base, self.direction

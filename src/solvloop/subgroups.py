@@ -72,14 +72,16 @@ class SubgroupId(enum.Enum):
     H3 = "H3"
     H4 = "H4"
 
+    def defined(self, p: GroupParam) -> bool:
+        """False for H2 and H3 at a = 1, where they coincide with a weight space."""
+        return self not in (SubgroupId.H2, SubgroupId.H3) or p.a != 1
+
     def admissible(self, p: GroupParam) -> bool:
         """True when a sharply transitive section over this subgroup can exist."""
-        if self in (SubgroupId.H2, SubgroupId.H3):
-            return p.a != 1
-        return self is SubgroupId.H1
+        return self is not SubgroupId.H4 and self.defined(p)
 
     def check_defined(self, p: GroupParam) -> None:
-        if self in (SubgroupId.H2, SubgroupId.H3) and p.a == 1:
+        if not self.defined(p):
             raise InadmissibleSubgroupError(f"{self.value} coincides with a weight space at a = 1")
 
 
@@ -266,6 +268,7 @@ def fixed_point_witness(p: GroupParam, g: GroupElement) -> LoopPoint:
     (x, y, w) with x = g1/(1-e^{a*g4}), w = g3/(1-e^{g4}),
     y = (g2 + g4*e^{g4}*w)/(1-e^{g4}).  Verified by the identity
     mul(g, embed(H4, m)) = mul(embed(H4, m), subgroup_element(H4, g.x4)).
+    A witness with a coordinate beyond the floats raises OverflowError.
     """
     if g.x4 == 0:
         raise ValueError("translations by slab elements need not fix a coset")
@@ -273,6 +276,8 @@ def fixed_point_witness(p: GroupParam, g: GroupElement) -> LoopPoint:
     x = -g.x1 / math.expm1(p.a * g.x4)
     w = -g.x3 / math.expm1(g.x4)
     y = -(g.x2 + g.x4 * math.exp(g.x4) * w) / math.expm1(g.x4)
+    if not all(map(math.isfinite, (x, y, w))):  # float division overflows silently
+        raise OverflowError(f"fixed coset witness ({x:g}, {y:g}, {w:g}) is not finite")
     return LoopPoint(x, y, w)
 
 

@@ -196,6 +196,17 @@ def test_overflow_names_float_parameters(capsys):
         assert last == f"error: math range error: overflow with {named}"
 
 
+def test_an_overflowing_fixed_point_witness_is_an_overflow(capsys):
+    # 1 - e^{g4} underflows to a subnormal and the witness divides by it; a
+    # witness beyond the floats is an overflow, not a refuted fixed coset
+    assert main(["fixed-point", "--a", "2", "--g", "1", "1", "1", "1e-320"]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == (
+        "error: fixed coset witness (-inf, inf, -inf) is not finite: "
+        "overflow with --a 2, --g 1 1 1 9.99989e-321"
+    )
+
+
 def test_non_finite_values_print_no_numpy_warnings(capsys):
     # the report or the error line already names each non-finite value
     cases = [

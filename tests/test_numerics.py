@@ -341,6 +341,28 @@ def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
     assert 100 <= sum(boxes) < 256
 
 
+def test_refine_roots_evaluates_one_midpoint_per_bracket_a_round(monkeypatch):
+    # 500 case-C right divisions, each bracketed by [-10, 10]: bisection to
+    # width 1e-12 takes 45 rounds, one point per bracket each, after the
+    # bracket's lower end
+    points = []
+    values = numerics._values
+
+    def counted(tree, columns, pts):
+        points.append(pts.size)
+        return values(tree, columns, pts)
+
+    monkeypatch.setattr(numerics, "_values", counted)
+    spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.preset("sin-small", 3))
+    rng = np.random.default_rng(5)
+    m1, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, 500)), rng.uniform(-0.5, 0.5, 500)) for _ in "12")
+    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    tree, columns = sl.sections.line_residual_rows(line, np.arange(500))
+    roots = numerics.refine_roots(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
+    assert (abs(roots - (m1.x - line.base[0])) <= 1e-10).all()
+    assert sum(points) <= 50 * 500
+
+
 def test_bisection_stops_where_doubles_are_wider_than_tol():
     # the root 1.4e5 has neighbouring doubles 2.9e-11 apart, more than the
     # default tol; the midpoint stops moving and the bisection must still end

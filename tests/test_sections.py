@@ -206,37 +206,43 @@ def test_degeneracy_verdict_to_dict_keys():
 
 # ------------------------------------------------- right-translation systems
 
+def _random_points(seed):
+    """20 rows of m1 and m2 with x, y in [-2, 2] and z in [-0.5, 0.5], as column points."""
+    rng = np.random.default_rng(seed)
+    return [
+        sl.LoopPoint(*rng.uniform(-2, 2, (2, 20)), rng.uniform(-0.5, 0.5, 20)) for _ in range(2)
+    ]
+
+
+def _solver_residual(line, u):
+    """The residual root_rows and refine_roots see, on every row of the column line at u."""
+    tree, columns = sl.sections.line_residual_rows(line, np.arange(len(u)))
+    return sl.expressions.evaluate(tree, {**columns, "u": u})
+
+
 def test_right_translation_system_case_c():
     spec = spec_for("C", "sin-small")
-    rng = np.random.default_rng(33)
-    for _ in range(20):
-        m1 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
-        m2 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
-        b = sl.loop_mul(spec, m1, m2)
-        line = sl.right_translation_system(spec, m2, b)
-        assert line.qz == m1.z  # z-coordinates subtract exactly
-        assert line.direction == (1.0, 0.0)
-        assert abs(line.base[1] - m1.y) <= 1e-12
-        # the true x solves the scalar line equation
-        u = m1.x - line.base[0]
-        assert abs(line.residual(u)) <= 1e-10
-        assert sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-12
+    m1, m2 = _random_points(33)
+    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    assert (line.qz == m1.z).all()  # z-coordinates subtract exactly
+    assert line.direction == (1.0, 0.0)
+    assert (abs(line.base[1] - m1.y) <= 1e-12).all()
+    # the true x solves the scalar line equation
+    u = m1.x - line.base[0]
+    assert (abs(_solver_residual(line, u)) <= 1e-10).all()
+    assert (sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-12).all()
 
 
 def test_right_translation_system_case_b():
     spec = spec_for("B", "lemma1")
-    rng = np.random.default_rng(34)
-    for _ in range(20):
-        m1 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
-        m2 = sl.LoopPoint(*(float(v) for v in rng.uniform(-2, 2, 2)), float(rng.uniform(-0.5, 0.5)))
-        b = sl.loop_mul(spec, m1, m2)
-        line = sl.right_translation_system(spec, m2, b)
-        assert line.qz == m1.z
-        assert max(abs(d) for d in line.direction) == 1.0
-        # u = scale * h at the true quotient puts it on the line
-        u = line.scale * spec.fn.fn(m1.x, m1.y, m1.z)
-        assert sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-10
-        assert abs(line.residual(u)) <= 1e-10
+    m1, m2 = _random_points(34)
+    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    assert (line.qz == m1.z).all()
+    assert (np.maximum(abs(line.direction[0]), abs(line.direction[1])) == 1.0).all()
+    # u = scale * h at the true quotient puts it on the line
+    u = line.scale * spec.fn(*m1.coords)
+    assert (sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-10).all()
+    assert (abs(_solver_residual(line, u)) <= 1e-10).all()
 
 
 def test_right_translation_system_case_b_z_zero_is_closed_form():
