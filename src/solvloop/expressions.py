@@ -36,6 +36,7 @@ __all__ = [
     "evaluate",
     "enclose",
     "substitute",
+    "variables",
     "derivative",
 ]
 
@@ -358,7 +359,8 @@ def _outward(lo, hi, known=True, ulps: float = 0.0):
 
 
 def _is_known(box) -> np.ndarray:
-    return ~((box[0] == -np.inf) & (box[1] == np.inf))
+    """False where the box is unknown or has a NaN bound (NaN^0 and 1^NaN are 1)."""
+    return (box[0] <= box[1]) & ~((box[0] == -np.inf) & (box[1] == np.inf))
 
 
 def _turns(lo, hi, start: float, half: float):
@@ -471,6 +473,11 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
         at which evaluate raises (0 to a negative power, a negative number
         to a fractional one) and overflow, since an interval made of one
         infinity is unknown.
+      * An operand that is unknown or has a NaN bound makes the result of
+        every operator and function unknown (NaN^0 and 1^NaN included,
+        which numpy calls 1), and negation keeps it so; a NaN value of a
+        variable that node reads thus gives node no finite enclosure on
+        any box.
     """
     with np.errstate(all="ignore"):
         lo, hi = _enclose(node, boxes)
@@ -519,6 +526,19 @@ def substitute(node: Node, trees: dict) -> Node:
     if isinstance(node, BinOp):
         return BinOp(node.op, substitute(node.left, trees), substitute(node.right, trees))
     return node
+
+
+def variables(node: Node) -> set:
+    """The names of the variables that node reads."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Neg):
+        return variables(node.operand)
+    if isinstance(node, Call):
+        return variables(node.arg)
+    if isinstance(node, BinOp):
+        return variables(node.left) | variables(node.right)
+    return set()
 
 
 # ------------------------------------------------------------ derivatives

@@ -21,7 +21,8 @@ of the function-free part of the equation (right_translation_system in
 sections), and the search windows are centered on that solution.  Every
 law takes float or column points; right division (loop_rdiv_batch) works
 on columns throughout: one line of columns, one root-count proof of all
-rows (numerics.root_rows), one batched bisection of the lone roots, one
+rows (numerics.root_rows), one batched refinement of the lone roots
+(bisection with a safeguarded Newton step, numerics.refine_roots), one
 multiply-back that validates every quotient, case A's included.
 coset_cross_check re-derives every product through the group: lift the left
 factor with the section, multiply by a representative of the right coset,
@@ -145,14 +146,15 @@ def loop_rdiv_batch(
     of half width 10 on the line around the function-free solution,
     doubling it up to 4 times for the rows where there is none; all rows
     are proved together in numerics.root_rows, and every lone root is
-    refined by bisection in its bracket (numerics.refine_roots).  A row
-    gets a MultipleRootsError when the sharp-transitivity hypothesis fails
-    on the window, and a SolverDivergenceError when its root count is
-    unresolved.  Every other quotient is validated in one
-    multiply-back: residual holds the coordinate distance of q * m2 from b
-    in those rows (inf in the rest), and a row beyond 1e-8 (a NaN quotient
-    included) gets a SolverDivergenceError.  errors maps the failed rows
-    to their errors; q holds every row, failed ones included.
+    refined in its bracket by bisection with a safeguarded Newton step
+    (numerics.refine_roots).  A row gets a MultipleRootsError when the
+    sharp-transitivity hypothesis fails on the window, and a
+    SolverDivergenceError when its root count is unresolved.  Every other
+    quotient is validated in one multiply-back: residual holds the
+    coordinate distance of q * m2 from b in those rows (inf in the rest),
+    and a row beyond 1e-8 (a NaN quotient included) gets a
+    SolverDivergenceError.  errors maps the failed rows to their errors;
+    q holds every row, failed ones included.
     """
     a = spec.param.a
     errors: dict[int, RightDivisionError] = {}

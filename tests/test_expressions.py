@@ -222,6 +222,25 @@ def test_enclose_edges(text, x, expected):
         assert expected[0] - lo <= 1e-12 * max(1.0, abs(lo)) and hi - expected[1] <= 1e-12 * max(1.0, abs(hi))
 
 
+@pytest.mark.parametrize("box", [(math.nan, math.nan), (-math.inf, math.inf)])
+def test_a_nan_or_unknown_operand_gives_no_finite_enclosure(box):
+    # every operator and function, on either side: so a NaN column that a
+    # tree reads leaves it no finite enclosure on any box (numpy's NaN^0
+    # and 1^NaN are 1, but the enclosure does not know that)
+    x = ex.Var("x")
+    others = [ex.Const(v) for v in (0.0, 1.0, -1.5, 2.0)] + [ex.Var("u")]
+    trees = [x, ex.Neg(x)] + [ex.Call(fn, x) for fn in ex.FUNCTIONS]
+    trees += [ex.BinOp(op, *pair) for op in "+-*/^" for y in others for pair in ((x, y), (y, x))]
+    for tree in trees:
+        lo, hi = ex.enclose(tree, {"x": box, "u": (1.0, 2.0)})
+        assert not (np.isfinite(lo) and np.isfinite(hi)), tree
+
+
+def test_variables_names_what_a_tree_reads():
+    assert ex.variables(ex.parse("sin(x)*2 - -z^y + 1", ("x", "y", "z"))) == {"x", "y", "z"}
+    assert ex.variables(ex.parse("3 + exp(1)", ())) == set()
+
+
 @given(st.floats(allow_nan=False) | st.sampled_from([5e-324, -5e-324, 2.0**-1022, 1.0, 2.0, -0.5]))
 def test_outward_rounding_moves_at_least_one_ulp(v):
     with np.errstate(all="ignore"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import solvloop as sl
 from solvloop import expressions as ex
@@ -25,8 +26,7 @@ def bisect(fn, lo, hi, tol=1e-12):
     Where adjacent doubles are more than tol apart (|root| beyond about
     8.8e3 at tol = 1e-12), it stops when the midpoint equals an end.
 
-    The scalar reference whose iterates refine_roots reproduces for all its
-    brackets at once.
+    refine_roots ends within tol of it where doubles are denser than tol.
     """
     flo = fn(lo)
     fhi = fn(hi)
@@ -48,6 +48,38 @@ def bisect(fn, lo, hi, tol=1e-12):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def newton_bisect(fn, slope, lo, hi, tol=1e-12, step=0.4e-12):
+    """Bisection with a safeguarded Newton step on a bracket whose ends differ in sign.
+
+    The scalar reference whose rounds refine_roots reproduces for all its
+    brackets at once.  Each round takes the midpoint, the Newton point c
+    (x - f(x)/f'(x) from the last Newton point x, or the midpoint where that
+    is not strictly inside the bracket) and c -+ step; each of them, in that
+    order, that is strictly inside the bracket becomes lo where fn has the
+    sign of fn(lo), hi where it has the other one, and is returned where fn
+    is an exact zero.  It ends as bisect does.
+    """
+    negative = fn(lo) < 0
+    c = math.nan
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > tol and lo < mid < hi):
+            return mid
+        if not lo < c < hi:
+            c = mid
+        for p in (mid, c, c - step, c + step):
+            if lo < p < hi:
+                fp = fn(p)
+                if fp == 0.0:
+                    return p
+                if (fp < 0) == negative:
+                    lo = p
+                else:
+                    hi = p
+        with np.errstate(all="ignore"):
+            c = float(np.float64(c) - np.float64(fn(c)) / np.float64(slope(c)))
 
 
 class _Traced:
@@ -264,9 +296,11 @@ def _batch(draw, width):
 )
 def test_root_rows_equals_root1d_and_scalar_bisect(data, block_points, width):
     # rows batched together, in blocks of any size, give exactly what each
-    # gives alone; each refined root is scalar bisect's on its bracket; a
-    # resolved row has one bracket per root, each holding it, and a pole or
-    # a NaN on the window is never resolved
+    # gives alone; each refined root is scalar newton_bisect's on its
+    # bracket, within 1e-12 of bisect's where doubles are denser than that,
+    # and within 2e-12 (plus brentq's relative tolerance) of scipy's brentq;
+    # a resolved row has one bracket per root, each holding it, and a pole
+    # or a NaN on the window is never resolved
     tree, kind, rows, columns = data.draw(_batch(width))
     n = len(rows)
     with pytest.MonkeyPatch.context() as patch:
@@ -292,10 +326,18 @@ def test_root_rows_equals_root1d_and_scalar_bisect(data, block_points, width):
         assert all(a == r == b or a < r < b for (a, b), r in zip(got, roots))
         inner = [(a, b) for a, b in got if a < b]
         if inner:
-            fn = lambda x, row=row: float(ex.evaluate(tree, {"u": x, **row}))
+            fn, slope = (
+                lambda x, t=t, row=row: float(ex.evaluate(t, {"u": x, **row}))
+                for t in (tree, ex.derivative(tree, "u"))
+            )
             cols = {k: np.full(len(inner), v) for k, v in row.items()}
-            refined = numerics.refine_roots(tree, cols, *zip(*inner))
-            assert refined.tolist() == [bisect(fn, a, b) for a, b in inner]
+            refined = numerics.refine_roots(tree, cols, *zip(*inner)).tolist()
+            assert refined == [newton_bisect(fn, slope, a, b) for a, b in inner]
+            for (a, b), r in zip(inner, refined):
+                if abs(r) <= 8e3:
+                    assert abs(r - bisect(fn, a, b)) <= 1e-12
+                brent = optimize.brentq(fn, a, b, xtol=1e-12)
+                assert abs(r - brent) <= 2e-12 + 8 * np.finfo(float).eps * abs(brent)
 
 
 def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves(monkeypatch):
@@ -341,31 +383,94 @@ def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
     assert 100 <= sum(boxes) < 256
 
 
-def test_refine_roots_evaluates_one_midpoint_per_bracket_a_round(monkeypatch):
-    # 500 case-C right divisions, each bracketed by [-10, 10]: bisection to
-    # width 1e-12 takes 45 rounds, one point per bracket each, after the
-    # bracket's lower end
-    points = []
+def _right_division_rows(n):
+    """(tree, columns, m1, line): n case-C right divisions of sin-small, rows of one line residual."""
+    spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.preset("sin-small", 3))
+    rng = np.random.default_rng(5)
+    m1, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, n)), rng.uniform(-0.5, 0.5, n)) for _ in "12")
+    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    return (*sl.sections.line_residual_rows(line, np.arange(n)), m1, line)
+
+
+def _counting(monkeypatch):
+    """The shapes of the point arrays of every numerics._values call, as they happen."""
+    shapes = []
     values = numerics._values
 
     def counted(tree, columns, pts):
-        points.append(pts.size)
+        shapes.append(pts.shape)
         return values(tree, columns, pts)
 
     monkeypatch.setattr(numerics, "_values", counted)
-    spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.preset("sin-small", 3))
-    rng = np.random.default_rng(5)
-    m1, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, 500)), rng.uniform(-0.5, 0.5, 500)) for _ in "12")
-    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
-    tree, columns = sl.sections.line_residual_rows(line, np.arange(500))
+    return shapes
+
+
+def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
+    # the error is the one the budget gives a row that no box resolves, and
+    # no box is enclosed; a NaN column that the tree does not read is ignored
+    boxes = []
+    enclose = ex.enclose
+
+    def counted(tree, env):
+        boxes.append(np.size(env["u"][0]))
+        return enclose(tree, env)
+
+    monkeypatch.setattr(ex, "enclose", counted)
+    (budgeted,) = root_rows(ex.Call("sqrt", ex.Neg(ex.Var("u"))), {}, [1.0], [2.0])
+    assert sum(boxes) >= numerics.MAX_BOXES
+    boxes.clear()
+    tree = ex.BinOp("-", ex.Var("u"), ex.Var("c"))
+    (got,) = root_rows(tree, {"c": np.array([math.nan]), "d": np.array([1.0])}, [1.0], [2.0])
+    assert type(got) is type(budgeted) and str(got) == str(budgeted)
+    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
+    assert sum(boxes) == 0
+    assert root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0]) == [[(1.0, 2.0)]]
+
+
+def test_refine_roots_evaluates_at_most_25_points_per_bracket(monkeypatch):
+    # 500 case-C right divisions, each bracketed by [-10, 10]: bisection to
+    # width 1e-12 takes 45 rounds of one point each; Newton ends them in
+    # about 4 rounds of four residual points and one slope point, after
+    # the bracket's lower end
+    tree, columns, m1, line = _right_division_rows(500)
+    shapes = _counting(monkeypatch)
     roots = numerics.refine_roots(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
     assert (abs(roots - (m1.x - line.base[0])) <= 1e-10).all()
-    assert sum(points) <= 50 * 500
+    assert sum(math.prod(shape) for shape in shapes) <= 25 * 500
+
+
+def test_refined_right_divisions_agree_with_brentq():
+    # an independent oracle: scipy's brentq, to 1e-12 on the same brackets
+    tree, columns, _, _ = _right_division_rows(500)
+    found = root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
+    assert all(len(roots) == 1 for roots in found)
+    (lo, hi) = np.array([roots[0] for roots in found]).T
+    refined = numerics.refine_roots(tree, columns, lo, hi)
+    for i in range(500):
+        row = {name: col[i] for name, col in columns.items()}
+        fn = lambda u: float(ex.evaluate(tree, {"u": u, **row}))
+        assert abs(refined[i] - optimize.brentq(fn, lo[i], hi[i], xtol=1e-12)) <= 2e-12
+
+
+def test_refinement_takes_no_more_rounds_than_bisection_where_newton_is_useless(monkeypatch):
+    # a flat cubic with a small linear term: Newton gains a factor of 2/3 a
+    # step, less than the midpoint's 1/2, until it is within about 6e-11 of
+    # the root, so Newton steps alone take 58 rounds on [-10, 10]; the
+    # midpoint keeps the refinement within bisection's 45
+    tree = ex.parse("(u - 0.3)^3 + 1e-20*(u - 0.3)", ("u",))
+    fn, slope = (lambda x, t=t: float(ex.evaluate(t, {"u": x})) for t in (tree, ex.derivative(tree, "u")))
+    calls = []
+    ref = bisect(lambda x: calls.append(x) or fn(x), -10.0, 10.0)
+    shapes = _counting(monkeypatch)
+    (root,) = numerics.refine_roots(tree, {}, [-10.0], [10.0])
+    assert root == newton_bisect(fn, slope, -10.0, 10.0)
+    assert abs(root - ref) <= 1e-12
+    assert sum(shape[1] == 4 for shape in shapes) <= len(calls) - 2  # f(lo) and f(hi) first
 
 
 def test_bisection_stops_where_doubles_are_wider_than_tol():
     # the root 1.4e5 has neighbouring doubles 2.9e-11 apart, more than the
-    # default tol; the midpoint stops moving and the bisection must still end
+    # default tol; the midpoint stops moving and the refinement must still end
     code = (
         "from solvloop import expressions as ex; from solvloop.numerics import root_rows, refine_roots; "
         "tree = ex.parse('u*u - 2e10', ('u',)); "
@@ -379,7 +484,9 @@ def test_bisection_stops_where_doubles_are_wider_than_tol():
     )
     assert proc.returncode == 0, proc.stderr
     (lo, hi), root = eval(proc.stdout.replace("np.float64", "float"))
-    assert root == bisect(lambda x: x * x - 2e10, lo, hi)
+    tree = ex.parse("u*u - 2e10", ("u",))
+    fn, slope = (lambda x, t=t: float(ex.evaluate(t, {"u": x})) for t in (tree, ex.derivative(tree, "u")))
+    assert root == newton_bisect(fn, slope, lo, hi)
     assert abs(root - math.sqrt(2e10)) <= 2 * math.ulp(root)
 
 
