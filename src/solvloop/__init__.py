@@ -65,7 +65,6 @@ from .loops import (
     coset_cross_check,
     loop_ldiv,
     loop_mul,
-    loop_rdiv,
 )
 from .multgroup import (
     CENTER_TEST_DIRECTIONS,

@@ -88,7 +88,10 @@ def _lemma1(args) -> VerificationReport:
     z_range = _ordered(args.range, "--range")
     if -1e-3 < z_range[0] and z_range[1] < 1e-3:
         raise ValueError("--range must reach |z| >= 1e-3: the profile has no samples in (-1e-3, 1e-3)")
-    report = lemma1_suite(tree, args.rate, z_range, args.samples, args.K)
+    try:
+        report = lemma1_suite(tree, args.rate, z_range, args.samples, args.K)
+    except ValueError as err:  # the fit's basis underflows at every sample
+        raise ValueError(f"--rate: {err}") from None
     report.data["function"] = label
     return report
 

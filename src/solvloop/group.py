@@ -102,9 +102,6 @@ class AlgebraVector(NamedTuple):
     def coords(self) -> tuple[float, float, float, float]:
         return (self.c1, self.c2, self.c3, self.c4)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
     def scaled(self, factor: float) -> "AlgebraVector":
         return AlgebraVector(factor * self.c1, factor * self.c2, factor * self.c3, factor * self.c4)
 

@@ -20,9 +20,9 @@ cases B and C it is one scalar root problem on a line through the solution
 of the function-free part of the equation (right_translation_system in
 sections), and the search windows are centered on that solution.  Every
 law takes float or column points; right division (loop_rdiv_batch) works
-on columns throughout: one line of columns, one root-count proof of all
-rows (numerics.root_rows), one batched refinement of the lone roots
-(bisection with a safeguarded Newton step, numerics.refine_roots), one
+on columns throughout: one line of columns, one proof of the roots of all
+rows (numerics.root_rows), the lone roots' proved boxes narrowed to 1e-12
+by the same interval Newton operator (numerics.narrow_roots), one
 multiply-back that validates every quotient, case A's included.
 coset_cross_check re-derives every product through the group: lift the left
 factor with the section, multiply by a representative of the right coset,
@@ -37,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .group import coordinate_distance, elementwise, largest, mul, split, stack
-from .numerics import refine_roots, root_rows
+from .group import coordinate_distance, elementwise, largest, mul, split
+from .numerics import narrow_roots, root_rows
 from .report import VerificationReport
 from .sampling import Stream
 from .sections import (
@@ -58,7 +58,6 @@ __all__ = [
     "SolverDivergenceError",
     "loop_mul",
     "loop_ldiv",
-    "loop_rdiv",
     "loop_rdiv_batch",
     "coset_cross_check",
     "associativity_defect",
@@ -126,14 +125,6 @@ def loop_ldiv(spec: SectionSpec, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
     )
 
 
-def loop_rdiv(spec: SectionSpec, b: LoopPoint, m2: LoopPoint) -> LoopPoint:
-    """The q with q * m2 = b: loop_rdiv_batch on one row, raising its error."""
-    q, _, errors = loop_rdiv_batch(spec, stack([b]), stack([m2]))
-    if errors:
-        raise errors[0]
-    return LoopPoint(*(float(col[0]) for col in q.coords))
-
-
 def loop_rdiv_batch(
     spec: SectionSpec, b: LoopPoint, m2: LoopPoint
 ) -> tuple[LoopPoint, np.ndarray, dict[int, RightDivisionError]]:
@@ -145,9 +136,9 @@ def loop_rdiv_batch(
     of the scalar line equation of right_translation_system on the window
     of half width 10 on the line around the function-free solution,
     doubling it up to 4 times for the rows where there is none; all rows
-    are proved together in numerics.root_rows, and every lone root is
-    refined in its bracket by bisection with a safeguarded Newton step
-    (numerics.refine_roots).  A row gets a MultipleRootsError when the
+    are proved together in numerics.root_rows, and the proved box of every
+    lone root is narrowed to at most 1e-12 (numerics.narrow_roots), whose
+    midpoint is the root.  A row gets a MultipleRootsError when the
     sharp-transitivity hypothesis fails on the window, and a
     SolverDivergenceError when its root count is unresolved.  Every other
     quotient is validated in one multiply-back: residual holds the
@@ -167,7 +158,7 @@ def loop_rdiv_batch(
         line = right_translation_system(spec, m2, b)
         us = np.zeros(len(line.qz))
         pending = np.flatnonzero(line.scale != 0.0)  # NaN scales are solved for too
-        single: list[tuple[int, float, float]] = []  # row and bracket of every lone root
+        single: list[tuple[int, float, float]] = []  # row and proved box of every lone root
         width = 10.0
         for _ in range(5):
             if not pending.size:
@@ -199,7 +190,8 @@ def loop_rdiv_batch(
             )
         if single:
             rows, lo, hi = (np.array(v) for v in zip(*single))
-            us[rows] = refine_roots(*line_residual_rows(line, rows), lo, hi)
+            lo, hi = narrow_roots(*line_residual_rows(line, rows), lo, hi)
+            us[rows] = 0.5 * (lo + hi)
         q = line.point(us)
     residual = np.full(len(q.z), math.inf)
     solved = np.delete(np.arange(len(q.z)), list(errors))

@@ -1,26 +1,20 @@
-"""Root counting and least-squares utilities for the loop verifiers.
+"""Root proofs and least-squares utilities for the loop verifiers.
 
 Three workhorses:
 
-  * root_rows: a proof of the number of roots of many functions of one
-    unknown u (one row each, a tree over u and the row's columns) on their
-    windows.  It uses the exclusion and monotonicity tests of interval
-    global search (Moore, Interval Analysis, 1966; Neumaier, Interval
-    Methods for Systems of Equations, 1990): batched adaptive subdivision in
-    which every box is excluded (its residual enclosure, expressions.enclose,
-    is finite and excludes 0), decided (the enclosures of the residual and
-    of its u-derivative, expressions.derivative, are finite and the
-    derivative's excludes 0, so the residual is strictly monotone there and
-    its end values count its one root or none) or halved.  A row whose
-    boxes are not all excluded or decided within MAX_BOXES boxes is
-    unresolved: poles, NaN values and tangential roots fail, never pass; a
-    row that reads a NaN column fails at once.  There is no grid, so roots
+  * root_rows: the roots of many functions of one unknown u (one row each,
+    a tree over u and the row's columns) on their windows, each proved to
+    lie alone in a box, by interval global search (Moore, Interval
+    Analysis, 1966; Neumaier, Interval Methods for Systems of Equations,
+    1990, ch. 5): batched adaptive subdivision in which every box is
+    excluded by its residual enclosure (expressions.enclose), narrowed by
+    the interval Newton operator N(X) = m - F(m)/F'(X) on the symbolic
+    u-derivative (expressions.derivative), or halved.  N(X) ∩ X = ∅ proves
+    that X holds no root, N(X) ⊂ int X that it holds exactly one, in N(X).
+    Poles, NaN values and tangential roots leave a row unresolved within
+    MAX_BOXES boxes: they fail, never pass.  There is no grid, so roots
     closer together than any spacing are counted.
-  * refine_roots: the root in a bracket of root_rows, by batched
-    bisection with a safeguarded Newton step on the same u-derivative: the
-    midpoint halves every bracket each round, and the Newton point with two
-    neighbours 0.8e-12 apart ends it once Newton has converged: about 4
-    rounds for a right division, where bisection takes 45.
+  * narrow_roots: the same operator on proved boxes, down to 1e-12.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -39,25 +33,22 @@ from .group import elementwise, largest
 __all__ = [
     "FitResult",
     "root_rows",
-    "refine_roots",
+    "narrow_roots",
     "fit_saturating_exponential",
     "twisted_additivity_residual",
 ]
 
 
-# Points or boxes per array evaluation or enclosure.  Every float array of
-# an evaluation then stays under 128 KiB; blocks of 2**15 points ran 1.3-1.8
-# times slower per point on the development machine (an x86-64 Xeon with
-# glibc).
-BLOCK_POINTS = 16000
+# Boxes per enclosure.  The residual is enclosed on each box and on its
+# midpoint, so every float array of an enclosure then stays under 128 KiB;
+# blocks of 2**15 points ran 1.3-1.8 times slower per point on the
+# development machine (an x86-64 Xeon with glibc).
+BLOCK_POINTS = 8000
 # Residual boxes a row may enclose before its root count is unresolved.
 MAX_BOXES = 1000
-
-def _values(tree: expressions.Node, columns: dict, pts: np.ndarray) -> np.ndarray:
-    """tree at u = pts[i, j] with the values columns[name][i]: an array of the 2-D pts's shape."""
-    env = {name: col[:, None] for name, col in columns.items()}
-    with np.errstate(all="ignore"):
-        return np.broadcast_to(expressions.evaluate(tree, {**env, "u": pts}), pts.shape)
+# Names of the point m and of the enclosure of F(m) in the Newton operator;
+# no parsed tree can use them.
+_MID, _AT_MID = "m(u)", "F(m(u))"
 
 
 def _points(columns: dict) -> dict:
@@ -65,41 +56,75 @@ def _points(columns: dict) -> dict:
     return {name: (col, col) for name, col in columns.items()}
 
 
-def _sort_boxes(tree, slope, columns: dict, a: np.ndarray, b: np.ndarray, top: np.ndarray):
-    """(split, boxes, lower, upper): the boxes [a[i], b[i]] to halve, and the roots found.
+def _newton_operator(tree: expressions.Node) -> expressions.Node:
+    """N = m - F(m)/F'(u), a tree over the box u, the point m and the enclosure of F(m)."""
+    slope = expressions.derivative(tree, "u")
+    quotient = expressions.BinOp("/", expressions.Var(_AT_MID), slope)
+    return expressions.BinOp("-", expressions.Var(_MID), quotient)
 
-    Root k lies in box boxes[k], in the bracket [lower[k], upper[k]].
 
-    columns holds every box's row values; top is the upper end of every
-    box's window.  A box is excluded when the residual's enclosure is finite
-    and excludes 0, decided when the enclosures of the residual and of its
-    u-derivative (slope) are finite and the derivative's excludes 0, and
-    split otherwise.  A decided box [a, b) holds one root when its end
-    values differ in sign (bracket [a, b]) or f(a) is an exact zero
-    (bracket [a, a]), and none otherwise; only the window's upper end is
-    closed, so f(b) = 0 there is a root too (bracket [b, b]).
+def _newton(newton: expressions.Node, columns: dict, a: np.ndarray, b: np.ndarray, f):
+    """The enclosure (lo, hi) of N(X) on every box X = [a[i], b[i]] with the row values columns.
+
+    m is the midpoint of X and f the enclosure of the residual F at m.
+    enclose rounds N outward, and its division rule makes N unknown,
+    (-inf, inf), where F'(X) may come within 1e-300 of 0.
     """
-    rlo, rhi = expressions.enclose(tree, {**_points(columns), "u": (a, b)})
-    known = np.isfinite(rlo) & np.isfinite(rhi)
-    split = ~(known & ((rlo > 0) | (rhi < 0)))
-    test = np.flatnonzero(known & split)  # only these may need the derivative
+    mid = 0.5 * (a + b)
+    return expressions.enclose(newton, {**_points(columns), "u": (a, b), _MID: (mid, mid), _AT_MID: f})
+
+
+def _sort_boxes(tree, newton, columns: dict, a: np.ndarray, b: np.ndarray):
+    """(keep, a, b, halve, proved, lower, upper): what becomes of the boxes [a[i], b[i]].
+
+    Box i goes on, where keep[i], as [a[i], b[i]] of the result, halved
+    where halve[i]; root k is proved to lie alone in [lower[k], upper[k]]
+    by box proved[k].  One enclosure bounds the residual on every box and
+    at its midpoint.  A box whose enclosure is finite and excludes 0 is
+    dropped.  Any other box with a finite enclosure takes one Newton step
+    (see _newton): N(X) ⊂ int X proves a root in N(X); an empty N(X) ∩ X
+    drops the box; a nonempty one at most half as wide as X goes on,
+    widened across each end of X that N(X) reaches by 64 ulps of its
+    larger bound (epsilon-inflation: a root on an end of X is then inside
+    it); anything else, an unknown N(X) included, is halved.
+    """
+    mid = 0.5 * (a + b)
+    flo, fhi = expressions.enclose(tree, {**_points(columns), "u": (np.stack([a, mid]), np.stack([b, mid]))})
+    known = np.isfinite(flo[0]) & np.isfinite(fhi[0])
+    keep = ~(known & ((flo[0] > 0) | (fhi[0] < 0)))
+    test = np.flatnonzero(known & keep)
+    x, y = a[test], b[test]
     sub = {name: col[test] for name, col in columns.items()}
-    dlo, dhi = expressions.enclose(slope, {**_points(sub), "u": (a[test], b[test])})
-    decided = np.isfinite(dlo) & np.isfinite(dhi) & ((dlo > 0) | (dhi < 0))
-    test, sub = test[decided], {name: col[decided] for name, col in sub.items()}
-    split[test] = False
-    a, b = a[test], b[test]
-    fa, fb = _values(tree, sub, np.stack([a, b], axis=1)).T
-    upper = (fb == 0.0) & (b == top[test])
-    root = (fa == 0.0) | (np.sign(fa) * np.sign(fb) < 0) | upper
-    zero = np.where(upper, b, a)  # the exact zero, where there is one
-    return split, test[root], zero[root], np.where((fa == 0.0) | upper, zero, b)[root]
+    nlo, nhi = _newton(newton, sub, x, y, (flo[1, test], fhi[1, test])) if test.size else (x, y)
+    lo, hi = np.maximum(x, nlo), np.minimum(y, nhi)  # N(X) ∩ X
+    inside = (x < nlo) & (nhi < y)
+    step = ~inside & (lo <= hi) & (hi - lo <= 0.5 * (y - x))
+    pad = (np.maximum(np.abs(lo), np.abs(hi)) * 2.0**-52 + 2.0**-1074) * 64
+    a, b, halve = a.copy(), b.copy(), keep.copy()
+    a[test] = np.where(step & (nlo <= x), lo - pad, lo)
+    b[test] = np.where(step & (nhi >= y), hi + pad, hi)
+    keep[test] = ~inside & (lo <= hi)
+    halve[test] = ~step
+    return keep, a, b, halve, test[inside], nlo[inside], nhi[inside]
 
 
 def _unresolved(u) -> ValueError:
     return ValueError(
         f"unresolved: no exclusion or monotonicity proof near u = {u:.6g} within {MAX_BOXES} boxes"
     )
+
+
+def _merged(boxes: list) -> list:
+    """Sorted proved boxes with overlapping ones merged into their intersection.
+
+    The residual is strictly monotone on each proved box, so two that
+    overlap are monotone on their union and hold the same root.
+    """
+    out = sorted(boxes)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i][0] <= out[i - 1][1]:
+            out[i - 1 : i + 1] = [(out[i][0], min(out[i - 1][1], out[i][1]))]
+    return out
 
 
 def root_rows(
@@ -111,20 +136,20 @@ def root_rows(
     the other variables on the window [lo[r], hi[r]].  Every row starts as
     one box; each round encloses the residual over all open boxes of all
     rows, in blocks of BLOCK_POINTS, and sorts them (see _sort_boxes):
-    excluded boxes are dropped, decided ones give their root or none, and
-    the rest are halved.  A box counts as [a, b), so a root on an end two
-    boxes share is counted once.  Point evaluations happen only where the
-    enclosure is finite, where evaluate cannot raise.
+    excluded boxes are dropped, Newton steps prove roots, drop boxes or
+    narrow them, and the rest are halved.  Enclosures only are computed,
+    so evaluate never runs where it could raise.
 
-    Returns one entry per row: the brackets (a, b) of its roots in
-    increasing order, each holding exactly one root, which is a when a ==
-    b and otherwise lies strictly between them, where the residual is
-    strictly monotone and changes sign (see refine_roots); or the
-    ValueError that rules the row out: a bad window, or an unresolved root
-    count (a box that has not been excluded or decided after MAX_BOXES
-    boxes of the row, or cannot be halved).  A row in which a column that
-    the tree reads is NaN fails before the first round with the text that
-    the end of its budget would give, since no box of it can have a finite
+    Returns one entry per row: the boxes (a, b) of its roots in increasing
+    order, each holding exactly one root, a < root < b, on which the
+    residual is strictly monotone; or the ValueError that rules the row
+    out: a bad window, or an unresolved root count (a box that has not
+    been settled after MAX_BOXES boxes of the row, or cannot be halved).
+    A root on an end that two boxes share is proved by both, in boxes that
+    overlap, and counted once.  Inflation lets a root within rounding of a
+    window's end count as in it.  A row in which a column that the tree
+    reads is NaN fails before the first round with the text that the end
+    of its budget would give, since no box of it can have a finite
     enclosure (see expressions.enclose).
     """
     lo = np.asarray(lo, dtype=float)
@@ -146,82 +171,58 @@ def root_rows(
         else:
             out[r] = _unresolved(lo[r])
     bad |= nan
-    slope = expressions.derivative(tree, "u")
+    newton = _newton_operator(tree)
     rows = np.flatnonzero(~bad)
     a, b = lo[rows], hi[rows]
     spent = np.zeros(len(lo), dtype=np.intp)
     while rows.size:
         spent += np.bincount(rows, minlength=len(lo))
-        split = np.zeros(len(rows), dtype=bool)
+        keep, halve = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
         for s in range(0, len(rows), BLOCK_POINTS):
             block = slice(s, s + BLOCK_POINTS)
             r = rows[block]
             cols = {name: col[r] for name, col in columns.items()}
-            split[block], boxes, x, y = _sort_boxes(tree, slope, cols, a[block], b[block], hi[r])
-            for row, bracket in zip(r[boxes].tolist(), zip(x.tolist(), y.tolist())):
-                out[row].append(bracket)
-        rows, a, b = rows[split], a[split], b[split]
+            keep[block], a[block], b[block], halve[block], proved, x, y = _sort_boxes(
+                tree, newton, cols, a[block], b[block]
+            )
+            for row, box in zip(r[proved].tolist(), zip(x.tolist(), y.tolist())):
+                out[row].append(box)
+        rows, a, b, halve = rows[keep], a[keep], b[keep], halve[keep]
         mid = 0.5 * (a + b)
-        stuck = (spent[rows] >= MAX_BOXES) | ~((a < mid) & (mid < b))
+        stuck = (spent[rows] >= MAX_BOXES) | (halve & ~((a < mid) & (mid < b)))
         for i in np.flatnonzero(stuck)[np.lexsort((a[stuck], rows[stuck]))].tolist():
             if not bad[rows[i]]:  # the lowest stuck box of the row names it
                 bad[rows[i]] = True
                 out[rows[i]] = _unresolved(a[i])
-        live = ~bad[rows]
-        rows, a, b, mid = np.repeat(rows[live], 2), a[live], b[live], mid[live]
-        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
-    return [o if isinstance(o, ValueError) else sorted(o) for o in out]
+        one, two = ~bad[rows] & ~halve, ~bad[rows] & halve
+        rows = np.concatenate([rows[one], rows[two], rows[two]])
+        a, b = np.concatenate([a[one], a[two], mid[two]]), np.concatenate([b[one], mid[two], b[two]])
+    return [o if isinstance(o, ValueError) or len(o) < 2 else _merged(o) for o in out]
 
 
-def refine_roots(tree: expressions.Node, columns: dict, lo, hi) -> np.ndarray:
-    """The root in every bracket [lo[i], hi[i]] that root_rows gave row i of (tree, columns).
+def narrow_roots(tree: expressions.Node, columns: dict, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The proved root boxes [lo[i], hi[i]] that root_rows gave row i of (tree, columns), narrowed.
 
-    Bisection with a safeguarded Newton step, batched over all brackets.
-    Each round makes one call at four points of every unfinished bracket:
-    mid = 0.5*(lo + hi), the Newton point c (x - f(x)/f'(x) from the last
-    Newton point x, or mid where that is not strictly inside the bracket or
-    not finite) and c -+ 0.4e-12; and one more call for f'(c), on the
-    u-derivative tree.  Each point in that order that is still strictly
-    inside the bracket becomes lo where its computed sign is f(lo)'s and hi
-    where it is the other one, and is the root where f is an exact zero.
-    mid is always one of them, so a bracket at least halves every round
-    and takes no more rounds than bisection; once Newton has converged,
-    the pair c -+ 0.4e-12, 0.8e-12 apart, brackets the root.  As in
-    bisection, a bracket ends with its midpoint when hi - lo <= 1e-12 or
-    mid is not strictly inside it (where adjacent doubles are more than
-    1e-12 apart); a bracket with lo == hi is its root.  The columns are
-    gathered anew only in rounds in which some bracket ended.
+    Every box X becomes N(X) ∩ X (see _newton), which still holds its root,
+    until it is at most 1e-12 wide or a step leaves it as wide as it was
+    (where outward rounding keeps it wider, a few ulps of the root beyond
+    about |u| = 2e3, or F'(X) is no longer enclosed away from 0).  Newton's quadratic convergence takes 2
+    or 3 steps for a right division.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    slope = expressions.derivative(tree, "u")
-    root = np.full(len(lo), np.nan)
-    todo, cols = np.arange(len(lo)), columns
-    sign = np.sign(_values(tree, cols, lo[:, None])[:, 0])  # f(lo)'s
-    c = np.full(len(lo), np.nan)
+    newton = _newton_operator(tree)
+    todo = np.flatnonzero(hi - lo > 1e-12)
     while todo.size:
-        mid = 0.5 * (lo + hi)
-        going = (hi - lo > 1e-12) & (lo < mid) & (mid < hi)
-        if not going.all():
-            root[todo[~going]] = mid[~going]
-            todo, lo, hi, mid, sign, c = (v[going] for v in (todo, lo, hi, mid, sign, c))
-            if not todo.size:
-                break
-            cols = {name: col[todo] for name, col in columns.items()}
-        c = np.where((lo < c) & (c < hi), c, mid)
-        below, above = c - 0.4e-12, c + 0.4e-12
-        # c -+ 0.4e-12 may leave the bracket, and so the proved box, where
-        # evaluate may raise; mid stands in and, an end by its turn, is skipped
-        pts = np.stack([mid, c, np.where(lo < below, below, mid), np.where(above < hi, above, mid)])
-        fs = _values(tree, cols, pts.T).T
-        for p, fp in zip(pts, fs):
-            inside = (lo < p) & (p < hi)
-            same, zero = np.sign(fp) * sign > 0, fp == 0.0
-            lo = np.where(inside & (same | zero), p, lo)
-            hi = np.where(inside & (~same | zero), p, hi)  # a zero leaves lo == hi == p
-        with np.errstate(all="ignore"):
-            c = c - fs[1] / _values(slope, cols, c[:, None])[:, 0]
-    return root
+        x, y = lo[todo], hi[todo]
+        mid = 0.5 * (x + y)
+        cols = {name: col[todo] for name, col in columns.items()}
+        f = expressions.enclose(tree, {**_points(cols), "u": (mid, mid)})
+        nlo, nhi = _newton(newton, cols, x, y, f)
+        lo[todo], hi[todo] = np.maximum(x, nlo), np.minimum(y, nhi)
+        width = hi[todo] - lo[todo]
+        todo = todo[(width < y - x) & (width > 1e-12)]
+    return lo, hi
 
 
 class FitResult(NamedTuple):
@@ -246,10 +247,16 @@ def fit_saturating_exponential(zs, values, rate: float = 1.0) -> FitResult:
     if len(zs) < 2:
         raise ValueError("need at least 2 samples with |z| >= 1e-3")
     basis = -np.expm1(-rate * zs)
-    denom = float(basis @ basis)
+    # basis @ basis underflows where |rate*z| is below about 1e-154; scaled
+    # by the power of two 2^-e, each product and sum is the unscaled one
+    # times a power of two, so wherever that does not underflow or overflow
+    # the coefficient is bit for bit the same
+    e = math.frexp(np.abs(basis).max())[1]
+    scaled = np.ldexp(basis, -e)
+    denom = float(scaled @ scaled)
     if denom == 0.0:
-        raise ValueError("degenerate sample placement")
-    coeff = float(basis @ vals) / denom
+        raise ValueError(f"1 - e^(-rate*z) is 0 at every sample (rate {rate:g})")
+    coeff = math.ldexp(float(scaled @ vals) / denom, -e)
     resid = vals - coeff * basis
     return FitResult(
         coefficient=coeff,

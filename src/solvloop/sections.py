@@ -17,7 +17,7 @@ saturating-exponential family directly.  right_translation_system reduces the
 implicit division equations of cases B and C to one scalar equation on a
 line, and sharp_transitivity_check certifies, on a sampled box, that right
 translations are bijective by proving the number of roots of that equation
-(numerics.root_rows: interval exclusion and monotonicity tests); a sample
+(numerics.root_rows: interval exclusion and interval Newton steps); a sample
 whose count the proof cannot settle is unresolved and fails.
 """
 
@@ -496,7 +496,7 @@ def sharp_transitivity_check(
     lower, upper = line.window(*box)
     hit = np.flatnonzero(lower < upper)
     found = root_rows(*line_residual_rows(line, hit), lower[hit], upper[hit])
-    outcomes: list = [_missed(*box)] * len(z1)  # a window error, or the root brackets
+    outcomes: list = [_missed(*box)] * len(z1)  # a window error, or the proved root boxes
     for i, roots in zip(hit.tolist(), found):
         outcomes[i] = roots
     counts = [-1 if isinstance(o, ValueError) else len(o) for o in outcomes]

@@ -148,7 +148,7 @@ def test_criterion_03_classification(capfd):
                 continue
             T = sl.automorphism_matrix(p, cls.automorphism)
             v_in = np.array([b2, b3, b1, 0.0])
-            target = cls.scale * sl.canonical_span_generator(cls.kind).as_array()
+            target = cls.scale * np.array(sl.canonical_span_generator(cls.kind).coords)
             worst_span = max(
                 worst_span, sl.coordinate_distance(tuple(T @ v_in), tuple(target))
             )

@@ -340,6 +340,31 @@ def test_lemma1_with_exact_member(tmp_path):
     assert names == ["profile-fit", "pair-identity", "coefficient-recovery"]
 
 
+@pytest.mark.parametrize(
+    "argv,checks",
+    [
+        ("lemma1 --K 1 --rate 1e-200", {"profile-fit": "pass", "pair-identity": "pass",
+                                        "coefficient-recovery": "pass"}),
+        ("generation --case C --a 1e-170 --fn=-x", {"generates": "warn"}),
+        ("loop-check --case C --a 1e-300 --preset sin-small --samples 3", {"generation": "pass"}),
+    ],
+)
+def test_a_tiny_rate_is_no_degenerate_sample_placement(capsys, argv, checks):
+    # the fit's basis @ basis underflows to 0 where |rate*z| is below about
+    # 1e-154; its basis is rescaled by a power of two first
+    assert main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    statuses = {check["name"]: check["status"] for check in report["checks"]}
+    assert statuses.items() >= checks.items()
+
+
+def test_an_all_zero_fit_basis_names_rate(capsys):
+    # 5e-324 * z rounds to 0 on the whole range: no rescaling can help
+    assert main("lemma1 --K 1 --rate 5e-324 --range 0.001 0.002".split()) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --rate: 1 - e^(-rate*z) is 0 at every sample (rate 4.94066e-324)\n"
+
+
 def test_lemma1_pair_identity_is_relative_to_the_values(tmp_path):
     # over --range -3 3 the pair sums reach z = -6, where 3*(1 - e^{12}) is
     # about -5e5 and rounding alone exceeds an absolute 1e-12; at z1 = 50,
@@ -620,25 +645,27 @@ def test_enclosure_pruning_changes_no_report(capsys, seed):
 
 def test_enclosure_pruning_evaluates_few_section_points(capsys, monkeypatch):
     # the grid scan evaluated 100 samples of 10,001 nodes without pruning;
-    # the proof evaluates only the two ends of every decided box
+    # the proof only encloses: it evaluates the line residual over u at no point
     points = []
-    values = solvloop.numerics._values
+    evaluate = solvloop.expressions.evaluate
 
-    def counted(tree, columns, pts):
-        points.append(pts.size)
-        return values(tree, columns, pts)
+    def counted(tree, env):
+        if "u" in env:
+            points.append(np.size(env["u"]))
+        return evaluate(tree, env)
 
-    monkeypatch.setattr(solvloop.numerics, "_values", counted)
+    monkeypatch.setattr(solvloop.expressions, "evaluate", counted)
     for section in (["--fn", "0.1*sin(x)"], ["--preset", "sin-small"]):
         points.clear()
         assert main(["transitivity", "--case", "C", "--a", "2", *section]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "pass"
-        assert 0 < sum(points) <= 200, section
+        assert sum(points) == 0, section
 
 
 def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
     # the grid scan enclosed 15,700 chunks, or 1,600 boxes coarse to fine;
-    # the proof encloses each sample's residual and derivative on one box
+    # the proof encloses each sample's residual on one box and its midpoint
+    # and its Newton operator on the box
     boxes = []
     enclose = solvloop.expressions.enclose
 

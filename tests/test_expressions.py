@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
+from mpmath import iv
 from hypothesis import strategies as st
 
 import solvloop.expressions as ex
@@ -234,6 +235,113 @@ def test_a_nan_or_unknown_operand_gives_no_finite_enclosure(box):
     for tree in trees:
         lo, hi = ex.enclose(tree, {"x": box, "u": (1.0, 2.0)})
         assert not (np.isfinite(lo) and np.isfinite(hi)), tree
+
+
+# The exact ranges, enclosed by mpmath's interval arithmetic at 120 bits.
+# mpmath can overestimate a range (iv.expm1 gives [0, ...] on
+# [4.4e-167, 1e-10], iv.tan about [-0.78, 0.42] on [2^20 - 1, 2^20], where
+# tan rises from -0.78 to 0.35), so an increasing function's range runs from
+# its value at the lower end to its value at the upper one, each enclosed
+# on a point; so does tan's, where mpmath finds it finite (no pole).  tanh,
+# which mpmath.iv lacks, is expm1(2x)/(expm1(2x) + 2) there.
+def _increasing(fn):
+    return lambda x: iv.mpf([fn(x.a).a, fn(x.b).b])
+
+
+def _iv_tan(x):
+    whole = iv.tan(x)
+    if math.isinf(float(whole.a)) or math.isinf(float(whole.b)):
+        return whole
+    return _increasing(iv.tan)(x)
+
+
+_IV_FUNCTIONS = {
+    "exp": _increasing(iv.exp),
+    "expm1": _increasing(iv.expm1),
+    "log": _increasing(iv.log),
+    "sin": iv.sin,
+    "cos": iv.cos,
+    "tan": _iv_tan,
+    "tanh": _increasing(lambda p: iv.expm1(2 * p) / (iv.expm1(2 * p) + 2)),
+    "sqrt": _increasing(iv.sqrt),
+    "abs": iv.fabs,
+}
+_IV_OPERATORS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+    # an integer point exponent is a power of x, which may be negative
+    "^": lambda x, y: x ** int(y.a) if y.a == y.b and y.a == int(y.a) else x ** y,
+}
+assert set(_IV_FUNCTIONS) == set(ex.FUNCTIONS)
+
+
+def _holds_exact_range(tree, boxes, exact):
+    """Whether enclose of tree on boxes is unknown or holds exact, mpmath's range on the same boxes."""
+    lo, hi = (float(v) for v in ex.enclose(tree, boxes))
+    if lo == -math.inf and hi == math.inf:
+        return True
+    precision = iv.prec
+    iv.prec = 120
+    try:
+        ranges = exact(*(iv.mpf(list(box)) for box in boxes.values()))
+    except (ValueError, ZeroDivisionError):  # mpmath declines a range that the enclosure bounded
+        return False
+    finally:
+        iv.prec = precision
+    return lo <= ranges.a and ranges.b <= hi
+
+
+_EDGE_BOXES = [
+    (math.pi / 2 - 1e-12, math.pi / 2 + 1e-12),  # a maximum of sin
+    (math.pi - 1e-9, math.pi),  # a minimum of cos, up to pi's rounding
+    (-math.pi / 2 - 1e-15, -math.pi / 2),
+    (3 * math.pi / 2 - 1e-3, 3 * math.pi / 2 + 1e-3),
+    (math.pi / 2 - 1e-6, math.pi / 2 - 1e-8),  # just below a pole of tan
+    (1.0, math.pi + 1.2),  # across a pole of tan, though tan(1.0) < tan(pi + 1.2)
+    (-math.pi / 2 + 1e-8, -math.pi / 2 + 1e-3),
+    (5e-324, 1e-310),  # subnormal bounds
+    (-1e-310, 5e-324),
+    (-5e-324, 0.0),
+    (2.0**20 - 1.0, 2.0**20),  # the end of sin's and cos's argument range
+    (2.0**20 - 1e-6, 2.0**20 + 1e-6),
+    (-(2.0**20) - 3.0, -(2.0**20) + 3.0),
+    (1.0, 1.0),
+    (0.5, 3.0),
+    (-2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("fn", sorted(ex.FUNCTIONS))
+@pytest.mark.parametrize("box", _EDGE_BOXES)
+def test_enclose_holds_the_exact_range_of_every_function_at_edges(fn, box):
+    assert _holds_exact_range(ex.Call(fn, ex.Var("x")), {"x": box}, _IV_FUNCTIONS[fn])
+
+
+@pytest.mark.parametrize("op", list(_IV_OPERATORS))
+@pytest.mark.parametrize("x", _EDGE_BOXES[7:])
+@pytest.mark.parametrize("y", [(2.0, 2.0), (-3.0, -3.0), (0.5, 0.5), (-1e-310, 5e-324), (0.25, 3.5), (-2.0, 1e-300)])
+def test_enclose_holds_the_exact_range_of_every_operator_at_edges(op, x, y):
+    tree = ex.BinOp(op, ex.Var("x"), ex.Var("y"))
+    assert _holds_exact_range(tree, {"x": x, "y": y}, _IV_OPERATORS[op])
+
+
+_MAGNITUDES = st.sampled_from([1e-300, 1e-10, 1e-3, 1.0, 10.0, 700.0, 1e6, 2.0**20, 1e300])
+_BOXES = st.builds(
+    lambda s, a, b: tuple(sorted((s * a, s * b))), _MAGNITUDES, st.floats(-3, 3), st.floats(-3, 3)
+)
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(ex.FUNCTIONS) + list(_IV_OPERATORS)), x=_BOXES, y=_BOXES)
+def test_enclose_holds_the_exact_range_on_random_boxes(name, x, y):
+    # an independent oracle: mpmath's interval arithmetic at 120 bits
+    if name in ex.FUNCTIONS:
+        tree, boxes, exact = ex.Call(name, ex.Var("x")), {"x": x}, _IV_FUNCTIONS[name]
+    else:
+        tree, boxes, exact = ex.BinOp(name, ex.Var("x"), ex.Var("y")), {"x": x, "y": y}, _IV_OPERATORS[name]
+    assert _holds_exact_range(tree, boxes, exact)
 
 
 def test_variables_names_what_a_tree_reads():

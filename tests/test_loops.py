@@ -11,6 +11,14 @@ from solvloop.sampling import Stream
 P2 = sl.GroupParam(2.0)
 
 
+def rdiv(spec, b, m2):
+    """The q with q * m2 = b: loop_rdiv_batch on one row, raising its error."""
+    q, _, errors = sl.loops.loop_rdiv_batch(spec, sl.group.stack([b]), sl.group.stack([m2]))
+    if errors:
+        raise errors[0]
+    return sl.LoopPoint(*(float(col[0]) for col in q.coords))
+
+
 def case_for(case, preset, a=2.0, coefficient=None):
     arity = 2 if case == "A" else 3
     fn = sl.FunctionSpec.preset(preset, arity, coefficient)
@@ -126,7 +134,7 @@ def test_rdiv_by_identity_is_trivial():
     for case, preset in (("A", "linear-x"), ("B", "lemma1"), ("C", "sin-small")):
         c = case_for(case, preset)
         b = sl.LoopPoint(0.7, -0.4, 0.2)
-        q = sl.loop_rdiv(c, b, sl.LoopPoint.origin())
+        q = rdiv(c, b, sl.LoopPoint.origin())
         assert sl.coordinate_distance(q.coords, b.coords) <= 1e-12
 
 
@@ -135,14 +143,14 @@ def test_rdiv_case_a_worked_example():
     # y1 = -1 - 3 + 5*f(1,0) = 1 for f(x,z) = x, independent of a
     for a in (-1.0, 0.5, 2.0):
         c = case_for("A", "linear-x", a=a)
-        q = sl.loop_rdiv(c, sl.LoopPoint(3.0, -1.0, 5.0), sl.LoopPoint(2.0, 3.0, 5.0))
+        q = rdiv(c, sl.LoopPoint(3.0, -1.0, 5.0), sl.LoopPoint(2.0, 3.0, 5.0))
         assert sl.coordinate_distance(q.coords, (1.0, 1.0, 0.0)) <= 1e-12
 
 
 def test_rdiv_case_c_zero_worked_example():
     # with f == 0 the 1-D solve degenerates to a linear equation
     c = case_for("C", "zero")
-    q = sl.loop_rdiv(c, sl.LoopPoint(math.exp(2.0), 0.0, 1.0), sl.LoopPoint(1.0, 0.0, 0.0))
+    q = rdiv(c, sl.LoopPoint(math.exp(2.0), 0.0, 1.0), sl.LoopPoint(1.0, 0.0, 0.0))
     assert sl.coordinate_distance(q.coords, (0.0, 0.0, 1.0)) <= 1e-12
 
 
@@ -159,7 +167,7 @@ def test_rdiv_product_round_trip(case, preset):
         m1 = rand_point(rng, z_half=z_half)
         m2 = rand_point(rng, z_half=z_half)
         b = sl.loop_mul(c, m1, m2)
-        q = sl.loop_rdiv(c, b, m2)
+        q = rdiv(c, b, m2)
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
 
@@ -167,7 +175,7 @@ def test_rdiv_product_round_trip(case, preset):
 @pytest.mark.parametrize("case,preset", [("B", "lemma1"), ("B", "sin-small"), ("C", "sin-small")])
 def test_rdiv_line_round_trip_both_paths(case, preset, batched):
     # one right division at a time, or all of them in one loop_rdiv_batch,
-    # whose proof and bisection run on all rows together
+    # whose proof and narrowing run on all rows together
     c = case_for(case, preset)
     rng = np.random.default_rng(60)
     pairs = [(rand_point(rng), rand_point(rng)) for _ in range(20)]
@@ -178,7 +186,7 @@ def test_rdiv_line_round_trip_both_paths(case, preset, batched):
         assert errors == {}
         qs = [sl.LoopPoint(*(float(v[i]) for v in q.coords)) for i in range(len(pairs))]
     else:
-        qs = [sl.loop_rdiv(c, b, m2) for b, m2 in zip(bs, m2s)]
+        qs = [rdiv(c, b, m2) for b, m2 in zip(bs, m2s)]
     for q, (m1, m2), b in zip(qs, pairs, bs):
         assert sl.coordinate_distance(q.coords, m1.coords) <= 1e-8
         assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
@@ -189,7 +197,7 @@ def test_rdiv_case_b_z_zero_is_exact():
     c = case_for("B", "sin-small")
     m2 = sl.LoopPoint(1.5, -2.0, 0.0)
     b = sl.LoopPoint(0.3, 0.7, 0.4)
-    q = sl.loop_rdiv(c, b, m2)
+    q = rdiv(c, b, m2)
     assert q.coords == (0.3 - math.exp(0.8) * 1.5, 0.7 + math.exp(0.4) * 2.0, 0.4)
 
 
@@ -202,7 +210,7 @@ def test_rdiv_gate_rejects_nan_product(monkeypatch):
         sl.loops, "_product", lambda case, q, m, v: sl.LoopPoint(math.nan, q.y, q.z)
     )
     with pytest.raises(sl.SolverDivergenceError):
-        sl.loop_rdiv(c, b, m2)
+        rdiv(c, b, m2)
 
 
 def test_rdiv_multiple_roots_error():
@@ -210,7 +218,7 @@ def test_rdiv_multiple_roots_error():
     m = sl.LoopPoint(1.0, 0.0, 1.0)
     target = sl.loop_mul(spec, m, m)
     with pytest.raises(sl.MultipleRootsError):
-        sl.loop_rdiv(spec, target, m)
+        rdiv(spec, target, m)
 
 
 def test_rdiv_no_root_error():
@@ -218,7 +226,7 @@ def test_rdiv_no_root_error():
     # all real roots for suitable targets
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2", 3))
     with pytest.raises(sl.NoRootInBoxError) as raised:
-        sl.loop_rdiv(spec, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
+        rdiv(spec, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
     # the base point prints as floats, not as np.float64(...)
     assert str(raised.value) == "no root in window of half width 160 around (5.0, 0.0)"
 
@@ -359,7 +367,7 @@ def test_case_a_nan_quotient_fails_the_multiply_back():
     spec = sl.SectionSpec("A", P2, sl.FunctionSpec.from_expression("sqrt(x)", 2))
     with np.errstate(invalid="ignore"):
         with pytest.raises(sl.SolverDivergenceError, match="residual inf exceeds 1e-8"):
-            sl.loop_rdiv(spec, sl.LoopPoint(-1.0, 0.0, 1.0), sl.LoopPoint(0.5, 0.0, 0.5))
+            rdiv(spec, sl.LoopPoint(-1.0, 0.0, 1.0), sl.LoopPoint(0.5, 0.0, 0.5))
         report = sl.axiom_suite(spec, n_samples=10, seed=0)
     check = {c.name: c for c in report.checks}["rdiv-round-trip"]
     assert check.status == "fail" and check.max_error <= 1e-8
@@ -374,7 +382,7 @@ def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
     b = sl.loop_mul(spec, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
     with pytest.raises(sl.SolverDivergenceError, match="unresolved"):
-        sl.loop_rdiv(spec, b, m2)
+        rdiv(spec, b, m2)
 
 
 def test_axiom_suite_right_divisions_batch_section_calls():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,6 @@ def bisect(fn, lo, hi, tol=1e-12):
 
     Where adjacent doubles are more than tol apart (|root| beyond about
     8.8e3 at tol = 1e-12), it stops when the midpoint equals an end.
-
-    refine_roots ends within tol of it where doubles are denser than tol.
     """
     flo = fn(lo)
     fhi = fn(hi)
@@ -48,38 +47,6 @@ def bisect(fn, lo, hi, tol=1e-12):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def newton_bisect(fn, slope, lo, hi, tol=1e-12, step=0.4e-12):
-    """Bisection with a safeguarded Newton step on a bracket whose ends differ in sign.
-
-    The scalar reference whose rounds refine_roots reproduces for all its
-    brackets at once.  Each round takes the midpoint, the Newton point c
-    (x - f(x)/f'(x) from the last Newton point x, or the midpoint where that
-    is not strictly inside the bracket) and c -+ step; each of them, in that
-    order, that is strictly inside the bracket becomes lo where fn has the
-    sign of fn(lo), hi where it has the other one, and is returned where fn
-    is an exact zero.  It ends as bisect does.
-    """
-    negative = fn(lo) < 0
-    c = math.nan
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not (hi - lo > tol and lo < mid < hi):
-            return mid
-        if not lo < c < hi:
-            c = mid
-        for p in (mid, c, c - step, c + step):
-            if lo < p < hi:
-                fp = fn(p)
-                if fp == 0.0:
-                    return p
-                if (fp < 0) == negative:
-                    lo = p
-                else:
-                    hi = p
-        with np.errstate(all="ignore"):
-            c = float(np.float64(c) - np.float64(fn(c)) / np.float64(slope(c)))
 
 
 class _Traced:
@@ -130,12 +97,19 @@ def _tree(fn):
 
 
 def root1d(fn, interval):
-    """All roots of one numpy-style function: root_rows and refine_roots on one row, raising its error."""
+    """All roots of one numpy-style function, raising its error.
+
+    root_rows and narrow_roots on one row; each root is the midpoint of its
+    narrowed box, as in loops.loop_rdiv_batch.
+    """
     tree = _tree(fn)
-    (brackets,) = root_rows(tree, {}, [interval[0]], [interval[1]])
-    if isinstance(brackets, ValueError):
-        raise brackets
-    return numerics.refine_roots(tree, {}, *zip(*brackets)).tolist() if brackets else []
+    (boxes,) = root_rows(tree, {}, [interval[0]], [interval[1]])
+    if isinstance(boxes, ValueError):
+        raise boxes
+    if not boxes:
+        return []
+    lo, hi = numerics.narrow_roots(tree, {}, *zip(*boxes))
+    return (0.5 * (lo + hi)).tolist()
 
 
 def test_bisect_simple_root():
@@ -296,11 +270,13 @@ def _batch(draw, width):
 )
 def test_root_rows_equals_root1d_and_scalar_bisect(data, block_points, width):
     # rows batched together, in blocks of any size, give exactly what each
-    # gives alone; each refined root is scalar newton_bisect's on its
-    # bracket, within 1e-12 of bisect's where doubles are denser than that,
-    # and within 2e-12 (plus brentq's relative tolerance) of scipy's brentq;
-    # a resolved row has one bracket per root, each holding it, and a pole
-    # or a NaN on the window is never resolved
+    # gives alone; a resolved row has one proved box per root, each holding
+    # it, and a pole or a NaN on the window is never resolved; narrowed, each
+    # box still holds its root and is at most 1e-12 or 8 ulps of the root
+    # wide (outward rounding leaves one or two ulps on either side of a root
+    # that is a double: 4 ulps, 1.8e-12, at 3072), and its midpoint is within
+    # 1e-12 plus half its width of bisect's root on the proved box where the
+    # float residual changes sign across it
     tree, kind, rows, columns = data.draw(_batch(width))
     n = len(rows)
     with pytest.MonkeyPatch.context() as patch:
@@ -318,46 +294,48 @@ def test_root_rows_equals_root1d_and_scalar_bisect(data, block_points, width):
             assert isinstance(got, ValueError) and str(got).startswith("unresolved")
             continue
         if min(np.diff(roots).tolist(), default=math.inf) < 1e-4 * width:
-            # roots this close may be unresolved, and their signs may underflow
+            # roots this close may be unresolved
             assert not isinstance(got, ValueError) or str(got).startswith("unresolved")
             continue
         assert not isinstance(got, ValueError), got
         assert len(got) == len(roots)
-        assert all(a == r == b or a < r < b for (a, b), r in zip(got, roots))
-        inner = [(a, b) for a, b in got if a < b]
-        if inner:
-            fn, slope = (
-                lambda x, t=t, row=row: float(ex.evaluate(t, {"u": x, **row}))
-                for t in (tree, ex.derivative(tree, "u"))
-            )
-            cols = {k: np.full(len(inner), v) for k, v in row.items()}
-            refined = numerics.refine_roots(tree, cols, *zip(*inner)).tolist()
-            assert refined == [newton_bisect(fn, slope, a, b) for a, b in inner]
-            for (a, b), r in zip(inner, refined):
-                if abs(r) <= 8e3:
-                    assert abs(r - bisect(fn, a, b)) <= 1e-12
-                brent = optimize.brentq(fn, a, b, xtol=1e-12)
-                assert abs(r - brent) <= 2e-12 + 8 * np.finfo(float).eps * abs(brent)
+        assert all(a < r < b for (a, b), r in zip(got, roots))
+        if not got:
+            continue
+        cols = {k: np.full(len(got), v) for k, v in row.items()}
+        lo, hi = numerics.narrow_roots(tree, cols, *zip(*got))
+        assert (lo <= roots).all() and (roots <= hi).all()
+        fn = lambda x, row=row: float(ex.evaluate(tree, {"u": x, **row}))
+        for (a, b), r, mid, w in zip(got, roots, 0.5 * (lo + hi), hi - lo):
+            assert w <= max(1e-12, 8 * math.ulp(r))
+            if abs(r) <= 8e3 and fn(a) * fn(b) < 0:
+                assert abs(mid - bisect(fn, a, b)) <= 1e-12 + w / 2
 
 
 def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves(monkeypatch):
-    # points are evaluated only at the ends of decided boxes: none where the
-    # enclosure excludes 0 everywhere, two where one box is decided
-    points = []
-    values = numerics._values
-
-    def counted(tree, columns, pts):
-        points.append(pts.size)
-        return values(tree, columns, pts)
-
-    monkeypatch.setattr(numerics, "_values", counted)
+    # the u-derivative is enclosed only on boxes whose residual enclosure
+    # holds 0: u*u + 1 encloses to [-24, 26] on [-5, 5], whose halves it
+    # excludes, and a line's root is proved on its first box
     u = ex.Var("u")
     no_root = ex.BinOp("+", ex.BinOp("*", u, u), ex.Const(1.0))
+    boxes = _enclosed(monkeypatch, no_root)
     assert root_rows(no_root, {}, [-5.0], [5.0]) == [[]]
-    assert sum(points) == 0
+    assert boxes == {"residual": 6, "slope": 1}
     line = ex.BinOp("-", u, ex.Const(0.3))
-    assert root_rows(line, {}, [-1.0], [1.0]) == [[(-1.0, 1.0)]]
-    assert sum(points) == 2
+    boxes = _enclosed(monkeypatch, line)
+    ((a, b),) = root_rows(line, {}, [-1.0], [1.0])[0]
+    assert a < 0.3 < b and b - a < 1e-15
+    assert boxes == {"residual": 2, "slope": 1}
+
+
+def test_root_rows_never_misplaces_a_root_whose_residual_underflows():
+    # (-0.5)*(-5e-324) rounds to 0, so the root 5e-324 and the split point 0
+    # of [-1, 1] have the same float residual; the proof holds the root
+    (got,) = root_rows(ex.parse("(u - 0.5)*(u - 5e-324)", ("u",)), {}, [-1.0], [1.0])
+    assert len(got) == 2
+    (a, b), (c, d) = got
+    assert a < 5e-324 < b and c < 0.5 < d
+    assert (a, b) != (0.0, 0.0)
 
 
 def test_root_rows_names_a_window_too_wide_for_floats():
@@ -369,18 +347,12 @@ def test_root_rows_names_a_window_too_wide_for_floats():
 
 def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
     # a NaN row is split until it has enclosed MAX_BOXES boxes, then fails
-    boxes = []
-    enclose = ex.enclose
-
-    def counted(tree, env):
-        boxes.append(np.size(env["u"][0]))
-        return enclose(tree, env)
-
-    monkeypatch.setattr(ex, "enclose", counted)
+    tree = ex.Call("sqrt", ex.Neg(ex.Var("u")))
+    boxes = _enclosed(monkeypatch, tree)
     monkeypatch.setattr(numerics, "MAX_BOXES", 100)
-    (got,) = root_rows(ex.Call("sqrt", ex.Neg(ex.Var("u"))), {}, [1.0], [2.0])
+    (got,) = root_rows(tree, {}, [1.0], [2.0])
     assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 100 boxes"
-    assert 100 <= sum(boxes) < 256
+    assert 100 <= boxes["residual"] // 2 < 256
 
 
 def _right_division_rows(n):
@@ -392,17 +364,18 @@ def _right_division_rows(n):
     return (*sl.sections.line_residual_rows(line, np.arange(n)), m1, line)
 
 
-def _counting(monkeypatch):
-    """The shapes of the point arrays of every numerics._values call, as they happen."""
-    shapes = []
-    values = numerics._values
+def _enclosed(monkeypatch, residual):
+    """Boxes enclosed from now on: of the tree residual (a box and its midpoint
+    count 2) and of the Newton operator, which encloses the slope."""
+    boxes = {"residual": 0, "slope": 0}
+    enclose = ex.enclose
 
-    def counted(tree, columns, pts):
-        shapes.append(pts.shape)
-        return values(tree, columns, pts)
+    def counted(tree, env):
+        boxes["residual" if tree is residual else "slope"] += np.size(env["u"][0])
+        return enclose(tree, env)
 
-    monkeypatch.setattr(numerics, "_values", counted)
-    return shapes
+    monkeypatch.setattr(ex, "enclose", counted)
+    return boxes
 
 
 def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
@@ -424,58 +397,70 @@ def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
     assert type(got) is type(budgeted) and str(got) == str(budgeted)
     assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
     assert sum(boxes) == 0
-    assert root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0]) == [[(1.0, 2.0)]]
+    ((a, b),) = root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0])[0]
+    assert a < 1.5 < b
 
 
-def test_refine_roots_evaluates_at_most_25_points_per_bracket(monkeypatch):
-    # 500 case-C right divisions, each bracketed by [-10, 10]: bisection to
-    # width 1e-12 takes 45 rounds of one point each; Newton ends them in
-    # about 4 rounds of four residual points and one slope point, after
-    # the bracket's lower end
+def test_narrow_roots_encloses_at_most_8_boxes_per_right_division(monkeypatch):
+    # 500 case-C right divisions on the window [-10, 10]: root_rows proves
+    # every root in its first round, and Newton's quadratic convergence
+    # narrows the proved boxes to 1e-12 in 2 or 3 steps
     tree, columns, m1, line = _right_division_rows(500)
-    shapes = _counting(monkeypatch)
-    roots = numerics.refine_roots(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
-    assert (abs(roots - (m1.x - line.base[0])) <= 1e-10).all()
-    assert sum(math.prod(shape) for shape in shapes) <= 25 * 500
+    boxes = _enclosed(monkeypatch, tree)
+    found = root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
+    assert boxes == {"residual": 1000, "slope": 500}
+    lo, hi = numerics.narrow_roots(tree, columns, *np.array([roots[0] for roots in found]).T)
+    assert (hi - lo <= 1e-12).all()
+    assert (abs(0.5 * (lo + hi) - (m1.x - line.base[0])) <= 1e-10).all()
+    assert boxes["residual"] + boxes["slope"] <= 8 * 500
 
 
 def test_refined_right_divisions_agree_with_brentq():
-    # an independent oracle: scipy's brentq, to 1e-12 on the same brackets
+    # an independent oracle: scipy's brentq on root_rows' proved box lies in
+    # the narrowed box, at most 1e-12 wide, up to brentq's own tolerance
     tree, columns, _, _ = _right_division_rows(500)
     found = root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
     assert all(len(roots) == 1 for roots in found)
-    (lo, hi) = np.array([roots[0] for roots in found]).T
-    refined = numerics.refine_roots(tree, columns, lo, hi)
+    (a, b) = np.array([roots[0] for roots in found]).T
+    lo, hi = numerics.narrow_roots(tree, columns, a, b)
+    assert (hi - lo <= 1e-12).all()
     for i in range(500):
         row = {name: col[i] for name, col in columns.items()}
         fn = lambda u: float(ex.evaluate(tree, {"u": u, **row}))
-        assert abs(refined[i] - optimize.brentq(fn, lo[i], hi[i], xtol=1e-12)) <= 2e-12
+        brent = optimize.brentq(fn, a[i], b[i], xtol=1e-12)
+        tol = 1e-12 + 4 * np.finfo(float).eps * abs(brent)  # brentq's xtol and default rtol
+        assert lo[i] - tol <= brent <= hi[i] + tol
 
 
-def test_refinement_takes_no_more_rounds_than_bisection_where_newton_is_useless(monkeypatch):
-    # a flat cubic with a small linear term: Newton gains a factor of 2/3 a
-    # step, less than the midpoint's 1/2, until it is within about 6e-11 of
-    # the root, so Newton steps alone take 58 rounds on [-10, 10]; the
-    # midpoint keeps the refinement within bisection's 45
+def test_root_rows_takes_no_more_rounds_than_bisection_where_newton_is_useless(monkeypatch):
+    # a flat cubic with a tiny linear term: F'(X) reaches down to 1e-20 on
+    # every box around the root, so a Newton step gains little until the
+    # box is about 1e-10 wide; a box whose step gains less than half is
+    # halved instead, so the proof and the narrowing together take no more
+    # rounds than bisection to 1e-12 (45 on [-10, 10])
     tree = ex.parse("(u - 0.3)^3 + 1e-20*(u - 0.3)", ("u",))
-    fn, slope = (lambda x, t=t: float(ex.evaluate(t, {"u": x})) for t in (tree, ex.derivative(tree, "u")))
-    calls = []
-    ref = bisect(lambda x: calls.append(x) or fn(x), -10.0, 10.0)
-    shapes = _counting(monkeypatch)
-    (root,) = numerics.refine_roots(tree, {}, [-10.0], [10.0])
-    assert root == newton_bisect(fn, slope, -10.0, 10.0)
-    assert abs(root - ref) <= 1e-12
-    assert sum(shape[1] == 4 for shape in shapes) <= len(calls) - 2  # f(lo) and f(hi) first
+    rounds = []
+    enclose = ex.enclose
+
+    def counted(t, env):
+        rounds.append(t is tree)
+        return enclose(t, env)
+
+    monkeypatch.setattr(ex, "enclose", counted)
+    ((a, b),) = root_rows(tree, {}, [-10.0], [10.0])[0]
+    lo, hi = numerics.narrow_roots(tree, {}, [a], [b])
+    assert a < 0.3 < b and lo[0] <= 0.3 <= hi[0] and hi[0] - lo[0] <= 1e-12
+    assert sum(rounds) <= 45
 
 
 def test_bisection_stops_where_doubles_are_wider_than_tol():
     # the root 1.4e5 has neighbouring doubles 2.9e-11 apart, more than the
-    # default tol; the midpoint stops moving and the refinement must still end
+    # 1e-12 the narrowing aims at; it must still end, when a step gains nothing
     code = (
-        "from solvloop import expressions as ex; from solvloop.numerics import root_rows, refine_roots; "
+        "from solvloop import expressions as ex; from solvloop.numerics import root_rows, narrow_roots; "
         "tree = ex.parse('u*u - 2e10', ('u',)); "
-        "(brackets,) = root_rows(tree, {}, [0.0], [2e5]); "
-        "print(repr((brackets[0], refine_roots(tree, {}, *zip(*brackets))[0])))"
+        "(boxes,) = root_rows(tree, {}, [0.0], [2e5]); "
+        "print(repr([float(v[0]) for v in narrow_roots(tree, {}, *zip(*boxes))]))"
     )
     src = str(Path(sl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -483,10 +468,9 @@ def test_bisection_stops_where_doubles_are_wider_than_tol():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
     )
     assert proc.returncode == 0, proc.stderr
-    (lo, hi), root = eval(proc.stdout.replace("np.float64", "float"))
-    tree = ex.parse("u*u - 2e10", ("u",))
-    fn, slope = (lambda x, t=t: float(ex.evaluate(t, {"u": x})) for t in (tree, ex.derivative(tree, "u")))
-    assert root == newton_bisect(fn, slope, lo, hi)
+    lo, hi = eval(proc.stdout)
+    assert Fraction(lo) ** 2 <= 2 * 10**10 <= Fraction(hi) ** 2  # the box holds sqrt(2e10)
+    root = 0.5 * (lo + hi)
     assert abs(root - math.sqrt(2e10)) <= 2 * math.ulp(root)
 
 
@@ -519,6 +503,20 @@ def test_fit_excludes_near_zero_abscissae():
 def test_fit_needs_enough_samples():
     with pytest.raises(ValueError):
         sl.fit_saturating_exponential([1.0], [0.5])
+
+
+def test_fit_scales_its_basis_exactly():
+    # the coefficient is bit for bit the unscaled least-squares formula
+    # wherever that does not underflow, and survives where it does
+    rng = np.random.default_rng(3)
+    for rate in (1.0, -0.7, 3e-5, 2.5):
+        zs = rng.uniform(-3, 3, 40)
+        values = rng.normal(size=40)
+        basis = -np.expm1(-rate * zs)
+        fit = sl.fit_saturating_exponential(zs, values, rate=rate)
+        assert fit.coefficient == float(basis @ values) / float(basis @ basis)
+    tiny = sl.fit_saturating_exponential([1.0, 2.0, 3.0], [2e-200, 4e-200, 6e-200], rate=1e-200)
+    assert tiny.coefficient == 2.0 and tiny.rms_residual == 0.0
 
 
 def test_fit_flags_model_mismatch():

@@ -215,7 +215,7 @@ def _random_points(seed):
 
 
 def _solver_residual(line, u):
-    """The residual root_rows and refine_roots see, on every row of the column line at u."""
+    """The residual root_rows and narrow_roots see, on every row of the column line at u."""
     tree, columns = sl.sections.line_residual_rows(line, np.arange(len(u)))
     return sl.expressions.evaluate(tree, {**columns, "u": u})
 
@@ -308,11 +308,11 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     line = sl.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
     lo, hi = line.window(-5.0, 5.0)
     tree, columns = sl.sections.line_residual_rows(line, np.arange(1))
-    (brackets,) = sl.numerics.root_rows(tree, columns, lo, hi)
-    assert len(brackets) == 3
-    lows, highs = zip(*brackets)
-    roots = sl.numerics.refine_roots(tree, {k: np.repeat(v, 3) for k, v in columns.items()}, lows, highs)
-    for u in roots:
+    (boxes,) = sl.numerics.root_rows(tree, columns, lo, hi)
+    assert len(boxes) == 3
+    lows, highs = sl.numerics.narrow_roots(tree, {k: np.repeat(v, 3) for k, v in columns.items()}, *zip(*boxes))
+    assert (highs - lows <= 1e-12).all()
+    for u in 0.5 * (lows + highs):
         q = sl.LoopPoint(*(float(v[0]) for v in line.point(u).coords))
         assert sl.coordinate_distance(sl.loop_mul(spec, q, m2).coords, b.coords) <= 1e-9
 

@@ -189,7 +189,7 @@ def test_classification_automorphism_maps_to_canonical_span(a):
             continue
         v_in = np.array([b2, b3, b1, 0.0])
         T = sl.automorphism_matrix(p, cls.automorphism)
-        target = cls.scale * sl.canonical_span_generator(cls.kind).as_array()
+        target = cls.scale * np.array(sl.canonical_span_generator(cls.kind).coords)
         assert sl.coordinate_distance(tuple(T @ v_in), tuple(target)) <= 1e-12
         # the recovered map is an automorphism: brackets are preserved
         for _ in range(2):
