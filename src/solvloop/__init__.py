@@ -30,14 +30,14 @@ from .subgroups import (
     InadmissibleSubgroupError,
     LoopPoint,
     SubalgebraClass,
-    SubalgebraKind,
     SubgroupId,
     admissible_subgroups,
-    canonical_span_generator,
     classify_subalgebra,
+    classify_suite,
     decompose,
     embed,
     fixed_point_residual,
+    fixed_point_suite,
     fixed_point_witness,
     membership_residual,
     subgroup_element,
@@ -46,10 +46,11 @@ from .subgroups import (
 from .sections import (
     PRESETS,
     FunctionSpec,
-    GenerationVerdict,
     RightTranslationLine,
     SectionSpec,
     degeneracy_report,
+    generation_suite,
+    lemma1_suite,
     right_translation_system,
     section_lift,
     section_value,
@@ -65,13 +66,13 @@ from .loops import (
     coset_cross_check,
     loop_ldiv,
     loop_mul,
+    loop_suite,
 )
 from .multgroup import (
     CENTER_TEST_DIRECTIONS,
-    NormalizerRecord,
-    Theorem2Certificate,
+    group_suite,
     normalizes,
-    theorem2_certificate,
+    theorem2_suite,
 )
 from .numerics import (
     FitResult,

@@ -48,6 +48,8 @@ def _section_spec(args) -> SectionSpec:
     arity = 2 if args.case == "A" else 3
     if args.preset:
         fn = FunctionSpec.preset(args.preset, arity, args.coeff)
+    elif args.coeff is not None:
+        raise ValueError("--coeff sets a preset's coefficient; it cannot be used with --fn")
     elif args.fn:
         try:
             fn = FunctionSpec.from_expression(args.fn, arity)
@@ -196,7 +198,7 @@ COMMANDS: dict[str, Command] = {
         ("case", "a", "fn", "box", "samples", "seed", "z_box"),
     ),
     "theorem2": Command(
-        "normalizer + centre obstruction certificate", (A, SEED, _samples(1000)),
+        "normalizer + centre obstruction certificate", (A, SEED, _samples(1000, minimum=2)),
         lambda args: theorem2_suite(GroupParam(args.a), args.samples, args.seed),
         ("a", "samples", "seed"),
     ),

@@ -457,7 +457,9 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
         least one ulp outward (see _outward).  A quotient is unknown
         wherever the denominator may be below 1e-300 in magnitude (where
         the guard of `evaluate` raises), and any operation is unknown where
-        it may give NaN (inf - inf, 0 * inf, inf / inf).
+        it may give NaN (inf - inf, 0 * inf, inf / inf).  A product of two
+        identical subtrees is enclosed as their square, x^2 below, since
+        evaluate gives both factors one value.
       * Every FUNCTIONS entry except abs and sqrt is assumed to be within
         FUNCTION_ULPS = 8 ulps of the exact result (see FUNCTION_ULPS), so
         its bounds are widened by twice that and one ulp.  exp, expm1,
@@ -500,6 +502,8 @@ def _enclose(node: Node, boxes: dict):
     if isinstance(node, Call):
         return _enclose_call(node.fn, _enclose(node.arg, boxes))
     left = _enclose(node.left, boxes)
+    if node.op == "*" and node.left == node.right:  # evaluate gives both factors one value
+        return _enclose_power(left, _enclose(Const(2.0), boxes))
     right = _enclose(node.right, boxes)
     if node.op == "+":
         return _outward(left[0] + right[0], left[1] + right[1])

@@ -43,8 +43,8 @@ from .report import VerificationReport
 from .sampling import Stream
 from .sections import (
     SectionSpec,
-    degeneracy_report,
     line_residual_rows,
+    record_generation,
     right_translation_system,
     section_lift,
     section_value,
@@ -303,9 +303,10 @@ def loop_suite(
 
     The cross-check samples up to 300 pairs from the seed after axiom_suite's,
     with z in [-z_half_width, z_half_width] (default 5), and checks them in
-    one pass.  The generation
-    check only warns for a degenerate section, which is legitimate input,
-    and fails when the verdict could not be reached.
+    one pass.  The generation check is generation_suite's
+    (sections.record_generation): it only warns for a degenerate section,
+    which is legitimate input, and fails when the verdict could not be
+    reached.
     """
     report = axiom_suite(spec, n_samples=n_samples, seed=seed, z_half_width=z_half_width)
     rng = Stream(seed + 1)
@@ -313,19 +314,5 @@ def loop_suite(
     n_cross = min(n_samples, 300)
     worst = largest(coset_cross_check(spec, *_sample_points(rng, n_cross, 2, 5.0, z_hw)))
     report.record("coset-cross-check", worst <= 1e-10, max_error=worst, n_samples=n_cross)
-    verdict = degeneracy_report(spec)
-    notes = {
-        True: "section image generates the group; the loop is proper",
-        False: "degenerate family: left translations stay in a proper subgroup",
-        None: verdict.notes,
-    }
-    report.record(
-        "generation",
-        verdict.generates is True,
-        max_error=verdict.identity_residual_max,
-        n_samples=verdict.n_samples,
-        notes=notes[verdict.generates],
-        warn_only=verdict.generates is not None,
-    )
-    report.data["generation"] = verdict.to_dict()
+    record_generation(report, spec, "generation", "generation")
     return report

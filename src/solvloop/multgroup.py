@@ -8,13 +8,11 @@ subgroup is exactly the commutator slab {x4 = 0} (3-dimensional), and the
 centre is trivial.  If the group were such a multiplication group with the
 subgroup as inner mapping group, the normalizer of the inner mapping group
 would have to equal inner mappings times centre, which is 1-dimensional.
-The certificate records both sampled facts and the resulting contradiction;
-theorem2_suite turns it into checks.
+theorem2_suite records both sampled facts and the resulting contradiction
+as checks, and the counts behind them as its report's certificate data.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,12 +49,9 @@ from .subgroups import (
 )
 
 __all__ = [
-    "NormalizerRecord",
-    "Theorem2Certificate",
     "normalizes",
     "min_center_defect",
     "group_suite",
-    "theorem2_certificate",
     "theorem2_suite",
     "CENTER_TEST_DIRECTIONS",
 ]
@@ -173,47 +168,7 @@ def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId):
     return membership_residual(sub, conj) <= 1e-10
 
 
-class NormalizerRecord(NamedTuple):
-    subgroup: str
-    slab_samples: int
-    slab_normalizing: int
-    off_slab_samples: int
-    off_slab_normalizing: int
-
-    @property
-    def normalizer_equals_commutator(self) -> bool:
-        return (
-            self.slab_normalizing == self.slab_samples
-            and self.off_slab_normalizing == 0
-        )
-
-    @property
-    def normalizer_dim_estimate(self) -> Optional[int]:
-        """Sampled surrogate: 3 when exactly the slab normalizes; None when inconclusive."""
-        return 3 if self.normalizer_equals_commutator else None
-
-    def to_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "normalizer_equals_commutator": self.normalizer_equals_commutator,
-            "normalizer_dim_estimate": self.normalizer_dim_estimate,
-        }
-
-
-class Theorem2Certificate(NamedTuple):
-    a: float
-    records: tuple[NormalizerRecord, ...]
-    center_trivial: bool
-    contradiction: bool
-    min_central_defect: float
-    seed: int
-    notes: str
-
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "records": [r.to_dict() for r in self.records]}
-
-
-def theorem2_certificate(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> Theorem2Certificate:
+def theorem2_suite(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Sampled normalizer dichotomy plus centre triviality, combined into the obstruction.
 
     Half the samples lie in the slab x4 = 0 (all must normalize every
@@ -221,12 +176,13 @@ def theorem2_certificate(p: GroupParam, n_samples: int = 1000, seed: int = 0) ->
     x1, x2 and x3 lie in [-5, 5].  Each half is drawn row by row and tested
     as one column element.  The centre is trivial when min_center_defect
     exceeds 1e-6.  The dimension estimate 3 is a sampled surrogate, not a
-    proof; the contradiction field states the incompatibility with a
+    proof; the contradiction check states the incompatibility with a
     1-dimensional normalizer that the inner-mapping-group hypothesis would
-    force.
+    force.  data["certificate"] holds the counts behind every check.
     """
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples: one in the slab and one off it")
     rng = Stream(seed)
-    subs = admissible_subgroups(p)
     n_slab = n_samples // 2
     n_off = n_samples - n_slab
     slab = GroupElement(*rng.uniform(-5.0, 5.0, (n_slab, 3)).T, 0.0)
@@ -235,61 +191,51 @@ def theorem2_certificate(p: GroupParam, n_samples: int = 1000, seed: int = 0) ->
         [-5.0, -5.0, -5.0, 1e-3, 0.0], [5.0, 5.0, 5.0, 3.0, 1.0], (n_off, 5)
     ).T
     off = GroupElement(x1, x2, x3, np.where(sign < 0.5, r, -r))
-    records = [
-        NormalizerRecord(
-            subgroup=sub.value,
-            slab_samples=n_slab,
-            slab_normalizing=int(np.count_nonzero(normalizes(p, slab, sub))),
-            off_slab_samples=n_off,
-            off_slab_normalizing=int(np.count_nonzero(normalizes(p, off, sub))),
-        )
-        for sub in subs
-    ]
-    min_defect = min_center_defect(p)
-    center_trivial = min_defect > 1e-6
-    contradiction = center_trivial and all(
-        r.normalizer_equals_commutator for r in records
-    )
-    return Theorem2Certificate(
-        a=p.a,
-        records=tuple(records),
-        center_trivial=center_trivial,
-        contradiction=contradiction,
-        min_central_defect=min_defect,
-        seed=seed,
-        notes=(
-            "hypothesis: were the group a loop multiplication group with an "
-            "admissible stabilizer as inner mapping group, the normalizer of "
-            "the stabilizer would be stabilizer times centre (1-dimensional); "
-            "sampled normalizer is the 3-dimensional commutator slab"
-        ),
-    )
-
-
-def theorem2_suite(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> VerificationReport:
-    """The Theorem 2 certificate as checks: normalizers, centre, contradiction."""
-    cert = theorem2_certificate(p, n_samples=n_samples, seed=seed)
     report = VerificationReport(seed=seed)
-    for rec in cert.records:
-        bad = (rec.slab_samples - rec.slab_normalizing) + rec.off_slab_normalizing
+    records = []
+    for sub in admissible_subgroups(p):
+        slab_normalizing = int(np.count_nonzero(normalizes(p, slab, sub)))
+        off_slab_normalizing = int(np.count_nonzero(normalizes(p, off, sub)))
+        equals = slab_normalizing == n_slab and off_slab_normalizing == 0
         report.record(
-            f"normalizer-is-commutator-slab-{rec.subgroup}",
-            rec.normalizer_equals_commutator,
-            max_error=float(bad),
-            n_samples=rec.slab_samples + rec.off_slab_samples,
+            f"normalizer-is-commutator-slab-{sub.value}",
+            equals,
+            max_error=float(n_slab - slab_normalizing + off_slab_normalizing),
+            n_samples=n_samples,
             notes="sampled surrogate for the normalizer dimension",
         )
+        records.append({
+            "subgroup": sub.value,
+            "slab_samples": n_slab,
+            "slab_normalizing": slab_normalizing,
+            "off_slab_samples": n_off,
+            "off_slab_normalizing": off_slab_normalizing,
+            "normalizer_equals_commutator": equals,
+            "normalizer_dim_estimate": 3 if equals else None,
+        })
+    min_defect = min_center_defect(p)
+    center_trivial = min_defect > 1e-6
     report.record(
         "center-trivial",
-        cert.center_trivial,
-        max_error=cert.min_central_defect,
+        center_trivial,
+        max_error=min_defect,
         n_samples=len(CENTER_TEST_DIRECTIONS),
     )
-    report.record(
-        "contradiction",
-        cert.contradiction,
-        n_samples=n_samples,
-        notes=cert.notes,
+    contradiction = center_trivial and all(r["normalizer_equals_commutator"] for r in records)
+    notes = (
+        "hypothesis: were the group a loop multiplication group with an "
+        "admissible stabilizer as inner mapping group, the normalizer of "
+        "the stabilizer would be stabilizer times centre (1-dimensional); "
+        "sampled normalizer is the 3-dimensional commutator slab"
     )
-    report.data["certificate"] = cert.to_dict()
+    report.record("contradiction", contradiction, n_samples=n_samples, notes=notes)
+    report.data["certificate"] = {
+        "a": p.a,
+        "records": records,
+        "center_trivial": center_trivial,
+        "contradiction": contradiction,
+        "min_central_defect": min_defect,
+        "seed": seed,
+        "notes": notes,
+    }
     return report

@@ -230,7 +230,6 @@ class FitResult(NamedTuple):
     rms_residual: float
     max_residual: float
     n_samples: int
-    rate: float = 1.0
 
 
 def fit_saturating_exponential(zs, values, rate: float = 1.0) -> FitResult:
@@ -263,7 +262,6 @@ def fit_saturating_exponential(zs, values, rate: float = 1.0) -> FitResult:
         rms_residual=float(np.sqrt(np.mean(resid**2))),
         max_residual=float(np.abs(resid).max()),
         n_samples=len(zs),
-        rate=rate,
     )
 
 

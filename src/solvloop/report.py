@@ -100,10 +100,6 @@ class VerificationReport:
         statuses = {c.status for c in self.checks}
         return "fail" if "fail" in statuses else ("warn" if "warn" in statuses else "pass")
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
     def to_dict(self) -> dict:
         """The schema-1 document.
 

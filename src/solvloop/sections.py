@@ -11,11 +11,13 @@ transitive.  Three families are covered, one per admissible subgroup:
 degeneracy_report decides whether the lifted image generates the whole group
 (the loop is then proper) or collapses into a proper subgroup, which happens
 exactly when the function satisfies two identities: a vanishing slice plus a
-saturating-exponential profile in z; generation_suite reports that verdict,
-and lemma1_suite tests a one-variable profile for membership in the
-saturating-exponential family directly.  right_translation_system reduces the
-implicit division equations of cases B and C to one scalar equation on a
-line, and sharp_transitivity_check certifies, on a sampled box, that right
+saturating-exponential profile in z.  It returns the verdict as the dict
+that the report carries; record_generation records it as one check, for
+generation_suite and for loops.loop_suite alike.  lemma1_suite tests a
+one-variable profile for membership in the saturating-exponential family
+directly.  right_translation_system reduces the implicit division
+equations of cases B and C to one scalar equation on a line, and
+sharp_transitivity_check certifies, on a sampled box, that right
 translations are bijective by proving the number of roots of that equation
 (numerics.root_rows: interval exclusion and interval Newton steps); a sample
 whose count the proof cannot settle is unresolved and fails.
@@ -38,12 +40,12 @@ from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
 __all__ = [
     "FunctionSpec",
     "SectionSpec",
-    "GenerationVerdict",
     "PRESETS",
     "BASE_POINT_TOL",
     "section_value",
     "section_lift",
     "degeneracy_report",
+    "record_generation",
     "generation_suite",
     "lemma1_member",
     "lemma1_suite",
@@ -172,29 +174,6 @@ def section_lift(spec: SectionSpec, m: LoopPoint) -> GroupElement:
     return GroupElement(m.x + elementwise(math.exp, a * m.z) * v, e * v, m.y, m.z)
 
 
-class GenerationVerdict(NamedTuple):
-    """Outcome of the two degeneracy identities on a sampled box.
-
-    generates=False certifies (numerically, on the tested box) that the
-    section image stays inside a proper subgroup: the slice identity holds
-    and the z-profile matches coefficient*(1 - e^{-rate*z}).  Either failure
-    means the image generates the whole group and the loop is proper.
-    generates=None means no verdict: a residual is not finite.
-    """
-
-    generates: Optional[bool]
-    fitted_constant: Optional[float]
-    identity_residual_max: float
-    fit_rms_residual: float
-    fit_max_residual: float
-    n_samples: int
-    rate: float
-    notes: str
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
 def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
     """n profile abscissae on [lo, hi] without (-1e-3, 1e-3).
 
@@ -210,7 +189,7 @@ def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, min(hi, -1e-3), n) if left else np.linspace(max(lo, 1e-3), hi, n)
 
 
-def degeneracy_report(spec: SectionSpec, n_samples: int = 200) -> GenerationVerdict:
+def degeneracy_report(spec: SectionSpec, n_samples: int = 200) -> dict:
     """Test both degeneracy identities of the section's family on a grid.
 
     Slice identity: case A f(x,0)=0, case B h(x,y,0)=0, case C f(x,y,0)=-x,
@@ -218,6 +197,12 @@ def degeneracy_report(spec: SectionSpec, n_samples: int = 200) -> GenerationVerd
     |z| <= 5 follow K*(1-e^{-z}) (rate a in case C) to an rms of 1e-9,
     with K fitted by least squares over |z| >= 1e-3.  Each grid is one
     section call.
+
+    The verdict "generates" is False when both identities hold: the section
+    image then stays, numerically on the tested box, inside a proper
+    subgroup.  True means an identity fails, so the image generates the
+    whole group and the loop is proper; None means no verdict, a residual
+    is not finite.
     """
     if n_samples < 50:
         raise ValueError("need at least 50 samples per axis test")
@@ -240,40 +225,48 @@ def degeneracy_report(spec: SectionSpec, n_samples: int = 200) -> GenerationVerd
     else:
         generates = None
         notes += "; no verdict: a degeneracy residual is not finite"
-    return GenerationVerdict(
-        generates=generates,
-        fitted_constant=fit.coefficient,
-        identity_residual_max=slice_resid,
-        fit_rms_residual=fit.rms_residual,
-        fit_max_residual=fit.max_residual,
-        n_samples=int(n_samples + fit.n_samples),
-        rate=rate,
-        notes=notes,
-    )
+    return {
+        "generates": generates,
+        "fitted_constant": fit.coefficient,
+        "identity_residual_max": slice_resid,
+        "fit_rms_residual": fit.rms_residual,
+        "fit_max_residual": fit.max_residual,
+        "n_samples": int(n_samples + fit.n_samples),
+        "rate": rate,
+        "notes": notes,
+    }
 
 
-def generation_suite(spec: SectionSpec, n_samples: int = 200) -> VerificationReport:
-    """The degeneracy verdict as one check: does the section generate?
+def record_generation(
+    report: VerificationReport, spec: SectionSpec, name: str, key: str, n_samples: int = 200
+) -> None:
+    """Record the degeneracy verdict in report: as the check name, and as data[key].
 
     A degenerate section only warns; a verdict that could not be reached
     fails.
     """
     verdict = degeneracy_report(spec, n_samples=n_samples)
-    report = VerificationReport(seed=None)
+    generates = verdict["generates"]
     outcome = {
         True: "; at least one degeneracy identity fails",
-        False: f"; both degeneracy identities hold: fitted constant {verdict.fitted_constant:.6g}",
+        False: f"; both degeneracy identities hold: fitted constant {verdict['fitted_constant']:.6g}",
         None: "",
     }
     report.record(
-        "generates",
-        verdict.generates is True,
-        max_error=verdict.identity_residual_max,
-        n_samples=verdict.n_samples,
-        notes=verdict.notes + outcome[verdict.generates],
-        warn_only=verdict.generates is not None,
+        name,
+        generates is True,
+        max_error=verdict["identity_residual_max"],
+        n_samples=verdict["n_samples"],
+        notes=verdict["notes"] + outcome[generates],
+        warn_only=generates is not None,
     )
-    report.data["verdict"] = verdict.to_dict()
+    report.data[key] = verdict
+
+
+def generation_suite(spec: SectionSpec, n_samples: int = 200) -> VerificationReport:
+    """The degeneracy verdict as one check: does the section generate?"""
+    report = VerificationReport(seed=None)
+    record_generation(report, spec, "generates", "verdict", n_samples)
     return report
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "SubgroupId",
     "LoopPoint",
     "DecompResult",
-    "SubalgebraKind",
     "SubalgebraClass",
     "InadmissibleSubgroupError",
     "admissible_subgroups",
@@ -55,7 +54,6 @@ __all__ = [
     "membership_residual",
     "classify_subalgebra",
     "classify_suite",
-    "canonical_span_generator",
     "fixed_point_witness",
     "fixed_point_residual",
     "fixed_point_suite",
@@ -169,15 +167,8 @@ def membership_residual(sub: SubgroupId, g: GroupElement) -> float:
     return coordinate_distance((g.x1, g.x2, g.x3), (0.0, 0.0, 0.0))
 
 
-class SubalgebraKind(enum.Enum):
-    H1 = "H1"
-    H2 = "H2"
-    H3 = "H3"
-    NORMAL_INADMISSIBLE = "NormalInadmissible"
-
-
 class SubalgebraClass(NamedTuple):
-    kind: SubalgebraKind
+    kind: Optional[SubgroupId]  # None for a normal direction
     automorphism: Optional[AutomorphismParams]
     scale: Optional[float] = None  # image of the generator is scale * canonical generator
 
@@ -187,35 +178,29 @@ def classify_subalgebra(p: GroupParam, b1: float, b2: float, b3: float) -> Subal
 
     Conjugation-stable one-dimensional subalgebras of the slab reduce to the
     generators of H1, H2 or H3; directions that remain one-dimensional ideals
-    are flagged NormalInadmissible (a normal stabilizer cannot carry a sharply
-    transitive section).  For a != 1 the returned automorphism is normalized
+    get kind None, reported as NormalInadmissible (a normal stabilizer cannot
+    carry a sharply transitive section).  For a != 1 the returned automorphism is normalized
     to l = 1.
     """
     if b1 == 0 and b2 == 0 and b3 == 0:
         raise ValueError("zero generator spans no subalgebra")
     if p.a == 1:
         if b1 == 0:
-            return SubalgebraClass(SubalgebraKind.NORMAL_INADMISSIBLE, None)
+            return SubalgebraClass(None, None)
         phi = AutomorphismParams(
             variant="merged", k1=1.0, k2=0.0, l=1.0, n1=-b2 / b1, n2=-b3 / b1
         )
-        return SubalgebraClass(SubalgebraKind.H1, phi, scale=b1)
+        return SubalgebraClass(SubgroupId.H1, phi, scale=b1)
     if b1 != 0 and b2 == 0:
         phi = AutomorphismParams(variant="generic", k1=1.0, l=1.0, n2=-b3 / b1)
-        return SubalgebraClass(SubalgebraKind.H1, phi, scale=b1)
+        return SubalgebraClass(SubgroupId.H1, phi, scale=b1)
     if b1 != 0 and b2 != 0:
         phi = AutomorphismParams(variant="generic", k1=b1 / b2, l=1.0, n2=-b3 / b1)
-        return SubalgebraClass(SubalgebraKind.H2, phi, scale=b1)
+        return SubalgebraClass(SubgroupId.H2, phi, scale=b1)
     if b2 * b3 != 0:
         phi = AutomorphismParams(variant="generic", k1=b3 / b2, l=1.0)
-        return SubalgebraClass(SubalgebraKind.H3, phi, scale=b3)
-    return SubalgebraClass(SubalgebraKind.NORMAL_INADMISSIBLE, None)
-
-
-def canonical_span_generator(kind: SubalgebraKind) -> AlgebraVector:
-    if kind not in (SubalgebraKind.H1, SubalgebraKind.H2, SubalgebraKind.H3):
-        raise ValueError("no canonical generator for inadmissible classes")
-    return subgroup_generator(SubgroupId(kind.value))
+        return SubalgebraClass(SubgroupId.H3, phi, scale=b3)
+    return SubalgebraClass(None, None)
 
 
 def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> VerificationReport:
@@ -227,12 +212,12 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
     """
     result = classify_subalgebra(p, b1, b2, b3)
     report = VerificationReport(seed=None)
-    data: dict = {"class": result.kind.value}
+    report.data["class"] = "NormalInadmissible" if result.kind is None else result.kind.value
     if result.automorphism is not None:
         phi = result.automorphism
         generator = AlgebraVector(b2, b3, b1, 0.0)
         image = apply_automorphism(p, phi, generator)
-        target = canonical_span_generator(result.kind).scaled(result.scale)
+        target = subgroup_generator(result.kind).scaled(result.scale)
         residual = coordinate_distance(image.coords, target.coords)
         u, v = split(AlgebraVector, Stream(0).uniform(-3.0, 3.0, (50, 8)))
         lhs = apply_automorphism(p, phi, bracket(p, u, v))
@@ -247,17 +232,16 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
             max_error=bracket_resid,
             n_samples=50,
         )
-        data["automorphism"] = dict(vars(phi))
-        data["scale"] = result.scale
+        report.data["automorphism"] = dict(vars(phi))
+        report.data["scale"] = result.scale
     else:
         report.record(
             "classification",
             True,
             n_samples=1,
-            notes=f"{result.kind.value}: no automorphism reduces this span to a "
+            notes="NormalInadmissible: no automorphism reduces this span to a "
             "section-admissible subgroup",
         )
-    report.data.update(data)
     return report
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import solvloop as sl
-from solvloop import SubalgebraKind, SubgroupId
+from solvloop import SubgroupId
 from solvloop.cli import main
 
 A_SWEEP = (-1.0, 0.5, 1.0, 2.0)
@@ -134,21 +134,21 @@ def test_criterion_03_classification(capfd):
             cls = sl.classify_subalgebra(p, b1, b2, b3)
             n_cases += 1
             if a == 1.0:
-                expect = SubalgebraKind.H1 if b1 != 0 else SubalgebraKind.NORMAL_INADMISSIBLE
+                expect = SubgroupId.H1 if b1 != 0 else None
             elif b1 != 0 and b2 == 0:
-                expect = SubalgebraKind.H1
+                expect = SubgroupId.H1
             elif b1 != 0:
-                expect = SubalgebraKind.H2
+                expect = SubgroupId.H2
             elif b2 != 0 and b3 != 0:
-                expect = SubalgebraKind.H3
+                expect = SubgroupId.H3
             else:
-                expect = SubalgebraKind.NORMAL_INADMISSIBLE
+                expect = None
             split_ok &= cls.kind is expect
             if cls.automorphism is None:
                 continue
             T = sl.automorphism_matrix(p, cls.automorphism)
             v_in = np.array([b2, b3, b1, 0.0])
-            target = cls.scale * np.array(sl.canonical_span_generator(cls.kind).coords)
+            target = cls.scale * np.array(sl.subgroup_generator(cls.kind).coords)
             worst_span = max(
                 worst_span, sl.coordinate_distance(tuple(T @ v_in), tuple(target))
             )
@@ -215,7 +215,7 @@ def test_criterion_05_properness(capfd):
     gen_ok = True
     for case, preset, coeff in generating:
         c = loop_case(case, preset, coefficient=coeff)
-        gen_ok &= sl.degeneracy_report(c).generates is True
+        gen_ok &= sl.generation_suite(c).data["verdict"]["generates"] is True
         if (case, preset) in witnesses:
             defect = sl.associativity_defect(c, *witnesses[(case, preset)])
         else:
@@ -240,9 +240,9 @@ def test_criterion_05_properness(capfd):
     deg_ok = True
     worst_const = 0.0
     for case, preset, coeff, expect in degenerate:
-        v = sl.degeneracy_report(loop_case(case, preset, coefficient=coeff))
-        deg_ok &= v.generates is False
-        worst_const = max(worst_const, abs(v.fitted_constant - expect))
+        v = sl.generation_suite(loop_case(case, preset, coefficient=coeff)).data["verdict"]
+        deg_ok &= v["generates"] is False
+        worst_const = max(worst_const, abs(v["fitted_constant"] - expect))
     ok = gen_ok and deg_ok and worst_const <= 1e-9
     verdict(capfd, 5, "properness", ok,
             f"generating ok={gen_ok}, degenerate ok={deg_ok}, "
@@ -333,9 +333,9 @@ def test_criterion_09_normalizer_obstruction(capfd):
             dichotomy_ok &= sl.normalizes(p, g, sub) is expect
     certs_ok = True
     for a in A_SWEEP:
-        cert = sl.theorem2_certificate(sl.GroupParam(a), n_samples=300, seed=1009)
-        certs_ok &= cert.center_trivial and cert.contradiction
-        certs_ok &= all(r.normalizer_equals_commutator for r in cert.records)
+        cert = sl.theorem2_suite(sl.GroupParam(a), n_samples=300, seed=1009).data["certificate"]
+        certs_ok &= cert["center_trivial"] and cert["contradiction"]
+        certs_ok &= all(r["normalizer_equals_commutator"] for r in cert["records"])
     ok = dichotomy_ok and n_checked == 10000 and certs_ok
     verdict(capfd, 9, "normalizer-obstruction", ok,
             f"dichotomy ok={dichotomy_ok} on {n_checked}, certificates ok={certs_ok}")

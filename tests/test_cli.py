@@ -62,6 +62,8 @@ def test_count_flags_rejected_at_parse_time(capsys):
         (["loop-check", *section, "--seed", "-1"], "--seed", "must be at least 0"),
         (["transitivity", *section, "--seed", "-2"], "--seed", "must be at least 0"),
         (["theorem2", "--a", "2", "--seed", "-1e0"], "--seed", "invalid integer value"),
+        # one sample used to leave the slab half empty, and its checks passed
+        (["theorem2", "--a", "2", "--samples", "1"], "--samples", "must be at least 2"),
     ]
     bad += [
         (["loop-check", *section, "--z-box", value], "--z-box", "must be finite and > 0")
@@ -94,6 +96,67 @@ def test_count_flags_rejected_at_parse_time(capsys):
     for argv, flag, message in bad:
         assert main(argv) == 2, argv
         assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_coeff_with_fn_is_a_usage_error(capsys):
+    # --coeff with --fn used to be dropped: exit 0, and no coeff in the config
+    for command in ("loop-check", "generation", "transitivity"):
+        argv = [command, "--case", "A", "--a", "2", "--fn", "x*z", "--coeff", "3"]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --coeff "), argv
+
+
+def _key_paths(value, path="data"):
+    """Every key path in value, in order; the dicts of a list, which must share one layout, are name[]."""
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        layouts = {tuple(_key_paths(v, path + "[]")) for v in value}
+        assert len(layouts) == 1, path
+        return list(layouts.pop())
+    if not isinstance(value, dict):
+        return []
+    return [p for k, v in value.items() for p in (f"{path}.{k}", *_key_paths(v, f"{path}.{k}"))]
+
+
+def _under(path, *keys):
+    return [path, *(f"{path}.{k}" for k in keys)]
+
+
+_VERDICT = ("generates", "fitted_constant", "identity_residual_max", "fit_rms_residual",
+            "fit_max_residual", "n_samples", "rate", "notes")
+_NORMALIZER = ("subgroup", "slab_samples", "slab_normalizing", "off_slab_samples",
+               "off_slab_normalizing", "normalizer_equals_commutator", "normalizer_dim_estimate")
+_CERTIFICATE = [
+    *_under("data.certificate", "a", "records"),
+    *(f"data.certificate.records[].{k}" for k in _NORMALIZER),
+    *_under("data.certificate", "center_trivial", "contradiction", "min_central_defect",
+            "seed", "notes")[1:],
+]
+
+
+@pytest.mark.parametrize(
+    "argv,layout",
+    [
+        ("theorem2 --a 2 --samples 20", _CERTIFICATE),
+        ("theorem2 --a 1 --samples 20", _CERTIFICATE),
+        ("generation --case C --a 2 --preset sin-small", _under("data.verdict", *_VERDICT)),
+        ("generation --case A --a 2 --fn sqrt(x)",
+         [*_under("data.verdict", *_VERDICT), "data.non_finite"]),
+        ("loop-check --case A --a 2 --preset linear-x --samples 20",
+         _under("data.generation", *_VERDICT)),
+        ("loop-check --case B --a 2 --fn 4*sin(x) --samples 20",
+         ["data.division_errors", *_under("data.generation", *_VERDICT)]),
+        ("classify --a 2 --b1 1.5 --b2 0.5 --b3 -2",
+         ["data.class",
+          *_under("data.automorphism", "variant", "k1", "k2", "l", "n1", "n2", "f1", "f2", "f3"),
+          "data.scale"]),
+        ("classify --a 2 --b1 0 --b2 1 --b3 0", ["data.class"]),
+    ],
+)
+def test_report_data_layout_is_pinned(capsys, argv, layout):
+    # the data of the paper's verdicts: a renamed or reordered key fails here
+    main(argv.split())
+    assert _key_paths(json.loads(capsys.readouterr().out)["data"]) == layout
 
 
 def test_negative_numbers_in_exponent_notation_are_values(tmp_path):

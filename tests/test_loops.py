@@ -334,16 +334,16 @@ def test_axiom_suite_reports_uniqueness_failures():
 
 def test_loop_suite_reaches_the_generation_verdict_once(monkeypatch):
     verdicts = []
-    degeneracy_report = sl.loops.degeneracy_report
+    degeneracy_report = sl.sections.degeneracy_report
 
-    def counted(spec):
-        verdicts.append(degeneracy_report(spec))
+    def counted(spec, n_samples):
+        verdicts.append(degeneracy_report(spec, n_samples))
         return verdicts[-1]
 
-    monkeypatch.setattr(sl.loops, "degeneracy_report", counted)
+    monkeypatch.setattr(sl.sections, "degeneracy_report", counted)
     rep = sl.loops.loop_suite(case_for("B", "lemma1"), n_samples=20)
-    assert len(verdicts) == 1 and verdicts[0].generates is False
-    assert rep.data["generation"] == verdicts[0].to_dict()
+    assert len(verdicts) == 1 and verdicts[0]["generates"] is False
+    assert rep.data["generation"] == verdicts[0]
 
 
 # ---------------------------------------------------------------- solvability

@@ -156,6 +156,10 @@ def test_case_a_lift_closed_form():
 
 # ---------------------------------------------------------------- degeneracy
 
+def _verdict(spec):
+    return sl.generation_suite(spec).data["verdict"]
+
+
 @pytest.mark.parametrize(
     "case,preset,coeff,generates,constant",
     [
@@ -170,27 +174,27 @@ def test_case_a_lift_closed_form():
     ],
 )
 def test_degeneracy_verdicts(case, preset, coeff, generates, constant):
-    verdict = sl.degeneracy_report(spec_for(case, preset, coefficient=coeff))
-    assert verdict.generates is generates
+    verdict = _verdict(spec_for(case, preset, coefficient=coeff))
+    assert verdict["generates"] is generates
     if not generates:
-        assert abs(verdict.fitted_constant - constant) <= 1e-9
-        assert verdict.identity_residual_max <= 1e-8
+        assert abs(verdict["fitted_constant"] - constant) <= 1e-9
+        assert verdict["identity_residual_max"] <= 1e-8
 
 
 def test_case_c_zero_function_generates():
     # f == 0 fails the x-profile identity f(x,y,0) = -x, so the section
     # generates even though the function is trivial
-    verdict = sl.degeneracy_report(spec_for("C", "zero"))
-    assert verdict.generates is True
-    assert verdict.identity_residual_max > 1.0
+    verdict = _verdict(spec_for("C", "zero"))
+    assert verdict["generates"] is True
+    assert verdict["identity_residual_max"] > 1.0
 
 
 def test_case_c_degenerate_expression():
     fn = sl.FunctionSpec.from_expression("-x + 2*(1 - exp(-2*z))", 3)
-    verdict = sl.degeneracy_report(sl.SectionSpec("C", P2, fn))
-    assert verdict.generates is False
-    assert abs(verdict.fitted_constant - 2.0) <= 1e-9
-    assert verdict.rate == 2.0  # saturation rate follows the group parameter
+    verdict = _verdict(sl.SectionSpec("C", P2, fn))
+    assert verdict["generates"] is False
+    assert abs(verdict["fitted_constant"] - 2.0) <= 1e-9
+    assert verdict["rate"] == 2.0  # saturation rate follows the group parameter
 
 
 def test_degeneracy_report_minimum_samples():
@@ -199,7 +203,7 @@ def test_degeneracy_report_minimum_samples():
 
 
 def test_degeneracy_verdict_to_dict_keys():
-    d = sl.degeneracy_report(spec_for("A", "zero")).to_dict()
+    d = sl.degeneracy_report(spec_for("A", "zero"))
     for key in ("generates", "fitted_constant", "identity_residual_max", "n_samples"):
         assert key in d
 
@@ -322,12 +326,12 @@ def test_generation_suite_fails_non_finite_residual():
     # the verdict claimed generation
     spec = sl.SectionSpec("A", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("sqrt(x)", 2))
     with np.errstate(invalid="ignore"):
-        check = sl.sections.generation_suite(spec, 200).checks[0]
-        verdict = sl.degeneracy_report(spec)
+        report = sl.generation_suite(spec, 200)
+    check, verdict = report.checks[0], report.data["verdict"]
     assert (check.name, check.status, check.max_error) == ("generates", "fail", None)
     assert "non-finite max_error nan" in check.notes
-    assert verdict.generates is None
-    assert "no verdict" in verdict.notes
+    assert verdict["generates"] is None
+    assert "no verdict" in verdict["notes"]
 
 
 def test_transitivity_sign_change_at_a_pole_is_not_a_root():

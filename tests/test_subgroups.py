@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import solvloop as sl
-from solvloop import SubalgebraKind, SubgroupId
+from solvloop import SubgroupId
 
 A_VALUES = (-1.0, 0.5, 1.0, 2.0)
 
@@ -130,25 +130,25 @@ def test_membership_residual_detects_off_slab():
 def test_classify_frozen_table_generic():
     p = sl.GroupParam(2.0)
     c = sl.classify_subalgebra(p, 1.5, 0.5, -2.0)
-    assert c.kind is SubalgebraKind.H2
+    assert c.kind is SubgroupId.H2
     assert c.scale == 1.5
     assert (c.automorphism.k1, c.automorphism.n2) == (3.0, pytest.approx(4.0 / 3.0))
 
     c = sl.classify_subalgebra(p, 1.0, 0.0, 0.7)
-    assert c.kind is SubalgebraKind.H1
+    assert c.kind is SubgroupId.H1
     assert c.automorphism.n2 == -0.7
 
     c = sl.classify_subalgebra(p, 0.0, 2.0, 3.0)
-    assert c.kind is SubalgebraKind.H3
+    assert c.kind is SubgroupId.H3
     assert (c.automorphism.k1, c.scale) == (1.5, 3.0)
 
     c = sl.classify_subalgebra(p, 2.0, -1.0, 0.0)
-    assert c.kind is SubalgebraKind.H2
+    assert c.kind is SubgroupId.H2
     assert c.automorphism.k1 == -2.0
 
     for b in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
         c = sl.classify_subalgebra(p, *b)
-        assert c.kind is SubalgebraKind.NORMAL_INADMISSIBLE
+        assert c.kind is None
         assert c.automorphism is None
     with pytest.raises(ValueError):
         sl.classify_subalgebra(p, 0.0, 0.0, 0.0)
@@ -157,26 +157,25 @@ def test_classify_frozen_table_generic():
 def test_classify_frozen_table_merged():
     p1 = sl.GroupParam(1.0)
     c = sl.classify_subalgebra(p1, 1.0, 2.0, 3.0)
-    assert c.kind is SubalgebraKind.H1
+    assert c.kind is SubgroupId.H1
     assert c.automorphism.variant == "merged"
     assert (c.automorphism.n1, c.automorphism.n2) == (-2.0, -3.0)
     # at a=1 any b1 != 0 collapses to the H1 class; b1 = 0 is inadmissible
-    assert sl.classify_subalgebra(p1, 0.0, 1.0, 1.0).kind is SubalgebraKind.NORMAL_INADMISSIBLE
+    assert sl.classify_subalgebra(p1, 0.0, 1.0, 1.0).kind is None
 
 
-def test_canonical_span_generator_values_and_errors():
-    assert sl.canonical_span_generator(SubalgebraKind.H1).coords == (0, 0, 1, 0)
-    assert sl.canonical_span_generator(SubalgebraKind.H2).coords == (1, 0, 1, 0)
-    assert sl.canonical_span_generator(SubalgebraKind.H3).coords == (1, 1, 0, 0)
-    with pytest.raises(ValueError):
-        sl.canonical_span_generator(SubalgebraKind.NORMAL_INADMISSIBLE)
+def test_subgroup_generator_values():
+    assert sl.subgroup_generator(SubgroupId.H1).coords == (0, 0, 1, 0)
+    assert sl.subgroup_generator(SubgroupId.H2).coords == (1, 0, 1, 0)
+    assert sl.subgroup_generator(SubgroupId.H3).coords == (1, 1, 0, 0)
+    assert sl.subgroup_generator(SubgroupId.H4).coords == (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("a", (-1.0, 0.5, 1.0, 2.0))
 def test_classification_automorphism_maps_to_canonical_span(a):
     p = sl.GroupParam(a)
     rng = np.random.default_rng(int(10 * a) + 100)
-    hits = {k: 0 for k in SubalgebraKind}
+    hits = {k: 0 for k in (SubgroupId.H1, SubgroupId.H2, SubgroupId.H3, None)}
     for _ in range(150):
         b1, b2, b3 = (float(v) for v in rng.uniform(-3, 3, 3))
         if rng.random() < 0.25:
@@ -189,7 +188,7 @@ def test_classification_automorphism_maps_to_canonical_span(a):
             continue
         v_in = np.array([b2, b3, b1, 0.0])
         T = sl.automorphism_matrix(p, cls.automorphism)
-        target = cls.scale * np.array(sl.canonical_span_generator(cls.kind).coords)
+        target = cls.scale * np.array(sl.subgroup_generator(cls.kind).coords)
         assert sl.coordinate_distance(tuple(T @ v_in), tuple(target)) <= 1e-12
         # the recovered map is an automorphism: brackets are preserved
         for _ in range(2):
@@ -200,10 +199,10 @@ def test_classification_automorphism_maps_to_canonical_span(a):
             lhs = sl.bracket(p, Tu, Tw).coords
             rhs = tuple(float(x) for x in T @ np.array(sl.bracket(p, u, w).coords))
             assert sl.coordinate_distance(lhs, rhs) <= 1e-12
-    assert hits[SubalgebraKind.H1] > 0
-    assert hits[SubalgebraKind.NORMAL_INADMISSIBLE] > 0
+    assert hits[SubgroupId.H1] > 0
+    assert hits[None] > 0
     if a != 1.0:
-        assert hits[SubalgebraKind.H2] > 0
+        assert hits[SubgroupId.H2] > 0
 
 
 # ---------------------------------------------------------------- fixed cosets
