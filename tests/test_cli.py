@@ -129,8 +129,8 @@ _NORMALIZER = ("subgroup", "slab_samples", "slab_normalizing", "off_slab_samples
 _CERTIFICATE = [
     *_under("data.certificate", "a", "records"),
     *(f"data.certificate.records[].{k}" for k in _NORMALIZER),
-    *_under("data.certificate", "center_trivial", "contradiction", "min_central_defect",
-            "seed", "notes")[1:],
+    *(f"data.certificate.{k}" for k in ("center_trivial", "contradiction", "min_central_defect",
+                                         "seed", "notes")),
 ]
 
 
