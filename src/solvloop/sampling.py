@@ -6,10 +6,14 @@ and bit generators never used here), which costs a command more than all of
 its sampling.  Seeding is numpy's SeedSequence.  A raw draw steps PCG64's
 128-bit LCG and outputs XSL-RR (O'Neill, "PCG: A family of simple fast
 space-efficient statistically good algorithms for random number
-generation", 2014); n draws take about log2(n) array passes by jump-ahead
-doubling on uint64 halves.  integers is Lemire's bounded method ("Fast
-random integer generation in an interval", ACM TOMACS 2019) on numpy's
-32-bit words: the low half of a raw draw, then its high half.
+generation", 2014).  The r-step jump of the LCG is state -> JUMP_r*state +
+SHIFT_r*inc, and its coefficients do not depend on the seed (Brown, "Random
+number generation with arbitrary strides", 1994): tables for r = 1..B are
+built at import.  n draws step their ceil(n/B) block starts in Python ints,
+then one broadcast multiply-add on uint64 halves gives every state, so a call
+takes the same number of array passes whatever n is.  integers is Lemire's
+bounded method ("Fast random integer generation in an interval", ACM TOMACS
+2019) on numpy's 32-bit words: the low half of a raw draw, then its high half.
 """
 
 from __future__ import annotations
@@ -60,11 +64,35 @@ def _seed_words(seed: int) -> list[int]:
     return [out(pool[i % 4]) for i in range(8)]
 
 
-def _mulhi(x: np.ndarray, c: int) -> np.ndarray:
-    """High 64 bits of x*c for uint64 x and a 64-bit constant, on 32-bit limbs."""
+def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 halves of 128-bit ints."""
+    return np.array([v >> 64 for v in values], np.uint64), np.array([v & M64 for v in values], np.uint64)
+
+
+def _mulhi(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """High 64 bits of x*c for broadcast uint64 arrays, on 32-bit limbs."""
     x0, x1, c0, c1 = x & M32, x >> 32, c & M32, c >> 32
-    mid = x1 * c0 + (x0 * c0 >> 32)
-    return x1 * c1 + (mid >> 32) + (x0 * c1 + (mid & M32) >> 32)
+    hi = x0 * c0
+    hi >>= 32
+    mid = x1 * c0
+    mid += hi
+    np.multiply(x0, c1, out=hi)
+    hi += mid & M32
+    hi >>= 32
+    mid >>= 32
+    hi += mid
+    np.multiply(x1, c1, out=mid)
+    hi += mid
+    return hi
+
+
+B = 64  # draws per block of the jump tables
+# state k+r = JUMP[r-1] * state k + SHIFT[r-1] * inc (mod 2**128), r = 1..B
+JUMP, SHIFT = [MULT], [1]
+for _ in range(B - 1):
+    JUMP.append(JUMP[-1] * MULT & M128)
+    SHIFT.append((SHIFT[-1] * MULT + 1) & M128)
+JUMP_HI, JUMP_LO = _halves(JUMP)
 
 
 class Stream:
@@ -75,21 +103,27 @@ class Stream:
         self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & M128
         self.state = ((self.inc + (w[0] << 64 | w[1])) * MULT + self.inc) & M128
         self.pending: int | None = None  # high half of the last raw draw, not yet used
+        self.shift_hi, self.shift_lo = _halves([c * self.inc & M128 for c in SHIFT])
 
     def _raw(self, n: int) -> np.ndarray:
         """The next n 64-bit outputs."""
-        hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
-        hi[:1], lo[:1] = divmod((self.state * MULT + self.inc) & M128, 1 << 64)
-        jump, shift, k = MULT, self.inc, 1  # state j+k = jump * state j + shift
-        while k < n:
-            m = min(k, n - k)
-            new = lo[:m] * (jump & M64) + (shift & M64)
-            hi[k : k + m] = (
-                _mulhi(lo[:m], jump & M64) + lo[:m] * (jump >> 64) + hi[:m] * (jump & M64)
-                + (shift >> 64) + (new < (shift & M64))
-            )
-            lo[k : k + m] = new
-            jump, shift, k = jump * jump & M128, (jump * shift + shift) & M128, k + m
+        start, jump, shift = self.state, JUMP[-1], SHIFT[-1] * self.inc & M128
+        starts = [start]  # the state before each block of B draws
+        for _ in range(1, -(-n // B)):
+            start = (start * jump + shift) & M128
+            starts.append(start)
+        # row q, column r - 1: JUMP[r-1] * starts[q] + SHIFT[r-1] * inc as hi:lo
+        t_hi, t_lo = (half[:, None] for half in _halves(starts))
+        hi = _mulhi(t_lo, JUMP_LO)
+        lo = t_lo * JUMP_HI
+        hi += lo
+        np.multiply(t_hi, JUMP_LO, out=lo)
+        hi += lo
+        hi += self.shift_hi
+        np.multiply(t_lo, JUMP_LO, out=lo)
+        lo += self.shift_lo
+        hi += lo < self.shift_lo
+        hi, lo = hi.ravel()[:n], lo.ravel()[:n]
         if n:
             self.state = int(hi[-1]) << 64 | int(lo[-1])
         x, rot = hi ^ lo, hi >> 58

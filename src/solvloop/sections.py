@@ -242,11 +242,13 @@ def record_generation(
 ) -> None:
     """Record the degeneracy verdict in report: as the check name, and as data[key].
 
-    A degenerate section only warns; a verdict that could not be reached
-    fails.
+    max_error is the larger residual of the two identities (not finite if
+    either is).  A degenerate section only warns; a verdict that could not be
+    reached fails.
     """
     verdict = degeneracy_report(spec, n_samples=n_samples)
     generates = verdict["generates"]
+    worst = float(np.maximum(verdict["identity_residual_max"], verdict["fit_max_residual"]))
     outcome = {
         True: "; at least one degeneracy identity fails",
         False: f"; both degeneracy identities hold: fitted constant {verdict['fitted_constant']:.6g}",
@@ -255,7 +257,7 @@ def record_generation(
     report.record(
         name,
         generates is True,
-        max_error=verdict["identity_residual_max"],
+        max_error=worst,
         n_samples=verdict["n_samples"],
         notes=verdict["notes"] + outcome[generates],
         warn_only=generates is not None,

@@ -335,10 +335,12 @@ def test_classify_reports_class_and_automorphism(tmp_path):
         ["classify", "--a", "2", "--b1", "1.5", "--b2", "0.5", "--b3", "-2"],
     )
     assert code == 0
-    data = json.loads(path.read_text())["data"]
+    obj = json.loads(path.read_text())
+    data = obj["data"]
     assert data["class"] == "H2"
     assert data["automorphism"]["k1"] == 3
     assert data["scale"] == 1.5
+    assert obj["seed"] == 0  # the bracket pairs are drawn at seed 0
 
 
 def test_classify_inadmissible_direction(tmp_path):
@@ -347,7 +349,9 @@ def test_classify_inadmissible_direction(tmp_path):
         ["classify", "--a", "2", "--b1", "0", "--b2", "1", "--b3", "0"],
     )
     assert code == 0
-    assert json.loads(path.read_text())["data"]["class"] == "NormalInadmissible"
+    obj = json.loads(path.read_text())
+    assert obj["data"]["class"] == "NormalInadmissible"
+    assert obj["seed"] is None  # nothing is drawn
 
 
 def test_loop_check_report(tmp_path):

@@ -10,11 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvloop.sampling import Stream
+from solvloop.sampling import B, Stream
 
 BOUND = st.floats(-10.0, 10.0)
 WIDTH = st.floats(0.0, 10.0)
 ROWS = st.integers(0, 5)  # zero rows consume nothing
+
+
+def assert_same_state(ours, bit_generator):
+    """Our stream is where numpy's is: LCG state, increment and pending half."""
+    state = bit_generator.state
+    assert state["state"] == {"state": ours.state, "inc": ours.inc}
+    assert state["has_uint32"] == (ours.pending is not None)
+    if ours.pending is not None:
+        assert state["uinteger"] == ours.pending
 
 
 @st.composite
@@ -50,6 +59,7 @@ def test_stream_equals_numpy_pcg64(seed, calls):
         want = getattr(ref, method)(low, high, size)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want), (method, low, high, size)
+        assert_same_state(ours, ref.bit_generator)
     assert np.array_equal(ours.uniform(0.0, 1.0, 3), ref.uniform(0.0, 1.0, 3))
 
 
@@ -58,6 +68,28 @@ def test_long_draws_and_rejection_heavy_ranges():
     assert np.array_equal(ours.uniform(-5.0, 5.0, (1000, 7)), ref.uniform(-5.0, 5.0, (1000, 7)))
     for size in (4097, 1, 333):
         assert np.array_equal(ours.integers(0, 3 * 2**30, size), ref.integers(0, 3 * 2**30, size))
+
+
+@pytest.mark.parametrize("seed", [0, 7919, 2**128 + 5])
+def test_raw_draws_across_jump_table_blocks(seed):
+    # an offset draw of 7 before each size moves the call's block starts off
+    # multiples of B in the stream
+    ours, ref = Stream(seed), np.random.PCG64(seed)
+    for n in (0, 1, B - 1, B, B + 1, 2 * B + 1, 10**5):
+        assert np.array_equal(ours._raw(7), ref.random_raw(7))
+        assert np.array_equal(ours._raw(n), ref.random_raw(n)), n
+        assert_same_state(ours, ref)
+
+
+@pytest.mark.parametrize("span", [2**32, 3 * 2**30])
+def test_pending_high_half_across_a_block_end(span):
+    # 2B - 1 words take B raw draws, one whole block, and leave the high half
+    # of the block's last draw pending: the next call starts with it, then
+    # draws from a new block; at 3 * 2**30 values rejections shift the ends
+    ours, ref = Stream(11), np.random.Generator(np.random.PCG64(11))
+    for size in (2 * B - 1, 2 * B, 1, 2 * B + 1, 4 * B - 1, 3):
+        assert np.array_equal(ours.integers(-7, span - 7, size), ref.integers(-7, span - 7, size))
+        assert_same_state(ours, ref.bit_generator)
 
 
 def test_bad_seeds_bounds_and_ranges_raise():

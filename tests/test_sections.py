@@ -321,6 +321,18 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
         assert sl.coordinate_distance(sl.loop_mul(spec, q, m2).coords, b.coords) <= 1e-9
 
 
+def test_generation_max_error_is_the_larger_identity_residual():
+    # sin(z) meets the slice identity exactly and fails only the profile fit;
+    # max_error used to be the slice residual alone, 0 beside "fails"
+    spec = sl.SectionSpec("A", P2, sl.FunctionSpec.from_expression("sin(z)", 2))
+    report = sl.generation_suite(spec)
+    check, verdict = report.checks[0], report.data["verdict"]
+    assert verdict["identity_residual_max"] == 0.0
+    assert verdict["fit_max_residual"] > 1.0
+    assert check.max_error == verdict["fit_max_residual"]
+    assert (check.status, verdict["generates"]) == ("pass", True)
+
+
 def test_generation_suite_fails_non_finite_residual():
     # a NaN slice residual used to pass "generates" with max_error NaN, and
     # the verdict claimed generation
