@@ -16,13 +16,15 @@ and a sampled witness that the centre is trivial.
 The coordinates of GroupElement and AlgebraVector may be floats or
 equal-length float64 columns, one row per sample (scalars mixed with columns
 broadcast).  The law functions evaluate all rows of columns at once, each row
-bit for bit as the scalar call would; exponentials go through elementwise.
+bit for bit as the scalar call would.  Their exponentials, exp and expm1, are
+numpy's on floats and columns alike (so report digits may differ in the last
+bits across CPUs) and raise OverflowError, a usage error on the command line.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +40,8 @@ __all__ = [
     "E3",
     "E4",
     "coordinate_distance",
-    "elementwise",
+    "exp",
+    "expm1",
     "stack",
     "split",
     "largest",
@@ -78,16 +81,10 @@ class GroupElement(NamedTuple):
     x3: float
     x4: float
 
-    @property
-    def coords(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.x2, self.x3, self.x4)
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(0.0, 0.0, 0.0, 0.0)
+    coords = property(tuple)  # (x1, x2, x3, x4)
 
 
-IDENTITY = GroupElement.identity()
+IDENTITY = GroupElement(0.0, 0.0, 0.0, 0.0)
 
 
 class AlgebraVector(NamedTuple):
@@ -98,17 +95,13 @@ class AlgebraVector(NamedTuple):
     c3: float
     c4: float
 
-    @property
-    def coords(self) -> tuple[float, float, float, float]:
-        return (self.c1, self.c2, self.c3, self.c4)
+    coords = property(tuple)  # (c1, c2, c3, c4)
 
     def scaled(self, factor: float) -> "AlgebraVector":
         return AlgebraVector(factor * self.c1, factor * self.c2, factor * self.c3, factor * self.c4)
 
     def plus(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(
-            self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3, self.c4 + other.c4
-        )
+        return AlgebraVector(*(x + y for x, y in zip(self, other)))
 
 
 E1 = AlgebraVector(1.0, 0.0, 0.0, 0.0)
@@ -154,24 +147,36 @@ def split(cls, rows: np.ndarray) -> list:
     return [cls(*rows[:, i : i + arity].T) for i in range(0, rows.shape[1], arity)]
 
 
-def elementwise(fn: Callable[[float], float], x):
-    """fn(x) for a float; fn mapped over the entries of an array.
+def _unless_overflow(fn, x):
+    """fn(x) for fn np.exp or np.expm1: a float for a float, a column for a column.
 
-    The group and loop laws take their exponentials through here, with fn
-    math.exp or math.expm1, rather than from np.exp: numpy's exp differs
-    from math's in the last bit on some inputs, which would make a column
-    row differ from its scalar call, and math raises the OverflowError that
-    the command line reports as a usage error.
+    Raises math's OverflowError where a finite entry overflows; NaN and inf do not.
+    Neither overflows at or below 709 (the log of the largest float is 709.78).
     """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
+    column = isinstance(x, np.ndarray)
+    if not ((x > 709.0).any() if column else x > 709.0):
+        return fn(x) if column else float(fn(x))
+    with np.errstate(over="ignore"):
+        y = fn(x)
+    if np.any(np.isinf(y) & np.isfinite(x)):
+        raise OverflowError("math range error")
+    return y if column else float(y)
+
+
+def exp(x):
+    """e^x of a float or of every entry of a column (see _unless_overflow)."""
+    return _unless_overflow(np.exp, x)
+
+
+def expm1(x):
+    """e^x - 1 of a float or of every entry of a column (see _unless_overflow)."""
+    return _unless_overflow(np.expm1, x)
 
 
 def mul(p: GroupParam, g: GroupElement, h: GroupElement) -> GroupElement:
     """Group product, read off from the matrix product of the two representatives."""
-    ea = elementwise(math.exp, p.a * g.x4)
-    e = elementwise(math.exp, g.x4)
+    ea = exp(p.a * g.x4)
+    e = exp(g.x4)
     return GroupElement(
         g.x1 + ea * h.x1,
         g.x2 + e * h.x2 + g.x4 * e * h.x3,
@@ -181,8 +186,8 @@ def mul(p: GroupParam, g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def inv(p: GroupParam, g: GroupElement) -> GroupElement:
-    ea = elementwise(math.exp, -p.a * g.x4)
-    e = elementwise(math.exp, -g.x4)
+    ea = exp(-p.a * g.x4)
+    e = exp(-g.x4)
     return GroupElement(
         -ea * g.x1,
         -e * g.x2 + g.x4 * e * g.x3,
@@ -198,15 +203,18 @@ def conjugate(p: GroupParam, g: GroupElement, h: GroupElement) -> GroupElement:
 
 def _matrices(rows) -> np.ndarray:
     """4x4 matrices from rows of entries; entries that are columns give shape (n, 4, 4)."""
-    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (4, 4))
+    out = np.empty(np.broadcast_shapes(*(np.shape(e) for row in rows for e in row)) + (4, 4))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def as_matrix(p: GroupParam, g: GroupElement) -> np.ndarray:
-    e = elementwise(math.exp, g.x4)
+    e = exp(g.x4)
     return _matrices(
         [
-            [elementwise(math.exp, p.a * g.x4), 0.0, 0.0, g.x1],
+            [exp(p.a * g.x4), 0.0, 0.0, g.x1],
             [0.0, e, g.x4 * e, g.x2],
             [0.0, 0.0, e, g.x3],
             [0.0, 0.0, 0.0, 1.0],
@@ -238,10 +246,6 @@ def bracket(p: GroupParam, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(p.a * s, t + r, r, 0.0)
 
 
-def _flip(v: AlgebraVector) -> AlgebraVector:
-    return AlgebraVector(v.c1, v.c2, v.c3, -v.c4)
-
-
 def commutator_oracle(p: GroupParam, u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
     """Bracket computed independently as a matrix commutator.
 
@@ -251,27 +255,28 @@ def commutator_oracle(p: GroupParam, u: AlgebraVector, v: AlgebraVector) -> Alge
     span(e1, e2, e3), where the flip is the identity, so the result compares
     directly against bracket().
     """
-    a = algebra_matrix(p, _flip(u))
-    b = algebra_matrix(p, _flip(v))
+    a, b = (algebra_matrix(p, w._replace(c4=-w.c4)) for w in (u, v))
     c = a @ b - b @ a
     return AlgebraVector(*(c[..., i, j][()] for i, j in ((0, 3), (1, 3), (2, 3), (2, 2))))
 
 
-def _phi1(x: float) -> float:
+def _phi1(x: np.ndarray) -> np.ndarray:
     """(e^x - 1) / x, continued by 1 at x = 0."""
-    return math.expm1(x) / x if x else 1.0
+    return np.where(x != 0, expm1(x) / x, 1.0)
 
 
-def _jordan(x: float) -> float:
+# _jordan(x) = x * sum_{k=1}^{20} x^(k-1) / ((k-1)! (k+1)) to double precision for |x| < 0.5;
+# the coefficients, highest power first, as np.polyval takes them
+_JORDAN_SERIES = [1.0 / (math.factorial(k - 1) * (k + 1)) for k in range(20, 0, -1)]
+
+
+def _jordan(x: np.ndarray) -> np.ndarray:
     """x * integral_0^1 s e^{sx} ds = e^x - (e^x - 1)/x, by its series where that cancels."""
-    if abs(x) >= 0.5:
-        return math.exp(x) - math.expm1(x) / x
-    # sum_{k>=1} x^k / ((k-1)! (k+1)); for |x| < 0.5, 20 terms reach double precision
-    total, power = 0.0, 1.0
-    for k in range(1, 21):
-        power *= x / max(1, k - 1)
-        total += power / (k + 1)
-    return total
+    out = np.asarray(exp(x) - expm1(x) / x)
+    small = abs(x) < 0.5
+    if small.any():  # the series, by Horner's rule
+        out[small] = x[small] * np.polyval(_JORDAN_SERIES, x[small])
+    return out
 
 
 def exp_alg(p: GroupParam, v: AlgebraVector, t=1.0) -> GroupElement:
@@ -283,13 +288,11 @@ def exp_alg(p: GroupParam, v: AlgebraVector, t=1.0) -> GroupElement:
     to the second coordinate.  v and t may be columns, one row per sample.
     """
     mu = v.c4 * t
-    phi = elementwise(_phi1, mu)
-    return GroupElement(
-        v.c1 * t * elementwise(_phi1, p.a * mu),
-        v.c2 * t * phi + v.c3 * t * elementwise(_jordan, mu),
-        v.c3 * t * phi,
-        mu,
-    )
+    x = np.asarray(mu, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 rows at x = 0 are replaced
+        phi, phi_a, jordan = _phi1(x), _phi1(p.a * x), _jordan(x)
+    coords = (v.c1 * t * phi_a, v.c2 * t * phi + v.c3 * t * jordan, v.c3 * t * phi)
+    return GroupElement(*(c if np.ndim(c) else float(c) for c in coords), mu)
 
 
 class AutomorphismParams:
@@ -326,10 +329,6 @@ class AutomorphismParams:
         self.variant, self.k1, self.k2, self.l, self.n1 = variant, k1, k2, l, n1
         self.n2, self.f1, self.f2, self.f3 = n2, f1, f2, f3
 
-    @classmethod
-    def identity(cls, variant: str = "generic") -> "AutomorphismParams":
-        return cls(variant=variant)
-
 
 def automorphism_matrix(p: GroupParam, phi: AutomorphismParams) -> np.ndarray:
     if phi.variant == "merged" and p.a != 1:
@@ -364,17 +363,22 @@ def standard_center_probes(p: GroupParam) -> list[GroupElement]:
 _CENTER_TIMES = (0.25, 0.5, 1.0)
 
 
-def central_defect(p: GroupParam, v: AlgebraVector, probes: Iterable[GroupElement]) -> float:
+def central_defect(p: GroupParam, v: AlgebraVector, probes: Iterable[GroupElement]):
     """Largest commutation failure of exp(t*v) against the probes, t in _CENTER_TIMES.
 
     Zero for v = 0; strictly positive for every nonzero v once the probes
     include points with x4 != 0, x1 != 0 and x3 != 0, which certifies a
-    trivial centre on the sampled directions.  Every (t, probe) pair is one
-    row of one column pass.
+    trivial centre on the sampled directions.  A float for a vector v, the
+    failure of each for columns of vectors.  Every (vector, t, probe) triple
+    is one row of one column pass.
     """
     probes = list(probes)
     if not probes:
         raise ValueError("probe set must be nonempty")
-    q = GroupElement(*np.tile(stack(probes).coords, len(_CENTER_TIMES)))
-    g = exp_alg(p, v, np.repeat(_CENTER_TIMES, len(probes)))
-    return largest(coordinate_distance(mul(p, g, q).coords, mul(p, q, g).coords))
+    vs = np.reshape(np.broadcast_arrays(*v.coords), (4, -1))  # a vector per column
+    n, pairs = vs.shape[1], len(_CENTER_TIMES) * len(probes)
+    t = np.tile(np.repeat(_CENTER_TIMES, len(probes)), n)
+    g = exp_alg(p, AlgebraVector(*np.repeat(vs, pairs, axis=1)), t)
+    q = GroupElement(*np.tile(stack(probes).coords, len(_CENTER_TIMES) * n))
+    worst = coordinate_distance(mul(p, g, q).coords, mul(p, q, g).coords).reshape(n, pairs).max(1)
+    return worst if np.broadcast(*v.coords).ndim else float(worst[0])

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .group import coordinate_distance, elementwise, largest, mul, split
+from .group import coordinate_distance, exp, expm1, largest, mul, split
 from .numerics import narrow_roots, root_rows
 from .report import VerificationReport
 from .sampling import Stream
@@ -91,18 +91,16 @@ def _product(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
     a = spec.param.a
     x1, y1, z1 = m1.coords
     x2, y2, z2 = m2.coords
-    ea = elementwise(math.exp, a * z1)
-    e = elementwise(math.exp, z1)
+    ea = exp(a * z1)
+    e = exp(z1)
     if spec.case == "A":
         return LoopPoint(x1 + ea * x2, y1 + y2 * e - z2 * e * v, z1 + z2)
     # 1 - e^{(a-1) z2} = -expm1((a-1) z2)
-    em1 = elementwise(math.expm1, (a - 1.0) * z2)
+    em1 = expm1((a - 1.0) * z2)
     if spec.case == "B":
         return LoopPoint(x1 + ea * (x2 - v * em1), y1 + e * (y2 - z2 * v), z1 + z2)
     return LoopPoint(
-        x1 + ea * (x2 - y2 * z1 * elementwise(math.exp, (a - 1.0) * z2) - v * em1),
-        y1 + e * y2,
-        z1 + z2,
+        x1 + ea * (x2 - y2 * z1 * exp((a - 1.0) * z2) - v * em1), y1 + e * y2, z1 + z2
     )
 
 
@@ -110,19 +108,17 @@ def loop_ldiv(spec: SectionSpec, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
     """The unique w with m1 * w = b; closed-form in every case."""
     a = spec.param.a
     x1, y1, z1 = m1.coords
-    ea = elementwise(math.exp, -a * z1)
-    e = elementwise(math.exp, -z1)
+    ea = exp(-a * z1)
+    e = exp(-z1)
     wz = b.z - z1
     v = section_value(spec, m1)
     if spec.case == "A":
         return LoopPoint(ea * (b.x - x1), e * (b.y - y1) + wz * v, wz)
-    em1 = elementwise(math.expm1, (a - 1.0) * wz)
+    em1 = expm1((a - 1.0) * wz)
     if spec.case == "B":
         return LoopPoint(ea * (b.x - x1) + v * em1, e * (b.y - y1) + wz * v, wz)
     wy = e * (b.y - y1)
-    return LoopPoint(
-        ea * (b.x - x1) + wy * z1 * elementwise(math.exp, (a - 1.0) * wz) + v * em1, wy, wz
-    )
+    return LoopPoint(ea * (b.x - x1) + wy * z1 * exp((a - 1.0) * wz) + v * em1, wy, wz)
 
 
 def loop_rdiv_batch(
@@ -151,8 +147,8 @@ def loop_rdiv_batch(
     errors: dict[int, RightDivisionError] = {}
     if spec.case == "A":
         qz = b.z - m2.z
-        qx = b.x - elementwise(math.exp, a * qz) * m2.x
-        e = elementwise(math.exp, qz)
+        qx = b.x - exp(a * qz) * m2.x
+        e = exp(qz)
         q = LoopPoint(qx, b.y - m2.y * e + m2.z * e * spec.fn(qx, qz), qz)
     else:
         line = right_translation_system(spec, m2, b)

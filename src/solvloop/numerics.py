@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import expressions
-from .group import elementwise, largest
+from .group import exp, largest
 
 __all__ = [
     "FitResult",
@@ -286,7 +286,7 @@ def twisted_additivity_residual(
     values = np.broadcast_to(np.asarray(values, dtype=float), zs.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = np.broadcast_to(np.asarray(fn(sums), dtype=float), sums.shape)
-        twisted = elementwise(math.exp, -rate * zs) * values[:, None]
+        twisted = exp(-rate * zs) * values[:, None]
         scale = np.maximum(np.maximum(abs(lhs), abs(values)), np.maximum(abs(twisted), 1.0))
         error = abs(lhs - (values + twisted)) / scale
     return largest(np.where(error == error, error, math.inf))

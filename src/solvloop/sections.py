@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import expressions
-from .group import GroupElement, GroupParam, elementwise
+from .group import GroupElement, GroupParam, exp, expm1
 from .numerics import fit_saturating_exponential, root_rows, twisted_additivity_residual
 from .report import VerificationReport
 from .sampling import Stream
@@ -166,12 +166,12 @@ def section_lift(spec: SectionSpec, m: LoopPoint) -> GroupElement:
     """The chosen coset representative; always satisfies decompose(lift(m)).rep = m."""
     a = spec.param.a
     v = section_value(spec, m)
-    e = elementwise(math.exp, m.z)
+    e = exp(m.z)
     if spec.case == "A":
         return GroupElement(m.x, m.y + m.z * e * v, e * v, m.z)
     if spec.case == "B":
-        return GroupElement(m.x + elementwise(math.exp, a * m.z) * v, m.y + m.z * e * v, e * v, m.z)
-    return GroupElement(m.x + elementwise(math.exp, a * m.z) * v, e * v, m.y, m.z)
+        return GroupElement(m.x + exp(a * m.z) * v, m.y + m.z * e * v, e * v, m.z)
+    return GroupElement(m.x + exp(a * m.z) * v, e * v, m.y, m.z)
 
 
 def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
@@ -422,24 +422,24 @@ def right_translation_system(
     (cx, cy) + h * (tx, ty) with h = h(x, y, q_z): direction t / |t|_inf and
     scale |t|_inf, the larger of |tx| and |ty| as Python's max takes it.
     Case A is closed-form and has no implicit system.  On column points
-    every row is the float call on that row, bit for bit; exponentials go
-    through group.elementwise, so overflow raises OverflowError.
+    every row is the float call on that row, bit for bit; exponentials are
+    group.exp and group.expm1 (numpy's), so overflow raises OverflowError.
     """
     a = spec.param.a
     x1, y1, z1 = m2.coords
     x2, y2, z2 = b.coords
     z = z2 - z1
     if spec.case == "C":
-        y = y2 - elementwise(math.exp, z) * y1
-        outer = elementwise(math.exp, a * z2 - z1)
-        center = x2 - elementwise(math.exp, a * z) * x1 + outer * y1 * z
-        coef = outer * -elementwise(math.expm1, (1.0 - a) * z1)
+        y = y2 - exp(z) * y1
+        outer = exp(a * z2 - z1)
+        center = x2 - exp(a * z) * x1 + outer * y1 * z
+        coef = outer * -expm1((1.0 - a) * z1)
         return RightTranslationLine(spec.fn, z, (center, y), (1.0, 0.0), coef)
     if spec.case == "B":
-        ea = elementwise(math.exp, a * z)
-        e = elementwise(math.exp, z)
+        ea = exp(a * z)
+        e = exp(z)
         base = (x2 - ea * x1, y2 - e * y1)
-        t = (ea * elementwise(math.expm1, (a - 1.0) * z1), e * z1)
+        t = (ea * expm1((a - 1.0) * z1), e * z1)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(abs(t[1]) > abs(t[0]), abs(t[1]), abs(t[0]))
             direction = [np.where(scale != 0.0, np.divide(tk, scale), d) for tk, d in zip(t, (1, 0))]

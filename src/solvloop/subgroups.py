@@ -32,7 +32,8 @@ from .group import (
     apply_automorphism,
     bracket,
     coordinate_distance,
-    elementwise,
+    exp,
+    expm1,
     largest,
     mul,
     split,
@@ -94,9 +95,7 @@ class LoopPoint(NamedTuple):
     y: float
     z: float
 
-    @property
-    def coords(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+    coords = property(tuple)  # (x, y, z)
 
     @classmethod
     def origin(cls) -> "LoopPoint":
@@ -147,10 +146,10 @@ def decompose(p: GroupParam, sub: SubgroupId, g: GroupElement) -> DecompResult:
     sub.check_defined(p)
     if sub is SubgroupId.H4:
         return DecompResult(LoopPoint(g.x1, g.x2, g.x3), g.x4)
-    e = elementwise(math.exp, -g.x4)
+    e = exp(-g.x4)
     if sub is SubgroupId.H1:
         return DecompResult(LoopPoint(g.x1, g.x2 - g.x4 * g.x3, g.x4), e * g.x3)
-    ea = elementwise(math.exp, (p.a - 1.0) * g.x4)
+    ea = exp((p.a - 1.0) * g.x4)
     if sub is SubgroupId.H2:
         return DecompResult(LoopPoint(g.x1 - ea * g.x3, g.x2 - g.x4 * g.x3, g.x4), e * g.x3)
     return DecompResult(LoopPoint(g.x1 - ea * g.x2, g.x3, g.x4), e * g.x2)
@@ -258,9 +257,9 @@ def fixed_point_witness(p: GroupParam, g: GroupElement) -> LoopPoint:
     if g.x4 == 0:
         raise ValueError("translations by slab elements need not fix a coset")
     # 1 - e^s = -expm1(s), accurate for small exponents
-    x = -g.x1 / math.expm1(p.a * g.x4)
-    w = -g.x3 / math.expm1(g.x4)
-    y = -(g.x2 + g.x4 * math.exp(g.x4) * w) / math.expm1(g.x4)
+    x = -g.x1 / expm1(p.a * g.x4)
+    w = -g.x3 / expm1(g.x4)
+    y = -(g.x2 + g.x4 * exp(g.x4) * w) / expm1(g.x4)
     if not all(map(math.isfinite, (x, y, w))):  # float division overflows silently
         raise OverflowError(f"fixed coset witness ({x:g}, {y:g}, {w:g}) is not finite")
     return LoopPoint(x, y, w)

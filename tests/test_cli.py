@@ -248,6 +248,7 @@ def test_non_finite_errors_never_crash_or_pass(capsys):
 def test_overflow_names_float_parameters(capsys):
     cases = [
         (["verify-group", "--a", "1e308"], "--a 1e+308"),
+        (["verify-group", "--a", "800"], "--a 800"),
         (["theorem2", "--a", "700"], "--a 700"),
         (["loop-check", "--case", "A", "--a", "2", "--preset", "zero", "--z-box", "400"],
          "--a 2, --z-box 400"),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import solvloop as sl
 from solvloop import SubgroupId
-from solvloop.group import stack
+from solvloop.group import exp, expm1, stack
 from solvloop.loops import _product
 from solvloop.subgroups import DecompResult
 
@@ -31,7 +31,7 @@ def rdiv(spec, b, m2):
 
 
 A_VALUES = (-1.0, 0.5, 1.0, 2.0, 3.7)
-# plain values, plus rows that are NaN, infinite, signed zero or overflow math.exp
+# plain values, plus rows that are NaN, infinite, signed zero or overflow exp
 COORD = st.floats(-6.0, 6.0) | st.sampled_from(
     [math.nan, math.inf, -math.inf, 0.0, -0.0, 800.0, -800.0, 1e308]
 )
@@ -186,6 +186,15 @@ def test_central_defect_equals_per_time_reference(a):
         assert sl.central_defect(p, v, probes) == reference
 
 
+@pytest.mark.parametrize("a", (*A_VALUES, 1e-3))
+def test_min_center_defect_equals_per_direction_reference(a):
+    # one column pass over every direction, against a central_defect call per direction
+    p = sl.GroupParam(a)
+    probes = sl.standard_center_probes(p)
+    reference = min(sl.central_defect(p, v, probes) for v in sl.CENTER_TEST_DIRECTIONS)
+    assert _same_bits(sl.multgroup.min_center_defect(p), reference)
+
+
 @settings(max_examples=100)
 @given(a=st.sampled_from(A_VALUES), rows=_rows(4))
 def test_subgroup_charts_rows_equal_scalar_calls(a, rows):
@@ -254,12 +263,12 @@ def test_loop_laws_rows_equal_scalar_calls(case, a, fn, rows):
 
 
 def _rdiv_case_a_reference(spec, b, m2):
-    """The closed-form case-A right division, one pair at a time with math.exp."""
+    """The closed-form case-A right division, one pair at a time with group.exp."""
     a = spec.param.a
     x2, y2, z2 = m2.coords
     qz = b.z - z2
-    qx = b.x - math.exp(a * qz) * x2
-    qy = b.y - y2 * math.exp(qz) + z2 * math.exp(qz) * spec.fn(qx, qz)
+    qx = b.x - exp(a * qz) * x2
+    qy = b.y - y2 * exp(qz) + z2 * exp(qz) * spec.fn(qx, qz)
     return sl.LoopPoint(qx, qy, qz)
 
 
@@ -288,19 +297,19 @@ def _error_text(call):
 
 
 def _right_translation_reference(case, a, m2, b, lo, hi):
-    """A line's (qz, bx, by, dx, dy, scale) and window, one pair at a time with math and Python's min/max."""
+    """A line's (qz, bx, by, dx, dy, scale) and window, one pair at a time with float exponentials and Python's min/max."""
     x1, y1, z1 = m2.coords
     x2, y2, z2 = b.coords
     z = z2 - z1
     if case == "C":
-        y = y2 - math.exp(z) * y1
-        outer = math.exp(a * z2 - z1)
-        center = x2 - math.exp(a * z) * x1 + outer * y1 * z
-        fields = [z, center, y, 1.0, 0.0, outer * -math.expm1((1.0 - a) * z1)]
+        y = y2 - exp(z) * y1
+        outer = exp(a * z2 - z1)
+        center = x2 - exp(a * z) * x1 + outer * y1 * z
+        fields = [z, center, y, 1.0, 0.0, outer * -expm1((1.0 - a) * z1)]
     else:
-        base = (x2 - math.exp(a * z) * x1, y2 - math.exp(z) * y1)
-        tx = math.exp(a * z) * math.expm1((a - 1.0) * z1)
-        ty = math.exp(z) * z1
+        base = (x2 - exp(a * z) * x1, y2 - exp(z) * y1)
+        tx = exp(a * z) * expm1((a - 1.0) * z1)
+        ty = exp(z) * z1
         scale = max(abs(tx), abs(ty))
         direction = (tx / scale, ty / scale) if scale else (1.0, 0.0)
         fields = [z, *base, *direction, scale]

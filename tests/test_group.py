@@ -2,11 +2,12 @@
 
 Every nontrivial expectation here is either a closed form evaluated inline,
 or a comparison against an independent oracle (4x4 matrix products,
-numpy.linalg.inv, scipy.linalg.expm).
+numpy.linalg.inv, scipy.linalg.expm, mpmath at 400 digits).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -52,8 +53,8 @@ def test_mul_closed_form_example():
     # a=2: (1,0,0,1)*(1,1,1,1) worked out by hand from the coordinate law
     p = sl.GroupParam(2.0)
     out = sl.mul(p, sl.GroupElement(1, 0, 0, 1), sl.GroupElement(1, 1, 1, 1))
-    e = math.exp(1.0)
-    assert out.coords == (1 + math.exp(2.0), 2 * e, e, 2)
+    e = sl.group.exp(1.0)
+    assert out.coords == (1 + sl.group.exp(2.0), 2 * e, e, 2)
 
 
 def test_mul_identity_both_sides():
@@ -115,10 +116,10 @@ def test_as_matrix_layout():
     p = sl.GroupParam(2.0)
     g = sl.GroupElement(1.0, 2.0, 3.0, 0.5)
     M = sl.as_matrix(p, g)
-    e = math.exp(0.5)
+    e = sl.group.exp(0.5)
     expect = np.array(
         [
-            [math.exp(1.0), 0, 0, 1.0],
+            [sl.group.exp(1.0), 0, 0, 1.0],
             [0, e, 0.5 * e, 2.0],
             [0, 0, e, 3.0],
             [0, 0, 0, 1.0],
@@ -255,6 +256,86 @@ def test_exp_one_parameter_subgroup_property():
         lhs = sl.exp_alg(p, v, t=s + t)
         rhs = sl.mul(p, sl.exp_alg(p, v, t=s), sl.exp_alg(p, v, t=t))
         assert sl.coordinate_distance(lhs.coords, rhs.coords) <= 1e-12
+
+
+def _ulps(got, want):
+    """|got - want| in units in the last place of want, each row."""
+    return [abs(x - y) / math.ulp(y) for x, y in zip(np.asarray(got).tolist(), want)]
+
+
+# e^x - (e^x - 1)/x cancels to about x/2: at |x| = 1e-300 the reference needs
+# over 300 digits, and 50 digits give 0
+def _jordan_reference(x):
+    with mpmath.workdps(400):
+        y = mpmath.mpf(x)
+        return float(mpmath.exp(y) - mpmath.expm1(y) / y) if y else 0.0
+
+
+def _phi1_reference(x):
+    with mpmath.workdps(400):
+        y = mpmath.mpf(x)
+        return float(mpmath.expm1(y) / y) if y else 1.0
+
+
+def _small_exponents():
+    # log-uniform magnitudes down to 1e-300, uniform points up to |x| = 0.5, and edges
+    rng = np.random.default_rng(19)
+    magnitudes = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 300)
+    xs = np.where(rng.random(300) < 0.5, -magnitudes, magnitudes)
+    edges = [0.0, -0.0, 5e-324, -1e-300, 0.4999999999999999, -0.4999999999999999]
+    return np.concatenate([xs, rng.uniform(-0.5, 0.5, 200), edges])
+
+
+def test_jordan_series_matches_mpmath():
+    # the Horner branch of _jordan, |x| < 0.5, against the closed form at 400 digits
+    xs = _small_exponents()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = sl.group._jordan(xs)
+    assert max(_ulps(got, [_jordan_reference(x) for x in xs])) <= 2.0
+
+
+@pytest.mark.parametrize("a", (*A_VALUES, 3.7))
+def test_exp_alg_at_small_exponent_matches_mpmath(a):
+    # v = e1 + e3 + c4*e4 at t = 1: x1 = phi1(a*c4), x2 = jordan(c4), x3 = phi1(c4)
+    p = sl.GroupParam(a)
+    c4 = _small_exponents()
+    g = sl.exp_alg(p, sl.AlgebraVector(np.ones_like(c4), 0.0, np.ones_like(c4), c4))
+    assert max(_ulps(g.x1, [_phi1_reference(a * x) for x in c4])) <= 2.0
+    assert max(_ulps(g.x2, [_jordan_reference(x) for x in c4])) <= 2.0
+    assert max(_ulps(g.x3, [_phi1_reference(x) for x in c4])) <= 2.0
+
+
+# the floats around log of the largest float, 709.78, where exp and expm1 overflow
+OVERFLOW_EDGE = [709.782712893384 + k * math.ulp(709.782712893384) for k in range(-4, 5)]
+
+
+@pytest.mark.parametrize("name", ("exp", "expm1"))
+def test_exponentials_raise_exactly_where_a_finite_row_overflows(name):
+    law, kernel = getattr(sl.group, name), getattr(np, name)
+    for x in [*OVERFLOW_EDGE, 0.0, -1.0, 709.0, 710.0, 800.0, 1e308, -800.0, -1e308]:
+        with np.errstate(over="ignore"):
+            overflows = math.isinf(kernel(x))
+        assert overflows == (x > 709.782712893384)  # where math.exp starts raising
+        for arg in (x, np.array([0.5, x, -2.0])):
+            if overflows:
+                with pytest.raises(OverflowError, match="^math range error$"):
+                    law(arg)
+            else:
+                got = law(arg)
+                assert type(got) is (float if arg is x else np.ndarray)
+                assert np.array_equal(got, kernel(arg))
+
+
+@pytest.mark.parametrize("name", ("exp", "expm1"))
+def test_exponentials_of_nan_and_infinite_rows_do_not_raise(name):
+    # NaN, e^inf = inf and e^-inf = 0 (expm1: -1), as math gives them
+    law, reference = getattr(sl.group, name), getattr(math, name)
+    xs = [math.nan, math.inf, -math.inf]
+    want = np.array([reference(x) for x in xs])
+    assert np.array_equal([law(x) for x in xs], want, equal_nan=True)
+    assert np.array_equal(law(np.array(xs)), want, equal_nan=True)
+    with pytest.raises(OverflowError):  # they do not hide an overflowing row
+        law(np.array([*xs, 710.0]))
 
 
 # ---------------------------------------------------------------- automorphisms
