@@ -37,8 +37,6 @@ from .sections import (
 )
 from .subgroups import classify_suite, fixed_point_suite
 
-__all__ = ["main", "build_parser", "COMMANDS"]
-
 
 # ------------------------------------------------------------ argument glue
 

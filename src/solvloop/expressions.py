@@ -21,25 +21,6 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "Const",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "Node",
-    "ExpressionError",
-    "EvaluationError",
-    "FUNCTIONS",
-    "parse",
-    "as_function",
-    "evaluate",
-    "enclose",
-    "substitute",
-    "variables",
-    "derivative",
-]
-
 
 class ExpressionError(ValueError):
     """Malformed expression text; carries the offending position."""

@@ -24,40 +24,9 @@ bits across CPUs) and raise OverflowError, a usage error on the command line.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-__all__ = [
-    "GroupParam",
-    "GroupElement",
-    "AlgebraVector",
-    "AutomorphismParams",
-    "VariantMismatchError",
-    "IDENTITY",
-    "E1",
-    "E2",
-    "E3",
-    "E4",
-    "coordinate_distance",
-    "exp",
-    "expm1",
-    "stack",
-    "split",
-    "largest",
-    "mul",
-    "inv",
-    "conjugate",
-    "as_matrix",
-    "algebra_matrix",
-    "bracket",
-    "commutator_oracle",
-    "exp_alg",
-    "apply_automorphism",
-    "automorphism_matrix",
-    "central_defect",
-    "standard_center_probes",
-]
 
 
 class VariantMismatchError(ValueError):
@@ -355,30 +324,29 @@ def apply_automorphism(p: GroupParam, phi: AutomorphismParams, v: AlgebraVector)
     return AlgebraVector(*(r[0] * v.c1 + r[1] * v.c2 + r[2] * v.c3 + r[3] * v.c4 for r in m))
 
 
-def standard_center_probes(p: GroupParam) -> list[GroupElement]:
-    """Probe set that separates every nonzero tangent direction from the centre."""
-    return [exp_alg(p, E4), exp_alg(p, E1), exp_alg(p, E3)]
-
-
+# exp_alg(p, E4), exp_alg(p, E1) and exp_alg(p, E3), the same for every a:
+# points with x4 != 0, x1 != 0 and x3 != 0, which together separate every
+# nonzero tangent direction from the centre
+CENTER_PROBES = (
+    GroupElement(0.0, 0.0, 0.0, 1.0),
+    GroupElement(1.0, 0.0, 0.0, 0.0),
+    GroupElement(0.0, 0.0, 1.0, 0.0),
+)
 _CENTER_TIMES = (0.25, 0.5, 1.0)
 
 
-def central_defect(p: GroupParam, v: AlgebraVector, probes: Iterable[GroupElement]):
-    """Largest commutation failure of exp(t*v) against the probes, t in _CENTER_TIMES.
+def central_defect(p: GroupParam, v: AlgebraVector):
+    """Largest commutation failure of exp(t*v) against CENTER_PROBES, t in _CENTER_TIMES.
 
-    Zero for v = 0; strictly positive for every nonzero v once the probes
-    include points with x4 != 0, x1 != 0 and x3 != 0, which certifies a
-    trivial centre on the sampled directions.  A float for a vector v, the
-    failure of each for columns of vectors.  Every (vector, t, probe) triple
-    is one row of one column pass.
+    Zero for v = 0 and strictly positive for every nonzero v, which
+    certifies a trivial centre on the sampled directions.  A float for a
+    vector v, the failure of each for columns of vectors.  Every
+    (vector, t, probe) triple is one row of one column pass.
     """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("probe set must be nonempty")
     vs = np.reshape(np.broadcast_arrays(*v.coords), (4, -1))  # a vector per column
-    n, pairs = vs.shape[1], len(_CENTER_TIMES) * len(probes)
-    t = np.tile(np.repeat(_CENTER_TIMES, len(probes)), n)
+    n, pairs = vs.shape[1], len(_CENTER_TIMES) * len(CENTER_PROBES)
+    t = np.tile(np.repeat(_CENTER_TIMES, len(CENTER_PROBES)), n)
     g = exp_alg(p, AlgebraVector(*np.repeat(vs, pairs, axis=1)), t)
-    q = GroupElement(*np.tile(stack(probes).coords, len(_CENTER_TIMES) * n))
+    q = GroupElement(*np.tile(stack(CENTER_PROBES).coords, len(_CENTER_TIMES) * n))
     worst = coordinate_distance(mul(p, g, q).coords, mul(p, q, g).coords).reshape(n, pairs).max(1)
     return worst if np.broadcast(*v.coords).ndim else float(worst[0])

@@ -51,20 +51,6 @@ from .sections import (
 )
 from .subgroups import LoopPoint, decompose, embed
 
-__all__ = [
-    "RightDivisionError",
-    "NoRootInBoxError",
-    "MultipleRootsError",
-    "SolverDivergenceError",
-    "loop_mul",
-    "loop_ldiv",
-    "loop_rdiv_batch",
-    "coset_cross_check",
-    "associativity_defect",
-    "axiom_suite",
-    "loop_suite",
-]
-
 
 class RightDivisionError(RuntimeError):
     """Right division could not be certified on the search window."""

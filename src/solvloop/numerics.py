@@ -30,14 +30,6 @@ import numpy as np
 from . import expressions
 from .group import exp, largest
 
-__all__ = [
-    "FitResult",
-    "root_rows",
-    "narrow_roots",
-    "fit_saturating_exponential",
-    "twisted_additivity_residual",
-]
-
 
 # Boxes per enclosure.  The residual is enclosed on each box and on its
 # midpoint, so every float array of an enclosure then stays under 128 KiB;

@@ -17,15 +17,6 @@ import math
 import sys
 from typing import Optional
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "RNG",
-    "Check",
-    "VerificationReport",
-    "render_json",
-    "emit_report",
-]
-
 SCHEMA_VERSION = 1
 RNG = "PCG64"
 

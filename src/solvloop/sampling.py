@@ -22,8 +22,6 @@ import math
 
 import numpy as np
 
-__all__ = ["Stream"]
-
 M32 = 0xFFFFFFFF
 M64 = (1 << 64) - 1
 M128 = (1 << 128) - 1

@@ -37,24 +37,6 @@ from .report import VerificationReport
 from .sampling import Stream
 from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
 
-__all__ = [
-    "FunctionSpec",
-    "SectionSpec",
-    "PRESETS",
-    "BASE_POINT_TOL",
-    "section_value",
-    "section_lift",
-    "degeneracy_report",
-    "record_generation",
-    "generation_suite",
-    "lemma1_member",
-    "lemma1_suite",
-    "RightTranslationLine",
-    "right_translation_system",
-    "line_residual_rows",
-    "sharp_transitivity_check",
-]
-
 BASE_POINT_TOL = 1e-12
 
 _EXPR_VARIABLES = {2: ("x", "z"), 3: ("x", "y", "z")}

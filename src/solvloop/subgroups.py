@@ -41,25 +41,6 @@ from .group import (
 from .report import VerificationReport
 from .sampling import Stream
 
-__all__ = [
-    "SubgroupId",
-    "LoopPoint",
-    "DecompResult",
-    "SubalgebraClass",
-    "InadmissibleSubgroupError",
-    "admissible_subgroups",
-    "subgroup_generator",
-    "subgroup_element",
-    "embed",
-    "decompose",
-    "membership_residual",
-    "classify_subalgebra",
-    "classify_suite",
-    "fixed_point_witness",
-    "fixed_point_residual",
-    "fixed_point_suite",
-]
-
 
 class InadmissibleSubgroupError(ValueError):
     """Subgroup not available for this shape parameter."""
@@ -168,6 +149,8 @@ def membership_residual(sub: SubgroupId, g: GroupElement) -> float:
 
 class SubalgebraClass(NamedTuple):
     kind: Optional[SubgroupId]  # None for a normal direction
+    # None for a normal direction, or where the quotient k1 underflows to 0
+    # (the reducing map would not be invertible)
     automorphism: Optional[AutomorphismParams]
     scale: Optional[float] = None  # image of the generator is scale * canonical generator
 
@@ -191,15 +174,17 @@ def classify_subalgebra(p: GroupParam, b1: float, b2: float, b3: float) -> Subal
         )
         return SubalgebraClass(SubgroupId.H1, phi, scale=b1)
     if b1 != 0 and b2 == 0:
-        phi = AutomorphismParams(variant="generic", k1=1.0, l=1.0, n2=-b3 / b1)
-        return SubalgebraClass(SubgroupId.H1, phi, scale=b1)
+        return SubalgebraClass(SubgroupId.H1, _generic(1.0, -b3 / b1), scale=b1)
     if b1 != 0 and b2 != 0:
-        phi = AutomorphismParams(variant="generic", k1=b1 / b2, l=1.0, n2=-b3 / b1)
-        return SubalgebraClass(SubgroupId.H2, phi, scale=b1)
+        return SubalgebraClass(SubgroupId.H2, _generic(b1 / b2, -b3 / b1), scale=b1)
     if b2 * b3 != 0:
-        phi = AutomorphismParams(variant="generic", k1=b3 / b2, l=1.0)
-        return SubalgebraClass(SubgroupId.H3, phi, scale=b3)
+        return SubalgebraClass(SubgroupId.H3, _generic(b3 / b2), scale=b3)
     return SubalgebraClass(None, None)
+
+
+def _generic(k1: float, n2: float = 0.0) -> Optional[AutomorphismParams]:
+    """The generic automorphism with l = 1; None where the quotient k1 underflowed to 0."""
+    return AutomorphismParams(variant="generic", k1=k1, l=1.0, n2=n2) if k1 != 0 else None
 
 
 def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> VerificationReport:
@@ -212,7 +197,19 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
     result = classify_subalgebra(p, b1, b2, b3)
     report = VerificationReport(seed=None)
     report.data["class"] = "NormalInadmissible" if result.kind is None else result.kind.value
-    if result.automorphism is not None:
+    if result.kind is None:
+        report.record(
+            "classification",
+            True,
+            n_samples=1,
+            notes="NormalInadmissible: no automorphism reduces this span to a "
+            "section-admissible subgroup",
+        )
+    elif result.automorphism is None:
+        for name in ("canonical-collinearity", "automorphism-preserves-brackets"):
+            report.record(name, False, notes="k1 underflows to 0: the reducing map is not invertible")
+        report.data["scale"] = result.scale
+    else:
         phi = result.automorphism
         generator = AlgebraVector(b2, b3, b1, 0.0)
         image = apply_automorphism(p, phi, generator)
@@ -234,14 +231,6 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
         )
         report.data["automorphism"] = dict(vars(phi))
         report.data["scale"] = result.scale
-    else:
-        report.record(
-            "classification",
-            True,
-            n_samples=1,
-            notes="NormalInadmissible: no automorphism reduces this span to a "
-            "section-admissible subgroup",
-        )
     return report
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import solvloop as sl
-from solvloop import SubgroupId
+from solvloop.subgroups import SubgroupId
 from solvloop.cli import main
 
 A_SWEEP = (-1.0, 0.5, 1.0, 2.0)
@@ -61,19 +61,19 @@ def test_criterion_01_group_oracle(capfd):
         rng = np.random.default_rng(1001)
         for _ in range(per_a):
             g, h, k = rand_element(rng), rand_element(rng), rand_element(rng)
-            prod = sl.mul(p, g, h)
-            rhs = sl.as_matrix(p, g) @ sl.as_matrix(p, h)
+            prod = sl.group.mul(p, g, h)
+            rhs = sl.group.as_matrix(p, g) @ sl.group.as_matrix(p, h)
             scale = max(1.0, float(np.abs(rhs).max()))
-            worst = max(worst, float(np.abs(sl.as_matrix(p, prod) - rhs).max()) / scale)
+            worst = max(worst, float(np.abs(sl.group.as_matrix(p, prod) - rhs).max()) / scale)
             worst = max(
                 worst,
-                sl.coordinate_distance(sl.mul(p, g, sl.inv(p, g)).coords, origin),
-                sl.coordinate_distance(sl.mul(p, sl.inv(p, g), g).coords, origin),
+                sl.group.coordinate_distance(sl.group.mul(p, g, sl.group.inv(p, g)).coords, origin),
+                sl.group.coordinate_distance(sl.group.mul(p, sl.group.inv(p, g), g).coords, origin),
             )
             worst = max(
                 worst,
-                sl.coordinate_distance(
-                    sl.mul(p, prod, k).coords, sl.mul(p, g, sl.mul(p, h, k)).coords
+                sl.group.coordinate_distance(
+                    sl.group.mul(p, prod, k).coords, sl.group.mul(p, g, sl.group.mul(p, h, k)).coords
                 ),
             )
     verdict(capfd, 1, "group-oracle", worst <= 1e-12, f"max residual {worst:.3e}")
@@ -88,14 +88,14 @@ def test_criterion_02_lie_algebra(capfd):
         rng = np.random.default_rng(1002)
         for _ in range(150):
             u, v, w = (
-                sl.AlgebraVector(*(float(x) / 4.0 for x in rng.integers(-8, 9, 4)))
+                sl.group.AlgebraVector(*(float(x) / 4.0 for x in rng.integers(-8, 9, 4)))
                 for _ in range(3)
             )
-            exact &= sl.bracket(p, u, v).coords == sl.commutator_oracle(p, u, v).coords
+            exact &= sl.group.bracket(p, u, v).coords == sl.group.commutator_oracle(p, u, v).coords
             jac = (
-                sl.bracket(p, u, sl.bracket(p, v, w))
-                .plus(sl.bracket(p, v, sl.bracket(p, w, u)))
-                .plus(sl.bracket(p, w, sl.bracket(p, u, v)))
+                sl.group.bracket(p, u, sl.group.bracket(p, v, w))
+                .plus(sl.group.bracket(p, v, sl.group.bracket(p, w, u)))
+                .plus(sl.group.bracket(p, w, sl.group.bracket(p, u, v)))
             )
             exact &= jac.coords == (0.0, 0.0, 0.0, 0.0)
     exp_worst = 0.0
@@ -104,10 +104,10 @@ def test_criterion_02_lie_algebra(capfd):
         # membership is a parameter-free set condition, so all four canonical
         # generators are checked at every a, including the merged a=1 case
         for sub in SubgroupId:
-            gen = sl.subgroup_generator(sub)
+            gen = sl.subgroups.subgroup_generator(sub)
             for t in np.linspace(-2.0, 2.0, 9):
-                g = sl.exp_alg(p, gen, t=float(t))
-                exp_worst = max(exp_worst, sl.membership_residual(sub, g))
+                g = sl.group.exp_alg(p, gen, t=float(t))
+                exp_worst = max(exp_worst, sl.subgroups.membership_residual(sub, g))
     ok = exact and exp_worst <= 1e-9
     verdict(capfd, 2, "lie-algebra", ok,
             f"tables exact={exact}, exp membership {exp_worst:.3e}")
@@ -131,7 +131,7 @@ def test_criterion_03_classification(capfd):
         for b1, b2, b3 in triples:
             if b1 == 0 and b2 == 0 and b3 == 0:
                 continue
-            cls = sl.classify_subalgebra(p, b1, b2, b3)
+            cls = sl.subgroups.classify_subalgebra(p, b1, b2, b3)
             n_cases += 1
             if a == 1.0:
                 expect = SubgroupId.H1 if b1 != 0 else None
@@ -146,20 +146,20 @@ def test_criterion_03_classification(capfd):
             split_ok &= cls.kind is expect
             if cls.automorphism is None:
                 continue
-            T = sl.automorphism_matrix(p, cls.automorphism)
+            T = sl.group.automorphism_matrix(p, cls.automorphism)
             v_in = np.array([b2, b3, b1, 0.0])
-            target = cls.scale * np.array(sl.subgroup_generator(cls.kind).coords)
+            target = cls.scale * np.array(sl.subgroups.subgroup_generator(cls.kind).coords)
             worst_span = max(
-                worst_span, sl.coordinate_distance(tuple(T @ v_in), tuple(target))
+                worst_span, sl.group.coordinate_distance(tuple(T @ v_in), tuple(target))
             )
             for _ in range(2):
-                u = sl.AlgebraVector(*(float(x) for x in rng.uniform(-2, 2, 4)))
-                w = sl.AlgebraVector(*(float(x) for x in rng.uniform(-2, 2, 4)))
-                Tu = sl.AlgebraVector(*(float(x) for x in T @ np.array(u.coords)))
-                Tw = sl.AlgebraVector(*(float(x) for x in T @ np.array(w.coords)))
-                lhs = sl.bracket(p, Tu, Tw).coords
-                rhs = tuple(float(x) for x in T @ np.array(sl.bracket(p, u, w).coords))
-                worst_bracket = max(worst_bracket, sl.coordinate_distance(lhs, rhs))
+                u = sl.group.AlgebraVector(*(float(x) for x in rng.uniform(-2, 2, 4)))
+                w = sl.group.AlgebraVector(*(float(x) for x in rng.uniform(-2, 2, 4)))
+                Tu = sl.group.AlgebraVector(*(float(x) for x in T @ np.array(u.coords)))
+                Tw = sl.group.AlgebraVector(*(float(x) for x in T @ np.array(w.coords)))
+                lhs = sl.group.bracket(p, Tu, Tw).coords
+                rhs = tuple(float(x) for x in T @ np.array(sl.group.bracket(p, u, w).coords))
+                worst_bracket = max(worst_bracket, sl.group.coordinate_distance(lhs, rhs))
     ok = (
         n_cases >= 1000
         and split_ok
@@ -183,7 +183,7 @@ def test_criterion_04_loop_axioms(capfd):
     worst_cross = 0.0
     for case, preset, a in configs:
         c = loop_case(case, preset, a=a)
-        rep = sl.axiom_suite(c, n_samples=120, seed=1004)
+        rep = sl.loops.axiom_suite(c, n_samples=120, seed=1004)
         by_name = {ch.name: ch for ch in rep.checks}
         suites_ok &= rep.status == "pass"
         identity_exact &= by_name["identity-laws"].max_error == 0.0
@@ -192,7 +192,7 @@ def test_criterion_04_loop_axioms(capfd):
         for _ in range(125):
             m1 = rand_point(rng, z_half=5.0)
             m2 = rand_point(rng, z_half=5.0)
-            worst_cross = max(worst_cross, sl.coset_cross_check(c, m1, m2))
+            worst_cross = max(worst_cross, sl.loops.coset_cross_check(c, m1, m2))
     ok = suites_ok and identity_exact and worst_cross <= 1e-10
     verdict(capfd, 4, "loop-axioms", ok,
             f"suites pass={suites_ok}, identities exact={identity_exact}, "
@@ -217,11 +217,11 @@ def test_criterion_05_properness(capfd):
         c = loop_case(case, preset, coefficient=coeff)
         gen_ok &= sl.generation_suite(c).data["verdict"]["generates"] is True
         if (case, preset) in witnesses:
-            defect = sl.associativity_defect(c, *witnesses[(case, preset)])
+            defect = sl.loops.associativity_defect(c, *witnesses[(case, preset)])
         else:
             rng = np.random.default_rng(1005)
             defect = max(
-                sl.associativity_defect(
+                sl.loops.associativity_defect(
                     c,
                     rand_point(rng, z_half=0.5),
                     rand_point(rng, z_half=0.5),
@@ -256,15 +256,15 @@ def test_criterion_06_saturating_family(capfd):
     zs = np.linspace(-3.0, 3.0, 50)
     fit_ok = True
     for K in (-3.0, 0.5, 2.0):
-        fit = sl.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
+        fit = sl.numerics.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
         fit_ok &= abs(fit.coefficient - K) <= 1e-9
     member_res = max(
-        sl.twisted_additivity_residual(
+        sl.numerics.twisted_additivity_residual(
             lambda z, K=K: K * -np.expm1(-z), list(zs), K * -np.expm1(-zs)
         )
         for K in (-3.0, 0.5, 2.0)
     )
-    perturbed_res = sl.twisted_additivity_residual(
+    perturbed_res = sl.numerics.twisted_additivity_residual(
         lambda z: 2.0 * -np.expm1(-z) + 0.01 * z * z, list(zs),
         2.0 * -np.expm1(-zs) + 0.01 * zs * zs,
     )
@@ -304,8 +304,8 @@ def test_criterion_08_fixed_coset(capfd):
         for _ in range(100):
             g4 = float(rng.uniform(0.1, 3.0)) * (1 if rng.random() < 0.5 else -1)
             g = sl.GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3)), g4)
-            m = sl.fixed_point_witness(p, g)
-            worst = max(worst, sl.fixed_point_residual(p, g, m))
+            m = sl.subgroups.fixed_point_witness(p, g)
+            worst = max(worst, sl.subgroups.fixed_point_residual(p, g, m))
     verdict(capfd, 8, "fixed-coset", worst <= 1e-10, f"max residual {worst:.3e}")
 
 
@@ -317,7 +317,7 @@ def test_criterion_09_normalizer_obstruction(capfd):
     n_checked = 0
     for a in A_SWEEP:
         p = sl.GroupParam(a)
-        subs = sl.admissible_subgroups(p)
+        subs = sl.subgroups.admissible_subgroups(p)
         rng = np.random.default_rng(1009)
         for i in range(2500):
             xs = [float(v) for v in rng.uniform(-5, 5, 3)]
@@ -330,7 +330,7 @@ def test_criterion_09_normalizer_obstruction(capfd):
                 expect = False
             n_checked += 1
             sub = subs[i % len(subs)]
-            dichotomy_ok &= sl.normalizes(p, g, sub) is expect
+            dichotomy_ok &= sl.multgroup.normalizes(p, g, sub) is expect
     certs_ok = True
     for a in A_SWEEP:
         cert = sl.theorem2_suite(sl.GroupParam(a), n_samples=300, seed=1009).data["certificate"]

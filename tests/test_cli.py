@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -344,6 +345,24 @@ def test_classify_reports_class_and_automorphism(tmp_path):
     assert obj["seed"] == 0  # the bracket pairs are drawn at seed 0
 
 
+@pytest.mark.parametrize("b, cls, named", [
+    (("1e-320", "1e300", "1e300"), "H2", "k1 underflows to 0"),
+    (("0", "1e300", "1e-320"), "H3", "k1 underflows to 0"),
+    (("1e300", "1e-300", "1e300"), "H2", "non-finite max_error"),
+])
+def test_classify_extreme_span_fails_with_report(tmp_path, b, cls, named):
+    # a reducing coefficient k1 that underflows to 0 or overflows to inf
+    # refutes every automorphism check in a written report
+    args = ["classify", "--a", "2", *(x for pair in zip(("--b1", "--b2", "--b3"), b) for x in pair)]
+    code, path = run_to_file(tmp_path, "cls.json", args)
+    assert code == 1
+    obj = json.loads(path.read_text())
+    assert obj["data"]["class"] == cls
+    checks = {c["name"]: c for c in obj["checks"]}
+    assert set(checks) == {"canonical-collinearity", "automorphism-preserves-brackets"}
+    assert all(c["status"] == "fail" and named in c["notes"] for c in checks.values())
+
+
 def test_classify_inadmissible_direction(tmp_path):
     code, path = run_to_file(
         tmp_path, "cls2.json",
@@ -567,6 +586,34 @@ def test_import_loads_neither_dataclasses_nor_numpy_random():
     script = "import sys, solvloop.cli; print('dataclasses' in sys.modules, 'numpy.random' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["False", "False"], proc.stderr
+
+
+PACKAGE_NAMES = [
+    "group_suite", "theorem2_suite", "classify_suite", "fixed_point_suite", "generation_suite",
+    "lemma1_suite", "loop_suite", "sharp_transitivity_check", "main", "GroupParam", "GroupElement",
+    "LoopPoint", "FunctionSpec", "SectionSpec", "PRESETS", "VerificationReport",
+]
+
+
+def test_package_exports_the_suites_and_their_types():
+    # `import solvloop` gives the suites, main and the types the suites take
+    # or return; every README subcommand row names its suite's module
+    root = Path(solvloop.__file__).resolve().parent.parent.parent
+    rows = re.findall(r"^\| `[a-z0-9-]+` +\| `(\w+)\.(\w+)` +\|$", (root / "README.md").read_text(), re.M)
+    assert len(rows) == len(COMMANDS)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import json, sys, types, solvloop\n"
+        "names = [n for n, v in vars(solvloop).items() if n[0] != '_' and not isinstance(v, types.ModuleType)]\n"
+        "same = [getattr(getattr(solvloop, m), s) is getattr(solvloop, s) for m, s in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([sorted(names), hasattr(solvloop, '__version__'), same]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(rows)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names, version, same = json.loads(proc.stdout)
+    assert (names, version) == (sorted(PACKAGE_NAMES), True)
+    assert same == [True] * len(rows), rows
 
 
 def test_command_table_matches_parser(capsys):

@@ -16,10 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import solvloop as sl
-from solvloop import SubgroupId
 from solvloop.group import exp, expm1, stack
 from solvloop.loops import _product
-from solvloop.subgroups import DecompResult
+from solvloop.subgroups import DecompResult, SubgroupId
 
 
 def rdiv(spec, b, m2):
@@ -97,13 +96,13 @@ def test_group_laws_rows_equal_scalar_calls(a, rows):
     h = _columns(sl.GroupElement, [r[4:] for r in rows])
     pairs = list(zip(gs, hs))
     for law in (
-        lambda g, h: sl.mul(p, g, h),
-        lambda g, h: sl.conjugate(p, g, h),
-        lambda g, h: sl.coordinate_distance(g.coords, h.coords),
-        lambda g, h: sl.coordinate_distance(g.coords, (0.0, h.x2, 1.0, h.x4)),
+        lambda g, h: sl.group.mul(p, g, h),
+        lambda g, h: sl.group.conjugate(p, g, h),
+        lambda g, h: sl.group.coordinate_distance(g.coords, h.coords),
+        lambda g, h: sl.group.coordinate_distance(g.coords, (0.0, h.x2, 1.0, h.x4)),
     ):
         _assert_rows_match(law, pairs, (g, h))
-    for law in (lambda g: sl.inv(p, g), lambda g: sl.as_matrix(p, g)):
+    for law in (lambda g: sl.group.inv(p, g), lambda g: sl.group.as_matrix(p, g)):
         _assert_rows_match(law, [(x,) for x in gs], (g,))
 
 
@@ -111,26 +110,26 @@ def test_group_laws_rows_equal_scalar_calls(a, rows):
 @given(a=st.sampled_from(A_VALUES), rows=_rows(8))
 def test_algebra_laws_rows_equal_scalar_calls(a, rows):
     p = sl.GroupParam(a)
-    us = [sl.AlgebraVector(*r[:4]) for r in rows]
-    vs = [sl.AlgebraVector(*r[4:]) for r in rows]
-    u = _columns(sl.AlgebraVector, [r[:4] for r in rows])
-    v = _columns(sl.AlgebraVector, [r[4:] for r in rows])
+    us = [sl.group.AlgebraVector(*r[:4]) for r in rows]
+    vs = [sl.group.AlgebraVector(*r[4:]) for r in rows]
+    u = _columns(sl.group.AlgebraVector, [r[:4] for r in rows])
+    v = _columns(sl.group.AlgebraVector, [r[4:] for r in rows])
     pairs = list(zip(us, vs))
-    _assert_rows_match(lambda u, v: sl.bracket(p, u, v), pairs, (u, v))
-    _assert_rows_match(lambda u, v: sl.commutator_oracle(p, u, v), pairs, (u, v))
-    _assert_rows_match(lambda u: sl.algebra_matrix(p, u), [(x,) for x in us], (u,))
+    _assert_rows_match(lambda u, v: sl.group.bracket(p, u, v), pairs, (u, v))
+    _assert_rows_match(lambda u, v: sl.group.commutator_oracle(p, u, v), pairs, (u, v))
+    _assert_rows_match(lambda u: sl.group.algebra_matrix(p, u), [(x,) for x in us], (u,))
 
 
 @settings(max_examples=150)
 @given(a=st.sampled_from(A_VALUES), rows=_rows(5))
 def test_exponential_rows_equal_scalar_calls(a, rows):
     p = sl.GroupParam(a)
-    flows = [(sl.AlgebraVector(*r[:4]), r[4]) for r in rows]
-    v, t = _columns(sl.AlgebraVector, [r[:4] for r in rows]), np.array([r[4] for r in rows])
-    _assert_rows_match(lambda v, t: sl.exp_alg(p, v, t), flows, (v, t))
-    _assert_rows_match(lambda v: sl.exp_alg(p, v), [(x,) for x, _ in flows], (v,))
-    for fixed in (sl.E3, sl.AlgebraVector(1.0, 1.0, 0.0, 0.0), sl.AlgebraVector(*rows[0][:4])):
-        _assert_rows_match(lambda t: sl.exp_alg(p, fixed, t), [(x,) for _, x in flows], (t,))
+    flows = [(sl.group.AlgebraVector(*r[:4]), r[4]) for r in rows]
+    v, t = _columns(sl.group.AlgebraVector, [r[:4] for r in rows]), np.array([r[4] for r in rows])
+    _assert_rows_match(lambda v, t: sl.group.exp_alg(p, v, t), flows, (v, t))
+    _assert_rows_match(lambda v: sl.group.exp_alg(p, v), [(x,) for x, _ in flows], (v,))
+    for fixed in (sl.group.E3, sl.group.AlgebraVector(1.0, 1.0, 0.0, 0.0), sl.group.AlgebraVector(*rows[0][:4])):
+        _assert_rows_match(lambda t: sl.group.exp_alg(p, fixed, t), [(x,) for _, x in flows], (t,))
 
 
 _COEFF = st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3)
@@ -141,13 +140,13 @@ _COEFF = st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3)
 def test_automorphism_rows_equal_scalar_calls(a, k, rows):
     p = sl.GroupParam(a)
     merged = dict(k2=k[1], n1=k[3]) if a == 1.0 else {}
-    phi = sl.AutomorphismParams(
+    phi = sl.group.AutomorphismParams(
         "merged" if merged else "generic", k1=k[0], l=k[2], n2=k[4], f1=k[5], f2=k[6], f3=k[7],
         **merged,
     )
-    vs = [(sl.AlgebraVector(*r),) for r in rows]
-    v = _columns(sl.AlgebraVector, rows)
-    _assert_rows_match(lambda v: sl.apply_automorphism(p, phi, v), vs, (v,))
+    vs = [(sl.group.AlgebraVector(*r),) for r in rows]
+    v = _columns(sl.group.AlgebraVector, rows)
+    _assert_rows_match(lambda v: sl.group.apply_automorphism(p, phi, v), vs, (v,))
 
 
 @settings(max_examples=150)
@@ -161,9 +160,9 @@ def test_classify_automorphisms_equal_the_former_matrix_product(a, b, rows):
     assume(any(b))
     phi = sl.subgroups.classify_subalgebra(p, *b).automorphism
     assume(phi is not None)
-    m = sl.automorphism_matrix(p, phi)
+    m = sl.group.automorphism_matrix(p, phi)
     with np.errstate(all="ignore"):
-        got = sl.apply_automorphism(p, phi, _columns(sl.AlgebraVector, rows))
+        got = sl.group.apply_automorphism(p, phi, _columns(sl.group.AlgebraVector, rows))
         for i, row in enumerate(rows):
             want = (m @ np.array(row, dtype=float)).tolist()
             have = _flat(got, i, len(rows))
@@ -173,25 +172,32 @@ def test_classify_automorphisms_equal_the_former_matrix_product(a, b, rows):
 @pytest.mark.parametrize("a", A_VALUES)
 def test_central_defect_equals_per_time_reference(a):
     p = sl.GroupParam(a)
-    probes = sl.standard_center_probes(p)
-    q = stack(probes)
+    q = stack(sl.group.CENTER_PROBES)
     rng = np.random.default_rng(5)
-    randoms = [sl.AlgebraVector(*r) for r in rng.uniform(-2, 2, (5, 4))]
-    for v in [*sl.CENTER_TEST_DIRECTIONS, *randoms]:
+    randoms = [sl.group.AlgebraVector(*r) for r in rng.uniform(-2, 2, (5, 4))]
+    for v in [*sl.multgroup.CENTER_TEST_DIRECTIONS, *randoms]:
         reference = 0.0
         for t in (0.25, 0.5, 1.0):
-            g = sl.exp_alg(p, v, t)
-            d = sl.coordinate_distance(sl.mul(p, g, q).coords, sl.mul(p, q, g).coords)
+            g = sl.group.exp_alg(p, v, t)
+            d = sl.group.coordinate_distance(sl.group.mul(p, g, q).coords, sl.group.mul(p, q, g).coords)
             reference = max(reference, float(np.max(d)))
-        assert sl.central_defect(p, v, probes) == reference
+        assert sl.group.central_defect(p, v) == reference
+
+
+@pytest.mark.parametrize("a", (2.0, -1.0, 1.0, 0.5, 1e-3, 700.0, -700.0, 1e-300))
+def test_center_probes_are_the_basis_exponentials(a):
+    # the constant probes are exp_alg at E4, E1 and E3 bit for bit, signs of zero included
+    p = sl.GroupParam(a)
+    for probe, v in zip(sl.group.CENTER_PROBES, (sl.group.E4, sl.group.E1, sl.group.E3)):
+        got = sl.group.exp_alg(p, v)
+        assert all(_same_bits(x, y) for x, y in zip(got, probe)), (a, got, probe)
 
 
 @pytest.mark.parametrize("a", (*A_VALUES, 1e-3))
 def test_min_center_defect_equals_per_direction_reference(a):
     # one column pass over every direction, against a central_defect call per direction
     p = sl.GroupParam(a)
-    probes = sl.standard_center_probes(p)
-    reference = min(sl.central_defect(p, v, probes) for v in sl.CENTER_TEST_DIRECTIONS)
+    reference = min(sl.group.central_defect(p, v) for v in sl.multgroup.CENTER_TEST_DIRECTIONS)
     assert _same_bits(sl.multgroup.min_center_defect(p), reference)
 
 
@@ -205,21 +211,21 @@ def test_subgroup_charts_rows_equal_scalar_calls(a, rows):
     for sub in SubgroupId:
         if a == 1.0 and sub in (SubgroupId.H2, SubgroupId.H3):
             continue
-        _assert_rows_match(lambda m: sl.embed(p, sub, m), ms, (m,))
-        _assert_rows_match(lambda g: sl.decompose(p, sub, g), gs, (g,))
-        _assert_rows_match(lambda g: sl.membership_residual(sub, g), gs, (g,))
+        _assert_rows_match(lambda m: sl.subgroups.embed(p, sub, m), ms, (m,))
+        _assert_rows_match(lambda g: sl.subgroups.decompose(p, sub, g), gs, (g,))
+        _assert_rows_match(lambda g: sl.subgroups.membership_residual(sub, g), gs, (g,))
         if sub.admissible(p):
-            _assert_rows_match(lambda g: sl.normalizes(p, g, sub), gs, (g,))
+            _assert_rows_match(lambda g: sl.multgroup.normalizes(p, g, sub), gs, (g,))
 
 
 def test_scalar_calls_keep_python_scalars():
     p = sl.GroupParam(2.0)
     g = sl.GroupElement(1.0, -2.0, 0.5, 0.0)
-    assert sl.normalizes(p, g, SubgroupId.H1) is True
-    assert type(sl.coordinate_distance((1.0, math.nan), (1.0, 0.0))) is float
-    assert sl.as_matrix(p, g).shape == (4, 4)
+    assert sl.multgroup.normalizes(p, g, SubgroupId.H1) is True
+    assert type(sl.group.coordinate_distance((1.0, math.nan), (1.0, 0.0))) is float
+    assert sl.group.as_matrix(p, g).shape == (4, 4)
     spec = sl.SectionSpec("A", p, sl.FunctionSpec.preset("sin-small", 2))
-    assert type(sl.section_value(spec, sl.LoopPoint(1.0, 0.0, 0.5))) is float
+    assert type(sl.sections.section_value(spec, sl.LoopPoint(1.0, 0.0, 0.5))) is float
 
 
 # ---------------------------------------------------------------- loop laws
@@ -252,13 +258,13 @@ def test_loop_laws_rows_equal_scalar_calls(case, a, fn, rows):
     m2 = _columns(sl.LoopPoint, [r[3:] for r in rows])
     pairs = list(zip(m1s, m2s))
     for law in (
-        lambda m1, m2: sl.loop_mul(spec, m1, m2),
-        lambda m1, m2: sl.loop_ldiv(spec, m1, m2),
+        lambda m1, m2: sl.loops.loop_mul(spec, m1, m2),
+        lambda m1, m2: sl.loops.loop_ldiv(spec, m1, m2),
         lambda m1, m2: _product(spec, m1, m2, m2.x),
-        lambda m1, m2: sl.coset_cross_check(spec, m1, m2),
+        lambda m1, m2: sl.loops.coset_cross_check(spec, m1, m2),
     ):
         _assert_rows_match(law, pairs, (m1, m2))
-    for law in (lambda m: sl.section_value(spec, m), lambda m: sl.section_lift(spec, m)):
+    for law in (lambda m: sl.sections.section_value(spec, m), lambda m: sl.sections.section_lift(spec, m)):
         _assert_rows_match(law, [(m,) for m in m1s], (m1,))
 
 
@@ -346,7 +352,7 @@ def test_right_translation_system_rows_equal_scalar_calls(case, a, rows, box):
 
     def scalar(r):
         m2, b = sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])
-        line = _error_text(lambda: sl.right_translation_system(spec, m2, b))
+        line = _error_text(lambda: sl.sections.right_translation_system(spec, m2, b))
         return line if isinstance(line, str) else (fields(line), _error_text(lambda: line.window(*box)))
 
     with np.errstate(all="ignore"):
@@ -356,7 +362,7 @@ def test_right_translation_system_rows_equal_scalar_calls(case, a, rows, box):
         ]
         alone = [scalar(r) for r in rows]
         m2, b = _columns(sl.LoopPoint, [r[:3] for r in rows]), _columns(sl.LoopPoint, [r[3:] for r in rows])
-        line = _error_text(lambda: sl.right_translation_system(spec, m2, b))
+        line = _error_text(lambda: sl.sections.right_translation_system(spec, m2, b))
     texts = [want for want in expected if isinstance(want, str)]
     assert [x for x in alone if isinstance(x, str)] == texts
     if texts:
@@ -412,10 +418,10 @@ def test_mul_is_associative_with_two_sided_inverses(a, rows):
     p = sl.GroupParam(a)
     g, h, k = (_columns(sl.GroupElement, [r[i : i + 4] for r in rows]) for i in (0, 4, 8))
     zero = (0.0,) * 4
-    left, right = sl.mul(p, sl.mul(p, g, h), k), sl.mul(p, g, sl.mul(p, h, k))
-    assert sl.coordinate_distance(left.coords, right.coords).max() <= 1e-9
-    assert sl.coordinate_distance(sl.mul(p, g, sl.inv(p, g)).coords, zero).max() <= 1e-9
-    assert sl.coordinate_distance(sl.mul(p, sl.inv(p, g), g).coords, zero).max() <= 1e-9
+    left, right = sl.group.mul(p, sl.group.mul(p, g, h), k), sl.group.mul(p, g, sl.group.mul(p, h, k))
+    assert sl.group.coordinate_distance(left.coords, right.coords).max() <= 1e-9
+    assert sl.group.coordinate_distance(sl.group.mul(p, g, sl.group.inv(p, g)).coords, zero).max() <= 1e-9
+    assert sl.group.coordinate_distance(sl.group.mul(p, sl.group.inv(p, g), g).coords, zero).max() <= 1e-9
 
 
 @settings(max_examples=60)
@@ -428,16 +434,16 @@ def test_divisions_round_trip(case, fn, rows):
     c = _spec(case, 2.0, fn)
     m1 = _columns(sl.LoopPoint, [r[:3] for r in rows])
     b = _columns(sl.LoopPoint, [r[3:] for r in rows])
-    w = sl.loop_ldiv(c, m1, b)
-    assert sl.coordinate_distance(sl.loop_mul(c, m1, w).coords, b.coords).max() <= 1e-9
+    w = sl.loops.loop_ldiv(c, m1, b)
+    assert sl.group.coordinate_distance(sl.loops.loop_mul(c, m1, w).coords, b.coords).max() <= 1e-9
     if fn == "linear-x" and case != "A":
         return  # linear-x makes the case-B/C line equation singular where its slope is 1
     for r in rows:
         q0, m2 = sl.LoopPoint(*r[:3]), sl.LoopPoint(*r[3:])
-        target = sl.loop_mul(c, q0, m2)
+        target = sl.loops.loop_mul(c, q0, m2)
         q = rdiv(c, target, m2)
-        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, target.coords) <= 1e-8
-        assert sl.coordinate_distance(q.coords, q0.coords) <= 1e-8
+        assert sl.group.coordinate_distance(sl.loops.loop_mul(c, q, m2).coords, target.coords) <= 1e-8
+        assert sl.group.coordinate_distance(q.coords, q0.coords) <= 1e-8
 
 
 # ---------------------------------------------------------------- suites
@@ -454,7 +460,7 @@ def _group_suite_reference(p, n, seed):
         return float(np.abs(m1 - m2).max()) / scale
 
     def vector(bound):
-        return sl.AlgebraVector(*(float(v) for v in rng.integers(-bound, bound + 1, 4)))
+        return sl.group.AlgebraVector(*(float(v) for v in rng.integers(-bound, bound + 1, 4)))
 
     zero = (0.0, 0.0, 0.0, 0.0)
     worst = dict.fromkeys(
@@ -463,39 +469,39 @@ def _group_suite_reference(p, n, seed):
     )
     for _ in range(n):
         g, h = element(), element()
-        product = sl.as_matrix(p, g) @ sl.as_matrix(p, h)
-        d = matrix_distance(sl.as_matrix(p, sl.mul(p, g, h)), product)
+        product = sl.group.as_matrix(p, g) @ sl.group.as_matrix(p, h)
+        d = matrix_distance(sl.group.as_matrix(p, sl.group.mul(p, g, h)), product)
         worst["product-matrix-oracle"] = max(worst["product-matrix-oracle"], d)
     for _ in range(n):
         g = element()
         worst["two-sided-inverse"] = max(
             worst["two-sided-inverse"],
-            sl.coordinate_distance(sl.mul(p, g, sl.inv(p, g)).coords, zero),
-            sl.coordinate_distance(sl.mul(p, sl.inv(p, g), g).coords, zero),
+            sl.group.coordinate_distance(sl.group.mul(p, g, sl.group.inv(p, g)).coords, zero),
+            sl.group.coordinate_distance(sl.group.mul(p, sl.group.inv(p, g), g).coords, zero),
         )
     for _ in range(n):
         g, h, k = element(), element(), element()
-        d = sl.coordinate_distance(
-            sl.mul(p, sl.mul(p, g, h), k).coords, sl.mul(p, g, sl.mul(p, h, k)).coords
+        d = sl.group.coordinate_distance(
+            sl.group.mul(p, sl.group.mul(p, g, h), k).coords, sl.group.mul(p, g, sl.group.mul(p, h, k)).coords
         )
         worst["associativity"] = max(worst["associativity"], d)
     for _ in range(n):
         u, v = vector(5), vector(5)
-        d = sl.coordinate_distance(sl.bracket(p, u, v).coords, sl.commutator_oracle(p, u, v).coords)
+        d = sl.group.coordinate_distance(sl.group.bracket(p, u, v).coords, sl.group.commutator_oracle(p, u, v).coords)
         worst["bracket-commutator-oracle"] = max(worst["bracket-commutator-oracle"], d)
     for _ in range(n):
         u, v, w = vector(3), vector(3), vector(3)
         cyc = (
-            sl.bracket(p, u, sl.bracket(p, v, w))
-            .plus(sl.bracket(p, v, sl.bracket(p, w, u)))
-            .plus(sl.bracket(p, w, sl.bracket(p, u, v)))
+            sl.group.bracket(p, u, sl.group.bracket(p, v, w))
+            .plus(sl.group.bracket(p, v, sl.group.bracket(p, w, u)))
+            .plus(sl.group.bracket(p, w, sl.group.bracket(p, u, v)))
         )
-        worst["jacobi"] = max(worst["jacobi"], sl.coordinate_distance(cyc.coords, zero))
+        worst["jacobi"] = max(worst["jacobi"], sl.group.coordinate_distance(cyc.coords, zero))
     for _ in range(max(20, n // 10)):
-        v = sl.AlgebraVector(*(float(s) for s in rng.uniform(-2, 2, 4)))
+        v = sl.group.AlgebraVector(*(float(s) for s in rng.uniform(-2, 2, 4)))
         s, t = (float(u) for u in rng.uniform(-1.5, 1.5, 2))
-        lhs = sl.mul(p, sl.exp_alg(p, v, s), sl.exp_alg(p, v, t))
-        d = sl.coordinate_distance(lhs.coords, sl.exp_alg(p, v, s + t).coords)
+        lhs = sl.group.mul(p, sl.group.exp_alg(p, v, s), sl.group.exp_alg(p, v, t))
+        d = sl.group.coordinate_distance(lhs.coords, sl.group.exp_alg(p, v, s + t).coords)
         worst["exp-one-parameter"] = max(worst["exp-one-parameter"], d)
     return worst
 
@@ -527,16 +533,16 @@ def _axiom_suite_reference(c, n, seed):
         m1, m2, b = (_sample_point(rng, 5.0, z_half) for _ in range(3))
         id_max = max(
             id_max,
-            sl.coordinate_distance(sl.loop_mul(c, e, m1).coords, m1.coords),
-            sl.coordinate_distance(sl.loop_mul(c, m1, e).coords, m1.coords),
+            sl.group.coordinate_distance(sl.loops.loop_mul(c, e, m1).coords, m1.coords),
+            sl.group.coordinate_distance(sl.loops.loop_mul(c, m1, e).coords, m1.coords),
         )
-        w = sl.loop_ldiv(c, m1, b)
-        ldiv_max = max(ldiv_max, sl.coordinate_distance(sl.loop_mul(c, m1, w).coords, b.coords))
-        target = sl.loop_mul(c, b, m2)
+        w = sl.loops.loop_ldiv(c, m1, b)
+        ldiv_max = max(ldiv_max, sl.group.coordinate_distance(sl.loops.loop_mul(c, m1, w).coords, b.coords))
+        target = sl.loops.loop_mul(c, b, m2)
         q = rdiv(c, target, m2)
-        d = sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, target.coords)
+        d = sl.group.coordinate_distance(sl.loops.loop_mul(c, q, m2).coords, target.coords)
         rdiv_max = max(rdiv_max, d)
-        z_max = max(z_max, abs(sl.loop_mul(c, m1, m2).z - (m1.z + m2.z)))
+        z_max = max(z_max, abs(sl.loops.loop_mul(c, m1, m2).z - (m1.z + m2.z)))
     return {"identity-laws": id_max, "ldiv-round-trip": ldiv_max, "rdiv-round-trip": rdiv_max,
             "z-additivity": z_max}
 
@@ -581,11 +587,11 @@ def _bracket_preservation_reference(p, phi):
     rng = np.random.Generator(np.random.PCG64(0))
     worst = 0.0
     for _ in range(50):
-        u = sl.AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
-        v = sl.AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
-        lhs = sl.apply_automorphism(p, phi, sl.bracket(p, u, v))
-        rhs = sl.bracket(p, sl.apply_automorphism(p, phi, u), sl.apply_automorphism(p, phi, v))
-        worst = max(worst, sl.coordinate_distance(lhs.coords, rhs.coords))
+        u = sl.group.AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+        v = sl.group.AlgebraVector(*(float(s) for s in rng.uniform(-3, 3, 4)))
+        lhs = sl.group.apply_automorphism(p, phi, sl.group.bracket(p, u, v))
+        rhs = sl.group.bracket(p, sl.group.apply_automorphism(p, phi, u), sl.group.apply_automorphism(p, phi, v))
+        worst = max(worst, sl.group.coordinate_distance(lhs.coords, rhs.coords))
     return worst
 
 
@@ -609,7 +615,7 @@ def _lemma1_fit_reference(tree, rate, z_range, n):
     """
     fn = sl.expressions.as_function(tree, ("z",))
     zs = sl.sections._profile_zs(*z_range, n)
-    return sl.fit_saturating_exponential(zs, [float(fn(float(z))) for z in zs], rate=rate)
+    return sl.numerics.fit_saturating_exponential(zs, [float(fn(float(z))) for z in zs], rate=rate)
 
 
 @pytest.mark.parametrize(

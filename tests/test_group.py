@@ -22,7 +22,7 @@ def rand_element(rng, half=5.0):
 
 
 def rand_vector(rng, half=3.0):
-    return sl.AlgebraVector(*(float(v) for v in rng.uniform(-half, half, 4)))
+    return sl.group.AlgebraVector(*(float(v) for v in rng.uniform(-half, half, 4)))
 
 
 # ---------------------------------------------------------------- group law
@@ -52,7 +52,7 @@ def test_value_records_are_immutable(record, name):
 def test_mul_closed_form_example():
     # a=2: (1,0,0,1)*(1,1,1,1) worked out by hand from the coordinate law
     p = sl.GroupParam(2.0)
-    out = sl.mul(p, sl.GroupElement(1, 0, 0, 1), sl.GroupElement(1, 1, 1, 1))
+    out = sl.group.mul(p, sl.GroupElement(1, 0, 0, 1), sl.GroupElement(1, 1, 1, 1))
     e = sl.group.exp(1.0)
     assert out.coords == (1 + sl.group.exp(2.0), 2 * e, e, 2)
 
@@ -63,15 +63,15 @@ def test_mul_identity_both_sides():
         p = sl.GroupParam(a)
         for _ in range(20):
             g = rand_element(rng)
-            assert sl.mul(p, g, sl.IDENTITY).coords == g.coords
-            assert sl.mul(p, sl.IDENTITY, g).coords == g.coords
+            assert sl.group.mul(p, g, sl.group.IDENTITY).coords == g.coords
+            assert sl.group.mul(p, sl.group.IDENTITY, g).coords == g.coords
 
 
 def test_inv_closed_form_example():
     p = sl.GroupParam(2.0)
-    gi = sl.inv(p, sl.GroupElement(1, 2, 3, 1))
+    gi = sl.group.inv(p, sl.GroupElement(1, 2, 3, 1))
     expect = (-math.exp(-2), 1 / math.e, -3 / math.e, -1.0)
-    assert sl.coordinate_distance(gi.coords, expect) < 1e-15
+    assert sl.group.coordinate_distance(gi.coords, expect) < 1e-15
 
 
 @pytest.mark.parametrize("a", A_VALUES)
@@ -81,8 +81,8 @@ def test_matrix_product_oracle(a):
     worst = 0.0
     for _ in range(250):
         g, h = rand_element(rng), rand_element(rng)
-        lhs = sl.as_matrix(p, sl.mul(p, g, h))
-        rhs = sl.as_matrix(p, g) @ sl.as_matrix(p, h)
+        lhs = sl.group.as_matrix(p, sl.group.mul(p, g, h))
+        rhs = sl.group.as_matrix(p, g) @ sl.group.as_matrix(p, h)
         scale = max(1.0, float(np.abs(rhs).max()))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     assert worst <= 1e-12
@@ -95,11 +95,11 @@ def test_inverse_and_associativity(a):
     origin = (0.0, 0.0, 0.0, 0.0)
     for _ in range(250):
         g, h, k = rand_element(rng), rand_element(rng), rand_element(rng)
-        assert sl.coordinate_distance(sl.mul(p, g, sl.inv(p, g)).coords, origin) <= 1e-12
-        assert sl.coordinate_distance(sl.mul(p, sl.inv(p, g), g).coords, origin) <= 1e-12
-        lhs = sl.mul(p, sl.mul(p, g, h), k)
-        rhs = sl.mul(p, g, sl.mul(p, h, k))
-        assert sl.coordinate_distance(lhs.coords, rhs.coords) <= 1e-12
+        assert sl.group.coordinate_distance(sl.group.mul(p, g, sl.group.inv(p, g)).coords, origin) <= 1e-12
+        assert sl.group.coordinate_distance(sl.group.mul(p, sl.group.inv(p, g), g).coords, origin) <= 1e-12
+        lhs = sl.group.mul(p, sl.group.mul(p, g, h), k)
+        rhs = sl.group.mul(p, g, sl.group.mul(p, h, k))
+        assert sl.group.coordinate_distance(lhs.coords, rhs.coords) <= 1e-12
 
 
 def test_inverse_matches_matrix_inverse_oracle():
@@ -107,15 +107,15 @@ def test_inverse_matches_matrix_inverse_oracle():
     rng = np.random.default_rng(5)
     for _ in range(50):
         g = rand_element(rng, half=3.0)
-        lhs = sl.as_matrix(p, sl.inv(p, g))
-        rhs = np.linalg.inv(sl.as_matrix(p, g))
+        lhs = sl.group.as_matrix(p, sl.group.inv(p, g))
+        rhs = np.linalg.inv(sl.group.as_matrix(p, g))
         assert np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max()) <= 1e-10
 
 
 def test_as_matrix_layout():
     p = sl.GroupParam(2.0)
     g = sl.GroupElement(1.0, 2.0, 3.0, 0.5)
-    M = sl.as_matrix(p, g)
+    M = sl.group.as_matrix(p, g)
     e = sl.group.exp(0.5)
     expect = np.array(
         [
@@ -132,35 +132,35 @@ def test_conjugate_is_g_h_ginv():
     p = sl.GroupParam(2.0)
     rng = np.random.default_rng(2)
     g, h = rand_element(rng), rand_element(rng)
-    lhs = sl.conjugate(p, g, h)
-    rhs = sl.mul(p, sl.mul(p, g, h), sl.inv(p, g))
+    lhs = sl.group.conjugate(p, g, h)
+    rhs = sl.group.mul(p, sl.group.mul(p, g, h), sl.group.inv(p, g))
     assert lhs.coords == rhs.coords
 
 
 def test_coordinate_distance_hybrid():
-    assert sl.coordinate_distance((0, 0, 0, 0), (1e-13, 0, 0, 0)) == 1e-13
+    assert sl.group.coordinate_distance((0, 0, 0, 0), (1e-13, 0, 0, 0)) == 1e-13
     # large coordinates switch to a relative scale
-    d = sl.coordinate_distance((100.0, 0, 0, 0), (100.0 + 1e-10, 0, 0, 0))
+    d = sl.group.coordinate_distance((100.0, 0, 0, 0), (100.0 + 1e-10, 0, 0, 0))
     assert abs(d - 1e-12) < 1e-14
 
 
 # ---------------------------------------------------------------- algebra
 
 def test_coordinate_distance_nan_is_infinite():
-    assert sl.coordinate_distance((math.nan, 0.0), (1.0, 0.0)) == math.inf
-    assert sl.coordinate_distance((0.0, 1.0), (0.0, math.nan)) == math.inf
-    assert sl.coordinate_distance((math.inf, 0.0), (math.inf, 0.0)) == math.inf
-    assert sl.coordinate_distance((math.inf, 0.0), (1.0, 0.0)) == math.inf
+    assert sl.group.coordinate_distance((math.nan, 0.0), (1.0, 0.0)) == math.inf
+    assert sl.group.coordinate_distance((0.0, 1.0), (0.0, math.nan)) == math.inf
+    assert sl.group.coordinate_distance((math.inf, 0.0), (math.inf, 0.0)) == math.inf
+    assert sl.group.coordinate_distance((math.inf, 0.0), (1.0, 0.0)) == math.inf
 
 
 def test_bracket_structure_table():
     for a in A_VALUES:
         p = sl.GroupParam(a)
-        assert sl.bracket(p, sl.E1, sl.E4).coords == (a, 0.0, 0.0, 0.0)
-        assert sl.bracket(p, sl.E2, sl.E4).coords == (0.0, 1.0, 0.0, 0.0)
-        assert sl.bracket(p, sl.E3, sl.E4).coords == (0.0, 1.0, 1.0, 0.0)
-        for u, v in ((sl.E1, sl.E2), (sl.E1, sl.E3), (sl.E2, sl.E3)):
-            assert sl.bracket(p, u, v).coords == (0.0, 0.0, 0.0, 0.0)
+        assert sl.group.bracket(p, sl.group.E1, sl.group.E4).coords == (a, 0.0, 0.0, 0.0)
+        assert sl.group.bracket(p, sl.group.E2, sl.group.E4).coords == (0.0, 1.0, 0.0, 0.0)
+        assert sl.group.bracket(p, sl.group.E3, sl.group.E4).coords == (0.0, 1.0, 1.0, 0.0)
+        for u, v in ((sl.group.E1, sl.group.E2), (sl.group.E1, sl.group.E3), (sl.group.E2, sl.group.E3)):
+            assert sl.group.bracket(p, u, v).coords == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_bracket_antisymmetry_and_bilinearity_exact():
@@ -168,16 +168,16 @@ def test_bracket_antisymmetry_and_bilinearity_exact():
     rng = np.random.default_rng(8)
     for _ in range(40):
         u, v = rand_vector(rng), rand_vector(rng)
-        uv = sl.bracket(p, u, v).coords
-        vu = sl.bracket(p, v, u).coords
+        uv = sl.group.bracket(p, u, v).coords
+        vu = sl.group.bracket(p, v, u).coords
         assert all(x == -y for x, y in zip(uv, vu))
     # bilinearity on integer inputs is exact in floating point
-    u = sl.AlgebraVector(1, 2, 3, 4)
-    v = sl.AlgebraVector(-2, 5, 0, 1)
-    w = sl.AlgebraVector(3, -1, 2, -2)
-    lhs = sl.bracket(p, u.plus(v.scaled(3.0)), w).coords
-    rhs1 = sl.bracket(p, u, w).coords
-    rhs2 = sl.bracket(p, v, w).coords
+    u = sl.group.AlgebraVector(1, 2, 3, 4)
+    v = sl.group.AlgebraVector(-2, 5, 0, 1)
+    w = sl.group.AlgebraVector(3, -1, 2, -2)
+    lhs = sl.group.bracket(p, u.plus(v.scaled(3.0)), w).coords
+    rhs1 = sl.group.bracket(p, u, w).coords
+    rhs2 = sl.group.bracket(p, v, w).coords
     assert lhs == tuple(x + 3.0 * y for x, y in zip(rhs1, rhs2))
 
 
@@ -187,14 +187,14 @@ def test_bracket_equals_commutator_oracle_exact(a):
     # must be exact (not approximate) on small-integer vectors
     p = sl.GroupParam(a)
     rng = np.random.default_rng(31)
-    vecs = [sl.E1, sl.E2, sl.E3, sl.E4]
+    vecs = [sl.group.E1, sl.group.E2, sl.group.E3, sl.group.E4]
     vecs += [
-        sl.AlgebraVector(*(float(v) for v in rng.integers(-3, 4, 4)))
+        sl.group.AlgebraVector(*(float(v) for v in rng.integers(-3, 4, 4)))
         for _ in range(40)
     ]
     for u in vecs[:8]:
         for v in vecs:
-            assert sl.bracket(p, u, v).coords == sl.commutator_oracle(p, u, v).coords
+            assert sl.group.bracket(p, u, v).coords == sl.group.commutator_oracle(p, u, v).coords
 
 
 def test_jacobi_identity_exact_on_integer_vectors():
@@ -203,13 +203,13 @@ def test_jacobi_identity_exact_on_integer_vectors():
         p = sl.GroupParam(a)
         for _ in range(60):
             u, v, w = (
-                sl.AlgebraVector(*(float(x) for x in rng.integers(-4, 5, 4)))
+                sl.group.AlgebraVector(*(float(x) for x in rng.integers(-4, 5, 4)))
                 for _ in range(3)
             )
             total = (
-                sl.bracket(p, u, sl.bracket(p, v, w))
-                .plus(sl.bracket(p, v, sl.bracket(p, w, u)))
-                .plus(sl.bracket(p, w, sl.bracket(p, u, v)))
+                sl.group.bracket(p, u, sl.group.bracket(p, v, w))
+                .plus(sl.group.bracket(p, v, sl.group.bracket(p, w, u)))
+                .plus(sl.group.bracket(p, w, sl.group.bracket(p, u, v)))
             )
             assert total.coords == (0.0, 0.0, 0.0, 0.0)
 
@@ -218,18 +218,18 @@ def test_jacobi_identity_exact_on_integer_vectors():
 
 def test_exp_basis_closed_forms():
     p = sl.GroupParam(2.0)
-    assert sl.coordinate_distance(sl.exp_alg(p, sl.E4).coords, (0, 0, 0, 1)) <= 1e-14
-    assert sl.coordinate_distance(sl.exp_alg(p, sl.E1, t=1.5).coords, (1.5, 0, 0, 0)) <= 1e-14
-    assert sl.coordinate_distance(sl.exp_alg(p, sl.E2, t=-2.0).coords, (0, -2, 0, 0)) <= 1e-14
-    assert sl.coordinate_distance(sl.exp_alg(p, sl.E3, t=0.7).coords, (0, 0, 0.7, 0)) <= 1e-14
+    assert sl.group.coordinate_distance(sl.group.exp_alg(p, sl.group.E4).coords, (0, 0, 0, 1)) <= 1e-14
+    assert sl.group.coordinate_distance(sl.group.exp_alg(p, sl.group.E1, t=1.5).coords, (1.5, 0, 0, 0)) <= 1e-14
+    assert sl.group.coordinate_distance(sl.group.exp_alg(p, sl.group.E2, t=-2.0).coords, (0, -2, 0, 0)) <= 1e-14
+    assert sl.group.coordinate_distance(sl.group.exp_alg(p, sl.group.E3, t=0.7).coords, (0, 0, 0.7, 0)) <= 1e-14
     # nilpotent directions flow linearly
-    v = sl.AlgebraVector(1.0, 1.0, 0.0, 0.0)
-    assert sl.coordinate_distance(sl.exp_alg(p, v, t=2.0).coords, (2, 2, 0, 0)) <= 1e-14
+    v = sl.group.AlgebraVector(1.0, 1.0, 0.0, 0.0)
+    assert sl.group.coordinate_distance(sl.group.exp_alg(p, v, t=2.0).coords, (2, 2, 0, 0)) <= 1e-14
 
 
 def test_exp_e4_matrix_entries():
     p = sl.GroupParam(2.0)
-    M = sl.as_matrix(p, sl.exp_alg(p, sl.E4))
+    M = sl.group.as_matrix(p, sl.group.exp_alg(p, sl.group.E4))
     assert abs(M[1, 1] - math.e) < 1e-13
     assert abs(M[1, 2] - math.e) < 1e-13  # x4*e^{x4} with x4=1
     assert abs(M[0, 0] - math.exp(2.0)) < 1e-13
@@ -242,8 +242,8 @@ def test_exp_matches_scipy_expm(a):
     for _ in range(40):
         v = rand_vector(rng, half=2.0)
         t = float(rng.uniform(-1.5, 1.5))
-        lhs = sl.as_matrix(p, sl.exp_alg(p, v, t=t))
-        rhs = scipy.linalg.expm(t * sl.algebra_matrix(p, v))
+        lhs = sl.group.as_matrix(p, sl.group.exp_alg(p, v, t=t))
+        rhs = scipy.linalg.expm(t * sl.group.algebra_matrix(p, v))
         assert np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max()) <= 1e-12
 
 
@@ -253,9 +253,9 @@ def test_exp_one_parameter_subgroup_property():
     for _ in range(30):
         v = rand_vector(rng, half=1.5)
         s, t = (float(x) for x in rng.uniform(-1.0, 1.0, 2))
-        lhs = sl.exp_alg(p, v, t=s + t)
-        rhs = sl.mul(p, sl.exp_alg(p, v, t=s), sl.exp_alg(p, v, t=t))
-        assert sl.coordinate_distance(lhs.coords, rhs.coords) <= 1e-12
+        lhs = sl.group.exp_alg(p, v, t=s + t)
+        rhs = sl.group.mul(p, sl.group.exp_alg(p, v, t=s), sl.group.exp_alg(p, v, t=t))
+        assert sl.group.coordinate_distance(lhs.coords, rhs.coords) <= 1e-12
 
 
 def _ulps(got, want):
@@ -299,7 +299,7 @@ def test_exp_alg_at_small_exponent_matches_mpmath(a):
     # v = e1 + e3 + c4*e4 at t = 1: x1 = phi1(a*c4), x2 = jordan(c4), x3 = phi1(c4)
     p = sl.GroupParam(a)
     c4 = _small_exponents()
-    g = sl.exp_alg(p, sl.AlgebraVector(np.ones_like(c4), 0.0, np.ones_like(c4), c4))
+    g = sl.group.exp_alg(p, sl.group.AlgebraVector(np.ones_like(c4), 0.0, np.ones_like(c4), c4))
     assert max(_ulps(g.x1, [_phi1_reference(a * x) for x in c4])) <= 2.0
     assert max(_ulps(g.x2, [_jordan_reference(x) for x in c4])) <= 2.0
     assert max(_ulps(g.x3, [_phi1_reference(x) for x in c4])) <= 2.0
@@ -342,20 +342,20 @@ def test_exponentials_of_nan_and_infinite_rows_do_not_raise(name):
 
 def test_automorphism_params_validation():
     with pytest.raises(ValueError):
-        sl.AutomorphismParams(variant="generic", k1=0.0)
+        sl.group.AutomorphismParams(variant="generic", k1=0.0)
     with pytest.raises(ValueError):
-        sl.AutomorphismParams(variant="bogus")
+        sl.group.AutomorphismParams(variant="bogus")
     with pytest.raises(ValueError):
         # generic variant has no mixing entries
-        sl.AutomorphismParams(variant="generic", k2=1.0)
-    sl.AutomorphismParams(variant="merged", k2=1.0, n1=0.5)  # allowed
+        sl.group.AutomorphismParams(variant="generic", k2=1.0)
+    sl.group.AutomorphismParams(variant="merged", k2=1.0, n1=0.5)  # allowed
 
 
 def test_merged_variant_requires_a_equal_one():
-    phi = sl.AutomorphismParams(variant="merged", n1=1.0)
-    with pytest.raises(sl.VariantMismatchError):
-        sl.automorphism_matrix(sl.GroupParam(2.0), phi)
-    sl.automorphism_matrix(sl.GroupParam(1.0), phi)  # fine at a=1
+    phi = sl.group.AutomorphismParams(variant="merged", n1=1.0)
+    with pytest.raises(sl.group.VariantMismatchError):
+        sl.group.automorphism_matrix(sl.GroupParam(2.0), phi)
+    sl.group.automorphism_matrix(sl.GroupParam(1.0), phi)  # fine at a=1
 
 
 @pytest.mark.parametrize("a", (-1.0, 0.5, 2.0))
@@ -363,7 +363,7 @@ def test_generic_automorphism_preserves_brackets(a):
     p = sl.GroupParam(a)
     rng = np.random.default_rng(7)
     for _ in range(25):
-        phi = sl.AutomorphismParams(
+        phi = sl.group.AutomorphismParams(
             variant="generic",
             k1=float(rng.uniform(0.5, 2.0)),
             l=float(rng.uniform(0.5, 2.0)),
@@ -372,22 +372,22 @@ def test_generic_automorphism_preserves_brackets(a):
             f2=float(rng.uniform(-2, 2)),
             f3=float(rng.uniform(-2, 2)),
         )
-        T = sl.automorphism_matrix(p, phi)
+        T = sl.group.automorphism_matrix(p, phi)
         for _ in range(4):
             u, v = rand_vector(rng), rand_vector(rng)
-            Tu = sl.AlgebraVector(*(float(x) for x in T @ np.array(u.coords)))
-            Tv = sl.AlgebraVector(*(float(x) for x in T @ np.array(v.coords)))
-            lhs = sl.bracket(p, Tu, Tv).coords
-            rhs = tuple(float(x) for x in T @ np.array(sl.bracket(p, u, v).coords))
-            assert sl.coordinate_distance(lhs, rhs) <= 1e-12
+            Tu = sl.group.AlgebraVector(*(float(x) for x in T @ np.array(u.coords)))
+            Tv = sl.group.AlgebraVector(*(float(x) for x in T @ np.array(v.coords)))
+            lhs = sl.group.bracket(p, Tu, Tv).coords
+            rhs = tuple(float(x) for x in T @ np.array(sl.group.bracket(p, u, v).coords))
+            assert sl.group.coordinate_distance(lhs, rhs) <= 1e-12
 
 
 def test_apply_automorphism_matches_matrix():
     p = sl.GroupParam(1.0)
-    phi = sl.AutomorphismParams(variant="merged", k1=2.0, k2=0.5, l=1.5, n1=-1.0, n2=0.25)
-    T = sl.automorphism_matrix(p, phi)
-    v = sl.AlgebraVector(1.0, -2.0, 0.5, 0.0)
-    out = sl.apply_automorphism(p, phi, v)
+    phi = sl.group.AutomorphismParams(variant="merged", k1=2.0, k2=0.5, l=1.5, n1=-1.0, n2=0.25)
+    T = sl.group.automorphism_matrix(p, phi)
+    v = sl.group.AlgebraVector(1.0, -2.0, 0.5, 0.0)
+    out = sl.group.apply_automorphism(p, phi, v)
     assert np.abs(np.array(out.coords) - T @ np.array(v.coords)).max() <= 1e-15
 
 
@@ -396,13 +396,11 @@ def test_apply_automorphism_matches_matrix():
 def test_central_defect_positive_for_basis_directions():
     for a in A_VALUES:
         p = sl.GroupParam(a)
-        probes = sl.standard_center_probes(p)
-        for v in (sl.E1, sl.E2, sl.E3, sl.E4):
-            assert sl.central_defect(p, v, probes) > 1e-6
+        for v in (sl.group.E1, sl.group.E2, sl.group.E3, sl.group.E4):
+            assert sl.group.central_defect(p, v) > 1e-6
 
 
 def test_central_defect_zero_direction():
     p = sl.GroupParam(2.0)
-    probes = sl.standard_center_probes(p)
-    zero = sl.AlgebraVector(0.0, 0.0, 0.0, 0.0)
-    assert sl.central_defect(p, zero, probes) == 0.0
+    zero = sl.group.AlgebraVector(0.0, 0.0, 0.0, 0.0)
+    assert sl.group.central_defect(p, zero) == 0.0

@@ -43,14 +43,14 @@ def test_loop_mul_case_a_inline_formula():
     rng = np.random.default_rng(51)
     for _ in range(40):
         m1, m2 = rand_point(rng, z_half=5.0), rand_point(rng, z_half=5.0)
-        got = sl.loop_mul(c, m1, m2)
+        got = sl.loops.loop_mul(c, m1, m2)
         ez = math.exp(m1.z)
         expect = (
             m1.x + math.exp(a * m1.z) * m2.x,
             m1.y + m2.y * ez - m2.z * ez * f(m1.x, m1.z),
             m1.z + m2.z,
         )
-        assert sl.coordinate_distance(got.coords, expect) <= 1e-15
+        assert sl.group.coordinate_distance(got.coords, expect) <= 1e-15
 
 
 def test_loop_mul_case_b_inline_formula():
@@ -60,14 +60,14 @@ def test_loop_mul_case_b_inline_formula():
     rng = np.random.default_rng(52)
     for _ in range(40):
         m1, m2 = rand_point(rng), rand_point(rng)
-        got = sl.loop_mul(c, m1, m2)
+        got = sl.loops.loop_mul(c, m1, m2)
         v = h(m1.x, m1.y, m1.z)
         expect = (
             m1.x + math.exp(a * m1.z) * (m2.x - v * math.expm1((a - 1.0) * m2.z)),
             m1.y + math.exp(m1.z) * (m2.y - m2.z * v),
             m1.z + m2.z,
         )
-        assert sl.coordinate_distance(got.coords, expect) <= 1e-15
+        assert sl.group.coordinate_distance(got.coords, expect) <= 1e-15
 
 
 def test_loop_mul_case_c_inline_formula():
@@ -77,7 +77,7 @@ def test_loop_mul_case_c_inline_formula():
     rng = np.random.default_rng(53)
     for _ in range(40):
         m1, m2 = rand_point(rng), rand_point(rng)
-        got = sl.loop_mul(c, m1, m2)
+        got = sl.loops.loop_mul(c, m1, m2)
         v = f(m1.x, m1.y, m1.z)
         expect = (
             m1.x
@@ -87,7 +87,7 @@ def test_loop_mul_case_c_inline_formula():
             m1.y + math.exp(m1.z) * m2.y,
             m1.z + m2.z,
         )
-        assert sl.coordinate_distance(got.coords, expect) <= 1e-15
+        assert sl.group.coordinate_distance(got.coords, expect) <= 1e-15
 
 
 def test_identity_laws_exact():
@@ -97,8 +97,8 @@ def test_identity_laws_exact():
         c = case_for(case, preset)
         for _ in range(25):
             m = rand_point(rng)
-            assert sl.loop_mul(c, e, m).coords == m.coords
-            assert sl.loop_mul(c, m, e).coords == m.coords
+            assert sl.loops.loop_mul(c, e, m).coords == m.coords
+            assert sl.loops.loop_mul(c, m, e).coords == m.coords
 
 
 def test_z_coordinate_additivity_exact():
@@ -107,7 +107,7 @@ def test_z_coordinate_additivity_exact():
         c = case_for(case, preset)
         for _ in range(25):
             m1, m2 = rand_point(rng), rand_point(rng)
-            assert sl.loop_mul(c, m1, m2).z == m1.z + m2.z
+            assert sl.loops.loop_mul(c, m1, m2).z == m1.z + m2.z
 
 
 # ---------------------------------------------------------------- divisions
@@ -120,14 +120,14 @@ def test_ldiv_round_trips():
         for _ in range(30):
             m1 = rand_point(rng, z_half=z_half)
             b = rand_point(rng, z_half=z_half)
-            w = sl.loop_ldiv(c, m1, b)
-            assert sl.coordinate_distance(sl.loop_mul(c, m1, w).coords, b.coords) <= 1e-9
+            w = sl.loops.loop_ldiv(c, m1, b)
+            assert sl.group.coordinate_distance(sl.loops.loop_mul(c, m1, w).coords, b.coords) <= 1e-9
 
 
 def test_ldiv_of_identity():
     c = case_for("B", "lemma1")
     b = sl.LoopPoint(1.0, -2.0, 0.3)
-    assert sl.loop_ldiv(c, sl.LoopPoint.origin(), b).coords == b.coords
+    assert sl.loops.loop_ldiv(c, sl.LoopPoint.origin(), b).coords == b.coords
 
 
 def test_rdiv_by_identity_is_trivial():
@@ -135,7 +135,7 @@ def test_rdiv_by_identity_is_trivial():
         c = case_for(case, preset)
         b = sl.LoopPoint(0.7, -0.4, 0.2)
         q = rdiv(c, b, sl.LoopPoint.origin())
-        assert sl.coordinate_distance(q.coords, b.coords) <= 1e-12
+        assert sl.group.coordinate_distance(q.coords, b.coords) <= 1e-12
 
 
 def test_rdiv_case_a_worked_example():
@@ -144,14 +144,14 @@ def test_rdiv_case_a_worked_example():
     for a in (-1.0, 0.5, 2.0):
         c = case_for("A", "linear-x", a=a)
         q = rdiv(c, sl.LoopPoint(3.0, -1.0, 5.0), sl.LoopPoint(2.0, 3.0, 5.0))
-        assert sl.coordinate_distance(q.coords, (1.0, 1.0, 0.0)) <= 1e-12
+        assert sl.group.coordinate_distance(q.coords, (1.0, 1.0, 0.0)) <= 1e-12
 
 
 def test_rdiv_case_c_zero_worked_example():
     # with f == 0 the 1-D solve degenerates to a linear equation
     c = case_for("C", "zero")
     q = rdiv(c, sl.LoopPoint(math.exp(2.0), 0.0, 1.0), sl.LoopPoint(1.0, 0.0, 0.0))
-    assert sl.coordinate_distance(q.coords, (0.0, 0.0, 1.0)) <= 1e-12
+    assert sl.group.coordinate_distance(q.coords, (0.0, 0.0, 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -166,9 +166,9 @@ def test_rdiv_product_round_trip(case, preset):
     for _ in range(20):
         m1 = rand_point(rng, z_half=z_half)
         m2 = rand_point(rng, z_half=z_half)
-        b = sl.loop_mul(c, m1, m2)
+        b = sl.loops.loop_mul(c, m1, m2)
         q = rdiv(c, b, m2)
-        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
+        assert sl.group.coordinate_distance(sl.loops.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
 
 @pytest.mark.parametrize("batched", (False, True))
@@ -179,7 +179,7 @@ def test_rdiv_line_round_trip_both_paths(case, preset, batched):
     c = case_for(case, preset)
     rng = np.random.default_rng(60)
     pairs = [(rand_point(rng), rand_point(rng)) for _ in range(20)]
-    bs = [sl.loop_mul(c, m1, m2) for m1, m2 in pairs]
+    bs = [sl.loops.loop_mul(c, m1, m2) for m1, m2 in pairs]
     m2s = [m2 for _, m2 in pairs]
     if batched:
         q, _, errors = sl.loops.loop_rdiv_batch(c, sl.group.stack(bs), sl.group.stack(m2s))
@@ -188,8 +188,8 @@ def test_rdiv_line_round_trip_both_paths(case, preset, batched):
     else:
         qs = [rdiv(c, b, m2) for b, m2 in zip(bs, m2s)]
     for q, (m1, m2), b in zip(qs, pairs, bs):
-        assert sl.coordinate_distance(q.coords, m1.coords) <= 1e-8
-        assert sl.coordinate_distance(sl.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
+        assert sl.group.coordinate_distance(q.coords, m1.coords) <= 1e-8
+        assert sl.group.coordinate_distance(sl.loops.loop_mul(c, q, m2).coords, b.coords) <= 1e-8
 
 
 def test_rdiv_case_b_z_zero_is_exact():
@@ -205,19 +205,19 @@ def test_rdiv_gate_rejects_nan_product(monkeypatch):
     # a NaN multiply-back must fail the 1e-8 residual gate, never pass it
     c = case_for("C", "sin-small")
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
-    b = sl.loop_mul(c, sl.LoopPoint(1.0, -1.0, 0.1), m2)
+    b = sl.loops.loop_mul(c, sl.LoopPoint(1.0, -1.0, 0.1), m2)
     monkeypatch.setattr(
         sl.loops, "_product", lambda case, q, m, v: sl.LoopPoint(math.nan, q.y, q.z)
     )
-    with pytest.raises(sl.SolverDivergenceError):
+    with pytest.raises(sl.loops.SolverDivergenceError):
         rdiv(c, b, m2)
 
 
 def test_rdiv_multiple_roots_error():
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("2*sin(x)", 3))
     m = sl.LoopPoint(1.0, 0.0, 1.0)
-    target = sl.loop_mul(spec, m, m)
-    with pytest.raises(sl.MultipleRootsError):
+    target = sl.loops.loop_mul(spec, m, m)
+    with pytest.raises(sl.loops.MultipleRootsError):
         rdiv(spec, target, m)
 
 
@@ -225,16 +225,16 @@ def test_rdiv_no_root_error():
     # x^2 grows faster than the affine part: the implicit equation can lose
     # all real roots for suitable targets
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2", 3))
-    with pytest.raises(sl.NoRootInBoxError) as raised:
+    with pytest.raises(sl.loops.NoRootInBoxError) as raised:
         rdiv(spec, sl.LoopPoint(5.0, 0.0, 1.0), sl.LoopPoint(0.0, 0.0, 0.5))
     # the base point prints as floats, not as np.float64(...)
     assert str(raised.value) == "no root in window of half width 160 around (5.0, 0.0)"
 
 
 def test_division_errors_share_base_class():
-    assert issubclass(sl.NoRootInBoxError, sl.RightDivisionError)
-    assert issubclass(sl.MultipleRootsError, sl.RightDivisionError)
-    assert issubclass(sl.SolverDivergenceError, sl.RightDivisionError)
+    assert issubclass(sl.loops.NoRootInBoxError, sl.loops.RightDivisionError)
+    assert issubclass(sl.loops.MultipleRootsError, sl.loops.RightDivisionError)
+    assert issubclass(sl.loops.SolverDivergenceError, sl.loops.RightDivisionError)
 
 
 # ---------------------------------------------------------------- cross-check
@@ -252,13 +252,13 @@ def test_coset_cross_check(case, preset):
     for _ in range(100):
         m1 = rand_point(rng, z_half=5.0)
         m2 = rand_point(rng, z_half=5.0)
-        worst = max(worst, sl.coset_cross_check(c, m1, m2))
+        worst = max(worst, sl.loops.coset_cross_check(c, m1, m2))
     assert worst <= 1e-10
 
 
 def test_cross_check_identity_exact():
     c = case_for("C", "sin-small")
-    assert sl.coset_cross_check(c, sl.LoopPoint.origin(), sl.LoopPoint(1, 2, 0.3)) <= 1e-15
+    assert sl.loops.coset_cross_check(c, sl.LoopPoint.origin(), sl.LoopPoint(1, 2, 0.3)) <= 1e-15
 
 
 # ---------------------------------------------------------------- associativity
@@ -268,12 +268,12 @@ def test_associativity_defect_zero_for_group_case():
     rng = np.random.default_rng(59)
     for _ in range(20):
         m1, m2, m3 = (rand_point(rng) for _ in range(3))
-        assert sl.associativity_defect(c, m1, m2, m3) <= 1e-12
+        assert sl.loops.associativity_defect(c, m1, m2, m3) <= 1e-12
 
 
 def test_associativity_defect_case_a_witness():
     c = case_for("A", "linear-x")
-    d = sl.associativity_defect(
+    d = sl.loops.associativity_defect(
         c, sl.LoopPoint(0, 0, 1), sl.LoopPoint(1, 0, 0), sl.LoopPoint(0, 0, -1)
     )
     assert d > 1e-6
@@ -284,7 +284,7 @@ def test_associativity_defect_case_a_bilinear_witness():
     # ((1,0,1)*(1,0,-1))*(0,0,1) and (1,0,1)*((1,0,-1)*(0,0,1)) differ by e-1
     # in the y slot, hybrid distance 1 - 1/e
     c = case_for("A", "bilinear")
-    d = sl.associativity_defect(
+    d = sl.loops.associativity_defect(
         c, sl.LoopPoint(1, 0, 1), sl.LoopPoint(1, 0, -1), sl.LoopPoint(0, 0, 1)
     )
     assert abs(d - (1.0 - math.exp(-1.0))) <= 1e-12
@@ -293,7 +293,7 @@ def test_associativity_defect_case_a_bilinear_witness():
 def test_associativity_defect_case_c_zero_witness():
     # the zero function generates in case C; this triple realizes defect 1 - 1/e
     c = case_for("C", "zero")
-    d = sl.associativity_defect(
+    d = sl.loops.associativity_defect(
         c, sl.LoopPoint(0, 0, 1), sl.LoopPoint(0, 1, 0), sl.LoopPoint(0, 0, -1)
     )
     assert abs(d - (1.0 - math.exp(-1.0))) <= 1e-12
@@ -309,7 +309,7 @@ def test_associativity_defect_case_c_zero_witness():
 )
 def test_axiom_suite_passes(case, preset, a):
     c = case_for(case, preset, a=a)
-    rep = sl.axiom_suite(c, n_samples=80, seed=1)
+    rep = sl.loops.axiom_suite(c, n_samples=80, seed=1)
     assert rep.status == "pass", [(ch.name, ch.status, ch.max_error) for ch in rep.checks]
     names = [ch.name for ch in rep.checks]
     assert names == ["identity-laws", "ldiv-round-trip", "rdiv-round-trip", "z-additivity"]
@@ -317,7 +317,7 @@ def test_axiom_suite_passes(case, preset, a):
 
 
 def test_axiom_suite_exactness_of_identity_and_z():
-    rep = sl.axiom_suite(case_for("C", "sin-small"), n_samples=60, seed=9)
+    rep = sl.loops.axiom_suite(case_for("C", "sin-small"), n_samples=60, seed=9)
     by_name = {c.name: c for c in rep.checks}
     assert by_name["identity-laws"].max_error == 0.0
     assert by_name["z-additivity"].max_error == 0.0
@@ -326,7 +326,7 @@ def test_axiom_suite_exactness_of_identity_and_z():
 def test_axiom_suite_reports_uniqueness_failures():
     # a large sine amplitude breaks uniqueness on the sampling window
     spec = sl.SectionSpec("B", P2, sl.FunctionSpec.from_expression("4*sin(x)", 3))
-    rep = sl.axiom_suite(spec, n_samples=60, seed=0)
+    rep = sl.loops.axiom_suite(spec, n_samples=60, seed=0)
     assert rep.status == "fail"
     errs = rep.data["division_errors"]
     assert any("MultipleRootsError" in e for e in errs)
@@ -354,7 +354,7 @@ def test_axiom_suite_records_non_finite_scan_as_failed_rdiv(case):
     # solver failure instead of escaping as a usage error
     spec = sl.SectionSpec(case, sl.GroupParam(2.0), sl.FunctionSpec.from_expression("sqrt(x)", 3))
     with np.errstate(invalid="ignore"):
-        report = sl.axiom_suite(spec, n_samples=10, seed=0)
+        report = sl.loops.axiom_suite(spec, n_samples=10, seed=0)
     checks = {c.name: c for c in report.checks}
     assert checks["rdiv-round-trip"].status == "fail"
     errors = report.data["division_errors"]
@@ -366,9 +366,9 @@ def test_case_a_nan_quotient_fails_the_multiply_back():
     # quotient, which the multiply-back rejects like a case-B/C quotient
     spec = sl.SectionSpec("A", P2, sl.FunctionSpec.from_expression("sqrt(x)", 2))
     with np.errstate(invalid="ignore"):
-        with pytest.raises(sl.SolverDivergenceError, match="residual inf exceeds 1e-8"):
+        with pytest.raises(sl.loops.SolverDivergenceError, match="residual inf exceeds 1e-8"):
             rdiv(spec, sl.LoopPoint(-1.0, 0.0, 1.0), sl.LoopPoint(0.5, 0.0, 0.5))
-        report = sl.axiom_suite(spec, n_samples=10, seed=0)
+        report = sl.loops.axiom_suite(spec, n_samples=10, seed=0)
     check = {c.name: c for c in report.checks}["rdiv-round-trip"]
     assert check.status == "fail" and check.max_error <= 1e-8
     errors = report.data["division_errors"]
@@ -380,8 +380,8 @@ def test_rdiv_sign_change_at_a_pole_is_a_solver_failure():
     # where no box is excluded or decided
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
-    b = sl.loop_mul(spec, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
-    with pytest.raises(sl.SolverDivergenceError, match="unresolved"):
+    b = sl.loops.loop_mul(spec, sl.LoopPoint(-1.0, 0.5, 0.1), m2)
+    with pytest.raises(sl.loops.SolverDivergenceError, match="unresolved"):
         rdiv(spec, b, m2)
 
 
@@ -398,7 +398,7 @@ def test_axiom_suite_right_divisions_batch_section_calls():
 
     spec.fn.fn = counted
     m1, m2, b = sl.loops._sample_points(Stream(0), 500, 3, 5.0, 0.5)
-    target = sl.loop_mul(spec, b, m2)
+    target = sl.loops.loop_mul(spec, b, m2)
     calls.clear()
     q, residual, errors = sl.loops.loop_rdiv_batch(spec, target, m2)
     assert not errors and (residual <= 1e-8).all()

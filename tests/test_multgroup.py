@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import solvloop as sl
-from solvloop import SubgroupId
+from solvloop.subgroups import SubgroupId
 
 A_VALUES = (-1.0, 0.5, 1.0, 2.0)
 
 
 def test_center_test_directions():
-    coords = [d.coords for d in sl.CENTER_TEST_DIRECTIONS]
+    coords = [d.coords for d in sl.multgroup.CENTER_TEST_DIRECTIONS]
     assert (1.0, 0.0, 0.0, 0.0) in coords
     assert (0.0, 0.0, 0.0, 1.0) in coords
     assert (0.0, 1.0, 1.0, 0.0) in coords  # mixed direction of the repeated block
@@ -24,7 +24,7 @@ def test_slab_elements_normalize_stabilizers():
         for _ in range(30):
             g = sl.GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3)), 0.0)
             for sub in (SubgroupId.H1, SubgroupId.H2, SubgroupId.H3):
-                assert sl.normalizes(p, g, sub)
+                assert sl.multgroup.normalizes(p, g, sub)
 
 
 def test_off_slab_elements_do_not_normalize():
@@ -35,15 +35,15 @@ def test_off_slab_elements_do_not_normalize():
             x4 = float(rng.uniform(1e-3, 3.0)) * (1 if rng.random() < 0.5 else -1)
             g = sl.GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3)), x4)
             for sub in (SubgroupId.H1, SubgroupId.H2, SubgroupId.H3):
-                assert not sl.normalizes(p, g, sub)
+                assert not sl.multgroup.normalizes(p, g, sub)
 
 
 def test_normalizes_rejects_inadmissible_subgroups():
     g = sl.GroupElement(1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(sl.InadmissibleSubgroupError):
-        sl.normalizes(sl.GroupParam(1.0), g, SubgroupId.H2)
-    with pytest.raises(sl.InadmissibleSubgroupError):
-        sl.normalizes(sl.GroupParam(2.0), g, SubgroupId.H4)
+    with pytest.raises(sl.subgroups.InadmissibleSubgroupError):
+        sl.multgroup.normalizes(sl.GroupParam(1.0), g, SubgroupId.H2)
+    with pytest.raises(sl.subgroups.InadmissibleSubgroupError):
+        sl.multgroup.normalizes(sl.GroupParam(2.0), g, SubgroupId.H4)
 
 
 def _certificate(a, n_samples, seed):

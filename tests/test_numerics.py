@@ -360,7 +360,7 @@ def _right_division_rows(n):
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.preset("sin-small", 3))
     rng = np.random.default_rng(5)
     m1, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, n)), rng.uniform(-0.5, 0.5, n)) for _ in "12")
-    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    line = sl.sections.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
     return (*sl.sections.line_residual_rows(line, np.arange(n)), m1, line)
 
 
@@ -479,14 +479,14 @@ def test_bisection_stops_where_doubles_are_wider_than_tol():
 @pytest.mark.parametrize("K", (-3.0, 0.5, 2.0))
 def test_fit_recovers_saturating_coefficient(K):
     zs = np.linspace(-3.0, 3.0, 50)
-    fit = sl.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
+    fit = sl.numerics.fit_saturating_exponential(zs, [K * -math.expm1(-z) for z in zs])
     assert abs(fit.coefficient - K) <= 1e-9
     assert fit.rms_residual <= 1e-12
 
 
 def test_fit_respects_rate():
     zs = np.linspace(-2.0, 2.0, 40)
-    fit = sl.fit_saturating_exponential(zs, [1.5 * -math.expm1(-2.0 * z) for z in zs], rate=2.0)
+    fit = sl.numerics.fit_saturating_exponential(zs, [1.5 * -math.expm1(-2.0 * z) for z in zs], rate=2.0)
     assert abs(fit.coefficient - 1.5) <= 1e-9
 
 
@@ -494,14 +494,14 @@ def test_fit_excludes_near_zero_abscissae():
     zs = np.concatenate([[0.0], np.linspace(0.5, 3.0, 20)])
     values = [123.0]  # garbage at z=0 must be ignored
     values += [2.0 * -math.expm1(-z) for z in zs[1:]]
-    fit = sl.fit_saturating_exponential(zs, values)
+    fit = sl.numerics.fit_saturating_exponential(zs, values)
     assert abs(fit.coefficient - 2.0) <= 1e-9
     assert fit.n_samples == 20
 
 
 def test_fit_needs_enough_samples():
     with pytest.raises(ValueError):
-        sl.fit_saturating_exponential([1.0], [0.5])
+        sl.numerics.fit_saturating_exponential([1.0], [0.5])
 
 
 def test_fit_scales_its_basis_exactly():
@@ -512,24 +512,24 @@ def test_fit_scales_its_basis_exactly():
         zs = rng.uniform(-3, 3, 40)
         values = rng.normal(size=40)
         basis = -np.expm1(-rate * zs)
-        fit = sl.fit_saturating_exponential(zs, values, rate=rate)
+        fit = sl.numerics.fit_saturating_exponential(zs, values, rate=rate)
         assert fit.coefficient == float(basis @ values) / float(basis @ basis)
-    tiny = sl.fit_saturating_exponential([1.0, 2.0, 3.0], [2e-200, 4e-200, 6e-200], rate=1e-200)
+    tiny = sl.numerics.fit_saturating_exponential([1.0, 2.0, 3.0], [2e-200, 4e-200, 6e-200], rate=1e-200)
     assert tiny.coefficient == 2.0 and tiny.rms_residual == 0.0
 
 
 def test_fit_flags_model_mismatch():
     zs = np.linspace(-3.0, 3.0, 30)
-    fit = sl.fit_saturating_exponential(zs, zs * zs)
+    fit = sl.numerics.fit_saturating_exponential(zs, zs * zs)
     assert fit.max_residual > 1e-4
 
 
 def test_twisted_additivity_exact_member_vs_perturbed():
     zs = list(np.linspace(-3.0, 3.0, 25))
     member = lambda z: 2.0 * -np.expm1(-z)
-    assert sl.twisted_additivity_residual(member, zs, member(np.array(zs))) <= 1e-12
+    assert sl.numerics.twisted_additivity_residual(member, zs, member(np.array(zs))) <= 1e-12
     perturbed = lambda z: 2.0 * -np.expm1(-z) + 0.01 * z * z
-    assert sl.twisted_additivity_residual(perturbed, zs, perturbed(np.array(zs))) > 1e-4
+    assert sl.numerics.twisted_additivity_residual(perturbed, zs, perturbed(np.array(zs))) > 1e-4
 
 
 def test_twisted_additivity_nan_pair_is_infinite():
@@ -537,10 +537,10 @@ def test_twisted_additivity_nan_pair_is_infinite():
     # (1-exp(-z))*sqrt(2.5-z)/sqrt(2.5-z) is; only pair sums z1 + z2 get there
     zs = list(np.linspace(-1.5, 1.5, 11))
     member = lambda z: np.where(z <= 2.5, -np.expm1(-z), np.nan)
-    assert sl.twisted_additivity_residual(member, zs, member(np.array(zs))) == math.inf
+    assert sl.numerics.twisted_additivity_residual(member, zs, member(np.array(zs))) == math.inf
 
 
 def test_twisted_additivity_rate_parameter():
     member = lambda z: -0.5 * -np.expm1(-3.0 * z)
     zs = list(np.linspace(-1.5, 1.5, 20))
-    assert sl.twisted_additivity_residual(member, zs, member(np.array(zs)), rate=3.0) <= 1e-11
+    assert sl.numerics.twisted_additivity_residual(member, zs, member(np.array(zs)), rate=3.0) <= 1e-11

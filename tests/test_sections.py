@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import solvloop as sl
-from solvloop import SubgroupId
+from solvloop.subgroups import SubgroupId
 
 
 P2 = sl.GroupParam(2.0)
@@ -65,7 +65,7 @@ def test_presets_equal_their_former_lambdas_bit_for_bit(name, arity):
         except ValueError:  # not finite at the origin, as the lambda was
             with np.errstate(all="ignore"):
                 base = old(*[0.0] * arity)
-            assert not (math.isfinite(base) and abs(base) <= sl.BASE_POINT_TOL), (name, coeff)
+            assert not (math.isfinite(base) and abs(base) <= sl.sections.BASE_POINT_TOL), (name, coeff)
             continue
         with np.errstate(all="ignore"):
             pairs = [(spec.fn(*rows.T), old(*rows.T))]
@@ -130,16 +130,16 @@ def test_section_lift_structure(case, preset):
     rng = np.random.default_rng(21)
     for _ in range(25):
         m = sl.LoopPoint(*(float(v) for v in rng.uniform(-3, 3, 3)))
-        g = sl.section_lift(spec, m)
-        d = sl.decompose(spec.param, spec.subgroup, g)
-        assert sl.coordinate_distance(d.rep.coords, m.coords) <= 1e-12
-        assert abs(d.k - sl.section_value(spec, m)) <= 1e-12
+        g = sl.sections.section_lift(spec, m)
+        d = sl.subgroups.decompose(spec.param, spec.subgroup, g)
+        assert sl.group.coordinate_distance(d.rep.coords, m.coords) <= 1e-12
+        assert abs(d.k - sl.sections.section_value(spec, m)) <= 1e-12
 
 
 def test_section_lift_at_origin_is_identity():
     for case, preset in (("A", "linear-x"), ("B", "lemma1"), ("C", "sin-small")):
         spec = spec_for(case, preset)
-        assert sl.section_lift(spec, sl.LoopPoint.origin()).coords == (0, 0, 0, 0)
+        assert sl.sections.section_lift(spec, sl.LoopPoint.origin()).coords == (0, 0, 0, 0)
 
 
 def test_case_a_lift_closed_form():
@@ -147,7 +147,7 @@ def test_case_a_lift_closed_form():
     # third coordinate e^z f, second picks up z e^z f
     spec = spec_for("A", "linear-x")
     m = sl.LoopPoint(0.8, -1.2, 0.4)
-    g = sl.section_lift(spec, m)
+    g = sl.sections.section_lift(spec, m)
     ez = math.exp(0.4)
     assert abs(g.x3 - ez * 0.8) < 1e-15
     assert abs(g.x2 - (-1.2 + 0.4 * ez * 0.8)) < 1e-15
@@ -199,11 +199,11 @@ def test_case_c_degenerate_expression():
 
 def test_degeneracy_report_minimum_samples():
     with pytest.raises(ValueError):
-        sl.degeneracy_report(spec_for("A", "zero"), n_samples=10)
+        sl.sections.degeneracy_report(spec_for("A", "zero"), n_samples=10)
 
 
 def test_degeneracy_verdict_to_dict_keys():
-    d = sl.degeneracy_report(spec_for("A", "zero"))
+    d = sl.sections.degeneracy_report(spec_for("A", "zero"))
     for key in ("generates", "fitted_constant", "identity_residual_max", "n_samples"):
         assert key in d
 
@@ -227,25 +227,25 @@ def _solver_residual(line, u):
 def test_right_translation_system_case_c():
     spec = spec_for("C", "sin-small")
     m1, m2 = _random_points(33)
-    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    line = sl.sections.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
     assert (line.qz == m1.z).all()  # z-coordinates subtract exactly
     assert line.direction == (1.0, 0.0)
     assert (abs(line.base[1] - m1.y) <= 1e-12).all()
     # the true x solves the scalar line equation
     u = m1.x - line.base[0]
     assert (abs(_solver_residual(line, u)) <= 1e-10).all()
-    assert (sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-12).all()
+    assert (sl.group.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-12).all()
 
 
 def test_right_translation_system_case_b():
     spec = spec_for("B", "lemma1")
     m1, m2 = _random_points(34)
-    line = sl.right_translation_system(spec, m2, sl.loop_mul(spec, m1, m2))
+    line = sl.sections.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
     assert (line.qz == m1.z).all()
     assert (np.maximum(abs(line.direction[0]), abs(line.direction[1])) == 1.0).all()
     # u = scale * h at the true quotient puts it on the line
     u = line.scale * spec.fn(*m1.coords)
-    assert (sl.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-10).all()
+    assert (sl.group.coordinate_distance(line.point(u).coords, m1.coords) <= 1e-10).all()
     assert (abs(_solver_residual(line, u)) <= 1e-10).all()
 
 
@@ -253,14 +253,14 @@ def test_right_translation_system_case_b_z_zero_is_closed_form():
     spec = spec_for("B", "sin-small")
     m2 = sl.LoopPoint(1.5, -2.0, 0.0)
     b = sl.LoopPoint(0.3, 0.7, 0.4)
-    assert sl.right_translation_system(spec, m2, b).scale == 0.0
+    assert sl.sections.right_translation_system(spec, m2, b).scale == 0.0
     rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
     assert rep.data["root_counts"] == [1]
 
 
 def test_line_window_square_and_interval():
     fn = sl.FunctionSpec.preset("zero", 3)
-    line = lambda d: sl.RightTranslationLine(fn, 0.0, (0.0, 0.0), d, 1.0)
+    line = lambda d: sl.sections.RightTranslationLine(fn, 0.0, (0.0, 0.0), d, 1.0)
     # case C moves x only: the window is the box itself
     assert line((1.0, 0.0)).window(-2.0, 3.0) == (-2.0, 3.0)
     # case B: the square [-2, 3]^2 cut down to the line
@@ -309,7 +309,7 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
     assert rep.status == "fail"
     assert rep.data["root_counts"] == [3]
-    line = sl.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
+    line = sl.sections.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
     lo, hi = line.window(-5.0, 5.0)
     tree, columns = sl.sections.line_residual_rows(line, np.arange(1))
     (boxes,) = sl.numerics.root_rows(tree, columns, lo, hi)
@@ -318,7 +318,7 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     assert (highs - lows <= 1e-12).all()
     for u in 0.5 * (lows + highs):
         q = sl.LoopPoint(*(float(v[0]) for v in line.point(u).coords))
-        assert sl.coordinate_distance(sl.loop_mul(spec, q, m2).coords, b.coords) <= 1e-9
+        assert sl.group.coordinate_distance(sl.loops.loop_mul(spec, q, m2).coords, b.coords) <= 1e-9
 
 
 def test_generation_max_error_is_the_larger_identity_residual():
