@@ -165,7 +165,7 @@ class Command(NamedTuple):
 
 COMMANDS: dict[str, Command] = {
     "verify-group": Command(
-        "group law, algebra and centre invariants", (A, SEED, _samples(400)),
+        "group law, algebra and centre checks", (A, SEED, _samples(400)),
         lambda args: group_suite(GroupParam(args.a), args.samples, args.seed),
         ("a", "samples", "seed"),
     ),

@@ -11,7 +11,8 @@ for a fixed real shape parameter a != 0.  The group is solvable; its
 commutator subgroup is the abelian slab {x4 = 0}.  This module provides the
 product, inverse and matrix conversions, the Lie algebra (brackets, matrix
 representation, exponential), the automorphisms fixing the grading direction,
-and a sampled witness that the centre is trivial.
+and the exact rank that decides the dimensions of the centre and of
+normalizers from the bracket table.
 
 The coordinates of GroupElement and AlgebraVector may be floats or
 equal-length float64 columns, one row per sample (scalars mixed with columns
@@ -27,10 +28,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-class VariantMismatchError(ValueError):
-    """Automorphism parameters use a variant not available for this shape parameter."""
 
 
 class GroupParam:
@@ -77,6 +74,7 @@ E1 = AlgebraVector(1.0, 0.0, 0.0, 0.0)
 E2 = AlgebraVector(0.0, 1.0, 0.0, 0.0)
 E3 = AlgebraVector(0.0, 0.0, 1.0, 0.0)
 E4 = AlgebraVector(0.0, 0.0, 0.0, 1.0)
+BASIS = (E1, E2, E3, E4)
 
 
 def coordinate_distance(u: Sequence, v: Sequence):
@@ -267,19 +265,18 @@ def exp_alg(p: GroupParam, v: AlgebraVector, t=1.0) -> GroupElement:
 class AutomorphismParams:
     """Parameters of an automorphism fixing the grading direction modulo the slab.
 
-    Columns of the matrix are the images of e1..e4.  The generic variant
-    (valid for every shape parameter) is
+    Columns of the matrix are the images of e1..e4:
 
-        e1 -> k1*e1,  e2 -> l*e2,  e3 -> n2*e2 + l*e3,  e4 -> f1*e1 + f2*e2 + f3*e3 + e4
+        e1 -> k1*e1 + k2*e2,  e2 -> l*e2,  e3 -> n1*e1 + n2*e2 + l*e3,
+        e4 -> f1*e1 + f2*e2 + f3*e3 + e4
 
-    with k1*l != 0.  At a = 1 the weight spaces of e1 and e3 merge and two
-    extra entries open up: e1 may also hit e2 (k2) and e3 may hit e1 (n1).
-    vars() of an instance lists the parameters in this signature's order.
+    with k1*l != 0.  automorphism_matrix refuses nonzero k2 or n1 unless
+    a = 1, where the weight spaces of e1 and e3 merge.  vars() of an
+    instance lists the parameters in this signature's order.
     """
 
     def __init__(
         self,
-        variant: str,  # "generic" or "merged"
         k1: float = 1.0,
         k2: float = 0.0,
         l: float = 1.0,
@@ -289,19 +286,15 @@ class AutomorphismParams:
         f2: float = 0.0,
         f3: float = 0.0,
     ) -> None:
-        if variant not in ("generic", "merged"):
-            raise ValueError("variant must be 'generic' or 'merged'")
         if k1 * l == 0:
             raise ValueError("k1 and l must be nonzero (the map must be invertible)")
-        if variant == "generic" and (k2 != 0 or n1 != 0):
-            raise ValueError("k2 and n1 must vanish in the generic variant")
-        self.variant, self.k1, self.k2, self.l, self.n1 = variant, k1, k2, l, n1
+        self.k1, self.k2, self.l, self.n1 = k1, k2, l, n1
         self.n2, self.f1, self.f2, self.f3 = n2, f1, f2, f3
 
 
 def automorphism_matrix(p: GroupParam, phi: AutomorphismParams) -> np.ndarray:
-    if phi.variant == "merged" and p.a != 1:
-        raise VariantMismatchError("merged variant automorphisms exist only at a = 1")
+    if (phi.k2 != 0 or phi.n1 != 0) and p.a != 1:
+        raise ValueError("automorphisms with nonzero k2 or n1 exist only at a = 1")
     return np.array(
         [
             [phi.k1, 0.0, phi.n1, phi.f1],
@@ -324,29 +317,36 @@ def apply_automorphism(p: GroupParam, phi: AutomorphismParams, v: AlgebraVector)
     return AlgebraVector(*(r[0] * v.c1 + r[1] * v.c2 + r[2] * v.c3 + r[3] * v.c4 for r in m))
 
 
-# exp_alg(p, E4), exp_alg(p, E1) and exp_alg(p, E3), the same for every a:
-# points with x4 != 0, x1 != 0 and x3 != 0, which together separate every
-# nonzero tangent direction from the centre
-CENTER_PROBES = (
-    GroupElement(0.0, 0.0, 0.0, 1.0),
-    GroupElement(1.0, 0.0, 0.0, 0.0),
-    GroupElement(0.0, 0.0, 1.0, 0.0),
-)
-_CENTER_TIMES = (0.25, 0.5, 1.0)
+def exact_rank(columns: Sequence[Sequence[float]]) -> int:
+    """Rank of the matrix with these float columns, exactly.
 
-
-def central_defect(p: GroupParam, v: AlgebraVector):
-    """Largest commutation failure of exp(t*v) against CENTER_PROBES, t in _CENTER_TIMES.
-
-    Zero for v = 0 and strictly positive for every nonzero v, which
-    certifies a trivial centre on the sampled directions.  A float for a
-    vector v, the failure of each for columns of vectors.  Every
-    (vector, t, probe) triple is one row of one column pass.
+    Every finite float is a dyadic rational, so scaling by the largest
+    denominator of the entries makes them integers; elimination without
+    division then keeps them integers.
     """
-    vs = np.reshape(np.broadcast_arrays(*v.coords), (4, -1))  # a vector per column
-    n, pairs = vs.shape[1], len(_CENTER_TIMES) * len(CENTER_PROBES)
-    t = np.tile(np.repeat(_CENTER_TIMES, len(CENTER_PROBES)), n)
-    g = exp_alg(p, AlgebraVector(*np.repeat(vs, pairs, axis=1)), t)
-    q = GroupElement(*np.tile(stack(CENTER_PROBES).coords, len(_CENTER_TIMES) * n))
-    worst = coordinate_distance(mul(p, g, q).coords, mul(p, q, g).coords).reshape(n, pairs).max(1)
-    return worst if np.broadcast(*v.coords).ndim else float(worst[0])
+    ratios = [[float(x).as_integer_ratio() for x in column] for column in columns]
+    scale = max((d for column in ratios for _, d in column), default=1)
+    rows = [[n * (scale // d) for n, d in column] for column in ratios]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[j]), None)
+        if pivot is not None:
+            rest = (r for r in rows if r is not pivot)
+            rows = [[x * pivot[j] - y * r[j] for x, y in zip(r, pivot)] for r in rest]
+            rank += 1
+    return rank
+
+
+def center_dim(p: GroupParam) -> int:
+    """Dimension of the centre: v is central iff [v, e_j] = 0 for every basis vector e_j."""
+    return 4 - exact_rank([[c for f in BASIS for c in bracket(p, e, f)] for e in BASIS])
+
+
+def normalizer_dim(p: GroupParam, h: AlgebraVector) -> int:
+    """Dimension of the normalizer {v : [v, h] in span(h)} of a nonzero h.
+
+    v = sum_k c_k e_k is in it iff (c, s) -> sum_k c_k [e_k, h] - s*h vanishes
+    for some s, which h != 0 makes unique: the dimension is that map's
+    kernel, 5 minus the rank of the columns [e_k, h] and -h.
+    """
+    return 5 - exact_rank([*(bracket(p, e, h) for e in BASIS), h.scaled(-1.0)])

@@ -1,15 +1,18 @@
 """Group-law checks, normalizer sampling and the obstruction certificate.
 
 group_suite samples the group law against the matrix model, the Lie bracket
-against matrix commutators, the exponential and the centre.  The rest of
-the module certifies Theorem 2: the group cannot be the multiplication group of a connected proper loop.
+against matrix commutators and the exponential, and decides the centre
+exactly from the bracket table.  The rest of the module certifies Theorem 2:
+the group cannot be the multiplication group of a connected proper loop.
 The computable ingredients: the normalizer of each admissible one-parameter
 subgroup is exactly the commutator slab {x4 = 0} (3-dimensional), and the
 centre is trivial.  If the group were such a multiplication group with the
 subgroup as inner mapping group, the normalizer of the inner mapping group
 would have to equal inner mappings times centre, which is 1-dimensional.
-theorem2_suite records both sampled facts and the resulting contradiction
-as checks, and the counts behind them as its report's certificate data.
+theorem2_suite records both facts and the resulting contradiction as
+checks: the dimensions exactly from the bracket table, with the sampled
+slab dichotomy of each normalizer as the group-level cross-check.  Its
+report's certificate data holds the dimensions and counts behind them.
 """
 
 from __future__ import annotations
@@ -17,16 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .group import (
-    E1,
-    E2,
-    E3,
-    E4,
     AlgebraVector,
     GroupElement,
     GroupParam,
     as_matrix,
     bracket,
-    central_defect,
+    center_dim,
     commutator_oracle,
     conjugate,
     coordinate_distance,
@@ -34,8 +33,8 @@ from .group import (
     inv,
     largest,
     mul,
+    normalizer_dim,
     split,
-    stack,
 )
 from .report import VerificationReport
 from .sampling import Stream
@@ -48,27 +47,12 @@ from .subgroups import (
     subgroup_generator,
 )
 
-# spans every line of the algebra once combined: each basis direction plus
-# the diagonal that distinguishes e2 from e3 scaling
-CENTER_TEST_DIRECTIONS: tuple[AlgebraVector, ...] = (
-    E1,
-    E2,
-    E3,
-    E4,
-    AlgebraVector(0.0, 1.0, 1.0, 0.0),
-)
-
-
-def min_center_defect(p: GroupParam) -> float:
-    """Smallest commutation defect over the centre test directions, in one column pass."""
-    return float(central_defect(p, stack(CENTER_TEST_DIRECTIONS)).min())
-
-
 def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> VerificationReport:
-    """Sampled group law, Lie algebra, exponential and centre invariants.
+    """Sampled group law, Lie algebra and exponential identities, and the exact centre.
 
-    Each check draws its samples row by row from one PCG64 stream and
-    evaluates all rows in one pass of the column-valued laws.
+    Each sampled check draws its samples row by row from one PCG64 stream
+    and evaluates all rows in one pass of the column-valued laws.  The
+    centre is trivial when center_dim, decided on the 16 basis brackets, is 0.
     """
     rng = Stream(seed)
     report = VerificationReport(seed=seed)
@@ -138,13 +122,13 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
         notes=",".join(s.value for s in subs),
     )
 
-    min_defect = min_center_defect(p)
+    dim = center_dim(p)
     report.record(
         "center-trivial",
-        min_defect > 1e-6,
-        max_error=min_defect,
-        n_samples=len(CENTER_TEST_DIRECTIONS),
-        notes="smallest commutation defect over the test directions",
+        dim == 0,
+        max_error=dim,
+        n_samples=16,
+        notes="dimension of the centre, exact from the bracket table",
     )
     return report
 
@@ -161,16 +145,17 @@ def normalizes(p: GroupParam, g: GroupElement, sub: SubgroupId):
 
 
 def theorem2_suite(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> VerificationReport:
-    """Sampled normalizer dichotomy plus centre triviality, combined into the obstruction.
+    """Normalizer dimensions plus centre triviality, combined into the obstruction.
 
-    Half the samples lie in the slab x4 = 0 (all must normalize every
-    admissible subgroup), half have |x4| in [1e-3, 3] (none may normalize);
-    x1, x2 and x3 lie in [-5, 5].  Each half is drawn row by row and tested
-    as one column element.  The centre is trivial when min_center_defect
-    exceeds 1e-6.  The dimension estimate 3 is a sampled surrogate, not a
-    proof; the contradiction check states the incompatibility with a
-    1-dimensional normalizer that the inner-mapping-group hypothesis would
-    force.  data["certificate"] holds the counts behind every check.
+    The normalizer of each admissible subgroup must have the exact
+    dimension 3 of the slab, and the sampled dichotomy must agree: half the
+    samples lie in the slab x4 = 0 (all must normalize the subgroup), half
+    have |x4| in [1e-3, 3] (none may normalize); x1, x2 and x3 lie in
+    [-5, 5].  Each half is drawn row by row and tested as one column
+    element.  The centre is trivial when center_dim is 0.  The
+    contradiction check states the incompatibility with a 1-dimensional
+    normalizer that the inner-mapping-group hypothesis would force.
+    data["certificate"] holds the dimensions and counts behind every check.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples: one in the slab and one off it")
@@ -188,13 +173,14 @@ def theorem2_suite(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> Verif
     for sub in admissible_subgroups(p):
         slab_normalizing = int(np.count_nonzero(normalizes(p, slab, sub)))
         off_slab_normalizing = int(np.count_nonzero(normalizes(p, off, sub)))
-        equals = slab_normalizing == n_slab and off_slab_normalizing == 0
+        dim = normalizer_dim(p, subgroup_generator(sub))
+        equals = dim == 3 and slab_normalizing == n_slab and off_slab_normalizing == 0
         report.record(
             f"normalizer-is-commutator-slab-{sub.value}",
             equals,
             max_error=float(n_slab - slab_normalizing + off_slab_normalizing),
             n_samples=n_samples,
-            notes="sampled surrogate for the normalizer dimension",
+            notes="exact normalizer dimension 3 and the sampled slab dichotomy",
         )
         records.append({
             "subgroup": sub.value,
@@ -203,16 +189,11 @@ def theorem2_suite(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> Verif
             "off_slab_samples": n_off,
             "off_slab_normalizing": off_slab_normalizing,
             "normalizer_equals_commutator": equals,
-            "normalizer_dim_estimate": 3 if equals else None,
+            "normalizer_dim": dim,
         })
-    min_defect = min_center_defect(p)
-    center_trivial = min_defect > 1e-6
-    report.record(
-        "center-trivial",
-        center_trivial,
-        max_error=min_defect,
-        n_samples=len(CENTER_TEST_DIRECTIONS),
-    )
+    center = center_dim(p)
+    center_trivial = center == 0
+    report.record("center-trivial", center_trivial, max_error=center, n_samples=16)
     contradiction = center_trivial and all(r["normalizer_equals_commutator"] for r in records)
     notes = (
         "hypothesis: were the group a loop multiplication group with an "
@@ -226,7 +207,7 @@ def theorem2_suite(p: GroupParam, n_samples: int = 1000, seed: int = 0) -> Verif
         "records": records,
         "center_trivial": center_trivial,
         "contradiction": contradiction,
-        "min_central_defect": min_defect,
+        "center_dim": center,
         "seed": seed,
         "notes": notes,
     }

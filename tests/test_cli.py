@@ -126,11 +126,11 @@ def _under(path, *keys):
 _VERDICT = ("generates", "fitted_constant", "identity_residual_max", "fit_rms_residual",
             "fit_max_residual", "n_samples", "rate", "notes")
 _NORMALIZER = ("subgroup", "slab_samples", "slab_normalizing", "off_slab_samples",
-               "off_slab_normalizing", "normalizer_equals_commutator", "normalizer_dim_estimate")
+               "off_slab_normalizing", "normalizer_equals_commutator", "normalizer_dim")
 _CERTIFICATE = [
     *_under("data.certificate", "a", "records"),
     *(f"data.certificate.records[].{k}" for k in _NORMALIZER),
-    *(f"data.certificate.{k}" for k in ("center_trivial", "contradiction", "min_central_defect",
+    *(f"data.certificate.{k}" for k in ("center_trivial", "contradiction", "center_dim",
                                          "seed", "notes")),
 ]
 
@@ -149,7 +149,7 @@ _CERTIFICATE = [
          ["data.division_errors", *_under("data.generation", *_VERDICT)]),
         ("classify --a 2 --b1 1.5 --b2 0.5 --b3 -2",
          ["data.class",
-          *_under("data.automorphism", "variant", "k1", "k2", "l", "n1", "n2", "f1", "f2", "f3"),
+          *_under("data.automorphism", "k1", "k2", "l", "n1", "n2", "f1", "f2", "f3"),
           "data.scale"]),
         ("classify --a 2 --b1 0 --b2 1 --b3 0", ["data.class"]),
     ],
@@ -272,6 +272,33 @@ def test_an_overflowing_fixed_point_witness_is_an_overflow(capsys):
     )
 
 
+def test_fixed_point_where_a_times_g4_underflows(capsys):
+    # expm1(a*g4) is 0 there; e^t - 1 = t to double precision, so x = -(g1/a)/g4
+    assert main(["fixed-point", "--a", "1e-300", "--g", "0", "1", "1", "1e-30"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["checks"][0]["max_error"] == 0
+    assert obj["data"]["witness"] == [0, 0, pytest.approx(-1e30, rel=1e-15)]
+    # here the witness's x = -1e330 is beyond the floats
+    assert main(["fixed-point", "--a", "1e-300", "--g", "1", "1", "1", "1e-30"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: fixed coset witness (-inf, -0, -1e+30) is not finite: "
+        "overflow with --a 1e-300, --g 1 1 1 1e-30"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    "verify-group --a 1e-7", "verify-group --a -3e-7", "verify-group --a 5e-324 --samples 5",
+    "theorem2 --a 1e-7",
+])
+def test_small_a_has_a_trivial_centre(capsys, argv):
+    # the sampled centre witness shrank with a and failed its 1e-6 threshold,
+    # or read exactly 0 at a = 5e-324; the centre is trivial for every a != 0
+    assert main(argv.split()) == 0
+    obj = json.loads(capsys.readouterr().out)
+    check = {c["name"]: c for c in obj["checks"]}["center-trivial"]
+    assert (check["status"], check["max_error"], check["n_samples"]) == ("pass", 0, 16)
+
+
 def test_non_finite_values_print_no_numpy_warnings(capsys):
     # the report or the error line already names each non-finite value
     cases = [
@@ -342,7 +369,8 @@ def test_classify_reports_class_and_automorphism(tmp_path):
     assert data["class"] == "H2"
     assert data["automorphism"]["k1"] == 3
     assert data["scale"] == 1.5
-    assert obj["seed"] == 0  # the bracket pairs are drawn at seed 0
+    assert obj["seed"] is None  # the basis pairs: nothing is drawn
+    assert "variant" not in data["automorphism"]
 
 
 @pytest.mark.parametrize("b, cls, named", [

@@ -11,6 +11,9 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvloop as sl
 
@@ -342,20 +345,18 @@ def test_exponentials_of_nan_and_infinite_rows_do_not_raise(name):
 
 def test_automorphism_params_validation():
     with pytest.raises(ValueError):
-        sl.group.AutomorphismParams(variant="generic", k1=0.0)
+        sl.group.AutomorphismParams(k1=0.0)
     with pytest.raises(ValueError):
-        sl.group.AutomorphismParams(variant="bogus")
-    with pytest.raises(ValueError):
-        # generic variant has no mixing entries
-        sl.group.AutomorphismParams(variant="generic", k2=1.0)
-    sl.group.AutomorphismParams(variant="merged", k2=1.0, n1=0.5)  # allowed
+        sl.group.AutomorphismParams(l=0.0)
+    sl.group.AutomorphismParams(k2=1.0, n1=0.5)  # allowed; automorphism_matrix checks a
 
 
 def test_merged_variant_requires_a_equal_one():
-    phi = sl.group.AutomorphismParams(variant="merged", n1=1.0)
-    with pytest.raises(sl.group.VariantMismatchError):
-        sl.group.automorphism_matrix(sl.GroupParam(2.0), phi)
-    sl.group.automorphism_matrix(sl.GroupParam(1.0), phi)  # fine at a=1
+    # k2 and n1 mix the weight spaces of e1 and e3, which merge only at a = 1
+    for phi in (sl.group.AutomorphismParams(n1=1.0), sl.group.AutomorphismParams(k2=1.0)):
+        with pytest.raises(ValueError, match="only at a = 1"):
+            sl.group.automorphism_matrix(sl.GroupParam(2.0), phi)
+        sl.group.automorphism_matrix(sl.GroupParam(1.0), phi)  # fine at a=1
 
 
 @pytest.mark.parametrize("a", (-1.0, 0.5, 2.0))
@@ -364,7 +365,6 @@ def test_generic_automorphism_preserves_brackets(a):
     rng = np.random.default_rng(7)
     for _ in range(25):
         phi = sl.group.AutomorphismParams(
-            variant="generic",
             k1=float(rng.uniform(0.5, 2.0)),
             l=float(rng.uniform(0.5, 2.0)),
             n2=float(rng.uniform(-2, 2)),
@@ -384,23 +384,114 @@ def test_generic_automorphism_preserves_brackets(a):
 
 def test_apply_automorphism_matches_matrix():
     p = sl.GroupParam(1.0)
-    phi = sl.group.AutomorphismParams(variant="merged", k1=2.0, k2=0.5, l=1.5, n1=-1.0, n2=0.25)
+    phi = sl.group.AutomorphismParams(k1=2.0, k2=0.5, l=1.5, n1=-1.0, n2=0.25)
     T = sl.group.automorphism_matrix(p, phi)
     v = sl.group.AlgebraVector(1.0, -2.0, 0.5, 0.0)
     out = sl.group.apply_automorphism(p, phi, v)
     assert np.abs(np.array(out.coords) - T @ np.array(v.coords)).max() <= 1e-15
 
 
-# ---------------------------------------------------------------- centre
+# ---------------------------------------------------------------- centre and normalizers
+
+def test_exact_rank_known_answers():
+    assert sl.group.exact_rank([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == 0
+    assert sl.group.exact_rank([]) == 0
+    # the third column is the sum of the first two
+    assert sl.group.exact_rank([[1, 2, 3], [4, 5, 6], [5, 7, 9], [2, 4, 6]]) == 2
+    assert sl.group.exact_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    # parallel columns at both ends of the float range; a singular-value
+    # tolerance cannot tell the second pair, which is not parallel, from them
+    assert sl.group.exact_rank([[2.0**-1074, 2.0**-1073], [2.0**1000, 2.0**1001]]) == 1
+    assert sl.group.exact_rank([[2.0**-1074, 2.0**-1072], [2.0**1000, 2.0**1001]]) == 2
+    assert sl.group.exact_rank([[2.0**1000, 2.0**1001], [1.0, 2.0 + 2.0**-51]]) == 2
+
+
+@settings(max_examples=100)
+@given(
+    columns=st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 2.0**-60, 2.0**60]), min_size=n, max_size=n),
+            min_size=1, max_size=5,
+        )
+    )
+)
+def test_exact_rank_equals_sympy_rank(columns):
+    exact = sympy.Matrix([[sympy.Rational(*x.as_integer_ratio()) for x in c] for c in columns])
+    assert sl.group.exact_rank(columns) == exact.rank()
+
+
+# the centre and normalizer dimensions do not depend on a != 0, even where its
+# structure constants underflow or sit a rounding away from a = 1
+EXACT_A = (2.0, -1.0, 0.5, 1e-7, 5e-324, 1 + 2.0**-52, 1 - 2.0**-52, 700.0, -700.0, 1e300)
+GENERATORS = {  # the generators of H1, H2 and H3
+    "H1": sl.group.E3,
+    "H2": sl.group.AlgebraVector(1.0, 0.0, 1.0, 0.0),
+    "H3": sl.group.AlgebraVector(1.0, 1.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("a", EXACT_A)
+def test_center_and_normalizer_dims(a):
+    p = sl.GroupParam(a)
+    assert sl.group.center_dim(p) == 0
+    for h in GENERATORS.values():
+        assert sl.group.normalizer_dim(p, h) == 3  # the slab
+    for h in (sl.group.E1, sl.group.E2):  # weight vectors: their span is an ideal
+        assert sl.group.normalizer_dim(p, h) == 4
+
+
+def test_h3_direction_is_an_ideal_at_a_equal_one():
+    p = sl.GroupParam(1.0)
+    assert sl.group.center_dim(p) == 0
+    assert sl.group.normalizer_dim(p, GENERATORS["H3"]) == 4
+    assert sl.group.normalizer_dim(p, GENERATORS["H1"]) == 3
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_exact_rank_agrees_with_numpy_matrix_rank(a):
+    # the matrices of center_dim and normalizer_dim, whose ranks floats decide at these a
+    p = sl.GroupParam(a)
+    basis = (sl.group.E1, sl.group.E2, sl.group.E3, sl.group.E4)
+    matrices = [[[c for f in basis for c in sl.group.bracket(p, e, f)] for e in basis]] + [
+        [*(sl.group.bracket(p, e, h) for e in basis), h.scaled(-1.0)]
+        for h in (*GENERATORS.values(), sl.group.E1, sl.group.E2)
+    ]
+    for columns in matrices:
+        assert sl.group.exact_rank(columns) == np.linalg.matrix_rank(np.array(columns, dtype=float).T)
+
+
+# The sampled centre witness that center_dim replaced, kept as an oracle:
+# exp(t*v) commutes with exp_alg(p, E4), exp_alg(p, E1) and exp_alg(p, E3),
+# which are these points bit for bit, for every t only when v is central.
+CENTER_PROBES = (
+    sl.GroupElement(0.0, 0.0, 0.0, 1.0),
+    sl.GroupElement(1.0, 0.0, 0.0, 0.0),
+    sl.GroupElement(0.0, 0.0, 1.0, 0.0),
+)
+
+
+def central_defect(p, v):
+    """Largest commutation failure of exp(t*v) against CENTER_PROBES, t in (0.25, 0.5, 1)."""
+    worst = 0.0
+    for t in (0.25, 0.5, 1.0):
+        g = sl.group.exp_alg(p, v, t)
+        for q in CENTER_PROBES:
+            d = sl.group.coordinate_distance(sl.group.mul(p, g, q).coords, sl.group.mul(p, q, g).coords)
+            worst = max(worst, d)
+    return worst
+
 
 def test_central_defect_positive_for_basis_directions():
-    for a in A_VALUES:
+    # no nonzero direction is central, as center_dim decides exactly
+    rng = np.random.default_rng(17)
+    for a in (*A_VALUES, 1e-7):
         p = sl.GroupParam(a)
-        for v in (sl.group.E1, sl.group.E2, sl.group.E3, sl.group.E4):
-            assert sl.group.central_defect(p, v) > 1e-6
+        assert sl.group.center_dim(p) == 0
+        for v in (sl.group.E1, sl.group.E2, sl.group.E3, sl.group.E4, *(rand_vector(rng) for _ in range(5))):
+            assert central_defect(p, v) > 0
 
 
 def test_central_defect_zero_direction():
     p = sl.GroupParam(2.0)
     zero = sl.group.AlgebraVector(0.0, 0.0, 0.0, 0.0)
-    assert sl.group.central_defect(p, zero) == 0.0
+    assert central_defect(p, zero) == 0.0

@@ -9,14 +9,6 @@ from solvloop.subgroups import SubgroupId
 A_VALUES = (-1.0, 0.5, 1.0, 2.0)
 
 
-def test_center_test_directions():
-    coords = [d.coords for d in sl.multgroup.CENTER_TEST_DIRECTIONS]
-    assert (1.0, 0.0, 0.0, 0.0) in coords
-    assert (0.0, 0.0, 0.0, 1.0) in coords
-    assert (0.0, 1.0, 1.0, 0.0) in coords  # mixed direction of the repeated block
-    assert len(coords) == 5
-
-
 def test_slab_elements_normalize_stabilizers():
     rng = np.random.default_rng(61)
     for a in (-1.0, 0.5, 2.0):
@@ -55,7 +47,7 @@ def test_certificate_contradiction(a):
     cert = _certificate(a, n_samples=200, seed=5)
     assert cert["center_trivial"] is True
     assert cert["contradiction"] is True
-    assert cert["min_central_defect"] > 0.3
+    assert cert["center_dim"] == 0
     assert cert["seed"] == 5
     expected = 1 if a == 1.0 else 3
     assert len(cert["records"]) == expected
@@ -63,7 +55,7 @@ def test_certificate_contradiction(a):
         assert rec["slab_normalizing"] == rec["slab_samples"]
         assert rec["off_slab_normalizing"] == 0
         assert rec["normalizer_equals_commutator"] is True
-        assert rec["normalizer_dim_estimate"] == 3
+        assert rec["normalizer_dim"] == 3
 
 
 @pytest.mark.parametrize("n_samples", (0, 1))
@@ -83,7 +75,7 @@ def test_certificate_serialization():
     d = _certificate(-1.0, n_samples=60, seed=3)
     assert list(d) == [
         "a", "records", "center_trivial", "contradiction",
-        "min_central_defect", "seed", "notes",
+        "center_dim", "seed", "notes",
     ]
     assert d["records"][0]["subgroup"] == "H1"
     # the dictionary must render deterministically
@@ -97,7 +89,7 @@ def test_certificate_deterministic_across_runs():
     b = _certificate(0.5, n_samples=80, seed=11)
     assert a == b
     c = _certificate(0.5, n_samples=80, seed=12)
-    # the centre scan is a fixed deterministic grid; only normalizer sampling
-    # depends on the seed
-    assert c["min_central_defect"] == a["min_central_defect"]
+    # the dimensions are exact; only normalizer sampling depends on the seed
+    assert c["center_dim"] == a["center_dim"] == 0
+    assert [r["normalizer_dim"] for r in c["records"]] == [r["normalizer_dim"] for r in a["records"]]
 

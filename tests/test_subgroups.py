@@ -158,7 +158,7 @@ def test_classify_frozen_table_merged():
     p1 = sl.GroupParam(1.0)
     c = sl.subgroups.classify_subalgebra(p1, 1.0, 2.0, 3.0)
     assert c.kind is SubgroupId.H1
-    assert c.automorphism.variant == "merged"
+    assert list(vars(c.automorphism)) == ["k1", "k2", "l", "n1", "n2", "f1", "f2", "f3"]
     assert (c.automorphism.n1, c.automorphism.n2) == (-2.0, -3.0)
     # at a=1 any b1 != 0 collapses to the H1 class; b1 = 0 is inadmissible
     assert sl.subgroups.classify_subalgebra(p1, 0.0, 1.0, 1.0).kind is None
