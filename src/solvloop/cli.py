@@ -5,9 +5,11 @@ A row of COMMANDS holds a subcommand's help text, its flags, the call of its
 suite and the keys of the configuration echoed into the report.  main parses
 the arguments, runs the row's suite, fills in the command, configuration and
 (with --timing) wall time, and writes the JSON report (stdout by default).
-It exits 0 when all checks pass (warnings allowed), 1 when a check fails or
-the report cannot be rendered, 2 on usage errors.  Identical arguments
-produce byte-identical reports.
+A plain command line is parsed straight from the table; argparse, built
+from the same flags, parses every other line and prints help and usage
+errors.  main exits 0 when all checks pass (warnings allowed), 1 when a
+check fails or the report cannot be rendered, 2 on usage errors and an
+unwritable --out.  Identical arguments produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import re
 import sys
 import time
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,8 +138,14 @@ def _flag(*names: str, **kwargs) -> tuple:
     return names, kwargs
 
 
-SECTION_FN = "section-fn"  # stands for --fn | --preset (one required) and --coeff
 FINITE = _finite_float(math.isfinite, "finite")
+SECTION_FN = "section-fn"  # stands for --fn | --preset (one required) and --coeff
+_FN = _flag("--fn", help="expression for the section function")
+_PRESET = _flag("--preset", choices=list(PRESETS))
+_COEFF = _flag("--coeff", type=FINITE, default=None, help="preset coefficient override")
+# every command also takes these
+_OUT = _flag("-o", "--out", default="-", help="report path ('-' = stdout)")
+_TIMING = _flag("--timing", action="store_true", help="record wall time (breaks byte-determinism)")
 A = _flag("--a", type=float, required=True)
 CASE = _flag("--case", choices=["A", "B", "C"], required=True)
 SEED = _flag("--seed", type=_at_least(0), default=0)
@@ -228,38 +236,89 @@ COMMANDS: dict[str, Command] = {
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
-    """The solvloop parser with the subparsers of the named commands, by default all.
+def _arguments(command: Command) -> list[tuple[bool, tuple[str, ...], dict]]:
+    """The add_argument calls of a command's subparser, in --help order.
 
-    Built for fewer commands, its usage line still lists every command.
+    Each is (exclusive, option strings, keyword arguments); exactly one of
+    the exclusive flags is required.
     """
-    names = list(commands)
+    arguments = []
+    for flag in command.flags:
+        if flag == SECTION_FN:
+            arguments += [(True, *_FN), (True, *_PRESET), (False, *_COEFF)]
+        else:
+            arguments.append((False, *flag))
+    return arguments + [(False, *_OUT), (False, *_TIMING)]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The solvloop parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="solvloop",
         description="Verification suite for a 4-dimensional solvable group and its coset loops",
     )
-    # a metavar would rename `command` in the full parser's "required" and
-    # "invalid choice" errors, so only a parser for fewer commands sets one
-    metavar = None if names == list(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        command = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         sp._negative_number_matcher = _NEGATIVE_NUMBER
-        for flag in command.flags:
-            if flag == SECTION_FN:
-                group = sp.add_mutually_exclusive_group(required=True)
-                group.add_argument("--fn", help="expression for the section function")
-                group.add_argument("--preset", choices=list(PRESETS))
-                sp.add_argument("--coeff", type=FINITE, default=None, help="preset coefficient override")
-            else:
-                names, kwargs = flag
-                sp.add_argument(*names, **kwargs)
-        sp.add_argument("-o", "--out", default="-", help="report path ('-' = stdout)")
-        sp.add_argument(
-            "--timing", action="store_true", help="record wall time (breaks byte-determinism)"
-        )
+        group = sp.add_mutually_exclusive_group(required=True) if SECTION_FN in command.flags else None
+        for exclusive, names, kwargs in _arguments(command):
+            (group if exclusive else sp).add_argument(*names, **kwargs)
     return parser
+
+
+def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """What build_parser().parse_args(argv) returns, or None when argv is not plain.
+
+    A plain command line names a command, then gives each of its flags at
+    most once, spelled in full, with the flag's values as the next tokens
+    (a value starting with "-" must be a number) or as --flag=value.  Every
+    required flag is there, so is exactly one of --fn and --preset where
+    the command takes both, and every value converts and is among the
+    flag's choices.  Help, abbreviations, "--" and every usage error are
+    not plain: argparse reports them.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    args = argparse.Namespace(command=argv[0])
+    options, exclusive, required = {}, set(), set()
+    for is_exclusive, names, kwargs in _arguments(command):
+        dest = next(name for name in names if name.startswith("--"))[2:].replace("-", "_")
+        store_true = kwargs.get("action") == "store_true"
+        setattr(args, dest, kwargs.get("default", False if store_true else None))
+        options.update(dict.fromkeys(names, (dest, 0 if store_true else kwargs.get("nargs", 1), kwargs)))
+        if is_exclusive:
+            exclusive.add(dest)
+        if kwargs.get("required"):
+            required.add(dest)
+    seen: set[str] = set()
+    i = 1
+    while i < len(argv):
+        name, equals, value = argv[i].partition("=")
+        if name not in options or options[name][0] in seen:
+            return None
+        dest, nargs, kwargs = options[name]
+        if equals:
+            if nargs != 1 or not name.startswith("--"):
+                return None
+            values, i = [value], i + 1
+        else:
+            values, i = argv[i + 1 : i + 1 + nargs], i + 1 + nargs
+            if len(values) < nargs or any(v[:1] == "-" and not _NEGATIVE_NUMBER.match(v) for v in values):
+                return None
+        convert, choices = kwargs.get("type") or str, kwargs.get("choices")
+        try:
+            values = [convert(v) for v in values]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and any(v not in choices for v in values):
+            return None
+        seen.add(dest)
+        setattr(args, dest, True if nargs == 0 else values if "nargs" in kwargs else values[0])
+    if not required <= seen or (exclusive and len(exclusive & seen) != 1):
+        return None
+    return args
 
 
 # ----------------------------------------------------------------------- main
@@ -290,12 +349,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--fn" and not argv[i + 1].startswith("--"):  # argparse reads -x as a flag
             argv[i : i + 2] = [f"--fn={argv[i + 1]}"]
-    # an invocation builds only the subparser it runs
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    args = _plain_args(argv)
+    if args is None:  # argparse prints the help, usage and error text
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     command = COMMANDS[args.command]
     config = _config(args, command.config)
     start = time.perf_counter()
@@ -319,6 +378,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as err:
         print(f"error: report not written: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        print(f"error: --out: {err}", file=sys.stderr)
+        return 2
     return 0 if report.status != "fail" else 1
 
 

@@ -1,9 +1,13 @@
 """Exit codes, report files and determinism of the command-line interface."""
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,10 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvloop
 import solvloop.cli
-from solvloop.cli import COMMANDS, build_parser, main
+from solvloop.cli import COMMANDS, _plain_args, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_to_file(tmp_path, name, args):
@@ -586,17 +594,111 @@ def _parser_cases() -> list[list[str]]:
 
 @pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
 def test_one_subparser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    # main builds only the subparser of the command it runs; its help, usage
-    # and error lines and exit codes are those of the parser of every command
+    # argparse prints the help, usage and error lines of these, and exit
+    # codes are those of the parser of every command; `lemma1` alone parses
+    # and its command refuses it
+    assert (_plain_args(list(argv)) is None) == (argv != ["lemma1"])
     for columns in ("40", "200"):
         monkeypatch.setenv("COLUMNS", columns)
         code = main(list(argv))
         got = (code, *capsys.readouterr())
         with monkeypatch.context() as patched:
-            full = build_parser()
-            patched.setattr(solvloop.cli, "build_parser", lambda commands: full)
+            patched.setattr(solvloop.cli, "_plain_args", lambda argv: None)
             code = main(list(argv))
         assert got == (code, *capsys.readouterr()), columns
+
+
+# a command line that each command accepts, one flag with its values per group
+PLAIN_GROUPS = {
+    "verify-group": [["--a", "2"]],
+    "classify": [["--a", "2"], ["--b1", "1.5"], ["--b2", "0.5"], ["--b3", "-2"]],
+    "loop-check": [["--case", "A"], ["--a", "2"], ["--preset", "linear-x"]],
+    "generation": [["--case", "B"], ["--a", "-1e0"], ["--fn", "x*z"]],
+    "transitivity": [["--case", "C"], ["--a", "0.5"], ["--preset", "sin-small"], ["--box", "-1e6", "1e6"]],
+    "theorem2": [["--a", "-1"]],
+    "lemma1": [["--K", "2"]],
+    "fixed-point": [["--a", "2"], ["--g", "1", "-2", "0.5", "1.5"]],
+}
+PARSER = build_parser()
+SUBPARSERS = next(action for action in PARSER._actions if action.dest == "command").choices
+FLAG_TOKENS = sorted(
+    {flag for sub in SUBPARSERS.values() for flag in sub._option_string_actions}
+    | {"--", "--samp", "--ou", "--pre", "-ox", "-o=x", "--a=2", "--a=-1e6", "--fn=-x", "--fn=",
+       "--box=1", "--timing=1", "--g=1", "--case=A", "--preset=zero", "--samples=3"}
+)
+VALUE_TOKENS = ["2", "0", "3", "-1", "-1e6", "-1e", "-x", "- 1", "-", "nan", "1e400", "", "A", "Q",
+                "x*z", "zero", "linear-x", "report.json"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, most of a line it accepts, and up to three more flags with values."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    groups = [group for group in PLAIN_GROUPS[name] if draw(st.integers(0, 9))]
+    options = SUBPARSERS[name]._option_string_actions
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(sorted(options)) | st.sampled_from(FLAG_TOKENS))
+        nargs = options[flag].nargs if flag in options else 1
+        count = draw(st.sampled_from([1 if nargs is None else nargs] * 3 + [0, 1, 2]))
+        groups.append([flag, *draw(st.lists(st.sampled_from(VALUE_TOKENS), min_size=count, max_size=count))])
+    return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=500)
+@given(command_lines())
+def test_plain_args_equal_what_argparse_parses(argv):
+    # a Namespace from the plain path is argparse's, with the same value
+    # types; every line argparse rejects or answers with help is not plain
+    plain = _plain_args(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = PARSER.parse_args(list(argv))
+        except SystemExit:
+            parsed = None
+    if parsed is None:
+        assert plain is None
+    elif plain is not None:
+        assert _typed(plain) == _typed(parsed)
+
+
+def _typed(args) -> dict:
+    """vars(args) with each value as its type and repr, so 2 != 2.0 and nan == nan."""
+    return {key: (type(value), repr(value)) for key, value in vars(args).items()}
+
+
+def _battery_lines() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return [
+        shlex.split(template.format(seed=seed))
+        for templates in run.WORKLOADS.values() for template in templates for seed in (0, 7919)
+    ]
+
+
+def test_benchmark_lines_take_the_plain_path(capsys, monkeypatch, tmp_path):
+    # every benchmark command line is parsed without argparse and prints
+    # what it prints when argparse parses it
+    def no_argparse():
+        raise AssertionError("argparse ran")
+
+    for i, argv in enumerate(_battery_lines()):
+        for out in ([], ["-o", str(tmp_path / f"plain{i}.json")]):
+            with monkeypatch.context() as patched:
+                patched.setattr(solvloop.cli, "build_parser", no_argparse)
+                plain = (main(argv + out), capsys.readouterr().out, out and Path(out[1]).read_text())
+            with monkeypatch.context() as patched:
+                patched.setattr(solvloop.cli, "_plain_args", lambda argv: None)
+                parsed = (main(argv + out), capsys.readouterr().out, out and Path(out[1]).read_text())
+            assert plain == parsed, argv + out
+
+
+def test_an_unwritable_report_path_names_out(capsys, tmp_path):
+    for path, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main(["verify-group", "--a", "2", "--samples", "5", "-o", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: [Errno ") and reason in err and err.count("\n") == 1, err
 
 
 def test_parser_errors_name_the_command_argument(capsys):
