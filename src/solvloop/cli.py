@@ -1,10 +1,10 @@
 """Command-line front end: one table row per subcommand, nothing else.
 
 Every check suite lives in the library and returns a VerificationReport.
-A row of COMMANDS holds a subcommand's help text, its flags, the call of its
-suite and the keys of the configuration echoed into the report.  main parses
-the arguments, runs the row's suite, fills in the command, configuration and
-(with --timing) wall time, and writes the JSON report (stdout by default).
+A row of COMMANDS holds a subcommand's help text, its flags and the call of
+its suite.  main parses the arguments, runs the row's suite, fills in the
+command, the configuration (the value of each flag) and (with --timing)
+wall time, and writes the JSON report (stdout by default).
 A plain command line is parsed straight from the table; argparse, built
 from the same flags, parses every other line and prints help and usage
 errors.  main exits 0 when all checks pass (warnings allowed), 1 when a
@@ -29,6 +29,7 @@ from .loops import loop_suite
 from .multgroup import group_suite, theorem2_suite
 from .report import VerificationReport, emit_report
 from .sections import (
+    CASE_ARITY,
     PRESETS,
     FunctionSpec,
     SectionSpec,
@@ -45,7 +46,7 @@ from .subgroups import classify_suite, fixed_point_suite
 
 def _section_spec(args) -> SectionSpec:
     p = GroupParam(args.a)
-    arity = 2 if args.case == "A" else 3
+    arity = CASE_ARITY[args.case]
     if args.preset:
         fn = FunctionSpec.preset(args.preset, arity, args.coeff)
     elif args.coeff is not None:
@@ -166,33 +167,28 @@ def _pair(name: str, default: tuple[float, float]) -> tuple:
 
 class Command(NamedTuple):
     help: str
-    flags: tuple  # _flag tuples or SECTION_FN, in --help order
+    flags: tuple  # _flag tuples or SECTION_FN, in --help order; their values are echoed
     run: Callable[[argparse.Namespace], VerificationReport]
-    config: tuple[str, ...]  # dests echoed into the report; "fn" may stand for preset/coeff
 
 
 COMMANDS: dict[str, Command] = {
     "verify-group": Command(
         "group law, algebra and centre checks", (A, SEED, _samples(400)),
         lambda args: group_suite(GroupParam(args.a), args.samples, args.seed),
-        ("a", "samples", "seed"),
     ),
     "classify": Command(
         "reduce a slab subalgebra to canonical form",
         (A, *(_flag(f"--{b}", type=FINITE, required=True) for b in ("b1", "b2", "b3"))),
         lambda args: classify_suite(GroupParam(args.a), args.b1, args.b2, args.b3),
-        ("a", "b1", "b2", "b3"),
     ),
     "loop-check": Command(
         "loop axioms, cross-check and generation verdict",
         (CASE, A, SECTION_FN, SEED, _samples(500), _z_box(None, "half width of z sampling")),
         lambda args: loop_suite(_section_spec(args), args.samples, args.seed, args.z_box),
-        ("case", "a", "fn", "samples", "seed", "z_box"),
     ),
     "generation": Command(
         "degeneracy identities only", (CASE, A, SECTION_FN, _samples(200, minimum=50)),
         lambda args: generation_suite(_section_spec(args), args.samples),
-        ("case", "a", "fn", "samples"),
     ),
     "transitivity": Command(
         "unique-root certification of right division",
@@ -201,12 +197,10 @@ COMMANDS: dict[str, Command] = {
             _z_box(0.5, "half width of z-offset sampling"), SEED, _samples(100),
         ),
         _transitivity,
-        ("case", "a", "fn", "box", "samples", "seed", "z_box"),
     ),
     "theorem2": Command(
         "normalizer + centre obstruction certificate", (A, SEED, _samples(1000, minimum=2)),
         lambda args: theorem2_suite(GroupParam(args.a), args.samples, args.seed),
-        ("a", "samples", "seed"),
     ),
     "lemma1": Command(
         "saturating-exponential family membership test",
@@ -220,13 +214,11 @@ COMMANDS: dict[str, Command] = {
             _samples(50, minimum=2), _pair("--range", (-3.0, 3.0)),
         ),
         _lemma1,
-        ("fn", "K", "rate", "samples", "range"),
     ),
     "fixed-point": Command(
         "fixed coset of a left translation",
         (A, _flag("--g", type=FINITE, nargs=4, required=True, metavar=("X1", "X2", "X3", "X4"))),
         _fixed_point,
-        ("a", "g"),
     ),
 }
 
@@ -234,6 +226,11 @@ COMMANDS: dict[str, Command] = {
 # argparse's own pattern for negative numbers has no exponent, so it would
 # read the value -1e6 as an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _dest(names: tuple[str, ...]) -> str:
+    """The attribute a flag's value is stored in: its long name, e.g. "z_box" for --z-box."""
+    return next(name for name in names if name.startswith("--"))[2:].replace("-", "_")
 
 
 def _arguments(command: Command) -> list[tuple[bool, tuple[str, ...], dict]]:
@@ -284,7 +281,7 @@ def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
     args = argparse.Namespace(command=argv[0])
     options, exclusive, required = {}, set(), set()
     for is_exclusive, names, kwargs in _arguments(command):
-        dest = next(name for name in names if name.startswith("--"))[2:].replace("-", "_")
+        dest = _dest(names)
         store_true = kwargs.get("action") == "store_true"
         setattr(args, dest, kwargs.get("default", False if store_true else None))
         options.update(dict.fromkeys(names, (dest, 0 if store_true else kwargs.get("nargs", 1), kwargs)))
@@ -324,13 +321,18 @@ def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
 # ----------------------------------------------------------------------- main
 
 
-def _config(args, keys: tuple[str, ...]) -> dict:
+def _config(args, command: Command) -> dict:
+    """The value of each flag of the command, in --help order.
+
+    A section function is echoed as fn, or as preset and coeff.
+    """
     config: dict = {}
-    for key in keys:
-        if key == "fn" and getattr(args, "preset", None):
-            config.update(preset=args.preset, coeff=args.coeff)
+    for flag in command.flags:
+        if flag != SECTION_FN:
+            keys = [_dest(flag[0])]
         else:
-            config[key] = getattr(args, key)
+            keys = ["preset", "coeff"] if args.preset else ["fn"]
+        config.update((key, getattr(args, key)) for key in keys)
     return config
 
 
@@ -356,7 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     command = COMMANDS[args.command]
-    config = _config(args, command.config)
+    config = _config(args, command)
     start = time.perf_counter()
     try:
         with np.errstate(all="ignore"):  # the report or error line names non-finite values

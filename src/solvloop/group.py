@@ -98,11 +98,6 @@ def coordinate_distance(u: Sequence, v: Sequence):
     return worst if worst.ndim else float(worst)
 
 
-def largest(errors) -> float:
-    """The largest of per-row errors as a float; 0 for no rows."""
-    return float(np.max(errors, initial=0.0))
-
-
 def stack(points: Sequence):
     """Points of one coordinate record as one point with a column per coordinate."""
     return type(points[0])(*np.array([q.coords for q in points], dtype=float).T)

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import expressions
-from .group import exp, largest
+from .group import exp
 
 
 # Boxes per enclosure.  The residual is enclosed on each box and on its
@@ -281,4 +281,4 @@ def twisted_additivity_residual(
         twisted = exp(-rate * zs) * values[:, None]
         scale = np.maximum(np.maximum(abs(lhs), abs(values)), np.maximum(abs(twisted), 1.0))
         error = abs(lhs - (values + twisted)) / scale
-    return largest(np.where(error == error, error, math.inf))
+    return float(np.max(np.where(error == error, error, math.inf), initial=0.0))

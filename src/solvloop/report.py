@@ -2,12 +2,13 @@
 
 Every suite in the library returns a VerificationReport; the command line
 fills in its command name, echoed configuration and optional wall time and
-writes it.  Reports must be byte-identical across reruns with the same
-configuration and seed, so serialization is hand-rolled: floats are written
-with 17 significant digits (enough to round-trip a double), keys keep
-insertion order, and non-finite floats are rejected, except in the data
-payload, where they are written as null and named.  Wall time is recorded
-only on request for the same reason.
+writes it.  A sampled check goes through bound, which reduces its per-row
+errors; any other verdict through record.  Reports must be byte-identical
+across reruns with the same configuration and seed: json writes them with
+keys in insertion order and each float as the shortest repr that
+round-trips.  Non-finite floats are rejected, except in the data payload,
+where they are written as null and named.  Wall time is recorded only on
+request for the same reason.
 """
 
 from __future__ import annotations
@@ -15,34 +16,20 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 RNG = "PCG64"
 
 
-class Check:
-    def __init__(
-        self,
-        name: str,
-        status: str,  # "pass", "warn" or "fail"
-        max_error: Optional[float] = None,
-        n_samples: int = 0,
-        notes: str = "",
-    ) -> None:
-        if status not in ("pass", "warn", "fail"):
-            raise ValueError(f"invalid check status {status!r}")
-        self.name, self.status, self.max_error = name, status, max_error
-        self.n_samples, self.notes = n_samples, notes
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "max_error": self.max_error,
-            "n_samples": self.n_samples,
-            "notes": self.notes,
-        }
+class Check(NamedTuple):
+    name: str
+    status: str  # "pass", "warn" or "fail"
+    max_error: Optional[float] = None
+    n_samples: int = 0
+    notes: str = ""
 
 
 class VerificationReport:
@@ -71,8 +58,9 @@ class VerificationReport:
         notes: str = "",
         warn_only: bool = False,
     ) -> Check:
-        """Append a check; warn_only downgrades a failure to a warning.
+        """Append a check with the verdict passed; warn_only downgrades a failure to a warning.
 
+        For verdicts that are not a maximum over rows (bound records those).
         A non-finite max_error means the check did not measure anything: it
         fails (warn_only notwithstanding), is stored as None, and its value
         is named in the notes.
@@ -85,6 +73,19 @@ class VerificationReport:
         check = Check(name, status, max_error, n_samples, notes)
         self.checks.append(check)
         return check
+
+    def bound(self, name: str, errors, tolerance: float, notes: str = "") -> Check:
+        """Append a sampled check: it passes when it has a row and its worst row is within tolerance.
+
+        errors is a float (one row), a column, or a list of equal-length
+        columns (all their rows); n_samples is the number of rows and
+        max_error the largest error.  A NaN row counts as inf, so record
+        fails the check and names the value.
+        """
+        errors = np.asarray(errors, dtype=float)
+        worst = float(np.max(errors, initial=0.0))
+        worst = math.inf if math.isnan(worst) else worst
+        return self.record(name, errors.size > 0 and worst <= tolerance, worst, errors.size, notes)
 
     @property
     def status(self) -> str:
@@ -108,7 +109,7 @@ class VerificationReport:
             "config": self.config,
             "seed": self.seed,
             "rng": RNG,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "data": data,
             "wall_time_s": self.wall_time_s,
         }
@@ -121,43 +122,15 @@ def _finite(value, path: str, found: list[str]):
         return None
     if isinstance(value, dict):
         return {k: _finite(v, f"{path}.{k}", found) for k, v in value.items()}
-    if type(value) in (list, tuple):  # a record (a tuple subclass) is no list
+    if type(value) in (list, tuple):
         return [_finite(v, f"{path}[{i}]", found) for i, v in enumerate(value)]
+    if isinstance(value, tuple):  # a record (a tuple subclass) is no list
+        raise TypeError(f"cannot serialize {type(value).__name__} into a report")
     return value
 
 
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError("non-finite float in report")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if type(value) in (list, tuple):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
-
-
 def render_json(value) -> str:
-    return _render(value, 0) + "\n"
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(report: VerificationReport, path: Optional[str]) -> None:

@@ -116,7 +116,7 @@ PRESETS: dict[str, tuple[str, float]] = {
 }
 
 _CASE_SUBGROUP = {"A": SubgroupId.H1, "B": SubgroupId.H2, "C": SubgroupId.H3}
-_CASE_ARITY = {"A": 2, "B": 3, "C": 3}
+CASE_ARITY = {"A": 2, "B": 3, "C": 3}
 
 
 class SectionSpec:
@@ -125,9 +125,9 @@ class SectionSpec:
             raise ValueError("case must be 'A', 'B' or 'C'")
         if not _CASE_SUBGROUP[case].defined(param):
             raise InadmissibleSubgroupError(f"case {case} requires a != 1")
-        if fn.arity != _CASE_ARITY[case]:
+        if fn.arity != CASE_ARITY[case]:
             raise ValueError(
-                f"case {case} needs a {_CASE_ARITY[case]}-argument function, "
+                f"case {case} needs a {CASE_ARITY[case]}-argument function, "
                 f"got arity {fn.arity}"
             )
         self.case, self.param, self.fn = case, param, fn
@@ -483,13 +483,7 @@ def sharp_transitivity_check(
     if bad:
         shown = ", ".join(f"sample {i}: {counts[i]} roots" for i in bad[:5] if counts[i] >= 0)
         notes = "; ".join(filter(None, [shown] + failures[:5]))
-    report.record(
-        "unique-root",
-        passed=not bad,
-        max_error=float(max(abs(c - 1) for c in counts)) if counts else 0.0,
-        n_samples=len(counts),
-        notes=notes,
-    )
+    report.bound("unique-root", np.abs(np.subtract(counts, 1)), 0.0, notes=notes)
     report.data["root_counts"] = counts
     if failures:
         report.data["failures"] = failures

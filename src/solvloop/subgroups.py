@@ -35,7 +35,6 @@ from .group import (
     coordinate_distance,
     exp,
     expm1,
-    largest,
     mul,
     stack,
 )
@@ -213,19 +212,13 @@ def classify_suite(p: GroupParam, b1: float, b2: float, b3: float) -> Verificati
         generator = AlgebraVector(b2, b3, b1, 0.0)
         image = apply_automorphism(p, phi, generator)
         target = subgroup_generator(result.kind).scaled(result.scale)
-        residual = coordinate_distance(image.coords, target.coords)
         u, v = stack([e for e in BASIS for _ in BASIS]), stack(BASIS * 4)
         lhs = apply_automorphism(p, phi, bracket(p, u, v))
         rhs = bracket(p, apply_automorphism(p, phi, u), apply_automorphism(p, phi, v))
-        bracket_resid = largest(coordinate_distance(lhs.coords, rhs.coords))
-        report.record(
-            "canonical-collinearity", residual <= 1e-12, max_error=residual, n_samples=1
-        )
-        report.record(
-            "automorphism-preserves-brackets",
-            bracket_resid <= 1e-12,
-            max_error=bracket_resid,
-            n_samples=16,
+        residual = coordinate_distance(image.coords, target.coords)
+        report.bound("canonical-collinearity", residual, 1e-12)
+        report.bound(
+            "automorphism-preserves-brackets", coordinate_distance(lhs.coords, rhs.coords), 1e-12
         )
         report.data["automorphism"] = dict(vars(phi))
         report.data["scale"] = result.scale
@@ -265,13 +258,11 @@ def fixed_point_residual(p: GroupParam, g: GroupElement, m: LoopPoint) -> float:
 def fixed_point_suite(p: GroupParam, g: GroupElement) -> VerificationReport:
     """Witness the coset fixed by left translation with g (g.x4 != 0) and check it."""
     witness = fixed_point_witness(p, g)
-    residual = fixed_point_residual(p, g, witness)
     report = VerificationReport(seed=None)
-    report.record(
+    report.bound(
         "fixed-coset",
-        residual <= 1e-10,
-        max_error=residual,
-        n_samples=1,
+        fixed_point_residual(p, g, witness),
+        1e-10,
         notes="left translation fixes the witnessed coset",
     )
     report.data["witness"] = list(witness.coords)

@@ -1,5 +1,6 @@
 """Exit codes, report files and determinism of the command-line interface."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import solvloop
 import solvloop.cli
-from solvloop.cli import COMMANDS, _plain_args, build_parser, main
+from solvloop.cli import COMMANDS, _config, _plain_args, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -747,15 +748,25 @@ def test_package_exports_the_suites_and_their_types():
 
 
 def test_command_table_matches_parser(capsys):
-    # every echoed config key is an argument of its subcommand, and every
-    # subcommand's help renders
+    # the echoed config keys are exactly the subcommand's dests but out and
+    # timing, in --help order (a section function as fn, or as preset and
+    # coeff), and every subcommand's help renders
     subparsers = next(
         a for a in build_parser()._actions if a.dest == "command"
     ).choices
     assert list(subparsers) == list(COMMANDS)
     for name, command in COMMANDS.items():
-        dests = {action.dest for action in subparsers[name]._actions}
-        assert set(command.config) <= dests, name
+        dests = [
+            action.dest for action in subparsers[name]._actions
+            if action.dest not in ("help", "out", "timing")
+        ]
+        echoed = set()
+        for preset in (None, "zero"):
+            args = argparse.Namespace(**{**dict.fromkeys(dests), "preset": preset})
+            keys = list(_config(args, command))
+            assert keys == [d for d in dests if d in keys], name
+            echoed.update(keys)
+        assert echoed == set(dests), name
         assert main([name, "--help"]) == 0
     capsys.readouterr()
 
@@ -800,6 +811,51 @@ def test_library_suites_match_cli(tmp_path):
         lib = [(c.name, c.status, c.max_error) for c in report.checks]
         assert cli == lib, argv[0]
         assert code == (1 if report.status == "fail" else 0)
+
+
+_GROUP_ROWS = [(name, 400) for name in (
+    "product-matrix-oracle", "two-sided-inverse", "associativity",
+    "bracket-commutator-oracle", "jacobi",
+)]
+_AXIOM_ROWS = [(name, 500) for name in (
+    "identity-laws", "ldiv-round-trip", "rdiv-round-trip", "z-additivity",
+)]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    # exp-one-parameter draws n // 10 rows; exp-lands-in-subgroup takes 9
+    # times per defined subgroup (H1 to H4, or H1 and H4 at a = 1)
+    ("verify-group --a 2", _GROUP_ROWS + [
+        ("exp-one-parameter", 40), ("exp-lands-in-subgroup", 36), ("center-trivial", 16),
+    ]),
+    ("verify-group --a 1", _GROUP_ROWS + [
+        ("exp-one-parameter", 40), ("exp-lands-in-subgroup", 18), ("center-trivial", 16),
+    ]),
+    ("classify --a 2 --b1 1.5 --b2 0.5 --b3 -2",
+     [("canonical-collinearity", 1), ("automorphism-preserves-brackets", 16)]),
+    ("classify --a 2 --b1 0 --b2 1 --b3 0", [("classification", 1)]),
+    ("loop-check --case B --a 2 --preset lemma1",
+     _AXIOM_ROWS + [("coset-cross-check", 300), ("generation", 400)]),
+    ("loop-check --case A --a 2 --preset zero",
+     _AXIOM_ROWS + [("coset-cross-check", 300), ("generation", 400)]),
+    ("generation --case C --a 2 --preset sin-small", [("generates", 400)]),
+    ("transitivity --case C --a 2 --preset sin-small", [("unique-root", 100)]),
+    ("transitivity --case A --a 2 --preset zero", [("unique-root", 0)]),
+    ("theorem2 --a 2", [
+        ("normalizer-is-commutator-slab-H1", 1000), ("normalizer-is-commutator-slab-H2", 1000),
+        ("normalizer-is-commutator-slab-H3", 1000), ("center-trivial", 16),
+        ("contradiction", 1000),
+    ]),
+    ("lemma1 --K 2", [("profile-fit", 50), ("pair-identity", 2500), ("coefficient-recovery", 50)]),
+    ("fixed-point --a 2 --g 1 2 3 0.5", [("fixed-coset", 1)]),
+])
+def test_n_samples_at_cli_defaults(tmp_path, argv, rows):
+    # every check's row count at the default --samples, so a wrong count in
+    # VerificationReport.bound fails here and not only in a report
+    code, path = run_to_file(tmp_path, "report.json", argv.split())
+    assert code == 0
+    checks = json.loads(path.read_text())["checks"]
+    assert [(c["name"], c["n_samples"]) for c in checks] == rows
 
 
 def test_fn_errors_are_usage_errors_naming_fn(capsys):

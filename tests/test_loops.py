@@ -403,3 +403,14 @@ def test_axiom_suite_right_divisions_batch_section_calls():
     q, residual, errors = sl.loops.loop_rdiv_batch(spec, target, m2)
     assert not errors and (residual <= 1e-8).all()
     assert len(calls) < 100
+
+
+def test_axiom_suite_without_samples_fails():
+    # no rows measured is no evidence: every sampled law fails
+    rep = sl.loops.axiom_suite(case_for("B", "lemma1"), n_samples=0)
+    assert [(c.name, c.status, c.n_samples) for c in rep.checks] == [
+        ("identity-laws", "fail", 0),
+        ("ldiv-round-trip", "fail", 0),
+        ("rdiv-round-trip", "fail", 0),
+        ("z-additivity", "fail", 0),
+    ]

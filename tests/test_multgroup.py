@@ -93,3 +93,19 @@ def test_certificate_deterministic_across_runs():
     assert c["center_dim"] == a["center_dim"] == 0
     assert [r["normalizer_dim"] for r in c["records"]] == [r["normalizer_dim"] for r in a["records"]]
 
+
+
+def test_group_suite_without_samples_fails_the_checks_without_rows():
+    # exp-one-parameter draws at least 20 rows, exp-lands-in-subgroup has its
+    # fixed 9 per subgroup and the centre is exact, so those three still pass
+    rep = sl.multgroup.group_suite(sl.GroupParam(2.0), 0)
+    assert {c.name: (c.status, c.n_samples) for c in rep.checks} == {
+        "product-matrix-oracle": ("fail", 0),
+        "two-sided-inverse": ("fail", 0),
+        "associativity": ("fail", 0),
+        "bracket-commutator-oracle": ("fail", 0),
+        "jacobi": ("fail", 0),
+        "exp-one-parameter": ("pass", 20),
+        "exp-lands-in-subgroup": ("pass", 36),
+        "center-trivial": ("pass", 16),
+    }

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import solvloop.report as rp
@@ -56,6 +57,39 @@ def test_record_fails_non_finite_max_error(bad, warn_only):
     rp.render_json(r.to_dict())  # the check itself stays renderable
 
 
+def test_bound_fails_a_nan_row_and_names_it():
+    r = rp.VerificationReport(seed=0)
+    c = r.bound("k", np.array([0.0, math.nan, 1e-20]), 1e-12, notes="before")
+    assert (c.status, c.max_error, c.n_samples) == ("fail", None, 3)
+    assert c.notes == "before; non-finite max_error inf"
+
+
+def test_bound_counts_a_float_as_one_row():
+    c = rp.VerificationReport(seed=0).bound("k", 1e-13, 1e-12)
+    assert (c.status, c.max_error, c.n_samples) == ("pass", 1e-13, 1)
+    c = rp.VerificationReport(seed=0).bound("k", 2e-12, 1e-12)
+    assert (c.status, c.max_error, c.n_samples) == ("fail", 2e-12, 1)
+
+
+def test_bound_counts_every_row_of_a_list_of_columns():
+    columns = [np.full(9, 1e-15), np.array([0.0] * 8 + [3e-15]), np.zeros(9)]
+    c = rp.VerificationReport(seed=0).bound("k", columns, 1e-9)
+    assert (c.status, c.max_error, c.n_samples) == ("pass", 3e-15, 27)
+
+
+def test_bound_passes_exact_zeros_at_tolerance_zero():
+    c = rp.VerificationReport(seed=0).bound("k", np.zeros(5), 0.0)
+    assert (c.status, c.max_error, c.n_samples) == ("pass", 0.0, 5)
+    c = rp.VerificationReport(seed=0).bound("k", np.array([0.0, 5e-324]), 0.0)
+    assert c.status == "fail"
+
+
+def test_bound_fails_without_rows():
+    # a check that measured nothing has not met its bound
+    c = rp.VerificationReport(seed=0).bound("k", np.zeros(0), 1.0)
+    assert (c.status, c.max_error, c.n_samples) == ("fail", 0.0, 0)
+
+
 def test_non_finite_data_written_as_null_and_named():
     r = rp.VerificationReport(seed=0)
     r.data = {"fit": {"k": math.nan, "ok": 1.5}, "values": (1.0, -math.inf), "n": 3}
@@ -97,8 +131,11 @@ def test_render_is_valid_json_with_schema_keys():
 
 
 def test_render_float_has_17_significant_digits():
-    text = rp.render_json({"v": 0.1})
-    assert "0.10000000000000001" in text
+    # each float is written as the shortest repr that round-trips, so 0.1
+    # stays 0.1 and 1.0 parses back as a float, not an int
+    text = rp.render_json({"v": 0.1, "w": 1.0})
+    assert text == '{\n  "v": 0.1,\n  "w": 1.0\n}\n'
+    assert isinstance(json.loads(text)["w"], float)
 
 
 def test_render_preserves_insertion_order():

@@ -280,6 +280,12 @@ def test_transitivity_case_a_closed_form_note():
     assert "closed-form" in rep.checks[0].notes
 
 
+def test_transitivity_without_samples_fails():
+    rep = sl.sharp_transitivity_check(spec_for("C", "sin-small"), n_samples=0)
+    assert [(c.name, c.status, c.n_samples) for c in rep.checks] == [("unique-root", "fail", 0)]
+    assert rep.data["root_counts"] == []
+
+
 def test_transitivity_case_c_unique_roots():
     rep = sl.sharp_transitivity_check(spec_for("C", "sin-small"), n_samples=40, seed=2)
     assert rep.status == "pass"
