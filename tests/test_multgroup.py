@@ -94,7 +94,6 @@ def test_certificate_deterministic_across_runs():
     assert [r["normalizer_dim"] for r in c["records"]] == [r["normalizer_dim"] for r in a["records"]]
 
 
-
 def test_group_suite_without_samples_fails_the_checks_without_rows():
     # exp-one-parameter draws at least 20 rows, exp-lands-in-subgroup has its
     # fixed 9 per subgroup and the centre is exact, so those three still pass

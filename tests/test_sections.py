@@ -286,6 +286,15 @@ def test_transitivity_without_samples_fails():
     assert rep.data["root_counts"] == []
 
 
+def test_transitivity_window_error_counts_as_two_from_one_root():
+    # a window that misses the line counts -1 roots, |(-1) - 1| = 2
+    spec = spec_for("B", "sin-small", a=-1.0)
+    pair = (sl.LoopPoint(0.5, 0.2, 0.3), sl.LoopPoint(1.0, 1.0, 0.1))
+    c = sl.sharp_transitivity_check(spec, box=(1.0, 2.0), samples=[pair]).checks[0]
+    assert (c.status, c.max_error, c.n_samples) == ("fail", 2.0, 1)
+    assert c.notes == "sample 0: the box [1, 2]^2 misses the solution line"
+
+
 def test_transitivity_case_c_unique_roots():
     rep = sl.sharp_transitivity_check(spec_for("C", "sin-small"), n_samples=40, seed=2)
     assert rep.status == "pass"
