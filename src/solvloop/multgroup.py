@@ -74,7 +74,7 @@ def group_suite(p: GroupParam, n_samples: int = 400, seed: int = 0) -> Verificat
     report.bound("two-sided-inverse", inverse, 1e-12)
 
     g, h, k = split(GroupElement, rng.uniform(-5.0, 5.0, (n, 12)))
-    report.bound(  # both products are temporaries, freed before the next draws
+    report.bound(
         "associativity",
         coordinate_distance(mul(p, mul(p, g, h), k).coords, mul(p, g, mul(p, h, k)).coords),
         1e-12,
