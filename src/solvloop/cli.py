@@ -322,10 +322,7 @@ def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
 
 
 def _config(args, command: Command) -> dict:
-    """The value of each flag of the command, in --help order.
-
-    A section function is echoed as fn, or as preset and coeff.
-    """
+    """Each flag's value, in --help order; a section function as fn, or as preset and coeff."""
     config: dict = {}
     for flag in command.flags:
         if flag != SECTION_FN:

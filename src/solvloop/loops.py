@@ -245,11 +245,14 @@ def axiom_suite(
     report = VerificationReport(seed=seed)
     e = LoopPoint.origin()
     m1, m2, b = _sample_points(rng, n_samples, 3, 5.0, z_half_width)
-    identity = np.maximum(
-        coordinate_distance(loop_mul(spec, e, m1).coords, m1.coords),
-        coordinate_distance(loop_mul(spec, m1, e).coords, m1.coords),
+    report.bound(
+        "identity-laws",
+        np.maximum(
+            coordinate_distance(loop_mul(spec, e, m1).coords, m1.coords),
+            coordinate_distance(loop_mul(spec, m1, e).coords, m1.coords),
+        ),
+        1e-12,
     )
-    report.bound("identity-laws", identity, 1e-12)
     w = loop_ldiv(spec, m1, b)
     report.bound("ldiv-round-trip", coordinate_distance(loop_mul(spec, m1, w).coords, b.coords), 1e-9)
     _, residual, errors = loop_rdiv_batch(spec, loop_mul(spec, b, m2), m2)

@@ -2,13 +2,12 @@
 
 Every suite in the library returns a VerificationReport; the command line
 fills in its command name, echoed configuration and optional wall time and
-writes it.  A sampled check goes through bound, which reduces its per-row
-errors; any other verdict through record.  Reports must be byte-identical
-across reruns with the same configuration and seed: json writes them with
-keys in insertion order and each float as the shortest repr that
-round-trips.  Non-finite floats are rejected, except in the data payload,
-where they are written as null and named.  Wall time is recorded only on
-request for the same reason.
+writes it.  A sampled check is recorded from its per-row errors by bound.
+Reports must be byte-identical across reruns with the same configuration
+and seed: json writes keys in insertion order and each float as its
+shortest round-tripping repr, and rejects non-finite floats, which the data
+payload writes as null and names.  Wall time is recorded only on request
+for the same reason.
 """
 
 from __future__ import annotations
@@ -60,10 +59,9 @@ class VerificationReport:
     ) -> Check:
         """Append a check with the verdict passed; warn_only downgrades a failure to a warning.
 
-        For verdicts that are not a maximum over rows (bound records those).
-        A non-finite max_error means the check did not measure anything: it
-        fails (warn_only notwithstanding), is stored as None, and its value
-        is named in the notes.
+        bound records the sampled checks.  A non-finite max_error means the
+        check measured nothing: it fails (warn_only notwithstanding), is
+        stored as None, and its value is named in the notes.
         """
         status = "pass" if passed else ("warn" if warn_only else "fail")
         if max_error is not None and not math.isfinite(max_error):

@@ -483,7 +483,7 @@ def sharp_transitivity_check(
     if bad:
         shown = ", ".join(f"sample {i}: {counts[i]} roots" for i in bad[:5] if counts[i] >= 0)
         notes = "; ".join(filter(None, [shown] + failures[:5]))
-    report.bound("unique-root", np.abs(np.subtract(counts, 1)), 0.0, notes=notes)
+    report.bound("unique-root", [abs(c - 1) for c in counts], 0.0, notes=notes)
     report.data["root_counts"] = counts
     if failures:
         report.data["failures"] = failures
