@@ -465,12 +465,12 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         lo, hi = _enclose(node, boxes)
     shape = np.broadcast_shapes(*(np.shape(b) for box in boxes.values() for b in box))
-    return np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+    return tuple(v if np.shape(v) == shape else np.broadcast_to(v, shape) for v in (lo, hi))
 
 
 def _enclose(node: Node, boxes: dict):
-    if isinstance(node, Const):
-        return np.float64(node.value), np.float64(node.value)
+    if isinstance(node, Const):  # a point box of one shared value: one corner (see _corners)
+        return (np.float64(node.value),) * 2
     if isinstance(node, Var):
         try:
             lo, hi = boxes[node.name]

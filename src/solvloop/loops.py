@@ -14,20 +14,20 @@ and over H3 (case C), with v = f(x1,y1,z1),
     (x1 + e^{a z1}(x2 - y2 z1 e^{(a-1) z2} + v(1 - e^{(a-1) z2})),
      y1 + e^{z1} y2,  z1 + z2).
 
-Left division is closed-form in every case (z, then the remaining
-coordinates are explicit).  Right division is closed-form in case A; in
-cases B and C it is one scalar root problem on a line through the solution
-of the function-free part of the equation (right_translation_system in
-sections), and the search windows are centered on that solution.  Every
-law takes float or column points; right division (loop_rdiv_batch) works
-on columns throughout: one line of columns, one proof of the roots of all
-rows (numerics.root_rows), the lone roots' proved boxes narrowed to 1e-12
-by the same interval Newton operator (numerics.narrow_roots), one
-multiply-back that validates every quotient, case A's included.
-coset_cross_check re-derives every product through the group: lift the left
-factor with the section, multiply by a representative of the right coset,
-decompose.  Agreement of the two pipelines is the master consistency check
-of the whole construction.
+Left division is closed-form in every case (z, then the remaining coordinates
+are explicit).  Right division is closed-form in case A; in cases B and C it
+is one scalar root problem on a line through the solution of the function-free
+part of the equation (right_translation_system in sections), and the search
+windows are centered on that solution.  Every law takes float or column
+points; right division (loop_rdiv_batch) works on columns throughout: one line
+of columns, one proof of the roots of all rows (numerics.root_rows: flat
+arrays, so that only failed rows and rows with two or more roots are handled
+one by one), the lone roots' proved boxes narrowed to 1e-12 by the same
+interval Newton operator (numerics.narrow_roots), one multiply-back that
+validates every quotient, case A's included.  coset_cross_check re-derives
+every product through the group: lift the left factor with the section,
+multiply by a representative of the right coset, decompose.  Agreement of the
+two pipelines is the master consistency check of the whole construction.
 """
 
 from __future__ import annotations
@@ -113,21 +113,21 @@ def loop_rdiv_batch(
     """(q, residual, errors): for every row of the column points b and m2,
     the q with q * m2 = b.
 
-    Case A is closed-form, and so are cases B and C in the rows where m2
-    has z = 0.  Otherwise cases B and C prove the number of *all* roots
-    of the scalar line equation of right_translation_system on the window
-    of half width 10 on the line around the function-free solution,
-    doubling it up to 4 times for the rows where there is none; all rows
-    are proved together in numerics.root_rows, and the proved box of every
-    lone root is narrowed to at most 1e-12 (numerics.narrow_roots), whose
-    midpoint is the root.  A row gets a MultipleRootsError when the
-    sharp-transitivity hypothesis fails on the window, and a
-    SolverDivergenceError when its root count is unresolved.  Every other
-    quotient is validated in one multiply-back: residual holds the
-    coordinate distance of q * m2 from b in those rows (inf in the rest),
-    and a row beyond 1e-8 (a NaN quotient included) gets a
-    SolverDivergenceError.  errors maps the failed rows to their errors;
-    q holds every row, failed ones included.
+    Case A is closed-form, and so are cases B and C in the rows where m2 has
+    z = 0.  Otherwise cases B and C prove the number of *all* roots of the
+    scalar line equation of right_translation_system on the window of half
+    width 10 on the line around the function-free solution, doubling it up
+    to 4 times for the rows where there is none; all rows are proved
+    together in numerics.root_rows, whose proofs np.bincount counts per row,
+    and the proved box of every lone root is narrowed to at most 1e-12
+    (numerics.narrow_roots), whose midpoint is the root.  A row gets a
+    MultipleRootsError when the sharp-transitivity hypothesis fails on the
+    window, and a SolverDivergenceError when its root count is unresolved.
+    Every other quotient is validated in one multiply-back: residual holds
+    the coordinate distance of q * m2 from b in those rows (inf in the
+    rest), and a row beyond 1e-8 (a NaN quotient included) gets a
+    SolverDivergenceError.  errors maps the failed rows to their errors; q
+    holds every row, failed ones included.
     """
     a = spec.param.a
     errors: dict[int, RightDivisionError] = {}
@@ -140,38 +140,34 @@ def loop_rdiv_batch(
         line = right_translation_system(spec, m2, b)
         us = np.zeros(len(line.qz))
         pending = np.flatnonzero(line.scale != 0.0)  # NaN scales are solved for too
-        single: list[tuple[int, float, float]] = []  # row and proved box of every lone root
+        single = [(pending[:0], us[:0], us[:0])]  # the rows and proved boxes of lone roots
         width = 10.0
         for _ in range(5):
             if not pending.size:
                 break
-            found = root_rows(
-                *line_residual_rows(line, pending),
-                np.full(len(pending), -width),
-                np.full(len(pending), width),
-            )
-            unsolved = []
-            for i, roots in zip(pending.tolist(), found):
-                if isinstance(roots, ValueError):
-                    err = SolverDivergenceError(f"{roots} (window half width {width:g})")
-                    err.__cause__ = roots
-                    errors[i] = err
-                elif len(roots) > 1:
-                    errors[i] = MultipleRootsError(
-                        f"{len(roots)} roots in window of half width {width:g} around {_base(line, i)}"
-                    )
-                elif roots:
-                    single.append((i, *roots[0]))
-                else:
-                    unsolved.append(i)
-            pending = np.array(unsolved, dtype=np.intp)
+            ends = np.full(len(pending), width)
+            rows, lo, hi, failed = root_rows(*line_residual_rows(line, pending), -ends, ends)
+            counts = np.bincount(rows, minlength=len(pending))
+            for r, cause in failed.items():
+                err = SolverDivergenceError(f"{cause} (window half width {width:g})")
+                err.__cause__ = cause
+                errors[int(pending[r])] = err
+            for r in np.flatnonzero(counts > 1).tolist():
+                i = int(pending[r])
+                errors[i] = MultipleRootsError(
+                    f"{counts[r]} roots in window of half width {width:g} around {_base(line, i)}"
+                )
+            lone = counts[rows] == 1
+            single.append((pending[rows[lone]], lo[lone], hi[lone]))
+            counts[list(failed)] = -1
+            pending = pending[counts == 0]
             width *= 2.0
         for i in pending.tolist():
             errors[i] = NoRootInBoxError(
                 f"no root in window of half width {width / 2.0:g} around {_base(line, i)}"
             )
-        if single:
-            rows, lo, hi = (np.array(v) for v in zip(*single))
+        rows, lo, hi = (np.concatenate(v) for v in zip(*single))
+        if rows.size:
             lo, hi = narrow_roots(*line_residual_rows(line, rows), lo, hi)
             us[rows] = 0.5 * (lo + hi)
         q = line.point(us)

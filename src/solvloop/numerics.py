@@ -13,7 +13,8 @@ Three workhorses:
     that X holds no root, N(X) ⊂ int X that it holds exactly one, in N(X).
     Poles, NaN values and tangential roots leave a row unresolved within
     MAX_BOXES boxes: they fail, never pass.  There is no grid, so roots
-    closer together than any spacing are counted.
+    closer together than any spacing are counted.  It returns flat arrays
+    (the row and box of every root) and a dict of the failed rows' errors.
   * narrow_roots: the same operator on proved boxes, down to 1e-12.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
@@ -23,7 +24,7 @@ Three workhorses:
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,22 +107,22 @@ def _unresolved(u) -> ValueError:
     )
 
 
-def _merged(boxes: list) -> list:
-    """Sorted proved boxes with overlapping ones merged into their intersection.
+def _merged(boxes) -> list:
+    """Proved boxes (row, a, b), sorted, with overlapping boxes of a row merged into their intersection.
 
     The residual is strictly monotone on each proved box, so two that
     overlap are monotone on their union and hold the same root.
     """
     out = sorted(boxes)
     for i in range(len(out) - 1, 0, -1):
-        if out[i][0] <= out[i - 1][1]:
-            out[i - 1 : i + 1] = [(out[i][0], min(out[i - 1][1], out[i][1]))]
+        if out[i][0] == out[i - 1][0] and out[i][1] <= out[i - 1][2]:
+            out[i - 1 : i + 1] = [(*out[i][:2], min(out[i - 1][2], out[i][2]))]
     return out
 
 
 def root_rows(
     tree: expressions.Node, columns: dict, lo, hi
-) -> list[Union[list[tuple[float, float]], ValueError]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ValueError]]:
     """The roots in u of many functions on their windows, proved, one row per function.
 
     Row r is the function tree of u and of the values columns[name][r] of
@@ -132,21 +133,22 @@ def root_rows(
     narrow them, and the rest are halved.  Enclosures only are computed,
     so evaluate never runs where it could raise.
 
-    Returns one entry per row: the boxes (a, b) of its roots in increasing
-    order, each holding exactly one root, a < root < b, on which the
-    residual is strictly monotone; or the ValueError that rules the row
-    out: a bad window, or an unresolved root count (a box that has not
-    been settled after MAX_BOXES boxes of the row, or cannot be halved).
-    A root on an end that two boxes share is proved by both, in boxes that
-    overlap, and counted once.  Inflation lets a root within rounding of a
-    window's end count as in it.  A row in which a column that the tree
-    reads is NaN fails before the first round with the text that the end
-    of its budget would give, since no box of it can have a finite
-    enclosure (see expressions.enclose).
+    Returns (rows, a, b, errors), one entry k per proved root, sorted by row
+    and then by position: row rows[k] has exactly one root in the box
+    [a[k], b[k]], a < root < b, on which the residual is strictly monotone;
+    np.bincount(rows, minlength=len(lo)) counts the roots of every row.
+    errors maps each row ruled out, which has no entries, to its ValueError: a
+    bad window, or an unresolved root count (a box that has not been settled
+    after MAX_BOXES boxes of the row, or cannot be halved).  A root on an end
+    that two boxes share is proved by both, in boxes that overlap, and counted
+    once.  Inflation lets a root within rounding of a window's end count as in
+    it.  A row in which a column that the tree reads is NaN fails before the
+    first round with the text that the end of its budget would give, since no
+    box of it can have a finite enclosure (see expressions.enclose).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out: list = [[] for _ in lo]
+    errors: dict[int, ValueError] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~(lo < hi) | ~np.isfinite(hi - lo)
     # a NaN value that the tree reads makes the row's enclosure unknown on
@@ -157,15 +159,16 @@ def root_rows(
         nan |= columns[name] != columns[name]
     for r in np.flatnonzero(bad | nan).tolist():
         if not lo[r] < hi[r]:
-            out[r] = ValueError("interval needs lo < hi")
+            errors[r] = ValueError("interval needs lo < hi")
         elif bad[r]:
-            out[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
+            errors[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
         else:
-            out[r] = _unresolved(lo[r])
+            errors[r] = _unresolved(lo[r])
     bad |= nan
     newton = _newton_operator(tree)
     rows = np.flatnonzero(~bad)
     a, b = lo[rows], hi[rows]
+    found = [(rows[:0], a[:0], b[:0])]  # the rows and boxes of the roots proved in each block
     spent = np.zeros(len(lo), dtype=np.intp)
     while rows.size:
         spent += np.bincount(rows, minlength=len(lo))
@@ -177,29 +180,41 @@ def root_rows(
             keep[block], a[block], b[block], halve[block], proved, x, y = _sort_boxes(
                 tree, newton, cols, a[block], b[block]
             )
-            for row, box in zip(r[proved].tolist(), zip(x.tolist(), y.tolist())):
-                out[row].append(box)
+            found.append((r[proved], x, y))
         rows, a, b, halve = rows[keep], a[keep], b[keep], halve[keep]
         mid = 0.5 * (a + b)
         stuck = (spent[rows] >= MAX_BOXES) | (halve & ~((a < mid) & (mid < b)))
         for i in np.flatnonzero(stuck)[np.lexsort((a[stuck], rows[stuck]))].tolist():
             if not bad[rows[i]]:  # the lowest stuck box of the row names it
                 bad[rows[i]] = True
-                out[rows[i]] = _unresolved(a[i])
+                errors[int(rows[i])] = _unresolved(a[i])
         one, two = ~bad[rows] & ~halve, ~bad[rows] & halve
         rows = np.concatenate([rows[one], rows[two], rows[two]])
         a, b = np.concatenate([a[one], a[two], mid[two]]), np.concatenate([b[one], mid[two], b[two]])
-    return [o if isinstance(o, ValueError) or len(o) < 2 else _merged(o) for o in out]
+    rows, a, b = (np.concatenate(v) for v in zip(*found))
+    counts = np.bincount(rows, minlength=len(lo))
+    counts[bad] = 0  # a failed row keeps no entries
+    many = counts[rows] >= 2  # rare: sorted and merged in Python
+    boxes = _merged(zip(rows[many].tolist(), a[many].tolist(), b[many].tolist()))
+    at = np.zeros(len(lo), dtype=np.intp)
+    at[rows] = np.arange(len(rows))  # the entry of every row that has one
+    lone = np.flatnonzero(counts == 1)
+    rows, a, b = lone, a[at[lone]], b[at[lone]]
+    if boxes:  # the rows with two or more boxes go in by row
+        rows, a, b = (np.concatenate([v, np.array(w)]) for v, w in zip((rows, a, b), zip(*boxes)))
+        order = np.argsort(rows, kind="stable")
+        rows, a, b = rows[order], a[order], b[order]
+    return rows, a, b, errors
 
 
 def narrow_roots(tree: expressions.Node, columns: dict, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The proved root boxes [lo[i], hi[i]] that root_rows gave row i of (tree, columns), narrowed.
+    """Proved root boxes [lo[i], hi[i]] of root_rows, narrowed; box i is row i of (tree, columns).
 
     Every box X becomes N(X) ∩ X (see _newton), which still holds its root,
     until it is at most 1e-12 wide or a step leaves it as wide as it was
     (where outward rounding keeps it wider, a few ulps of the root beyond
-    about |u| = 2e3, or F'(X) is no longer enclosed away from 0).  Newton's quadratic convergence takes 2
-    or 3 steps for a right division.
+    about |u| = 2e3, or F'(X) is no longer enclosed away from 0).  Newton's
+    quadratic convergence takes 2 or 3 steps for a right division.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from mpmath import iv
 from hypothesis import strategies as st
 
@@ -187,6 +187,37 @@ def test_enclose_contains_every_computed_value(tree, x, y, fractions):
         xs, ys = (g.ravel() for g in np.meshgrid(_box_points(a, b, fractions), _box_points(c, d, fractions)))
         values = np.broadcast_to(ex.as_function(tree, ("x", "y"))(xs, ys), xs.shape)
         assert np.all((low <= values) & (values <= high)), (repr(tree), low, high)
+
+
+_POINTS = _ENDS | st.sampled_from([-0.0, -5e-324, math.inf, -math.inf, math.nan])
+
+
+def _constants_as_variables(node, points: dict):
+    """node with each constant c replaced by the variable repr(c), bound in points to (c, c)."""
+    if isinstance(node, ex.Const):
+        points[repr(node.value)] = (node.value, node.value)
+        return ex.Var(repr(node.value))
+    if isinstance(node, ex.Var):
+        return node
+    return type(node)(*(_constants_as_variables(v, points) if isinstance(v, tuple) else v for v in node))
+
+
+@settings(max_examples=400)
+@given(tree=_TREES, c=_POINTS, op=st.sampled_from("+-*/^"), first=st.booleans(),
+       x=st.tuples(_POINTS, _POINTS), y=st.tuples(_POINTS, _POINTS))
+def test_a_constant_encloses_as_its_point_box(tree, c, op, first, x, y):
+    # a constant is enclosed as one shared value, so c*X takes the two
+    # products of c and the ends of X, not the four of the corners of the
+    # point box (c, c) and X: the enclosures are the same bit for bit, on
+    # boxes with signed zeros, subnormals, infinities and NaN ends
+    assume(tree != ex.Const(c))  # c*c would be enclosed as a square
+    node = ex.BinOp(op, *((ex.Const(c), tree) if first else (tree, ex.Const(c))))
+    points: dict = {}
+    variables = _constants_as_variables(node, points)
+    boxes = {"x": ([x[0], 0.0], [x[1], 0.0]), "y": ([y[0], -0.0], [y[1], 1.0])}
+    got = ex.enclose(node, boxes)
+    expected = ex.enclose(variables, {**boxes, **points})
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], repr(node)
 
 
 @pytest.mark.parametrize(

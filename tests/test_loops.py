@@ -231,6 +231,32 @@ def test_rdiv_no_root_error():
     assert str(raised.value) == "no root in window of half width 160 around (5.0, 0.0)"
 
 
+def test_rdiv_batch_errors_row_by_row():
+    # case-C right divisions of x^2 in one batch (0*sqrt(y) is unknown on
+    # every box where y < 0): two roots on the first window, an unresolved
+    # count, no root on any window, two roots on the third window; each row
+    # gets its own error type and message
+    spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2 + 0*sqrt(y)", 3))
+    rng = np.random.default_rng(1)
+    b, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, 12)), rng.uniform(-1, 1, 12)) for _ in "12")
+    b, m2 = (sl.LoopPoint(*(col[[8, 1, 6, 0]] for col in p.coords)) for p in (b, m2))
+    _, residual, errors = sl.loops.loop_rdiv_batch(spec, b, m2)
+    base = sl.sections.right_translation_system(spec, m2, b).base
+    around = [(float(base[0][i]), float(base[1][i])) for i in range(4)]
+    assert {i: (type(e).__name__, str(e)) for i, e in errors.items()} == {
+        0: ("MultipleRootsError", f"2 roots in window of half width 10 around {around[0]}"),
+        1: (
+            "SolverDivergenceError",
+            "unresolved: no exclusion or monotonicity proof near u = -10 within 1000 boxes"
+            " (window half width 10)",
+        ),
+        2: ("NoRootInBoxError", f"no root in window of half width 160 around {around[2]}"),
+        3: ("MultipleRootsError", f"2 roots in window of half width 40 around {around[3]}"),
+    }
+    assert type(errors[1].__cause__) is ValueError
+    assert np.isinf(residual).all()
+
+
 def test_division_errors_share_base_class():
     assert issubclass(sl.loops.NoRootInBoxError, sl.loops.RightDivisionError)
     assert issubclass(sl.loops.MultipleRootsError, sl.loops.RightDivisionError)

@@ -18,6 +18,8 @@ from solvloop import expressions as ex
 from solvloop import numerics
 from solvloop.numerics import root_rows
 
+from conftest import per_row
+
 
 # ---------------------------------------------------------------- 1-D roots
 
@@ -103,7 +105,7 @@ def root1d(fn, interval):
     narrowed box, as in loops.loop_rdiv_batch.
     """
     tree = _tree(fn)
-    (boxes,) = root_rows(tree, {}, [interval[0]], [interval[1]])
+    (boxes,) = per_row(root_rows(tree, {}, [interval[0]], [interval[1]]), 1)
     if isinstance(boxes, ValueError):
         raise boxes
     if not boxes:
@@ -282,11 +284,11 @@ def test_root_rows_equals_root1d_and_scalar_bisect(data, block_points, width):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(numerics, "MAX_BOXES", 256)  # unresolved rows end sooner
         alone = [
-            root_rows(tree, {k: v[i : i + 1] for k, v in columns.items()}, [-width], [width])[0]
+            per_row(root_rows(tree, {k: v[i : i + 1] for k, v in columns.items()}, [-width], [width]), 1)[0]
             for i in range(n)
         ]
         patch.setattr(numerics, "BLOCK_POINTS", block_points)
-        batch = root_rows(tree, columns, [-width] * n, [width] * n)
+        batch = per_row(root_rows(tree, columns, [-width] * n, [width] * n), n)
     assert repr(batch) == repr(alone)
     for row, got in zip(rows, batch):
         roots = sorted(v for k, v in row.items() if k.startswith("r"))
@@ -319,11 +321,11 @@ def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves(monkeypatch):
     u = ex.Var("u")
     no_root = ex.BinOp("+", ex.BinOp("*", u, u), ex.Const(1.0))
     boxes = _enclosed(monkeypatch, no_root)
-    assert root_rows(no_root, {}, [-5.0], [5.0]) == [[]]
+    assert per_row(root_rows(no_root, {}, [-5.0], [5.0]), 1) == [[]]
     assert boxes == {"residual": 2, "slope": 0}
     line = ex.BinOp("-", u, ex.Const(0.3))
     boxes = _enclosed(monkeypatch, line)
-    ((a, b),) = root_rows(line, {}, [-1.0], [1.0])[0]
+    ((a, b),) = per_row(root_rows(line, {}, [-1.0], [1.0]), 1)[0]
     assert a < 0.3 < b and b - a < 1e-15
     assert boxes == {"residual": 2, "slope": 1}
 
@@ -331,7 +333,7 @@ def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves(monkeypatch):
 def test_root_rows_never_misplaces_a_root_whose_residual_underflows():
     # (-0.5)*(-5e-324) rounds to 0, so the root 5e-324 and the split point 0
     # of [-1, 1] have the same float residual; the proof holds the root
-    (got,) = root_rows(ex.parse("(u - 0.5)*(u - 5e-324)", ("u",)), {}, [-1.0], [1.0])
+    (got,) = per_row(root_rows(ex.parse("(u - 0.5)*(u - 5e-324)", ("u",)), {}, [-1.0], [1.0]), 1)
     assert len(got) == 2
     (a, b), (c, d) = got
     assert a < 5e-324 < b and c < 0.5 < d
@@ -340,7 +342,7 @@ def test_root_rows_never_misplaces_a_root_whose_residual_underflows():
 
 def test_root_rows_names_a_window_too_wide_for_floats():
     # hi - lo overflows: the window is at fault, not the function
-    (got,) = root_rows(ex.Call("sin", ex.Var("u")), {}, [-1e308], [1e308])
+    (got,) = per_row(root_rows(ex.Call("sin", ex.Var("u")), {}, [-1e308], [1e308]), 1)
     assert isinstance(got, ValueError)
     assert str(got) == "window [-1e+308, 1e+308] is wider than the largest float"
 
@@ -350,9 +352,59 @@ def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
     tree = ex.Call("sqrt", ex.Neg(ex.Var("u")))
     boxes = _enclosed(monkeypatch, tree)
     monkeypatch.setattr(numerics, "MAX_BOXES", 100)
-    (got,) = root_rows(tree, {}, [1.0], [2.0])
+    (got,) = per_row(root_rows(tree, {}, [1.0], [2.0]), 1)
     assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 100 boxes"
     assert 100 <= boxes["residual"] // 2 < 256
+
+
+def test_root_rows_drops_the_roots_of_a_row_that_runs_out_of_boxes(monkeypatch):
+    # row 0 proves its root at 0.25 (twice: the split point 0.25 is a root)
+    # and then spends its budget on the NaN beyond s = 0.5: it keeps its
+    # error and no entries; row 1, with no NaN on the window, keeps the root
+    tree = ex.parse("(u - 0.25)*sqrt(s - u)/sqrt(s - u)", ("u", "s"))
+    proved = []
+    sort_boxes = numerics._sort_boxes
+
+    def spied(tree, newton, columns, a, b):
+        out = sort_boxes(tree, newton, columns, a, b)
+        proved.extend(columns["s"][out[4]].tolist())
+        return out
+
+    monkeypatch.setattr(numerics, "_sort_boxes", spied)
+    monkeypatch.setattr(numerics, "MAX_BOXES", 100)
+    rows, a, b, errors = root_rows(tree, {"s": np.array([0.5, 2.0])}, [0.0, 0.0], [1.0, 1.0])
+    assert proved.count(0.5) == 2 and proved.count(2.0) == 1
+    assert rows.tolist() == [1] and a[0] < 0.25 < b[0]
+    assert list(errors) == [0]
+    assert str(errors[0]) == "unresolved: no exclusion or monotonicity proof near u = 0.492188 within 100 boxes"
+
+
+@pytest.mark.parametrize("block_points", [2, numerics.BLOCK_POINTS])
+def test_root_rows_mixed_batch_equals_one_row_calls(monkeypatch, block_points):
+    # rows of every outcome in one batch, in blocks of any size, give what
+    # each gives alone: one root, two roots (one at the first split point 0,
+    # proved in two overlapping boxes and counted once), none, a NaN
+    # column, a window too wide for floats, an empty window
+    tree = ex.parse("(u - c)*(u - d)", ("u", "c", "d"))
+    c = np.array([0.3, 0.0, 3.0, math.nan, -0.5, 0.3])
+    d = np.array([5.0, 0.75, 5.0, 0.5, 0.5, 5.0])
+    lo = np.array([-1.0, -1.0, -1.0, -1.0, -1e308, 1.0])
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 1e308, 1.0])
+    alone = [
+        per_row(root_rows(tree, {"c": c[i : i + 1], "d": d[i : i + 1]}, lo[i : i + 1], hi[i : i + 1]), 1)[0]
+        for i in range(6)
+    ]
+    monkeypatch.setattr(numerics, "BLOCK_POINTS", block_points)
+    rows, a, b, errors = found = root_rows(tree, {"c": c, "d": d}, lo, hi)
+    batch = per_row(found, 6)
+    assert repr(batch) == repr(alone)
+    assert np.bincount(rows, minlength=6).tolist() == [1, 2, 0, 0, 0, 0]
+    assert a[0] < 0.3 < b[0] and a[1] < 0.0 < b[1] and a[2] < 0.75 < b[2]
+    assert {r: str(e) for r, e in errors.items()} == {
+        3: "unresolved: no exclusion or monotonicity proof near u = -1 within 1000 boxes",
+        4: "window [-1e+308, 1e+308] is wider than the largest float",
+        5: "interval needs lo < hi",
+    }
 
 
 def _right_division_rows(n):
@@ -389,15 +441,15 @@ def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
         return enclose(tree, env)
 
     monkeypatch.setattr(ex, "enclose", counted)
-    (budgeted,) = root_rows(ex.Call("sqrt", ex.Neg(ex.Var("u"))), {}, [1.0], [2.0])
+    (budgeted,) = per_row(root_rows(ex.Call("sqrt", ex.Neg(ex.Var("u"))), {}, [1.0], [2.0]), 1)
     assert sum(boxes) >= numerics.MAX_BOXES
     boxes.clear()
     tree = ex.BinOp("-", ex.Var("u"), ex.Var("c"))
-    (got,) = root_rows(tree, {"c": np.array([math.nan]), "d": np.array([1.0])}, [1.0], [2.0])
+    (got,) = per_row(root_rows(tree, {"c": np.array([math.nan]), "d": np.array([1.0])}, [1.0], [2.0]), 1)
     assert type(got) is type(budgeted) and str(got) == str(budgeted)
     assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
     assert sum(boxes) == 0
-    ((a, b),) = root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0])[0]
+    ((a, b),) = per_row(root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0]), 1)[0]
     assert a < 1.5 < b
 
 
@@ -407,7 +459,7 @@ def test_narrow_roots_encloses_at_most_8_boxes_per_right_division(monkeypatch):
     # narrows the proved boxes to 1e-12 in 2 or 3 steps
     tree, columns, m1, line = _right_division_rows(500)
     boxes = _enclosed(monkeypatch, tree)
-    found = root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
+    found = per_row(root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0)), 500)
     assert boxes == {"residual": 1000, "slope": 500}
     lo, hi = numerics.narrow_roots(tree, columns, *np.array([roots[0] for roots in found]).T)
     assert (hi - lo <= 1e-12).all()
@@ -419,7 +471,7 @@ def test_refined_right_divisions_agree_with_brentq():
     # an independent oracle: scipy's brentq on root_rows' proved box lies in
     # the narrowed box, at most 1e-12 wide, up to brentq's own tolerance
     tree, columns, _, _ = _right_division_rows(500)
-    found = root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0))
+    found = per_row(root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0)), 500)
     assert all(len(roots) == 1 for roots in found)
     (a, b) = np.array([roots[0] for roots in found]).T
     lo, hi = numerics.narrow_roots(tree, columns, a, b)
@@ -447,7 +499,7 @@ def test_root_rows_takes_no_more_rounds_than_bisection_where_newton_is_useless(m
         return enclose(t, env)
 
     monkeypatch.setattr(ex, "enclose", counted)
-    ((a, b),) = root_rows(tree, {}, [-10.0], [10.0])[0]
+    ((a, b),) = per_row(root_rows(tree, {}, [-10.0], [10.0]), 1)[0]
     lo, hi = numerics.narrow_roots(tree, {}, [a], [b])
     assert a < 0.3 < b and lo[0] <= 0.3 <= hi[0] and hi[0] - lo[0] <= 1e-12
     assert sum(rounds) <= 45
@@ -459,8 +511,8 @@ def test_bisection_stops_where_doubles_are_wider_than_tol():
     code = (
         "from solvloop import expressions as ex; from solvloop.numerics import root_rows, narrow_roots; "
         "tree = ex.parse('u*u - 2e10', ('u',)); "
-        "(boxes,) = root_rows(tree, {}, [0.0], [2e5]); "
-        "print(repr([float(v[0]) for v in narrow_roots(tree, {}, *zip(*boxes))]))"
+        "_, a, b, _ = root_rows(tree, {}, [0.0], [2e5]); "
+        "print(repr([float(v[0]) for v in narrow_roots(tree, {}, a, b)]))"
     )
     src = str(Path(sl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -9,6 +9,8 @@ import pytest
 import solvloop as sl
 from solvloop.subgroups import SubgroupId
 
+from conftest import per_row
+
 
 P2 = sl.GroupParam(2.0)
 
@@ -327,7 +329,7 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     line = sl.sections.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
     lo, hi = line.window(-5.0, 5.0)
     tree, columns = sl.sections.line_residual_rows(line, np.arange(1))
-    (boxes,) = sl.numerics.root_rows(tree, columns, lo, hi)
+    (boxes,) = per_row(sl.numerics.root_rows(tree, columns, lo, hi), 1)
     assert len(boxes) == 3
     lows, highs = sl.numerics.narrow_roots(tree, {k: np.repeat(v, 3) for k, v in columns.items()}, *zip(*boxes))
     assert (highs - lows <= 1e-12).all()
