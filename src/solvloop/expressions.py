@@ -327,13 +327,15 @@ def _outward(lo, hi, known=True, ulps: float = 0.0):
     is at least one ulp of a normal b and 2^-1074 one ulp of a subnormal
     one, so b moves by at least one np.nextafter step, and by at least
     ulps + 1/2 ulps after rounding, at a tenth of np.nextafter's cost.
-    Where known is False or a bound is NaN, the result is unknown, as is a
-    lower bound of +inf or an upper bound of -inf.
+    Where known is False or a bound is NaN or infinite, the result is
+    unknown.  An infinite bound is not let through: 1/x would then be the
+    finite [0, 1] on [1, inf], but unknown on the point inf inside it, whose
+    outward rounding is NaN, and enclosures would not be inclusion-isotone.
     """
     step, tiny = 2.0**-52 * (ulps + 1), 2.0**-1074 * (ulps + 1)
     lo = lo - (np.abs(lo) * step + tiny)
     hi = hi + (np.abs(hi) * step + tiny)
-    ok = known & (lo <= hi)  # NaN compares false
+    ok = known & (lo <= hi) & np.isfinite(lo) & np.isfinite(hi)
     if not ok.all():
         lo, hi = np.where(ok, lo, -np.inf), np.where(ok, hi, np.inf)
     return lo, hi
@@ -454,8 +456,8 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
         0 for n < 0); any other power needs x > 0 and takes the extremes of
         the box's corners.  These rules also make unknown every power
         at which evaluate raises (0 to a negative power, a negative number
-        to a fractional one) and overflow, since an interval made of one
-        infinity is unknown.
+        to a fractional one) and overflow, since an interval with an
+        infinite bound is unknown.
       * An operand that is unknown or has a NaN bound makes the result of
         every operator and function unknown (NaN^0 and 1^NaN included,
         which numpy calls 1), and negation keeps it so; a NaN value of a

@@ -9,12 +9,15 @@ Three workhorses:
     1990, ch. 5): batched adaptive subdivision in which every box is
     excluded by its residual enclosure (expressions.enclose), narrowed by
     the interval Newton operator N(X) = m - F(m)/F'(X) on the symbolic
-    u-derivative (expressions.derivative), or halved.  N(X) ∩ X = ∅ proves
-    that X holds no root, N(X) ⊂ int X that it holds exactly one, in N(X).
-    Poles, NaN values and tangential roots leave a row unresolved within
-    MAX_BOXES boxes: they fail, never pass.  There is no grid, so roots
-    closer together than any spacing are counted.  It returns flat arrays
-    (the row and box of every root) and a dict of the failed rows' errors.
+    u-derivative (expressions.derivative), or split into 2, 4 or 8 pieces
+    (multisection; Csallner, Csendes & Markót, J. Global Optim. 16, 2000),
+    as many as the row's own count of boxes to split allows.  N(X) ∩ X = ∅
+    proves that X holds no root, N(X) ⊂ int X that it holds exactly one, in
+    N(X).  Poles, NaN values and tangential roots leave a row unresolved
+    within MAX_BOXES boxes, or at once where a box midpoint has no finite
+    enclosure: they fail, never pass.  There is no grid, so roots closer
+    together than any spacing are counted.  It returns flat arrays (the row
+    and box of every root) and a dict of the failed rows' errors.
   * narrow_roots: the same operator on proved boxes, down to 1e-12.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
@@ -68,22 +71,25 @@ def _newton(newton: expressions.Node, columns: dict, a: np.ndarray, b: np.ndarra
 
 
 def _sort_boxes(tree, newton, columns: dict, a: np.ndarray, b: np.ndarray):
-    """(keep, a, b, halve, proved, lower, upper): what becomes of the boxes [a[i], b[i]].
+    """(keep, a, b, split, dead, proved, lower, upper): what becomes of the boxes [a[i], b[i]].
 
-    Box i goes on, where keep[i], as [a[i], b[i]] of the result, halved
-    where halve[i]; root k is proved to lie alone in [lower[k], upper[k]]
+    Box i goes on, where keep[i], as [a[i], b[i]] of the result, split
+    where split[i]; root k is proved to lie alone in [lower[k], upper[k]]
     by box proved[k].  One enclosure bounds the residual on every box and
-    at its midpoint.  A box whose enclosure is finite and excludes 0 is
-    dropped.  Any other box with a finite enclosure takes one Newton step
-    (see _newton): N(X) ⊂ int X proves a root in N(X); an empty N(X) ∩ X
-    drops the box; a nonempty one at most half as wide as X goes on,
-    widened across each end of X that N(X) reaches by 64 ulps of its
-    larger bound (epsilon-inflation: a root on an end of X is then inside
-    it); anything else, an unknown N(X) included, is halved.
+    at its midpoint.  dead[i] says that the enclosure at the midpoint of
+    box i is not finite: enclosures are inclusion-isotone, so no box that
+    holds that point can ever be settled.  A box whose enclosure is finite
+    and excludes 0 is dropped.  Any other box with a finite enclosure takes
+    one Newton step (see _newton): N(X) ⊂ int X proves a root in N(X); an
+    empty N(X) ∩ X drops the box; a nonempty one at most half as wide as X
+    goes on, widened across each end of X that N(X) reaches by 64 ulps of
+    its larger bound (epsilon-inflation: a root on an end of X is then
+    inside it); anything else, an unknown N(X) included, is split.
     """
     mid = 0.5 * (a + b)
     flo, fhi = expressions.enclose(tree, {**_points(columns), "u": (np.stack([a, mid]), np.stack([b, mid]))})
     known = np.isfinite(flo[0]) & np.isfinite(fhi[0])
+    dead = ~(np.isfinite(flo[1]) & np.isfinite(fhi[1]))
     keep = ~(known & ((flo[0] > 0) | (fhi[0] < 0)))
     test = np.flatnonzero(known & keep)
     x, y = a[test], b[test]
@@ -93,12 +99,36 @@ def _sort_boxes(tree, newton, columns: dict, a: np.ndarray, b: np.ndarray):
     inside = (x < nlo) & (nhi < y)
     step = ~inside & (lo <= hi) & (hi - lo <= 0.5 * (y - x))
     pad = (np.maximum(np.abs(lo), np.abs(hi)) * 2.0**-52 + 2.0**-1074) * 64
-    a, b, halve = a.copy(), b.copy(), keep.copy()
+    a, b, split = a.copy(), b.copy(), keep.copy()
     a[test] = np.where(step & (nlo <= x), lo - pad, lo)
     b[test] = np.where(step & (nhi >= y), hi + pad, hi)
     keep[test] = ~inside & (lo <= hi)
-    halve[test] = ~step
-    return keep, a, b, halve, test[inside], nlo[inside], nhi[inside]
+    split[test] = ~step
+    return keep, a, b, split, dead, test[inside], nlo[inside], nhi[inside]
+
+
+def _pieces(rows, a, b, n: int) -> list:
+    """The boxes [a[i], b[i]] of rows rows (of n rows) cut in k pieces, as (rows, a, b) for k = 8, 4, 2.
+
+    Each box is cut into k equal pieces by nested halving, so they share
+    their ends, and the box's own ends are the first and last.  k is the
+    largest of 2, 4 and 8 with k*m <= 8, where m is the number of boxes of
+    the box's row here, or 2 where the k pieces would not be strictly
+    increasing (the caller fails a box too narrow to halve).
+    """
+    q = np.empty((len(rows), 9))  # the ends of 8 pieces of every box
+    q[:, 0], q[:, 8] = a, b
+    for h in (4, 2, 1):
+        q[:, h :: 2 * h] = 0.5 * (q[:, : -h : 2 * h] + q[:, 2 * h :: 2 * h])
+    m = np.bincount(rows, minlength=n)[rows]
+    stride = np.where(m == 1, 1, np.where(m == 2, 2, 4))  # 8 // k
+    for s in (1, 2):
+        stride[(stride == s) & ~(np.diff(q[:, ::s]) > 0).all(axis=1)] = 4
+    out = []
+    for s in (1, 2, 4):
+        ends = q[stride == s, ::s]
+        out.append((np.repeat(rows[stride == s], 8 // s), ends[:, :-1].ravel(), ends[:, 1:].ravel()))
+    return out
 
 
 def _unresolved(u) -> ValueError:
@@ -130,41 +160,38 @@ def root_rows(
     one box; each round encloses the residual over all open boxes of all
     rows, in blocks of BLOCK_POINTS, and sorts them (see _sort_boxes):
     excluded boxes are dropped, Newton steps prove roots, drop boxes or
-    narrow them, and the rest are halved.  Enclosures only are computed,
-    so evaluate never runs where it could raise.
+    narrow them, and the rest are split (see _pieces): a row with n boxes
+    to split cuts each in k equal pieces, k the largest of 2, 4 and 8 with
+    k*n <= 8, so its boxes depend neither on the other rows nor on
+    BLOCK_POINTS.  Enclosures only are computed, so evaluate never runs
+    where it could raise.
 
     Returns (rows, a, b, errors), one entry k per proved root, sorted by row
     and then by position: row rows[k] has exactly one root in the box
     [a[k], b[k]], a < root < b, on which the residual is strictly monotone;
     np.bincount(rows, minlength=len(lo)) counts the roots of every row.
     errors maps each row ruled out, which has no entries, to its ValueError: a
-    bad window, or an unresolved root count (a box that has not been settled
-    after MAX_BOXES boxes of the row, or cannot be halved).  A root on an end
-    that two boxes share is proved by both, in boxes that overlap, and counted
-    once.  Inflation lets a root within rounding of a window's end count as in
-    it.  A row in which a column that the tree reads is NaN fails before the
-    first round with the text that the end of its budget would give, since no
-    box of it can have a finite enclosure (see expressions.enclose).
+    bad window, or an unresolved root count: a box that has not been settled
+    after MAX_BOXES boxes of the row, or cannot be halved, or whose midpoint
+    has no finite enclosure, which retires the row in the round it is seen,
+    since every box that holds that point would be split until the budget
+    ends.  The lowest such box of the row names it, so a row unknown on
+    every box fails in its first round with its budget's text, as does a
+    row in which a column that the tree reads is NaN (see
+    expressions.enclose).  A root on an end that two boxes share is proved
+    by both, in boxes that overlap, and counted once.  Inflation lets a root
+    within rounding of a window's end count as in it.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     errors: dict[int, ValueError] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~(lo < hi) | ~np.isfinite(hi - lo)
-    # a NaN value that the tree reads makes the row's enclosure unknown on
-    # every box, so the row fails at once, as at the end of its budget:
-    # its lowest box is always the one at lo
-    nan = np.zeros(len(lo), dtype=bool)
-    for name in expressions.variables(tree) & columns.keys():
-        nan |= columns[name] != columns[name]
-    for r in np.flatnonzero(bad | nan).tolist():
+    for r in np.flatnonzero(bad).tolist():
         if not lo[r] < hi[r]:
             errors[r] = ValueError("interval needs lo < hi")
-        elif bad[r]:
-            errors[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
         else:
-            errors[r] = _unresolved(lo[r])
-    bad |= nan
+            errors[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
     newton = _newton_operator(tree)
     rows = np.flatnonzero(~bad)
     a, b = lo[rows], hi[rows]
@@ -172,25 +199,25 @@ def root_rows(
     spent = np.zeros(len(lo), dtype=np.intp)
     while rows.size:
         spent += np.bincount(rows, minlength=len(lo))
-        keep, halve = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+        keep, split, dead = (np.zeros(len(rows), dtype=bool) for _ in range(3))
         for s in range(0, len(rows), BLOCK_POINTS):
             block = slice(s, s + BLOCK_POINTS)
             r = rows[block]
             cols = {name: col[r] for name, col in columns.items()}
-            keep[block], a[block], b[block], halve[block], proved, x, y = _sort_boxes(
+            keep[block], a[block], b[block], split[block], dead[block], proved, x, y = _sort_boxes(
                 tree, newton, cols, a[block], b[block]
             )
             found.append((r[proved], x, y))
-        rows, a, b, halve = rows[keep], a[keep], b[keep], halve[keep]
+        rows, a, b, split, dead = rows[keep], a[keep], b[keep], split[keep], dead[keep]
         mid = 0.5 * (a + b)
-        stuck = (spent[rows] >= MAX_BOXES) | (halve & ~((a < mid) & (mid < b)))
+        stuck = dead | (spent[rows] >= MAX_BOXES) | (split & ~((a < mid) & (mid < b)))
         for i in np.flatnonzero(stuck)[np.lexsort((a[stuck], rows[stuck]))].tolist():
             if not bad[rows[i]]:  # the lowest stuck box of the row names it
                 bad[rows[i]] = True
                 errors[int(rows[i])] = _unresolved(a[i])
-        one, two = ~bad[rows] & ~halve, ~bad[rows] & halve
-        rows = np.concatenate([rows[one], rows[two], rows[two]])
-        a, b = np.concatenate([a[one], a[two], mid[two]]), np.concatenate([b[one], mid[two], b[two]])
+        whole, cut = ~bad[rows] & ~split, ~bad[rows] & split
+        pieces = _pieces(rows[cut], a[cut], b[cut], len(lo)) if cut.any() else []
+        rows, a, b = (np.concatenate(v) for v in zip((rows[whole], a[whole], b[whole]), *pieces))
     rows, a, b = (np.concatenate(v) for v in zip(*found))
     counts = np.bincount(rows, minlength=len(lo))
     counts[bad] = 0  # a failed row keeps no entries

@@ -667,13 +667,19 @@ def _typed(args) -> dict:
     return {key: (type(value), repr(value)) for key, value in vars(args).items()}
 
 
-def _battery_lines() -> list[list[str]]:
+def _perfbench():
+    """The benchmark's perfbench/run.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def _battery_lines() -> list[tuple[str, list[str]]]:
+    """(template, argv) of every benchmark command at the seeds 0 and 7919."""
     return [
-        shlex.split(template.format(seed=seed))
-        for templates in run.WORKLOADS.values() for template in templates for seed in (0, 7919)
+        (template, shlex.split(template.format(seed=seed)))
+        for templates in _perfbench().WORKLOADS.values() for template in templates for seed in (0, 7919)
     ]
 
 
@@ -683,7 +689,7 @@ def test_benchmark_lines_take_the_plain_path(capsys, monkeypatch, tmp_path):
     def no_argparse():
         raise AssertionError("argparse ran")
 
-    for i, argv in enumerate(_battery_lines()):
+    for i, (_, argv) in enumerate(_battery_lines()):
         for out in ([], ["-o", str(tmp_path / f"plain{i}.json")]):
             with monkeypatch.context() as patched:
                 patched.setattr(solvloop.cli, "build_parser", no_argparse)
@@ -692,6 +698,17 @@ def test_benchmark_lines_take_the_plain_path(capsys, monkeypatch, tmp_path):
                 patched.setattr(solvloop.cli, "_plain_args", lambda argv: None)
                 parsed = (main(argv + out), capsys.readouterr().out, out and Path(out[1]).read_text())
             assert plain == parsed, argv + out
+
+
+def test_benchmark_lines_keep_their_recorded_verdicts(capsys):
+    # the benchmark's correctness gate, run in process: every command line
+    # exits, and rates each of its checks, as perfbench/expected.json records
+    check_statuses = _perfbench().check_statuses
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["commands"]
+    for template, argv in _battery_lines():
+        code = main(argv)
+        got = {"exit": code, "checks": check_statuses(capsys.readouterr().out)}
+        assert got == expected[template], argv
 
 
 def test_an_unwritable_report_path_names_out(capsys, tmp_path):
@@ -978,6 +995,43 @@ def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
     assert main(["transitivity", "--case", "C", "--a", "2", "--fn", "0.1*sin(x)"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert 0 < sum(boxes) <= 400
+
+
+# sha256 of what each command decided: exit code, each check's name,
+# status, sample count and notes, root counts and division errors, with no
+# float in it; recorded before boxes were cut in more than two pieces and
+# rows retired on a midpoint without a finite enclosure.
+@pytest.mark.parametrize(
+    "command,rounds,digest",
+    [
+        # 9 rounds when every box was halved
+        ("transitivity --case C --a 2 --preset sin-small --coeff 6 --seed 0", 4,
+         "5d181809bdeceaac4eb030423f1e25386afe4cb89f6344c073565f1d11278f63"),
+        # 23 rounds when every box was halved
+        ("transitivity --case C --a 2 --fn -3*exp(-1e10*(x-1)^2)", 9,
+         "c573f286927483f915d57d178008676d4c627e9aef4319bc44eeb3d73f9fd3b7"),
+        # 41 rounds: the 258 rows with sqrt of a negative value spent their budgets
+        ("loop-check --case C --a 2 --fn 0.1*sqrt(y) --seed 0", 1,
+         "3fb6fb9d964cc1753c8218bb2ed8edc5202c77fb73dffd0a02c8f92a2b5c83da"),
+    ],
+)
+def test_root_proofs_take_few_rounds(capsys, monkeypatch, command, rounds, digest):
+    # a round of the proof costs about the same on 10 boxes as on 3,000, so
+    # the rounds are its work: _sort_boxes runs once a round at these sizes
+    calls = []
+    sort_boxes = solvloop.numerics._sort_boxes
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return sort_boxes(*args)
+
+    monkeypatch.setattr(solvloop.numerics, "_sort_boxes", counted)
+    code = main(command.split())
+    report = json.loads(capsys.readouterr().out)
+    decided = [code, [[c["name"], c["status"], c["n_samples"], c["notes"]] for c in report["checks"]],
+               report["data"].get("root_counts"), report["data"].get("division_errors")]
+    assert hashlib.sha256(json.dumps(decided).encode()).hexdigest() == digest
+    assert len(calls) <= rounds and max(calls) <= solvloop.numerics.BLOCK_POINTS
 
 
 def test_transitivity_has_no_resolution_flag(capsys):

@@ -189,6 +189,29 @@ def test_enclose_contains_every_computed_value(tree, x, y, fractions):
         assert np.all((low <= values) & (values <= high)), (repr(tree), low, high)
 
 
+@settings(max_examples=400)
+@given(tree=_TREES, x=st.tuples(_ENDS, _ENDS), y=st.tuples(_ENDS, _ENDS),
+       fractions=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+def test_a_point_without_a_finite_enclosure_leaves_none_to_its_boxes(tree, x, y, fractions):
+    # enclosures are inclusion-isotone: where a point of a box has no
+    # finite enclosure, the box has none either, so numerics.root_rows may
+    # fail a row at once on a midpoint without a finite enclosure; the box
+    # and the point are enclosed in one stacked call, as root_rows does
+    (xa, xb), (ya, yb) = sorted(x), sorted(y)
+    px, py = (min(max(a * (1 - f) + b * f, a), b) for (a, b), f in zip([(xa, xb), (ya, yb)], fractions))
+    lo, hi = ex.enclose(tree, {"x": ([xa, px], [xb, px]), "y": ([ya, py], [yb, py])})
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    assert finite[1] or not finite[0], (repr(tree), (xa, xb, px), (ya, yb, py), lo, hi)
+
+
+def test_an_overflowing_operand_leaves_its_boxes_no_finite_enclosure():
+    # found by the property above: exp overflows at the point 1e10, so
+    # 0/exp(x) was unknown there, while on [0, 1e10] exp gave [1, inf] and
+    # the quotient the finite [0, 0]; an infinite bound makes both unknown
+    lo, hi = ex.enclose(ex.parse("0/exp(x)", ("x",)), {"x": ([0.0, 1e10], [1e10, 1e10])})
+    assert lo.tolist() == [-math.inf] * 2 and hi.tolist() == [math.inf] * 2
+
+
 _POINTS = _ENDS | st.sampled_from([-0.0, -5e-324, math.inf, -math.inf, math.nan])
 
 

@@ -348,35 +348,48 @@ def test_root_rows_names_a_window_too_wide_for_floats():
 
 
 def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
-    # a NaN row is split until it has enclosed MAX_BOXES boxes, then fails
-    tree = ex.Call("sqrt", ex.Neg(ex.Var("u")))
+    # a tangential root is split until its row has enclosed MAX_BOXES boxes,
+    # then fails: its midpoints have finite enclosures, so it is not retired
+    tree = ex.parse("(u - 1.5)^2", ("u",))
     boxes = _enclosed(monkeypatch, tree)
     monkeypatch.setattr(numerics, "MAX_BOXES", 100)
     (got,) = per_row(root_rows(tree, {}, [1.0], [2.0]), 1)
-    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 100 boxes"
+    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1.5 within 100 boxes"
     assert 100 <= boxes["residual"] // 2 < 256
 
 
+def test_root_rows_retires_a_row_with_an_unknown_midpoint_at_once(monkeypatch):
+    # sqrt(-u) is unknown at the midpoint of [1, 2], and so on every box
+    # that holds it: the row fails in its first round, with the text its
+    # budget would give
+    tree = ex.Call("sqrt", ex.Neg(ex.Var("u")))
+    boxes = _enclosed(monkeypatch, tree)
+    (got,) = per_row(root_rows(tree, {}, [1.0], [2.0]), 1)
+    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
+    assert boxes == {"residual": 2, "slope": 0}
+
+
 def test_root_rows_drops_the_roots_of_a_row_that_runs_out_of_boxes(monkeypatch):
-    # row 0 proves its root at 0.25 (twice: the split point 0.25 is a root)
-    # and then spends its budget on the NaN beyond s = 0.5: it keeps its
-    # error and no entries; row 1, with no NaN on the window, keeps the root
-    tree = ex.parse("(u - 0.25)*sqrt(s - u)/sqrt(s - u)", ("u", "s"))
+    # both rows prove their root at 0.25 (twice: the split point 0.25 is a
+    # root); row 0 then spends its budget on the tangential root at s = 0.75:
+    # it keeps its error and no entries; row 1, with s beyond the window,
+    # keeps the root
+    tree = ex.parse("(u - 0.25)*(u - s)^2", ("u", "s"))
     proved = []
     sort_boxes = numerics._sort_boxes
 
     def spied(tree, newton, columns, a, b):
         out = sort_boxes(tree, newton, columns, a, b)
-        proved.extend(columns["s"][out[4]].tolist())
+        proved.extend(columns["s"][out[5]].tolist())
         return out
 
     monkeypatch.setattr(numerics, "_sort_boxes", spied)
     monkeypatch.setattr(numerics, "MAX_BOXES", 100)
-    rows, a, b, errors = root_rows(tree, {"s": np.array([0.5, 2.0])}, [0.0, 0.0], [1.0, 1.0])
-    assert proved.count(0.5) == 2 and proved.count(2.0) == 1
+    rows, a, b, errors = root_rows(tree, {"s": np.array([0.75, 2.0])}, [0.0, 0.0], [1.0, 1.0])
+    assert proved.count(0.75) == 2 and proved.count(2.0) == 2
     assert rows.tolist() == [1] and a[0] < 0.25 < b[0]
     assert list(errors) == [0]
-    assert str(errors[0]) == "unresolved: no exclusion or monotonicity proof near u = 0.492188 within 100 boxes"
+    assert str(errors[0]) == "unresolved: no exclusion or monotonicity proof near u = 0.75 within 100 boxes"
 
 
 @pytest.mark.parametrize("block_points", [2, numerics.BLOCK_POINTS])
@@ -432,7 +445,8 @@ def _enclosed(monkeypatch, residual):
 
 def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
     # the error is the one the budget gives a row that no box resolves, and
-    # no box is enclosed; a NaN column that the tree does not read is ignored
+    # only the window and its midpoint are enclosed: the midpoint has no
+    # finite enclosure; a NaN column that the tree does not read is ignored
     boxes = []
     enclose = ex.enclose
 
@@ -441,14 +455,15 @@ def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
         return enclose(tree, env)
 
     monkeypatch.setattr(ex, "enclose", counted)
-    (budgeted,) = per_row(root_rows(ex.Call("sqrt", ex.Neg(ex.Var("u"))), {}, [1.0], [2.0]), 1)
+    # every point of the window is a root of u - u, so no box is settled
+    (budgeted,) = per_row(root_rows(ex.BinOp("-", ex.Var("u"), ex.Var("u")), {}, [1.0], [2.0]), 1)
     assert sum(boxes) >= numerics.MAX_BOXES
     boxes.clear()
     tree = ex.BinOp("-", ex.Var("u"), ex.Var("c"))
     (got,) = per_row(root_rows(tree, {"c": np.array([math.nan]), "d": np.array([1.0])}, [1.0], [2.0]), 1)
     assert type(got) is type(budgeted) and str(got) == str(budgeted)
     assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
-    assert sum(boxes) == 0
+    assert boxes == [2]
     ((a, b),) = per_row(root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0]), 1)[0]
     assert a < 1.5 < b
 
