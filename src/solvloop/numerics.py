@@ -15,10 +15,14 @@ Three workhorses:
     proves that X holds no root, N(X) ⊂ int X that it holds exactly one, in
     N(X).  Poles, NaN values and tangential roots leave a row unresolved
     within MAX_BOXES boxes, or at once where a box midpoint has no finite
-    enclosure: they fail, never pass.  There is no grid, so roots closer
-    together than any spacing are counted.  It returns flat arrays (the row
-    and box of every root) and a dict of the failed rows' errors.
-  * narrow_roots: the same operator on proved boxes, down to 1e-12.
+    enclosure, and the error says which: they fail, never pass.  There is
+    no grid, so roots closer together than any spacing are counted.  It
+    returns flat arrays (the row and box of every root) and a dict of the
+    failed rows' errors.
+  * narrow_roots: the same operator on proved boxes, down to 1e-12, each
+    step centred on the box's float Newton iterate (any centre in X gives
+    a proof; Rump, Acta Numerica 19, 2010), so a right division takes one
+    step.  evaluate runs only to choose that centre, under a guard.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -52,22 +56,20 @@ def _points(columns: dict) -> dict:
     return {name: (col, col) for name, col in columns.items()}
 
 
-def _newton_operator(tree: expressions.Node) -> expressions.Node:
-    """N = m - F(m)/F'(u), a tree over the box u, the point m and the enclosure of F(m)."""
-    slope = expressions.derivative(tree, "u")
+def _newton_operator(slope: expressions.Node) -> expressions.Node:
+    """N = m - F(m)/F'(u), a tree over the box u, the point m and the enclosure of F(m); slope is F'."""
     quotient = expressions.BinOp("/", expressions.Var(_AT_MID), slope)
     return expressions.BinOp("-", expressions.Var(_MID), quotient)
 
 
-def _newton(newton: expressions.Node, columns: dict, a: np.ndarray, b: np.ndarray, f):
+def _newton(newton: expressions.Node, columns: dict, a: np.ndarray, b: np.ndarray, m: np.ndarray, f):
     """The enclosure (lo, hi) of N(X) on every box X = [a[i], b[i]] with the row values columns.
 
-    m is the midpoint of X and f the enclosure of the residual F at m.
-    enclose rounds N outward, and its division rule makes N unknown,
-    (-inf, inf), where F'(X) may come within 1e-300 of 0.
+    m is a point of X, the centre, and f the enclosure of the residual F
+    at m.  enclose rounds N outward, and its division rule makes N
+    unknown, (-inf, inf), where F'(X) may come within 1e-300 of 0.
     """
-    mid = 0.5 * (a + b)
-    return expressions.enclose(newton, {**_points(columns), "u": (a, b), _MID: (mid, mid), _AT_MID: f})
+    return expressions.enclose(newton, {**_points(columns), "u": (a, b), _MID: (m, m), _AT_MID: f})
 
 
 def _sort_boxes(tree, newton, columns: dict, a: np.ndarray, b: np.ndarray):
@@ -94,7 +96,7 @@ def _sort_boxes(tree, newton, columns: dict, a: np.ndarray, b: np.ndarray):
     test = np.flatnonzero(known & keep)
     x, y = a[test], b[test]
     sub = {name: col[test] for name, col in columns.items()}
-    nlo, nhi = _newton(newton, sub, x, y, (flo[1, test], fhi[1, test])) if test.size else (x, y)
+    nlo, nhi = _newton(newton, sub, x, y, mid[test], (flo[1, test], fhi[1, test])) if test.size else (x, y)
     lo, hi = np.maximum(x, nlo), np.minimum(y, nhi)  # N(X) ∩ X
     inside = (x < nlo) & (nhi < y)
     step = ~inside & (lo <= hi) & (hi - lo <= 0.5 * (y - x))
@@ -131,7 +133,10 @@ def _pieces(rows, a, b, n: int) -> list:
     return out
 
 
-def _unresolved(u) -> ValueError:
+def _unresolved(u, dead: bool) -> ValueError:
+    """The error of a row retired on a box from u: dead (no finite enclosure at its midpoint) or not settled."""
+    if dead:
+        return ValueError(f"unresolved: no finite enclosure near u = {u:.6g}")
     return ValueError(
         f"unresolved: no exclusion or monotonicity proof near u = {u:.6g} within {MAX_BOXES} boxes"
     )
@@ -192,7 +197,7 @@ def root_rows(
             errors[r] = ValueError("interval needs lo < hi")
         else:
             errors[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
-    newton = _newton_operator(tree)
+    newton = _newton_operator(expressions.derivative(tree, "u"))
     rows = np.flatnonzero(~bad)
     a, b = lo[rows], hi[rows]
     found = [(rows[:0], a[:0], b[:0])]  # the rows and boxes of the roots proved in each block
@@ -214,7 +219,7 @@ def root_rows(
         for i in np.flatnonzero(stuck)[np.lexsort((a[stuck], rows[stuck]))].tolist():
             if not bad[rows[i]]:  # the lowest stuck box of the row names it
                 bad[rows[i]] = True
-                errors[int(rows[i])] = _unresolved(a[i])
+                errors[int(rows[i])] = _unresolved(a[i], dead[i])
         whole, cut = ~bad[rows] & ~split, ~bad[rows] & split
         pieces = _pieces(rows[cut], a[cut], b[cut], len(lo)) if cut.any() else []
         rows, a, b = (np.concatenate(v) for v in zip((rows[whole], a[whole], b[whole]), *pieces))
@@ -234,25 +239,50 @@ def root_rows(
     return rows, a, b, errors
 
 
+def _centres(tree, slope, columns: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A point of every box [a[i], b[i]] near its root: the float Newton iterate.
+
+    From the midpoint, up to 3 steps u - F(u)/F'(u) with evaluate; a row
+    keeps an iterate only where it is finite and strictly inside its box.
+    evaluate checks its guards on all rows at once, so where it raises,
+    every row takes its midpoint.
+    """
+    mid = u = 0.5 * (a + b)
+    try:
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                env = {**columns, "u": u}
+                step = u - expressions.evaluate(tree, env) / expressions.evaluate(slope, env)
+                u = np.where(np.isfinite(step) & (a < step) & (step < b), step, u)
+    except ArithmeticError:  # EvaluationError, or F/F' of two float constants
+        return mid
+    return u
+
+
 def narrow_roots(tree: expressions.Node, columns: dict, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Proved root boxes [lo[i], hi[i]] of root_rows, narrowed; box i is row i of (tree, columns).
 
     Every box X becomes N(X) ∩ X (see _newton), which still holds its root,
     until it is at most 1e-12 wide or a step leaves it as wide as it was
     (where outward rounding keeps it wider, a few ulps of the root beyond
-    about |u| = 2e3, or F'(X) is no longer enclosed away from 0).  Newton's
-    quadratic convergence takes 2 or 3 steps for a right division.
+    about |u| = 2e3, or F'(X) is no longer enclosed away from 0).  N(X)
+    encloses the root for any centre m in X, so each step is centred on
+    the float Newton iterate of its box (see _centres): evaluate only
+    chooses the centre, and the step itself still only encloses.  With
+    F(m) within rounding of 0, N(X) is a few ulps wide, so a right division
+    takes one step.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    newton = _newton_operator(tree)
+    slope = expressions.derivative(tree, "u")
+    newton = _newton_operator(slope)
     todo = np.flatnonzero(hi - lo > 1e-12)
     while todo.size:
         x, y = lo[todo], hi[todo]
-        mid = 0.5 * (x + y)
         cols = {name: col[todo] for name, col in columns.items()}
-        f = expressions.enclose(tree, {**_points(cols), "u": (mid, mid)})
-        nlo, nhi = _newton(newton, cols, x, y, f)
+        m = _centres(tree, slope, cols, x, y)
+        f = expressions.enclose(tree, {**_points(cols), "u": (m, m)})
+        nlo, nhi = _newton(newton, cols, x, y, m, f)
         lo[todo], hi[todo] = np.maximum(x, nlo), np.minimum(y, nhi)
         width = hi[todo] - lo[todo]
         todo = todo[(width < y - x) & (width > 1e-12)]

@@ -425,6 +425,16 @@ def test_loop_check_report(tmp_path):
     assert obj["seed"] == 4
 
 
+def test_case_c_right_divisions_round_trip_within_an_ulp(capsys):
+    # each proved root box is narrowed by an interval Newton step centred on
+    # the float Newton iterate, whose midpoint is the root to a few ulps;
+    # with midpoint centres the round trip was 1.3e-13 off
+    argv = ["loop-check", "--case", "C", "--a", "2", "--preset", "sin-small", "--seed", "0"]
+    assert main(argv) == 0
+    (check,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "rdiv-round-trip"]
+    assert check["status"] == "pass" and check["max_error"] <= 1e-15
+
+
 def test_transitivity_report(tmp_path):
     code, path = run_to_file(
         tmp_path, "tr.json",
@@ -1000,7 +1010,10 @@ def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
 # sha256 of what each command decided: exit code, each check's name,
 # status, sample count and notes, root counts and division errors, with no
 # float in it; recorded before boxes were cut in more than two pieces and
-# rows retired on a midpoint without a finite enclosure.
+# rows retired on a midpoint without a finite enclosure.  The sqrt(y)
+# digest was recorded again when such a row's error came to read "no
+# finite enclosure near u = ..."; with the old text put back in its 263
+# errors, the report hashes to the old digest, 3fb6fb9d....
 @pytest.mark.parametrize(
     "command,rounds,digest",
     [
@@ -1012,7 +1025,7 @@ def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
          "c573f286927483f915d57d178008676d4c627e9aef4319bc44eeb3d73f9fd3b7"),
         # 41 rounds: the 258 rows with sqrt of a negative value spent their budgets
         ("loop-check --case C --a 2 --fn 0.1*sqrt(y) --seed 0", 1,
-         "3fb6fb9d964cc1753c8218bb2ed8edc5202c77fb73dffd0a02c8f92a2b5c83da"),
+         "2db966fb034d6467ec6224e02021c0a71e9e4fc6ba22ca9dd92cedf097782e9e"),
     ],
 )
 def test_root_proofs_take_few_rounds(capsys, monkeypatch, command, rounds, digest):
@@ -1075,12 +1088,18 @@ def test_coeff_6_refutation_keeps_its_counts(capsys):
 @pytest.mark.parametrize("case", ["B", "C"])
 @pytest.mark.parametrize("fn", ["0.1*x/(x-1.5)", "sqrt(x)"])
 def test_poles_and_nan_sections_fail_as_unresolved(capsys, case, fn):
-    # no box across a pole or into the NaN half-plane is excluded or decided
+    # no box across a pole or into the NaN half-plane is excluded or decided:
+    # a row fails where a box midpoint next to the pole or in the NaN
+    # half-plane has no finite enclosure, or else when it spends its budget
     code, report = _transitivity(capsys, "--case", case, "--a", "2", "--fn", fn)
     assert code == 1
     assert report["checks"][0]["status"] == "fail"
     failures = report["data"]["failures"]
-    assert failures and all("unresolved: no exclusion or monotonicity proof" in f for f in failures)
+    dead = r"sample \d+: unresolved: no finite enclosure near u = \S+"
+    spent = r"sample \d+: unresolved: no exclusion or monotonicity proof near u = \S+ within 1000 boxes"
+    assert failures and all(re.fullmatch(dead, f) or re.fullmatch(spent, f) for f in failures)
+    if fn == "sqrt(x)":  # the window of every failed row starts in the NaN half-plane
+        assert all(re.fullmatch(dead, f) for f in failures)
     counts = report["data"]["root_counts"]
     assert counts.count(-1) == len(failures) and set(counts) <= {-1, 1}
 

@@ -234,8 +234,9 @@ def test_rdiv_no_root_error():
 def test_rdiv_batch_errors_row_by_row():
     # case-C right divisions of x^2 in one batch (0*sqrt(y) is unknown on
     # every box where y < 0): two roots on the first window, an unresolved
-    # count, no root on any window, two roots on the third window; each row
-    # gets its own error type and message
+    # count (no finite enclosure at the window's midpoint), no root on any
+    # window, two roots on the third window; each row gets its own error
+    # type and message
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("x^2 + 0*sqrt(y)", 3))
     rng = np.random.default_rng(1)
     b, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, 12)), rng.uniform(-1, 1, 12)) for _ in "12")
@@ -247,8 +248,7 @@ def test_rdiv_batch_errors_row_by_row():
         0: ("MultipleRootsError", f"2 roots in window of half width 10 around {around[0]}"),
         1: (
             "SolverDivergenceError",
-            "unresolved: no exclusion or monotonicity proof near u = -10 within 1000 boxes"
-            " (window half width 10)",
+            "unresolved: no finite enclosure near u = -10 (window half width 10)",
         ),
         2: ("NoRootInBoxError", f"no root in window of half width 160 around {around[2]}"),
         3: ("MultipleRootsError", f"2 roots in window of half width 40 around {around[3]}"),

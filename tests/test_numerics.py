@@ -360,12 +360,11 @@ def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
 
 def test_root_rows_retires_a_row_with_an_unknown_midpoint_at_once(monkeypatch):
     # sqrt(-u) is unknown at the midpoint of [1, 2], and so on every box
-    # that holds it: the row fails in its first round, with the text its
-    # budget would give
+    # that holds it: the row fails in its first round, and says why
     tree = ex.Call("sqrt", ex.Neg(ex.Var("u")))
     boxes = _enclosed(monkeypatch, tree)
     (got,) = per_row(root_rows(tree, {}, [1.0], [2.0]), 1)
-    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
+    assert str(got) == "unresolved: no finite enclosure near u = 1"
     assert boxes == {"residual": 2, "slope": 0}
 
 
@@ -414,7 +413,7 @@ def test_root_rows_mixed_batch_equals_one_row_calls(monkeypatch, block_points):
     assert np.bincount(rows, minlength=6).tolist() == [1, 2, 0, 0, 0, 0]
     assert a[0] < 0.3 < b[0] and a[1] < 0.0 < b[1] and a[2] < 0.75 < b[2]
     assert {r: str(e) for r, e in errors.items()} == {
-        3: "unresolved: no exclusion or monotonicity proof near u = -1 within 1000 boxes",
+        3: "unresolved: no finite enclosure near u = -1",
         4: "window [-1e+308, 1e+308] is wider than the largest float",
         5: "interval needs lo < hi",
     }
@@ -444,9 +443,10 @@ def _enclosed(monkeypatch, residual):
 
 
 def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
-    # the error is the one the budget gives a row that no box resolves, and
     # only the window and its midpoint are enclosed: the midpoint has no
-    # finite enclosure; a NaN column that the tree does not read is ignored
+    # finite enclosure, and the error says so, not that the budget was
+    # spent, as it does for a row that no box resolves; a NaN column that
+    # the tree does not read is ignored
     boxes = []
     enclose = ex.enclose
 
@@ -458,45 +458,93 @@ def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
     # every point of the window is a root of u - u, so no box is settled
     (budgeted,) = per_row(root_rows(ex.BinOp("-", ex.Var("u"), ex.Var("u")), {}, [1.0], [2.0]), 1)
     assert sum(boxes) >= numerics.MAX_BOXES
+    assert str(budgeted) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
     boxes.clear()
     tree = ex.BinOp("-", ex.Var("u"), ex.Var("c"))
     (got,) = per_row(root_rows(tree, {"c": np.array([math.nan]), "d": np.array([1.0])}, [1.0], [2.0]), 1)
-    assert type(got) is type(budgeted) and str(got) == str(budgeted)
-    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
+    assert type(got) is type(budgeted)
+    assert str(got) == "unresolved: no finite enclosure near u = 1"
     assert boxes == [2]
     ((a, b),) = per_row(root_rows(tree, {"c": np.array([1.5]), "d": np.array([math.nan])}, [1.0], [2.0]), 1)[0]
     assert a < 1.5 < b
 
 
-def test_narrow_roots_encloses_at_most_8_boxes_per_right_division(monkeypatch):
+def test_narrow_roots_takes_one_step_per_right_division(monkeypatch):
     # 500 case-C right divisions on the window [-10, 10]: root_rows proves
-    # every root in its first round, and Newton's quadratic convergence
-    # narrows the proved boxes to 1e-12 in 2 or 3 steps
+    # every root in its first round, and one interval Newton step centred
+    # on the float Newton iterate narrows each proved box to 1e-12: one
+    # enclosure of the residual and one of the Newton operator per row
+    # (midpoint centres took 928 of each)
     tree, columns, m1, line = _right_division_rows(500)
     boxes = _enclosed(monkeypatch, tree)
     found = per_row(root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0)), 500)
     assert boxes == {"residual": 1000, "slope": 500}
+    boxes.update(residual=0, slope=0)
     lo, hi = numerics.narrow_roots(tree, columns, *np.array([roots[0] for roots in found]).T)
     assert (hi - lo <= 1e-12).all()
     assert (abs(0.5 * (lo + hi) - (m1.x - line.base[0])) <= 1e-10).all()
-    assert boxes["residual"] + boxes["slope"] <= 8 * 500
+    assert boxes["residual"] <= 500 and boxes["slope"] <= 500
 
 
 def test_refined_right_divisions_agree_with_brentq():
     # an independent oracle: scipy's brentq on root_rows' proved box lies in
-    # the narrowed box, at most 1e-12 wide, up to brentq's own tolerance
+    # the narrowed box, at most 1e-14 wide (a few ulps of the root, as the
+    # step is centred on the float Newton iterate), up to brentq's own
+    # tolerance
     tree, columns, _, _ = _right_division_rows(500)
     found = per_row(root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0)), 500)
     assert all(len(roots) == 1 for roots in found)
     (a, b) = np.array([roots[0] for roots in found]).T
     lo, hi = numerics.narrow_roots(tree, columns, a, b)
-    assert (hi - lo <= 1e-12).all()
+    assert (hi - lo <= 1e-14).all()
     for i in range(500):
         row = {name: col[i] for name, col in columns.items()}
         fn = lambda u: float(ex.evaluate(tree, {"u": u, **row}))
         brent = optimize.brentq(fn, a[i], b[i], xtol=1e-12)
         tol = 1e-12 + 4 * np.finfo(float).eps * abs(brent)  # brentq's xtol and default rtol
         assert lo[i] - tol <= brent <= hi[i] + tol
+
+
+def _centres(monkeypatch) -> list:
+    """The centres m of every Newton step of narrow_roots from now on, one array per step."""
+    centres = []
+    newton = numerics._newton
+
+    def spied(tree, columns, a, b, m, f):
+        centres.append(m.copy())
+        return newton(tree, columns, a, b, m, f)
+
+    monkeypatch.setattr(numerics, "_newton", spied)
+    return centres
+
+
+def test_narrow_roots_centres_every_row_on_its_midpoint_where_evaluate_raises(monkeypatch):
+    # the slope (u - d)/abs(u - d) raises in evaluate at the midpoint 0.5 of
+    # row 0, so the first step of both rows is centred on their midpoints;
+    # row 1 still narrows to a box proved to hold its root (the exact
+    # residual changes sign across it), and row 0, whose F'(X) is unknown
+    # since abs' derivative is undefined in X, keeps its box, as it does
+    # with any centre
+    tree = ex.parse("u - 0.3 + 0.001*abs(u - d)", ("u", "d"))
+    centres = _centres(monkeypatch)
+    lo, hi = numerics.narrow_roots(tree, {"d": np.array([0.5, 5.0])}, [0.0, 0.0], [1.0, 1.0])
+    assert centres[0].tolist() == [0.5, 0.5]
+    assert (lo[0], hi[0]) == (0.0, 1.0)
+    exact = lambda u: Fraction(u) - Fraction(3, 10) + Fraction(1, 1000) * (5 - Fraction(u))
+    assert hi[1] - lo[1] <= 1e-12 and exact(lo[1]) <= 0 <= exact(hi[1])
+
+
+def test_narrow_roots_keeps_the_midpoint_where_the_float_iterate_leaves_the_box(monkeypatch):
+    # tanh(u - 3) is flat at the midpoint 0 of [-5, 5]: the float Newton
+    # step lands near u = 100, outside the box, so row 0 is centred on its
+    # midpoint, and row 1, whose root 0.2 is near, on its iterate; both
+    # still narrow to boxes of at most 1e-12 that hold their roots
+    tree = ex.parse("tanh(u - c)", ("u", "c"))
+    centres = _centres(monkeypatch)
+    lo, hi = numerics.narrow_roots(tree, {"c": np.array([3.0, 0.2])}, [-5.0, -5.0], [5.0, 5.0])
+    assert centres[0][0] == 0.0 and abs(centres[0][1] - 0.2) <= 1e-15
+    assert (hi - lo <= 1e-12).all()
+    assert lo[0] <= 3.0 <= hi[0] and lo[1] <= 0.2 <= hi[1]  # tanh(u - c) = 0 at u = c exactly
 
 
 def test_root_rows_takes_no_more_rounds_than_bisection_where_newton_is_useless(monkeypatch):

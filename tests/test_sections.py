@@ -365,11 +365,12 @@ def test_generation_suite_fails_non_finite_residual():
 
 def test_transitivity_sign_change_at_a_pole_is_not_a_root():
     # bisection used to converge onto the pole x = 1.5 and count it as a
-    # root; no box across the pole is excluded or decided
+    # root; no box across the pole is excluded or decided, and the midpoint
+    # of one next to it has no finite enclosure
     spec = sl.SectionSpec("C", P2, sl.FunctionSpec.from_expression("0.1*x/(x-1.5)", 3))
     rep = sl.sharp_transitivity_check(spec, seed=0)
     assert rep.status == "fail"
     assert rep.data["root_counts"][1] == -1
     first = rep.data["failures"][0]
-    assert first.startswith("sample 1: unresolved: no exclusion or monotonicity proof near u = ")
+    assert first.startswith("sample 1: unresolved: no finite enclosure near u = ")
     assert "sample 1: 3 roots" not in rep.checks[0].notes
