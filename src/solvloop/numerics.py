@@ -254,7 +254,7 @@ def _centres(tree, slope, columns: dict, a: np.ndarray, b: np.ndarray) -> np.nda
                 env = {**columns, "u": u}
                 step = u - expressions.evaluate(tree, env) / expressions.evaluate(slope, env)
                 u = np.where(np.isfinite(step) & (a < step) & (step < b), step, u)
-    except ArithmeticError:  # EvaluationError, or F/F' of two float constants
+    except expressions.EvaluationError:
         return mid
     return u
 

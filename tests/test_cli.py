@@ -427,8 +427,7 @@ def test_loop_check_report(tmp_path):
 
 def test_case_c_right_divisions_round_trip_within_an_ulp(capsys):
     # each proved root box is narrowed by an interval Newton step centred on
-    # the float Newton iterate, whose midpoint is the root to a few ulps;
-    # with midpoint centres the round trip was 1.3e-13 off
+    # the float Newton iterate, so its midpoint is the root to a few ulps
     argv = ["loop-check", "--case", "C", "--a", "2", "--preset", "sin-small", "--seed", "0"]
     assert main(argv) == 0
     (check,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "rdiv-round-trip"]
@@ -1010,10 +1009,8 @@ def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
 # sha256 of what each command decided: exit code, each check's name,
 # status, sample count and notes, root counts and division errors, with no
 # float in it; recorded before boxes were cut in more than two pieces and
-# rows retired on a midpoint without a finite enclosure.  The sqrt(y)
-# digest was recorded again when such a row's error came to read "no
-# finite enclosure near u = ..."; with the old text put back in its 263
-# errors, the report hashes to the old digest, 3fb6fb9d....
+# rows retired on a midpoint without a finite enclosure; the sqrt(y) digest
+# since those rows' errors read "no finite enclosure near u = ...".
 @pytest.mark.parametrize(
     "command,rounds,digest",
     [

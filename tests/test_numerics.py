@@ -474,7 +474,6 @@ def test_narrow_roots_takes_one_step_per_right_division(monkeypatch):
     # every root in its first round, and one interval Newton step centred
     # on the float Newton iterate narrows each proved box to 1e-12: one
     # enclosure of the residual and one of the Newton operator per row
-    # (midpoint centres took 928 of each)
     tree, columns, m1, line = _right_division_rows(500)
     boxes = _enclosed(monkeypatch, tree)
     found = per_row(root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0)), 500)
