@@ -515,19 +515,6 @@ def substitute(node: Node, trees: dict) -> Node:
     return node
 
 
-def variables(node: Node) -> set:
-    """The names of the variables that node reads."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables(node.operand)
-    if isinstance(node, Call):
-        return variables(node.arg)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    return set()
-
-
 # ------------------------------------------------------------ derivatives
 
 _ZERO, _ONE = Const(0.0), Const(1.0)

@@ -15,10 +15,11 @@ Three workhorses:
     proves that X holds no root, N(X) ⊂ int X that it holds exactly one, in
     N(X).  Poles, NaN values and tangential roots leave a row unresolved
     within MAX_BOXES boxes, or at once where a box midpoint has no finite
-    enclosure, and the error says which: they fail, never pass.  There is
-    no grid, so roots closer together than any spacing are counted.  It
-    returns flat arrays (the row and box of every root) and a dict of the
-    failed rows' errors.
+    enclosure, and the error says which (and, for an unsettled box, how
+    many boxes the row enclosed): they fail, never pass.  There is no grid,
+    so roots closer together than any spacing are counted.  It returns flat
+    arrays (the row and box of every root) and a dict of the failed rows'
+    errors.
   * narrow_roots: the same operator on proved boxes, down to 1e-12, each
     step centred on the box's float Newton iterate (any centre in X gives
     a proof; Rump, Acta Numerica 19, 2010), so a right division takes one
@@ -133,12 +134,15 @@ def _pieces(rows, a, b, n: int) -> list:
     return out
 
 
-def _unresolved(u, dead: bool) -> ValueError:
-    """The error of a row retired on a box from u: dead (no finite enclosure at its midpoint) or not settled."""
+def _unresolved(u, dead: bool, spent: int) -> ValueError:
+    """The error of a row retired on a box from u once it has enclosed spent boxes.
+
+    dead: the box's midpoint has no finite enclosure; else the box is not settled.
+    """
     if dead:
         return ValueError(f"unresolved: no finite enclosure near u = {u:.6g}")
     return ValueError(
-        f"unresolved: no exclusion or monotonicity proof near u = {u:.6g} within {MAX_BOXES} boxes"
+        f"unresolved: no exclusion or monotonicity proof near u = {u:.6g} after {spent} boxes"
     )
 
 
@@ -180,12 +184,12 @@ def root_rows(
     after MAX_BOXES boxes of the row, or cannot be halved, or whose midpoint
     has no finite enclosure, which retires the row in the round it is seen,
     since every box that holds that point would be split until the budget
-    ends.  The lowest such box of the row names it, so a row unknown on
-    every box fails in its first round with its budget's text, as does a
-    row in which a column that the tree reads is NaN (see
-    expressions.enclose).  A root on an end that two boxes share is proved
-    by both, in boxes that overlap, and counted once.  Inflation lets a root
-    within rounding of a window's end count as in it.
+    ends.  The lowest such box of the row names it, and an unsettled
+    box's error counts the boxes its row enclosed.  A row unknown on every
+    box fails in its first round, as does a row in which a column that the
+    tree reads is NaN (see expressions.enclose).  A root on an end that two
+    boxes share is proved by both, in boxes that overlap, and counted once.
+    Inflation lets a root within rounding of a window's end count as in it.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -219,7 +223,7 @@ def root_rows(
         for i in np.flatnonzero(stuck)[np.lexsort((a[stuck], rows[stuck]))].tolist():
             if not bad[rows[i]]:  # the lowest stuck box of the row names it
                 bad[rows[i]] = True
-                errors[int(rows[i])] = _unresolved(a[i], dead[i])
+                errors[int(rows[i])] = _unresolved(a[i], dead[i], int(spent[rows[i]]))
         whole, cut = ~bad[rows] & ~split, ~bad[rows] & split
         pieces = _pieces(rows[cut], a[cut], b[cut], len(lo)) if cut.any() else []
         rows, a, b = (np.concatenate(v) for v in zip((rows[whole], a[whole], b[whole]), *pieces))

@@ -72,8 +72,6 @@ def test_count_flags_rejected_at_parse_time(capsys):
         (["loop-check", *section, "--seed", "-1"], "--seed", "must be at least 0"),
         (["transitivity", *section, "--seed", "-2"], "--seed", "must be at least 0"),
         (["theorem2", "--a", "2", "--seed", "-1e0"], "--seed", "invalid integer value"),
-        # one sample used to leave the slab half empty, and its checks passed
-        (["theorem2", "--a", "2", "--samples", "1"], "--samples", "must be at least 2"),
     ]
     bad += [
         (["loop-check", *section, "--z-box", value], "--z-box", "must be finite and > 0")
@@ -134,21 +132,19 @@ def _under(path, *keys):
 
 _VERDICT = ("generates", "fitted_constant", "identity_residual_max", "fit_rms_residual",
             "fit_max_residual", "n_samples", "rate", "notes")
-_NORMALIZER = ("subgroup", "slab_samples", "slab_normalizing", "off_slab_samples",
-               "off_slab_normalizing", "normalizer_equals_commutator", "normalizer_dim")
+_NORMALIZER = ("subgroup", "normalizer_dim", "normalizer_equals_commutator")
 _CERTIFICATE = [
     *_under("data.certificate", "a", "records"),
     *(f"data.certificate.records[].{k}" for k in _NORMALIZER),
-    *(f"data.certificate.{k}" for k in ("center_trivial", "contradiction", "center_dim",
-                                         "seed", "notes")),
+    *(f"data.certificate.{k}" for k in ("center_dim", "center_trivial", "contradiction", "notes")),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,layout",
     [
-        ("theorem2 --a 2 --samples 20", _CERTIFICATE),
-        ("theorem2 --a 1 --samples 20", _CERTIFICATE),
+        ("theorem2 --a 2", _CERTIFICATE),
+        ("theorem2 --a 1", _CERTIFICATE),
         ("generation --case C --a 2 --preset sin-small", _under("data.verdict", *_VERDICT)),
         ("generation --case A --a 2 --fn sqrt(x)",
          [*_under("data.verdict", *_VERDICT), "data.non_finite"]),
@@ -259,7 +255,6 @@ def test_overflow_names_float_parameters(capsys):
     cases = [
         (["verify-group", "--a", "1e308"], "--a 1e+308"),
         (["verify-group", "--a", "800"], "--a 800"),
-        (["theorem2", "--a", "700"], "--a 700"),
         (["loop-check", "--case", "A", "--a", "2", "--preset", "zero", "--z-box", "400"],
          "--a 2, --z-box 400"),
         (["fixed-point", "--a", "1e308", "--g", "1", "1", "1", "1"], "--a 1e+308, --g 1 1 1 1"),
@@ -447,13 +442,28 @@ def test_transitivity_report(tmp_path):
 
 
 def test_theorem2_report(tmp_path):
-    code, path = run_to_file(
-        tmp_path, "t2.json", ["theorem2", "--a", "0.5", "--samples", "80"]
-    )
+    # --seed is echoed and selects nothing: the certificate draws nothing
+    code, path = run_to_file(tmp_path, "t2.json", ["theorem2", "--a", "0.5", "--seed", "80"])
     assert code == 0
-    cert = json.loads(path.read_text())["data"]["certificate"]
+    obj = json.loads(path.read_text())
+    assert (obj["seed"], obj["config"]) == (None, {"a": 0.5, "seed": 80})
+    cert = obj["data"]["certificate"]
     assert cert["contradiction"] is True
     assert len(cert["records"]) == 3
+
+
+@pytest.mark.parametrize("a", ["1.000000001", "700"])
+def test_theorem2_passes_where_sampling_failed(capsys, a):
+    # the sampled dichotomy failed H3 at a = 1 + 1e-9 (exit 1) and overflowed
+    # at a = 700 (exit 2); the exact dimensions need no exponential
+    assert main(["theorem2", "--a", a]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 5 and {c["status"] for c in checks} == {"pass"}
+
+
+def test_theorem2_has_no_samples_flag(capsys):
+    assert main(["theorem2", "--a", "2", "--samples", "5"]) == 2
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
 
 
 def test_fixed_point_report(tmp_path):
@@ -823,8 +833,7 @@ def test_library_suites_match_cli(tmp_path):
          generation_suite(spec("C", "sin-small"), 200)),
         (["transitivity", "--case", "C", *section, "sin-small", "--samples", "10"],
          sharp_transitivity_check(spec("C", "sin-small"), n_samples=10)),
-        (["theorem2", "--a", "2", "--samples", "60", "--seed", "2"],
-         theorem2_suite(GroupParam(2.0), 60, 2)),
+        (["theorem2", "--a", "2", "--seed", "2"], theorem2_suite(GroupParam(2.0))),
         (["lemma1", "--K", "2"],
          lemma1_suite(lemma1_member(2.0, 1.0)[0], 1.0, (-3.0, 3.0), 50, coefficient=2.0)),
         (["fixed-point", "--a", "2", "--g", "1", "-2", "0.5", "1.5"],
@@ -867,10 +876,12 @@ _AXIOM_ROWS = [(name, 500) for name in (
     ("generation --case C --a 2 --preset sin-small", [("generates", 400)]),
     ("transitivity --case C --a 2 --preset sin-small", [("unique-root", 100)]),
     ("transitivity --case A --a 2 --preset zero", [("unique-root", 0)]),
+    # four brackets [e_k, h] per normalizer; the contradiction reads the
+    # other checks
     ("theorem2 --a 2", [
-        ("normalizer-is-commutator-slab-H1", 1000), ("normalizer-is-commutator-slab-H2", 1000),
-        ("normalizer-is-commutator-slab-H3", 1000), ("center-trivial", 16),
-        ("contradiction", 1000),
+        ("normalizer-is-commutator-slab-H1", 4), ("normalizer-is-commutator-slab-H2", 4),
+        ("normalizer-is-commutator-slab-H3", 4), ("center-trivial", 16),
+        ("contradiction", 4),
     ]),
     ("lemma1 --K 2", [("profile-fit", 50), ("pair-identity", 2500), ("coefficient-recovery", 50)]),
     ("fixed-point --a 2 --g 1 2 3 0.5", [("fixed-coset", 1)]),
@@ -1093,7 +1104,7 @@ def test_poles_and_nan_sections_fail_as_unresolved(capsys, case, fn):
     assert report["checks"][0]["status"] == "fail"
     failures = report["data"]["failures"]
     dead = r"sample \d+: unresolved: no finite enclosure near u = \S+"
-    spent = r"sample \d+: unresolved: no exclusion or monotonicity proof near u = \S+ within 1000 boxes"
+    spent = r"sample \d+: unresolved: no exclusion or monotonicity proof near u = \S+ after \d+ boxes"
     assert failures and all(re.fullmatch(dead, f) or re.fullmatch(spent, f) for f in failures)
     if fn == "sqrt(x)":  # the window of every failed row starts in the NaN half-plane
         assert all(re.fullmatch(dead, f) for f in failures)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from conftest import normalizes
 from hypothesis import strategies as st
 
 import solvloop as sl
@@ -192,13 +193,13 @@ def test_subgroup_charts_rows_equal_scalar_calls(a, rows):
         _assert_rows_match(lambda g: sl.subgroups.decompose(p, sub, g), gs, (g,))
         _assert_rows_match(lambda g: sl.subgroups.membership_residual(sub, g), gs, (g,))
         if sub.admissible(p):
-            _assert_rows_match(lambda g: sl.multgroup.normalizes(p, g, sub), gs, (g,))
+            _assert_rows_match(lambda g: normalizes(p, g, sub), gs, (g,))
 
 
 def test_scalar_calls_keep_python_scalars():
     p = sl.GroupParam(2.0)
     g = sl.GroupElement(1.0, -2.0, 0.5, 0.0)
-    assert sl.multgroup.normalizes(p, g, SubgroupId.H1) is True
+    assert normalizes(p, g, SubgroupId.H1) is True
     assert type(sl.group.coordinate_distance((1.0, math.nan), (1.0, 0.0))) is float
     assert sl.group.as_matrix(p, g).shape == (4, 4)
     spec = sl.SectionSpec("A", p, sl.FunctionSpec.preset("sin-small", 2))

@@ -417,11 +417,6 @@ def test_enclose_holds_the_exact_range_on_random_boxes(name, x, y):
     assert _holds_exact_range(tree, boxes, exact)
 
 
-def test_variables_names_what_a_tree_reads():
-    assert ex.variables(ex.parse("sin(x)*2 - -z^y + 1", ("x", "y", "z"))) == {"x", "y", "z"}
-    assert ex.variables(ex.parse("3 + exp(1)", ())) == set()
-
-
 @given(st.floats(allow_nan=False) | st.sampled_from([5e-324, -5e-324, 2.0**-1022, 1.0, 2.0, -0.5]))
 def test_outward_rounding_moves_at_least_one_ulp(v):
     with np.errstate(all="ignore"):

@@ -354,8 +354,18 @@ def test_root_rows_budget_ends_an_unresolved_row(monkeypatch):
     boxes = _enclosed(monkeypatch, tree)
     monkeypatch.setattr(numerics, "MAX_BOXES", 100)
     (got,) = per_row(root_rows(tree, {}, [1.0], [2.0]), 1)
-    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1.5 within 100 boxes"
-    assert 100 <= boxes["residual"] // 2 < 256
+    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1.5 after 105 boxes"
+    assert boxes["residual"] // 2 == 105
+
+
+def test_an_unresolved_row_counts_the_boxes_it_enclosed(monkeypatch):
+    # the double root at 1 leaves a box too narrow to halve in round 19,
+    # long before the budget ends: the error says 145 boxes, not 1000
+    tree = ex.parse("(u-1)*(u-1)", ("u",))
+    boxes = _enclosed(monkeypatch, tree)
+    (got,) = per_row(root_rows(tree, {}, [0.0], [3.0]), 1)
+    assert str(got) == "unresolved: no exclusion or monotonicity proof near u = 1 after 145 boxes"
+    assert boxes["residual"] // 2 == 145
 
 
 def test_root_rows_retires_a_row_with_an_unknown_midpoint_at_once(monkeypatch):
@@ -388,7 +398,7 @@ def test_root_rows_drops_the_roots_of_a_row_that_runs_out_of_boxes(monkeypatch):
     assert proved.count(0.75) == 2 and proved.count(2.0) == 2
     assert rows.tolist() == [1] and a[0] < 0.25 < b[0]
     assert list(errors) == [0]
-    assert str(errors[0]) == "unresolved: no exclusion or monotonicity proof near u = 0.75 within 100 boxes"
+    assert str(errors[0]) == "unresolved: no exclusion or monotonicity proof near u = 0.75 after 104 boxes"
 
 
 @pytest.mark.parametrize("block_points", [2, numerics.BLOCK_POINTS])
@@ -458,7 +468,7 @@ def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
     # every point of the window is a root of u - u, so no box is settled
     (budgeted,) = per_row(root_rows(ex.BinOp("-", ex.Var("u"), ex.Var("u")), {}, [1.0], [2.0]), 1)
     assert sum(boxes) >= numerics.MAX_BOXES
-    assert str(budgeted) == "unresolved: no exclusion or monotonicity proof near u = 1 within 1000 boxes"
+    assert str(budgeted) == "unresolved: no exclusion or monotonicity proof near u = 1 after 1017 boxes"
     boxes.clear()
     tree = ex.BinOp("-", ex.Var("u"), ex.Var("c"))
     (got,) = per_row(root_rows(tree, {"c": np.array([math.nan]), "d": np.array([1.0])}, [1.0], [2.0]), 1)
