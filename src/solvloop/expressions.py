@@ -424,7 +424,7 @@ def _enclose_power(base, exponent):
     )
 
 
-def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
+def enclose(node: Node, boxes: dict, wrt: str | None = None):
     """Outward-rounded interval evaluation of node over numpy arrays of boxes.
 
     boxes maps every variable to a pair (lo, hi) of floats or arrays, all
@@ -463,42 +463,121 @@ def enclose(node: Node, boxes: dict) -> tuple[np.ndarray, np.ndarray]:
         which numpy calls 1), and negation keeps it so; a NaN value of a
         variable that node reads thus gives node no finite enclosure on
         any box.
+
+    With wrt, a variable's name, it returns ((lo, hi), (dlo, dhi)), with
+    an enclosure of the derivative in wrt on every box from the same walk
+    (forward-mode interval differentiation; Rall, Automatic Differentiation,
+    1981): each node's slope follows calculus (see _SLOPES and
+    _power_and_slope) with the rules above, exactly 0 where it does not read
+    wrt, and unknown where the derivative is not defined (abs and sqrt at
+    0, a pole) or bounded.
     """
     with np.errstate(all="ignore"):
-        lo, hi = _enclose(node, boxes)
+        value, slope = _enclose(node, boxes, wrt)
     shape = np.broadcast_shapes(*(np.shape(b) for box in boxes.values() for b in box))
-    return tuple(v if np.shape(v) == shape else np.broadcast_to(v, shape) for v in (lo, hi))
+    shaped = lambda box: tuple(v if np.shape(v) == shape else np.broadcast_to(v, shape) for v in box)
+    return shaped(value) if wrt is None else (shaped(value), shaped(slope or (np.float64(0.0),) * 2))
 
 
-def _enclose(node: Node, boxes: dict):
+# The slope of the variable differentiated in, and the constant 2: point
+# boxes of one shared value (see _corners); _mul multiplies by _UNIT exactly.
+_UNIT = (np.float64(1.0),) * 2
+_TWO = (np.float64(2.0),) * 2
+
+
+def _add(p, q):
+    """p + q, rounded outward; None, the slope of a subtree that does not read wrt, is an exact 0."""
+    if p is None or q is None:
+        return q if p is None else p
+    return _outward(p[0] + q[0], p[1] + q[1])
+
+
+def _neg(p):
+    return None if p is None else (-p[1], -p[0])
+
+
+def _mul(p, q):
+    """p * q, rounded outward; exact where either is None (0) or _UNIT."""
+    if p is None or q is None:
+        return None
+    if p is _UNIT or q is _UNIT:
+        return q if p is _UNIT else p
+    return _outward(*_products(p, q, np.multiply))
+
+
+def _div(p, q):
+    """p / q, rounded outward, and unknown where |q| may be below 1e-300 (evaluate's guard)."""
+    if p is None:
+        return None
+    guard = (q[0] >= 1e-300) | (q[1] <= -1e-300)
+    return _outward(*_products(p, q, np.divide), guard)
+
+
+def _less_one(box):
+    """box - 1: exact on an integer point, which _enclose_power's rule for x^n needs; else outward."""
+    lo, hi = _outward(box[0] - 1.0, box[1] - 1.0)
+    exact = (box[0] == box[1]) & (np.floor(box[0]) == box[0]) & (np.abs(box[0]) <= 2.0**20)
+    return np.where(exact, box[0] - 1.0, lo), np.where(exact, box[1] - 1.0, hi)
+
+
+def _power_and_slope(base, dbase, exponent, dexponent):
+    """(value, slope) of base^exponent: v u^(v - 1) u' where v does not read wrt, else u^v (v' log u + v u'/u)."""
+    value = _enclose_power(base, exponent)
+    if dexponent is None:
+        less = None if dbase is None else _enclose_power(base, _less_one(exponent))
+        return value, _mul(_mul(exponent, less), dbase)
+    inner = _add(_mul(dexponent, _enclose_call("log", base)), _mul(exponent, _div(dbase, base)))
+    return value, _mul(value, inner)
+
+
+# fn -> the box of its derivative, from the boxes of its argument and of its value
+_SLOPES = {
+    "exp": lambda arg, value: value,
+    "expm1": lambda arg, value: _enclose_call("exp", arg),
+    "log": lambda arg, value: _div(_UNIT, arg),
+    "sin": lambda arg, value: _enclose_call("cos", arg),
+    "cos": lambda arg, value: _neg(_enclose_call("sin", arg)),
+    "tan": lambda arg, value: _add(_UNIT, _enclose_power(value, _TWO)),
+    "tanh": lambda arg, value: _add(_UNIT, _neg(_enclose_power(value, _TWO))),
+    "sqrt": lambda arg, value: _div(_UNIT, _mul(_TWO, value)),
+    "abs": lambda arg, value: _div(arg, value),
+}
+
+
+def _enclose(node: Node, boxes: dict, wrt):
+    """(value, slope): the boxes of node and of its derivative in wrt, None where node does not read wrt."""
     if isinstance(node, Const):  # a point box of one shared value: one corner (see _corners)
-        return (np.float64(node.value),) * 2
+        return (np.float64(node.value),) * 2, None
     if isinstance(node, Var):
         try:
             lo, hi = boxes[node.name]
         except KeyError:
             raise EvaluationError(f"no value bound for variable '{node.name}'") from None
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)), _UNIT if node.name == wrt else None
     if isinstance(node, Neg):
-        lo, hi = _enclose(node.operand, boxes)
-        return -hi, -lo
+        value, slope = _enclose(node.operand, boxes, wrt)
+        return _neg(value), _neg(slope)
     if isinstance(node, Call):
-        return _enclose_call(node.fn, _enclose(node.arg, boxes))
-    left = _enclose(node.left, boxes)
+        arg, slope = _enclose(node.arg, boxes, wrt)
+        value = _enclose_call(node.fn, arg)
+        return value, None if slope is None else _mul(_SLOPES[node.fn](arg, value), slope)
+    left, dleft = _enclose(node.left, boxes, wrt)
     if node.op == "*" and node.left == node.right:  # evaluate gives both factors one value
-        return _enclose_power(left, _enclose(Const(2.0), boxes))
-    right = _enclose(node.right, boxes)
+        return _power_and_slope(left, dleft, _TWO, None)
+    right, dright = _enclose(node.right, boxes, wrt)
     if node.op == "+":
-        return _outward(left[0] + right[0], left[1] + right[1])
+        return _add(left, right), _add(dleft, dright)
     if node.op == "-":
-        return _outward(left[0] - right[1], left[1] - right[0])
+        return _add(left, _neg(right)), _add(dleft, _neg(dright))
     if node.op == "*":
-        return _outward(*_products(left, right, np.multiply))
-    if node.op == "/":
-        guard = (right[0] >= 1e-300) | (right[1] <= -1e-300)
-        return _outward(*_products(left, right, np.divide), guard)
+        return _mul(left, right), _add(_mul(dleft, right), _mul(left, dright))
+    if node.op == "/":  # (u/v)' = u'/v where v does not read wrt, else (u'v - uv')/v^2
+        if dright is None:
+            return _div(left, right), _div(dleft, right)
+        slope = _add(_mul(dleft, right), _neg(_mul(left, dright)))
+        return _div(left, right), _div(slope, _enclose_power(right, _TWO))
     if node.op == "^":
-        return _enclose_power(left, right)
+        return _power_and_slope(left, dleft, right, dright)
     raise ValueError(f"unknown operator {node.op!r}")
 
 
@@ -513,87 +592,3 @@ def substitute(node: Node, trees: dict) -> Node:
     if isinstance(node, BinOp):
         return BinOp(node.op, substitute(node.left, trees), substitute(node.right, trees))
     return node
-
-
-# ------------------------------------------------------------ derivatives
-
-_ZERO, _ONE = Const(0.0), Const(1.0)
-
-
-def _is(node: Node, value: float) -> bool:
-    return isinstance(node, Const) and node.value == value
-
-
-def _plus(a: Node, b: Node) -> Node:
-    return b if _is(a, 0.0) else a if _is(b, 0.0) else BinOp("+", a, b)
-
-
-def _minus(a: Node, b: Node) -> Node:
-    return a if _is(b, 0.0) else Neg(b) if _is(a, 0.0) else BinOp("-", a, b)
-
-
-def _times(a: Node, b: Node) -> Node:
-    if _is(a, 0.0) or _is(b, 0.0):
-        return _ZERO
-    return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
-
-
-def _over(a: Node, b: Node) -> Node:
-    return _ZERO if _is(a, 0.0) else a if _is(b, 1.0) else BinOp("/", a, b)
-
-
-def _power(a: Node, b: Node) -> Node:
-    return _ONE if _is(b, 0.0) else a if _is(b, 1.0) else BinOp("^", a, b)
-
-
-# fn -> its derivative at the argument u, as a tree over u
-_CHAIN = {
-    "exp": lambda u: Call("exp", u),
-    "expm1": lambda u: Call("exp", u),
-    "log": lambda u: _over(_ONE, u),
-    "sin": lambda u: Call("cos", u),
-    "cos": lambda u: Neg(Call("sin", u)),
-    "tan": lambda u: BinOp("+", _ONE, BinOp("^", Call("tan", u), Const(2.0))),
-    "tanh": lambda u: BinOp("-", _ONE, BinOp("^", Call("tanh", u), Const(2.0))),
-    "sqrt": lambda u: _over(_ONE, BinOp("*", Const(2.0), Call("sqrt", u))),
-    "abs": lambda u: _over(u, Call("abs", u)),
-}
-
-
-def derivative(node: Node, var: str) -> Node:
-    """The symbolic derivative of node in the variable var, one rule per operator.
-
-    Terms that are zero and factors that are one are folded away, so a
-    subtree free of var costs nothing.  Where the derivative is not defined
-    (abs and sqrt at 0, a pole), its tree divides by zero there, and
-    enclose calls it unknown.
-    """
-    if isinstance(node, Const):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE if node.name == var else _ZERO
-    if isinstance(node, Neg):
-        d = derivative(node.operand, var)
-        return _ZERO if _is(d, 0.0) else Neg(d)
-    if isinstance(node, Call):
-        return _times(_CHAIN[node.fn](node.arg), derivative(node.arg, var))
-    u, v = node.left, node.right
-    du, dv = derivative(u, var), derivative(v, var)
-    if node.op == "+":
-        return _plus(du, dv)
-    if node.op == "-":
-        return _minus(du, dv)
-    if node.op == "*":
-        return _plus(_times(du, v), _times(u, dv))
-    if node.op == "/":
-        if _is(dv, 0.0):
-            return _over(du, v)
-        return _over(_minus(_times(du, v), _times(u, dv)), BinOp("^", v, Const(2.0)))
-    if node.op == "^":
-        if _is(dv, 0.0):  # v u^(v - 1) u'
-            less = Const(v.value - 1.0) if isinstance(v, Const) else BinOp("-", v, _ONE)
-            return _times(_times(v, _power(u, less)), du)
-        # u^v (v' log u + v u'/u)
-        inner = _plus(_times(dv, Call("log", u)), _times(v, _over(du, u)))
-        return _times(node, inner)
-    raise ValueError(f"unknown operator {node.op!r}")

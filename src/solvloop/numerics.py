@@ -8,8 +8,8 @@ Three workhorses:
     Analysis, 1966; Neumaier, Interval Methods for Systems of Equations,
     1990, ch. 5): batched adaptive subdivision in which every box is
     excluded by its residual enclosure (expressions.enclose), narrowed by
-    the interval Newton operator N(X) = m - F(m)/F'(X) on the symbolic
-    u-derivative (expressions.derivative), or split into 2, 4 or 8 pieces
+    the interval Newton operator N(X) = m - F(m)/F'(X), F'(X) enclosed in
+    the same walk by forward-mode slopes, or split into 2, 4 or 8 pieces
     (multisection; Csallner, Csendes & Markót, J. Global Optim. 16, 2000),
     as many as the row's own count of boxes to split allows.  N(X) ∩ X = ∅
     proves that X holds no root, N(X) ⊂ int X that it holds exactly one, in
@@ -21,9 +21,10 @@ Three workhorses:
     arrays (the row and box of every root) and a dict of the failed rows'
     errors.
   * narrow_roots: the same operator on proved boxes, down to 1e-12, each
-    step centred on the box's float Newton iterate (any centre in X gives
-    a proof; Rump, Acta Numerica 19, 2010), so a right division takes one
-    step.  evaluate runs only to choose that centre, under a guard.
+    step centred on the box's float Newton iterate, whose slope is a
+    forward difference (any centre in X gives a proof; Rump, Acta
+    Numerica 19, 2010), so a right division takes one step.  evaluate runs
+    only to choose that centre, under a guard.
   * fit_saturating_exponential: least-squares fit of the one-parameter family
     K*(1 - e^{-rate*z}) together with a residual for the characteristic
     two-argument identity f(z1+z2) = f(z2) + e^{-rate*z2}*f(z1).
@@ -47,57 +48,51 @@ from .group import exp
 BLOCK_POINTS = 8000
 # Residual boxes a row may enclose before its root count is unresolved.
 MAX_BOXES = 1000
-# Names of the point m and of the enclosure of F(m) in the Newton operator;
-# no parsed tree can use them.
-_MID, _AT_MID = "m(u)", "F(m(u))"
+# The interval Newton operator N(X) = m - F(m)/F'(X), a tree over the point
+# m and the enclosures f of F(m) and d of F'(X).
+_NEWTON = expressions.parse("m - f/d", ("m", "f", "d"))
+# Float Newton steps that _centres takes at most, and the relative move
+# below which a row has converged.
+CENTRE_STEPS, CENTRE_TOL = 8, 2.0**-44
 
 
-def _points(columns: dict) -> dict:
-    """columns as point boxes for expressions.enclose."""
-    return {name: (col, col) for name, col in columns.items()}
+def _newton(tree, columns: dict, a: np.ndarray, b: np.ndarray, m: np.ndarray):
+    """(F(X), F(m), N(X)): enclosures on every box X = [a[i], b[i]] with the row values columns.
 
-
-def _newton_operator(slope: expressions.Node) -> expressions.Node:
-    """N = m - F(m)/F'(u), a tree over the box u, the point m and the enclosure of F(m); slope is F'."""
-    quotient = expressions.BinOp("/", expressions.Var(_AT_MID), slope)
-    return expressions.BinOp("-", expressions.Var(_MID), quotient)
-
-
-def _newton(newton: expressions.Node, columns: dict, a: np.ndarray, b: np.ndarray, m: np.ndarray, f):
-    """The enclosure (lo, hi) of N(X) on every box X = [a[i], b[i]] with the row values columns.
-
-    m is a point of X, the centre, and f the enclosure of the residual F
-    at m.  enclose rounds N outward, and its division rule makes N
-    unknown, (-inf, inf), where F'(X) may come within 1e-300 of 0.
+    m is a point of X, the centre.  One enclosure of tree, on the boxes
+    stacked on the points, gives F(X), F(m) and the slope F'(X).  enclose
+    rounds N outward, and its division rule makes N unknown, (-inf, inf),
+    where F'(X) may come within 1e-300 of 0.
     """
-    return expressions.enclose(newton, {**_points(columns), "u": (a, b), _MID: (m, m), _AT_MID: f})
+    boxes = {name: (col, col) for name, col in columns.items()}
+    (flo, fhi), (dlo, dhi) = expressions.enclose(tree, {**boxes, "u": (np.stack([a, m]), np.stack([b, m]))}, "u")
+    f = (flo[1], fhi[1])
+    return (flo[0], fhi[0]), f, expressions.enclose(_NEWTON, {"m": (m, m), "f": f, "d": (dlo[0], dhi[0])})
 
 
-def _sort_boxes(tree, newton, columns: dict, a: np.ndarray, b: np.ndarray):
+def _sort_boxes(tree, columns: dict, a: np.ndarray, b: np.ndarray):
     """(keep, a, b, split, dead, proved, lower, upper): what becomes of the boxes [a[i], b[i]].
 
     Box i goes on, where keep[i], as [a[i], b[i]] of the result, split
     where split[i]; root k is proved to lie alone in [lower[k], upper[k]]
-    by box proved[k].  One enclosure bounds the residual on every box and
-    at its midpoint.  dead[i] says that the enclosure at the midpoint of
-    box i is not finite: enclosures are inclusion-isotone, so no box that
+    by box proved[k].  One enclosure bounds the residual and its slope on
+    every box and the residual at its midpoint, the centre of a Newton step
+    (see _newton).  dead[i] says that the enclosure at the midpoint of box
+    i is not finite: enclosures are inclusion-isotone, so no box that
     holds that point can ever be settled.  A box whose enclosure is finite
     and excludes 0 is dropped.  Any other box with a finite enclosure takes
-    one Newton step (see _newton): N(X) ⊂ int X proves a root in N(X); an
+    its Newton step: N(X) ⊂ int X proves a root in N(X); an
     empty N(X) ∩ X drops the box; a nonempty one at most half as wide as X
     goes on, widened across each end of X that N(X) reaches by 64 ulps of
     its larger bound (epsilon-inflation: a root on an end of X is then
     inside it); anything else, an unknown N(X) included, is split.
     """
-    mid = 0.5 * (a + b)
-    flo, fhi = expressions.enclose(tree, {**_points(columns), "u": (np.stack([a, mid]), np.stack([b, mid]))})
-    known = np.isfinite(flo[0]) & np.isfinite(fhi[0])
-    dead = ~(np.isfinite(flo[1]) & np.isfinite(fhi[1]))
-    keep = ~(known & ((flo[0] > 0) | (fhi[0] < 0)))
+    (flo, fhi), f, (nlo, nhi) = _newton(tree, columns, a, b, 0.5 * (a + b))
+    known = np.isfinite(flo) & np.isfinite(fhi)
+    dead = ~(np.isfinite(f[0]) & np.isfinite(f[1]))
+    keep = ~(known & ((flo > 0) | (fhi < 0)))
     test = np.flatnonzero(known & keep)
-    x, y = a[test], b[test]
-    sub = {name: col[test] for name, col in columns.items()}
-    nlo, nhi = _newton(newton, sub, x, y, mid[test], (flo[1, test], fhi[1, test])) if test.size else (x, y)
+    x, y, nlo, nhi = a[test], b[test], nlo[test], nhi[test]
     lo, hi = np.maximum(x, nlo), np.minimum(y, nhi)  # N(X) ∩ X
     inside = (x < nlo) & (nhi < y)
     step = ~inside & (lo <= hi) & (hi - lo <= 0.5 * (y - x))
@@ -201,7 +196,6 @@ def root_rows(
             errors[r] = ValueError("interval needs lo < hi")
         else:
             errors[r] = ValueError(f"window [{lo[r]:g}, {hi[r]:g}] is wider than the largest float")
-    newton = _newton_operator(expressions.derivative(tree, "u"))
     rows = np.flatnonzero(~bad)
     a, b = lo[rows], hi[rows]
     found = [(rows[:0], a[:0], b[:0])]  # the rows and boxes of the roots proved in each block
@@ -214,7 +208,7 @@ def root_rows(
             r = rows[block]
             cols = {name: col[r] for name, col in columns.items()}
             keep[block], a[block], b[block], split[block], dead[block], proved, x, y = _sort_boxes(
-                tree, newton, cols, a[block], b[block]
+                tree, cols, a[block], b[block]
             )
             found.append((r[proved], x, y))
         rows, a, b, split, dead = rows[keep], a[keep], b[keep], split[keep], dead[keep]
@@ -243,21 +237,28 @@ def root_rows(
     return rows, a, b, errors
 
 
-def _centres(tree, slope, columns: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _centres(tree, columns: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A point of every box [a[i], b[i]] near its root: the float Newton iterate.
 
-    From the midpoint, up to 3 steps u - F(u)/F'(u) with evaluate; a row
-    keeps an iterate only where it is finite and strictly inside its box.
-    evaluate checks its guards on all rows at once, so where it raises,
-    every row takes its midpoint.
+    From the midpoint, steps u - F(u)/F'(u) with evaluate and F' a forward
+    difference over h = 2^-26 max(1, |u|) (any centre in X gives a proof),
+    until no row moves by more than CENTRE_TOL max(1, |u|), or for
+    CENTRE_STEPS steps; a row keeps an iterate only where it is finite and
+    strictly inside its box.  evaluate checks its guards on all rows at
+    once, so where it raises, every row takes its midpoint.
     """
     mid = u = 0.5 * (a + b)
     try:
         with np.errstate(all="ignore"):
-            for _ in range(3):
-                env = {**columns, "u": u}
-                step = u - expressions.evaluate(tree, env) / expressions.evaluate(slope, env)
-                u = np.where(np.isfinite(step) & (a < step) & (step < b), step, u)
+            for _ in range(CENTRE_STEPS):
+                scale = np.maximum(1.0, np.abs(u))
+                h = 2.0**-26 * scale
+                f = expressions.evaluate(tree, {**columns, "u": np.stack([u, u + h])})
+                f, fh = np.broadcast_to(f, (2, u.size))
+                step = u - f * h / (fh - f)
+                u, last = np.where(np.isfinite(step) & (a < step) & (step < b), step, u), u
+                if not (np.abs(u - last) > CENTRE_TOL * scale).any():
+                    break
     except expressions.EvaluationError:
         return mid
     return u
@@ -266,10 +267,11 @@ def _centres(tree, slope, columns: dict, a: np.ndarray, b: np.ndarray) -> np.nda
 def narrow_roots(tree: expressions.Node, columns: dict, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Proved root boxes [lo[i], hi[i]] of root_rows, narrowed; box i is row i of (tree, columns).
 
-    Every box X becomes N(X) ∩ X (see _newton), which still holds its root,
-    until it is at most 1e-12 wide or a step leaves it as wide as it was
-    (where outward rounding keeps it wider, a few ulps of the root beyond
-    about |u| = 2e3, or F'(X) is no longer enclosed away from 0).  N(X)
+    Every box X becomes N(X) ∩ X (see _newton; one enclosure of the
+    residual a step), which still holds its root, until it is at most
+    1e-12 wide or a step leaves it as wide as it was (where outward
+    rounding keeps it wider, a few ulps of the root beyond about
+    |u| = 2e3, or F'(X) is no longer enclosed away from 0).  N(X)
     encloses the root for any centre m in X, so each step is centred on
     the float Newton iterate of its box (see _centres): evaluate only
     chooses the centre, and the step itself still only encloses.  With
@@ -278,15 +280,12 @@ def narrow_roots(tree: expressions.Node, columns: dict, lo, hi) -> tuple[np.ndar
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    slope = expressions.derivative(tree, "u")
-    newton = _newton_operator(slope)
     todo = np.flatnonzero(hi - lo > 1e-12)
     while todo.size:
         x, y = lo[todo], hi[todo]
         cols = {name: col[todo] for name, col in columns.items()}
-        m = _centres(tree, slope, cols, x, y)
-        f = expressions.enclose(tree, {**_points(cols), "u": (m, m)})
-        nlo, nhi = _newton(newton, cols, x, y, m, f)
+        m = _centres(tree, cols, x, y)
+        nlo, nhi = _newton(tree, cols, x, y, m)[2]
         lo[todo], hi[todo] = np.maximum(x, nlo), np.minimum(y, nhi)
         width = hi[todo] - lo[todo]
         todo = todo[(width < y - x) & (width > 1e-12)]
@@ -306,7 +305,9 @@ def fit_saturating_exponential(zs, values, rate: float = 1.0) -> FitResult:
     values broadcasts to the shape of zs (a constant is one value for every
     sample).  Samples with |z| < 1e-3 are discarded (the basis function
     vanishes to first order there and would only add noise); at least 2
-    usable samples are required.
+    usable samples are required.  The residuals are relative to
+    max(1, max|values|), so rounding in an exact member's large values
+    stays near one ulp.
     """
     zs = np.asarray(zs, dtype=float)
     keep = np.abs(zs) >= 1e-3
@@ -324,7 +325,7 @@ def fit_saturating_exponential(zs, values, rate: float = 1.0) -> FitResult:
     if denom == 0.0:
         raise ValueError(f"1 - e^(-rate*z) is 0 at every sample (rate {rate:g})")
     coeff = math.ldexp(float(scaled @ vals) / denom, -e)
-    resid = vals - coeff * basis
+    resid = (vals - coeff * basis) / np.maximum(1.0, np.abs(vals).max())
     return FitResult(
         coefficient=coeff,
         rms_residual=float(np.sqrt(np.mean(resid**2))),

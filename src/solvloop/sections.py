@@ -48,8 +48,8 @@ class FunctionSpec:
     arity 2 means f(x, z); arity 3 means f(x, y, z), and the tree is over
     those variables.  fn evaluates it (expressions.as_function) elementwise
     on floats or numpy arrays, and the root counts enclose it and its
-    derivative (expressions.enclose and expressions.derivative).  preset
-    and from_expression parse the text of the tree.
+    slope in one walk (expressions.enclose with wrt).  preset and
+    from_expression parse the text of the tree.
 
     A call that raises EvaluationError raises it again with the label in
     front of the error, which names the first input row at which the
@@ -176,8 +176,9 @@ def degeneracy_report(spec: SectionSpec, n_samples: int = 200) -> dict:
 
     Slice identity: case A f(x,0)=0, case B h(x,y,0)=0, case C f(x,y,0)=-x,
     to 1e-8, with |x|, |y| <= 5.  Profile identity: the z-axis values for
-    |z| <= 5 follow K*(1-e^{-z}) (rate a in case C) to an rms of 1e-9,
-    with K fitted by least squares over |z| >= 1e-3.  Each grid is one
+    |z| <= 5 follow K*(1-e^{-z}) (rate a in case C) to an rms of 1e-9
+    relative to max(1, max|values|), with K fitted by least squares over
+    |z| >= 1e-3.  Each grid is one
     section call.
 
     The verdict "generates" is False when both identities hold: the section
@@ -276,10 +277,11 @@ def lemma1_suite(
     The profile is sampled on z_range without (-1e-3, 1e-3) (a range inside
     that interval is a ValueError) and evaluated once on the sample array,
     for the least-squares profile fit and the pair identity, then once on
-    the array of pair sums.  After the fit, the pair identity on all
-    sample pairs (each pair to 1e-12 relative to the largest of 1, its left
-    side and the two terms of its right side) and, when the expected
-    coefficient is given, its recovery by the fit.
+    the array of pair sums.  After the fit (its residuals relative to
+    max(1, max|values|)), the pair identity on all sample pairs (each pair
+    to 1e-12 relative to the largest of 1, its left side and the two terms
+    of its right side) and, when the expected coefficient K is given, its
+    recovery by the fit, to 1e-9 relative to max(1, |K|).
     """
     fn = expressions.as_function(tree, ("z",))
     zs = _profile_zs(*z_range, n_samples)
@@ -303,7 +305,7 @@ def lemma1_suite(
         "error relative to max(1, |lhs|, |f(z2)|, |e^{-rate*z2} f(z1)|)",
     )
     if coefficient is not None:
-        err = abs(fit.coefficient - coefficient)
+        err = abs(fit.coefficient - coefficient) / max(1.0, abs(coefficient))
         report.record("coefficient-recovery", err <= 1e-9, max_error=err, n_samples=fit.n_samples)
     report.data["coefficient"] = fit.coefficient
     return report

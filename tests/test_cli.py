@@ -429,6 +429,16 @@ def test_case_c_right_divisions_round_trip_within_an_ulp(capsys):
     assert check["status"] == "pass" and check["max_error"] <= 1e-15
 
 
+@pytest.mark.parametrize("fn,a", [("x*y", "-1"), ("x^3", "2")])
+def test_narrowing_centres_converge_on_wide_proved_boxes(capsys, fn, a):
+    # three float Newton steps from the midpoint of a wide proved box left
+    # round trips of 1.69e-12 (x*y) and 3.3e-13 (x^3); the centre now steps
+    # until it moves by at most 2^-44 of max(1, |u|)
+    main(["loop-check", "--case", "B", "--a", a, "--fn", fn, "--seed", "0"])
+    (check,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "rdiv-round-trip"]
+    assert check["max_error"] <= 1e-14
+
+
 def test_transitivity_report(tmp_path):
     code, path = run_to_file(
         tmp_path, "tr.json",
@@ -481,6 +491,26 @@ def test_lemma1_with_exact_member(tmp_path):
     assert code == 0
     names = [c["name"] for c in json.loads(path.read_text())["checks"]]
     assert names == ["profile-fit", "pair-identity", "coefficient-recovery"]
+
+
+@pytest.mark.parametrize("K", ["1e6", "1e7"])
+def test_lemma1_passes_large_members_of_the_family(capsys, K):
+    # an absolute 1e-9 failed profile-fit at K = 1e6 (2.03e-9) and, at
+    # K = 1e7, coefficient-recovery too (1.86e-9, one ulp of 1e7); both are
+    # relative now, to max(1, max|values|) and max(1, |K|)
+    assert main(["lemma1", "--K", K]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 3
+    assert max(c["max_error"] for c in checks) <= 1e-15
+
+
+def test_a_large_multiple_of_the_saturating_family_is_degenerate(capsys):
+    # 1e6*(1 - e^{-z}) is a member of case A's associative family, as
+    # 1 - e^{-z} is; its absolute fit residual read it as generating
+    assert main(["generation", "--case", "A", "--a", "2", "--fn", "1e6*(1-exp(-z))"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["status"] == "warn"
+    assert report["data"]["verdict"]["generates"] is False
 
 
 @pytest.mark.parametrize(
@@ -1002,14 +1032,14 @@ def test_enclosure_pruning_evaluates_few_section_points(capsys, monkeypatch):
 
 def test_enclosure_pruning_encloses_few_boxes(capsys, monkeypatch):
     # the grid scan enclosed 15,700 chunks, or 1,600 boxes coarse to fine;
-    # the proof encloses each sample's residual on one box and its midpoint
-    # and its Newton operator on the box
+    # the proof encloses each sample's residual and its slope on one box
+    # and its midpoint, and its Newton operator on the box
     boxes = []
     enclose = solvloop.expressions.enclose
 
-    def counted(tree, env):
-        boxes.append(np.size(env["u"][0]))
-        return enclose(tree, env)
+    def counted(tree, env, wrt=None):
+        boxes.append(np.size(env["u" if "u" in env else "m"][0]))
+        return enclose(tree, env, wrt)
 
     monkeypatch.setattr(solvloop.expressions, "enclose", counted)
     assert main(["transitivity", "--case", "C", "--a", "2", "--fn", "0.1*sin(x)"]) == 0

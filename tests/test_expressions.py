@@ -1,6 +1,7 @@
-"""Parser, evaluator, enclosure and derivative of the small function-expression language."""
+"""Parser, evaluator, enclosure and slope enclosure of the small function-expression language."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -427,13 +428,16 @@ def test_outward_rounding_moves_at_least_one_ulp(v):
             assert lo <= np.nextafter(v, -math.inf) and np.nextafter(v, math.inf) <= hi
 
 
-# ---------------------------------------------------------------- derivatives
+# ---------------------------------------------------------------- slopes
 
 _SYMBOLS = {"x": sympy.Symbol("x", real=True), "y": sympy.Symbol("y", real=True)}
 _SYMPY_FUNCTIONS = {
     "exp": sympy.exp, "expm1": lambda a: sympy.exp(a) - 1, "log": sympy.log, "sin": sympy.sin,
     "cos": sympy.cos, "tan": sympy.tan, "tanh": sympy.tanh, "sqrt": sympy.sqrt, "abs": sympy.Abs,
 }
+
+
+_SYMPY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
 def _sympy(node):
@@ -446,8 +450,7 @@ def _sympy(node):
         return -_sympy(node.operand)
     if isinstance(node, ex.Call):
         return _SYMPY_FUNCTIONS[node.fn](_sympy(node.arg))
-    left, right = _sympy(node.left), _sympy(node.right)
-    return {"+": left + right, "-": left - right, "*": left * right, "/": left / right, "^": left**right}[node.op]
+    return _SYMPY_OPERATORS[node.op](_sympy(node.left), _sympy(node.right))
 
 
 @pytest.mark.parametrize(
@@ -462,22 +465,53 @@ def _sympy(node):
     ],
 )
 def test_derivative_agrees_with_sympy(text):
-    # sympy differentiates its own copy of the tree; both derivatives are
-    # compared exactly at rational points, to 40 digits
+    # sympy differentiates its own copy of the tree; at point boxes on
+    # three points, the slope holds sympy's derivative there, evaluated to
+    # 40 digits at the exact rational of each float, and is a few ulps of
+    # max(1, |slope|) wide: every node rounds it outward, a function by 17
+    # ulps (176 at most on these trees)
     tree = ex.parse(text, ("x", "y"))
     assert set(ex.FUNCTIONS) == set(_SYMPY_FUNCTIONS)
-    ours = _sympy(ex.derivative(tree, "x"))
     theirs = sympy.diff(_sympy(tree), _SYMBOLS["x"])
-    for x, y in [("3/10", "7/10"), ("9/10", "13/10"), ("17/10", "2/5")]:
-        point = {_SYMBOLS["x"]: sympy.Rational(x), _SYMBOLS["y"]: sympy.Rational(y)}
-        a, b = ours.subs(point).evalf(40), theirs.subs(point).evalf(40)
-        assert abs(a - b) <= sympy.Float("1e-30", 40) * max(1, abs(b)), (text, a, b)
+    for x, y in [(0.3, 0.7), (0.9, 1.3), (1.7, 0.4)]:
+        _, (lo, hi) = ex.enclose(tree, {"x": (x, x), "y": (y, y)}, "x")
+        lo, hi = float(lo), float(hi)
+        exact = theirs.evalf(40, subs={_SYMBOLS["x"]: sympy.Rational(x), _SYMBOLS["y"]: sympy.Rational(y)})
+        assert lo <= exact <= hi, (text, lo, exact, hi)
+        assert hi - lo <= 512 * math.ulp(max(1.0, abs(lo), abs(hi))), (text, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREES, x=st.tuples(_ENDS, _ENDS), y=st.tuples(_ENDS, _ENDS),
+       fractions=st.lists(st.fractions(0, 1, max_denominator=7), max_size=2))
+def test_a_finite_slope_holds_sympys_derivative_on_its_box(tree, x, y, fractions):
+    # wherever the enclosures of a tree that reads x and of its slope in x
+    # on a box are finite, sympy's exact derivative lies in the slope at
+    # the box's corners and at interior rational points, each evaluated to
+    # 40 digits at exact rationals (a subtree free of x has the slope 0 even
+    # where it is unknown, as in x + log(0))
+    assume("Var(name='x')" in repr(tree))
+    (xa, xb), (ya, yb) = sorted(x), sorted(y)
+    value, (lo, hi) = ex.enclose(tree, {"x": (xa, xb), "y": (ya, yb)}, "x")
+    lo, hi = float(lo), float(hi)
+    assume(np.isfinite(value).all() and math.isfinite(lo) and math.isfinite(hi))
+    theirs = sympy.diff(_sympy(tree), _SYMBOLS["x"])
+    ends = [(sympy.Rational(a), sympy.Rational(b)) for a, b in ((xa, xb), (ya, yb))]
+    inner = [sympy.Rational(f.numerator, f.denominator) for f in fractions]
+    points = [(a + f * (b - a)) for a, b in ends for f in [sympy.Integer(0), sympy.Integer(1), *inner]]
+    for px in points[: len(points) // 2]:
+        for py in points[len(points) // 2 :]:
+            exact = theirs.evalf(40, subs={_SYMBOLS["x"]: px, _SYMBOLS["y"]: py}, maxn=400)
+            assert lo <= exact <= hi, (repr(tree), (xa, xb), (ya, yb), px, py, lo, exact, hi)
 
 
 def test_derivative_folds_zero_terms_and_unit_factors():
-    x = ex.Var("x")
-    assert ex.derivative(ex.parse("3*y + sin(y)", ("x", "y")), "x") == ex.Const(0.0)
-    assert ex.derivative(ex.parse("x*y", ("x", "y")), "x") == ex.Var("y")
-    assert ex.derivative(ex.parse("x - 2*y", ("x", "y")), "x") == ex.Const(1.0)
-    assert ex.derivative(ex.parse("x^2", ("x",)), "x") == ex.BinOp("*", ex.Const(2.0), x)
-    assert ex.derivative(ex.parse("y/x^0", ("x", "y")), "x") == ex.Const(0.0)
+    # a subtree free of x has the slope 0 and costs nothing, and x has the
+    # slope 1, which multiplies exactly: x*y has y's box as its slope
+    boxes = {"x": (np.array([0.5, -2.0]), np.array([1.5, 3.0])), "y": (np.array([0.1, -7.0]), np.array([0.3, 1e300]))}
+    _, slope = ex.enclose(ex.parse("3*y + sin(y)", ("x", "y")), boxes, "x")
+    assert [v.tolist() for v in slope] == [[0.0, 0.0], [0.0, 0.0]]
+    _, slope = ex.enclose(ex.parse("x*y", ("x", "y")), boxes, "x")
+    assert [v.tolist() for v in slope] == [[0.1, -7.0], [0.3, 1e300]]
+    value = ex.enclose(ex.parse("x*y", ("x", "y")), boxes)
+    assert [v.tobytes() for v in ex.enclose(ex.parse("x*y", ("x", "y")), boxes, "x")[0]] == [v.tobytes() for v in value]

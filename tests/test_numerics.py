@@ -315,19 +315,20 @@ def test_root_rows_equals_root1d_and_scalar_bisect(data, block_points, width):
 
 
 def test_root_rows_skips_nodes_whose_sign_an_enclosure_proves(monkeypatch):
-    # the u-derivative is enclosed only on boxes whose residual enclosure
-    # holds 0: u*u + 1 encloses as u^2 + 1, to [1, 26] on [-5, 5], which
-    # excludes the window at once, and a line's root is proved on its first box
+    # one round encloses the residual and its slope on the box and its
+    # midpoint, and the Newton operator on the box: u*u + 1 encloses as
+    # u^2 + 1, to [1, 26] on [-5, 5], which excludes the window at once,
+    # and a line's root is proved on its first box
     u = ex.Var("u")
     no_root = ex.BinOp("+", ex.BinOp("*", u, u), ex.Const(1.0))
     boxes = _enclosed(monkeypatch, no_root)
     assert per_row(root_rows(no_root, {}, [-5.0], [5.0]), 1) == [[]]
-    assert boxes == {"residual": 2, "slope": 0}
+    assert boxes == {"residual": 2, "newton": 1}
     line = ex.BinOp("-", u, ex.Const(0.3))
     boxes = _enclosed(monkeypatch, line)
     ((a, b),) = per_row(root_rows(line, {}, [-1.0], [1.0]), 1)[0]
     assert a < 0.3 < b and b - a < 1e-15
-    assert boxes == {"residual": 2, "slope": 1}
+    assert boxes == {"residual": 2, "newton": 1}
 
 
 def test_root_rows_never_misplaces_a_root_whose_residual_underflows():
@@ -375,7 +376,7 @@ def test_root_rows_retires_a_row_with_an_unknown_midpoint_at_once(monkeypatch):
     boxes = _enclosed(monkeypatch, tree)
     (got,) = per_row(root_rows(tree, {}, [1.0], [2.0]), 1)
     assert str(got) == "unresolved: no finite enclosure near u = 1"
-    assert boxes == {"residual": 2, "slope": 0}
+    assert boxes == {"residual": 2, "newton": 1}
 
 
 def test_root_rows_drops_the_roots_of_a_row_that_runs_out_of_boxes(monkeypatch):
@@ -387,8 +388,8 @@ def test_root_rows_drops_the_roots_of_a_row_that_runs_out_of_boxes(monkeypatch):
     proved = []
     sort_boxes = numerics._sort_boxes
 
-    def spied(tree, newton, columns, a, b):
-        out = sort_boxes(tree, newton, columns, a, b)
+    def spied(tree, columns, a, b):
+        out = sort_boxes(tree, columns, a, b)
         proved.extend(columns["s"][out[5]].tolist())
         return out
 
@@ -439,14 +440,17 @@ def _right_division_rows(n):
 
 
 def _enclosed(monkeypatch, residual):
-    """Boxes enclosed from now on: of the tree residual (a box and its midpoint
-    count 2) and of the Newton operator, which encloses the slope."""
-    boxes = {"residual": 0, "slope": 0}
+    """Boxes enclosed from now on: of the tree residual, with its slope (a box
+    and its midpoint or centre count 2), and of the Newton operator."""
+    boxes = {"residual": 0, "newton": 0}
     enclose = ex.enclose
 
-    def counted(tree, env):
-        boxes["residual" if tree is residual else "slope"] += np.size(env["u"][0])
-        return enclose(tree, env)
+    def counted(tree, env, wrt=None):
+        if tree is residual:
+            boxes["residual"] += np.size(env["u"][0])
+        elif tree is numerics._NEWTON:
+            boxes["newton"] += np.size(env["m"][0])
+        return enclose(tree, env, wrt)
 
     monkeypatch.setattr(ex, "enclose", counted)
     return boxes
@@ -460,9 +464,10 @@ def test_root_rows_fails_a_row_that_reads_a_nan_column_at_once(monkeypatch):
     boxes = []
     enclose = ex.enclose
 
-    def counted(tree, env):
-        boxes.append(np.size(env["u"][0]))
-        return enclose(tree, env)
+    def counted(tree, env, wrt=None):
+        if tree is not numerics._NEWTON:
+            boxes.append(np.size(env["u"][0]))
+        return enclose(tree, env, wrt)
 
     monkeypatch.setattr(ex, "enclose", counted)
     # every point of the window is a root of u - u, so no box is settled
@@ -483,16 +488,17 @@ def test_narrow_roots_takes_one_step_per_right_division(monkeypatch):
     # 500 case-C right divisions on the window [-10, 10]: root_rows proves
     # every root in its first round, and one interval Newton step centred
     # on the float Newton iterate narrows each proved box to 1e-12: one
-    # enclosure of the residual and one of the Newton operator per row
+    # enclosure of the residual, on the box and its centre, and one of the
+    # Newton operator per row
     tree, columns, m1, line = _right_division_rows(500)
     boxes = _enclosed(monkeypatch, tree)
     found = per_row(root_rows(tree, columns, np.full(500, -10.0), np.full(500, 10.0)), 500)
-    assert boxes == {"residual": 1000, "slope": 500}
-    boxes.update(residual=0, slope=0)
+    assert boxes == {"residual": 1000, "newton": 500}
+    boxes.update(residual=0, newton=0)
     lo, hi = numerics.narrow_roots(tree, columns, *np.array([roots[0] for roots in found]).T)
     assert (hi - lo <= 1e-12).all()
     assert (abs(0.5 * (lo + hi) - (m1.x - line.base[0])) <= 1e-10).all()
-    assert boxes["residual"] <= 500 and boxes["slope"] <= 500
+    assert boxes["residual"] <= 1000 and boxes["newton"] <= 500
 
 
 def test_refined_right_divisions_agree_with_brentq():
@@ -519,27 +525,26 @@ def _centres(monkeypatch) -> list:
     centres = []
     newton = numerics._newton
 
-    def spied(tree, columns, a, b, m, f):
+    def spied(tree, columns, a, b, m):
         centres.append(m.copy())
-        return newton(tree, columns, a, b, m, f)
+        return newton(tree, columns, a, b, m)
 
     monkeypatch.setattr(numerics, "_newton", spied)
     return centres
 
 
 def test_narrow_roots_centres_every_row_on_its_midpoint_where_evaluate_raises(monkeypatch):
-    # the slope (u - d)/abs(u - d) raises in evaluate at the midpoint 0.5 of
+    # the residual's 0.001/(u - d) raises in evaluate at the midpoint 0.5 of
     # row 0, so the first step of both rows is centred on their midpoints;
     # row 1 still narrows to a box proved to hold its root (the exact
-    # residual changes sign across it), and row 0, whose F'(X) is unknown
-    # since abs' derivative is undefined in X, keeps its box, as it does
-    # with any centre
-    tree = ex.parse("u - 0.3 + 0.001*abs(u - d)", ("u", "d"))
+    # residual changes sign across it), and row 0, whose F(m) and F'(X) are
+    # unknown at the pole, keeps its box, as it does with any centre
+    tree = ex.parse("u - 0.3 + 0.001/(u - d)", ("u", "d"))
     centres = _centres(monkeypatch)
     lo, hi = numerics.narrow_roots(tree, {"d": np.array([0.5, 5.0])}, [0.0, 0.0], [1.0, 1.0])
     assert centres[0].tolist() == [0.5, 0.5]
     assert (lo[0], hi[0]) == (0.0, 1.0)
-    exact = lambda u: Fraction(u) - Fraction(3, 10) + Fraction(1, 1000) * (5 - Fraction(u))
+    exact = lambda u: Fraction(u) - Fraction(3, 10) + Fraction(1, 1000) / (Fraction(u) - 5)
     assert hi[1] - lo[1] <= 1e-12 and exact(lo[1]) <= 0 <= exact(hi[1])
 
 
@@ -566,9 +571,9 @@ def test_root_rows_takes_no_more_rounds_than_bisection_where_newton_is_useless(m
     rounds = []
     enclose = ex.enclose
 
-    def counted(t, env):
+    def counted(t, env, wrt=None):
         rounds.append(t is tree)
-        return enclose(t, env)
+        return enclose(t, env, wrt)
 
     monkeypatch.setattr(ex, "enclose", counted)
     ((a, b),) = per_row(root_rows(tree, {}, [-10.0], [10.0]), 1)[0]
