@@ -243,8 +243,8 @@ def _centres(tree, columns: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     From the midpoint, steps u - F(u)/F'(u) with evaluate and F' a forward
     difference over h = 2^-26 max(1, |u|) (any centre in X gives a proof),
     until no row moves by more than CENTRE_TOL max(1, |u|), or for
-    CENTRE_STEPS steps; a row keeps an iterate only where it is finite and
-    strictly inside its box.  evaluate checks its guards on all rows at
+    CENTRE_STEPS steps; a row keeps an iterate only where it is strictly
+    inside its box (so finite).  evaluate checks its guards on all rows at
     once, so where it raises, every row takes its midpoint.
     """
     mid = u = 0.5 * (a + b)
@@ -253,11 +253,12 @@ def _centres(tree, columns: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for _ in range(CENTRE_STEPS):
                 scale = np.maximum(1.0, np.abs(u))
                 h = 2.0**-26 * scale
-                f = expressions.evaluate(tree, {**columns, "u": np.stack([u, u + h])})
-                f, fh = np.broadcast_to(f, (2, u.size))
-                step = u - f * h / (fh - f)
-                u, last = np.where(np.isfinite(step) & (a < step) & (step < b), step, u), u
-                if not (np.abs(u - last) > CENTRE_TOL * scale).any():
+                f = expressions.evaluate(tree, {**columns, "u": u})
+                move = f * h / (expressions.evaluate(tree, {**columns, "u": u + h}) - f)
+                step = u - move
+                inside = (a < step) & (step < b)
+                u = np.where(inside, step, u)
+                if not (inside & (np.abs(move) > CENTRE_TOL * scale)).any():
                     break
     except expressions.EvaluationError:
         return mid

@@ -507,11 +507,16 @@ def test_a_finite_slope_holds_sympys_derivative_on_its_box(tree, x, y, fractions
 
 def test_derivative_folds_zero_terms_and_unit_factors():
     # a subtree free of x has the slope 0 and costs nothing, and x has the
-    # slope 1, which multiplies exactly: x*y has y's box as its slope
-    boxes = {"x": (np.array([0.5, -2.0]), np.array([1.5, 3.0])), "y": (np.array([0.1, -7.0]), np.array([0.3, 1e300]))}
-    _, slope = ex.enclose(ex.parse("3*y + sin(y)", ("x", "y")), boxes, "x")
-    assert [v.tolist() for v in slope] == [[0.0, 0.0], [0.0, 0.0]]
-    _, slope = ex.enclose(ex.parse("x*y", ("x", "y")), boxes, "x")
-    assert [v.tolist() for v in slope] == [[0.1, -7.0], [0.3, 1e300]]
-    value = ex.enclose(ex.parse("x*y", ("x", "y")), boxes)
-    assert [v.tobytes() for v in ex.enclose(ex.parse("x*y", ("x", "y")), boxes, "x")[0]] == [v.tobytes() for v in value]
+    # slope 1, which multiplies exactly: x*y has y's box as its slope, and
+    # x - 2*y the point 1; the value is the one enclose gives without wrt
+    boxes = {"x": (np.array([0.5, -2.0]), np.array([1.5, 3.0])),
+             "y": (np.array([0.1, -7.0]), np.array([0.3, 1e300]))}
+    for text, expected in [
+        ("3*y + sin(y)", [[0.0, 0.0], [0.0, 0.0]]),
+        ("x*y", [[0.1, -7.0], [0.3, 1e300]]),
+        ("x - 2*y", [[1.0, 1.0], [1.0, 1.0]]),
+    ]:
+        tree = ex.parse(text, ("x", "y"))
+        value, slope = ex.enclose(tree, boxes, "x")
+        assert [v.tolist() for v in slope] == expected, text
+        assert [v.tobytes() for v in value] == [v.tobytes() for v in ex.enclose(tree, boxes)], text
