@@ -7,15 +7,8 @@ module, such as ``solvloop.group.mul``.
 
 from .group import GroupElement, GroupParam
 from .subgroups import LoopPoint, classify_suite, fixed_point_suite
-from .sections import (
-    PRESETS,
-    FunctionSpec,
-    SectionSpec,
-    generation_suite,
-    lemma1_suite,
-    sharp_transitivity_check,
-)
-from .loops import loop_suite
+from .sections import PRESETS, FunctionSpec, SectionSpec, generation_suite, lemma1_suite
+from .loops import loop_suite, sharp_transitivity_check
 from .multgroup import group_suite, theorem2_suite
 from .report import VerificationReport
 from .cli import main

@@ -25,18 +25,11 @@ import numpy as np
 
 from . import expressions
 from .group import GroupElement, GroupParam
-from .loops import loop_suite
+from .loops import loop_suite, sharp_transitivity_check
 from .multgroup import group_suite, theorem2_suite
 from .report import VerificationReport, emit_report
 from .sections import (
-    CASE_ARITY,
-    PRESETS,
-    FunctionSpec,
-    SectionSpec,
-    generation_suite,
-    lemma1_member,
-    lemma1_suite,
-    sharp_transitivity_check,
+    CASE_ARITY, PRESETS, FunctionSpec, SectionSpec, generation_suite, lemma1_member, lemma1_suite
 )
 from .subgroups import classify_suite, fixed_point_suite
 

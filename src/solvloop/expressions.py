@@ -126,11 +126,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# parse refuses a tree, or text nested, deeper than this: the tree walks
+# recurse once per level, the parser up to six times, and Python stops at 1000
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each parse_* method returns (node, depth)."""
+
     def __init__(self, tokens: list[_Token], variables: Sequence[str]):
         self.tokens = tokens
         self.variables = tuple(variables)
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -146,43 +154,60 @@ class _Parser:
             raise ExpressionError(f"expected '{kind}'", tok.pos)
         return self.advance()
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def bounded(self, level: int, tok: _Token) -> int:
+        """level, a depth or a nesting reached at tok, if it is at most MAX_DEPTH."""
+        if level > MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
+        return level
+
+    def nested(self, parse, tok: _Token) -> tuple[Node, int]:
+        """parse() one level of nesting below tok."""
+        self.nesting = self.bounded(self.nesting + 1, tok)
+        node, depth = parse()
+        self.nesting -= 1
+        return node, depth
+
+    def parse_expr(self) -> tuple[Node, int]:
+        node, depth = self.parse_term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.parse_term()
+            node, depth = BinOp(tok.kind, node, right), self.bounded(1 + max(depth, right_depth), tok)
+        return node, depth
 
-    def parse_term(self) -> Node:
-        node = self.parse_unary()
+    def parse_term(self) -> tuple[Node, int]:
+        node, depth = self.parse_unary()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_unary())
-        return node
+            tok = self.advance()
+            right, right_depth = self.parse_unary()
+            node, depth = BinOp(tok.kind, node, right), self.bounded(1 + max(depth, right_depth), tok)
+        return node, depth
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self) -> tuple[Node, int]:
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.parse_unary())
+            tok = self.advance()
+            operand, depth = self.nested(self.parse_unary, tok)
+            return Neg(operand), self.bounded(1 + depth, tok)
         return self.parse_power()
 
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[Node, int]:
+        base, depth = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
+            tok = self.advance()
+            exponent, exponent_depth = self.nested(self.parse_unary, tok)
+            return BinOp("^", base, exponent), self.bounded(1 + max(depth, exponent_depth), tok)
+        return base, depth
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            result = self.nested(self.parse_expr, tok)
             self.expect(")")
-            return node
+            return result
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
@@ -192,22 +217,22 @@ class _Parser:
                         tok.pos,
                     )
                 self.advance()
-                arg = self.parse_expr()
+                arg, depth = self.nested(self.parse_expr, tok)
                 self.expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), self.bounded(1 + depth, tok)
             if tok.text not in self.variables:
                 allowed = ", ".join(self.variables)
                 raise ExpressionError(
                     f"unknown identifier '{tok.text}' (allowed variables: {allowed})", tok.pos
                 )
-            return Var(tok.text)
+            return Var(tok.text), 1
         raise ExpressionError("syntax error", tok.pos)
 
 
 def parse(text: str, variables: Sequence[str]) -> Node:
-    """Parse text into an expression tree over the given variable names."""
+    """Parse text into an expression tree over the given variable names, at most MAX_DEPTH deep."""
     parser = _Parser(_tokenize(text), variables)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
         raise ExpressionError("syntax error", tail.pos)
@@ -525,7 +550,9 @@ def _power_and_slope(base, dbase, exponent, dexponent):
     value = _enclose_power(base, exponent)
     if dexponent is None:
         less = None if dbase is None else _enclose_power(base, _less_one(exponent))
-        return value, _mul(_mul(exponent, less), dbase)
+        slope = _mul(_mul(exponent, less), dbase)
+        zero = (exponent[0] == 0) & (exponent[1] == 0)  # x^0 is 1 for every x
+        return value, slope and tuple(np.where(zero, 0.0, bound) for bound in slope)
     inner = _add(_mul(dexponent, _enclose_call("log", base)), _mul(exponent, _div(dbase, base)))
     return value, _mul(value, inner)
 
@@ -540,7 +567,10 @@ _SLOPES = {
     "tan": lambda arg, value: _add(_UNIT, _enclose_power(value, _TWO)),
     "tanh": lambda arg, value: _add(_UNIT, _neg(_enclose_power(value, _TWO))),
     "sqrt": lambda arg, value: _div(_UNIT, _mul(_TWO, value)),
-    "abs": lambda arg, value: _div(arg, value),
+    # sign(x), exactly, on a box off 0; unknown on one that reaches 0
+    "abs": lambda arg, value: tuple(
+        np.where((arg[0] > 0) | (arg[1] < 0), np.sign(arg[0]), end) for end in (-np.inf, np.inf)
+    ),
 }
 
 

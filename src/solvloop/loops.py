@@ -14,42 +14,33 @@ and over H3 (case C), with v = f(x1,y1,z1),
     (x1 + e^{a z1}(x2 - y2 z1 e^{(a-1) z2} + v(1 - e^{(a-1) z2})),
      y1 + e^{z1} y2,  z1 + z2).
 
-Left division is closed-form in every case (z, then the remaining coordinates
-are explicit).  Right division is closed-form in case A; in cases B and C it
-is one scalar root problem on a line through the solution of the function-free
-part of the equation (right_translation_system in sections), and the search
-windows are centered on that solution.  Every law takes float or column
-points; right division (loop_rdiv_batch) works on columns throughout: one line
-of columns, one proof of the roots of all rows (numerics.root_rows: flat
-arrays, so that only failed rows and rows with two or more roots are handled
-one by one), the lone roots' proved boxes narrowed to 1e-12 by the same
-interval Newton operator (numerics.narrow_roots), one multiply-back that
-validates every quotient, case A's included.  coset_cross_check re-derives
-every product through the group: lift the left factor with the section,
-multiply by a representative of the right coset, decompose.  Agreement of the
-two pipelines is the master consistency check of the whole construction.
+Left division is read off the group: the w with m1 * w = b is the coset of
+lift(m1)^-1 * embed(b).  Right division is closed-form in case A; in cases B
+and C it is one scalar root problem per row on a line through the solution
+of the function-free part of the equation (right_translation_system), whose
+roots numerics.root_rows proves on windows centered on that solution, for
+all rows of column points at once (loop_rdiv_batch).  sharp_transitivity_check
+counts the roots of the same lines on a sampled box: right translations are
+bijective where every count is 1.  coset_cross_check re-derives every product
+through the group: lift the left factor with the section, multiply by a
+representative of the right coset, decompose.  Agreement of the two
+pipelines is the master consistency check of the whole construction.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .group import coordinate_distance, exp, expm1, mul, split
+from . import expressions
+from .group import coordinate_distance, exp, expm1, inv, mul, split
 from .numerics import narrow_roots, root_rows
 from .report import VerificationReport
 from .sampling import Stream
-from .sections import (
-    SectionSpec,
-    line_residual_rows,
-    record_generation,
-    right_translation_system,
-    section_lift,
-    section_value,
-)
-from .subgroups import LoopPoint, decompose, embed
+from .sections import FunctionSpec, SectionSpec, record_generation, section_lift, section_value
+from .subgroups import LoopPoint, decompose, embed, subgroup_element
 
 
 class RightDivisionError(RuntimeError):
@@ -69,42 +60,139 @@ class SolverDivergenceError(RightDivisionError):
 
 
 def loop_mul(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint) -> LoopPoint:
-    return _product(spec, m1, m2, section_value(spec, m1))
-
-
-def _product(spec: SectionSpec, m1: LoopPoint, m2: LoopPoint, v) -> LoopPoint:
-    """m1 * m2, given the section value v at m1."""
     a = spec.param.a
+    v = section_value(spec, m1)
     x1, y1, z1 = m1.coords
     x2, y2, z2 = m2.coords
-    ea = exp(a * z1)
-    e = exp(z1)
+    ea, e = exp(a * z1), exp(z1)
     if spec.case == "A":
         return LoopPoint(x1 + ea * x2, y1 + y2 * e - z2 * e * v, z1 + z2)
     # 1 - e^{(a-1) z2} = -expm1((a-1) z2)
     em1 = expm1((a - 1.0) * z2)
     if spec.case == "B":
         return LoopPoint(x1 + ea * (x2 - v * em1), y1 + e * (y2 - z2 * v), z1 + z2)
-    return LoopPoint(
-        x1 + ea * (x2 - y2 * z1 * exp((a - 1.0) * z2) - v * em1), y1 + e * y2, z1 + z2
-    )
+    return LoopPoint(x1 + ea * (x2 - y2 * z1 * exp((a - 1.0) * z2) - v * em1), y1 + e * y2, z1 + z2)
 
 
 def loop_ldiv(spec: SectionSpec, m1: LoopPoint, b: LoopPoint) -> LoopPoint:
-    """The unique w with m1 * w = b; closed-form in every case."""
+    """The unique w with m1 * w = b: the coset of lift(m1)^-1 * embed(b), which holds embed(w).
+
+    lift(m1)^-1 is h(-f(m1)) * embed(m1)^-1: inv(lift(m1)) would cancel the lift's terms z e^z f.
+    """
+    p, sub = spec.param, spec.subgroup
+    g = mul(p, inv(p, embed(p, sub, m1)), embed(p, sub, b))
+    return decompose(p, sub, mul(p, subgroup_element(sub, -section_value(spec, m1)), g)).rep
+
+
+class RightTranslationLine(NamedTuple):
+    """The equations q * m2 = b of cases B and C, one row each, reduced to one scalar unknown.
+
+    Every solution of a row has q = (base + u*direction, qz) with u solving
+
+        u = scale * f(base + u*direction, qz),
+
+    and max|direction_k| = 1, so a window u in [lo, hi] stays inside the
+    square base + [lo, hi]^2 of the (x, y) plane.  m2 with z = 0 gives
+    scale = 0: then u = 0 and q = (base, qz) is the only solution.  The
+    fields are float64 columns, one row per equation (case C's direction
+    stays the floats (1.0, 0.0)).
+    """
+
+    fn: FunctionSpec
+    qz: np.ndarray
+    base: tuple[np.ndarray, np.ndarray]
+    direction: tuple[np.ndarray, np.ndarray]
+    scale: np.ndarray
+
+    def point(self, u) -> LoopPoint:
+        (bx, by), (dx, dy) = self.base, self.direction
+        return LoopPoint(bx + u * dx, by + u * dy, self.qz)
+
+    def window(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (lower, upper) columns of the u-intervals whose points lie in the squares base + [lo, hi]^2.
+
+        A coordinate the direction does not move (case C's y) is left
+        unconstrained, so case C's window is [lo, hi] on x - base_x.  The
+        ends are taken as Python's min and max take them, NaN included, and
+        a row whose square misses its line has not lower < upper.
+        """
+        lower, upper = -math.inf, math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for d in self.direction:
+                a, b = np.divide(lo, d), np.divide(hi, d)
+                moved = np.asarray(d) != 0.0
+                # max(lower, min(a, b)) and min(upper, max(a, b))
+                least, most = np.where(b < a, b, a), np.where(b > a, b, a)
+                lower = np.where(moved & (least > lower), least, lower)
+                upper = np.where(moved & (most < upper), most, upper)
+        lower, upper, _ = np.broadcast_arrays(lower, upper, self.qz)
+        return lower, upper
+
+
+def _missed(lo: float, hi: float) -> ValueError:
+    return ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
+
+
+# a line's residual as an expression over u and the line's columns
+_LINE_RESIDUAL = expressions.parse("u - scale*f", ("u", "scale", "f"))
+_LINE_POINT = {
+    name: expressions.parse(text, ("u", "bx", "by", "dx", "dy", "qz"))
+    for name, text in (("x", "bx + u*dx"), ("y", "by + u*dy"), ("z", "qz"))
+}
+
+
+def line_residual_rows(line: RightTranslationLine, rows: np.ndarray) -> tuple[expressions.Node, dict]:
+    """(tree, columns) for numerics.root_rows whose row i is row rows[i] of the line.
+
+    The tree is the residual u - scale*f over u and the line's columns,
+    written as the float steps of its evaluation (the point bx + u*dx,
+    by + u*dy, qz, the section's tree there, then u - scale*f), so that
+    expressions.enclose bounds its computed values, not only exact ones.
+    """
+    tree = expressions.substitute(_LINE_RESIDUAL, {"f": expressions.substitute(line.fn.tree, _LINE_POINT)})
+    fields = np.broadcast_arrays(*line.base, *line.direction, line.qz, line.scale)
+    return tree, {name: col[rows] for name, col in zip(("bx", "by", "dx", "dy", "qz", "scale"), fields)}
+
+
+def right_translation_system(
+    spec: SectionSpec, m2: LoopPoint, b: LoopPoint
+) -> RightTranslationLine:
+    """The line form of q * m2 = b for cases B and C, one row per row of the column points.
+
+    Case C fixes q_y and leaves x = center + coef * f(x, q_y, q_z): direction
+    (1, 0) and scale coef.  Case B puts (x, y) on the line
+    (cx, cy) + h * (tx, ty) with h = h(x, y, q_z): direction t / |t|_inf and
+    scale |t|_inf, the larger of |tx| and |ty| as Python's max takes it.
+    Case A is closed-form and has no implicit system.  Exponentials are
+    group.exp and group.expm1 (numpy's), so overflow raises OverflowError.
+    """
     a = spec.param.a
-    x1, y1, z1 = m1.coords
-    ea = exp(-a * z1)
-    e = exp(-z1)
-    wz = b.z - z1
-    v = section_value(spec, m1)
-    if spec.case == "A":
-        return LoopPoint(ea * (b.x - x1), e * (b.y - y1) + wz * v, wz)
-    em1 = expm1((a - 1.0) * wz)
+    x1, y1, z1 = m2.coords
+    x2, y2, z2 = b.coords
+    z = z2 - z1
+    if spec.case == "C":
+        y = y2 - exp(z) * y1
+        outer = exp(a * z2 - z1)
+        center = x2 - exp(a * z) * x1 + outer * y1 * z
+        coef = outer * -expm1((1.0 - a) * z1)
+        return RightTranslationLine(spec.fn, z, (center, y), (1.0, 0.0), coef)
     if spec.case == "B":
-        return LoopPoint(ea * (b.x - x1) + v * em1, e * (b.y - y1) + wz * v, wz)
-    wy = e * (b.y - y1)
-    return LoopPoint(ea * (b.x - x1) + wy * z1 * exp((a - 1.0) * wz) + v * em1, wy, wz)
+        ea, e = exp(a * z), exp(z)
+        base = (x2 - ea * x1, y2 - e * y1)
+        t = (ea * expm1((a - 1.0) * z1), e * z1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(abs(t[1]) > abs(t[0]), abs(t[1]), abs(t[0]))
+            direction = tuple(np.where(scale != 0.0, np.divide(tk, scale), d) for tk, d in zip(t, (1, 0)))
+        return RightTranslationLine(spec.fn, z, base, direction, scale)
+    raise ValueError("case A right translations are closed-form")
+
+
+def _line_roots(line: RightTranslationLine, rows: np.ndarray, lo, hi):
+    """(counts, (i, a, b), errors): root_rows on the given rows of the line; counts[i] = -1 where errors has i."""
+    found, a, b, errors = root_rows(*line_residual_rows(line, rows), lo, hi)
+    counts = np.bincount(found, minlength=len(rows))
+    counts[list(errors)] = -1
+    return counts, (found, a, b), errors
 
 
 def loop_rdiv_batch(
@@ -118,16 +206,15 @@ def loop_rdiv_batch(
     scalar line equation of right_translation_system on the window of half
     width 10 on the line around the function-free solution, doubling it up
     to 4 times for the rows where there is none; all rows are proved
-    together in numerics.root_rows, whose proofs np.bincount counts per row,
-    and the proved box of every lone root is narrowed to at most 1e-12
-    (numerics.narrow_roots), whose midpoint is the root.  A row gets a
-    MultipleRootsError when the sharp-transitivity hypothesis fails on the
-    window, and a SolverDivergenceError when its root count is unresolved.
-    Every other quotient is validated in one multiply-back: residual holds
-    the coordinate distance of q * m2 from b in those rows (inf in the
-    rest), and a row beyond 1e-8 (a NaN quotient included) gets a
-    SolverDivergenceError.  errors maps the failed rows to their errors; q
-    holds every row, failed ones included.
+    together in numerics.root_rows, and the proved box of every lone root
+    is narrowed to at most 1e-12 (numerics.narrow_roots), whose midpoint is
+    the root.  A row gets a MultipleRootsError when the sharp-transitivity
+    hypothesis fails on the window, and a SolverDivergenceError when its
+    root count is unresolved.  Every other quotient is validated in one
+    multiply-back: residual holds the coordinate distance of q * m2 from b
+    in those rows (inf in the rest), and a row beyond 1e-8 (a NaN quotient
+    included) gets a SolverDivergenceError.  errors maps the failed rows to
+    their errors; q holds every row, failed ones included.
     """
     a = spec.param.a
     errors: dict[int, RightDivisionError] = {}
@@ -146,8 +233,7 @@ def loop_rdiv_batch(
             if not pending.size:
                 break
             ends = np.full(len(pending), width)
-            rows, lo, hi, failed = root_rows(*line_residual_rows(line, pending), -ends, ends)
-            counts = np.bincount(rows, minlength=len(pending))
+            counts, (rows, lo, hi), failed = _line_roots(line, pending, -ends, ends)
             for r, cause in failed.items():
                 err = SolverDivergenceError(f"{cause} (window half width {width:g})")
                 err.__cause__ = cause
@@ -159,7 +245,6 @@ def loop_rdiv_batch(
                 )
             lone = counts[rows] == 1
             single.append((pending[rows[lone]], lo[lone], hi[lone]))
-            counts[list(failed)] = -1
             pending = pending[counts == 0]
             width *= 2.0
         for i in pending.tolist():
@@ -177,9 +262,7 @@ def loop_rdiv_batch(
         q_s, m2_s, b_s = (LoopPoint(*(col[solved] for col in p.coords)) for p in (q, m2, b))
         residual[solved] = coordinate_distance(loop_mul(spec, q_s, m2_s).coords, b_s.coords)
     for i in solved[~(residual[solved] <= 1e-8)].tolist():
-        errors[i] = SolverDivergenceError(
-            f"right division residual {residual[i]:.3e} exceeds 1e-8"
-        )
+        errors[i] = SolverDivergenceError(f"right division residual {residual[i]:.3e} exceeds 1e-8")
     return q, residual, errors
 
 
@@ -291,4 +374,62 @@ def loop_suite(
     pairs = _sample_points(rng, min(n_samples, 300), 2, 5.0, z_hw)
     report.bound("coset-cross-check", coset_cross_check(spec, *pairs), 1e-10)
     record_generation(report, spec, "generation", "generation")
+    return report
+
+
+def sharp_transitivity_check(
+    spec: SectionSpec,
+    box: tuple[float, float] = (-5.0, 5.0),
+    n_samples: int = 100,
+    seed: int = 0,
+    z_half_width: float = 0.5,
+    samples: Optional[Sequence[tuple[LoopPoint, LoopPoint]]] = None,
+) -> VerificationReport:
+    """Certify unique solvability of q * m2 = b over sampled (m2, b) pairs.
+
+    The root search window is the box [lo, hi] translated to the affine base
+    of the implicit equation (the exact solution when the section function
+    vanishes): an interval of x in case C, the square base + [lo, hi]^2 of
+    (x, y) in case B, cut down to the solution line.  The x and y of m2 and
+    b are sampled in [-5, 5] and their z in [-z_half_width, z_half_width],
+    so the function coefficient stays bounded on the window.  Both cases
+    prove the number of roots of the scalar line equation of every sample
+    in one numerics.root_rows call.  Every sample contributes its root count
+    (-1 for a missed window, or for an unresolved count: a pole, a NaN value
+    or a tangential root on its window), and a failure is reported, never
+    dropped.
+    """
+    report = VerificationReport(seed=seed)
+    if spec.case == "A":
+        report.record(
+            "unique-root",
+            True,
+            max_error=0.0,
+            n_samples=0,
+            notes="closed-form division; right translations are globally bijective",
+        )
+        return report
+    if samples is None:
+        lo = [-5.0] * 4 + [-z_half_width] * 2
+        draws = Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 6))
+    else:
+        draws = np.array([(*m2[:2], *b[:2], m2.z, b.z) for m2, b in samples], dtype=float)
+    x1, y1, x2, y2, z1, z2 = draws.reshape(-1, 6).T
+    line = right_translation_system(spec, LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2))
+    lower, upper = line.window(*box)
+    hit = np.flatnonzero(lower < upper)
+    counts = np.full(len(z1), -1)  # -1 for a missed window or a failed row
+    counts[hit], _, errors = _line_roots(line, hit, lower[hit], upper[hit])
+    errors = {int(hit[r]): e for r, e in errors.items()}
+    off = np.abs(counts - 1.0)
+    bad = np.flatnonzero(off).tolist()
+    failures = [f"sample {i}: {errors.get(i, _missed(*box))}" for i in bad if counts[i] < 0]
+    notes = "all sampled right translations have exactly one preimage on the window"
+    if bad:
+        shown = ", ".join(f"sample {i}: {counts[i]} roots" for i in bad[:5] if counts[i] >= 0)
+        notes = "; ".join(filter(None, [shown] + failures[:5]))
+    report.bound("unique-root", off, 0.0, notes=notes)
+    report.data["root_counts"] = counts.tolist()
+    if failures:
+        report.data["failures"] = failures
     return report

@@ -2,7 +2,8 @@
 
 A section assigns to every coset a representative inside it; multiplication
 of cosets through such a lift yields a loop when the lift is sharply
-transitive.  Three families are covered, one per admissible subgroup:
+transitive.  Three families are covered, one per admissible subgroup H; the
+lift of m is the group product embed(m) * h(f(m)) (section_lift), that is
 
     case A (over H1): parameter function f(x, z),    lift g(x, y + z e^z f, e^z f, z)
     case B (over H2): parameter function h(x, y, z), lift g(x + e^{az} h, y + z e^z h, e^z h, z)
@@ -15,27 +16,22 @@ saturating-exponential profile in z.  It returns the verdict as the dict
 that the report carries; record_generation records it as one check, for
 generation_suite and for loops.loop_suite alike.  lemma1_suite tests a
 one-variable profile for membership in the saturating-exponential family
-directly.  right_translation_system reduces the implicit division
-equations of cases B and C to one scalar equation on a line, and
-sharp_transitivity_check certifies, on a sampled box, that right
-translations are bijective by proving the number of roots of that equation
-(numerics.root_rows: interval exclusion and interval Newton steps); a sample
-whose count the proof cannot settle is unresolved and fails.
+directly.  The loop laws and right division, with its sharp-transitivity
+check, are in loops.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import expressions
-from .group import GroupElement, GroupParam, exp, expm1
-from .numerics import fit_saturating_exponential, root_rows, twisted_additivity_residual
+from .group import GroupElement, GroupParam, mul
+from .numerics import fit_saturating_exponential, twisted_additivity_residual
 from .report import VerificationReport
-from .sampling import Stream
-from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId
+from .subgroups import InadmissibleSubgroupError, LoopPoint, SubgroupId, embed, subgroup_element
 
 BASE_POINT_TOL = 1e-12
 
@@ -145,15 +141,9 @@ def section_value(spec: SectionSpec, m: LoopPoint):
 
 
 def section_lift(spec: SectionSpec, m: LoopPoint) -> GroupElement:
-    """The chosen coset representative; always satisfies decompose(lift(m)).rep = m."""
-    a = spec.param.a
-    v = section_value(spec, m)
-    e = exp(m.z)
-    if spec.case == "A":
-        return GroupElement(m.x, m.y + m.z * e * v, e * v, m.z)
-    if spec.case == "B":
-        return GroupElement(m.x + exp(a * m.z) * v, m.y + m.z * e * v, e * v, m.z)
-    return GroupElement(m.x + exp(a * m.z) * v, e * v, m.y, m.z)
+    """The chosen coset representative embed(m) * h(f(m)); decompose(lift(m)) is (m, f(m))."""
+    p, sub = spec.param, spec.subgroup
+    return mul(p, embed(p, sub, m), subgroup_element(sub, section_value(spec, m)))
 
 
 def _profile_zs(lo: float, hi: float, n: int) -> np.ndarray:
@@ -308,187 +298,4 @@ def lemma1_suite(
         err = abs(fit.coefficient - coefficient) / max(1.0, abs(coefficient))
         report.record("coefficient-recovery", err <= 1e-9, max_error=err, n_samples=fit.n_samples)
     report.data["coefficient"] = fit.coefficient
-    return report
-
-
-class RightTranslationLine(NamedTuple):
-    """The equation q * m2 = b of cases B and C reduced to one scalar unknown.
-
-    Every solution has q = (base + u*direction, qz) with u solving
-
-        u = scale * f(base + u*direction, qz),
-
-    and max|direction_k| = 1, so a window u in [lo, hi] stays inside the
-    square base + [lo, hi]^2 of the (x, y) plane.  m2 with z = 0 gives
-    scale = 0: then u = 0 and q = (base, qz) is the only solution.  Like
-    LoopPoint, a line holds floats or float64 columns, one row per
-    equation (case C's direction stays the floats (1.0, 0.0)).
-    """
-
-    fn: FunctionSpec
-    qz: float
-    base: tuple[float, float]
-    direction: tuple[float, float]
-    scale: float
-
-    def point(self, u) -> LoopPoint:
-        (bx, by), (dx, dy) = self.base, self.direction
-        return LoopPoint(bx + u * dx, by + u * dy, self.qz)
-
-    def window(self, lo: float, hi: float):
-        """The u-interval whose points lie in the square base + [lo, hi]^2.
-
-        A coordinate the direction does not move (case C's y) is left
-        unconstrained, so case C's window is [lo, hi] on x - base_x.  The
-        ends are taken as Python's min and max take them, NaN included.
-        A float line raises _missed(lo, hi) when the square misses the
-        line; a column line returns the (lower, upper) columns of all rows,
-        and a row whose square misses it has not lower < upper.
-        """
-        lower, upper = -math.inf, math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for d in self.direction:
-                a, b = np.divide(lo, d), np.divide(hi, d)
-                moved = np.asarray(d) != 0.0
-                # max(lower, min(a, b)) and min(upper, max(a, b))
-                least, most = np.where(b < a, b, a), np.where(b > a, b, a)
-                lower = np.where(moved & (least > lower), least, lower)
-                upper = np.where(moved & (most < upper), most, upper)
-        lower, upper, _ = np.broadcast_arrays(lower, upper, self.qz)
-        if lower.ndim:
-            return lower, upper
-        if not lower < upper:
-            raise _missed(lo, hi)
-        return float(lower), float(upper)
-
-
-def _missed(lo: float, hi: float) -> ValueError:
-    return ValueError(f"the box [{lo:g}, {hi:g}]^2 misses the solution line")
-
-
-# a line's residual as an expression over u and the line's columns
-_LINE_RESIDUAL = expressions.parse("u - scale*f", ("u", "scale", "f"))
-_LINE_POINT = {
-    name: expressions.parse(text, ("u", "bx", "by", "dx", "dy", "qz"))
-    for name, text in (("x", "bx + u*dx"), ("y", "by + u*dy"), ("z", "qz"))
-}
-
-
-def _residual_tree(fn: FunctionSpec) -> expressions.Node:
-    """u - scale*f(bx + u*dx, by + u*dy, qz) with f the section's tree."""
-    return expressions.substitute(_LINE_RESIDUAL, {"f": expressions.substitute(fn.tree, _LINE_POINT)})
-
-
-def _columns(line: RightTranslationLine) -> dict:
-    """The line's fields by their names in _residual_tree, broadcast to the rows' shape."""
-    fields = np.broadcast_arrays(*line.base, *line.direction, line.qz, line.scale)
-    return dict(zip(("bx", "by", "dx", "dy", "qz", "scale"), fields))
-
-
-def line_residual_rows(line: RightTranslationLine, rows: np.ndarray) -> tuple[expressions.Node, dict]:
-    """(tree, columns) for numerics.root_rows whose row i is row rows[i] of the column line.
-
-    The tree is the residual u - scale*f over u and the line's columns,
-    written as the float steps of its evaluation (the point bx + u*dx,
-    by + u*dy, qz, the section's tree there, then u - scale*f), so that
-    expressions.enclose bounds its computed values, not only exact ones.
-    """
-    return _residual_tree(line.fn), {name: col[rows] for name, col in _columns(line).items()}
-
-
-def right_translation_system(
-    spec: SectionSpec, m2: LoopPoint, b: LoopPoint
-) -> RightTranslationLine:
-    """The line form of q * m2 = b for cases B and C.
-
-    Case C fixes q_y and leaves x = center + coef * f(x, q_y, q_z): direction
-    (1, 0) and scale coef.  Case B puts (x, y) on the line
-    (cx, cy) + h * (tx, ty) with h = h(x, y, q_z): direction t / |t|_inf and
-    scale |t|_inf, the larger of |tx| and |ty| as Python's max takes it.
-    Case A is closed-form and has no implicit system.  On column points
-    every row is the float call on that row, bit for bit; exponentials are
-    group.exp and group.expm1 (numpy's), so overflow raises OverflowError.
-    """
-    a = spec.param.a
-    x1, y1, z1 = m2.coords
-    x2, y2, z2 = b.coords
-    z = z2 - z1
-    if spec.case == "C":
-        y = y2 - exp(z) * y1
-        outer = exp(a * z2 - z1)
-        center = x2 - exp(a * z) * x1 + outer * y1 * z
-        coef = outer * -expm1((1.0 - a) * z1)
-        return RightTranslationLine(spec.fn, z, (center, y), (1.0, 0.0), coef)
-    if spec.case == "B":
-        ea = exp(a * z)
-        e = exp(z)
-        base = (x2 - ea * x1, y2 - e * y1)
-        t = (ea * expm1((a - 1.0) * z1), e * z1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(abs(t[1]) > abs(t[0]), abs(t[1]), abs(t[0]))
-            direction = [np.where(scale != 0.0, np.divide(tk, scale), d) for tk, d in zip(t, (1, 0))]
-        if not scale.ndim:
-            scale, direction = float(scale), [float(d) for d in direction]
-        return RightTranslationLine(spec.fn, z, base, tuple(direction), scale)
-    raise ValueError("case A right translations are closed-form")
-
-
-def sharp_transitivity_check(
-    spec: SectionSpec,
-    box: tuple[float, float] = (-5.0, 5.0),
-    n_samples: int = 100,
-    seed: int = 0,
-    z_half_width: float = 0.5,
-    samples: Optional[Sequence[tuple[LoopPoint, LoopPoint]]] = None,
-) -> VerificationReport:
-    """Certify unique solvability of q * m2 = b over sampled (m2, b) pairs.
-
-    The root search window is the box [lo, hi] translated to the affine base
-    of the implicit equation (the exact solution when the section function
-    vanishes): an interval of x in case C, the square base + [lo, hi]^2 of
-    (x, y) in case B, cut down to the solution line.  The x and y of m2 and
-    b are sampled in [-5, 5] and their z in [-z_half_width, z_half_width],
-    so the function coefficient stays bounded on the window.  Both cases
-    prove the number of roots of the scalar line equation with
-    numerics.root_rows: the samples are the rows of one column line and of
-    its windows, all in one call, and np.bincount of its proofs' rows gives
-    their root counts.  Every sample contributes its root count (-1 for a
-    missed window, or for an unresolved count: a pole, a NaN value or a
-    tangential root on its window), and a failure is reported, never dropped.
-    """
-    report = VerificationReport(seed=seed)
-    if spec.case == "A":
-        report.record(
-            "unique-root",
-            True,
-            max_error=0.0,
-            n_samples=0,
-            notes="closed-form division; right translations are globally bijective",
-        )
-        return report
-    if samples is None:
-        lo = [-5.0] * 4 + [-z_half_width] * 2
-        draws = Stream(seed).uniform(lo, [-bound for bound in lo], (n_samples, 6))
-    else:
-        draws = np.array([(*m2[:2], *b[:2], m2.z, b.z) for m2, b in samples], dtype=float)
-    x1, y1, x2, y2, z1, z2 = draws.reshape(-1, 6).T
-    line = right_translation_system(spec, LoopPoint(x1, y1, z1), LoopPoint(x2, y2, z2))
-    lower, upper = line.window(*box)
-    hit = np.flatnonzero(lower < upper)
-    rows, _, _, errors = root_rows(*line_residual_rows(line, hit), lower[hit], upper[hit])
-    errors = {int(hit[r]): e for r, e in errors.items()}
-    counts = np.full(len(z1), -1)  # -1 for a missed window or a failed row
-    counts[hit] = np.bincount(rows, minlength=len(hit))
-    counts[list(errors)] = -1
-    off = np.abs(counts - 1.0)
-    bad = np.flatnonzero(off).tolist()
-    failures = [f"sample {i}: {errors.get(i, _missed(*box))}" for i in bad if counts[i] < 0]
-    notes = "all sampled right translations have exactly one preimage on the window"
-    if bad:
-        shown = ", ".join(f"sample {i}: {counts[i]} roots" for i in bad[:5] if counts[i] >= 0)
-        notes = "; ".join(filter(None, [shown] + failures[:5]))
-    report.bound("unique-root", off, 0.0, notes=notes)
-    report.data["root_counts"] = counts.tolist()
-    if failures:
-        report.data["failures"] = failures
     return report

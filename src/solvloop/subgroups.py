@@ -102,13 +102,8 @@ def subgroup_generator(sub: SubgroupId) -> AlgebraVector:
 
 
 def subgroup_element(sub: SubgroupId, k: float) -> GroupElement:
-    if sub is SubgroupId.H1:
-        return GroupElement(0.0, 0.0, k, 0.0)
-    if sub is SubgroupId.H2:
-        return GroupElement(k, 0.0, k, 0.0)
-    if sub is SubgroupId.H3:
-        return GroupElement(k, k, 0.0, 0.0)
-    return GroupElement(0.0, 0.0, 0.0, k)
+    """k * generator, each subgroup being a line through 0; a coordinate it does not move stays 0.0."""
+    return GroupElement(*(k * c if c else 0.0 for c in subgroup_generator(sub)))
 
 
 def embed(p: GroupParam, sub: SubgroupId, m: LoopPoint) -> GroupElement:

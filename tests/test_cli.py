@@ -839,11 +839,10 @@ def test_command_table_matches_parser(capsys):
 
 def test_library_suites_match_cli(tmp_path):
     from solvloop.group import GroupElement, GroupParam
-    from solvloop.loops import loop_suite
+    from solvloop.loops import loop_suite, sharp_transitivity_check
     from solvloop.multgroup import group_suite, theorem2_suite
     from solvloop.sections import (
         FunctionSpec, SectionSpec, generation_suite, lemma1_member, lemma1_suite,
-        sharp_transitivity_check,
     )
     from solvloop.subgroups import classify_suite, fixed_point_suite
 
@@ -940,6 +939,30 @@ def test_fn_errors_are_usage_errors_naming_fn(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: --fn: ") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generation", "--case", "A", "--a", "2", "--fn", "(" * 200 + "x" + ")" * 200],
+        ["transitivity", "--case", "C", "--a", "2", "--fn", "+".join(["0.0001*x"] * 1500)],
+        ["generation", "--case", "A", "--a", "2", "--fn=" + "-" * 3000 + "x"],
+    ],
+    ids=["200-brackets", "1500-terms", "3000-minus-signs"],
+)
+def test_a_deeply_nested_fn_is_a_usage_error(capsys, argv):
+    # these raised RecursionError, in the parser and in the tree walks
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: --fn: expression nested deeper than 100 levels at position \d+\n", captured.err)
+
+
+def test_a_section_at_the_depth_bound_runs_through_the_line_residual(capsys):
+    # 99 terms make a tree 100 deep; its line residual is deeper still
+    fn = "+".join(["0.0001*x"] * 99)
+    assert main(["transitivity", "--case", "C", "--a", "2", "--fn", fn, "--samples", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 @pytest.mark.parametrize("command", ["generation", "loop-check"])

@@ -57,3 +57,11 @@ def test_the_sweep_has_160_lines_at_seed_0():
     assert len(lines) == len(set(lines)) == 160
     assert lines[0] == "loop-check --case B --a 2 --fn='x*y' --seed 0"
     assert "transitivity --case C --a -1 --fn='-3*exp(-1e10*(x-1)^2)' --seed 0" in lines
+
+
+def test_the_case_a_sweep_reads_no_y():
+    lines = compare_reports.case_a_lines()
+    assert len(lines) == len(set(lines)) == 56
+    assert lines[0] == "loop-check --case A --a 2 --fn='x^3' --seed 0"
+    assert "generation --case A --a -1 --fn='0.5*x^2' --seed 0" in lines
+    assert not any("y" in line.split("--fn=")[1] for line in lines)

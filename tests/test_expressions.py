@@ -64,6 +64,33 @@ def test_syntax_error_carries_position():
     assert info.value.position == 4
 
 
+@pytest.mark.parametrize(
+    "deepest,deeper,position",
+    [
+        ("(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, 100),
+        ("-" * 99 + "x", "-" * 101 + "x", 100),
+        ("+".join(["x"] * 100), "+".join(["x"] * 101), 199),
+        ("sin(" * 99 + "x" + ")" * 99, "sin(" * 100 + "x" + ")" * 100, 0),
+        ("x^" * 99 + "x", "x^" * 100 + "x", 1),
+    ],
+    ids=["brackets", "minus-signs", "sums", "calls", "powers"],
+)
+def test_parse_refuses_what_is_nested_deeper_than_max_depth(deepest, deeper, position):
+    # a tree or text nested MAX_DEPTH deep parses, evaluates and encloses
+    # with its slope; one level more is an ExpressionError, before the
+    # parser or a tree walk runs out of recursion, at the token where the
+    # text nests too deep or at the operator of the node that is too deep
+    assert ex.MAX_DEPTH == 100
+    tree = ex.parse(deepest, ("x",))
+    assert math.isfinite(ex.evaluate(tree, {"x": 0.5}))
+    (lo, hi), (dlo, dhi) = ex.enclose(tree, {"x": (0.5, 0.5)}, "x")
+    assert lo <= ex.evaluate(tree, {"x": 0.5}) <= hi and dlo <= dhi
+    with pytest.raises(ex.ExpressionError, match=f"nested deeper than 100 levels at position {position}$"):
+        ex.parse(deeper, ("x",))
+    with pytest.raises(ex.ExpressionError, match="nested deeper than 100 levels"):
+        ex.parse("-" * 3000 + "x", ("x",))
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(ex.ExpressionError):
         ex.parse("1 + 2 )", ())
@@ -520,3 +547,17 @@ def test_derivative_folds_zero_terms_and_unit_factors():
         value, slope = ex.enclose(tree, boxes, "x")
         assert [v.tolist() for v in slope] == expected, text
         assert [v.tobytes() for v in value] == [v.tobytes() for v in ex.enclose(tree, boxes)], text
+
+
+def test_slopes_of_abs_and_of_a_zeroth_power_are_exact():
+    # abs has the slope sign(x) on a box off 0 and none on one that reaches
+    # 0 (it was enclosed as x/|x|, [0.5, 2] on [1, 2]); x^0 is constant,
+    # so its slope is 0 also on a box across 0 (it was unknown there)
+    def slope(text, box):
+        return tuple(float(v) for v in ex.enclose(ex.parse(text, ("x",)), {"x": box}, "x")[1])
+
+    assert slope("abs(x)", (1.0, 2.0)) == (1.0, 1.0)
+    assert slope("abs(x)", (-2.0, -1.0)) == (-1.0, -1.0)
+    assert slope("abs(x)", (-1.0, 2.0)) == slope("abs(x)", (0.0, 2.0)) == (-math.inf, math.inf)
+    assert slope("x^0", (-1.0, 2.0)) == (0.0, 0.0)
+    assert slope("x^0", (1.0, 2.0)) == (0.0, 0.0)

@@ -207,7 +207,7 @@ def test_rdiv_gate_rejects_nan_product(monkeypatch):
     m2 = sl.LoopPoint(0.5, 0.2, 0.3)
     b = sl.loops.loop_mul(c, sl.LoopPoint(1.0, -1.0, 0.1), m2)
     monkeypatch.setattr(
-        sl.loops, "_product", lambda case, q, m, v: sl.LoopPoint(math.nan, q.y, q.z)
+        sl.loops, "loop_mul", lambda spec, q, m: sl.LoopPoint(math.nan, q.y, q.z)
     )
     with pytest.raises(sl.loops.SolverDivergenceError):
         rdiv(c, b, m2)
@@ -242,7 +242,7 @@ def test_rdiv_batch_errors_row_by_row():
     b, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, 12)), rng.uniform(-1, 1, 12)) for _ in "12")
     b, m2 = (sl.LoopPoint(*(col[[8, 1, 6, 0]] for col in p.coords)) for p in (b, m2))
     _, residual, errors = sl.loops.loop_rdiv_batch(spec, b, m2)
-    base = sl.sections.right_translation_system(spec, m2, b).base
+    base = sl.loops.right_translation_system(spec, m2, b).base
     around = [(float(base[0][i]), float(base[1][i])) for i in range(4)]
     assert {i: (type(e).__name__, str(e)) for i, e in errors.items()} == {
         0: ("MultipleRootsError", f"2 roots in window of half width 10 around {around[0]}"),

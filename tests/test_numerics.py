@@ -435,8 +435,8 @@ def _right_division_rows(n):
     spec = sl.SectionSpec("C", sl.GroupParam(2.0), sl.FunctionSpec.preset("sin-small", 3))
     rng = np.random.default_rng(5)
     m1, m2 = (sl.LoopPoint(*rng.uniform(-5, 5, (2, n)), rng.uniform(-0.5, 0.5, n)) for _ in "12")
-    line = sl.sections.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
-    return (*sl.sections.line_residual_rows(line, np.arange(n)), m1, line)
+    line = sl.loops.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
+    return (*sl.loops.line_residual_rows(line, np.arange(n)), m1, line)
 
 
 def _enclosed(monkeypatch, residual):

@@ -138,6 +138,18 @@ def test_section_lift_structure(case, preset):
         assert abs(d.k - sl.sections.section_value(spec, m)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+@pytest.mark.parametrize("preset", sorted(sl.PRESETS))
+def test_a_column_lift_decomposes_into_its_point_and_section_value(case, preset):
+    # decompose(lift(m)) is (m, f(m)) on every row of column points
+    spec = spec_for(case, preset)
+    rng = np.random.default_rng(22)
+    m = sl.LoopPoint(*rng.uniform(-3, 3, (3, 200)))
+    d = sl.subgroups.decompose(spec.param, spec.subgroup, sl.sections.section_lift(spec, m))
+    assert (sl.group.coordinate_distance(d.rep.coords, m.coords) <= 1e-12).all()
+    assert (sl.group.coordinate_distance((d.k,), (sl.sections.section_value(spec, m),)) <= 1e-12).all()
+
+
 def test_section_lift_at_origin_is_identity():
     for case, preset in (("A", "linear-x"), ("B", "lemma1"), ("C", "sin-small")):
         spec = spec_for(case, preset)
@@ -222,14 +234,14 @@ def _random_points(seed):
 
 def _solver_residual(line, u):
     """The residual root_rows and narrow_roots see, on every row of the column line at u."""
-    tree, columns = sl.sections.line_residual_rows(line, np.arange(len(u)))
+    tree, columns = sl.loops.line_residual_rows(line, np.arange(len(u)))
     return sl.expressions.evaluate(tree, {**columns, "u": u})
 
 
 def test_right_translation_system_case_c():
     spec = spec_for("C", "sin-small")
     m1, m2 = _random_points(33)
-    line = sl.sections.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
+    line = sl.loops.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
     assert (line.qz == m1.z).all()  # z-coordinates subtract exactly
     assert line.direction == (1.0, 0.0)
     assert (abs(line.base[1] - m1.y) <= 1e-12).all()
@@ -242,7 +254,7 @@ def test_right_translation_system_case_c():
 def test_right_translation_system_case_b():
     spec = spec_for("B", "lemma1")
     m1, m2 = _random_points(34)
-    line = sl.sections.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
+    line = sl.loops.right_translation_system(spec, m2, sl.loops.loop_mul(spec, m1, m2))
     assert (line.qz == m1.z).all()
     assert (np.maximum(abs(line.direction[0]), abs(line.direction[1])) == 1.0).all()
     # u = scale * h at the true quotient puts it on the line
@@ -255,23 +267,32 @@ def test_right_translation_system_case_b_z_zero_is_closed_form():
     spec = spec_for("B", "sin-small")
     m2 = sl.LoopPoint(1.5, -2.0, 0.0)
     b = sl.LoopPoint(0.3, 0.7, 0.4)
-    assert sl.sections.right_translation_system(spec, m2, b).scale == 0.0
+    assert sl.loops.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b])).scale == [0.0]
     rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
     assert rep.data["root_counts"] == [1]
 
 
 def test_line_window_square_and_interval():
+    # one-row column lines: the window of each is its row's (lower, upper)
     fn = sl.FunctionSpec.preset("zero", 3)
-    line = lambda d: sl.sections.RightTranslationLine(fn, 0.0, (0.0, 0.0), d, 1.0)
+    zero = np.zeros(1)
+
+    def window(d, lo, hi):
+        line = sl.loops.RightTranslationLine(fn, zero, (zero, zero), tuple(np.array([v]) for v in d), zero + 1.0)
+        lower, upper = line.window(lo, hi)
+        assert lower.shape == upper.shape == (1,)
+        return float(lower[0]), float(upper[0])
+
     # case C moves x only: the window is the box itself
-    assert line((1.0, 0.0)).window(-2.0, 3.0) == (-2.0, 3.0)
+    assert window((1.0, 0.0), -2.0, 3.0) == (-2.0, 3.0)
     # case B: the square [-2, 3]^2 cut down to the line
-    assert line((1.0, -0.5)).window(-2.0, 3.0) == (-2.0, 3.0)
-    assert line((-0.5, 1.0)).window(-2.0, 3.0) == (-2.0, 3.0)
-    assert line((-1.0, 0.5)).window(-2.0, 3.0) == (-3.0, 2.0)
-    assert line((1.0, 1.0)).window(1.0, 2.0) == (1.0, 2.0)
-    with pytest.raises(ValueError, match="misses the solution line"):
-        line((1.0, -1.0)).window(1.0, 2.0)
+    assert window((1.0, -0.5), -2.0, 3.0) == (-2.0, 3.0)
+    assert window((-0.5, 1.0), -2.0, 3.0) == (-2.0, 3.0)
+    assert window((-1.0, 0.5), -2.0, 3.0) == (-3.0, 2.0)
+    assert window((1.0, 1.0), 1.0, 2.0) == (1.0, 2.0)
+    # a square that misses the line leaves no lower < upper
+    lower, upper = window((1.0, -1.0), 1.0, 2.0)
+    assert not lower < upper
 
 
 # ---------------------------------------------------------------- transitivity
@@ -326,9 +347,9 @@ def test_transitivity_case_b_counts_every_root_on_the_line():
     rep = sl.sharp_transitivity_check(spec, samples=[(m2, b)])
     assert rep.status == "fail"
     assert rep.data["root_counts"] == [3]
-    line = sl.sections.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
+    line = sl.loops.right_translation_system(spec, sl.group.stack([m2]), sl.group.stack([b]))
     lo, hi = line.window(-5.0, 5.0)
-    tree, columns = sl.sections.line_residual_rows(line, np.arange(1))
+    tree, columns = sl.loops.line_residual_rows(line, np.arange(1))
     (boxes,) = per_row(sl.numerics.root_rows(tree, columns, lo, hi), 1)
     assert len(boxes) == 3
     lows, highs = sl.numerics.narrow_roots(tree, {k: np.repeat(v, 3) for k, v in columns.items()}, *zip(*boxes))

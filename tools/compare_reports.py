@@ -10,7 +10,9 @@ each tree, as `python -m solvloop ...` with that tree's src/ on PYTHONPATH:
     change tree's WORKLOADS; nothing under perfbench/ is changed), at the
     seeds 0 and 7919;
   * the sweep, at seed 0: every section of SWEEP_SECTIONS, in cases B and
-    C, at a = 2 and a = -1, with `loop-check` and with `transitivity`.
+    C, at a = 2 and a = -1, with `loop-check` and with `transitivity` (160
+    lines); and every section that reads only x and z, in case A, at
+    a = 2 and a = -1, with `loop-check` and with `generation` (56 lines).
 
 Each line whose exit code or report bytes differ is printed with what
 changed: the exit code, the report's status, and each check whose status,
@@ -53,6 +55,14 @@ def sweep_lines() -> list[str]:
     return [
         f"{command} --case {case} --a {a} --fn={shlex.quote(fn)} --seed 0"
         for fn in SWEEP_SECTIONS for case in "BC" for a in ("2", "-1") for command in ("loop-check", "transitivity")
+    ]
+
+
+def case_a_lines() -> list[str]:
+    """The 56 case-A lines of the sweep, at seed 0: the sections that read no y."""
+    return [
+        f"{command} --case A --a {a} --fn={shlex.quote(fn)} --seed 0"
+        for fn in SWEEP_SECTIONS if "y" not in fn for a in ("2", "-1") for command in ("loop-check", "generation")
     ]
 
 
@@ -108,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     args = parser.parse_args(argv)
     trees = (args.parent.resolve(), args.change.resolve())
-    groups = {"benchmark": workload_lines(trees[1]), "sweep": sweep_lines()}
+    groups = {"benchmark": workload_lines(trees[1]), "sweep": sweep_lines() + case_a_lines()}
     broken = 0
     for group, lines in groups.items():
         differing = 0
